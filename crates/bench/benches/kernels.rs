@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use wimesh::conflict::{greedy_coloring, ConflictGraph, InterferenceModel};
 use wimesh::mac80216::csch::{run_centralized, uplink_demands, CschConfig, CschMode};
@@ -51,6 +51,38 @@ fn bench_schedule_from_order(c: &mut Criterion) {
     let ord = order::hop_order(&cg, std::slice::from_ref(&path));
     let frame = FrameConfig::new(128, 250);
     c.bench_function("bellman_ford_schedule_chain19", |b| {
+        b.iter(|| schedule_from_order(&cg, &demands, &ord, frame).unwrap())
+    });
+
+    // The size the gateway benchmark's `gw_churn_grid8` solves per request:
+    // 25 calls of at most 4 hops on grid(8,8) — 63 vertices and 291
+    // conflict edges with this seed.
+    let topo = generators::grid(8, 8);
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut paths = Vec::new();
+    while paths.len() < 25 {
+        let (a, b) = (rng.gen_range(0..64u32), rng.gen_range(0..64u32));
+        let hops = (a % 8).abs_diff(b % 8) + (a / 8).abs_diff(b / 8);
+        if (1..=4).contains(&hops) {
+            paths.push(shortest_path(&topo, NodeId(a), NodeId(b)).unwrap());
+        }
+    }
+    let mut demands = Demands::new();
+    for path in &paths {
+        for &l in path.links() {
+            demands.add(l, 1);
+        }
+    }
+    let cg = ConflictGraph::build_for_links(
+        &topo,
+        demands.links().collect(),
+        InterferenceModel::protocol_default(),
+    );
+    let ord = order::hop_order(&cg, &paths);
+    c.bench_function("hop_order_grid8x8_25calls", |b| {
+        b.iter(|| order::hop_order(&cg, &paths))
+    });
+    c.bench_function("schedule_from_order_grid8x8_25calls", |b| {
         b.iter(|| schedule_from_order(&cg, &demands, &ord, frame).unwrap())
     });
 }

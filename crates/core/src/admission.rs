@@ -12,7 +12,7 @@
 //!    and the control subframes the packet can straddle), and
 //! 4. asks the scheduling oracle whether *all* accepted flows plus the
 //!    candidate fit: for the heuristic order policies the oracle is
-//!    Bellman–Ford schedule construction plus a delay check; for
+//!    one longest-path schedule construction plus a delay check; for
 //!    [`OrderPolicy::ExactMilp`] it is a **linear search for the minimum
 //!    number of minislots** whose feasibility test is the integer program
 //!    of [`wimesh_tdma::milp`] — the optimization the companion paper
@@ -34,8 +34,7 @@ use wimesh_emu::EmulationModel;
 use wimesh_milp::SolverConfig;
 use wimesh_tdma::milp::{feasible_order_within, PathRequirement};
 use wimesh_tdma::{
-    delay, min_slots_for_order, order, schedule_from_order, Demands, Schedule, ScheduleError,
-    TransmissionOrder,
+    delay, order, schedule_from_order, Demands, Schedule, ScheduleError, TransmissionOrder,
 };
 use wimesh_topology::routing::{shortest_path, GatewayRouting, Path};
 use wimesh_topology::{MeshTopology, NodeId};
@@ -569,9 +568,9 @@ fn try_schedule(
 /// The scheduling oracle proper, on a caller-supplied conflict graph
 /// whose vertices must cover every demanded link.
 ///
-/// For the heuristic policies this is Bellman–Ford schedule construction
-/// plus a delay check; for [`OrderPolicy::ExactMilp`] it is the linear
-/// minimum-minislot search over the MILP feasibility oracle.
+/// For the heuristic policies this is one longest-path schedule
+/// construction plus a delay check; for [`OrderPolicy::ExactMilp`] it is
+/// the linear minimum-minislot search over the MILP feasibility oracle.
 pub(crate) fn solve_demands_on_graph(
     topo: &MeshTopology,
     model: &EmulationModel,
@@ -600,10 +599,9 @@ pub(crate) fn solve_demands_on_graph(
                     });
                 }
             }
-            let paths: Vec<Path> = flows.iter().map(|f| f.path.clone()).collect();
             let ord = match policy {
                 OrderPolicy::HopOrder | OrderPolicy::GreedySequential { .. } => {
-                    order::hop_order(graph, &paths)
+                    order::hop_order(graph, flows.iter().map(|f| &f.path))
                 }
                 OrderPolicy::TreeOrder { gateway } => {
                     let routing = GatewayRouting::new(topo, gateway)
@@ -612,14 +610,10 @@ pub(crate) fn solve_demands_on_graph(
                 }
                 _ => unreachable!("outer match covers only order-heuristic policies"),
             };
-            let used = min_slots_for_order(graph, demands, &ord)?;
-            if used > frame.slots() {
-                return Err(ScheduleError::FrameTooShort {
-                    needed: used,
-                    available: frame.slots(),
-                });
-            }
+            // One longest-path pass: a makespan beyond the frame comes back
+            // as `FrameTooShort { needed: makespan, .. }`.
             let schedule = schedule_from_order(graph, demands, &ord, frame)?;
+            let used = schedule.makespan();
             for f in flows {
                 if let Some(b) = flow_budget(model, f) {
                     let d = delay::path_delay_slots(&schedule, &f.path)

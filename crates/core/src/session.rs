@@ -209,8 +209,9 @@ pub struct SessionState {
     pub policy: OrderPolicy,
     /// Admitted flows, in admission order.
     pub flows: Vec<FlowState>,
-    /// The last feasible transmission order as graph-independent link
-    /// pairs; empty when no flow is admitted.
+    /// The last feasible transmission order as graph-independent
+    /// `(earlier, later)` link pairs, ascending; empty when no flow is
+    /// admitted.
     pub warm_pairs: Vec<(LinkId, LinkId)>,
     /// The published schedule as explicit per-link slot ranges,
     /// ascending by link id.
@@ -601,6 +602,16 @@ impl QosSession {
     /// graph-independent form — see [`SessionState`] and
     /// [`MeshQos::restore_session`].
     pub fn export_state(&self) -> SessionState {
+        // Canonical pair order: the session lists pairs by its conflict
+        // graph's vertex numbering, which depends on the insertions and
+        // roll-backs that built the graph — equal states must compare equal
+        // whatever history produced them.
+        let mut warm_pairs = self
+            .warm
+            .as_ref()
+            .map(|w| w.pairs.clone())
+            .unwrap_or_default();
+        warm_pairs.sort_unstable();
         SessionState {
             policy: self.policy,
             flows: self
@@ -612,11 +623,7 @@ impl QosSession {
                     slots_per_link: a.slots_per_link,
                 })
                 .collect(),
-            warm_pairs: self
-                .warm
-                .as_ref()
-                .map(|w| w.pairs.clone())
-                .unwrap_or_default(),
+            warm_pairs,
             ranges: self.outcome.schedule.iter().collect(),
             guaranteed_slots: self.outcome.guaranteed_slots,
         }
@@ -748,11 +755,16 @@ impl QosSession {
     /// remaining set. Returns `Ok(false)` when no admitted flow has this
     /// id.
     ///
+    /// Under the heuristic order policies a subset can rank differently
+    /// and need more minislots than the superset did; the session then
+    /// keeps the previous order, restricted to the remaining links, when
+    /// that still fits the frame and meets every deadline.
+    ///
     /// # Errors
     ///
     /// Rescheduling the remaining flows can only fail for the heuristic
-    /// order policies (a subset can rank differently and, pathologically,
-    /// miss a deadline the superset met; under
+    /// order policies, when neither the recomputed nor the previous order
+    /// meets a deadline the superset met (under
     /// [`OrderPolicy::ExactMilp`] a subset of a feasible set is always
     /// feasible). On error the session is left unchanged — the flow stays
     /// admitted; [`QosSession::rebalance`] with an exact policy is the
@@ -814,6 +826,7 @@ impl QosSession {
                 self.warm.as_ref(),
                 &mut self.stats,
             )
+            .or_else(|e| self.keep_previous_order(&demands, &trial).ok_or(e))
         };
         match result {
             Ok((schedule, ord, used)) => {
@@ -840,6 +853,31 @@ impl QosSession {
                 Err(e.into())
             }
         }
+    }
+
+    /// The release fallback of the heuristic policies: the order that
+    /// scheduled the superset, restricted to the links still carrying
+    /// demand, under the same frame and deadline checks as a fresh solve.
+    fn keep_previous_order(
+        &self,
+        demands: &Demands,
+        flows: &[&Accepted],
+    ) -> Option<(Schedule, TransmissionOrder, u32)> {
+        if !matches!(
+            self.policy,
+            OrderPolicy::HopOrder | OrderPolicy::TreeOrder { .. }
+        ) {
+            return None;
+        }
+        let previous = TransmissionOrder::from_link_pairs(&self.graph, &self.warm.as_ref()?.pairs);
+        let model = self.mesh.model();
+        let frame = model.frame();
+        let reqs = admission::path_requirements(model, flows);
+        let kept =
+            validate_order_within(&self.graph, demands, &reqs, frame, frame.slots(), &previous)?;
+        wimesh_obs::counter_inc("session.release.kept_order");
+        let used = kept.schedule.makespan();
+        Some((kept.schedule, kept.order, used))
     }
 
     /// Recomputes everything from scratch: rebuilds the conflict graph,
@@ -1149,8 +1187,7 @@ fn exact_search_warm(
     // link pairs, so graph reindexing cannot corrupt it), with conflict
     // edges it does not decide — new links, typically — filled in from
     // the hop heuristic over the current paths.
-    let paths: Vec<Path> = flows.iter().map(|f| f.path.clone()).collect();
-    let hop = order::hop_order(graph, &paths);
+    let hop = order::hop_order(graph, flows.iter().map(|f| &f.path));
     let candidate = match warm {
         Some(w) => {
             let mut o = TransmissionOrder::from_link_pairs(graph, &w.pairs);
@@ -1557,6 +1594,56 @@ mod tests {
         assert!(session.release(FlowId(0)).unwrap());
         assert!(session.snapshot().admitted.is_empty());
         assert_eq!(session.snapshot().guaranteed_slots, 0);
+    }
+
+    /// Five flows that fill `chain(6)` under `HopOrder`; without flow 3
+    /// the recomputed hop order needs 33 of the frame's 32 minislots.
+    fn near_capacity_flows() -> Vec<FlowSpec> {
+        [
+            (0, 5, 700_000.0),
+            (1, 0, 700_000.0),
+            (1, 4, 700_000.0),
+            (4, 0, 100_000.0),
+            (1, 3, 600_000.0),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(id, (src, dst, rate))| {
+            let deadline = std::time::Duration::from_millis(150);
+            FlowSpec::guaranteed(id as u32, NodeId(src), NodeId(dst), rate, deadline)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn release_near_capacity_keeps_the_previous_order() {
+        let mesh = mesh(6);
+        let flows = near_capacity_flows();
+        let mut session = mesh.session(OrderPolicy::HopOrder);
+        for f in &flows {
+            assert!(session.admit(f).unwrap().is_admitted());
+        }
+        let remaining: Vec<FlowSpec> = flows.iter().filter(|f| f.id.0 != 3).cloned().collect();
+        let cold = mesh.admit(&remaining, OrderPolicy::HopOrder).unwrap();
+        assert_eq!(
+            cold.rejected.len(),
+            1,
+            "the subset's own hop order overflows"
+        );
+
+        assert!(session.release(FlowId(3)).unwrap());
+        let snap = session.snapshot();
+        assert_eq!(snap.admitted.len(), 4);
+        assert!(snap.guaranteed_slots <= snap.frame_slots());
+        assert!(snap.schedule.validate(&session.graph).is_ok());
+        for f in &snap.admitted {
+            assert!(f.worst_case_delay <= f.spec.deadline.unwrap());
+        }
+        // The kept order is ordinary warm state: it round-trips and the
+        // session keeps admitting and releasing from it.
+        let restored = mesh.restore_session(&session.export_state()).unwrap();
+        assert_eq!(restored.export_state(), session.export_state());
+        assert!(session.release(FlowId(0)).unwrap());
     }
 
     #[test]

@@ -309,6 +309,93 @@ fn recovery_resumes_and_the_extended_journal_still_recovers() {
     assert_eq!(again.session.export_state(), extended_truth);
 }
 
+/// On `grid(4,4)` the live session's conflict graph is numbered by its
+/// history — releases drain vertices, a rejected admit rolls its new
+/// vertices back — while a recovered session's graph is built afresh.
+/// The exported state must not show the difference.
+#[test]
+fn grid_churn_with_vertex_rollbacks_recovers_bit_identical() {
+    let mesh = MeshQos::new(generators::grid(4, 4), EmulationParams::default()).expect("grid");
+    let buf = SharedBuf::default();
+    let writer = JournalWriter::from_writer(Box::new(buf.clone()));
+    let mut journaled = JournaledSession::new(mesh.session(OrderPolicy::HopOrder), writer, 0);
+
+    let call =
+        |id: u32, src: u32, dst: u32| FlowSpec::voip(id, NodeId(src), NodeId(dst), VoipCodec::G711);
+    let mut rejected = 0;
+    for round in 0..6u32 {
+        let id = round * 10;
+        let batch = [
+            call(id, round, 15 - round),
+            call(id + 1, 12 - round, 3 + round),
+            call(id + 2, (5 * round + 1) % 16, (7 * round + 10) % 16),
+        ];
+        journaled.admit_flows(&batch).expect("admit");
+        // Far too heavy to fit: its fresh links are inserted, then rolled
+        // back.
+        let heavy = FlowSpec::guaranteed(
+            id + 3,
+            NodeId((round + 4) % 16),
+            NodeId((round + 11) % 16),
+            20_000_000.0,
+            std::time::Duration::from_millis(150),
+        );
+        let verdicts = journaled.admit_flows(&[heavy]).expect("heavy admit");
+        rejected += verdicts.iter().filter(|v| !v.is_admitted()).count();
+        if round % 2 == 1 {
+            journaled
+                .release_flow(FlowId(id - 10 + 1))
+                .expect("release");
+        }
+        if round == 2 {
+            journaled.snapshot_now().expect("snapshot");
+        }
+    }
+    assert_eq!(rejected, 6, "every heavy flow is rolled back");
+    let truth = journaled.session().export_state();
+    assert!(truth.flows.len() >= 10 && truth.warm_pairs.len() >= 100);
+
+    let recovered = recover(&mesh, OrderPolicy::HopOrder, &buf.text()).expect("recovers");
+    assert!(recovered.snapshot_used && recovered.replayed > 0);
+    assert_eq!(recovered.session.export_state(), truth);
+}
+
+/// A release whose recomputed hop order overflows the frame keeps the
+/// previous order instead of failing after its record was journaled, so
+/// the journal stays replayable.
+#[test]
+fn release_near_capacity_does_not_poison_the_journal() {
+    let mesh = mesh(6);
+    let buf = SharedBuf::default();
+    let writer = JournalWriter::from_writer(Box::new(buf.clone()));
+    let mut journaled = JournaledSession::new(mesh.session(OrderPolicy::HopOrder), writer, 0);
+    let flows: Vec<FlowSpec> = [
+        (0, 5, 700_000.0),
+        (1, 0, 700_000.0),
+        (1, 4, 700_000.0),
+        (4, 0, 100_000.0),
+        (1, 3, 600_000.0),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(id, (src, dst, rate))| {
+        let deadline = std::time::Duration::from_millis(150);
+        FlowSpec::guaranteed(id as u32, NodeId(src), NodeId(dst), rate, deadline)
+    })
+    .collect();
+    for f in &flows {
+        let verdicts = journaled
+            .admit_flows(std::slice::from_ref(f))
+            .expect("admit");
+        assert!(verdicts[0].is_admitted());
+    }
+    assert!(journaled.release_flow(FlowId(3)).expect("release succeeds"));
+    let truth = journaled.session().export_state();
+
+    let recovered = recover(&mesh, OrderPolicy::HopOrder, &buf.text()).expect("recovers");
+    assert_eq!(recovered.session.export_state(), truth);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

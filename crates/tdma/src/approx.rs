@@ -38,7 +38,6 @@ use std::collections::BTreeMap;
 
 use wimesh_conflict::ConflictGraph;
 use wimesh_milp::{LinExpr, Model, Sense, SolveError, VarId};
-use wimesh_topology::routing::Path;
 use wimesh_topology::LinkId;
 
 use crate::milp::{OrderSolution, PathRequirement};
@@ -185,8 +184,7 @@ pub fn lp_rounded_order(
 
     // Deterministic rounding at 0.5, remembering how confident the LP was
     // about each decision and where it disagrees with the hop heuristic.
-    let paths: Vec<Path> = requirements.iter().map(|r| r.path.clone()).collect();
-    let target = hop_order(graph, &paths);
+    let target = hop_order(graph, requirements.iter().map(|r| &r.path));
     let mut order = TransmissionOrder::new();
     let mut disagreements: Vec<(usize, usize, f64)> = Vec::new();
     for &((i, j), var) in &order_vars {
@@ -272,7 +270,7 @@ mod tests {
     use crate::milp::feasible_order_within;
     use wimesh_conflict::InterferenceModel;
     use wimesh_milp::SolverConfig;
-    use wimesh_topology::routing::shortest_path;
+    use wimesh_topology::routing::{shortest_path, Path};
     use wimesh_topology::{generators, MeshTopology, NodeId};
 
     fn chain_instance(n: usize, per_link: u32) -> (MeshTopology, ConflictGraph, Demands, Path) {

@@ -8,9 +8,11 @@
 //! 2. For each pair of conflicting links a *transmission order* bit decides
 //!    who transmits earlier in the frame ([`TransmissionOrder`]).
 //! 3. Given an order, feasible start times are the solution of a system of
-//!    difference constraints solved by **Bellman–Ford** over the conflict
-//!    graph ([`schedule_from_order`]); the makespan of the longest path is
-//!    the minimum frame length for that order ([`min_slots_for_order`]).
+//!    difference constraints over the conflict graph
+//!    ([`schedule_from_order`]): longest paths of the order's DAG, with
+//!    **Bellman–Ford** certifying the cycle of a contradictory order; the
+//!    makespan of the longest path is the minimum frame length for that
+//!    order ([`min_slots_for_order`]).
 //! 4. The end-to-end *scheduling delay* of a multi-hop path is determined
 //!    by the order: each consecutive hop pair scheduled "backwards" costs a
 //!    full extra frame ([`delay`]).

@@ -25,8 +25,10 @@ use wimesh_topology::{LinkId, MeshTopology};
 /// keyed by the graph's dense vertex indices `(i, j)` with `i < j`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransmissionOrder {
-    /// `true` means vertex `i` transmits before vertex `j`.
-    bits: BTreeMap<(usize, usize), bool>,
+    /// `((i, j), i_before_j)`, sorted by key with every key unique — the
+    /// sequence [`ConflictGraph::edges`] yields, so an order pairs with
+    /// its graph's edges in one merge walk and equal orders compare equal.
+    bits: Vec<((usize, usize), bool)>,
 }
 
 impl TransmissionOrder {
@@ -41,12 +43,17 @@ impl TransmissionOrder {
     /// Every conflict edge of `graph` gets a bit, so the result is always
     /// complete and acyclic.
     pub fn from_ranks(graph: &ConflictGraph, rank: impl Fn(LinkId) -> u64) -> Self {
-        let mut bits = BTreeMap::new();
-        for (i, j) in graph.edges() {
-            let (li, lj) = (graph.link_at(i), graph.link_at(j));
-            let before = (rank(li), li) < (rank(lj), lj);
-            bits.insert((i, j), before);
-        }
+        let keys: Vec<(u64, LinkId)> = graph.links().iter().map(|&l| (rank(l), l)).collect();
+        Self::from_vertex_keys(graph, &keys)
+    }
+
+    /// [`TransmissionOrder::from_ranks`] with the `(rank, link)` key of
+    /// every vertex already laid out by dense index.
+    fn from_vertex_keys(graph: &ConflictGraph, keys: &[(u64, LinkId)]) -> Self {
+        let bits = graph
+            .edges()
+            .map(|(i, j)| ((i, j), keys[i] < keys[j]))
+            .collect();
         Self { bits }
     }
 
@@ -69,20 +76,28 @@ impl TransmissionOrder {
     /// `set(j, i, x)` stores `!x` under `(i, j)`.
     pub fn set(&mut self, i: usize, j: usize, before: bool) {
         debug_assert_ne!(i, j, "no order between a link and itself");
-        if i < j {
-            self.bits.insert((i, j), before);
+        let (key, bit) = if i < j {
+            ((i, j), before)
         } else {
-            self.bits.insert((j, i), !before);
+            ((j, i), !before)
+        };
+        match self.position(key) {
+            Ok(k) => self.bits[k].1 = bit,
+            Err(k) => self.bits.insert(k, (key, bit)),
         }
+    }
+
+    fn position(&self, key: (usize, usize)) -> Result<usize, usize> {
+        self.bits.binary_search_by_key(&key, |&(k, _)| k)
     }
 
     /// Whether the vertex at dense index `i` transmits before `j`, if the
     /// pair has been decided.
     pub fn before(&self, i: usize, j: usize) -> Option<bool> {
         if i < j {
-            self.bits.get(&(i, j)).copied()
+            self.position((i, j)).ok().map(|k| self.bits[k].1)
         } else {
-            self.bits.get(&(j, i)).map(|&b| !b)
+            self.position((j, i)).ok().map(|k| !self.bits[k].1)
         }
     }
 
@@ -102,15 +117,30 @@ impl TransmissionOrder {
     /// True when every conflict edge of `graph` among `scheduled`
     /// (dense-index predicate) is decided.
     pub fn covers(&self, graph: &ConflictGraph, scheduled: impl Fn(usize) -> bool) -> bool {
-        graph
-            .edges()
-            .filter(|&(i, j)| scheduled(i) && scheduled(j))
-            .all(|(i, j)| self.bits.contains_key(&(i, j)))
+        self.edge_bits(graph)
+            .filter(|&((i, j), _)| scheduled(i) && scheduled(j))
+            .all(|(_, bit)| bit.is_some())
     }
 
-    /// Iterates `((i, j), i_before_j)` over decided pairs.
+    /// Every conflict edge of `graph`, ascending, with its bit if decided:
+    /// one merge walk over the two sorted sequences instead of a lookup
+    /// per edge.
+    pub(crate) fn edge_bits<'a>(
+        &'a self,
+        graph: &'a ConflictGraph,
+    ) -> impl Iterator<Item = ((usize, usize), Option<bool>)> + 'a {
+        let mut rest = self.bits.as_slice();
+        graph.edges().map(move |edge| {
+            let skip = rest.iter().take_while(|&&(k, _)| k < edge).count();
+            rest = &rest[skip..];
+            let bit = rest.first().filter(|&&(k, _)| k == edge).map(|&(_, b)| b);
+            (edge, bit)
+        })
+    }
+
+    /// Iterates `((i, j), i_before_j)` over decided pairs, ascending.
     pub fn iter(&self) -> impl Iterator<Item = ((usize, usize), bool)> + '_ {
-        self.bits.iter().map(|(&k, &v)| (k, v))
+        self.bits.iter().copied()
     }
 
     /// Extracts the decided pairs as `(earlier, later)` link ids — a form
@@ -122,7 +152,7 @@ impl TransmissionOrder {
     pub fn link_pairs(&self, graph: &ConflictGraph) -> Vec<(LinkId, LinkId)> {
         self.bits
             .iter()
-            .map(|(&(i, j), &before)| {
+            .map(|&((i, j), before)| {
                 let (li, lj) = (graph.link_at(i), graph.link_at(j));
                 if before {
                     (li, lj)
@@ -140,13 +170,28 @@ impl TransmissionOrder {
     /// dropped; conflict edges of `graph` not covered by `pairs` stay
     /// undecided — check [`TransmissionOrder::covers`] before scheduling.
     pub fn from_link_pairs(graph: &ConflictGraph, pairs: &[(LinkId, LinkId)]) -> Self {
-        let mut order = Self::new();
-        for &(earlier, later) in pairs {
-            if let (Some(i), Some(j)) = (graph.index_of(earlier), graph.index_of(later)) {
-                order.set(i, j, true);
+        let mut bits: Vec<((usize, usize), bool)> = pairs
+            .iter()
+            .filter_map(|&(earlier, later)| {
+                let (i, j) = (graph.index_of(earlier)?, graph.index_of(later)?);
+                Some(if i < j {
+                    ((i, j), true)
+                } else {
+                    ((j, i), false)
+                })
+            })
+            .collect();
+        // Stable sort, then the last pair naming an edge wins, as it would
+        // through repeated `set` calls.
+        bits.sort_by_key(|&(key, _)| key);
+        bits.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
             }
-        }
-        order
+            same
+        });
+        Self { bits }
     }
 }
 
@@ -174,17 +219,25 @@ pub fn random_order<R: Rng + ?Sized>(graph: &ConflictGraph, rng: &mut R) -> Tran
 /// there, since each is some shorter path's first hop, and tie-breaking
 /// would order them arbitrarily). Genuinely crossing paths can still
 /// force inversions; the exact MILP ([`crate::milp`]) closes that gap.
-pub fn hop_order(graph: &ConflictGraph, paths: &[Path]) -> TransmissionOrder {
-    let mut rank: BTreeMap<LinkId, u64> = BTreeMap::new();
+pub fn hop_order<'a>(
+    graph: &ConflictGraph,
+    paths: impl IntoIterator<Item = &'a Path>,
+) -> TransmissionOrder {
+    // Links on no path rank last.
+    let mut keys: Vec<(u64, LinkId)> = graph.links().iter().map(|&l| (u64::MAX, l)).collect();
     for path in paths {
         for (pos, &link) in path.links().iter().enumerate() {
-            let r = pos as u64;
-            rank.entry(link)
-                .and_modify(|cur| *cur = (*cur).max(r))
-                .or_insert(r);
+            if let Some(i) = graph.index_of(link) {
+                let rank = &mut keys[i].0;
+                *rank = if *rank == u64::MAX {
+                    pos as u64
+                } else {
+                    (*rank).max(pos as u64)
+                };
+            }
         }
     }
-    TransmissionOrder::from_ranks(graph, |l| rank.get(&l).copied().unwrap_or(u64::MAX))
+    TransmissionOrder::from_vertex_keys(graph, &keys)
 }
 
 /// Polynomial delay-optimal order for gateway-tree routing.
@@ -248,6 +301,32 @@ mod tests {
         let order = TransmissionOrder::from_ranks(&cg, |l| u64::from(u32::from(l)));
         assert!(order.covers(&cg, |_| true));
         assert_eq!(order.decided_count(), cg.edge_count());
+    }
+
+    #[test]
+    fn from_ranks_equals_shuffled_sets() {
+        let topo = generators::grid(4, 4);
+        let cg = ConflictGraph::build(&topo, InterferenceModel::protocol_default());
+        let rank = |l: LinkId| u64::from(u32::from(l)) * 7 % 5;
+        let direct = TransmissionOrder::from_ranks(&cg, rank);
+
+        let mut edges: Vec<(usize, usize)> = cg.edges().collect();
+        edges.shuffle(&mut StdRng::seed_from_u64(11));
+        let mut built = TransmissionOrder::new();
+        for (k, &(i, j)) in edges.iter().enumerate() {
+            let (li, lj) = (cg.link_at(i), cg.link_at(j));
+            let before = (rank(li), li) < (rank(lj), lj);
+            // Either orientation of the pair stores the same bit.
+            if k % 2 == 0 {
+                built.set(i, j, before);
+            } else {
+                built.set(j, i, !before);
+            }
+        }
+        assert_eq!(built, direct);
+        assert_eq!(built.decided_count(), cg.edge_count());
+        assert!(built.iter().map(|(key, _)| key).eq(cg.edges()));
+        assert!(direct.iter().map(|(key, _)| key).eq(cg.edges()));
     }
 
     #[test]

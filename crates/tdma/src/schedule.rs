@@ -1,5 +1,6 @@
 //! Conflict-free TDMA schedules and their construction from transmission
-//! orders via Bellman–Ford.
+//! orders: a topological longest-path sweep, with Bellman–Ford kept for
+//! the positive-cycle certificate of a contradictory order.
 
 use std::collections::BTreeMap;
 
@@ -111,8 +112,11 @@ impl Schedule {
     }
 }
 
-/// Internal result of the Bellman–Ford longest-path pass.
+/// Internal result of the longest-path pass.
 struct StartTimes {
+    /// Dense conflict-graph index of each demanded link, in
+    /// [`Demands::iter`] order.
+    vertices: Vec<usize>,
     /// Earliest start per conflict-graph dense index (only entries with
     /// demand are meaningful).
     sigma: Vec<i64>,
@@ -120,12 +124,14 @@ struct StartTimes {
     makespan: i64,
 }
 
-/// Runs Bellman–Ford over the order-induced difference constraints.
+/// Earliest start times under the order-induced difference constraints.
 ///
 /// Constraint per conflict edge `{i, j}` with `i` before `j`:
 /// `sigma_j >= sigma_i + d_i`. Longest paths from an implicit source with
-/// `sigma >= 0` give the earliest (most compact) feasible start times; a
-/// positive cycle certifies a contradictory order.
+/// `sigma >= 0` give the earliest (most compact) feasible start times. A
+/// consistent order makes the constraint graph a DAG, so one topological
+/// sweep computes them; only when the sweep gets stuck on a cycle does
+/// Bellman–Ford run, to certify the contradiction.
 fn earliest_starts(
     graph: &ConflictGraph,
     demands: &Demands,
@@ -133,16 +139,23 @@ fn earliest_starts(
     cancel: Option<&CancelToken>,
 ) -> Result<StartTimes, ScheduleError> {
     let n = graph.vertex_count();
-    let demand_of = |i: usize| demands.get(graph.link_at(i)) as i64;
-    let scheduled: Vec<bool> = (0..n).map(|i| demand_of(i) > 0).collect();
+    let mut demand = vec![0i64; n];
+    let mut vertices = Vec::with_capacity(demands.len());
+    for (link, d) in demands.iter() {
+        let i = graph
+            .index_of(link)
+            .ok_or(ScheduleError::LinkNotInGraph(link))?;
+        demand[i] = d as i64;
+        vertices.push(i);
+    }
 
     // Directed constraint edges (from, to, weight).
-    let mut edges = Vec::new();
-    for (i, j) in graph.edges() {
-        if !(scheduled[i] && scheduled[j]) {
+    let mut edges = Vec::with_capacity(graph.edge_count());
+    for ((i, j), bit) in order.edge_bits(graph) {
+        if demand[i] == 0 || demand[j] == 0 {
             continue;
         }
-        let before = order.before(i, j).ok_or_else(|| {
+        let before = bit.ok_or_else(|| {
             ScheduleError::SolverFailed(format!(
                 "order missing for conflicting links {} and {}",
                 graph.link_at(i),
@@ -150,26 +163,87 @@ fn earliest_starts(
             ))
         })?;
         if before {
-            edges.push((i, j, demand_of(i)));
+            edges.push((i, j, demand[i]));
         } else {
-            edges.push((j, i, demand_of(j)));
+            edges.push((j, i, demand[j]));
         }
     }
 
+    // Cooperative stop flag: a cancelled revalidation pass (the
+    // speculative prober abandoning a redundant probe) bails rather than
+    // finishing an unwanted answer.
+    if cancel.is_some_and(CancelToken::is_cancelled) {
+        return Err(ScheduleError::Cancelled);
+    }
+    let sigma = match topological_starts(n, &edges) {
+        Some(sigma) => sigma,
+        None => bellman_ford_starts(graph, &edges, cancel)?,
+    };
+    let makespan = (0..n).map(|i| sigma[i] + demand[i]).max().unwrap_or(0);
+    Ok(StartTimes {
+        vertices,
+        sigma,
+        makespan,
+    })
+}
+
+/// Longest paths by one Kahn sweep over the constraint graph: `O(V + E)`.
+/// `None` when a cycle keeps the sweep from consuming every vertex.
+fn topological_starts(n: usize, edges: &[(usize, usize, i64)]) -> Option<Vec<i64>> {
+    wimesh_obs::counter_inc("tdma.topo.passes");
+    // Out-edges in CSR form: `succ[first[u]..first[u + 1]]`.
+    let mut first = vec![0usize; n + 1];
+    let mut pending = vec![0usize; n];
+    for &(u, v, _) in edges {
+        first[u + 1] += 1;
+        pending[v] += 1;
+    }
+    for u in 0..n {
+        first[u + 1] += first[u];
+    }
+    let mut fill = first.clone();
+    let mut succ = vec![(0usize, 0i64); edges.len()];
+    for &(u, v, w) in edges {
+        succ[fill[u]] = (v, w);
+        fill[u] += 1;
+    }
+
+    let mut sigma = vec![0i64; n];
+    let mut ready: Vec<usize> = (0..n).filter(|&v| pending[v] == 0).collect();
+    let mut consumed = 0;
+    while let Some(u) = ready.pop() {
+        consumed += 1;
+        for &(v, w) in &succ[first[u]..first[u + 1]] {
+            sigma[v] = sigma[v].max(sigma[u] + w);
+            pending[v] -= 1;
+            if pending[v] == 0 {
+                ready.push(v);
+            }
+        }
+    }
+    (consumed == n).then_some(sigma)
+}
+
+/// Bellman–Ford over the same constraints, run when the topological sweep
+/// found the order contradictory: the positive cycle it relaxes forever is
+/// the [`ScheduleError::OrderCycle`] certificate.
+fn bellman_ford_starts(
+    graph: &ConflictGraph,
+    edges: &[(usize, usize, i64)],
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<i64>, ScheduleError> {
+    let n = graph.vertex_count();
     let mut sigma = vec![0i64; n];
     let mut pred: Vec<Option<usize>> = vec![None; n];
     let mut changed_vertex = None;
     let mut rounds = 0u64;
     for round in 0..=n {
-        // Cooperative stop flag: a cancelled revalidation pass (the
-        // speculative prober abandoning a redundant probe) bails between
-        // relaxation rounds rather than finishing an unwanted answer.
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return Err(ScheduleError::Cancelled);
         }
         rounds += 1;
         let mut changed = None;
-        for &(u, v, w) in &edges {
+        for &(u, v, w) in edges {
             if sigma[u] + w > sigma[v] {
                 sigma[v] = sigma[u] + w;
                 pred[v] = Some(u);
@@ -186,34 +260,28 @@ fn earliest_starts(
         }
     }
     wimesh_obs::counter_add("tdma.bf.relaxation_rounds", rounds);
-    if let Some(start) = changed_vertex {
-        // Walk predecessors n times to land on the cycle, then collect it.
-        let mut v = start;
-        for _ in 0..n {
-            // check: allow(no-unwrap-in-lib, reason = "a vertex relaxed in round n has a predecessor by construction")
-            v = pred[v].expect("relaxed vertices have predecessors");
-        }
-        let mut cycle = vec![v];
-        // check: allow(no-unwrap-in-lib, reason = "v was reached by a predecessor walk, so pred[v] is set")
-        let mut cur = pred[v].expect("on cycle");
-        while cur != v {
-            cycle.push(cur);
-            // check: allow(no-unwrap-in-lib, reason = "every vertex of the positive cycle has a predecessor on it")
-            cur = pred[cur].expect("on cycle");
-        }
-        cycle.reverse();
-        wimesh_obs::counter_inc("tdma.bf.cycles_detected");
-        return Err(ScheduleError::OrderCycle {
-            cycle: cycle.into_iter().map(|i| graph.link_at(i)).collect(),
-        });
+    let Some(start) = changed_vertex else {
+        return Ok(sigma);
+    };
+    // Walk predecessors n times to land on the cycle, then collect it.
+    let mut v = start;
+    for _ in 0..n {
+        // check: allow(no-unwrap-in-lib, reason = "a vertex relaxed in round n has a predecessor by construction")
+        v = pred[v].expect("relaxed vertices have predecessors");
     }
-
-    let makespan = (0..n)
-        .filter(|&i| scheduled[i])
-        .map(|i| sigma[i] + demand_of(i))
-        .max()
-        .unwrap_or(0);
-    Ok(StartTimes { sigma, makespan })
+    let mut cycle = vec![v];
+    // check: allow(no-unwrap-in-lib, reason = "v was reached by a predecessor walk, so pred[v] is set")
+    let mut cur = pred[v].expect("on cycle");
+    while cur != v {
+        cycle.push(cur);
+        // check: allow(no-unwrap-in-lib, reason = "every vertex of the positive cycle has a predecessor on it")
+        cur = pred[cur].expect("on cycle");
+    }
+    cycle.reverse();
+    wimesh_obs::counter_inc("tdma.bf.cycles_detected");
+    Err(ScheduleError::OrderCycle {
+        cycle: cycle.into_iter().map(|i| graph.link_at(i)).collect(),
+    })
 }
 
 /// Minimum frame length (in minislots) that `order` needs to schedule
@@ -230,14 +298,13 @@ pub fn min_slots_for_order(
     demands: &Demands,
     order: &TransmissionOrder,
 ) -> Result<u32, ScheduleError> {
-    check_demands_in_graph(graph, demands)?;
     let starts = earliest_starts(graph, demands, order, None)?;
     Ok(starts.makespan as u32)
 }
 
 /// Builds the compact conflict-free schedule realising `order` in `frame`.
 ///
-/// Start times are the earliest feasible ones (Bellman–Ford longest
+/// Start times are the earliest feasible ones (longest constraint
 /// paths), so the schedule occupies slots `[0, makespan)`.
 ///
 /// # Errors
@@ -257,7 +324,8 @@ pub fn schedule_from_order(
 }
 
 /// Like [`schedule_from_order`], with a cooperative stop flag polled
-/// between Bellman–Ford relaxation rounds.
+/// before the longest-path pass and between Bellman–Ford relaxation
+/// rounds.
 ///
 /// # Errors
 ///
@@ -281,7 +349,6 @@ fn schedule_from_order_inner(
     cancel: Option<&CancelToken>,
 ) -> Result<Schedule, ScheduleError> {
     let _span = wimesh_obs::span!("tdma.schedule.build");
-    check_demands_in_graph(graph, demands)?;
     let starts = earliest_starts(graph, demands, order, cancel)?;
     if starts.makespan > frame.slots() as i64 {
         return Err(ScheduleError::FrameTooShort {
@@ -289,23 +356,12 @@ fn schedule_from_order_inner(
             available: frame.slots(),
         });
     }
-    let mut ranges = BTreeMap::new();
-    for (link, d) in demands.iter() {
-        let i = graph
-            .index_of(link)
-            .ok_or(ScheduleError::LinkNotInGraph(link))?;
-        ranges.insert(link, SlotRange::new(starts.sigma[i] as u32, d));
-    }
+    let ranges = demands
+        .iter()
+        .zip(&starts.vertices)
+        .map(|((link, d), &i)| (link, SlotRange::new(starts.sigma[i] as u32, d)))
+        .collect();
     Schedule::from_ranges(frame, ranges)
-}
-
-fn check_demands_in_graph(graph: &ConflictGraph, demands: &Demands) -> Result<(), ScheduleError> {
-    for link in demands.links() {
-        if graph.index_of(link).is_none() {
-            return Err(ScheduleError::LinkNotInGraph(link));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

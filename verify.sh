@@ -7,6 +7,9 @@ cd "$(dirname "$0")"
 cargo build --release
 cargo build --examples
 cargo test -q
+# The longest-path kernel behind every schedule must agree with the
+# reference Bellman-Ford (start times, makespans, errors, real cycles).
+cargo test -q -p wimesh-tdma --test kernel_equivalence
 # The distributed-runtime scenario suite is the end-to-end gate for the
 # fault-handling stack; run it by name so a filter typo can't skip it.
 cargo test -q -p wimesh-node --test node_runtime
@@ -65,6 +68,10 @@ cargo test -q -p wimesh --test determinism
 # Cross-check the session paths against the certifier at every
 # admit/release/rebalance (the `checked` feature gates the oracle calls).
 cargo test -q -p wimesh --features checked --test session_equivalence
+# The repository benchmark (BENCHMARK.json) is a workspace of its own
+# that the root build does not see: its harness tests (metric names in
+# step with BENCHMARK.json, generators, percentile maths) run here.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --workspace -- -D warnings
 cargo fmt --check
 # API docs must build warning-clean (covers the vendored stand-ins too).
