@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the algorithmic kernels behind every
 //! experiment: conflict-graph construction, Bellman–Ford scheduling, the
-//! MILP solver, mesh election, the distributed reservation protocol, and
-//! both packet-level MACs.
+//! MILP solver, mesh election, the distributed reservation protocol,
+//! both packet-level MACs, and the journal decoder.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
@@ -16,12 +16,14 @@ use wimesh::mac80216::entry::{run_network_entry, EntryConfig};
 use wimesh::mac80216::reservation::{run_distributed, ReservationConfig};
 use wimesh::milp::{LinExpr, Model, Sense, SolverConfig};
 use wimesh::phy80211::dcf::{DcfConfig, DcfFlow, DcfSimulation};
-use wimesh::sim::traffic::CbrSource;
+use wimesh::sim::traffic::{CbrSource, VoipCodec};
 use wimesh::sim::FlowId;
 use wimesh::tdma::milp::min_max_delay_order;
 use wimesh::tdma::{order, schedule_from_order, Demands, FrameConfig};
+use wimesh::{FlowAdmission, FlowSpec, MeshQos, OrderPolicy};
 use wimesh_emu::tdma::{TdmaFlow, TdmaSimulation};
 use wimesh_emu::{EmulationModel, EmulationParams};
+use wimesh_svc::{parse_journal, GatewayConfig, JournalWriter, JournaledSession};
 use wimesh_topology::routing::{shortest_path, GatewayRouting};
 use wimesh_topology::{generators, NodeId};
 
@@ -267,6 +269,103 @@ fn bench_packet_macs(c: &mut Criterion) {
     });
 }
 
+/// A journal written the way the repo benchmark's `recover_grid4` set-up
+/// writes one: churn held at 40 live VoIP calls of at most 4 hops on
+/// grid(4,4) under `HopOrder`, 1000 requests taken 8 at a time with each
+/// run of admissions coalesced into one batch, and a snapshot every
+/// `GatewayConfig::default().snapshot_every` mutations.
+fn churn_journal_grid4(requests: usize) -> String {
+    let mesh = MeshQos::new(generators::grid(4, 4), EmulationParams::default()).unwrap();
+    let path = std::env::temp_dir().join(format!("wimesh_kernels_{}.jsonl", std::process::id()));
+    let mut journaled = JournaledSession::new(
+        mesh.session(OrderPolicy::HopOrder),
+        JournalWriter::create(&path).unwrap(),
+        GatewayConfig::default().snapshot_every,
+    );
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut live: Vec<FlowId> = Vec::new();
+    let mut next_id = 0;
+    let mut issued = 0;
+    while issued < requests {
+        let mut admits: Vec<FlowSpec> = Vec::new();
+        for _ in 0..8.min(requests - issued) {
+            issued += 1;
+            let holding = live.len() + admits.len();
+            if !live.is_empty() && (holding >= 40 || rng.gen_bool(0.3)) {
+                flush_admits(&mut journaled, &mut admits, &mut live);
+                let flow = live.swap_remove(rng.gen_range(0..live.len()));
+                // Refused near capacity: the flow stays admitted.
+                if journaled.release_flow(flow).is_err() {
+                    live.push(flow);
+                }
+                continue;
+            }
+            let src = rng.gen_range(0..16u32);
+            let dst = loop {
+                let dst = rng.gen_range(0..16u32);
+                let hops = (src % 4).abs_diff(dst % 4) + (src / 4).abs_diff(dst / 4);
+                if (1..=4).contains(&hops) {
+                    break dst;
+                }
+            };
+            let codec = if rng.gen_bool(0.5) {
+                VoipCodec::G711
+            } else {
+                VoipCodec::G729
+            };
+            admits.push(FlowSpec::voip(next_id, NodeId(src), NodeId(dst), codec));
+            next_id += 1;
+        }
+        flush_admits(&mut journaled, &mut admits, &mut live);
+    }
+    drop(journaled);
+    let journal = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    journal
+}
+
+fn flush_admits(
+    journaled: &mut JournaledSession,
+    admits: &mut Vec<FlowSpec>,
+    live: &mut Vec<FlowId>,
+) {
+    if admits.is_empty() {
+        return;
+    }
+    let verdicts = journaled.admit_flows(admits).unwrap();
+    for (spec, verdict) in admits.drain(..).zip(verdicts) {
+        if matches!(verdict, FlowAdmission::Admitted(_)) {
+            live.push(spec.id);
+        }
+    }
+}
+
+fn bench_journal(c: &mut Criterion) {
+    let journal = churn_journal_grid4(1000);
+    c.bench_function("parse_journal_grid4_1000req", |b| {
+        b.iter(|| parse_journal(&journal).unwrap())
+    });
+    // The same measurement per byte and per line: recovery cannot go
+    // faster than the journal decodes.
+    let mut runs: Vec<Duration> = (0..31)
+        .map(|_| {
+            let start = Instant::now();
+            criterion::black_box(parse_journal(criterion::black_box(&journal)).unwrap());
+            start.elapsed()
+        })
+        .collect();
+    runs.sort();
+    let median = runs[runs.len() / 2].as_secs_f64();
+    let lines = journal.lines().count();
+    println!(
+        "bench {:<40} {} bytes, {lines} lines: {:.0} MB/s, {:.0} ns/line",
+        "parse_journal_grid4_1000req",
+        journal.len(),
+        journal.len() as f64 / median / 1e6,
+        median * 1e9 / lines as f64,
+    );
+}
+
 criterion_group!(
     benches,
     bench_conflict_graph,
@@ -274,6 +373,7 @@ criterion_group!(
     bench_milp,
     bench_election,
     bench_reservation,
-    bench_packet_macs
+    bench_packet_macs,
+    bench_journal
 );
 criterion_main!(benches);

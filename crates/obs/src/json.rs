@@ -3,6 +3,8 @@
 //! Only what the JSONL sink needs: string escaping per RFC 8259 §7 and
 //! number formatting that never produces invalid JSON.
 
+use std::fmt::Write as _;
+
 /// Appends `s` to `out` with JSON string escaping (no surrounding
 /// quotes).
 ///
@@ -20,7 +22,7 @@ pub fn escape_into(out: &mut String, s: &str) {
             '\u{08}' => out.push_str("\\b"),
             '\u{0c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -45,8 +47,7 @@ pub fn push_str_value(out: &mut String, s: &str) {
 /// (JSON has no NaN/Infinity).
 pub fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        let s = format!("{v}");
-        out.push_str(&s);
+        let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
     }

@@ -349,6 +349,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
+        let _guard = crate::test_lock::hold();
         counter_add("metrics.test.counter", 2);
         counter_add("metrics.test.counter", 3);
         let snap = snapshot();
@@ -362,6 +363,7 @@ mod tests {
 
     #[test]
     fn gauges_track_last_and_high_water() {
+        let _guard = crate::test_lock::hold();
         gauge_set("metrics.test.gauge", 4.0);
         gauge_set("metrics.test.gauge", 9.0);
         gauge_set("metrics.test.gauge", 2.0);
@@ -377,6 +379,7 @@ mod tests {
 
     #[test]
     fn durations_feed_histograms() {
+        let _guard = crate::test_lock::hold();
         record_duration("metrics.test.hist", Duration::from_micros(30));
         record_duration("metrics.test.hist", Duration::from_micros(70));
         let snap = snapshot();
@@ -392,6 +395,7 @@ mod tests {
 
     #[test]
     fn span_aggregates_roll_up() {
+        let _guard = crate::test_lock::hold();
         span_closed("metrics.test.span", Duration::from_micros(10));
         span_closed("metrics.test.span", Duration::from_micros(30));
         let snap = snapshot();
@@ -407,6 +411,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted() {
+        let _guard = crate::test_lock::hold();
         counter_add("metrics.test.zz", 1);
         counter_add("metrics.test.aa", 1);
         let snap = snapshot();
@@ -418,6 +423,7 @@ mod tests {
 
     #[test]
     fn concurrent_counter_increments_are_lossless() {
+        let _guard = crate::test_lock::hold();
         const THREADS: usize = 8;
         const PER_THREAD: u64 = 10_000;
         std::thread::scope(|s| {
@@ -440,6 +446,7 @@ mod tests {
 
     #[test]
     fn concurrent_gauge_high_water_is_exact() {
+        let _guard = crate::test_lock::hold();
         std::thread::scope(|s| {
             for t in 0..8u32 {
                 s.spawn(move || {

@@ -1,16 +1,21 @@
-//! Reading JSONL streams back: a line-oriented iterator with typed
-//! field accessors and line-number-carrying errors.
+//! Reading JSONL streams back: a line-oriented iterator, a single-pass
+//! decoder for the flat objects the sinks write, and
+//! line-number-carrying errors.
 //!
 //! The sinks in this crate are write-only; every consumer of their
 //! output (trace replay, `--trace-tree`, the admission journal in
-//! `wimesh-svc`) used to re-implement its own ad-hoc line parsing.
-//! [`JsonlReader`] is the shared read path: it walks a JSONL text,
-//! yields each line with its 1-based number and whether it was
-//! newline-terminated (an unterminated final line is the classic torn
-//! write a crashed process leaves behind), and [`JsonlLine`] offers the
-//! flat-object field accessors the sink format needs. Parse failures
-//! carry the offending line number via [`JsonlError`].
+//! `wimesh-svc`) reads it back through this module. [`JsonlReader`]
+//! walks a JSONL text and yields each line with its 1-based number and
+//! whether it was newline-terminated (an unterminated final line is the
+//! classic torn write a crashed process leaves behind).
+//! [`JsonlLine::cursor`] opens a [`Cursor`] that walks the line *once*,
+//! field by field in the order the sinks write them — borrowed, no heap
+//! allocation — and accepts nothing but exactly one flat object, so
+//! what a line costs to read does not depend on how many fields it has
+//! or in which order they are wanted. Failures carry the offending line
+//! number via [`JsonlError`].
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Iterator over the lines of a JSONL text.
@@ -57,7 +62,7 @@ impl<'a> Iterator for JsonlReader<'a> {
                     (line, false)
                 }
             };
-            if raw.trim().is_empty() {
+            if raw.trim_start().is_empty() {
                 continue; // blank separators carry no record
             }
             return Some(JsonlLine {
@@ -82,58 +87,15 @@ pub struct JsonlLine<'a> {
 }
 
 impl<'a> JsonlLine<'a> {
-    /// The record's type tag: the value of the `"t"` field, borrowed.
+    /// Opens a single-pass [`Cursor`] over the line's fields.
     ///
-    /// Tags in the sink format are plain identifiers, so escapes are
-    /// rejected (`None`) rather than decoded.
-    pub fn tag(&self) -> Option<&'a str> {
-        let rest = field_value(self.raw, "t")?.strip_prefix('"')?;
-        let end = rest.find('"')?;
-        let tag = &rest[..end];
-        if tag.contains('\\') {
-            return None;
-        }
-        Some(tag)
-    }
-
-    /// An unsigned integer field, or `None` if absent/malformed.
-    pub fn u64_field(&self, key: &str) -> Option<u64> {
-        field_u64(self.raw, key)
-    }
-
-    /// A floating-point field, or `None` if absent/malformed.
-    pub fn f64_field(&self, key: &str) -> Option<f64> {
-        let rest = field_value(self.raw, key)?;
-        let end = rest
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    }
-
-    /// A string field with `\"`-style escapes decoded, or `None`.
-    pub fn str_field(&self, key: &str) -> Option<String> {
-        field_str(self.raw, key)
-    }
-
-    /// Like [`Self::u64_field`], but failure is a typed error naming
-    /// this line.
-    pub fn require_u64(&self, key: &str) -> Result<u64, JsonlError> {
-        self.u64_field(key)
-            .ok_or_else(|| self.error(format!("missing or malformed integer field \"{key}\"")))
-    }
-
-    /// Like [`Self::f64_field`], but failure is a typed error naming
-    /// this line.
-    pub fn require_f64(&self, key: &str) -> Result<f64, JsonlError> {
-        self.f64_field(key)
-            .ok_or_else(|| self.error(format!("missing or malformed number field \"{key}\"")))
-    }
-
-    /// Like [`Self::str_field`], but failure is a typed error naming
-    /// this line.
-    pub fn require_str(&self, key: &str) -> Result<String, JsonlError> {
-        self.str_field(key)
-            .ok_or_else(|| self.error(format!("missing or malformed string field \"{key}\"")))
+    /// # Errors
+    ///
+    /// A [`JsonlError`] naming this line when it does not start a JSON
+    /// object.
+    #[inline]
+    pub fn cursor(&self) -> Result<Cursor<'a>, JsonlError> {
+        Cursor::open(self.raw, self.number)
     }
 
     /// Builds a [`JsonlError`] anchored at this line.
@@ -143,6 +105,357 @@ impl<'a> JsonlLine<'a> {
             reason: reason.into(),
         }
     }
+}
+
+/// A single pass over the fields of one line.
+///
+/// The line must be exactly one *flat* JSON object as the sinks of this
+/// workspace write it: `{"key":value,...}` with no whitespace between
+/// tokens, plain (escape-free) keys, and values that are strings or
+/// numbers — never a nested object or array.
+///
+/// A sink writes the fields of a record in one fixed order, and the
+/// cursor reads them in that order: each read names the key that must
+/// come next and the type its value must have, compares the key in
+/// place, and moves past the value. Nothing is allocated (a string is
+/// copied only when it holds an escape), no byte is looked at twice,
+/// and nothing is searched for: a reordered, unknown, repeated or
+/// missing field is an error, never a silent default. A reader that
+/// finishes with [`Self::end`] has checked every byte of the line.
+#[derive(Debug, Clone, Copy)]
+pub struct Cursor<'a> {
+    /// What is left of the line after the last value read.
+    rest: &'a str,
+    /// Whether a field has been read, so that the next follows a `,`.
+    started: bool,
+    number: u32,
+}
+
+impl<'a> Cursor<'a> {
+    /// Opens a cursor over `raw` (one line, without its newline);
+    /// errors are reported at line 0.
+    ///
+    /// # Errors
+    ///
+    /// When `raw` does not start with `{`.
+    #[inline]
+    pub fn new(raw: &'a str) -> Result<Self, JsonlError> {
+        Self::open(raw, 0)
+    }
+
+    #[inline]
+    fn open(raw: &'a str, number: u32) -> Result<Self, JsonlError> {
+        let mut cursor = Cursor {
+            rest: raw,
+            started: false,
+            number,
+        };
+        match raw.strip_prefix('{') {
+            Some(rest) => {
+                cursor.rest = rest;
+                Ok(cursor)
+            }
+            None => Err(cursor.error("line is not a JSON object: no opening '{'")),
+        }
+    }
+
+    /// Moves past `"key":` (and the `,` before it, after the first
+    /// field) if that is what comes next.
+    #[inline]
+    fn key(&mut self, key: &str) -> bool {
+        let b = self.rest.as_bytes();
+        let from = usize::from(self.started);
+        let colon = from + key.len() + 2;
+        let found = (!self.started || b.first() == Some(&b','))
+            && b.get(from) == Some(&b'"')
+            && b.get(from + 1..colon - 1) == Some(key.as_bytes())
+            && b.get(colon - 1..=colon) == Some(b"\":");
+        if found {
+            // Just past an ASCII `:`.
+            self.rest = &self.rest[colon + 1..];
+            self.started = true;
+        }
+        found
+    }
+
+    /// Moves past a value of `len` bytes if a `,` or the closing brace
+    /// follows it, as after every value of a flat object.
+    #[inline]
+    fn value(&mut self, len: usize) -> Option<&'a str> {
+        if !matches!(self.rest.as_bytes().get(len), Some(b',' | b'}')) {
+            return None;
+        }
+        let (value, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        Some(value)
+    }
+
+    #[inline]
+    fn take_u64(&mut self) -> Option<u64> {
+        let b = self.rest.as_bytes();
+        let mut v: u64 = 0;
+        let mut len = 0;
+        while let Some(c) = b.get(len).filter(|c| c.is_ascii_digit()) {
+            v = v.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
+            len += 1;
+        }
+        // JSON has no empty number and no leading zero.
+        if len == 0 || (len > 1 && b[0] == b'0') {
+            return None;
+        }
+        self.value(len).map(|_| v)
+    }
+
+    #[inline]
+    fn take_str(&mut self) -> Option<Cow<'a, str>> {
+        let b = self.rest.as_bytes();
+        if b.first() != Some(&b'"') {
+            return None;
+        }
+        let (end, escaped) = string_end(b, 1)?;
+        let contents = &self.value(end + 1)?[1..end];
+        if escaped {
+            unescape(contents).map(Cow::Owned)
+        } else {
+            Some(Cow::Borrowed(contents))
+        }
+    }
+
+    #[inline]
+    fn take_f64(&mut self) -> Option<f64> {
+        let b = self.rest.as_bytes();
+        let len = b.iter().position(|&c| c == b',' || c == b'}')?;
+        let token = self.value(len)?;
+        if is_number(token.as_bytes()) {
+            token.parse().ok()
+        } else {
+            None
+        }
+    }
+
+    /// The next field: it must be `key` and `take` must accept its value.
+    #[inline]
+    fn field<T>(
+        &mut self,
+        key: &str,
+        what: &str,
+        take: impl FnOnce(&mut Self) -> Option<T>,
+    ) -> Result<T, JsonlError> {
+        if self.key(key) {
+            if let Some(value) = take(self) {
+                return Ok(value);
+            }
+        }
+        Err(self.expected(what, key))
+    }
+
+    /// The record's type tag: the string field `"t"`, which comes first.
+    /// Tags are plain identifiers, so one with an escape is rejected
+    /// rather than decoded.
+    ///
+    /// # Errors
+    ///
+    /// When the next field is not such a `"t"`.
+    #[inline]
+    pub fn tag(&mut self) -> Result<&'a str, JsonlError> {
+        self.field("t", "a plain string", |cursor| match cursor.take_str()? {
+            Cow::Borrowed(tag) => Some(tag),
+            Cow::Owned(_) => None,
+        })
+    }
+
+    /// The next field, which must be the unsigned integer `key`.
+    ///
+    /// # Errors
+    ///
+    /// A typed error naming the line and the field when another field
+    /// comes next, or its value is not an unsigned integer or is past
+    /// `u64::MAX`.
+    #[inline]
+    pub fn u64(&mut self, key: &str) -> Result<u64, JsonlError> {
+        self.field(key, "an unsigned integer", Self::take_u64)
+    }
+
+    /// Like [`Self::u64`], for a field that must fit 32 bits (ids, slot
+    /// counts): a larger value is an error, never truncated.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::u64`], and when the value is past `u32::MAX`.
+    #[inline]
+    pub fn u32(&mut self, key: &str) -> Result<u32, JsonlError> {
+        self.field(key, "an unsigned integer of 32 bits", |cursor| {
+            u32::try_from(cursor.take_u64()?).ok()
+        })
+    }
+
+    /// Like [`Self::u64`], for a field the writer may leave out: read
+    /// only if it comes next.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::u64`] when the next field is `key`.
+    #[inline]
+    pub fn optional_u64(&mut self, key: &str) -> Result<Option<u64>, JsonlError> {
+        let mut ahead = *self;
+        if ahead.key(key) {
+            self.u64(key).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// The next field, which must be the number `key`.
+    ///
+    /// # Errors
+    ///
+    /// A typed error naming the line and the field when another field
+    /// comes next or its value is not a JSON number.
+    pub fn f64(&mut self, key: &str) -> Result<f64, JsonlError> {
+        self.field(key, "a number", Self::take_f64)
+    }
+
+    /// The next field, which must be the string `key`; borrowed from the
+    /// line unless it holds an escape to decode.
+    ///
+    /// # Errors
+    ///
+    /// A typed error naming the line and the field when another field
+    /// comes next or its value is not a string (one with an invalid
+    /// escape or a lone escaped surrogate included).
+    pub fn str(&mut self, key: &str) -> Result<Cow<'a, str>, JsonlError> {
+        self.field(key, "a string", Self::take_str)
+    }
+
+    /// Ends the pass: the object must close here and the line with it.
+    ///
+    /// # Errors
+    ///
+    /// When fields are left unread or bytes follow the closing brace.
+    #[inline]
+    pub fn end(self) -> Result<(), JsonlError> {
+        if self.rest == "}" {
+            Ok(())
+        } else {
+            Err(self.error("expected the closing '}' and the end of the line"))
+        }
+    }
+
+    /// Builds a [`JsonlError`] anchored at the cursor's line.
+    pub fn error(&self, reason: impl Into<String>) -> JsonlError {
+        JsonlError {
+            line: self.number,
+            reason: reason.into(),
+        }
+    }
+
+    #[cold]
+    fn expected(&self, what: &str, key: &str) -> JsonlError {
+        self.error(format!("expected field \"{key}\" holding {what}"))
+    }
+}
+
+/// Index of the quote closing the string whose contents start at `from`,
+/// and whether an escape was met on the way; `None` if it never closes,
+/// or holds an invalid escape or a raw control character.
+fn string_end(b: &[u8], from: usize) -> Option<(usize, bool)> {
+    let mut i = from;
+    let mut escaped = false;
+    loop {
+        i += b
+            .get(i..)?
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)?;
+        match b[i] {
+            b'"' => return Some((i, escaped)),
+            b'\\' => match b.get(i + 1)? {
+                b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => i += 2,
+                b'u' if b.get(i + 2..i + 6)?.iter().all(u8::is_ascii_hexdigit) => i += 6,
+                _ => return None,
+            },
+            _ => return None,
+        }
+        escaped = true;
+    }
+}
+
+/// Whether `token` is a JSON number:
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+fn is_number(token: &[u8]) -> bool {
+    fn digits(b: &[u8]) -> usize {
+        b.iter().take_while(|c| c.is_ascii_digit()).count()
+    }
+    let mut rest = token.strip_prefix(b"-").unwrap_or(token);
+    let int = digits(rest);
+    if int == 0 || (int > 1 && rest[0] == b'0') {
+        return false;
+    }
+    rest = &rest[int..];
+    if let Some(frac) = rest.strip_prefix(b".") {
+        let n = digits(frac);
+        if n == 0 {
+            return false;
+        }
+        rest = &frac[n..];
+    }
+    if let Some(exp) = rest.strip_prefix(b"e").or(rest.strip_prefix(b"E")) {
+        let exp = exp
+            .strip_prefix(b"+")
+            .or(exp.strip_prefix(b"-"))
+            .unwrap_or(exp);
+        let n = digits(exp);
+        if n == 0 {
+            return false;
+        }
+        rest = &exp[n..];
+    }
+    rest.is_empty()
+}
+
+/// Decodes the escapes of a string's contents that [`string_end`]
+/// accepted. `None` only for a `\u` surrogate without its pair.
+fn unescape(raw: &str) -> Option<String> {
+    fn hex4(chars: &mut std::str::Chars<'_>) -> Option<u32> {
+        let mut v = 0;
+        for _ in 0..4 {
+            v = v * 16 + chars.next()?.to_digit(16)?;
+        }
+        Some(v)
+    }
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        out.push(match chars.next()? {
+            'b' => '\u{08}',
+            'f' => '\u{0c}',
+            'n' => '\n',
+            'r' => '\r',
+            't' => '\t',
+            'u' => {
+                let unit = hex4(&mut chars)?;
+                let code = if (0xD800..0xDC00).contains(&unit) {
+                    // A high surrogate stands only before `\u` + low.
+                    if chars.next() != Some('\\') || chars.next() != Some('u') {
+                        return None;
+                    }
+                    let low = hex4(&mut chars)?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return None;
+                    }
+                    0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+                } else {
+                    unit
+                };
+                char::from_u32(code)?
+            }
+            other => other, // `"`, `\` and `/` stand for themselves
+        });
+    }
+    Some(out)
 }
 
 /// A parse failure at a specific line of a JSONL stream.
@@ -162,46 +475,13 @@ impl fmt::Display for JsonlError {
 
 impl std::error::Error for JsonlError {}
 
-/// Extracts an unsigned integer field from a flat one-line JSON object.
-pub(crate) fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = field_value(line, key)?;
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts a string field (handling `\"` and `\\` escapes) from a flat
-/// one-line JSON object.
-pub(crate) fn field_str(line: &str, key: &str) -> Option<String> {
-    let rest = field_value(line, key)?.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                other => out.push(other),
-            },
-            other => out.push(other),
-        }
-    }
-    None
-}
-
-/// The text right after `"key":` in a flat one-line JSON object.
-fn field_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let i = line.find(&pat)? + pat.len();
-    Some(&line[i..])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn cursor(raw: &str) -> Cursor<'_> {
+        Cursor::new(raw).expect("opens an object")
+    }
 
     #[test]
     fn reader_numbers_lines_and_flags_the_torn_tail() {
@@ -214,8 +494,14 @@ mod tests {
         assert!(lines[0].terminated);
         assert!(lines[1].terminated);
         assert!(!lines[2].terminated); // torn write
-        assert_eq!(lines[0].tag(), Some("a"));
-        assert_eq!(lines[2].u64_field("v"), Some(3));
+        let mut first = lines[0].cursor().expect("an object");
+        assert_eq!(first.tag(), Ok("a"));
+        assert_eq!(first.u64("v"), Ok(1));
+        assert_eq!(first.end(), Ok(()));
+        // The torn line never closes: its last value cannot be trusted.
+        let mut torn = lines[2].cursor().expect("an object");
+        assert_eq!(torn.tag(), Ok("c"));
+        assert_eq!(torn.u64("v").expect_err("no closing brace").line, 4);
     }
 
     #[test]
@@ -229,25 +515,85 @@ mod tests {
 
     #[test]
     fn typed_accessors_parse_the_sink_shapes() {
-        let text = "{\"t\":\"counter\",\"name\":\"a\\\"b\",\"value\":42,\"rate\":2.5}";
-        let line = JsonlReader::new(text).next().expect("one line");
-        assert_eq!(line.tag(), Some("counter"));
-        assert_eq!(line.u64_field("value"), Some(42));
-        assert_eq!(line.f64_field("rate"), Some(2.5));
-        assert_eq!(line.str_field("name").as_deref(), Some("a\"b"));
-        assert_eq!(line.u64_field("absent"), None);
-        assert_eq!(line.str_field("value"), None); // not a string
+        let text = "{\"t\":\"counter\",\"name\":\"a\\\"b\",\"value\":42,\"rate\":2.5,\"n\":7}";
+        let mut c = cursor(text);
+        assert_eq!(c.tag(), Ok("counter"));
+        assert_eq!(c.str("name").as_deref(), Ok("a\"b"));
+        assert_eq!(c.optional_u64("absent"), Ok(None)); // not next: nothing read
+        assert_eq!(c.optional_u64("value"), Ok(Some(42)));
+        assert_eq!(c.f64("rate"), Ok(2.5));
+        assert_eq!(c.f64("n"), Ok(7.0));
+        assert_eq!(c.end(), Ok(()));
+
+        // Each read takes the field that comes next, and only as its type.
+        assert!(cursor(text).u64("value").is_err()); // "t" comes first
+        let after_tag = |read: fn(&mut Cursor<'_>) -> bool| {
+            let mut c = cursor("{\"t\":\"x\",\"v\":2.5,\"s\":\"2\"}");
+            c.tag().expect("tag");
+            read(&mut c)
+        };
+        assert!(after_tag(|c| c.f64("v").is_ok() && c.str("s").is_ok()));
+        assert!(after_tag(|c| c.u64("v").is_err())); // not an integer
+        assert!(after_tag(|c| c.str("v").is_err())); // not a string
+        assert!(after_tag(|c| c.optional_u64("v").is_err())); // present, malformed
+        assert!(after_tag(|c| c.f64("v").is_ok() && c.f64("s").is_err()));
+        assert!(cursor("{}").tag().is_err());
+        assert!(cursor("{\"t\":1}").tag().is_err());
+        assert!(cursor("{\"t\":\"a\\u0062\"}").tag().is_err()); // escaped tag
+        assert!(cursor("{\"v\":null}").f64("v").is_err()); // null is no number
+    }
+
+    #[test]
+    fn strings_borrow_unless_they_hold_an_escape() {
+        let mut c = cursor(
+            "{\"plain\":\"µs a-b\",\"esc\":\"a\\\\b\\/c\\n\\t\\r\\b\\f\\u00e9\\ud83d\\ude00\",\"lone\":\"\\ud83d\"}",
+        );
+        assert!(matches!(c.str("plain"), Ok(Cow::Borrowed("µs a-b"))));
+        assert_eq!(c.str("esc").as_deref(), Ok("a\\b/c\n\t\r\u{08}\u{0c}é😀"));
+        assert!(c.str("lone").is_err());
+        // What `json::escape_into` writes reads back as it was.
+        let original = "q\"b\\s\u{01}\n";
+        let mut line = String::from("{\"v\":");
+        crate::json::push_str_value(&mut line, original);
+        line.push('}');
+        assert_eq!(cursor(&line).str("v").as_deref(), Ok(original));
     }
 
     #[test]
     fn require_accessors_carry_the_line_number() {
         let text = "{\"t\":\"x\"}\n{\"t\":\"y\"}\n";
         let second = JsonlReader::new(text).nth(1).expect("two lines");
-        let err = second.require_u64("slots").expect_err("field absent");
+        let mut c = second.cursor().expect("an object");
+        assert_eq!(c.tag(), Ok("y"));
+        let err = c.u64("slots").expect_err("field absent");
         assert_eq!(err.line, 2);
         assert!(err.to_string().contains("line 2"));
         assert!(err.to_string().contains("slots"));
-        assert_eq!(second.require_str("t").as_deref(), Ok("y"));
+    }
+
+    #[test]
+    fn integers_are_never_truncated_or_wrapped() {
+        let mut c = cursor(
+            "{\"max\":18446744073709551615,\"fits\":4294967295,\"wide\":4294967303,\"over\":18446744073709551616}",
+        );
+        assert_eq!(c.u64("max"), Ok(u64::MAX));
+        assert_eq!(c.u32("fits"), Ok(u32::MAX));
+        let err = c.u32("wide").expect_err("past u32::MAX");
+        assert!(err.reason.contains("wide"));
+        assert!(cursor("{\"over\":18446744073709551616}")
+            .u64("over")
+            .is_err());
+        assert_eq!(
+            cursor("{\"wide\":4294967303}").u64("wide"),
+            Ok(4_294_967_303)
+        );
+        for bad in [
+            "", "01", "-1", "+1", "1.0", "1e3", "\"1\"", "1x", "0x1", " 1",
+        ] {
+            let line = format!("{{\"v\":{bad}}}");
+            assert!(cursor(&line).u64("v").is_err(), "read {bad:?}");
+        }
+        assert_eq!(cursor("{\"v\":0}").u64("v"), Ok(0));
     }
 
     #[test]
@@ -255,7 +601,70 @@ mod tests {
         let line = JsonlReader::new("{\"t\":\"x\",\"name\":\"cut of")
             .next()
             .expect("one line");
-        assert_eq!(line.str_field("name"), None);
-        assert_eq!(line.tag(), Some("x"));
+        let mut c = line.cursor().expect("an object");
+        assert_eq!(c.tag(), Ok("x"));
+        let err = c.str("name").expect_err("the string never closes");
+        assert_eq!(err.line, 1);
+        assert!(err.reason.contains("name"));
+    }
+
+    #[test]
+    fn anything_but_one_flat_object_is_rejected() {
+        // Reads `{"t":"x","v":<number>}` and nothing else.
+        fn read(raw: &str) -> Result<f64, JsonlError> {
+            let mut c = Cursor::new(raw)?;
+            if c.tag()? != "x" {
+                return Err(c.error("another tag"));
+            }
+            let v = c.f64("v")?;
+            c.end()?;
+            Ok(v)
+        }
+        assert_eq!(read("{\"t\":\"x\",\"v\":1}"), Ok(1.0));
+        for bad in [
+            "",
+            "garbage \"t\":\"x\",\"v\":1 trailing",
+            "\"t\":\"x\",\"v\":1}",
+            "{\"t\":\"x\",\"v\":1",
+            "{\"t\":\"x\",\"v\":1} ",
+            "{\"t\":\"x\",\"v\":1}}",
+            "{\"t\":\"x\",\"v\":1}{\"t\":\"x\",\"v\":1}",
+            " {\"t\":\"x\",\"v\":1}",
+            "{\"t\": \"x\",\"v\":1}",
+            "{\"t\":\"x\" ,\"v\":1}",
+            "{\"t\":\"x\",\"v\":1,}",
+            "{,\"t\":\"x\",\"v\":1}",
+            "{\"t\":\"x\"\"v\":1}",
+            "{\"t\":\"x\",\"t\":\"x\",\"v\":1}", // repeated
+            "{\"v\":1,\"t\":\"x\"}",             // reordered
+            "{\"t\":\"x\",\"u\":0,\"v\":1}",     // unknown
+            "{\"t\":\"x\"}",                     // missing
+            "{\"t\":\"x\",\"v\":1,\"w\":2}",     // unread
+            "{\"t\":\"x\",\"v\":{\"w\":1}}",
+            "{\"t\":\"x\",\"v\":[1]}",
+            "{\"t\":\"x\",\"v\":}",
+            "{\"t\":\"x,\"v\":1}",
+            "{\"t\\n\":\"x\",\"v\":1}",
+            "{t:\"x\",\"v\":1}",
+            "{\"t\"\"x\",\"v\":1}",
+        ] {
+            assert!(read(bad).is_err(), "accepted {bad:?}");
+        }
+        for bad in [
+            "01", "+1", "1.", ".5", "1e", "nan", "-", "1e+", "0x10", "null", " 1",
+        ] {
+            let line = format!("{{\"t\":\"x\",\"v\":{bad}}}");
+            assert!(read(&line).is_err(), "accepted {bad:?}");
+        }
+        for good in ["0", "-0.5e+3", "12.25", "1E9", "-7"] {
+            let line = format!("{{\"t\":\"x\",\"v\":{good}}}");
+            assert_eq!(read(&line).ok(), good.parse().ok(), "{good:?}");
+        }
+        for bad in ["a\\qb", "a\\u12g4", "tab\there", "cut\\"] {
+            let line = format!("{{\"v\":\"{bad}\"}}");
+            assert!(cursor(&line).str("v").is_err(), "accepted {bad:?}");
+        }
+        assert_eq!(cursor("{}").end(), Ok(()));
+        assert_eq!(cursor("{\"v\":\"\"}").str("v").as_deref(), Ok(""));
     }
 }

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::json;
-use crate::reader::{field_str, field_u64, JsonlReader};
+use crate::reader::{Cursor, JsonlReader};
 
 /// Causal context attached to one distributed message.
 ///
@@ -123,25 +123,30 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// Parses one JSONL line of the `{"t":"trace",...}` shape.
+    /// Parses one JSONL line of the `{"t":"trace",...}` shape, as
+    /// [`TraceEvent::to_jsonl`] writes it.
     ///
-    /// Returns `None` for lines of any other type (or malformed ones),
-    /// so callers can feed a mixed JSONL stream straight through.
+    /// Returns `None` for lines of any other type (or malformed ones:
+    /// anything the [`Cursor`] rejects), so callers can feed a mixed
+    /// JSONL stream straight through.
     pub fn parse_jsonl(line: &str) -> Option<TraceRecord> {
-        if !line.contains("\"t\":\"trace\"") {
+        let mut fields = Cursor::new(line).ok()?;
+        if fields.tag().ok()? != "trace" {
             return None;
         }
-        Some(TraceRecord {
+        let record = TraceRecord {
             ctx: TraceCtx {
-                trace_id: field_u64(line, "trace")?,
-                span_id: field_u64(line, "span")?,
-                parent_span: field_u64(line, "parent")?,
-                lamport: field_u64(line, "lamport")?,
+                trace_id: fields.u64("trace").ok()?,
+                span_id: fields.u64("span").ok()?,
+                parent_span: fields.u64("parent").ok()?,
+                lamport: fields.u64("lamport").ok()?,
             },
-            kind: field_str(line, "kind")?,
-            node: field_u64(line, "node")?,
-            t_ns: field_u64(line, "t_ns")?,
-        })
+            kind: fields.str("kind").ok()?.into_owned(),
+            node: fields.u64("node").ok()?,
+            t_ns: fields.u64("t_ns").ok()?,
+        };
+        fields.end().ok()?;
+        Some(record)
     }
 }
 
@@ -402,6 +407,25 @@ mod tests {
             TraceRecord::parse_jsonl("{\"t\":\"counter\",\"name\":\"x\",\"value\":1}").is_none()
         );
         assert!(TraceRecord::parse_jsonl("not json at all").is_none());
+    }
+
+    #[test]
+    fn lines_that_are_not_one_flat_object_are_skipped() {
+        let line = ev(TraceCtx::root(7, 3), "beacon", 5, 9).to_jsonl();
+        assert!(TraceRecord::parse_jsonl(&line).is_some());
+        let inner = &line[1..line.len() - 1];
+        for bad in [
+            format!("garbage {inner} trailing"),          // no braces
+            format!("{{{inner}"),                         // never closed
+            format!("{line} x"),                          // bytes after `}`
+            format!("{{{inner},\"span\":8}}"),            // duplicate key
+            format!("{{{inner},\"why\":\"cut}}"),         // unterminated string
+            format!("{{{inner},\"ctx\":{{\"a\":1}}}}"),   // nested value
+            line.replace("\"node\":5", "\"node\":\"5\""), // wrong type
+            line.replace("\"node\":5,", ""),              // missing field
+        ] {
+            assert!(TraceRecord::parse_jsonl(&bad).is_none(), "parsed {bad:?}");
+        }
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //!
 //! The journal reuses the flat one-line JSON shape of the `wimesh-obs`
 //! sinks (every line is `{"t":"<tag>",...}`), so the same
-//! [`JsonlReader`] reads both. Four record kinds, three of them
-//! mutations:
+//! [`JsonlReader`] and [`Cursor`] read both: each line is decoded once,
+//! its fields taken in the order shown here, and a line that is anything
+//! else — not one flat object, a field missing, unknown, repeated or out
+//! of order, an id that does not fit its type — is corrupt. Four record
+//! kinds, three of them mutations:
 //!
 //! ```text
 //! {"t":"svc.batch","n":2}                  // admission batch header
@@ -54,14 +57,14 @@
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use std::time::Duration;
 
 use wimesh::tdma::SlotRange;
 use wimesh::{FlowSpec, FlowState, GreedyKey, OrderPolicy, SessionState};
 use wimesh_obs::json;
-use wimesh_obs::reader::{JsonlError, JsonlLine, JsonlReader};
+use wimesh_obs::reader::{Cursor, JsonlError, JsonlLine, JsonlReader};
 use wimesh_sim::FlowId;
 use wimesh_topology::{LinkId, NodeId};
 
@@ -89,7 +92,10 @@ pub enum JournalRecord {
 /// Appends journal records to a byte stream, flushing each record
 /// before the caller applies its mutation (write-ahead discipline).
 pub struct JournalWriter {
-    out: BufWriter<Box<dyn Write + Send>>,
+    out: Box<dyn Write + Send>,
+    /// The record being appended, encoded in full before any of it is
+    /// written; kept between appends for its capacity.
+    buf: String,
 }
 
 impl fmt::Debug for JournalWriter {
@@ -122,7 +128,8 @@ impl JournalWriter {
     /// Wraps an arbitrary writer (tests, `io::sink()`, sockets).
     pub fn from_writer(out: Box<dyn Write + Send>) -> Self {
         JournalWriter {
-            out: BufWriter::new(out),
+            out,
+            buf: String::with_capacity(256),
         }
     }
 
@@ -134,9 +141,9 @@ impl JournalWriter {
     ///
     /// The I/O error; the caller must *not* apply the mutation then.
     pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
-        let mut buf = String::with_capacity(128);
-        encode_record(record, &mut buf)?;
-        self.out.write_all(buf.as_bytes())?;
+        self.buf.clear();
+        encode_record(record, &mut self.buf)?;
+        self.out.write_all(self.buf.as_bytes())?;
         self.out.flush()
     }
 }
@@ -173,149 +180,204 @@ impl JournalLog {
 /// group cut off by the end of input is instead dropped as a torn tail
 /// ([`JournalLog::torn_tail`]).
 pub fn parse_journal(text: &str) -> Result<JournalLog, JsonlError> {
-    let mut lines: Vec<JsonlLine<'_>> = JsonlReader::new(text).collect();
-    let mut torn_tail = false;
-    if lines.last().is_some_and(|l| !l.terminated) {
-        // A line cut mid-write: even if its prefix happens to parse,
-        // its values cannot be trusted. Drop it.
-        torn_tail = true;
-        lines.pop();
+    let mut stream = RecordStream::new(text);
+    let mut records = Vec::new();
+    while let Some(record) = stream.next_record(|| ()) {
+        records.push(record?);
+    }
+    Ok(JournalLog {
+        records,
+        torn_tail: stream.torn_tail(),
+    })
+}
+
+/// A journal text decoded record by record, each line once.
+///
+/// The member lines of a group are gathered before any of them is
+/// decoded, so a group that runs off the end of the text is a torn
+/// tail whatever its members contain, and nothing is allocated for a
+/// count the text does not back with lines.
+pub(crate) struct RecordStream<'a> {
+    lines: JsonlReader<'a>,
+    group: Vec<JsonlLine<'a>>,
+    torn_tail: bool,
+}
+
+impl<'a> RecordStream<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        RecordStream {
+            lines: JsonlReader::new(text),
+            group: Vec::new(),
+            torn_tail: false,
+        }
     }
 
-    let mut records = Vec::new();
-    let mut i = 0;
-    while i < lines.len() {
-        let line = &lines[i];
-        let tag = line
-            .tag()
-            .ok_or_else(|| line.error("journal line has no type tag"))?;
-        match tag {
+    /// Whether the text ended in a torn tail. Final once
+    /// [`Self::next_record`] has returned `None`.
+    pub(crate) fn torn_tail(&self) -> bool {
+        self.torn_tail
+    }
+
+    /// The next complete record, `None` at the end of the text or at its
+    /// torn tail. `superseded` is called when a complete snapshot group
+    /// has been gathered, before it is decoded: a consumer that keeps
+    /// only the latest snapshot lets go of the previous one there. After
+    /// an error the stream is not to be read further.
+    pub(crate) fn next_record(
+        &mut self,
+        superseded: impl FnOnce(),
+    ) -> Option<Result<JournalRecord, JsonlError>> {
+        let line = self.next_line()?;
+        self.decode(line, superseded).transpose()
+    }
+
+    /// The next newline-terminated line. A line cut mid-write is the
+    /// last of the text: even if its prefix happens to parse, its values
+    /// cannot be trusted, so it is dropped as the torn tail.
+    fn next_line(&mut self) -> Option<JsonlLine<'a>> {
+        let line = self.lines.next()?;
+        if !line.terminated {
+            self.torn_tail = true;
+            return None;
+        }
+        Some(line)
+    }
+
+    /// Gathers the `n` member lines of a group into `self.group`, or
+    /// reports the group as running off the end of the text.
+    fn gather(&mut self, n: u64) -> bool {
+        self.group.clear();
+        while (self.group.len() as u64) < n {
+            match self.next_line() {
+                Some(line) => self.group.push(line),
+                None => {
+                    self.torn_tail = true;
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Decodes the record that `line` starts; `Ok(None)` at a torn tail.
+    fn decode(
+        &mut self,
+        line: JsonlLine<'a>,
+        superseded: impl FnOnce(),
+    ) -> Result<Option<JournalRecord>, JsonlError> {
+        let mut head = line.cursor()?;
+        let record = match head.tag()? {
             "svc.batch" => {
-                let n = line.require_u64("n")? as usize;
+                let n = head.u64("n")?;
+                head.end()?;
                 if n == 0 {
                     return Err(line.error("empty admission batch"));
                 }
-                if i + n >= lines.len() {
-                    torn_tail = true; // group runs off the end
-                    break;
+                if !self.gather(n) {
+                    return Ok(None);
                 }
-                let mut specs = Vec::with_capacity(n);
-                for k in 0..n {
-                    let member = &lines[i + 1 + k];
-                    if member.tag() != Some("svc.admit") {
-                        return Err(member.error(format!(
-                            "expected svc.admit member {} of {n}, found {:?}",
-                            k + 1,
-                            member.tag()
-                        )));
-                    }
-                    specs.push(parse_spec(member)?);
-                }
-                records.push(JournalRecord::AdmitBatch(specs));
-                i += 1 + n;
+                JournalRecord::AdmitBatch(decode_all(&self.group, "svc.admit", decode_spec)?)
             }
             "svc.admit" => {
                 return Err(line.error("svc.admit outside an svc.batch group"));
             }
             "svc.release" => {
-                let flow = line.require_u64("flow")? as u32;
-                records.push(JournalRecord::Release(FlowId(flow)));
-                i += 1;
+                let flow = FlowId(head.u32("flow")?);
+                head.end()?;
+                JournalRecord::Release(flow)
             }
             "svc.rebalance" => {
-                records.push(JournalRecord::Rebalance);
-                i += 1;
+                head.end()?;
+                JournalRecord::Rebalance
             }
             "svc.policy" => {
-                records.push(JournalRecord::Policy(parse_policy(line)?));
-                i += 1;
+                let policy = decode_policy(&mut head)?;
+                head.end()?;
+                JournalRecord::Policy(policy)
             }
             "svc.snap" => {
-                let policy = parse_policy(line)?;
-                let nf = line.require_u64("flows")? as usize;
-                let nw = line.require_u64("warm")? as usize;
-                let nr = line.require_u64("ranges")? as usize;
-                let slots = line.require_u64("slots")? as u32;
-                let members = nf + nw + nr + 1; // + svc.snap.end
-                if i + members >= lines.len() {
-                    torn_tail = true; // group runs off the end
-                    break;
+                let policy = decode_policy(&mut head)?;
+                let nf = head.u64("flows")?;
+                let nw = head.u64("warm")?;
+                let nr = head.u64("ranges")?;
+                let guaranteed_slots = head.u32("slots")?;
+                head.end()?;
+                // + svc.snap.end. A sum past u64::MAX is in any case more
+                // lines than a text can hold.
+                let members = nf.saturating_add(nw).saturating_add(nr).saturating_add(1);
+                if !self.gather(members) {
+                    return Ok(None);
                 }
-                let mut flows = Vec::with_capacity(nf);
-                for k in 0..nf {
-                    flows.push(parse_snap_flow(&lines[i + 1 + k])?);
-                }
-                let mut warm_pairs = Vec::with_capacity(nw);
-                for k in 0..nw {
-                    let l = &lines[i + 1 + nf + k];
-                    expect_tag(l, "svc.snap.warm")?;
-                    warm_pairs.push((
-                        LinkId(l.require_u64("a")? as u32),
-                        LinkId(l.require_u64("b")? as u32),
-                    ));
-                }
-                let mut ranges = Vec::with_capacity(nr);
-                for k in 0..nr {
-                    let l = &lines[i + 1 + nf + nw + k];
-                    expect_tag(l, "svc.snap.range")?;
-                    let len = l.require_u64("len")? as u32;
-                    if len == 0 {
-                        return Err(l.error("zero-length slot range"));
-                    }
-                    ranges.push((
-                        LinkId(l.require_u64("link")? as u32),
-                        SlotRange::new(l.require_u64("start")? as u32, len),
-                    ));
-                }
-                expect_tag(&lines[i + members], "svc.snap.end")?;
-                records.push(JournalRecord::Snapshot(SessionState {
+                superseded();
+                // `members` lines are in hand, so each count fits usize.
+                let (flows, rest) = self.group.split_at(nf as usize);
+                let (warm, rest) = rest.split_at(nw as usize);
+                let (ranges, end) = rest.split_at(nr as usize);
+                let state = SessionState {
                     policy,
-                    flows,
-                    warm_pairs,
-                    ranges,
-                    guaranteed_slots: slots,
-                }));
-                i += members + 1;
+                    flows: decode_all(flows, "svc.snap.flow", decode_snap_flow)?,
+                    warm_pairs: decode_all(warm, "svc.snap.warm", |fields| {
+                        Ok((LinkId(fields.u32("a")?), LinkId(fields.u32("b")?)))
+                    })?,
+                    ranges: decode_all(ranges, "svc.snap.range", decode_snap_range)?,
+                    guaranteed_slots,
+                };
+                decode_all(end, "svc.snap.end", |_| Ok(()))?;
+                JournalRecord::Snapshot(state)
             }
             other => {
                 return Err(line.error(format!("unknown journal record type \"{other}\"")));
             }
+        };
+        Ok(Some(record))
+    }
+}
+
+/// Decodes each of `lines` in order as a `tag` record whose fields
+/// `decode` reads, stopping at the first error. The result is sized by
+/// the lines in hand, never by a count from the text.
+fn decode_all<'a, T>(
+    lines: &[JsonlLine<'a>],
+    tag: &str,
+    decode: impl Fn(&mut Cursor<'a>) -> Result<T, JsonlError>,
+) -> Result<Vec<T>, JsonlError> {
+    let mut out = Vec::with_capacity(lines.len());
+    for line in lines {
+        let mut fields = line.cursor()?;
+        let found = fields.tag()?;
+        if found != tag {
+            return Err(line.error(format!("expected {tag}, found {found}")));
         }
+        out.push(decode(&mut fields)?);
+        fields.end()?;
     }
-    Ok(JournalLog { records, torn_tail })
+    Ok(out)
 }
 
-fn expect_tag(line: &JsonlLine<'_>, want: &str) -> Result<(), JsonlError> {
-    if line.tag() == Some(want) {
-        Ok(())
-    } else {
-        Err(line.error(format!("expected {want}, found {:?}", line.tag())))
-    }
-}
-
-fn parse_spec(line: &JsonlLine<'_>) -> Result<FlowSpec, JsonlError> {
+fn decode_spec(fields: &mut Cursor<'_>) -> Result<FlowSpec, JsonlError> {
     Ok(FlowSpec {
-        id: FlowId(line.require_u64("id")? as u32),
-        src: NodeId(line.require_u64("src")? as u32),
-        dst: NodeId(line.require_u64("dst")? as u32),
-        rate_bps: line.require_f64("rate_bps")?,
-        burst_bytes: line.require_u64("burst")? as u32,
-        deadline: line.u64_field("deadline_ns").map(Duration::from_nanos),
+        id: FlowId(fields.u32("id")?),
+        src: NodeId(fields.u32("src")?),
+        dst: NodeId(fields.u32("dst")?),
+        rate_bps: fields.f64("rate_bps")?,
+        burst_bytes: fields.u32("burst")?,
+        deadline: fields
+            .optional_u64("deadline_ns")?
+            .map(Duration::from_nanos),
     })
 }
 
-fn parse_snap_flow(line: &JsonlLine<'_>) -> Result<FlowState, JsonlError> {
-    expect_tag(line, "svc.snap.flow")?;
-    let spec = parse_spec(line)?;
-    let slots_per_link = line.require_u64("slots_per_link")? as u32;
-    let path_s = line.require_str("path")?;
-    let mut path = Vec::new();
-    for part in path_s.split('-') {
-        let id: u32 = part
-            .parse()
-            .map_err(|_| line.error(format!("malformed path node \"{part}\"")))?;
-        path.push(NodeId(id));
-    }
+fn decode_snap_flow(fields: &mut Cursor<'_>) -> Result<FlowState, JsonlError> {
+    let spec = decode_spec(fields)?;
+    let slots_per_link = fields.u32("slots_per_link")?;
+    let path = fields
+        .str("path")?
+        .split('-')
+        .map(|part| match part.parse() {
+            Ok(id) => Ok(NodeId(id)),
+            Err(_) => Err(fields.error(format!("malformed path node \"{part}\""))),
+        })
+        .collect::<Result<_, _>>()?;
     Ok(FlowState {
         spec,
         path,
@@ -323,34 +385,39 @@ fn parse_snap_flow(line: &JsonlLine<'_>) -> Result<FlowState, JsonlError> {
     })
 }
 
-fn parse_policy(line: &JsonlLine<'_>) -> Result<OrderPolicy, JsonlError> {
-    let s = line.require_str("policy")?;
-    if s == "hop" {
-        Ok(OrderPolicy::HopOrder)
-    } else if s == "exact" {
-        Ok(OrderPolicy::ExactMilp)
-    } else if s == "lp" {
-        Ok(OrderPolicy::LpRounding)
-    } else if let Some(key) = s.strip_prefix("greedy:") {
-        let key = match key {
-            "clique" => GreedyKey::CliqueLoad,
-            "hop" => GreedyKey::HopCount,
-            "demand" => GreedyKey::Demand,
-            other => {
-                return Err(line.error(format!("unknown greedy key \"{other}\"")));
-            }
-        };
-        Ok(OrderPolicy::GreedySequential { key })
-    } else if let Some(g) = s.strip_prefix("tree:") {
-        let gateway: u32 = g
-            .parse()
-            .map_err(|_| line.error(format!("malformed tree gateway \"{g}\"")))?;
-        Ok(OrderPolicy::TreeOrder {
-            gateway: NodeId(gateway),
-        })
-    } else {
-        Err(line.error(format!("unknown order policy \"{s}\"")))
+fn decode_snap_range(fields: &mut Cursor<'_>) -> Result<(LinkId, SlotRange), JsonlError> {
+    let link = LinkId(fields.u32("link")?);
+    let start = fields.u32("start")?;
+    let len = fields.u32("len")?;
+    if len == 0 || start.checked_add(len).is_none() {
+        return Err(fields.error("slot range is empty or ends past u32::MAX"));
     }
+    Ok((link, SlotRange::new(start, len)))
+}
+
+fn decode_policy(fields: &mut Cursor<'_>) -> Result<OrderPolicy, JsonlError> {
+    let s = fields.str("policy")?;
+    let policy = match &*s {
+        "hop" => OrderPolicy::HopOrder,
+        "exact" => OrderPolicy::ExactMilp,
+        "lp" => OrderPolicy::LpRounding,
+        "greedy:clique" => OrderPolicy::GreedySequential {
+            key: GreedyKey::CliqueLoad,
+        },
+        "greedy:hop" => OrderPolicy::GreedySequential {
+            key: GreedyKey::HopCount,
+        },
+        "greedy:demand" => OrderPolicy::GreedySequential {
+            key: GreedyKey::Demand,
+        },
+        other => match other.strip_prefix("tree:").map(str::parse) {
+            Some(Ok(gateway)) => OrderPolicy::TreeOrder {
+                gateway: NodeId(gateway),
+            },
+            _ => return Err(fields.error(format!("unknown order policy \"{other}\""))),
+        },
+    };
+    Ok(policy)
 }
 
 fn encode_record(record: &JournalRecord, out: &mut String) -> io::Result<()> {
@@ -375,12 +442,12 @@ fn encode_record(record: &JournalRecord, out: &mut String) -> io::Result<()> {
         }
         JournalRecord::Policy(policy) => {
             out.push_str("{\"t\":\"svc.policy\",\"policy\":");
-            json::push_str_value(out, &encode_policy(*policy)?);
+            encode_policy(*policy, out)?;
             out.push_str("}\n");
         }
         JournalRecord::Snapshot(state) => {
             out.push_str("{\"t\":\"svc.snap\",\"policy\":");
-            json::push_str_value(out, &encode_policy(state.policy)?);
+            encode_policy(state.policy, out)?;
             let _ = writeln!(
                 out,
                 ",\"flows\":{},\"warm\":{},\"ranges\":{},\"slots\":{}}}",
@@ -392,10 +459,12 @@ fn encode_record(record: &JournalRecord, out: &mut String) -> io::Result<()> {
             for f in &state.flows {
                 out.push_str("{\"t\":\"svc.snap.flow\",");
                 encode_spec_fields(&f.spec, out);
-                let _ = write!(out, ",\"slots_per_link\":{},\"path\":", f.slots_per_link);
-                let path: Vec<String> = f.path.iter().map(|n| n.0.to_string()).collect();
-                json::push_str_value(out, &path.join("-"));
-                out.push_str("}\n");
+                let _ = write!(out, ",\"slots_per_link\":{},\"path\":\"", f.slots_per_link);
+                for (k, node) in f.path.iter().enumerate() {
+                    let sep = if k == 0 { "" } else { "-" };
+                    let _ = write!(out, "{sep}{}", node.0);
+                }
+                out.push_str("\"}\n");
             }
             for &(a, b) in &state.warm_pairs {
                 let _ = writeln!(
@@ -431,23 +500,31 @@ fn encode_spec_fields(spec: &FlowSpec, out: &mut String) {
     }
 }
 
-fn encode_policy(policy: OrderPolicy) -> io::Result<String> {
-    match policy {
-        OrderPolicy::HopOrder => Ok(String::from("hop")),
-        OrderPolicy::ExactMilp => Ok(String::from("exact")),
-        OrderPolicy::TreeOrder { gateway } => Ok(format!("tree:{}", gateway.0)),
-        OrderPolicy::LpRounding => Ok(String::from("lp")),
-        OrderPolicy::GreedySequential { key } => Ok(String::from(match key {
+/// Appends the policy's journal name as a quoted string; none of the
+/// names holds a character JSON would escape.
+fn encode_policy(policy: OrderPolicy, out: &mut String) -> io::Result<()> {
+    use std::fmt::Write as _;
+    let name = match policy {
+        OrderPolicy::HopOrder => "hop",
+        OrderPolicy::ExactMilp => "exact",
+        OrderPolicy::LpRounding => "lp",
+        OrderPolicy::TreeOrder { gateway } => {
+            let _ = write!(out, "\"tree:{}\"", gateway.0);
+            return Ok(());
+        }
+        OrderPolicy::GreedySequential { key } => match key {
             GreedyKey::CliqueLoad => "greedy:clique",
             GreedyKey::HopCount => "greedy:hop",
             GreedyKey::Demand => "greedy:demand",
             // `GreedyKey` is non-exhaustive too.
             _ => return Err(io::Error::other("greedy key has no journal encoding")),
-        })),
+        },
         // `OrderPolicy` is non-exhaustive: refuse to journal a policy
         // this writer has no stable encoding for.
-        _ => Err(io::Error::other("order policy has no journal encoding")),
-    }
+        _ => return Err(io::Error::other("order policy has no journal encoding")),
+    };
+    let _ = write!(out, "\"{name}\"");
+    Ok(())
 }
 
 #[cfg(test)]
@@ -606,5 +683,164 @@ mod tests {
             let log = parse_journal(&text).expect("line-boundary prefix parses");
             assert!(log.records.len() <= 3);
         }
+    }
+
+    fn corrupt_at(text: &str) -> u32 {
+        parse_journal(text).expect_err("corrupt").line
+    }
+
+    #[test]
+    fn ids_past_their_type_are_corruption_not_truncation() {
+        // 2^32 + 7 used to parse as FlowId(7).
+        let err = parse_journal(
+            "{\"t\":\"svc.rebalance\"}\n{\"t\":\"svc.release\",\"flow\":4294967303}\n",
+        )
+        .expect_err("does not fit u32");
+        assert_eq!(err.line, 2);
+        assert!(err.reason.contains("\"flow\""), "{err}");
+        // One past u64::MAX, where a count is read as u64.
+        assert_eq!(
+            corrupt_at("{\"t\":\"svc.batch\",\"n\":18446744073709551616}\n"),
+            1
+        );
+        // Every narrowed field of every record kind.
+        let wide = "4294967296";
+        let good = roundtrip(&[
+            JournalRecord::AdmitBatch(specs()),
+            JournalRecord::Snapshot(sample_state()),
+        ]);
+        for (line, field) in [
+            (2, "\"id\":1"),
+            (2, "\"src\":4"),
+            (2, "\"dst\":0"),
+            (2, "\"burst\":60"),
+            (4, "\"slots\":4"),
+            (5, "\"slots_per_link\":2"),
+            (5, "4-3-0"),
+            (6, "\"a\":3"),
+            (6, "\"b\":5"),
+            (7, "\"link\":3"),
+            (7, "\"start\":0"),
+            (7, "\"len\":2"),
+        ] {
+            let (name, _) = field.rsplit_once([':', '-']).expect("a value");
+            let sep = &field[name.len()..=name.len()];
+            let bad = good.replacen(field, &format!("{name}{sep}{wide}"), 1);
+            assert_ne!(bad, good, "{field} not found");
+            assert_eq!(corrupt_at(&bad), line, "{field}");
+        }
+        // A range may not end past u32::MAX either.
+        let bad = good.replacen("\"start\":0", "\"start\":4294967295", 1);
+        assert_eq!(corrupt_at(&bad), 7);
+    }
+
+    #[test]
+    fn hostile_group_counts_are_a_torn_tail_never_a_panic() {
+        let max = u64::MAX;
+        for head in [
+            format!("{{\"t\":\"svc.snap\",\"policy\":\"hop\",\"flows\":{max},\"warm\":1,\"ranges\":0,\"slots\":1}}"),
+            format!("{{\"t\":\"svc.snap\",\"policy\":\"hop\",\"flows\":1,\"warm\":{max},\"ranges\":{max},\"slots\":1}}"),
+            format!("{{\"t\":\"svc.snap\",\"policy\":\"hop\",\"flows\":0,\"warm\":0,\"ranges\":{max},\"slots\":1}}"),
+            format!("{{\"t\":\"svc.batch\",\"n\":{max}}}"),
+            String::from("{\"t\":\"svc.batch\",\"n\":3}"),
+        ] {
+            let text = format!("{{\"t\":\"svc.rebalance\"}}\n{head}\nany line\n{{\"t\":\"svc.rebalance\"}}\n");
+            let log = parse_journal(&text).expect("a torn group is not corruption");
+            assert!(log.torn_tail, "{head}");
+            assert_eq!(log.records, vec![JournalRecord::Rebalance], "{head}");
+        }
+        // With the promised lines present, the members do get decoded.
+        let text = "{\"t\":\"svc.batch\",\"n\":2}\nany line\n{\"t\":\"svc.rebalance\"}\n";
+        assert_eq!(corrupt_at(text), 2);
+    }
+
+    #[test]
+    fn lines_that_are_not_one_flat_object_are_corruption() {
+        let ok = "{\"t\":\"svc.rebalance\"}\n";
+        for bad in [
+            "garbage \"t\":\"svc.rebalance\" trailing", // used to parse
+            "\"t\":\"svc.rebalance\"}",
+            "{\"t\":\"svc.rebalance\"",
+            "{\"t\":\"svc.rebalance\"} x",
+            "{\"t\":\"svc.rebalance\"}}",
+            "{\"t\":\"svc.rebalance\",\"t\":\"svc.rebalance\"}",
+            "{\"t\":\"svc.release\",\"flow\":1,\"flow\":1}",
+            "{\"t\":\"svc.release\",\"flow\":{\"id\":1}}",
+            "{\"t\":\"svc.release\",\"flow\":[1]}",
+            "{\"t\":\"svc.release\",\"flow\":1,\"extra\":2}",
+            "{\"flow\":1,\"t\":\"svc.release\"}",
+            "{\"t\":\"svc.policy\",\"policy\":\"hop}",
+            "{\"t\":\"svc.policy\",\"policy\":\"h\\op\"}",
+            "{\"t\":\"svc.batch\",\"n\":1 }",
+        ] {
+            let text = format!("{ok}{bad}\n{ok}");
+            assert_eq!(corrupt_at(&text), 2, "{bad:?}");
+            // The same line as the unterminated last one is a torn tail.
+            let log = parse_journal(&format!("{ok}{bad}")).expect("torn, not corrupt");
+            assert!(log.torn_tail);
+            assert_eq!(log.records, vec![JournalRecord::Rebalance]);
+        }
+        // Inside a group, the member's own line is named.
+        let full = roundtrip(&[JournalRecord::Snapshot(sample_state())]);
+        let lines: Vec<&str> = full.lines().collect();
+        for at in 1..lines.len() {
+            let mut cut = lines.clone();
+            let bad = format!("{} ", lines[at]);
+            cut[at] = &bad;
+            let text = cut.join("\n") + "\n";
+            assert_eq!(corrupt_at(&text), at as u32 + 1);
+        }
+        // A deadline that is present must be a number.
+        let full = roundtrip(&[JournalRecord::AdmitBatch(specs())]);
+        let bad = full.replacen("\"deadline_ns\":", "\"deadline_ns\":\"soon\",\"was\":", 1);
+        assert_eq!(corrupt_at(&bad), 2);
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned_for_every_record_kind() {
+        let mut state = sample_state();
+        state.flows.push(FlowState {
+            spec: specs().remove(1),
+            path: vec![NodeId(3)],
+            slots_per_link: 1,
+        });
+        let records = [
+            JournalRecord::Policy(OrderPolicy::TreeOrder {
+                gateway: NodeId(12),
+            }),
+            JournalRecord::Policy(OrderPolicy::GreedySequential {
+                key: GreedyKey::CliqueLoad,
+            }),
+            JournalRecord::AdmitBatch(specs()),
+            JournalRecord::Release(FlowId(7)),
+            JournalRecord::Rebalance,
+            JournalRecord::Snapshot(state),
+        ];
+        let golden = "\
+{\"t\":\"svc.policy\",\"policy\":\"tree:12\"}
+{\"t\":\"svc.policy\",\"policy\":\"greedy:clique\"}
+{\"t\":\"svc.batch\",\"n\":2}
+{\"t\":\"svc.admit\",\"id\":1,\"src\":4,\"dst\":0,\"rate_bps\":24000,\"burst\":60,\"deadline_ns\":80000000}
+{\"t\":\"svc.admit\",\"id\":2,\"src\":3,\"dst\":0,\"rate_bps\":64000,\"burst\":160}
+{\"t\":\"svc.release\",\"flow\":7}
+{\"t\":\"svc.rebalance\"}
+{\"t\":\"svc.snap\",\"policy\":\"tree:0\",\"flows\":2,\"warm\":1,\"ranges\":2,\"slots\":4}
+{\"t\":\"svc.snap.flow\",\"id\":1,\"src\":4,\"dst\":0,\"rate_bps\":24000,\"burst\":60,\"deadline_ns\":80000000,\"slots_per_link\":2,\"path\":\"4-3-0\"}
+{\"t\":\"svc.snap.flow\",\"id\":2,\"src\":3,\"dst\":0,\"rate_bps\":64000,\"burst\":160,\"slots_per_link\":1,\"path\":\"3\"}
+{\"t\":\"svc.snap.warm\",\"a\":3,\"b\":5}
+{\"t\":\"svc.snap.range\",\"link\":3,\"start\":0,\"len\":2}
+{\"t\":\"svc.snap.range\",\"link\":5,\"start\":2,\"len\":2}
+{\"t\":\"svc.snap.end\"}
+";
+        // Through the writer itself, whose buffer is reused across appends.
+        let path = std::env::temp_dir().join(format!("wimesh_golden_{}.jsonl", std::process::id()));
+        let mut writer = JournalWriter::create(&path).expect("creates");
+        for record in &records {
+            writer.append(record).expect("appends");
+        }
+        let written = std::fs::read_to_string(&path).expect("reads back");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(written, golden);
+        assert_eq!(parse_journal(golden).expect("parses").records, records);
     }
 }

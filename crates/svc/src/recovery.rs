@@ -22,10 +22,11 @@ use std::io;
 use std::path::Path;
 
 use wimesh::conflict::ConflictGraph;
-use wimesh::{MeshQos, OrderPolicy, QosError, QosSession};
+use wimesh::{MeshQos, OrderPolicy, QosError, QosSession, SessionState};
 use wimesh_check::{CertParams, Certificate, CertificateReport, CertifyError, FlowRequirement};
+use wimesh_obs::reader::JsonlError;
 
-use crate::journal::{parse_journal, JournalRecord};
+use crate::journal::{JournalRecord, RecordStream};
 use crate::journaled::JournaledSession;
 
 /// Why a journal could not be recovered into a certified session.
@@ -80,6 +81,15 @@ impl std::error::Error for RecoveryError {
     }
 }
 
+impl From<JsonlError> for RecoveryError {
+    fn from(e: JsonlError) -> Self {
+        RecoveryError::Corrupt {
+            line: e.line,
+            reason: e.reason,
+        }
+    }
+}
+
 impl From<QosError> for RecoveryError {
     fn from(e: QosError) -> Self {
         RecoveryError::Qos(e)
@@ -119,76 +129,7 @@ pub fn recover(
     policy: OrderPolicy,
     journal: &str,
 ) -> Result<Recovered, RecoveryError> {
-    let log = parse_journal(journal).map_err(|e| RecoveryError::Corrupt {
-        line: e.line,
-        reason: e.reason,
-    })?;
-    // Every policy declaration in the journal must agree with the
-    // requested policy: recovering a greedy-admitted history under the
-    // exact oracle (or vice versa) would re-prove a different state
-    // than the one that crashed.
-    for record in &log.records {
-        if let JournalRecord::Policy(declared) = record {
-            if *declared != policy {
-                return Err(RecoveryError::StateMismatch(format!(
-                    "journal declares policy {declared:?}, recovery requested {policy:?}"
-                )));
-            }
-        }
-    }
-    let (replay_from, snapshot) = log.replay_point();
-
-    let base = match snapshot {
-        Some(state) => {
-            if state.policy != policy {
-                return Err(RecoveryError::StateMismatch(format!(
-                    "journal snapshot uses policy {:?}, recovery requested {:?}",
-                    state.policy, policy
-                )));
-            }
-            mesh.restore_session(state)?
-        }
-        None => mesh.session(policy),
-    };
-
-    let mut replaying = JournaledSession::replay_only(base);
-    let tail = &log.records[replay_from..];
-    let mut replayed = 0;
-    for record in tail {
-        match record {
-            JournalRecord::AdmitBatch(specs) => {
-                // Per-flow rejections were replies to clients, not
-                // state; only engine-level failures abort the replay.
-                replaying.admit_flows(specs).map_err(svc_to_recovery)?;
-            }
-            JournalRecord::Release(flow) => {
-                replaying.release_flow(*flow).map_err(svc_to_recovery)?;
-            }
-            JournalRecord::Rebalance => {
-                replaying.rebalance_flows().map_err(svc_to_recovery)?;
-            }
-            JournalRecord::Snapshot(_) => {
-                // Unreachable by construction of replay_point, but a
-                // snapshot mid-tail would simply be redundant.
-                continue;
-            }
-            JournalRecord::Policy(_) => {
-                // Not a mutation; already cross-checked above.
-                continue;
-            }
-        }
-        replayed += 1;
-    }
-    let session = replaying.into_session();
-
-    let report = certify_recovered(&session).map_err(RecoveryError::Uncertified)?;
-    Ok(Recovered {
-        session,
-        report,
-        replayed,
-        snapshot_used: snapshot.is_some(),
-        torn_tail: log.torn_tail,
-    })
+    ReplayPlan::read(journal)?.run(mesh, policy)
 }
 
 /// [`recover`], taking the policy from the journal itself instead of
@@ -205,21 +146,113 @@ pub fn recover(
 /// [`RecoveryError::StateMismatch`] when the journal records no policy
 /// at all, otherwise as [`recover`].
 pub fn recover_recorded(mesh: &MeshQos, journal: &str) -> Result<Recovered, RecoveryError> {
-    let log = parse_journal(journal).map_err(|e| RecoveryError::Corrupt {
-        line: e.line,
-        reason: e.reason,
-    })?;
-    let declared = log.records.iter().rev().find_map(|r| match r {
-        JournalRecord::Policy(p) => Some(*p),
-        _ => None,
-    });
-    let snapshot = log.replay_point().1.map(|s| s.policy);
-    let policy = declared.or(snapshot).ok_or_else(|| {
+    let plan = ReplayPlan::read(journal)?;
+    let snapshot = plan.snapshot.as_ref().map(|s| s.policy);
+    let policy = plan.declared.last().copied().or(snapshot).ok_or_else(|| {
         RecoveryError::StateMismatch(String::from(
             "journal records no admission policy (no svc.policy record and no snapshot)",
         ))
     })?;
-    recover(mesh, policy, journal)
+    plan.run(mesh, policy)
+}
+
+/// What one pass over a journal keeps of it: all recovery needs.
+struct ReplayPlan {
+    /// The declared policies, oldest first, a run of equal declarations
+    /// kept once: one entry unless the journal contradicts itself.
+    declared: Vec<OrderPolicy>,
+    /// The last complete snapshot.
+    snapshot: Option<SessionState>,
+    /// The mutation records after it.
+    tail: Vec<JournalRecord>,
+    torn_tail: bool,
+}
+
+impl ReplayPlan {
+    /// Decodes and validates every line of `journal`, so corruption
+    /// anywhere in it comes before any other finding, and holds on to
+    /// no record that a later snapshot supersedes.
+    fn read(journal: &str) -> Result<Self, RecoveryError> {
+        let mut stream = RecordStream::new(journal);
+        let mut declared = Vec::new();
+        let mut snapshot = None;
+        let mut tail = Vec::new();
+        while let Some(record) = stream.next_record(|| {
+            snapshot = None;
+            tail.clear();
+        }) {
+            match record? {
+                JournalRecord::Snapshot(state) => snapshot = Some(state),
+                JournalRecord::Policy(policy) => {
+                    if declared.last() != Some(&policy) {
+                        declared.push(policy);
+                    }
+                }
+                mutation => tail.push(mutation),
+            }
+        }
+        Ok(ReplayPlan {
+            declared,
+            snapshot,
+            tail,
+            torn_tail: stream.torn_tail(),
+        })
+    }
+
+    /// Restores the snapshot, replays the tail and certifies the result.
+    fn run(self, mesh: &MeshQos, policy: OrderPolicy) -> Result<Recovered, RecoveryError> {
+        // Every policy declaration in the journal must agree with the
+        // requested policy: recovering a greedy-admitted history under the
+        // exact oracle (or vice versa) would re-prove a different state
+        // than the one that crashed.
+        if let Some(declared) = self.declared.iter().find(|d| **d != policy) {
+            return Err(RecoveryError::StateMismatch(format!(
+                "journal declares policy {declared:?}, recovery requested {policy:?}"
+            )));
+        }
+        let snapshot_used = self.snapshot.is_some();
+        let base = match self.snapshot {
+            Some(state) => {
+                if state.policy != policy {
+                    return Err(RecoveryError::StateMismatch(format!(
+                        "journal snapshot uses policy {:?}, recovery requested {:?}",
+                        state.policy, policy
+                    )));
+                }
+                mesh.restore_session(&state)?
+            }
+            None => mesh.session(policy),
+        };
+
+        let mut replaying = JournaledSession::replay_only(base);
+        for record in &self.tail {
+            match record {
+                JournalRecord::AdmitBatch(specs) => {
+                    // Per-flow rejections were replies to clients, not
+                    // state; only engine-level failures abort the replay.
+                    replaying.admit_flows(specs).map_err(svc_to_recovery)?;
+                }
+                JournalRecord::Release(flow) => {
+                    replaying.release_flow(*flow).map_err(svc_to_recovery)?;
+                }
+                JournalRecord::Rebalance => {
+                    replaying.rebalance_flows().map_err(svc_to_recovery)?;
+                }
+                // `read` keeps only mutations in the tail.
+                JournalRecord::Snapshot(_) | JournalRecord::Policy(_) => {}
+            }
+        }
+        let session = replaying.into_session();
+
+        let report = certify_recovered(&session).map_err(RecoveryError::Uncertified)?;
+        Ok(Recovered {
+            session,
+            report,
+            replayed: self.tail.len(),
+            snapshot_used,
+            torn_tail: self.torn_tail,
+        })
+    }
 }
 
 /// [`recover`], reading the journal from `path`.

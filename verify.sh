@@ -39,6 +39,11 @@ cargo run -p wimesh-bench --release --bin experiments -- slo_audit --quick
 # kill-and-recover bit-identity checks.
 cargo test -q -p wimesh-svc --test service
 cargo test -q -p wimesh-svc --test crash_recovery
+# The journal decoder: equivalence with the substring decoder it
+# replaced, fuzz (arbitrary text and edited journals never panic, every
+# recovery is certified), and recovery's blindness to what precedes the
+# last snapshot.
+cargo test -q -p wimesh-svc --test journal_decode
 cargo run -p wimesh-bench --release --bin experiments -- service_churn --quick
 # The serde feature must keep round-tripping the persistable types the
 # journal depends on (SessionState, FlowSpec, schedules, stats).
