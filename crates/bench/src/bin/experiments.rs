@@ -4,7 +4,6 @@
 //! cargo run -p wimesh-bench --release --bin experiments            # all
 //! cargo run -p wimesh-bench --release --bin experiments -- e4 e5  # some
 //! cargo run -p wimesh-bench --release --bin experiments -- --quick
-//! cargo run -p wimesh-bench --release --bin experiments -- --threads 4
 //! cargo run -p wimesh-bench --release --bin experiments -- e1 --trace e1.jsonl
 //! cargo run -p wimesh-bench --release --bin experiments -- e1 --summary
 //! cargo run -p wimesh-bench --release --bin experiments -- slo_audit --trace t.jsonl --trace-tree
@@ -15,10 +14,7 @@
 //! metric snapshots as JSONL via `wimesh-obs`; `--trace-tree` (with
 //! `--trace`) additionally renders the causal trace forest captured in
 //! that file as ASCII trees after the run; `--summary` prints a
-//! human-readable metrics digest after each experiment. `--threads N`
-//! fans independent experiments out over `N` worker threads pulling
-//! from a shared queue (experiments stay internally deterministic —
-//! only the interleaving of their stdout lines changes).
+//! human-readable metrics digest after each experiment.
 
 #![forbid(unsafe_code)]
 
@@ -145,7 +141,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut summary = false;
-    let mut threads = 1usize;
     let mut trace: Option<String> = None;
     let mut trace_tree = false;
     let mut ids: Vec<String> = Vec::new();
@@ -159,13 +154,6 @@ fn main() -> ExitCode {
                 Some(path) => trace = Some(path),
                 None => {
                     eprintln!("--trace requires a file path argument");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--threads" => match it.next().as_deref().map(str::parse::<usize>) {
-                Some(Ok(n)) if n >= 1 => threads = n,
-                _ => {
-                    eprintln!("--threads requires a positive integer argument");
                     return ExitCode::FAILURE;
                 }
             },
@@ -192,40 +180,11 @@ fn main() -> ExitCode {
         wimesh_obs::install(Arc::new(NoopSink));
     }
 
-    let ctx = Ctx::new("results", quick).with_threads(threads);
-    let failed = if ctx.threads <= 1 || ids.len() <= 1 {
-        let mut failed = false;
-        for id in ids {
-            failed |= !run_one(&ctx, id, summary);
-        }
-        failed
-    } else {
-        // Fan experiments out over a shared work queue. Each experiment
-        // is internally deterministic; only stdout interleaving and the
-        // process-global metrics registry see concurrent writers (the
-        // registry is atomic, see `wimesh-obs`).
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-        println!(
-            "running {} experiments over {} worker threads",
-            ids.len(),
-            ctx.threads
-        );
-        let next = AtomicUsize::new(0);
-        let any_failed = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for _ in 0..ctx.threads.min(ids.len()) {
-                scope.spawn(|| loop {
-                    // check: allow(atomic-ordering-pairing, reason = "work-stealing index; the RMW is the only access and thread::scope joins before reads")
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(id) = ids.get(i) else { return };
-                    if !run_one(&ctx, id, summary) {
-                        any_failed.store(true, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        any_failed.into_inner()
-    };
+    let ctx = Ctx::new("results", quick);
+    let mut failed = false;
+    for id in ids {
+        failed |= !run_one(&ctx, id, summary);
+    }
     warn_orphaned_artifacts(&ctx);
     if wimesh_obs::is_enabled() {
         wimesh_obs::finish();

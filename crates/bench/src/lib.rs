@@ -93,9 +93,6 @@ pub struct Ctx {
     pub out_dir: PathBuf,
     /// `true` shrinks sweeps for quick smoke runs (used by tests).
     pub quick: bool,
-    /// Worker threads the experiment runner fans experiments out over
-    /// (`1` = the classic sequential runner).
-    pub threads: usize,
 }
 
 impl Ctx {
@@ -104,15 +101,7 @@ impl Ctx {
         Self {
             out_dir: out_dir.into(),
             quick,
-            threads: 1,
         }
-    }
-
-    /// Sets the runner's worker-thread count (clamped to at least 1).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Writes a finished table to `<out_dir>/<id>.csv`.

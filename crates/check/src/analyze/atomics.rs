@@ -4,7 +4,7 @@
 //! cross-thread publication.
 //!
 //! Events are grouped by receiver field name within one crate (the
-//! `EpochCell.epoch` counter, a metrics gauge, a cancel flag). A
+//! `EpochCell.epoch` counter, a metrics gauge, a stop flag). A
 //! read-modify-write counts on both sides of a pairing. Fields that are
 //! only ever read, or only ever written, with `Relaxed` are skipped —
 //! a monotonic stats counter nobody loads is not a publication bug.

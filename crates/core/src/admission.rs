@@ -34,7 +34,8 @@ use wimesh_emu::EmulationModel;
 use wimesh_milp::SolverConfig;
 use wimesh_tdma::milp::{feasible_order_within, PathRequirement};
 use wimesh_tdma::{
-    delay, order, schedule_from_order, Demands, Schedule, ScheduleError, TransmissionOrder,
+    delay, order, schedule_from_order, Demands, FrameConfig, Schedule, ScheduleError,
+    TransmissionOrder,
 };
 use wimesh_topology::routing::{shortest_path, GatewayRouting, Path};
 use wimesh_topology::{MeshTopology, NodeId};
@@ -562,7 +563,48 @@ fn try_schedule(
         return Ok((schedule, TransmissionOrder::new(), 0));
     }
     let graph = ConflictGraph::build_for_links(topo, demands.links().collect(), interference);
+    if matches!(
+        policy,
+        OrderPolicy::GreedySequential { .. } | OrderPolicy::LpRounding
+    ) {
+        clique_prune(&graph, &demands, frame)?;
+    }
     solve_demands_on_graph(topo, model, &graph, &demands, flows, policy, solver)
+}
+
+/// The approximation policies' fast reject: the heaviest clique's demand
+/// floors any feasible horizon, so a request whose bound exceeds the
+/// frame dies in O(cliques), solver untouched (counted as
+/// `admission.clique_prunes`). Otherwise returns the bound.
+pub(crate) fn clique_prune(
+    graph: &ConflictGraph,
+    demands: &Demands,
+    frame: FrameConfig,
+) -> Result<u32, ScheduleError> {
+    let lower = clique_lower_bound(graph, demands);
+    if lower > frame.slots() {
+        wimesh_obs::counter_inc("admission.clique_prunes");
+        return Err(ScheduleError::FrameTooShort {
+            needed: lower,
+            available: frame.slots(),
+        });
+    }
+    Ok(lower)
+}
+
+/// The [`OrderPolicy::LpRounding`] oracle: schedule, order, guaranteed
+/// region, and the LP relaxation's certified lower bound on that region.
+pub(crate) fn lp_rounding_solve(
+    model: &EmulationModel,
+    graph: &ConflictGraph,
+    demands: &Demands,
+    flows: &[&Accepted],
+) -> Result<(Schedule, TransmissionOrder, u32, u32), ScheduleError> {
+    let reqs = path_requirements(model, flows);
+    let rounded = wimesh_tdma::approx::lp_rounded_order(graph, demands, &reqs, model.frame())?;
+    let sol = rounded.solution;
+    let used = sol.schedule.makespan().max(1);
+    Ok((sol.schedule, sol.order, used, rounded.lp_bound_slots))
 }
 
 /// The scheduling oracle proper, on a caller-supplied conflict graph
@@ -571,6 +613,8 @@ fn try_schedule(
 /// For the heuristic policies this is one longest-path schedule
 /// construction plus a delay check; for [`OrderPolicy::ExactMilp`] it is
 /// the linear minimum-minislot search over the MILP feasibility oracle.
+/// The approximation policies' [`clique_prune`] is the caller's to run
+/// first: a session needs the bound it returns for its gap bookkeeping.
 pub(crate) fn solve_demands_on_graph(
     topo: &MeshTopology,
     model: &EmulationModel,
@@ -585,20 +629,6 @@ pub(crate) fn solve_demands_on_graph(
         OrderPolicy::HopOrder
         | OrderPolicy::TreeOrder { .. }
         | OrderPolicy::GreedySequential { .. } => {
-            if matches!(policy, OrderPolicy::GreedySequential { .. }) {
-                // Approximation-mode fast reject: the heaviest clique's
-                // demand floors any feasible horizon, so a request whose
-                // bound exceeds the frame dies in O(cliques), solver
-                // untouched.
-                let lower = clique_lower_bound(graph, demands);
-                if lower > frame.slots() {
-                    wimesh_obs::counter_inc("admission.clique_prunes");
-                    return Err(ScheduleError::FrameTooShort {
-                        needed: lower,
-                        available: frame.slots(),
-                    });
-                }
-            }
             let ord = match policy {
                 OrderPolicy::HopOrder | OrderPolicy::GreedySequential { .. } => {
                     order::hop_order(graph, flows.iter().map(|f| &f.path))
@@ -626,18 +656,8 @@ pub(crate) fn solve_demands_on_graph(
             Ok((schedule, ord, used))
         }
         OrderPolicy::LpRounding => {
-            let lower = clique_lower_bound(graph, demands);
-            if lower > frame.slots() {
-                wimesh_obs::counter_inc("admission.clique_prunes");
-                return Err(ScheduleError::FrameTooShort {
-                    needed: lower,
-                    available: frame.slots(),
-                });
-            }
-            let reqs = path_requirements(model, flows);
-            let rounded = wimesh_tdma::approx::lp_rounded_order(graph, demands, &reqs, frame)?;
-            let used = rounded.solution.schedule.makespan().max(1);
-            Ok((rounded.solution.schedule, rounded.solution.order, used))
+            let (schedule, ord, used, _) = lp_rounding_solve(model, graph, demands, flows)?;
+            Ok((schedule, ord, used))
         }
         OrderPolicy::ExactMilp => {
             let reqs = path_requirements(model, flows);

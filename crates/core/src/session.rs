@@ -37,13 +37,8 @@ use wimesh_conflict::ConflictGraph;
 use wimesh_emu::EmulationModel;
 use wimesh_milp::SolverConfig;
 use wimesh_sim::FlowId;
-use wimesh_tdma::milp::{
-    feasible_order_within, feasible_order_within_cancellable, validate_order_within, OrderSolution,
-    PathRequirement,
-};
-use wimesh_tdma::{
-    order, CancelToken, Demands, FrameConfig, Schedule, ScheduleError, SlotRange, TransmissionOrder,
-};
+use wimesh_tdma::milp::{feasible_order_within, validate_order_within, OrderSolution};
+use wimesh_tdma::{order, Demands, Schedule, ScheduleError, SlotRange, TransmissionOrder};
 use wimesh_topology::routing::{shortest_path, Path};
 use wimesh_topology::{LinkId, NodeId};
 
@@ -113,14 +108,6 @@ pub struct SessionStats {
     pub incremental_updates: u64,
     /// Full conflict-graph rebuilds ([`QosSession::rebalance`]).
     pub graph_rebuilds: u64,
-    /// Concurrent slot-count probes launched by the speculative search
-    /// (only with `SolverConfig::threads > 1`; each is also counted in
-    /// `oracle_calls`).
-    pub speculative_probes: u64,
-    /// Speculative probes cancelled after a sibling probe's answer made
-    /// them redundant — work the parallel search started but did not pay
-    /// for in full.
-    pub probes_cancelled: u64,
     /// [`QosSession::admit_batch`] calls settled by a single coalesced
     /// solve over the whole batch.
     pub batch_solves: u64,
@@ -155,8 +142,7 @@ impl SessionStats {
             "{{\"admits\":{},\"releases\":{},\"oracle_calls\":{},\
              \"oracle_calls_saved\":{},\"warm_order_hits\":{},\
              \"search_iterations\":{},\"incremental_updates\":{},\
-             \"graph_rebuilds\":{},\"speculative_probes\":{},\
-             \"probes_cancelled\":{},\"batch_solves\":{},\
+             \"graph_rebuilds\":{},\"batch_solves\":{},\
              \"coalesced_admits\":{},\"clique_prunes\":{},\
              \"greedy_solves\":{},\"lp_solves\":{},\"approx_gap\":{}}}",
             self.admits,
@@ -167,8 +153,6 @@ impl SessionStats {
             self.search_iterations,
             self.incremental_updates,
             self.graph_rebuilds,
-            self.speculative_probes,
-            self.probes_cancelled,
             self.batch_solves,
             self.coalesced_admits,
             self.clique_prunes,
@@ -273,6 +257,11 @@ pub struct QosSession {
 }
 
 impl QosSession {
+    /// Rejections the log behind [`QosSession::snapshot`] keeps: past
+    /// this many the oldest entry is dropped, so a long-lived session's
+    /// memory does not grow with the rejects it has answered.
+    pub const REJECT_LOG_CAP: usize = 256;
+
     pub(crate) fn new(mesh: MeshQos, policy: OrderPolicy) -> Self {
         let graph =
             ConflictGraph::build_for_links(mesh.topology(), Vec::new(), mesh.interference());
@@ -290,7 +279,7 @@ impl QosSession {
 
     /// The current admission state: all admitted flows with their (up to
     /// date) delay bounds, the schedule and order realising them, and
-    /// every rejection recorded over the session's lifetime.
+    /// the newest [`QosSession::REJECT_LOG_CAP`] rejections.
     pub fn snapshot(&self) -> &AdmissionOutcome {
         &self.outcome
     }
@@ -368,7 +357,7 @@ impl QosSession {
         )? {
             Ok(c) => c,
             Err(reason) => {
-                self.outcome.rejected.push((spec.clone(), reason.clone()));
+                log_reject(&mut self.outcome.rejected, spec, &reason);
                 return Ok(FlowAdmission::Rejected(reason));
             }
         };
@@ -436,7 +425,7 @@ impl QosSession {
                     ScheduleError::SolverFailed(msg) => RejectReason::SolverLimit(msg),
                     other => return Err(other.into()),
                 };
-                self.outcome.rejected.push((spec.clone(), reason.clone()));
+                log_reject(&mut self.outcome.rejected, spec, &reason);
                 Ok(FlowAdmission::Rejected(reason))
             }
         }
@@ -490,7 +479,7 @@ impl QosSession {
                 Ok(c) => candidates.push((i, c)),
                 Err(reason) => {
                     self.stats.admits += 1;
-                    self.outcome.rejected.push((spec.clone(), reason.clone()));
+                    log_reject(&mut self.outcome.rejected, spec, &reason);
                     verdicts[i] = Some(FlowAdmission::Rejected(reason));
                 }
             }
@@ -939,7 +928,9 @@ impl QosSession {
         };
         // Rejections recorded before the rebalance stay in the log.
         let mut rejected = std::mem::take(&mut self.outcome.rejected);
-        rejected.extend(outcome.rejected.iter().cloned());
+        for (spec, reason) in &outcome.rejected {
+            log_reject(&mut rejected, spec, reason);
+        }
         self.outcome = outcome;
         self.outcome.rejected = rejected;
         self.certify("rebalance");
@@ -1030,6 +1021,14 @@ impl QosSession {
     fn certify(&self, _operation: &str) {}
 }
 
+/// Appends to the rejection log, dropping the oldest entry at the cap.
+fn log_reject(log: &mut Vec<(FlowSpec, RejectReason)>, spec: &FlowSpec, reason: &RejectReason) {
+    if log.len() >= QosSession::REJECT_LOG_CAP {
+        log.remove(0);
+    }
+    log.push((spec.clone(), reason.clone()));
+}
+
 fn empty_outcome(model: &EmulationModel) -> AdmissionOutcome {
     let schedule = Schedule::from_ranges(model.frame(), Default::default())
         // check: allow(no-unwrap-in-lib, reason = "no ranges to overflow: an empty schedule fits any frame")
@@ -1105,17 +1104,8 @@ fn approx_solve(
 ) -> Result<(Schedule, TransmissionOrder, u32), ScheduleError> {
     let _span = wimesh_obs::span!("session.approx");
     let model = mesh.model();
-    let frame = model.frame();
-    let total = frame.slots();
-    let lower = admission::clique_lower_bound(graph, demands);
-    if lower > total {
-        stats.clique_prunes += 1;
-        wimesh_obs::counter_inc("admission.clique_prunes");
-        return Err(ScheduleError::FrameTooShort {
-            needed: lower,
-            available: total,
-        });
-    }
+    let lower = admission::clique_prune(graph, demands, model.frame())
+        .inspect_err(|_| stats.clique_prunes += 1)?;
     match policy {
         OrderPolicy::GreedySequential { .. } => {
             stats.greedy_solves += 1;
@@ -1135,11 +1125,10 @@ fn approx_solve(
         OrderPolicy::LpRounding => {
             stats.lp_solves += 1;
             wimesh_obs::counter_inc("session.lp.solves");
-            let reqs = admission::path_requirements(model, flows);
-            let rounded = wimesh_tdma::approx::lp_rounded_order(graph, demands, &reqs, frame)?;
-            let used = rounded.solution.schedule.makespan().max(1);
-            stats.approx_gap = u64::from(used.saturating_sub(lower.max(rounded.lp_bound_slots)));
-            Ok((rounded.solution.schedule, rounded.solution.order, used))
+            let (schedule, ord, used, lp_bound) =
+                admission::lp_rounding_solve(model, graph, demands, flows)?;
+            stats.approx_gap = u64::from(used.saturating_sub(lower.max(lp_bound)));
+            Ok((schedule, ord, used))
         }
         _ => unreachable!("approx_solve is only dispatched for approximation policies"),
     }
@@ -1236,16 +1225,6 @@ fn exact_search_warm(
     let mut hi = best.schedule.makespan().max(1);
     debug_assert!(hi >= lo, "a feasible makespan cannot beat the lower bound");
 
-    // With a thread budget, race 2–3 adjacent candidates per round and
-    // cancel the losers; the serial binary loop below is the exact
-    // `threads = 1` behavior.
-    let width = solver.effective_threads().min(3);
-    if width >= 2 {
-        return speculative_search(
-            graph, demands, &reqs, frame, solver, width, lo, hi, best, stats,
-        );
-    }
-
     // Invariants: `best` realises `hi`; every value below `lo` is
     // infeasible (by the clique bound, then by oracle "no" answers).
     while lo < hi {
@@ -1260,150 +1239,6 @@ fn exact_search_warm(
             Err(ScheduleError::Infeasible) => lo = mid + 1,
             Err(e) => return Err(e),
         }
-    }
-    Ok((best.schedule, best.order, hi))
-}
-
-/// The speculative slot-count descent: each round launches `width`
-/// concurrent feasibility probes splitting the open interval `[lo, hi)`
-/// evenly, then cancels probes whose answers a sibling's result made
-/// redundant.
-///
-/// Cancellation is driven by the same monotonicity facts as the binary
-/// search: a "feasible at `q`" answer implies feasibility everywhere above
-/// `q` (those probes are cancelled), and an "infeasible at `q`" answer
-/// implies infeasibility everywhere below `q` (those too). Results are
-/// folded *after* the round joins, in ascending probe order, so the fold
-/// is deterministic regardless of thread arrival order; a cancelled probe
-/// contributes nothing — [`ScheduleError::Cancelled`] is never read as a
-/// verdict.
-///
-/// The interval invariants of the serial search are preserved verbatim —
-/// `best` always realises `hi`, and every value below `lo` is proven
-/// infeasible — so the search terminates on the *same* minimal feasible
-/// slot count as the serial loop: each round strictly shrinks `[lo, hi)`
-/// because at least one probe (the first decisive one, which no sibling
-/// can cancel) returns a real verdict.
-#[allow(clippy::too_many_arguments)]
-fn speculative_search(
-    graph: &ConflictGraph,
-    demands: &Demands,
-    reqs: &[PathRequirement],
-    frame: FrameConfig,
-    solver: &SolverConfig,
-    width: usize,
-    mut lo: u32,
-    mut hi: u32,
-    mut best: OrderSolution,
-    stats: &mut SessionStats,
-) -> Result<(Schedule, TransmissionOrder, u32), ScheduleError> {
-    // The thread budget splits between probe-level and branch & bound
-    // parallelism: `width` probes of `threads / width` workers each.
-    let per_probe = (solver.effective_threads() / width).max(1);
-    let probe_cfg = SolverConfig {
-        threads: per_probe,
-        ..*solver
-    };
-
-    while lo < hi {
-        let span = hi - lo; // open candidates: [lo, hi)
-        let w = (width as u32).min(span);
-        // `w` probe points splitting [lo, hi) evenly ((w+1)-ary search;
-        // w = 1 degenerates to the binary-search midpoint).
-        let mut points: Vec<u32> = (1..=w).map(|k| lo + (span * k) / (w + 1)).collect();
-        points.dedup();
-        stats.search_iterations += 1;
-        stats.speculative_probes += points.len() as u64;
-        wimesh_obs::counter_add("session.probe.launched", points.len() as u64);
-
-        let tokens: Vec<CancelToken> = points.iter().map(|_| CancelToken::new()).collect();
-        let mut outcomes: Vec<Option<Result<OrderSolution, ScheduleError>>> =
-            (0..points.len()).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            for (k, &q) in points.iter().enumerate() {
-                let tx = tx.clone();
-                let token = tokens[k].clone();
-                let probe_cfg = &probe_cfg;
-                scope.spawn(move || {
-                    let started = std::time::Instant::now();
-                    let res = feasible_order_within_cancellable(
-                        graph, demands, reqs, frame, q, probe_cfg, &token,
-                    );
-                    wimesh_obs::record_duration("session.search.step", started.elapsed());
-                    let _ = tx.send((k, q, res));
-                });
-            }
-            drop(tx);
-            // Cancel redundant siblings as results arrive; the fold over
-            // `outcomes` happens after the scope joins.
-            for (k, q, res) in rx.iter() {
-                match &res {
-                    Ok(_) => {
-                        // Feasible at q: higher probes answer a question
-                        // monotonicity already settled.
-                        for (j, &p) in points.iter().enumerate() {
-                            if p > q {
-                                tokens[j].cancel();
-                            }
-                        }
-                    }
-                    Err(ScheduleError::Infeasible) => {
-                        // Infeasible at q: lower probes are implied
-                        // infeasible.
-                        for (j, &p) in points.iter().enumerate() {
-                            if p < q {
-                                tokens[j].cancel();
-                            }
-                        }
-                    }
-                    Err(ScheduleError::Cancelled) => {}
-                    Err(_) => {
-                        for t in &tokens {
-                            t.cancel();
-                        }
-                    }
-                }
-                outcomes[k] = Some(res);
-            }
-        });
-
-        // Deterministic fold in ascending probe order, independent of
-        // which thread finished first.
-        let (prev_lo, prev_hi) = (lo, hi);
-        let mut fatal: Option<ScheduleError> = None;
-        for (k, outcome) in outcomes.into_iter().enumerate() {
-            // check: allow(no-unwrap-in-lib, reason = "the scoped threads above fill every probe slot before joining")
-            let res = outcome.expect("every probe reports exactly once");
-            let q = points[k];
-            stats.oracle_calls += 1;
-            wimesh_obs::counter_inc("session.oracle.calls");
-            match res {
-                Ok(sol) => {
-                    let makespan = sol.schedule.makespan().max(1);
-                    debug_assert!(makespan <= q);
-                    if makespan < hi {
-                        hi = makespan;
-                        best = sol;
-                    }
-                }
-                Err(ScheduleError::Infeasible) => lo = lo.max(q + 1),
-                Err(ScheduleError::Cancelled) => {
-                    stats.probes_cancelled += 1;
-                    wimesh_obs::counter_inc("session.probe.cancelled");
-                }
-                Err(e) => fatal = Some(e),
-            }
-        }
-        if let Some(e) = fatal {
-            return Err(e);
-        }
-        debug_assert!(
-            lo > prev_lo || hi < prev_hi,
-            "every round has at least one uncancelled decisive probe"
-        );
-        lo = lo.min(hi);
     }
     Ok((best.schedule, best.order, hi))
 }
@@ -1483,38 +1318,28 @@ mod tests {
     }
 
     #[test]
-    fn speculative_probing_matches_serial_session() {
-        use wimesh_emu::EmulationParams;
+    fn threaded_session_matches_serial_session() {
         let topo = generators::chain(5);
-        let serial_mesh = MeshQos::builder(topo.clone())
-            .params(EmulationParams::default())
-            .solver_config(SolverConfig::with_threads(1))
-            .build()
-            .unwrap();
-        let parallel_mesh = MeshQos::builder(topo)
-            .params(EmulationParams::default())
-            .solver_config(SolverConfig::with_threads(4))
-            .build()
-            .unwrap();
-        let flows = gateway_calls(4, 4);
-        let mut serial = serial_mesh.session(OrderPolicy::ExactMilp);
-        let mut parallel = parallel_mesh.session(OrderPolicy::ExactMilp);
-        for f in &flows {
+        let build = |threads| {
+            MeshQos::builder(topo.clone())
+                .solver_config(SolverConfig::with_threads(threads))
+                .build()
+                .unwrap()
+        };
+        let mut serial = build(1).session(OrderPolicy::ExactMilp);
+        let mut threaded = build(4).session(OrderPolicy::ExactMilp);
+        for f in &gateway_calls(4, 4) {
             let a = serial.admit(f).unwrap();
-            let b = parallel.admit(f).unwrap();
+            let b = threaded.admit(f).unwrap();
             assert_eq!(a.is_admitted(), b.is_admitted());
         }
-        let (s, p) = (serial.snapshot(), parallel.snapshot());
+        let (s, p) = (serial.snapshot(), threaded.snapshot());
         assert_eq!(s.admitted.len(), p.admitted.len());
         assert_eq!(s.guaranteed_slots, p.guaranteed_slots);
-        // The parallel session must actually have speculated (this
-        // instance needs a real descent, not just warm validation) and
-        // the serial one must not have.
-        assert!(
-            parallel.stats().speculative_probes > 0,
-            "threads=4 session never launched a concurrent probe"
-        );
-        assert_eq!(serial.stats().speculative_probes, 0);
+        // This instance needs a real descent, not just warm validation:
+        // the threaded branch & bound answered oracle calls.
+        assert!(serial.stats().oracle_calls > 0);
+        assert!(threaded.stats().oracle_calls > 0);
     }
 
     #[test]
@@ -1548,6 +1373,17 @@ mod tests {
         assert_eq!(session.snapshot().admitted.len(), 3);
     }
 
+    /// A 2 Mbit/s flow across `mesh(3)`: a handful saturate the chain.
+    fn big_flow(id: u32) -> FlowSpec {
+        FlowSpec::guaranteed(
+            id,
+            NodeId(2),
+            NodeId(0),
+            2_000_000.0,
+            std::time::Duration::from_millis(200),
+        )
+    }
+
     #[test]
     fn rejection_rolls_the_graph_back() {
         let mesh = mesh(3);
@@ -1555,14 +1391,7 @@ mod tests {
         // Saturate: 2 Mbit/s flows until one rejects.
         let mut rejected_at = None;
         for i in 0..12 {
-            let f = FlowSpec::guaranteed(
-                i,
-                NodeId(2),
-                NodeId(0),
-                2_000_000.0,
-                std::time::Duration::from_millis(200),
-            );
-            if !session.admit(&f).unwrap().is_admitted() {
+            if !session.admit(&big_flow(i)).unwrap().is_admitted() {
                 rejected_at = Some(i);
                 break;
             }
@@ -1580,6 +1409,28 @@ mod tests {
         if verdict.is_admitted() {
             assert_eq!(snap.admitted.len(), admitted + 1);
         }
+    }
+
+    #[test]
+    fn rejection_log_keeps_the_newest_cap_entries() {
+        let mesh = mesh(3);
+        let mut session = mesh.session(OrderPolicy::HopOrder);
+        let mut next = 0;
+        while session.admit(&big_flow(next)).unwrap().is_admitted() {
+            next += 1;
+        }
+        let full = session.export_state();
+        let cap = QosSession::REJECT_LOG_CAP as u32;
+        // The chain is full: every further request is one more reject.
+        let last = next + 10 * cap;
+        for i in next + 1..=last {
+            assert!(!session.admit(&big_flow(i)).unwrap().is_admitted());
+        }
+        let log = &session.snapshot().rejected;
+        assert_eq!(log.len(), cap as usize);
+        assert_eq!(log[0].0.id, FlowId(last - cap + 1));
+        assert_eq!(log[log.len() - 1].0.id, FlowId(last));
+        assert_eq!(session.export_state(), full);
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! Determinism regression: the parallel admission engine (work-sharing
-//! branch & bound plus speculative slot-count probing) must return the
-//! same *answers* as the serial one.
+//! Determinism regression: admission with a threaded (work-sharing)
+//! branch & bound must return the same *answers* as the serial one.
 //!
 //! Parallelism in this workspace is an optimisation, never a semantic
-//! change: pruning only ever discards bound-dominated B&B nodes, a
-//! cancelled probe is never read as a verdict, and the speculative
-//! descent preserves the binary search's interval invariants. These
-//! properties pin that contract across random topologies and flow sets:
-//! serial (`threads = 1`) and parallel (`threads = 4`) admission must
-//! agree on the admitted-flow set and the minimal guaranteed slot count,
-//! and the underlying MILP solver must agree on objective and verdict.
+//! change: pruning only ever discards bound-dominated B&B nodes, so the
+//! oracle's verdict at a slot count — and with it the slot search's
+//! minimum — cannot depend on the worker count. These properties pin
+//! that contract across random topologies and flow sets: serial
+//! (`threads = 1`) and parallel (`threads = 4`) admission must agree on
+//! the admitted-flow set and the minimal guaranteed slot count, and the
+//! underlying MILP solver must agree on objective and verdict.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -115,10 +114,9 @@ fn mesh_with_threads(topo: MeshTopology, threads: usize) -> Option<MeshQos> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Cold batch admission under the exact MILP policy: the 4-thread
-    /// engine (parallel B&B inside each oracle call, speculative probing
-    /// in the session path used by `admit`) must reproduce the serial
-    /// admitted set and minimal slot count exactly.
+    /// Cold batch admission under the exact MILP policy: 4-thread B&B
+    /// inside each oracle call must reproduce the serial admitted set
+    /// and minimal slot count exactly.
     #[test]
     fn batch_exact_milp_serial_equals_threads4(scenario in arb_scenario(7, 4)) {
         let Some(serial_mesh) = mesh_with_threads(scenario.topo.clone(), 1) else {
@@ -148,8 +146,9 @@ proptest! {
         );
     }
 
-    /// Session churn (admit one by one) with speculative probing engaged:
-    /// same admitted set and slot count as the serial session.
+    /// Session churn (admit one by one, warm binary slot search) over
+    /// 4-thread oracle calls: same admitted set and slot count as the
+    /// serial session.
     #[test]
     fn session_exact_milp_serial_equals_threads4(scenario in arb_scenario(6, 4)) {
         let Some(serial_mesh) = mesh_with_threads(scenario.topo.clone(), 1) else {

@@ -9,7 +9,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex};
 
-use crate::cancel::CancelToken;
 use crate::model::{LpBasis, Model, Solution, SolveError, VarKind, WarmStart};
 
 /// Hard cap on [`SolverConfig::threads`]; requests above it are clamped.
@@ -25,7 +24,9 @@ pub struct SolverConfig {
     pub abs_gap: f64,
     /// Values within `int_tol` of an integer count as integral.
     pub int_tol: f64,
-    /// Worker threads for the branch & bound search.
+    /// Worker threads for the branch & bound search of one solve — the
+    /// value's only meaning: the admission slot search runs one solve at
+    /// a time and passes it through.
     ///
     /// `1` (the default) runs the exact serial code path. Larger values
     /// spawn a scoped worker team over a shared frontier. The value is
@@ -206,7 +207,6 @@ pub(crate) fn branch_and_bound(
     model: &Model,
     config: &SolverConfig,
     warm: Option<&WarmStart>,
-    cancel: Option<&CancelToken>,
 ) -> Result<Solution, SolveError> {
     let maximize = matches!(model.sense(), crate::Sense::Maximize);
     // Normalize: score = objective if maximizing else -objective, so
@@ -233,10 +233,6 @@ pub(crate) fn branch_and_bound(
     // a stale hint (wrong arity, violated constraint) is simply dropped.
     let incumbent = warm_incumbent(model, config, warm);
 
-    if cancel.is_some_and(CancelToken::is_cancelled) {
-        return Err(SolveError::Cancelled);
-    }
-
     let root = match model.solve_relaxation_seeded(Some(&root_bounds), None) {
         Ok((values, obj, basis)) => Node {
             score: to_score(obj),
@@ -251,20 +247,18 @@ pub(crate) fn branch_and_bound(
     };
 
     if config.effective_threads() > 1 {
-        parallel_search(model, config, incumbent, root, cancel)
+        parallel_search(model, config, incumbent, root)
     } else {
-        serial_search(model, config, incumbent, root, cancel)
+        serial_search(model, config, incumbent, root)
     }
 }
 
-/// The classic serial best-first loop (exact pre-`threads` behavior, plus
-/// a cooperative cancellation poll per popped node).
+/// The classic serial best-first loop (exact pre-`threads` behavior).
 fn serial_search(
     model: &Model,
     config: &SolverConfig,
     mut incumbent: Option<(Vec<f64>, f64)>,
     root: Node,
-    cancel: Option<&CancelToken>,
 ) -> Result<Solution, SolveError> {
     let maximize = matches!(model.sense(), crate::Sense::Maximize);
     let to_score = |obj: f64| if maximize { obj } else { -obj };
@@ -275,9 +269,6 @@ fn serial_search(
     let mut nodes_pruned = 0u64;
 
     while let Some(node) = heap.pop() {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(SolveError::Cancelled);
-        }
         // Bound-based pruning: the heap is best-first, so once the best
         // remaining bound cannot beat the incumbent we are done.
         if let Some((_, inc_obj)) = &incumbent {
@@ -382,8 +373,6 @@ struct SharedState {
     /// an empty heap *and* `active == 0` — an in-flight expansion may
     /// still push children.
     active: usize,
-    /// Set when the cancel token fired; all workers drain out.
-    cancelled: bool,
 }
 
 /// Work-sharing parallel best-first search.
@@ -404,7 +393,6 @@ fn parallel_search(
     config: &SolverConfig,
     incumbent: Option<(Vec<f64>, f64)>,
     root: Node,
-    cancel: Option<&CancelToken>,
 ) -> Result<Solution, SolveError> {
     let maximize = matches!(model.sense(), crate::Sense::Maximize);
     let threads = config.effective_threads();
@@ -417,22 +405,18 @@ fn parallel_search(
         nodes_explored: 0,
         nodes_pruned: 0,
         active: 0,
-        cancelled: false,
     });
     let wake = Condvar::new();
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| worker_loop(model, config, maximize, &shared, &wake, cancel));
+            scope.spawn(|| worker_loop(model, config, maximize, &shared, &wake));
         }
     });
 
     let state = shared.into_inner().unwrap_or_else(|e| e.into_inner());
     wimesh_obs::counter_add("milp.bnb.nodes_explored", state.nodes_explored as u64);
     wimesh_obs::counter_add("milp.bnb.nodes_pruned", state.nodes_pruned);
-    if state.cancelled {
-        return Err(SolveError::Cancelled);
-    }
     finish(
         config,
         state.incumbent,
@@ -447,7 +431,6 @@ fn worker_loop(
     maximize: bool,
     shared: &Mutex<SharedState>,
     wake: &Condvar,
-    cancel: Option<&CancelToken>,
 ) {
     let to_score = |obj: f64| if maximize { obj } else { -obj };
     loop {
@@ -455,13 +438,6 @@ fn worker_loop(
         let node = {
             let mut state = shared.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    state.cancelled = true;
-                }
-                if state.cancelled {
-                    wake.notify_all();
-                    return;
-                }
                 // Frontier pruning: drop heap tops bounded away by the
                 // incumbent. Unlike the serial loop this cannot end the
                 // whole search (a worker may still publish a better node),
@@ -494,12 +470,11 @@ fn worker_loop(
         };
 
         // Expansion phase: LP solves happen outside the lock.
-        let expansion = expand(model, config, maximize, &node, cancel);
+        let expansion = expand(model, config, maximize, &node);
 
         let mut state = shared.lock().unwrap_or_else(|e| e.into_inner());
         match expansion {
-            None => state.cancelled = true,
-            Some(Expansion::Incumbent(snapped, obj)) => {
+            Expansion::Incumbent(snapped, obj) => {
                 let replace = match &state.incumbent {
                     None => true,
                     Some((inc_vals, inc_obj)) => {
@@ -520,7 +495,7 @@ fn worker_loop(
                     state.incumbent = Some((snapped, obj));
                 }
             }
-            Some(Expansion::Children(children)) => {
+            Expansion::Children(children) => {
                 for child in children {
                     // Re-check against the *current* incumbent: a sibling
                     // worker may have tightened it during our expansion.
@@ -541,20 +516,13 @@ fn worker_loop(
     }
 }
 
-/// Expands one claimed node off-lock. `None` means the cancel token fired
-/// mid-expansion.
-fn expand(
-    model: &Model,
-    config: &SolverConfig,
-    maximize: bool,
-    node: &Node,
-    cancel: Option<&CancelToken>,
-) -> Option<Expansion> {
+/// Expands one claimed node off-lock.
+fn expand(model: &Model, config: &SolverConfig, maximize: bool, node: &Node) -> Expansion {
     let to_score = |obj: f64| if maximize { obj } else { -obj };
     match pick_branch_var(model, config, &node.values) {
         None => {
             let (snapped, obj) = snap_integral(model, &node.values);
-            Some(Expansion::Incumbent(snapped, obj))
+            Expansion::Incumbent(snapped, obj)
         }
         Some((var, x)) => {
             let floor = x.floor();
@@ -564,9 +532,6 @@ fn expand(
             up[var].0 = up[var].0.max(floor + 1.0);
             let mut children = Vec::with_capacity(2);
             for child in [down, up] {
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    return None;
-                }
                 if child[var].0 > child[var].1 + 1e-12 {
                     continue;
                 }
@@ -583,7 +548,7 @@ fn expand(
                     });
                 }
             }
-            Some(Expansion::Children(children))
+            Expansion::Children(children)
         }
     }
 }
@@ -777,6 +742,43 @@ mod tests {
     }
 
     #[test]
+    fn threaded_node_limit_terminates_without_incumbent() {
+        // One node is the root, which must branch (x = 2.5): the budget
+        // is spent with the integral child still on the frontier.
+        let mut m = Model::new();
+        let x = m.add_integer_var(0.0, 10.0, "x");
+        m.add_le(2.0 * x, 5.0);
+        m.set_objective(Sense::Maximize, LinExpr::from(x));
+        for threads in [1, 4] {
+            let cfg = SolverConfig::with_max_nodes(1).threads(threads);
+            assert_eq!(
+                m.solve_with(&cfg).unwrap_err(),
+                SolveError::NodeLimit,
+                "threads {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn threaded_integer_infeasible_model_terminates() {
+        // 2x + 2y = 3 has LP solutions but no integral one, so the
+        // verdict needs the whole tree: every worker must drain out.
+        let mut m = Model::new();
+        let x = m.add_integer_var(0.0, 5.0, "x");
+        let y = m.add_integer_var(0.0, 5.0, "y");
+        m.add_eq(2.0 * x + 2.0 * y, 3.0);
+        m.set_objective(Sense::Minimize, x + y);
+        for threads in [1, 4] {
+            assert_eq!(
+                m.solve_with(&SolverConfig::with_threads(threads))
+                    .unwrap_err(),
+                SolveError::Infeasible,
+                "threads {threads}"
+            );
+        }
+    }
+
+    #[test]
     fn equality_constrained_integers() {
         // x + y = 7, x - y = 1 over integers -> (4, 3).
         let mut m = Model::new();
@@ -932,22 +934,6 @@ mod tests {
         for _ in 0..10 {
             let again = m.solve_with(&SolverConfig::with_threads(4)).unwrap();
             assert_eq!(first.values(), again.values());
-        }
-    }
-
-    #[test]
-    fn pre_cancelled_solve_returns_cancelled() {
-        let mut m = Model::new();
-        let x = m.add_integer_var(0.0, 10.0, "x");
-        m.add_le(2.0 * x, 5.0);
-        m.set_objective(Sense::Maximize, LinExpr::from(x));
-        let token = CancelToken::new();
-        token.cancel();
-        for threads in [1, 4] {
-            let err = m
-                .solve_cancellable(&SolverConfig::with_threads(threads), None, &token)
-                .unwrap_err();
-            assert_eq!(err, SolveError::Cancelled);
         }
     }
 }

@@ -40,12 +40,10 @@
 #![warn(missing_docs)]
 
 mod branch;
-mod cancel;
 mod expr;
 mod model;
 mod simplex;
 
 pub use branch::{SolverConfig, MAX_SOLVER_THREADS};
-pub use cancel::CancelToken;
 pub use expr::{LinExpr, VarId};
 pub use model::{CmpOp, Model, Sense, Solution, SolveError, VarKind, WarmStart};

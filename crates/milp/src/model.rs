@@ -5,7 +5,6 @@ use std::error::Error;
 use std::fmt;
 
 use crate::branch::{self, SolverConfig};
-use crate::cancel::CancelToken;
 use crate::expr::{LinExpr, VarId};
 use crate::simplex::{self, SimplexOutcome, StandardLp};
 
@@ -75,9 +74,6 @@ pub enum SolveError {
         /// The offending variable.
         var: VarId,
     },
-    /// The solve was stopped by a [`crate::CancelToken`] before reaching a
-    /// verdict. Carries no feasibility information.
-    Cancelled,
 }
 
 impl fmt::Display for SolveError {
@@ -92,7 +88,6 @@ impl fmt::Display for SolveError {
             SolveError::BadBounds { var } => {
                 write!(f, "variable {var} has lower bound above upper bound")
             }
-            SolveError::Cancelled => write!(f, "solve cancelled before reaching a verdict"),
         }
     }
 }
@@ -333,7 +328,7 @@ impl Model {
     ///
     /// See [`SolveError`].
     pub fn solve_with(&self, config: &SolverConfig) -> Result<Solution, SolveError> {
-        self.solve_inner(config, None, None)
+        self.solve_inner(config, None)
     }
 
     /// Solves with an explicit configuration and a [`WarmStart`] hint.
@@ -352,27 +347,7 @@ impl Model {
         config: &SolverConfig,
         warm: &WarmStart,
     ) -> Result<Solution, SolveError> {
-        self.solve_inner(config, Some(warm), None)
-    }
-
-    /// Solves with cooperative cancellation.
-    ///
-    /// The branch & bound node loop polls `cancel` between nodes; once the
-    /// token fires the solve returns [`SolveError::Cancelled`] without a
-    /// verdict. Used by speculative callers (the admission slot-count
-    /// prober) to abandon solves whose answers became redundant.
-    ///
-    /// # Errors
-    ///
-    /// See [`SolveError`]; additionally [`SolveError::Cancelled`] when the
-    /// token fired before the solve reached a verdict.
-    pub fn solve_cancellable(
-        &self,
-        config: &SolverConfig,
-        warm: Option<&WarmStart>,
-        cancel: &CancelToken,
-    ) -> Result<Solution, SolveError> {
-        self.solve_inner(config, warm, Some(cancel))
+        self.solve_inner(config, Some(warm))
     }
 
     /// Solves the LP relaxation of the model: every integer and binary
@@ -407,7 +382,6 @@ impl Model {
         &self,
         config: &SolverConfig,
         warm: Option<&WarmStart>,
-        cancel: Option<&CancelToken>,
     ) -> Result<Solution, SolveError> {
         for (i, v) in self.vars.iter().enumerate() {
             if v.lb > v.ub {
@@ -415,9 +389,6 @@ impl Model {
             }
         }
         if self.integer_count() == 0 {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(SolveError::Cancelled);
-            }
             let (values, objective) = self.solve_relaxation(None)?;
             Ok(Solution {
                 values,
@@ -426,7 +397,7 @@ impl Model {
                 bound_gap_open: false,
             })
         } else {
-            branch::branch_and_bound(self, config, warm, cancel)
+            branch::branch_and_bound(self, config, warm)
         }
     }
 

@@ -32,10 +32,6 @@ pub enum ScheduleError {
     SolverFailed(String),
     /// No order satisfying all path deadlines exists for this frame size.
     Infeasible,
-    /// The operation was stopped by a cancellation token before reaching a
-    /// verdict. Carries no feasibility information — a cancelled probe must
-    /// never be read as "infeasible".
-    Cancelled,
 }
 
 impl fmt::Display for ScheduleError {
@@ -60,9 +56,6 @@ impl fmt::Display for ScheduleError {
             ScheduleError::SolverFailed(msg) => write!(f, "order MILP failed: {msg}"),
             ScheduleError::Infeasible => {
                 write!(f, "no schedule meets the deadlines in this frame")
-            }
-            ScheduleError::Cancelled => {
-                write!(f, "scheduling cancelled before reaching a verdict")
             }
         }
     }

@@ -66,7 +66,4 @@ pub use demand::Demands;
 pub use error::ScheduleError;
 pub use frame::{FrameConfig, SlotRange};
 pub use order::TransmissionOrder;
-pub use schedule::{
-    min_slots_for_order, schedule_from_order, schedule_from_order_cancellable, Schedule,
-};
-pub use wimesh_milp::CancelToken;
+pub use schedule::{min_slots_for_order, schedule_from_order, Schedule};

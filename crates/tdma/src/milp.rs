@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use wimesh_conflict::ConflictGraph;
-use wimesh_milp::{CancelToken, LinExpr, Model, Sense, SolveError, SolverConfig, VarId};
+use wimesh_milp::{LinExpr, Model, Sense, SolveError, SolverConfig, VarId};
 use wimesh_topology::routing::Path;
 use wimesh_topology::LinkId;
 
@@ -74,16 +74,7 @@ pub fn min_max_delay_order(
             deadline_slots: None,
         })
         .collect();
-    solve(
-        graph,
-        demands,
-        &reqs,
-        frame,
-        frame.slots(),
-        config,
-        true,
-        None,
-    )
+    solve(graph, demands, &reqs, frame, frame.slots(), config, true)
 }
 
 /// Decides whether a schedule exists meeting every path's deadline, and
@@ -112,7 +103,6 @@ pub fn feasible_order(
         frame.slots(),
         config,
         false,
-        None,
     )
 }
 
@@ -152,50 +142,6 @@ pub fn feasible_order_within(
         used_slots,
         config,
         false,
-        None,
-    )
-}
-
-/// Like [`feasible_order_within`], with cooperative cancellation.
-///
-/// The cancel token is polled inside the MILP branch & bound node loop;
-/// once it fires the probe returns [`ScheduleError::Cancelled`]. This is
-/// the oracle variant used by the speculative slot-count prober, which
-/// races several candidate `used_slots` values and cancels the probes
-/// whose answers became redundant. A cancelled probe carries *no*
-/// feasibility information and must be discarded, never read as
-/// infeasible.
-///
-/// # Errors
-///
-/// Same conditions as [`feasible_order_within`], plus
-/// [`ScheduleError::Cancelled`].
-///
-/// # Panics
-///
-/// Panics if `used_slots` is zero or exceeds the frame.
-pub fn feasible_order_within_cancellable(
-    graph: &ConflictGraph,
-    demands: &Demands,
-    requirements: &[PathRequirement],
-    frame: FrameConfig,
-    used_slots: u32,
-    config: &SolverConfig,
-    cancel: &CancelToken,
-) -> Result<OrderSolution, ScheduleError> {
-    assert!(
-        used_slots >= 1 && used_slots <= frame.slots(),
-        "used_slots must be within the frame"
-    );
-    solve(
-        graph,
-        demands,
-        requirements,
-        frame,
-        used_slots,
-        config,
-        false,
-        Some(cancel),
     )
 }
 
@@ -262,7 +208,6 @@ pub fn validate_order_within(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn solve(
     graph: &ConflictGraph,
     demands: &Demands,
@@ -271,7 +216,6 @@ fn solve(
     used_slots: u32,
     config: &SolverConfig,
     optimize: bool,
-    cancel: Option<&CancelToken>,
 ) -> Result<OrderSolution, ScheduleError> {
     // Transmissions are confined to the first `used_slots` minislots, but
     // a frame wrap still costs the *whole* frame.
@@ -373,14 +317,9 @@ fn solve(
         model.set_objective(Sense::Minimize, obj);
     }
 
-    let solved = match cancel {
-        Some(token) => model.solve_cancellable(config, None, token),
-        None => model.solve_with(config),
-    };
-    let solution = match solved {
+    let solution = match model.solve_with(config) {
         Ok(s) => s,
         Err(SolveError::Infeasible) => return Err(ScheduleError::Infeasible),
-        Err(SolveError::Cancelled) => return Err(ScheduleError::Cancelled),
         Err(e) => return Err(ScheduleError::SolverFailed(e.to_string())),
     };
 

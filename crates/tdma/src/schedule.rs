@@ -5,7 +5,6 @@
 use std::collections::BTreeMap;
 
 use wimesh_conflict::ConflictGraph;
-use wimesh_milp::CancelToken;
 use wimesh_topology::LinkId;
 
 use crate::{Demands, FrameConfig, ScheduleError, SlotRange, TransmissionOrder};
@@ -136,7 +135,6 @@ fn earliest_starts(
     graph: &ConflictGraph,
     demands: &Demands,
     order: &TransmissionOrder,
-    cancel: Option<&CancelToken>,
 ) -> Result<StartTimes, ScheduleError> {
     let n = graph.vertex_count();
     let mut demand = vec![0i64; n];
@@ -169,15 +167,9 @@ fn earliest_starts(
         }
     }
 
-    // Cooperative stop flag: a cancelled revalidation pass (the
-    // speculative prober abandoning a redundant probe) bails rather than
-    // finishing an unwanted answer.
-    if cancel.is_some_and(CancelToken::is_cancelled) {
-        return Err(ScheduleError::Cancelled);
-    }
     let sigma = match topological_starts(n, &edges) {
         Some(sigma) => sigma,
-        None => bellman_ford_starts(graph, &edges, cancel)?,
+        None => bellman_ford_starts(graph, &edges)?,
     };
     let makespan = (0..n).map(|i| sigma[i] + demand[i]).max().unwrap_or(0);
     Ok(StartTimes {
@@ -230,7 +222,6 @@ fn topological_starts(n: usize, edges: &[(usize, usize, i64)]) -> Option<Vec<i64
 fn bellman_ford_starts(
     graph: &ConflictGraph,
     edges: &[(usize, usize, i64)],
-    cancel: Option<&CancelToken>,
 ) -> Result<Vec<i64>, ScheduleError> {
     let n = graph.vertex_count();
     let mut sigma = vec![0i64; n];
@@ -238,9 +229,6 @@ fn bellman_ford_starts(
     let mut changed_vertex = None;
     let mut rounds = 0u64;
     for round in 0..=n {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(ScheduleError::Cancelled);
-        }
         rounds += 1;
         let mut changed = None;
         for &(u, v, w) in edges {
@@ -298,7 +286,7 @@ pub fn min_slots_for_order(
     demands: &Demands,
     order: &TransmissionOrder,
 ) -> Result<u32, ScheduleError> {
-    let starts = earliest_starts(graph, demands, order, None)?;
+    let starts = earliest_starts(graph, demands, order)?;
     Ok(starts.makespan as u32)
 }
 
@@ -320,36 +308,8 @@ pub fn schedule_from_order(
     order: &TransmissionOrder,
     frame: FrameConfig,
 ) -> Result<Schedule, ScheduleError> {
-    schedule_from_order_inner(graph, demands, order, frame, None)
-}
-
-/// Like [`schedule_from_order`], with a cooperative stop flag polled
-/// before the longest-path pass and between Bellman–Ford relaxation
-/// rounds.
-///
-/// # Errors
-///
-/// Same conditions as [`schedule_from_order`], plus
-/// [`ScheduleError::Cancelled`] once the token fires (no verdict).
-pub fn schedule_from_order_cancellable(
-    graph: &ConflictGraph,
-    demands: &Demands,
-    order: &TransmissionOrder,
-    frame: FrameConfig,
-    cancel: &CancelToken,
-) -> Result<Schedule, ScheduleError> {
-    schedule_from_order_inner(graph, demands, order, frame, Some(cancel))
-}
-
-fn schedule_from_order_inner(
-    graph: &ConflictGraph,
-    demands: &Demands,
-    order: &TransmissionOrder,
-    frame: FrameConfig,
-    cancel: Option<&CancelToken>,
-) -> Result<Schedule, ScheduleError> {
     let _span = wimesh_obs::span!("tdma.schedule.build");
-    let starts = earliest_starts(graph, demands, order, cancel)?;
+    let starts = earliest_starts(graph, demands, order)?;
     if starts.makespan > frame.slots() as i64 {
         return Err(ScheduleError::FrameTooShort {
             needed: starts.makespan as u32,

@@ -1,101 +1,32 @@
-//! The parallel admission engine, layer by layer: a 6x6 grid carrying
-//! 40 VoIP calls, admitted with as many solver threads as the host
-//! grants, with per-layer wall-clock timing.
+//! Work-sharing branch & bound under an exact admission session: ten
+//! G.711 calls toward the gateway of an 8-node chain, admitted serially
+//! and then with as many solver threads as the host grants.
 //!
 //! ```text
 //! cargo run --release --example parallel_admission
 //! ```
 //!
-//! Three timed stages:
-//!
-//! 1. **Graph layer** — build the CSR-pooled conflict graph for the
-//!    whole grid and run the Bellman–Ford scheduling kernel under the
-//!    hop-order heuristic (the fast path every admission reuses).
-//! 2. **Batch admission** — cold-admit all 40 calls. The heuristic
-//!    order keeps this tractable at grid scale.
-//! 3. **Exact parallel search** — on a harder sub-instance (a chain cut
-//!    from the grid's first row), run the exact-MILP session twice:
-//!    serial, then with `available_parallelism()` solver threads, which
-//!    turns on the work-sharing branch & bound *and* speculative
-//!    slot-count probing. Both runs must agree on every verdict — the
-//!    parallel engine is an optimisation, never a semantic change.
+//! `SolverConfig::threads` is the workspace's one parallelism knob: the
+//! number of workers sharing the branch & bound frontier of each MILP
+//! oracle call. The slot search around the oracle is the same serial
+//! binary search either way, so both runs must agree on every verdict
+//! and on the minimal slot count — threads are an optimisation, never a
+//! semantic change.
 
 use std::time::Instant;
 
-use wimesh::conflict::{ConflictGraph, InterferenceModel};
 use wimesh::milp::SolverConfig;
 use wimesh::sim::traffic::VoipCodec;
-use wimesh::tdma::{order, schedule_from_order, Demands, FrameConfig};
 use wimesh::{FlowSpec, MeshQos, OrderPolicy};
-use wimesh_topology::{generators, routing, NodeId};
+use wimesh_topology::{generators, NodeId};
 
 fn main() {
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    println!("parallel admission engine demo — {threads} host thread(s)\n");
+    println!("exact admission, serial vs {threads} branch & bound worker(s)\n");
 
-    // A 6x6 grid with the gateway in a corner and 40 calls spread over
-    // the other 35 nodes (some nodes carry two).
-    let topo = generators::grid(6, 6);
-    let gateway = NodeId(0);
-    let flows: Vec<FlowSpec> = (0..40u32)
-        .map(|i| {
-            let src = 1 + (i * 11) % 35; // stride covers all non-gateway nodes
-            FlowSpec::voip(i, NodeId(src), gateway, VoipCodec::G729)
-        })
-        .collect();
-
-    // --- 1. Graph layer -------------------------------------------------
-    let start = Instant::now();
-    let mut demands = Demands::new();
-    let mut paths = Vec::new();
-    for flow in &flows {
-        let path = routing::shortest_path(&topo, flow.src, flow.dst).expect("grid is connected");
-        for &l in path.links() {
-            demands.add(l, 1);
-        }
-        paths.push(path);
-    }
-    let graph = ConflictGraph::build_for_links(
-        &topo,
-        demands.links().collect(),
-        InterferenceModel::protocol_default(),
-    );
-    let ord = order::hop_order(&graph, &paths);
-    let sched = schedule_from_order(&graph, &demands, &ord, FrameConfig::new(4096, 250))
-        .expect("hop order schedules");
-    println!(
-        "graph layer:    conflict graph {} vertices / {} edges, Bellman–Ford \
-         makespan {} slots              [{:.2} ms]",
-        graph.vertex_count(),
-        graph.edge_count(),
-        sched.makespan(),
-        start.elapsed().as_secs_f64() * 1e3
-    );
-
-    // --- 2. Batch admission at grid scale -------------------------------
-    let start = Instant::now();
-    let mesh = MeshQos::builder(topo.clone())
-        .solver_config(SolverConfig::with_threads(threads))
-        .build()
-        .expect("mesh builds");
-    let outcome = mesh
-        .admit(&flows, OrderPolicy::HopOrder)
-        .expect("admission runs");
-    println!(
-        "batch layer:    admitted {}/{} calls, {} guaranteed slots                          \
-         [{:.2} ms]",
-        outcome.admitted().len(),
-        flows.len(),
-        outcome.guaranteed_slots,
-        start.elapsed().as_secs_f64() * 1e3
-    );
-
-    // --- 3. Exact parallel search on a chain sub-instance ---------------
-    // The grid's first row as a 6-node chain: small enough for the exact
-    // MILP order search, big enough to exercise the parallel engine.
-    let chain = generators::chain(6);
-    let chain_flows: Vec<FlowSpec> = (0..5u32)
-        .map(|i| FlowSpec::voip(i, NodeId(5 - i % 5), NodeId(0), VoipCodec::G729))
+    let chain = generators::chain(8);
+    let flows: Vec<FlowSpec> = (0..10u32)
+        .map(|k| FlowSpec::voip(k, NodeId(1 + k % 7), NodeId(0), VoipCodec::G711))
         .collect();
     let run = |threads: usize| {
         let mesh = MeshQos::builder(chain.clone())
@@ -105,29 +36,30 @@ fn main() {
         let start = Instant::now();
         let mut session = mesh.session(OrderPolicy::ExactMilp);
         let mut admitted = Vec::new();
-        for f in &chain_flows {
+        for f in &flows {
             admitted.push(session.admit(f).expect("admission runs").is_admitted());
         }
         let wall = start.elapsed();
         let slots = session.snapshot().guaranteed_slots;
-        (admitted, slots, wall, session.stats().clone())
+        (admitted, slots, wall, session.stats().oracle_calls)
     };
-    let (serial_verdicts, serial_slots, serial_wall, _) = run(1);
-    let (parallel_verdicts, parallel_slots, parallel_wall, stats) = run(threads);
+    let (serial_verdicts, serial_slots, serial_wall, serial_calls) = run(1);
+    let (parallel_verdicts, parallel_slots, parallel_wall, parallel_calls) = run(threads);
     println!(
-        "exact layer:    serial session {:>7.2} ms — {} admits, {} slots",
+        "serial session    {:>7.2} ms — {} admits, {} slots, {} oracle calls",
         serial_wall.as_secs_f64() * 1e3,
         serial_verdicts.iter().filter(|&&a| a).count(),
         serial_slots,
+        serial_calls,
     );
     println!(
-        "exact layer:    {}-thread session {:>7.2} ms — {} speculative probes, {} cancelled",
-        threads,
+        "{threads}-thread session  {:>7.2} ms — {} admits, {} slots, {} oracle calls",
         parallel_wall.as_secs_f64() * 1e3,
-        stats.speculative_probes,
-        stats.probes_cancelled,
+        parallel_verdicts.iter().filter(|&&a| a).count(),
+        parallel_slots,
+        parallel_calls,
     );
     assert_eq!(serial_verdicts, parallel_verdicts, "verdicts must match");
     assert_eq!(serial_slots, parallel_slots, "slot counts must match");
-    println!("\nserial and parallel engines agree on every verdict.");
+    println!("\nserial and threaded solves agree on every verdict.");
 }

@@ -13,12 +13,12 @@ cargo test -q -p wimesh-tdma --test kernel_equivalence
 # The distributed-runtime scenario suite is the end-to-end gate for the
 # fault-handling stack; run it by name so a filter typo can't skip it.
 cargo test -q -p wimesh-node --test node_runtime
-# Same for the parallel-engine determinism suite: serial and multi-thread
-# admission must agree on every verdict.
+# Same for the threaded-solver determinism suite: admission over serial
+# and 4-thread branch & bound must agree on every verdict.
 cargo test -q -p wimesh --test parallel_equivalence
-# The parallel scaling benchmark end to end (quick sweep): exercises the
-# work-sharing B&B, speculative probing, the threaded runner queue and
-# the BENCH_parallel_scaling.json acceptance checks.
+# The parallel scaling benchmark end to end (quick sweep): one exact
+# admission session at 1/2/4 work-sharing B&B threads, gated on verdict
+# equality, writing BENCH_parallel_scaling.json.
 cargo run -p wimesh-bench --release --bin experiments -- parallel_scaling --quick
 # Approximation-mode admission: the soundness property suite (every
 # greedy/LP-rounded schedule certifies, exact never needs more slots on
