@@ -22,10 +22,14 @@
 //! * the certified optimality-gap bound
 //!   ([`wimesh::SessionStats::approx_gap`]).
 //!
-//! Full runs gate on the tentpole claim: the greedy policy must reach a
-//! ≥100× median admission-latency win at a ≥0.9 acceptance ratio on at
-//! least one churn scenario. Quick runs only check soundness (every
-//! event certifies, acceptance never collapses below 0.5).
+//! Full runs gate on the claim approximation mode was introduced with:
+//! the greedy policy must reach a ≥100× median admission-latency win at a
+//! ≥0.9 acceptance ratio on at least one churn scenario. Quick runs only
+//! check soundness (every event certifies, acceptance never collapses
+//! below 0.5). The artifact is written before the gate is applied and
+//! records its outcome (`ok`, `best_greedy_speedup`): on these scenarios
+//! the gate stopped holding once exact admission closed most searches by
+//! its bounds alone (EXPERIMENTS.md, APX).
 //!
 //! Writes `results/approx_admission.csv` plus the acceptance artifact
 //! `results/BENCH_approx_admission.json`.
@@ -40,6 +44,10 @@ use wimesh_check::{CertParams, Certificate, FlowRequirement};
 use wimesh_topology::{generators, MeshTopology, NodeId};
 
 use crate::{BenchError, Ctx, Table};
+
+/// The full run's gate: greedy's median admission must beat exact's by
+/// this factor on some scenario.
+const SPEEDUP_GATE: f64 = 100.0;
 
 #[derive(Debug, Clone)]
 enum Event {
@@ -241,10 +249,21 @@ impl Scenario {
 
 /// Serialises the acceptance artifact
 /// (`results/BENCH_approx_admission.json`).
-fn artifact_json(scenarios: &[Scenario], quick: bool) -> String {
+fn artifact_json(
+    scenarios: &[Scenario],
+    quick: bool,
+    gate_met: bool,
+    best_greedy_speedup: f64,
+) -> String {
     let mut out = String::with_capacity(2048);
-    out.push_str("{\"experiment\":\"approx_admission\",\"ok\":true,\"quick\":");
+    out.push_str("{\"experiment\":\"approx_admission\",\"ok\":");
+    out.push_str(if gate_met { "true" } else { "false" });
+    out.push_str(",\"quick\":");
     out.push_str(if quick { "true" } else { "false" });
+    out.push_str(&format!(
+        ",\"speedup_gate\":{SPEEDUP_GATE},\"best_greedy_speedup\":"
+    ));
+    wimesh_obs::json::push_f64(&mut out, best_greedy_speedup);
     out.push_str(",\"scenarios\":[");
     for (i, s) in scenarios.iter().enumerate() {
         if i > 0 {
@@ -301,11 +320,12 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
             Scenario::run("chain5", generators::chain(5), 4, 6)?,
             Scenario::run("chain6", generators::chain(6), 5, 6)?,
             Scenario::run("grid3x3", generators::grid(3, 3), 6, 6)?,
-            // The tentpole scenario: dense enough that exact
-            // branch-and-bound pays hundreds of milliseconds per
-            // admission while the greedy oracle stays in microseconds.
-            // Churn rounds are kept low because the *exact baseline*
-            // is what makes this scenario expensive to measure.
+            // The scenario the gate was written for: until the exact
+            // search got its heaviest-clique bound and first-feasible
+            // oracle, exact branch-and-bound paid a second per admission
+            // here (hence the few churn rounds) while greedy stayed in
+            // microseconds. Exact now closes most of these admissions by
+            // its bounds alone, in tens of microseconds.
             Scenario::run("grid4x4", generators::grid(4, 4), 10, 2)?,
         ]
     };
@@ -373,24 +393,34 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
     }
 
     // Tentpole gate (full runs): a ≥100× greedy median-latency win at a
-    // ≥0.9 acceptance ratio on at least one churn scenario.
-    if !ctx.quick {
-        let hit = scenarios.iter().any(|s| {
+    // ≥0.9 acceptance ratio on at least one churn scenario. The artifact
+    // is written first, with the measurements and the gate's outcome, so
+    // a missed gate leaves its numbers behind.
+    let best_greedy_speedup = scenarios
+        .iter()
+        .flat_map(|s| {
             s.approx
                 .iter()
                 .filter(|r| r.policy_label.starts_with("greedy"))
-                .any(|r| s.speedup(r) >= 100.0 && s.acceptance_ratio(r) >= 0.9)
-        });
-        if !hit {
-            return Err(BenchError::Other(String::from(
-                "no scenario reached a 100x greedy median speedup at a 0.9 acceptance ratio",
-            )));
-        }
-    }
+                .filter(|r| s.acceptance_ratio(r) >= 0.9)
+                .map(|r| s.speedup(r))
+        })
+        .fold(0.0, f64::max);
+    let gate_met = ctx.quick || best_greedy_speedup >= SPEEDUP_GATE;
 
     std::fs::create_dir_all(&ctx.out_dir)?;
     let artifact = ctx.out_dir.join("BENCH_approx_admission.json");
-    std::fs::write(&artifact, artifact_json(&scenarios, ctx.quick))?;
+    std::fs::write(
+        &artifact,
+        artifact_json(&scenarios, ctx.quick, gate_met, best_greedy_speedup),
+    )?;
     println!("  -> {}", artifact.display());
+
+    if !gate_met {
+        return Err(BenchError::Other(format!(
+            "no scenario reached a {SPEEDUP_GATE}x greedy median speedup at a 0.9 acceptance ratio \
+             (best {best_greedy_speedup:.1}x)"
+        )));
+    }
     Ok(())
 }

@@ -42,6 +42,6 @@ mod cliques;
 mod coloring;
 mod graph;
 
-pub use cliques::{greedy_clique_cover, maximal_clique_containing};
+pub use cliques::{greedy_clique_cover, heaviest_clique, maximal_clique_containing};
 pub use coloring::{greedy_coloring, Coloring};
 pub use graph::{ConflictGraph, InterferenceModel};

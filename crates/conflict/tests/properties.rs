@@ -1,13 +1,14 @@
 //! Property tests: conflict graphs are well-formed for arbitrary
 //! topologies and interference radii; colorings and clique covers stay
-//! structurally valid.
+//! structurally valid; the heaviest-clique bound sits between the cover's
+//! best clique and the true maximum-weight clique.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wimesh_conflict::{
-    greedy_clique_cover, greedy_coloring, maximal_clique_containing, ConflictGraph,
-    InterferenceModel,
+    greedy_clique_cover, greedy_coloring, heaviest_clique, maximal_clique_containing,
+    ConflictGraph, InterferenceModel,
 };
 use wimesh_topology::{generators, MeshTopology};
 
@@ -118,5 +119,45 @@ proptest! {
                 .all(|&u| cg.neighbors(v).binary_search(&u).is_ok());
             prop_assert!(!adj_all, "vertex {} extends the 'maximal' clique", v);
         }
+    }
+
+    #[test]
+    fn heaviest_clique_between_cover_and_brute_force(
+        (topo, model, seed) in (arb_topology(), arb_model(), any::<u64>())
+    ) {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        // At most ten vertices, so every vertex subset can be enumerated.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut links: Vec<_> = topo.link_ids().collect();
+        links.shuffle(&mut rng);
+        links.truncate(rng.gen_range(1..=links.len().min(10)));
+        let cg = ConflictGraph::build_for_links(&topo, links, model);
+        let n = cg.vertex_count();
+        let weights: Vec<u64> = (0..n)
+            .map(|_| if rng.gen_bool(0.2) { 0 } else { rng.gen_range(1..9) })
+            .collect();
+        let weigh = |verts: &[usize]| verts.iter().map(|&v| weights[v]).sum::<u64>();
+        let is_clique = |verts: &[usize]| {
+            verts.iter().enumerate().all(|(i, &u)| {
+                verts[i + 1..]
+                    .iter()
+                    .all(|&v| cg.neighbors(u).binary_search(&v).is_ok())
+            })
+        };
+
+        let (clique, weight) = heaviest_clique(&cg, |v| weights[v]);
+        prop_assert!(is_clique(&clique));
+        prop_assert_eq!(weight, weigh(&clique));
+        for c in greedy_clique_cover(&cg) {
+            prop_assert!(weight >= weigh(&c), "cover clique {:?} outweighs {:?}", c, clique);
+        }
+        let brute = (0u32..1 << n)
+            .map(|mask| (0..n).filter(|&v| mask & (1 << v) != 0).collect::<Vec<_>>())
+            .filter(|verts| is_clique(verts))
+            .map(|verts| weigh(&verts))
+            .max()
+            .unwrap_or(0);
+        prop_assert!(weight <= brute, "bound {} above the maximum-weight clique {}", weight, brute);
     }
 }

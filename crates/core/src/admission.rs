@@ -29,10 +29,12 @@
 
 use std::time::Duration;
 
-use wimesh_conflict::{greedy_clique_cover, ConflictGraph, InterferenceModel};
+use wimesh_conflict::{heaviest_clique, ConflictGraph, InterferenceModel};
 use wimesh_emu::EmulationModel;
 use wimesh_milp::SolverConfig;
-use wimesh_tdma::milp::{feasible_order_within, PathRequirement};
+use wimesh_tdma::milp::{
+    feasible_order_within, validate_order_within, OrderSolution, PathRequirement,
+};
 use wimesh_tdma::{
     delay, order, schedule_from_order, Demands, FrameConfig, Schedule, ScheduleError,
     TransmissionOrder,
@@ -59,8 +61,8 @@ pub enum OrderPolicy {
     /// Approximation mode: candidates are ordered by `key` (cheapest
     /// first) and placed sequentially with the one-pass Bellman–Ford
     /// order revalidation, rejecting on conflict. Before any schedule
-    /// attempt the clique-cover lower bound prunes hopeless requests in
-    /// O(cliques) without touching a solver (counted as
+    /// attempt the clique lower bound prunes hopeless requests without
+    /// touching a solver (counted as
     /// `admission.clique_prunes`). Never calls the MILP; acceptance is
     /// conservative (may reject flows the exact search would fit) but
     /// every accepted schedule is real and validated.
@@ -450,22 +452,21 @@ pub(crate) fn aggregate_demands(
     demands
 }
 
-/// The clique-cover lower bound on the guaranteed region: every clique of
-/// mutually conflicting links must be served sequentially, so no schedule
-/// can use fewer minislots than the heaviest clique's total demand.
+/// The clique lower bound on the guaranteed region: links of a clique of
+/// the conflict graph can never share a minislot, so no schedule uses
+/// fewer minislots than a clique's total demand. The clique is
+/// [`heaviest_clique`]'s — one maximal clique grown per link, heaviest
+/// common neighbour first, and the clique cover's own cliques — which is
+/// a heuristic, not the maximum-weight clique: the bound is a sound
+/// floor whichever clique it finds, and every search above it closes the
+/// remaining gap with the oracle. At least 1.
 pub(crate) fn clique_lower_bound(graph: &ConflictGraph, demands: &Demands) -> u32 {
-    let cover = greedy_clique_cover(graph);
-    cover
-        .iter()
-        .map(|clique| {
-            clique
-                .iter()
-                .map(|&v| demands.get(graph.link_at(v)))
-                .sum::<u32>()
-        })
-        .max()
-        .unwrap_or(1)
-        .max(1)
+    // Looked up once per vertex: the growth loop weighs each many times.
+    let weights: Vec<u64> = (0..graph.vertex_count())
+        .map(|v| u64::from(demands.get(graph.link_at(v))))
+        .collect();
+    let (_, weight) = heaviest_clique(graph, |v| weights[v]);
+    u32::try_from(weight).unwrap_or(u32::MAX).max(1)
 }
 
 /// The placement cost of a vetted flow under a [`GreedyKey`] — smaller
@@ -572,9 +573,9 @@ fn try_schedule(
     solve_demands_on_graph(topo, model, &graph, &demands, flows, policy, solver)
 }
 
-/// The approximation policies' fast reject: the heaviest clique's demand
-/// floors any feasible horizon, so a request whose bound exceeds the
-/// frame dies in O(cliques), solver untouched (counted as
+/// The fast reject of the exact and approximation searches: the heaviest
+/// clique's demand floors any feasible horizon, so a request whose bound
+/// exceeds the frame dies before any solver runs (counted as
 /// `admission.clique_prunes`). Otherwise returns the bound.
 pub(crate) fn clique_prune(
     graph: &ConflictGraph,
@@ -590,6 +591,24 @@ pub(crate) fn clique_prune(
         });
     }
     Ok(lower)
+}
+
+/// What an exact search keeps of an oracle "yes" at `used`: the
+/// earliest-start layout of the answer's order when that layout still
+/// meets every requirement within `used` (its makespan is then the least
+/// this order allows), else the oracle's own start times. The oracle
+/// stops at its first feasible point, so its layout may leave gaps; and
+/// pulling every link to its earliest start can lengthen a wait past a
+/// tight deadline, which is why the solver's layout stays the fallback.
+pub(crate) fn earliest_layout(
+    graph: &ConflictGraph,
+    demands: &Demands,
+    reqs: &[PathRequirement],
+    frame: FrameConfig,
+    used: u32,
+    sol: OrderSolution,
+) -> OrderSolution {
+    validate_order_within(graph, demands, reqs, frame, used, &sol.order).unwrap_or(sol)
 }
 
 /// The [`OrderPolicy::LpRounding`] oracle: schedule, order, guaranteed
@@ -661,7 +680,7 @@ pub(crate) fn solve_demands_on_graph(
         }
         OrderPolicy::ExactMilp => {
             let reqs = path_requirements(model, flows);
-            // Linear search upward from the clique-cover lower bound.
+            // Linear search upward from the clique lower bound.
             //
             // Soundness of returning the *first* feasible `used`: the
             // feasibility predicate is monotone non-decreasing in `used`.
@@ -678,7 +697,7 @@ pub(crate) fn solve_demands_on_graph(
             // The lower bound is safe to skip below: a clique of
             // conflicting links can never share a minislot, so its total
             // demand is a floor on any feasible horizon.
-            let lower = clique_lower_bound(graph, demands);
+            let lower = clique_prune(graph, demands, frame)?;
             let _search_span = wimesh_obs::span!("admission.search");
             for used in lower..=frame.slots() {
                 wimesh_obs::counter_inc("admission.search.iterations");
@@ -688,6 +707,9 @@ pub(crate) fn solve_demands_on_graph(
                 match step {
                     Ok(sol) => {
                         wimesh_obs::counter_inc("admission.milp.feasible");
+                        // Every smaller region was refused, so whichever
+                        // layout is kept occupies exactly `used`.
+                        let sol = earliest_layout(graph, demands, &reqs, frame, used, sol);
                         return Ok((sol.schedule, sol.order, used));
                     }
                     Err(ScheduleError::Infeasible) => {

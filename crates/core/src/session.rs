@@ -115,8 +115,8 @@ pub struct SessionStats {
     /// of their batch — each is a full feasibility search a
     /// one-at-a-time caller would have paid for.
     pub coalesced_admits: u64,
-    /// Requests rejected by the clique-cover lower bound before any
-    /// solver ran (approximation policies only; also emitted as the
+    /// Requests rejected by the clique lower bound before any solver ran
+    /// (exact and approximation policies; also emitted as the
     /// `admission.clique_prunes` counter).
     pub clique_prunes: u64,
     /// Greedy-sequential oracle solves (one Bellman–Ford realisation per
@@ -127,7 +127,7 @@ pub struct SessionStats {
     pub lp_solves: u64,
     /// Certified optimality-gap upper bound (in minislots) of the most
     /// recent approximate solve: the realised guaranteed region minus
-    /// the best certified lower bound (clique cover, and LP bound under
+    /// the best certified lower bound (heaviest clique, and LP bound under
     /// [`OrderPolicy::LpRounding`]). The true gap to the exact optimum
     /// is never larger. Always 0 under exact or heuristic policies.
     pub approx_gap: u64,
@@ -1088,10 +1088,10 @@ fn solve_session(
 /// The approximation-mode oracles, with per-policy stats and the
 /// certified optimality-gap bookkeeping.
 ///
-/// Both policies share the clique-cover fast reject: the heaviest
+/// Both policies share the clique-bound fast reject: the heaviest
 /// clique's total demand floors any feasible guaranteed region, so a
-/// request whose bound exceeds the frame is rejected in O(cliques)
-/// without running any solver. The realised guaranteed region minus the
+/// request whose bound exceeds the frame is rejected without running
+/// any solver. The realised guaranteed region minus the
 /// best certified lower bound is a true upper bound on the optimality
 /// gap, recorded in [`SessionStats::approx_gap`].
 fn approx_solve(
@@ -1154,6 +1154,14 @@ fn approx_solve(
 /// validated schedule is real); an infeasibility verdict still requires
 /// MILP answers for every value below the returned minimum, so verdicts
 /// match the cold path exactly.
+///
+/// The oracle is paid only inside the gap the two bounds leave: below
+/// `lo` the heaviest clique already says no, at `hi` the candidate order
+/// already says yes. A request whose clique bound exceeds the frame is
+/// refused before anything else runs (`clique_prunes`), a solve whose
+/// bounds meet makes no oracle call (`session.search.closed_by_bounds`),
+/// and the width of the gap the binary loop starts from is the
+/// `session.search.gap` gauge.
 fn exact_search_warm(
     model: &EmulationModel,
     graph: &ConflictGraph,
@@ -1167,10 +1175,8 @@ fn exact_search_warm(
     let frame = model.frame();
     let total = frame.slots();
     let reqs = admission::path_requirements(model, flows);
-    let mut lo = admission::clique_lower_bound(graph, demands);
-    if lo > total {
-        return Err(ScheduleError::Infeasible);
-    }
+    let mut lo =
+        admission::clique_prune(graph, demands, frame).inspect_err(|_| stats.clique_prunes += 1)?;
 
     // The candidate order: the persisted warm order (replayed through
     // link pairs, so graph reindexing cannot corrupt it), with conflict
@@ -1196,11 +1202,18 @@ fn exact_search_warm(
     // is a real schedule — it bounds the answer by its makespan without
     // touching the MILP. A miss proves nothing; fall back to one oracle
     // call at the full frame to settle feasibility at all.
+    //
+    // The oracle returns a feasible point, not a compact one, so each
+    // "yes" is replayed as the earliest-start layout of its order: that
+    // is the layout the session publishes, and its makespan is the
+    // tightest upper bound the answer gives.
+    let calls_before = stats.oracle_calls;
     let oracle = |used: u32, stats: &mut SessionStats| {
         stats.oracle_calls += 1;
         wimesh_obs::counter_inc("session.oracle.calls");
         let started = std::time::Instant::now();
-        let step = feasible_order_within(graph, demands, &reqs, frame, used, solver);
+        let step = feasible_order_within(graph, demands, &reqs, frame, used, solver)
+            .map(|sol| admission::earliest_layout(graph, demands, &reqs, frame, used, sol));
         wimesh_obs::record_duration("session.search.step", started.elapsed());
         step
     };
@@ -1224,6 +1237,9 @@ fn exact_search_warm(
     }
     let mut hi = best.schedule.makespan().max(1);
     debug_assert!(hi >= lo, "a feasible makespan cannot beat the lower bound");
+    if lo < hi {
+        wimesh_obs::gauge_set("session.search.gap", f64::from(hi - lo));
+    }
 
     // Invariants: `best` realises `hi`; every value below `lo` is
     // infeasible (by the clique bound, then by oracle "no" answers).
@@ -1239,6 +1255,9 @@ fn exact_search_warm(
             Err(ScheduleError::Infeasible) => lo = mid + 1,
             Err(e) => return Err(e),
         }
+    }
+    if stats.oracle_calls == calls_before {
+        wimesh_obs::counter_inc("session.search.closed_by_bounds");
     }
     Ok((best.schedule, best.order, hi))
 }

@@ -18,6 +18,43 @@ fn admit_emits_expected_spans_and_metrics() {
     wimesh_obs::reset();
     wimesh_obs::install(sink.clone());
 
+    // An exact session explains itself: calls toward the gateway of
+    // chain(8) leave a gap between clique bound and warm order on some
+    // admissions and none on others, and a flow the heaviest clique
+    // alone rules out is a counted fast reject.
+    let chain8 = MeshQos::new(generators::chain(8), EmulationParams::default())
+        .expect("default emulation params are valid");
+    let mut session = chain8.session(OrderPolicy::ExactMilp);
+    for (id, src) in [3, 7, 1, 5, 2, 6].into_iter().enumerate() {
+        let call = FlowSpec::voip(id as u32, NodeId(src), NodeId(0), VoipCodec::G711);
+        assert!(session.admit(&call).expect("admit").is_admitted());
+    }
+    assert!(
+        session.stats().oracle_calls >= 1,
+        "some gap needed the oracle"
+    );
+    assert_eq!(session.stats().clique_prunes, 0);
+    let mut id = 100;
+    while session
+        .admit(&FlowSpec::guaranteed(
+            id,
+            NodeId(1),
+            NodeId(0),
+            2_000_000.0,
+            std::time::Duration::from_millis(200),
+        ))
+        .expect("admit")
+        .is_admitted()
+    {
+        id += 1;
+    }
+    let oracle_calls = session.stats().oracle_calls;
+    assert_eq!(
+        session.stats().clique_prunes,
+        1,
+        "the clique around link 1 -> 0 outgrew the frame: no solver needed to say no"
+    );
+
     let mesh = MeshQos::new(generators::chain(5), EmulationParams::default())
         .expect("default emulation params are valid");
     let flows: Vec<FlowSpec> = (0..2)
@@ -28,7 +65,7 @@ fn admit_emits_expected_spans_and_metrics() {
         .expect("chain admits two voip flows");
     assert!(!outcome.admitted.is_empty());
     // HopOrder goes through tdma's schedule_from_order, covering the
-    // tdma.schedule.build span (ExactMilp schedules inside the MILP).
+    // tdma.schedule.build span.
     mesh.admit(&flows, OrderPolicy::HopOrder)
         .expect("hop order admits the same flows");
 
@@ -79,6 +116,16 @@ fn admit_emits_expected_spans_and_metrics() {
             .any(|(n, h)| n == "admission.search.step" && h.count() >= 1),
         "per-step durations recorded"
     );
+    // The session's search: fast reject, gap, and solves the bounds closed.
+    assert_eq!(counter("admission.clique_prunes"), Some(1));
+    assert_eq!(counter("session.oracle.calls"), Some(oracle_calls));
+    assert!(counter("session.search.closed_by_bounds").unwrap_or(0) >= 1);
+    let gap = snap
+        .gauges
+        .iter()
+        .find(|(n, _)| n == "session.search.gap")
+        .map(|(_, g)| g.max);
+    assert!(gap.is_some_and(|g| g >= 1.0), "gap gauge: {gap:?}");
 
     wimesh_obs::reset();
 }

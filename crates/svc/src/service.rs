@@ -138,7 +138,8 @@ impl Ticket {
     ///
     /// # Errors
     ///
-    /// [`SvcError::ShuttingDown`] if the worker died before answering.
+    /// [`SvcError::ShuttingDown`] if the worker died before answering —
+    /// while it held this request or with the request still queued.
     pub fn wait(self) -> Result<Reply, SvcError> {
         self.rx.recv().map_err(|_| SvcError::ShuttingDown)
     }
@@ -165,7 +166,8 @@ impl GatewayClient {
     ///
     /// [`SvcError::Overloaded`] when the bounded queue is full (the
     /// request is rejected now rather than queued without bound) and
-    /// [`SvcError::ShuttingDown`] after shutdown began.
+    /// [`SvcError::ShuttingDown`] after shutdown began or the worker
+    /// died.
     pub fn submit(&self, request: Request) -> Result<Ticket, SvcError> {
         let (tx, rx) = mpsc::channel();
         {
@@ -277,8 +279,31 @@ struct Worker {
     stats: ServiceStats,
 }
 
+/// Closes the queue when the worker leaves [`Worker::run`], by return or
+/// by unwinding. A worker that panics must not leave the queue open:
+/// `submit` would keep accepting, and every request queued behind the
+/// panic would hold a live `tx` nobody will ever answer, its
+/// [`Ticket::wait`] blocked for good. Dropping the queued requests drops
+/// their senders, which turns those waits into
+/// [`SvcError::ShuttingDown`].
+struct CloseOnExit(Arc<Shared>);
+
+impl Drop for CloseOnExit {
+    fn drop(&mut self) {
+        let abandoned = {
+            let mut q = lock_queue(&self.0);
+            q.closed = true;
+            std::mem::take(&mut q.items)
+        };
+        // Senders are dropped outside the lock.
+        drop(abandoned);
+        self.0.ready.notify_all();
+    }
+}
+
 impl Worker {
     fn run(mut self) -> (SessionState, ServiceStats, SessionStats) {
+        let _close = CloseOnExit(Arc::clone(&self.shared));
         loop {
             let batch = {
                 let mut q = lock_queue(&self.shared);
@@ -515,6 +540,12 @@ impl AdmissionGateway {
     /// No farewell snapshot is written: the journal already contains
     /// every mutation, so shutdown is indistinguishable from a kill —
     /// which is exactly what the recovery tests rely on.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the worker's panic if it died; by then its queue is
+    /// closed and every request it had not answered has seen
+    /// [`SvcError::ShuttingDown`].
     pub fn shutdown(self) -> GatewayReport {
         {
             let mut q = lock_queue(&self.shared);

@@ -310,3 +310,100 @@ fn configured_policy_mismatch_refuses_to_start() {
     assert!(matches!(err, SvcError::Qos(_)), "got {err:?}");
     assert!(err.to_string().contains("policy"));
 }
+
+/// A journal writer that panics inside its `panic_at`-th write, after
+/// telling the test it got there and waiting for the go-ahead — so the
+/// test decides what is queued behind the request that kills the worker.
+struct PanicOnWrite {
+    writes: usize,
+    panic_at: usize,
+    entered: mpsc::Sender<()>,
+    go: mpsc::Receiver<()>,
+}
+
+impl std::io::Write for PanicOnWrite {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        if self.writes == self.panic_at {
+            let _ = self.entered.send(());
+            let _ = self.go.recv();
+            panic!("journal writer dies on write {}", self.writes);
+        }
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Waits on a ticket from a helper thread, so a ticket nobody will ever
+/// answer fails the test instead of hanging it.
+fn wait_bounded(ticket: Ticket) -> Result<Reply, SvcError> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(ticket.wait());
+    });
+    rx.recv_timeout(Duration::from_secs(30))
+        .expect("the ticket blocked: its request was left in a queue nobody serves")
+}
+
+#[test]
+fn a_dead_worker_closes_the_queue() {
+    let mesh = mesh(5);
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (go_tx, go_rx) = mpsc::channel();
+    let journal = JournalWriter::from_writer(Box::new(PanicOnWrite {
+        writes: 0,
+        panic_at: 2,
+        entered: entered_tx,
+        go: go_rx,
+    }));
+    let config = GatewayConfig {
+        snapshot_every: 0,
+        ..GatewayConfig::default()
+    };
+    let (gateway, client) =
+        AdmissionGateway::start(mesh.session(OrderPolicy::HopOrder), journal, config)
+            .expect("gateway starts");
+    let call = |id| FlowSpec::voip(id, NodeId(4), NodeId(0), VoipCodec::G729);
+
+    // Write 1: a healthy gateway.
+    let first = client
+        .admit(call(0))
+        .expect("submit")
+        .wait()
+        .expect("reply");
+    assert!(matches!(first, Reply::Admitted(_)));
+
+    // Write 2 kills the worker while it holds `in_flight`; `queued` is
+    // submitted while the worker sits inside that write, so it is still
+    // in the queue when the worker unwinds.
+    let in_flight = client.admit(call(1)).expect("submit");
+    entered_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the worker reached its second journal write");
+    let queued = client.admit(call(2)).expect("the queue is still open");
+    go_tx.send(()).expect("the writer is waiting");
+
+    assert!(matches!(
+        wait_bounded(in_flight),
+        Err(SvcError::ShuttingDown)
+    ));
+    assert!(matches!(wait_bounded(queued), Err(SvcError::ShuttingDown)));
+    // The queue was closed before `queued` was dropped: nothing new gets in.
+    let late = client
+        .admit(call(3))
+        .expect_err("a dead worker accepts nothing");
+    assert!(matches!(late, SvcError::ShuttingDown));
+
+    // Shutdown still surfaces the worker's panic to whoever owns the gateway.
+    let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| gateway.shutdown()));
+    let panic = joined.expect_err("shutdown re-raises the worker's panic");
+    let message = panic
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    assert!(
+        message.contains("journal writer dies on write 2"),
+        "{message}"
+    );
+}

@@ -8,10 +8,16 @@
 //! * one binary order variable per conflict edge, linearising the
 //!   "transmit disjointly" disjunction with big-M = S (tight, because
 //!   start-time differences are bounded by the frame),
-//! * per path, integer frame-wrap counters linking consecutive hops, and
+//! * per *undominated* path, integer frame-wrap counters linking
+//!   consecutive hops — a path whose route is a contiguous run of another
+//!   path's route, with a deadline no tighter, is implied by that other
+//!   path and gets no rows of its own (`undominated` below), and
 //! * either `minimize Z >= delay(p)` (optimization mode) or
-//!   `delay(p) <= deadline(p)` (feasibility mode, used by the linear slot
-//!   search of the admission controller).
+//!   `delay(p) <= deadline(p)` with **no objective** (feasibility mode,
+//!   the oracle of the admission controller's slot search): every branch
+//!   & bound node then ties at 0, the solver's deeper-first tie-break
+//!   dives, and the first integral leaf ends the solve, while a "no"
+//!   still has to exhaust the tree.
 //!
 //! With the binaries fixed, the remaining system is a network of
 //! difference constraints (totally unimodular), so LP vertices are
@@ -80,9 +86,13 @@ pub fn min_max_delay_order(
 /// Decides whether a schedule exists meeting every path's deadline, and
 /// returns one if so.
 ///
-/// This is the feasibility oracle of the linear minislot search: the
-/// admission controller calls it with increasing frame sizes until it
-/// succeeds.
+/// This is the feasibility oracle of the minislot search: the admission
+/// controller calls it with increasing frame sizes until it succeeds.
+/// The answer is *a feasible point, not the most compact one*: the model
+/// carries no objective, so the solve stops at the first schedule that
+/// meets every constraint and its start times may leave gaps. A caller
+/// that wants the tight layout replays the returned order through
+/// [`validate_order_within`] (earliest starts of that order).
 ///
 /// # Errors
 ///
@@ -109,11 +119,13 @@ pub fn feasible_order(
 /// Like [`feasible_order`], but confines all guaranteed transmissions to
 /// the first `used_slots` minislots of the frame.
 ///
-/// This is the oracle of the linear minislot search: the frame (and hence
-/// the wrap cost of a backwards-ordered hop) stays at its full length,
-/// while the admission controller shrinks `used_slots` to find the
-/// smallest guaranteed-traffic region, leaving the rest of the frame to
-/// best effort.
+/// This is the oracle of the minislot search: the frame (and hence the
+/// wrap cost of a backwards-ordered hop) stays at its full length, while
+/// the admission controller shrinks `used_slots` to find the smallest
+/// guaranteed-traffic region, leaving the rest of the frame to best
+/// effort. As with [`feasible_order`] the result is a feasible point, not
+/// the most compact one: its makespan is at most `used_slots`, not
+/// minimal.
 ///
 /// # Errors
 ///
@@ -208,6 +220,38 @@ pub fn validate_order_within(
     })
 }
 
+/// Indices of the requirements whose delay rows the model needs.
+///
+/// Requirement `r` is *dominated* by `by` when `r`'s route is a
+/// contiguous run of `by`'s route and `by`'s deadline is no looser
+/// (`None` being the loosest). Every hop adds a non-negative wait, so the
+/// delay along a sub-route never exceeds the delay along the route: any
+/// schedule meeting `by` meets `r` (proof in DESIGN §3.4), and in
+/// optimization mode `r` cannot be the maximum unless `by` ties it. Of
+/// two requirements that dominate each other (same route, same deadline)
+/// the first is kept. Domination is transitive, so every dropped
+/// requirement is implied by a kept one.
+fn undominated(requirements: &[PathRequirement]) -> Vec<usize> {
+    let covers = |by: &PathRequirement, r: &PathRequirement| {
+        let no_looser = match (by.deadline_slots, r.deadline_slots) {
+            (_, None) => true,
+            (None, Some(_)) => false,
+            (Some(b), Some(d)) => b <= d,
+        };
+        let (outer, inner) = (by.path.links(), r.path.links());
+        no_looser && outer.windows(inner.len()).any(|run| run == inner)
+    };
+    (0..requirements.len())
+        .filter(|&i| {
+            let r = &requirements[i];
+            !requirements
+                .iter()
+                .enumerate()
+                .any(|(j, by)| j != i && covers(by, r) && (j < i || !covers(r, by)))
+        })
+        .collect()
+}
+
 fn solve(
     graph: &ConflictGraph,
     demands: &Demands,
@@ -264,9 +308,10 @@ fn solve(
         model.add_ge(si - sj + horizon * o, dj as f64);
     }
 
-    // Per-path wrap counters and delay expressions.
+    // Wrap counters and delay expressions, per undominated path.
     let mut delay_exprs: Vec<LinExpr> = Vec::new();
-    for (pidx, req) in requirements.iter().enumerate() {
+    for pidx in undominated(requirements) {
+        let req = &requirements[pidx];
         let links = req.path.links();
         let hops = links.len();
         let first = sigma[&links[0]];
@@ -302,19 +347,15 @@ fn solve(
         delay_exprs.push(delay);
     }
 
+    // Feasibility mode sets no objective: any point will do, and with
+    // every node's bound tied at 0 the search dives to its first integral
+    // leaf and stops there.
     if optimize {
         let z = model.add_var(0.0, f64::INFINITY, "z");
         for d in &delay_exprs {
             model.add_ge(LinExpr::from(z) - d.clone(), 0.0);
         }
         model.set_objective(Sense::Minimize, LinExpr::from(z));
-    } else {
-        // Feasibility: minimize total start time to get a compact layout.
-        let mut obj = LinExpr::new();
-        for &s in sigma.values() {
-            obj.add_term(s, 1.0);
-        }
-        model.set_objective(Sense::Minimize, obj);
     }
 
     let solution = match model.solve_with(config) {
@@ -559,6 +600,104 @@ mod tests {
             validate_order_within(&cg, &demands, &[req], FrameConfig::new(8, 100), 8, &empty)
                 .is_none()
         );
+    }
+
+    fn req(topo: &MeshTopology, from: u32, to: u32, deadline: Option<u64>) -> PathRequirement {
+        PathRequirement {
+            path: shortest_path(topo, NodeId(from), NodeId(to)).unwrap(),
+            deadline_slots: deadline,
+        }
+    }
+
+    #[test]
+    fn duplicate_route_keeps_the_first() {
+        let topo = generators::chain(5);
+        let reqs = [
+            req(&topo, 4, 0, Some(9)),
+            req(&topo, 4, 0, Some(9)),
+            req(&topo, 4, 0, Some(9)),
+        ];
+        assert_eq!(undominated(&reqs), vec![0]);
+        // Same route, different deadlines: the tightest one decides.
+        let reqs = [
+            req(&topo, 4, 0, Some(9)),
+            req(&topo, 4, 0, Some(7)),
+            req(&topo, 4, 0, None),
+        ];
+        assert_eq!(undominated(&reqs), vec![1]);
+    }
+
+    #[test]
+    fn sub_route_dropped_unless_its_deadline_is_tighter() {
+        let topo = generators::chain(5);
+        // Looser or equal deadline on a head, middle or tail run: implied.
+        for (from, to) in [(4, 2), (3, 1), (2, 0)] {
+            let reqs = [req(&topo, from, to, Some(12)), req(&topo, 4, 0, Some(12))];
+            assert_eq!(undominated(&reqs), vec![1], "{from} -> {to}");
+        }
+        // Tighter deadline on the sub-route: both constrain.
+        let reqs = [req(&topo, 2, 0, Some(5)), req(&topo, 4, 0, Some(12))];
+        assert_eq!(undominated(&reqs), vec![0, 1]);
+        // Nested chain: only the outermost survives.
+        let reqs = [
+            req(&topo, 2, 0, Some(12)),
+            req(&topo, 4, 0, Some(12)),
+            req(&topo, 3, 0, Some(12)),
+        ];
+        assert_eq!(undominated(&reqs), vec![1]);
+    }
+
+    #[test]
+    fn best_effort_is_covered_by_any_containing_route() {
+        let topo = generators::chain(5);
+        let reqs = [req(&topo, 3, 1, None), req(&topo, 4, 0, None)];
+        assert_eq!(undominated(&reqs), vec![1]);
+        let reqs = [req(&topo, 3, 1, None), req(&topo, 4, 0, Some(20))];
+        assert_eq!(undominated(&reqs), vec![1]);
+        // The other way round a deadline is not covered by best effort.
+        let reqs = [req(&topo, 3, 1, Some(20)), req(&topo, 4, 0, None)];
+        assert_eq!(undominated(&reqs), vec![0, 1]);
+    }
+
+    #[test]
+    fn reversed_or_disjoint_route_is_not_a_sub_route() {
+        let topo = generators::chain(5);
+        // 0 -> 2 crosses the same nodes as 4 -> 0 over the opposite links.
+        let reqs = [req(&topo, 0, 2, Some(12)), req(&topo, 4, 0, Some(12))];
+        assert_eq!(undominated(&reqs), vec![0, 1]);
+        let reqs = [req(&topo, 4, 2, Some(12)), req(&topo, 2, 0, Some(12))];
+        assert_eq!(undominated(&reqs), vec![0, 1]);
+    }
+
+    #[test]
+    fn max_delay_is_taken_over_every_requirement() {
+        // The model carries rows for 4 -> 0 only; the reported maximum
+        // still looks at all three routes, dropped ones included.
+        let topo = generators::chain(5);
+        let reqs = [
+            req(&topo, 2, 0, Some(16)),
+            req(&topo, 4, 0, Some(16)),
+            req(&topo, 4, 0, None),
+        ];
+        assert_eq!(undominated(&reqs), vec![1]);
+        let mut demands = Demands::new();
+        for &l in reqs[1].path.links() {
+            demands.set(l, 2);
+        }
+        let cg = ConflictGraph::build_for_links(
+            &topo,
+            demands.links().collect(),
+            InterferenceModel::protocol_default(),
+        );
+        let frame = FrameConfig::new(16, 100);
+        let sol = feasible_order(&cg, &demands, &reqs, frame, &SolverConfig::default()).unwrap();
+        let delays: Vec<u64> = reqs
+            .iter()
+            .map(|r| path_delay_slots(&sol.schedule, &r.path).unwrap())
+            .collect();
+        assert_eq!(sol.max_delay_slots, *delays.iter().max().unwrap());
+        assert!(delays[0] <= delays[1], "a sub-route cannot wait longer");
+        assert!(delays[1] <= 16);
     }
 
     #[test]

@@ -10,6 +10,13 @@ cargo test -q
 # The longest-path kernel behind every schedule must agree with the
 # reference Bellman-Ford (start times, makespans, errors, real cycles).
 cargo test -q -p wimesh-tdma --test kernel_equivalence
+# The exact slot search (heaviest-clique bound, warm order, oracle calls
+# inside the gap) must return the verdicts and minimal regions of a
+# bound-free linear scan over the same oracle after any churn; run with
+# the certifier compiled in, so every schedule it publishes is proven too.
+# (The oracle itself is pinned to the model it replaced by wimesh-tdma's
+# milp_model_equivalence suite, part of `cargo test -q` above.)
+cargo test -q -p wimesh --features checked --test exact_search_equivalence
 # The distributed-runtime scenario suite is the end-to-end gate for the
 # fault-handling stack; run it by name so a filter typo can't skip it.
 cargo test -q -p wimesh-node --test node_runtime
