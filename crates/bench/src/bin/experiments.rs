@@ -21,35 +21,12 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use wimesh_bench::{run_experiment, Ctx, ALL_EXPERIMENTS};
+use wimesh_bench::{experiment, run_experiment, Ctx, EXPERIMENTS};
 use wimesh_obs::sink::{JsonlSink, NoopSink};
 
-/// Spans need `&'static str` names; map known ids to fixed labels.
+/// The span a run of `id` is recorded under.
 fn span_name(id: &str) -> &'static str {
-    match id {
-        "e1" => "bench.e1",
-        "e2" => "bench.e2",
-        "e3" => "bench.e3",
-        "e4" => "bench.e4",
-        "e5" => "bench.e5",
-        "e6" => "bench.e6",
-        "e7" => "bench.e7",
-        "e8" => "bench.e8",
-        "e9" => "bench.e9",
-        "e10" => "bench.e10",
-        "e11" => "bench.e11",
-        "e12" => "bench.e12",
-        "e13" => "bench.e13",
-        "e14" => "bench.e14",
-        "t10" => "bench.t10",
-        "churn" => "bench.churn",
-        "runtime_faults" => "bench.runtime_faults",
-        "slo_audit" => "bench.slo_audit",
-        "parallel_scaling" => "bench.parallel_scaling",
-        "service_churn" => "bench.service_churn",
-        "approx_admission" => "bench.approx_admission",
-        _ => "bench.experiment",
-    }
+    experiment(id).map_or("bench.experiment", |(_, span, _)| span)
 }
 
 /// Warns about `BENCH_*.json` files in the output directory that no
@@ -68,7 +45,7 @@ fn warn_orphaned_artifacts(ctx: &Ctx) {
         else {
             continue;
         };
-        if !ALL_EXPERIMENTS.contains(&id) {
+        if experiment(id).is_none() {
             eprintln!(
                 "warning: orphaned artifact {} (no experiment id \"{id}\"); \
                  delete it or rename the experiment back",
@@ -161,7 +138,7 @@ fn main() -> ExitCode {
         }
     }
     let ids: Vec<&str> = if ids.is_empty() {
-        ALL_EXPERIMENTS.to_vec()
+        EXPERIMENTS.iter().map(|(id, ..)| *id).collect()
     } else {
         ids.iter().map(String::as_str).collect()
     };

@@ -3,7 +3,6 @@
 pub(crate) mod common;
 
 pub mod approx_admission;
-pub mod churn;
 pub mod e1;
 pub mod e10;
 pub mod e11;
@@ -18,8 +17,6 @@ pub mod e6;
 pub mod e7;
 pub mod e8;
 pub mod e9;
-pub mod parallel_scaling;
 pub mod runtime_faults;
-pub mod service_churn;
 pub mod slo_audit;
 pub mod t10;

@@ -114,30 +114,48 @@ impl Ctx {
     }
 }
 
-/// All experiment ids in run order.
-pub const ALL_EXPERIMENTS: &[&str] = &[
-    "e1",
-    "e2",
-    "e3",
-    "e4",
-    "e5",
-    "e6",
-    "e7",
-    "e8",
-    "e9",
-    "t10",
-    "e10",
-    "e11",
-    "e12",
-    "e13",
-    "e14",
-    "churn",
-    "runtime_faults",
-    "slo_audit",
-    "parallel_scaling",
-    "service_churn",
-    "approx_admission",
+/// One experiment: its id, the span a run is recorded under (spans need
+/// `&'static str` names) and its entry point.
+pub type Experiment = (
+    &'static str,
+    &'static str,
+    fn(&Ctx) -> Result<(), BenchError>,
+);
+
+/// Every experiment, in run order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("e1", "bench.e1", experiments::e1::run),
+    ("e2", "bench.e2", experiments::e2::run),
+    ("e3", "bench.e3", experiments::e3::run),
+    ("e4", "bench.e4", experiments::e4::run),
+    ("e5", "bench.e5", experiments::e5::run),
+    ("e6", "bench.e6", experiments::e6::run),
+    ("e7", "bench.e7", experiments::e7::run),
+    ("e8", "bench.e8", experiments::e8::run),
+    ("e9", "bench.e9", experiments::e9::run),
+    ("t10", "bench.t10", experiments::t10::run),
+    ("e10", "bench.e10", experiments::e10::run),
+    ("e11", "bench.e11", experiments::e11::run),
+    ("e12", "bench.e12", experiments::e12::run),
+    ("e13", "bench.e13", experiments::e13::run),
+    ("e14", "bench.e14", experiments::e14::run),
+    (
+        "runtime_faults",
+        "bench.runtime_faults",
+        experiments::runtime_faults::run,
+    ),
+    ("slo_audit", "bench.slo_audit", experiments::slo_audit::run),
+    (
+        "approx_admission",
+        "bench.approx_admission",
+        experiments::approx_admission::run,
+    ),
 ];
+
+/// The row of [`EXPERIMENTS`] with this id.
+pub fn experiment(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|(known, ..)| *known == id)
+}
 
 /// Runs one experiment by id.
 ///
@@ -145,28 +163,8 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
 ///
 /// Returns an error for unknown ids or experiment failures.
 pub fn run_experiment(id: &str, ctx: &Ctx) -> Result<(), BenchError> {
-    match id {
-        "e1" => experiments::e1::run(ctx),
-        "e2" => experiments::e2::run(ctx),
-        "e3" => experiments::e3::run(ctx),
-        "e4" => experiments::e4::run(ctx),
-        "e5" => experiments::e5::run(ctx),
-        "e6" => experiments::e6::run(ctx),
-        "e7" => experiments::e7::run(ctx),
-        "e8" => experiments::e8::run(ctx),
-        "e9" => experiments::e9::run(ctx),
-        "e10" => experiments::e10::run(ctx),
-        "e11" => experiments::e11::run(ctx),
-        "e12" => experiments::e12::run(ctx),
-        "e13" => experiments::e13::run(ctx),
-        "e14" => experiments::e14::run(ctx),
-        "t10" => experiments::t10::run(ctx),
-        "churn" => experiments::churn::run(ctx),
-        "runtime_faults" => experiments::runtime_faults::run(ctx),
-        "slo_audit" => experiments::slo_audit::run(ctx),
-        "parallel_scaling" => experiments::parallel_scaling::run(ctx),
-        "service_churn" => experiments::service_churn::run(ctx),
-        "approx_admission" => experiments::approx_admission::run(ctx),
-        other => Err(BenchError::Other(format!("unknown experiment id: {other}"))),
+    match experiment(id) {
+        Some((_, _, run)) => run(ctx),
+        None => Err(BenchError::Other(format!("unknown experiment id: {id}"))),
     }
 }

@@ -25,7 +25,7 @@
 //!
 //! The checker is deliberately simple — no warm starts, no incremental
 //! state, no pruning — so the heavily optimised admission paths (warm
-//! orders, binary slot search, parallel branch & bound) are continuously
+//! orders, binary slot search, bound-closed exact search) are continuously
 //! cross-checked against a reference oracle. All violations are collected,
 //! not just the first.
 

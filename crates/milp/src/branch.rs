@@ -1,18 +1,9 @@
 //! Best-first branch & bound over the LP relaxation.
-//!
-//! With `threads = 1` (the default) the search is the classic serial
-//! best-first loop. With `threads > 1` the same node pool is worked by a
-//! scoped thread team sharing one frontier heap and one incumbent behind a
-//! mutex; see [`SolverConfig::threads`] for the determinism contract.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::{Condvar, Mutex};
 
 use crate::model::{LpBasis, Model, Solution, SolveError, VarKind, WarmStart};
-
-/// Hard cap on [`SolverConfig::threads`]; requests above it are clamped.
-pub const MAX_SOLVER_THREADS: usize = 64;
 
 /// Tuning knobs for [`Model::solve_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,24 +15,6 @@ pub struct SolverConfig {
     pub abs_gap: f64,
     /// Values within `int_tol` of an integer count as integral.
     pub int_tol: f64,
-    /// Worker threads for the branch & bound search of one solve — the
-    /// value's only meaning: the admission slot search runs one solve at
-    /// a time and passes it through.
-    ///
-    /// `1` (the default) runs the exact serial code path. Larger values
-    /// spawn a scoped worker team over a shared frontier. The value is
-    /// validated by [`SolverConfig::effective_threads`]: `0` means `1`,
-    /// and anything above [`MAX_SOLVER_THREADS`] is clamped.
-    ///
-    /// **Determinism**: the returned *verdict* (feasible / infeasible /
-    /// unbounded) and *objective value* are identical to the serial
-    /// solver's — pruning only ever discards bound-dominated nodes, so the
-    /// proven optimum cannot change. With alternate optima the returned
-    /// assignment is made run-to-run deterministic by a lexicographic
-    /// tie-break on incumbent updates, but may be a *different* optimal
-    /// assignment than the serial one. Runs that stop at the node budget
-    /// carry no optimality proof and may differ across thread counts.
-    pub threads: usize,
 }
 
 impl Default for SolverConfig {
@@ -50,7 +23,6 @@ impl Default for SolverConfig {
             max_nodes: 200_000,
             abs_gap: 1e-6,
             int_tol: 1e-6,
-            threads: 1,
         }
     }
 }
@@ -62,27 +34,6 @@ impl SolverConfig {
             max_nodes,
             ..Self::default()
         }
-    }
-
-    /// A configuration with a custom worker-thread count.
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            ..Self::default()
-        }
-    }
-
-    /// Returns `self` with the thread count replaced.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The validated worker count: at least 1, at most
-    /// [`MAX_SOLVER_THREADS`].
-    pub fn effective_threads(&self) -> usize {
-        self.threads.clamp(1, MAX_SOLVER_THREADS)
     }
 }
 
@@ -163,21 +114,6 @@ fn snap_integral(model: &Model, values: &[f64]) -> (Vec<f64>, f64) {
     (snapped, obj)
 }
 
-/// `true` when `a` precedes `b` lexicographically (used to pick a canonical
-/// assignment among equal-objective incumbents so parallel runs are
-/// run-to-run deterministic regardless of arrival order).
-fn lex_less(a: &[f64], b: &[f64]) -> bool {
-    for (x, y) in a.iter().zip(b.iter()) {
-        if x < y {
-            return true;
-        }
-        if x > y {
-            return false;
-        }
-    }
-    a.len() < b.len()
-}
-
 /// Seeds the incumbent from a warm-start hint, if the hint checks out.
 fn warm_incumbent(
     model: &Model,
@@ -231,7 +167,7 @@ pub(crate) fn branch_and_bound(
     // Seed the incumbent from the warm-start hint, if it checks out. A
     // feasible incumbent bounds the whole tree from the first pop onward;
     // a stale hint (wrong arity, violated constraint) is simply dropped.
-    let incumbent = warm_incumbent(model, config, warm);
+    let mut incumbent = warm_incumbent(model, config, warm);
 
     let root = match model.solve_relaxation_seeded(Some(&root_bounds), None) {
         Ok((values, obj, basis)) => Node {
@@ -246,27 +182,13 @@ pub(crate) fn branch_and_bound(
         Err(e) => return Err(e),
     };
 
-    if config.effective_threads() > 1 {
-        parallel_search(model, config, incumbent, root)
-    } else {
-        serial_search(model, config, incumbent, root)
-    }
-}
-
-/// The classic serial best-first loop (exact pre-`threads` behavior).
-fn serial_search(
-    model: &Model,
-    config: &SolverConfig,
-    mut incumbent: Option<(Vec<f64>, f64)>,
-    root: Node,
-) -> Result<Solution, SolveError> {
-    let maximize = matches!(model.sense(), crate::Sense::Maximize);
-    let to_score = |obj: f64| if maximize { obj } else { -obj };
-
     let mut heap = BinaryHeap::new();
     heap.push(root);
     let mut nodes_explored = 0usize;
     let mut nodes_pruned = 0u64;
+    // Set where the budget stops the search: the node popped there is
+    // dropped unexplored and counts as open, whatever the heap holds.
+    let mut budget_hit = false;
 
     while let Some(node) = heap.pop() {
         // Bound-based pruning: the heap is best-first, so once the best
@@ -280,6 +202,7 @@ fn serial_search(
             }
         }
         if nodes_explored >= config.max_nodes {
+            budget_hit = true;
             break;
         }
         nodes_explored += 1;
@@ -344,236 +267,15 @@ fn serial_search(
 
     wimesh_obs::counter_add("milp.bnb.nodes_explored", nodes_explored as u64);
     wimesh_obs::counter_add("milp.bnb.nodes_pruned", nodes_pruned);
-    finish(
-        config,
-        incumbent,
-        nodes_explored,
-        nodes_explored >= config.max_nodes && !heap.is_empty(),
-    )
-}
-
-/// What a worker produced from one node, applied under the lock.
-enum Expansion {
-    /// The node's relaxation was integral: a candidate incumbent.
-    Incumbent(Vec<f64>, f64),
-    /// Child subproblems whose relaxations were solved off-lock.
-    Children(Vec<Node>),
-}
-
-/// State shared by the worker team. Everything lives behind one mutex: the
-/// per-node work (two LP solves) dwarfs the lock hold time, so a single
-/// lock is cheaper and simpler than fine-grained sharding.
-struct SharedState {
-    /// The work-sharing frontier: any worker pops the globally best bound.
-    heap: BinaryHeap<Node>,
-    incumbent: Option<(Vec<f64>, f64)>,
-    nodes_explored: usize,
-    nodes_pruned: u64,
-    /// Workers currently expanding a node off-lock. Termination requires
-    /// an empty heap *and* `active == 0` — an in-flight expansion may
-    /// still push children.
-    active: usize,
-}
-
-/// Work-sharing parallel best-first search.
-///
-/// Workers pop the best-bound node from the shared heap, expand it (two
-/// child LP solves) outside the lock, then publish children and incumbent
-/// updates back under the lock. Sleeping workers are woken through a
-/// condvar whenever new work or a better incumbent arrives.
-///
-/// Soundness: a node is only discarded when its LP bound cannot beat the
-/// current incumbent by more than `abs_gap`, which is exactly the serial
-/// prune rule — parallel exploration order changes *which* nodes get
-/// expanded, never the proven optimum. Equal-objective incumbents are
-/// resolved lexicographically ([`lex_less`]) so the returned assignment is
-/// run-to-run deterministic despite nondeterministic arrival order.
-fn parallel_search(
-    model: &Model,
-    config: &SolverConfig,
-    incumbent: Option<(Vec<f64>, f64)>,
-    root: Node,
-) -> Result<Solution, SolveError> {
-    let maximize = matches!(model.sense(), crate::Sense::Maximize);
-    let threads = config.effective_threads();
-
-    let mut heap = BinaryHeap::new();
-    heap.push(root);
-    let shared = Mutex::new(SharedState {
-        heap,
-        incumbent,
-        nodes_explored: 0,
-        nodes_pruned: 0,
-        active: 0,
-    });
-    let wake = Condvar::new();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| worker_loop(model, config, maximize, &shared, &wake));
-        }
-    });
-
-    let state = shared.into_inner().unwrap_or_else(|e| e.into_inner());
-    wimesh_obs::counter_add("milp.bnb.nodes_explored", state.nodes_explored as u64);
-    wimesh_obs::counter_add("milp.bnb.nodes_pruned", state.nodes_pruned);
-    finish(
-        config,
-        state.incumbent,
-        state.nodes_explored,
-        state.nodes_explored >= config.max_nodes && !state.heap.is_empty(),
-    )
-}
-
-fn worker_loop(
-    model: &Model,
-    config: &SolverConfig,
-    maximize: bool,
-    shared: &Mutex<SharedState>,
-    wake: &Condvar,
-) {
-    let to_score = |obj: f64| if maximize { obj } else { -obj };
-    loop {
-        // Claim phase: pop a node or decide the search is over.
-        let node = {
-            let mut state = shared.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                // Frontier pruning: drop heap tops bounded away by the
-                // incumbent. Unlike the serial loop this cannot end the
-                // whole search (a worker may still publish a better node),
-                // but each discard is individually sound.
-                if let Some((_, inc_obj)) = &state.incumbent {
-                    let cut = to_score(*inc_obj) + config.abs_gap;
-                    while state.heap.peek().is_some_and(|n| n.score <= cut) {
-                        state.heap.pop();
-                        state.nodes_pruned += 1;
-                    }
-                }
-                if state.nodes_explored >= config.max_nodes {
-                    // Budget spent: claim nothing more, wait for in-flight
-                    // expansions so the final heap state is settled.
-                    if state.active == 0 {
-                        wake.notify_all();
-                        return;
-                    }
-                } else if let Some(node) = state.heap.pop() {
-                    state.nodes_explored += 1;
-                    state.active += 1;
-                    break node;
-                } else if state.active == 0 {
-                    // No work anywhere and nobody can create more: done.
-                    wake.notify_all();
-                    return;
-                }
-                state = wake.wait(state).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-
-        // Expansion phase: LP solves happen outside the lock.
-        let expansion = expand(model, config, maximize, &node);
-
-        let mut state = shared.lock().unwrap_or_else(|e| e.into_inner());
-        match expansion {
-            Expansion::Incumbent(snapped, obj) => {
-                let replace = match &state.incumbent {
-                    None => true,
-                    Some((inc_vals, inc_obj)) => {
-                        let (s, cur) = (to_score(obj), to_score(*inc_obj));
-                        // Deterministic tie-break: strictly better score
-                        // wins; equal-objective candidates resolve to the
-                        // lexicographically smallest assignment.
-                        if s > cur + 1e-9 {
-                            true
-                        } else if s < cur - 1e-9 {
-                            false
-                        } else {
-                            lex_less(&snapped, inc_vals)
-                        }
-                    }
-                };
-                if replace {
-                    state.incumbent = Some((snapped, obj));
-                }
-            }
-            Expansion::Children(children) => {
-                for child in children {
-                    // Re-check against the *current* incumbent: a sibling
-                    // worker may have tightened it during our expansion.
-                    let keep = match &state.incumbent {
-                        None => true,
-                        Some((_, inc)) => child.score > to_score(*inc) + config.abs_gap,
-                    };
-                    if keep {
-                        state.heap.push(child);
-                    } else {
-                        state.nodes_pruned += 1;
-                    }
-                }
-            }
-        }
-        state.active -= 1;
-        wake.notify_all();
-    }
-}
-
-/// Expands one claimed node off-lock.
-fn expand(model: &Model, config: &SolverConfig, maximize: bool, node: &Node) -> Expansion {
-    let to_score = |obj: f64| if maximize { obj } else { -obj };
-    match pick_branch_var(model, config, &node.values) {
-        None => {
-            let (snapped, obj) = snap_integral(model, &node.values);
-            Expansion::Incumbent(snapped, obj)
-        }
-        Some((var, x)) => {
-            let floor = x.floor();
-            let mut down = node.bounds.clone();
-            down[var].1 = down[var].1.min(floor);
-            let mut up = node.bounds.clone();
-            up[var].0 = up[var].0.max(floor + 1.0);
-            let mut children = Vec::with_capacity(2);
-            for child in [down, up] {
-                if child[var].0 > child[var].1 + 1e-12 {
-                    continue;
-                }
-                if let Ok((child_values, child_obj, child_basis)) =
-                    model.solve_relaxation_seeded(Some(&child), node.basis.as_ref())
-                {
-                    children.push(Node {
-                        score: to_score(child_obj),
-                        bounds: child,
-                        depth: node.depth + 1,
-                        values: child_values,
-                        obj: child_obj,
-                        basis: child_basis,
-                    });
-                }
-            }
-            Expansion::Children(children)
-        }
-    }
-}
-
-/// Assembles the final [`Solution`] / error from the search outcome.
-fn finish(
-    config: &SolverConfig,
-    incumbent: Option<(Vec<f64>, f64)>,
-    nodes_explored: usize,
-    bound_gap_open: bool,
-) -> Result<Solution, SolveError> {
     match incumbent {
         Some((values, objective)) => Ok(Solution::from_parts(
             values,
             objective,
             nodes_explored,
-            bound_gap_open,
+            budget_hit,
         )),
-        None => {
-            if nodes_explored >= config.max_nodes {
-                Err(SolveError::NodeLimit)
-            } else {
-                Err(SolveError::Infeasible)
-            }
-        }
+        None if budget_hit => Err(SolveError::NodeLimit),
+        None => Err(SolveError::Infeasible),
     }
 }
 
@@ -742,40 +444,65 @@ mod tests {
     }
 
     #[test]
-    fn threaded_node_limit_terminates_without_incumbent() {
+    fn node_limit_with_open_frontier_and_no_incumbent() {
         // One node is the root, which must branch (x = 2.5): the budget
         // is spent with the integral child still on the frontier.
         let mut m = Model::new();
         let x = m.add_integer_var(0.0, 10.0, "x");
         m.add_le(2.0 * x, 5.0);
         m.set_objective(Sense::Maximize, LinExpr::from(x));
-        for threads in [1, 4] {
-            let cfg = SolverConfig::with_max_nodes(1).threads(threads);
+        let cfg = SolverConfig::with_max_nodes(1);
+        assert_eq!(m.solve_with(&cfg).unwrap_err(), SolveError::NodeLimit);
+    }
+
+    #[test]
+    fn exhausted_tree_on_the_last_budgeted_node_is_infeasible() {
+        // 2x = 1 over a binary: the root (x = 0.5) spends the whole
+        // budget and both children are LP-infeasible, so the tree is
+        // exhausted, not cut short.
+        let mut m = Model::new();
+        let x = m.add_binary_var("x");
+        m.add_eq(2.0 * x, 1.0);
+        m.set_objective(Sense::Minimize, LinExpr::from(x));
+        for budget in [1, 2] {
+            let cfg = SolverConfig::with_max_nodes(budget);
             assert_eq!(
                 m.solve_with(&cfg).unwrap_err(),
-                SolveError::NodeLimit,
-                "threads {threads}"
+                SolveError::Infeasible,
+                "budget {budget}"
             );
         }
     }
 
     #[test]
-    fn threaded_integer_infeasible_model_terminates() {
+    fn node_dropped_at_the_budget_leaves_the_gap_open() {
+        // Warm incumbent x = 0, budget 1: the root branches, its x <= 2
+        // child is popped and dropped by the budget. The heap is empty
+        // then, but x = 0 is not proven optimal.
+        let mut m = Model::new();
+        let x = m.add_integer_var(0.0, 10.0, "x");
+        m.add_le(2.0 * x, 5.0);
+        m.set_objective(Sense::Maximize, LinExpr::from(x));
+        let sol = m
+            .solve_with_warm_start(
+                &SolverConfig::with_max_nodes(1),
+                &crate::WarmStart::with_incumbent(vec![0.0]),
+            )
+            .unwrap();
+        assert!(sol.objective().abs() < 1e-9);
+        assert!(sol.is_bound_gap_open());
+    }
+
+    #[test]
+    fn integer_infeasible_model_exhausts_the_tree() {
         // 2x + 2y = 3 has LP solutions but no integral one, so the
-        // verdict needs the whole tree: every worker must drain out.
+        // verdict needs the whole tree.
         let mut m = Model::new();
         let x = m.add_integer_var(0.0, 5.0, "x");
         let y = m.add_integer_var(0.0, 5.0, "y");
         m.add_eq(2.0 * x + 2.0 * y, 3.0);
         m.set_objective(Sense::Minimize, x + y);
-        for threads in [1, 4] {
-            assert_eq!(
-                m.solve_with(&SolverConfig::with_threads(threads))
-                    .unwrap_err(),
-                SolveError::Infeasible,
-                "threads {threads}"
-            );
-        }
+        assert_eq!(m.solve().unwrap_err(), SolveError::Infeasible);
     }
 
     #[test]
@@ -842,98 +569,6 @@ mod tests {
                 }
                 Err(e) => panic!("trial {trial}: unexpected error {e}"),
             }
-        }
-    }
-
-    #[test]
-    fn threads_knob_validates() {
-        assert_eq!(SolverConfig::default().effective_threads(), 1);
-        assert_eq!(SolverConfig::with_threads(0).effective_threads(), 1);
-        assert_eq!(SolverConfig::with_threads(4).effective_threads(), 4);
-        assert_eq!(
-            SolverConfig::with_threads(10_000).effective_threads(),
-            MAX_SOLVER_THREADS
-        );
-        assert_eq!(SolverConfig::default().threads(8).effective_threads(), 8);
-    }
-
-    #[test]
-    fn parallel_matches_serial_on_knapsack() {
-        let weights = [6.0, 5.0, 5.0, 1.0];
-        let values = [10.0, 8.0, 8.0, 1.0];
-        let mut m = Model::new();
-        let vars: Vec<_> = (0..4).map(|i| m.add_binary_var(&format!("x{i}"))).collect();
-        let mut w = LinExpr::new();
-        let mut v = LinExpr::new();
-        for i in 0..4 {
-            w.add_term(vars[i], weights[i]);
-            v.add_term(vars[i], values[i]);
-        }
-        m.add_le(w, 10.0);
-        m.set_objective(Sense::Maximize, v);
-        let serial = m.solve_with(&SolverConfig::default()).unwrap();
-        let parallel = m.solve_with(&SolverConfig::with_threads(4)).unwrap();
-        assert!((serial.objective() - parallel.objective()).abs() < 1e-9);
-        assert!(m.is_feasible(parallel.values(), 1e-6));
-    }
-
-    #[test]
-    fn parallel_matches_serial_on_random_family() {
-        let mut state = 0xfeedbeefu64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / ((1u64 << 31) as f64)
-        };
-        for trial in 0..15 {
-            let n = 4 + (trial % 4);
-            let mut m = Model::new();
-            let vars: Vec<_> = (0..n).map(|i| m.add_binary_var(&format!("v{i}"))).collect();
-            for _ in 0..2 {
-                let mut e = LinExpr::new();
-                for &v in &vars {
-                    e.add_term(v, (next() * 10.0).round());
-                }
-                m.add_le(e, (next() * 10.0 * n as f64 / 2.0).round());
-            }
-            let mut obj = LinExpr::new();
-            for &v in &vars {
-                obj.add_term(v, (next() * 20.0).round() - 5.0);
-            }
-            m.set_objective(Sense::Maximize, obj);
-
-            let serial = m.solve_with(&SolverConfig::default());
-            let parallel = m.solve_with(&SolverConfig::with_threads(4));
-            match (serial, parallel) {
-                (Ok(s), Ok(p)) => {
-                    assert!(
-                        (s.objective() - p.objective()).abs() < 1e-9,
-                        "trial {trial}: serial {} vs parallel {}",
-                        s.objective(),
-                        p.objective()
-                    );
-                    assert!(m.is_feasible(p.values(), 1e-6));
-                }
-                (Err(se), Err(pe)) => assert_eq!(se, pe, "trial {trial}"),
-                (s, p) => panic!("trial {trial}: verdict mismatch {s:?} vs {p:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_run_to_run_deterministic_assignment() {
-        // Two symmetric optima; the lexicographic tie-break must always
-        // return the same one no matter how the workers race.
-        let mut m = Model::new();
-        let x = m.add_binary_var("x");
-        let y = m.add_binary_var("y");
-        m.add_le(x + y, 1.0);
-        m.set_objective(Sense::Maximize, x + y);
-        let first = m.solve_with(&SolverConfig::with_threads(4)).unwrap();
-        for _ in 0..10 {
-            let again = m.solve_with(&SolverConfig::with_threads(4)).unwrap();
-            assert_eq!(first.values(), again.values());
         }
     }
 }

@@ -44,6 +44,6 @@ mod expr;
 mod model;
 mod simplex;
 
-pub use branch::{SolverConfig, MAX_SOLVER_THREADS};
+pub use branch::SolverConfig;
 pub use expr::{LinExpr, VarId};
 pub use model::{CmpOp, Model, Sense, Solution, SolveError, VarKind, WarmStart};

@@ -6,9 +6,9 @@
 //! the hot path: each name maps to an `Arc`'d atomic cell, and a
 //! recording call takes a brief read lock only to look the cell up
 //! (a write lock once, on first registration), then updates it with
-//! relaxed atomics. That makes concurrent recording from the parallel
-//! branch-and-bound workers and the gateway's worker thread scale
-//! without serializing on a registry mutex. Histograms and span aggregates
+//! relaxed atomics. That keeps concurrent recording — the gateway's
+//! worker thread next to the thread that drives the process — from
+//! serializing on a registry mutex. Histograms and span aggregates
 //! mutate multiple words per record, so they stay behind a mutex;
 //! instrumented code keeps hot-loop tallies in locals and publishes
 //! once per call, so those locks are taken at call granularity.

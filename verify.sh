@@ -20,13 +20,6 @@ cargo test -q -p wimesh --features checked --test exact_search_equivalence
 # The distributed-runtime scenario suite is the end-to-end gate for the
 # fault-handling stack; run it by name so a filter typo can't skip it.
 cargo test -q -p wimesh-node --test node_runtime
-# Same for the threaded-solver determinism suite: admission over serial
-# and 4-thread branch & bound must agree on every verdict.
-cargo test -q -p wimesh --test parallel_equivalence
-# The parallel scaling benchmark end to end (quick sweep): one exact
-# admission session at 1/2/4 work-sharing B&B threads, gated on verdict
-# equality, writing BENCH_parallel_scaling.json.
-cargo run -p wimesh-bench --release --bin experiments -- parallel_scaling --quick
 # Approximation-mode admission: the soundness property suite (every
 # greedy/LP-rounded schedule certifies, exact never needs more slots on
 # the accepted set, approx_gap bounds the true gap), then the benchmark
@@ -41,9 +34,7 @@ cargo test -q -p wimesh-obs --test obs_stream
 cargo run -p wimesh-bench --release --bin experiments -- slo_audit --quick
 # The admission gateway service: batched front-end semantics and the
 # crash-point recovery harness (every line-boundary and torn-write
-# truncation must recover certified or fail typed), then the
-# service-churn benchmark end to end with its >=2x batching gate and
-# kill-and-recover bit-identity checks.
+# truncation must recover certified or fail typed).
 cargo test -q -p wimesh-svc --test service
 cargo test -q -p wimesh-svc --test crash_recovery
 # The journal decoder: equivalence with the substring decoder it
@@ -51,7 +42,6 @@ cargo test -q -p wimesh-svc --test crash_recovery
 # recovery is certified), and recovery's blindness to what precedes the
 # last snapshot.
 cargo test -q -p wimesh-svc --test journal_decode
-cargo run -p wimesh-bench --release --bin experiments -- service_churn --quick
 # The serde feature must keep round-tripping the persistable types the
 # journal depends on (SessionState, FlowSpec, schedules, stats).
 cargo test -q -p wimesh --features serde --test serde_feature
