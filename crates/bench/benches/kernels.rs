@@ -87,6 +87,23 @@ fn bench_schedule_from_order(c: &mut Criterion) {
     c.bench_function("schedule_from_order_grid8x8_25calls", |b| {
         b.iter(|| schedule_from_order(&cg, &demands, &ord, frame).unwrap())
     });
+
+    // What the session pays for one call arriving and one leaving while it
+    // holds those 25 (routing and vetting of the arrival included).
+    let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+    let mut session = mesh.session(OrderPolicy::HopOrder);
+    for (id, path) in paths.iter().enumerate() {
+        let (src, dst) = (path.source(), path.destination());
+        let call = FlowSpec::voip(id as u32, src, dst, VoipCodec::G711);
+        assert!(session.admit(&call).unwrap().is_admitted());
+    }
+    let extra = FlowSpec::voip(25, NodeId(9), NodeId(27), VoipCodec::G711);
+    c.bench_function("session_admit_release_grid8x8_25calls", |b| {
+        b.iter(|| {
+            assert!(session.admit(&extra).unwrap().is_admitted());
+            session.release(extra.id).unwrap()
+        })
+    });
 }
 
 fn bench_milp(c: &mut Criterion) {

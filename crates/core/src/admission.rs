@@ -21,11 +21,12 @@
 //! Minislots not claimed by the guaranteed region remain for best-effort
 //! traffic.
 //!
-//! The building blocks of the pipeline (flow vetting, demand aggregation,
-//! solving on a prebuilt conflict graph) are factored out so the stateful
-//! [`crate::QosSession`] can reuse them against its *cached* conflict
-//! graph and warm-started slot search instead of rebuilding everything
-//! per call.
+//! This is the cold engine: every call aggregates demands, builds the
+//! conflict graph and solves from nothing. The stateful
+//! [`crate::QosSession`] shares its building blocks (flow vetting, the
+//! per-link demand formula, the clique bound, the greedy ranking, the LP
+//! rounding arm) but keeps per-link and per-flow state between calls and
+//! applies each decision as a delta to it.
 
 use std::time::Duration;
 
@@ -40,7 +41,7 @@ use wimesh_tdma::{
     TransmissionOrder,
 };
 use wimesh_topology::routing::{shortest_path, GatewayRouting, Path};
-use wimesh_topology::{MeshTopology, NodeId};
+use wimesh_topology::{LinkId, MeshTopology, NodeId};
 
 use crate::{FlowSpec, QosError};
 
@@ -115,6 +116,10 @@ pub enum RejectReason {
     /// The MILP oracle gave up (limits); the flow is rejected
     /// conservatively.
     SolverLimit(String),
+    /// A flow with this id is already admitted (or was accepted earlier
+    /// in the same batch): a retried request must not reserve twice.
+    /// Release the id first to change its reservation.
+    DuplicateFlow,
 }
 
 /// An admitted flow with its reservation and delay bound.
@@ -251,13 +256,20 @@ pub(crate) fn admit_routed(
         // Rank against the joint demand of the whole candidate set: the
         // clique loads a flow competes with are those of everyone asking.
         let (demands, graph) = {
-            let refs: Vec<&Accepted> = vetted.iter().map(|(_, c)| c).collect();
-            let demands = aggregate_demands(model, link_payloads, loss_provisioning, &refs);
+            let demands = aggregate_demands(
+                model,
+                link_payloads,
+                loss_provisioning,
+                vetted.iter().map(|(_, c)| (&c.spec, &c.path)),
+            );
             let graph =
                 ConflictGraph::build_for_links(topo, demands.links().collect(), interference);
             (demands, graph)
         };
-        vetted.sort_by_cached_key(|(idx, c)| (greedy_rank(key, &graph, &demands, c), *idx));
+        vetted.sort_by_cached_key(|(idx, c)| {
+            let rank = greedy_rank(key, &graph, |l| demands.get(l), &c.path, c.slots_per_link);
+            (rank, *idx)
+        });
     }
 
     let mut accepted: Vec<Accepted> = Vec::new();
@@ -360,17 +372,17 @@ pub(crate) fn vet_flow(
     // the largest one along the path. Loss provisioning scales the
     // *slot count* by the expected retransmission factor — a failed
     // minislot needs a spare minislot, not spare bytes.
-    let scale = 1.0 / (1.0 - loss_provisioning);
     let slots_per_link = path
         .links()
         .iter()
         .map(|&l| {
-            let base = model.slots_for_load_at(
+            link_demand(
+                model,
+                link_payloads[l.index()],
+                loss_provisioning,
                 spec.rate_bps,
                 spec.burst_bytes as u64,
-                link_payloads[l.index()],
-            );
-            (base as f64 * scale).ceil() as u32
+            )
         })
         .max()
         .unwrap_or(1);
@@ -404,19 +416,39 @@ fn pipeline_budget_slots(
 
 /// The deadline budget of a vetted flow in pipeline minislots (`None`
 /// for best-effort flows).
-pub(crate) fn flow_budget(model: &EmulationModel, f: &Accepted) -> Option<u64> {
+pub(crate) fn flow_budget(
+    model: &EmulationModel,
+    deadline: Option<Duration>,
+    path: &Path,
+) -> Option<u64> {
     let frame = model.frame();
     let mesh_frame = model.mesh_frame();
     let slot = Duration::from_micros(frame.slot_duration_us());
-    f.spec.deadline.and_then(|d| {
+    deadline.and_then(|d| {
         pipeline_budget_slots(
             d,
-            &f.path,
+            path,
             mesh_frame.frame_duration(),
             mesh_frame.ctrl_duration(),
             slot,
         )
     })
+}
+
+/// Minislots per frame a link whose minislot carries `payload` bytes
+/// needs for the summed `rate_bps` and `burst_bytes` of the flows crossing
+/// it. Retransmission headroom is bought in minislots: the slot count is
+/// scaled, not the byte load (one lost packet costs a whole slot).
+pub(crate) fn link_demand(
+    model: &EmulationModel,
+    payload: u32,
+    loss_provisioning: f64,
+    rate_bps: f64,
+    burst_bytes: u64,
+) -> u32 {
+    let base = model.slots_for_load_at(rate_bps, burst_bytes, payload);
+    let scale = 1.0 / (1.0 - loss_provisioning);
+    (base as f64 * scale).ceil() as u32
 }
 
 /// Aggregates the per-link minislot demand of a flow set.
@@ -428,26 +460,28 @@ pub(crate) fn flow_budget(model: &EmulationModel, f: &Accepted) -> Option<u64> {
 /// absorb a simultaneous burst from every sharer). Retransmission
 /// headroom is bought in minislots: the slot count is scaled, not the
 /// byte load (one lost packet costs a whole slot).
-pub(crate) fn aggregate_demands(
+pub(crate) fn aggregate_demands<'a>(
     model: &EmulationModel,
     link_payloads: &[u32],
     loss_provisioning: f64,
-    flows: &[&Accepted],
+    flows: impl IntoIterator<Item = (&'a FlowSpec, &'a Path)>,
 ) -> Demands {
-    let mut load_per_link: std::collections::BTreeMap<wimesh_topology::LinkId, (f64, u64)> =
+    let mut load_per_link: std::collections::BTreeMap<LinkId, (f64, u64)> =
         std::collections::BTreeMap::new();
-    for f in flows {
-        for &l in f.path.links() {
+    for (spec, path) in flows {
+        for &l in path.links() {
             let e = load_per_link.entry(l).or_insert((0.0, 0));
-            e.0 += f.spec.rate_bps;
-            e.1 += f.spec.burst_bytes as u64;
+            e.0 += spec.rate_bps;
+            e.1 += spec.burst_bytes as u64;
         }
     }
-    let scale = 1.0 / (1.0 - loss_provisioning);
     let mut demands = Demands::new();
     for (l, (rate, burst)) in load_per_link {
-        let base = model.slots_for_load_at(rate, burst, link_payloads[l.index()]);
-        demands.set(l, (base as f64 * scale).ceil() as u32);
+        let payload = link_payloads[l.index()];
+        demands.set(
+            l,
+            link_demand(model, payload, loss_provisioning, rate, burst),
+        );
     }
     demands
 }
@@ -460,10 +494,12 @@ pub(crate) fn aggregate_demands(
 /// a heuristic, not the maximum-weight clique: the bound is a sound
 /// floor whichever clique it finds, and every search above it closes the
 /// remaining gap with the oracle. At least 1.
-pub(crate) fn clique_lower_bound(graph: &ConflictGraph, demands: &Demands) -> u32 {
+pub(crate) fn clique_lower_bound(graph: &ConflictGraph, demand_of: impl Fn(LinkId) -> u32) -> u32 {
     // Looked up once per vertex: the growth loop weighs each many times.
-    let weights: Vec<u64> = (0..graph.vertex_count())
-        .map(|v| u64::from(demands.get(graph.link_at(v))))
+    let weights: Vec<u64> = graph
+        .links()
+        .iter()
+        .map(|&l| u64::from(demand_of(l)))
         .collect();
     let (_, weight) = heaviest_clique(graph, |v| weights[v]);
     u32::try_from(weight).unwrap_or(u32::MAX).max(1)
@@ -476,12 +512,12 @@ pub(crate) fn clique_lower_bound(graph: &ConflictGraph, demands: &Demands) -> u3
 pub(crate) fn greedy_rank(
     key: GreedyKey,
     graph: &ConflictGraph,
-    demands: &Demands,
-    f: &Accepted,
+    demand_of: impl Fn(LinkId) -> u32,
+    path: &Path,
+    slots_per_link: u32,
 ) -> u64 {
     match key {
-        GreedyKey::CliqueLoad => f
-            .path
+        GreedyKey::CliqueLoad => path
             .links()
             .iter()
             .filter_map(|&l| graph.index_of(l))
@@ -489,28 +525,37 @@ pub(crate) fn greedy_rank(
                 graph
                     .maximal_clique_containing(i)
                     .iter()
-                    .map(|&v| demands.get(graph.link_at(v)) as u64)
+                    .map(|&v| demand_of(graph.link_at(v)) as u64)
                     .sum::<u64>()
             })
             .max()
             .unwrap_or(0),
-        GreedyKey::HopCount => f.path.hop_count() as u64,
-        GreedyKey::Demand => f.slots_per_link as u64 * f.path.hop_count() as u64,
+        GreedyKey::HopCount => path.hop_count() as u64,
+        GreedyKey::Demand => slots_per_link as u64 * path.hop_count() as u64,
     }
 }
 
-/// The MILP path requirements (route + deadline budget) of a flow set.
-pub(crate) fn path_requirements(
-    model: &EmulationModel,
-    flows: &[&Accepted],
+/// The MILP path requirements of a flow set, from each flow's route and
+/// deadline budget in pipeline minislots ([`flow_budget`]).
+pub(crate) fn path_requirements<'a>(
+    flows: impl IntoIterator<Item = (&'a Path, Option<u64>)>,
 ) -> Vec<PathRequirement> {
     flows
-        .iter()
-        .map(|f| PathRequirement {
-            path: f.path.clone(),
-            deadline_slots: flow_budget(model, f),
+        .into_iter()
+        .map(|(path, deadline_slots)| PathRequirement {
+            path: path.clone(),
+            deadline_slots,
         })
         .collect()
+}
+
+/// [`path_requirements`] of the cold engine's vetted flows.
+fn cold_requirements(model: &EmulationModel, flows: &[&Accepted]) -> Vec<PathRequirement> {
+    path_requirements(
+        flows
+            .iter()
+            .map(|f| (&f.path, flow_budget(model, f.spec.deadline, &f.path))),
+    )
 }
 
 /// Computes the final hard delay bounds from the actual schedule.
@@ -543,8 +588,8 @@ pub(crate) fn finalize_admitted(
 
 /// Tries to schedule all `flows` under `policy`, returning the schedule,
 /// the order, and the guaranteed-region size in minislots. Builds the
-/// conflict graph from scratch — [`crate::QosSession`] bypasses this and
-/// calls [`solve_demands_on_graph`] with its cached incremental graph.
+/// conflict graph from scratch — [`crate::QosSession`] keeps its own
+/// incremental graph and per-link state instead.
 #[allow(clippy::too_many_arguments)] // internal plumbing behind MeshQos
 fn try_schedule(
     topo: &MeshTopology,
@@ -558,7 +603,12 @@ fn try_schedule(
 ) -> Result<(Schedule, TransmissionOrder, u32), ScheduleError> {
     let _span = wimesh_obs::span!("admission.try_schedule");
     let frame = model.frame();
-    let demands = aggregate_demands(model, link_payloads, loss_provisioning, flows);
+    let demands = aggregate_demands(
+        model,
+        link_payloads,
+        loss_provisioning,
+        flows.iter().map(|f| (&f.spec, &f.path)),
+    );
     if demands.is_empty() {
         let schedule = Schedule::from_ranges(frame, Default::default())?;
         return Ok((schedule, TransmissionOrder::new(), 0));
@@ -568,7 +618,7 @@ fn try_schedule(
         policy,
         OrderPolicy::GreedySequential { .. } | OrderPolicy::LpRounding
     ) {
-        clique_prune(&graph, &demands, frame)?;
+        clique_prune(&graph, |l| demands.get(l), frame)?;
     }
     solve_demands_on_graph(topo, model, &graph, &demands, flows, policy, solver)
 }
@@ -579,10 +629,10 @@ fn try_schedule(
 /// `admission.clique_prunes`). Otherwise returns the bound.
 pub(crate) fn clique_prune(
     graph: &ConflictGraph,
-    demands: &Demands,
+    demand_of: impl Fn(LinkId) -> u32,
     frame: FrameConfig,
 ) -> Result<u32, ScheduleError> {
-    let lower = clique_lower_bound(graph, demands);
+    let lower = clique_lower_bound(graph, demand_of);
     if lower > frame.slots() {
         wimesh_obs::counter_inc("admission.clique_prunes");
         return Err(ScheduleError::FrameTooShort {
@@ -614,27 +664,26 @@ pub(crate) fn earliest_layout(
 /// The [`OrderPolicy::LpRounding`] oracle: schedule, order, guaranteed
 /// region, and the LP relaxation's certified lower bound on that region.
 pub(crate) fn lp_rounding_solve(
-    model: &EmulationModel,
     graph: &ConflictGraph,
     demands: &Demands,
-    flows: &[&Accepted],
+    reqs: &[PathRequirement],
+    frame: FrameConfig,
 ) -> Result<(Schedule, TransmissionOrder, u32, u32), ScheduleError> {
-    let reqs = path_requirements(model, flows);
-    let rounded = wimesh_tdma::approx::lp_rounded_order(graph, demands, &reqs, model.frame())?;
+    let rounded = wimesh_tdma::approx::lp_rounded_order(graph, demands, reqs, frame)?;
     let sol = rounded.solution;
     let used = sol.schedule.makespan().max(1);
     Ok((sol.schedule, sol.order, used, rounded.lp_bound_slots))
 }
 
-/// The scheduling oracle proper, on a caller-supplied conflict graph
-/// whose vertices must cover every demanded link.
+/// The cold engine's scheduling oracle, on a conflict graph whose vertices
+/// cover every demanded link.
 ///
 /// For the heuristic policies this is one longest-path schedule
 /// construction plus a delay check; for [`OrderPolicy::ExactMilp`] it is
 /// the linear minimum-minislot search over the MILP feasibility oracle.
 /// The approximation policies' [`clique_prune`] is the caller's to run
-/// first: a session needs the bound it returns for its gap bookkeeping.
-pub(crate) fn solve_demands_on_graph(
+/// first.
+fn solve_demands_on_graph(
     topo: &MeshTopology,
     model: &EmulationModel,
     graph: &ConflictGraph,
@@ -664,7 +713,7 @@ pub(crate) fn solve_demands_on_graph(
             let schedule = schedule_from_order(graph, demands, &ord, frame)?;
             let used = schedule.makespan();
             for f in flows {
-                if let Some(b) = flow_budget(model, f) {
+                if let Some(b) = flow_budget(model, f.spec.deadline, &f.path) {
                     let d = delay::path_delay_slots(&schedule, &f.path)
                         .ok_or(ScheduleError::Infeasible)?;
                     if d > b {
@@ -675,11 +724,12 @@ pub(crate) fn solve_demands_on_graph(
             Ok((schedule, ord, used))
         }
         OrderPolicy::LpRounding => {
-            let (schedule, ord, used, _) = lp_rounding_solve(model, graph, demands, flows)?;
+            let reqs = cold_requirements(model, flows);
+            let (schedule, ord, used, _) = lp_rounding_solve(graph, demands, &reqs, frame)?;
             Ok((schedule, ord, used))
         }
         OrderPolicy::ExactMilp => {
-            let reqs = path_requirements(model, flows);
+            let reqs = cold_requirements(model, flows);
             // Linear search upward from the clique lower bound.
             //
             // Soundness of returning the *first* feasible `used`: the
@@ -697,7 +747,7 @@ pub(crate) fn solve_demands_on_graph(
             // The lower bound is safe to skip below: a clique of
             // conflicting links can never share a minislot, so its total
             // demand is a floor on any feasible horizon.
-            let lower = clique_prune(graph, demands, frame)?;
+            let lower = clique_prune(graph, |l| demands.get(l), frame)?;
             let _search_span = wimesh_obs::span!("admission.search");
             for used in lower..=frame.slots() {
                 wimesh_obs::counter_inc("admission.search.iterations");
@@ -907,26 +957,24 @@ mod tests {
             }
         };
         let (a, b) = (vet(&short), vet(&long));
-        let refs = [&a, &b];
-        let demands = aggregate_demands(mesh.model(), mesh.link_payloads(), 0.0, &refs);
+        let demands = aggregate_demands(
+            mesh.model(),
+            mesh.link_payloads(),
+            0.0,
+            [&a, &b].map(|f| (&f.spec, &f.path)),
+        );
         let graph = ConflictGraph::build_for_links(
             mesh.topology(),
             demands.links().collect(),
             mesh.interference(),
         );
-        assert!(
-            greedy_rank(GreedyKey::HopCount, &graph, &demands, &a)
-                < greedy_rank(GreedyKey::HopCount, &graph, &demands, &b)
-        );
-        assert!(
-            greedy_rank(GreedyKey::Demand, &graph, &demands, &a)
-                < greedy_rank(GreedyKey::Demand, &graph, &demands, &b)
-        );
+        let rank = |key, f: &Accepted| {
+            greedy_rank(key, &graph, |l| demands.get(l), &f.path, f.slots_per_link)
+        };
+        assert!(rank(GreedyKey::HopCount, &a) < rank(GreedyKey::HopCount, &b));
+        assert!(rank(GreedyKey::Demand, &a) < rank(GreedyKey::Demand, &b));
         // The long flow crosses every clique the short one does and more.
-        assert!(
-            greedy_rank(GreedyKey::CliqueLoad, &graph, &demands, &a)
-                <= greedy_rank(GreedyKey::CliqueLoad, &graph, &demands, &b)
-        );
+        assert!(rank(GreedyKey::CliqueLoad, &a) <= rank(GreedyKey::CliqueLoad, &b));
     }
 
     #[test]

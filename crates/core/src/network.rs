@@ -231,20 +231,11 @@ impl MeshQos {
     /// re-check a schedule against the same demand model the controller
     /// promised to satisfy.
     pub fn demands_for(&self, flows: &[admission::AdmittedFlow]) -> wimesh_tdma::Demands {
-        let accepted: Vec<admission::Accepted> = flows
-            .iter()
-            .map(|f| admission::Accepted {
-                spec: f.spec.clone(),
-                path: f.path.clone(),
-                slots_per_link: f.slots_per_link,
-            })
-            .collect();
-        let refs: Vec<&admission::Accepted> = accepted.iter().collect();
         admission::aggregate_demands(
             self.model(),
             self.link_payloads(),
             self.loss_provisioning(),
-            &refs,
+            flows.iter().map(|f| (&f.spec, &f.path)),
         )
     }
 

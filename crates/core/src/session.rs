@@ -8,38 +8,58 @@
 //! re-examining all currently-admitted flows) almost all of that work
 //! repeats verbatim.
 //!
-//! A [`QosSession`] keeps the state between decisions:
+//! A [`QosSession`] keeps the state between decisions, keyed by
+//! [`LinkId::index`] (never by the conflict graph's dense vertex index,
+//! which a vertex removal reshuffles), and every operation applies a
+//! *delta* to it:
 //!
-//! * the **conflict graph** is cached and updated incrementally — vertex
-//!   insertion when a new flow brings new links, removal when a release
-//!   drains a link's demand — instead of rebuilt from scratch;
-//! * the **last feasible transmission order** is persisted as
-//!   graph-independent link pairs and replayed as a warm start: a
-//!   Bellman–Ford validation pass
-//!   ([`wimesh_tdma::milp::validate_order_within`]) often certifies
-//!   feasibility outright, skipping the MILP oracle;
-//! * the exact minislot search is a **binary search** seeded by the warm
-//!   order's makespan instead of a linear scan — sound because oracle
-//!   feasibility is monotone in the probed slot count (see
-//!   `admission.rs`), and any feasible solution with makespan `m` stays
-//!   feasible for every horizon `>= m`, which turns each "yes" answer
-//!   into an immediate upper-bound jump.
+//! * per link, the **admitted flows crossing it** in admission order, the
+//!   **aggregate demand** and the **rank** the order heuristics give it —
+//!   an admit or release re-sums only the links on the changed flows'
+//!   routes, over each link's own list (not a running add/subtract: a
+//!   floating-point sum taken in admission order is bit-identical to the
+//!   from-scratch one, and to a restored session's);
+//! * the **conflict graph** gains and loses vertices only along those
+//!   routes; a rejected admit rolls back by the inverse delta, the same
+//!   code a release runs;
+//! * per flow, its [`AdmittedFlow`] record, updated in place — the
+//!   deadline check and the published delay bound come from one walk of
+//!   the route over the per-link start times;
+//! * under the rank policies ([`OrderPolicy::HopOrder`],
+//!   [`OrderPolicy::TreeOrder`], [`OrderPolicy::GreedySequential`]) the
+//!   earliest start of every link comes from one allocation-free sweep
+//!   in `(rank, link)` order, the only whole-set pass left: recomputing
+//!   every start keeps the layout a pure function of the admitted set;
+//! * under [`OrderPolicy::ExactMilp`] the **last feasible transmission
+//!   order** is replayed as a warm start — a Bellman–Ford validation
+//!   pass ([`wimesh_tdma::milp::validate_order_within`]) often certifies
+//!   feasibility outright, skipping the MILP oracle — and the minislot
+//!   search is a **binary search** seeded by the warm order's makespan
+//!   instead of a linear scan — sound because oracle feasibility is
+//!   monotone in the probed slot count (see `admission.rs`), and any
+//!   feasible solution with makespan `m` stays feasible for every
+//!   horizon `>= m`, which turns each "yes" answer into an immediate
+//!   upper-bound jump.
 //!
 //! The session's verdicts are identical to the cold batch path: the fast
 //! paths only ever *certify* feasibility (a validated order is a real
 //! schedule), never declare infeasibility — that verdict still requires
 //! the exact oracle. The property tests in `tests/session_equivalence.rs`
-//! pin this.
+//! pin this, and `tests/session_delta_equivalence.rs` pins the delta
+//! state to the from-scratch pipeline it replaced, bit for bit.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::time::Duration;
 
 use wimesh_conflict::ConflictGraph;
 use wimesh_emu::EmulationModel;
 use wimesh_milp::SolverConfig;
 use wimesh_sim::FlowId;
-use wimesh_tdma::milp::{feasible_order_within, validate_order_within, OrderSolution};
-use wimesh_tdma::{order, Demands, Schedule, ScheduleError, SlotRange, TransmissionOrder};
-use wimesh_topology::routing::{shortest_path, Path};
+use wimesh_tdma::milp::{
+    feasible_order_within, validate_order_within, OrderSolution, PathRequirement,
+};
+use wimesh_tdma::{delay, order, Demands, Schedule, ScheduleError, SlotRange, TransmissionOrder};
+use wimesh_topology::routing::{shortest_path, GatewayRouting, Path};
 use wimesh_topology::{LinkId, NodeId};
 
 use crate::admission::{self, Accepted, AdmissionOutcome, AdmittedFlow, OrderPolicy, RejectReason};
@@ -119,8 +139,8 @@ pub struct SessionStats {
     /// (exact and approximation policies; also emitted as the
     /// `admission.clique_prunes` counter).
     pub clique_prunes: u64,
-    /// Greedy-sequential oracle solves (one Bellman–Ford realisation per
-    /// call; the approximation-mode analogue of `oracle_calls`).
+    /// Greedy-sequential oracle solves (one rank-order sweep per call;
+    /// the approximation-mode analogue of `oracle_calls`).
     pub greedy_solves: u64,
     /// LP-rounding oracle solves (one simplex relaxation plus repair per
     /// call; the approximation-mode analogue of `oracle_calls`).
@@ -131,6 +151,11 @@ pub struct SessionStats {
     /// [`OrderPolicy::LpRounding`]). The true gap to the exact optimum
     /// is never larger. Always 0 under exact or heuristic policies.
     pub approx_gap: u64,
+    /// Links whose published [`SlotRange`] appeared, vanished or changed,
+    /// summed over every operation that published a schedule (also the
+    /// `session.ranges_moved` counter): what a schedule switch has to
+    /// tell the mesh.
+    pub ranges_moved: u64,
 }
 
 impl SessionStats {
@@ -144,7 +169,8 @@ impl SessionStats {
              \"search_iterations\":{},\"incremental_updates\":{},\
              \"graph_rebuilds\":{},\"batch_solves\":{},\
              \"coalesced_admits\":{},\"clique_prunes\":{},\
-             \"greedy_solves\":{},\"lp_solves\":{},\"approx_gap\":{}}}",
+             \"greedy_solves\":{},\"lp_solves\":{},\"approx_gap\":{},\
+             \"ranges_moved\":{}}}",
             self.admits,
             self.releases,
             self.oracle_calls,
@@ -159,19 +185,9 @@ impl SessionStats {
             self.greedy_solves,
             self.lp_solves,
             self.approx_gap,
+            self.ranges_moved,
         )
     }
-}
-
-/// The last feasible order, persisted independently of the graph's dense
-/// indexing (which shifts under incremental vertex insertion/removal).
-///
-/// No slot count is stored alongside: replaying the order through one
-/// Bellman–Ford pass re-derives its makespan, which seeds the binary
-/// search more tightly than the previously-used slot count could.
-#[derive(Debug, Clone)]
-struct WarmOrder {
-    pairs: Vec<(LinkId, LinkId)>,
 }
 
 /// A portable export of a session's admission state: everything needed
@@ -216,14 +232,88 @@ pub struct FlowState {
     pub slots_per_link: u32,
 }
 
+/// One admitted flow's share of a link it crosses.
+#[derive(Debug, Clone, Copy)]
+struct Crossing {
+    /// The flow's admission sequence number ([`FlowMeta::seq`]).
+    seq: u64,
+    /// Position of the link on the flow's route.
+    hop: u32,
+    rate_bps: f64,
+    burst_bytes: u64,
+}
+
+/// What the session keeps per link of the topology.
+#[derive(Debug, Clone, Default)]
+struct LinkState {
+    /// The admitted flows crossing the link, ascending by admission
+    /// sequence number — the order the from-scratch aggregation sums in.
+    crossing: Vec<Crossing>,
+    /// Aggregate minislot demand of `crossing`. The link is a vertex of
+    /// the conflict graph, and an entry of the sweep, exactly while this
+    /// is non-zero.
+    demand: u32,
+    /// Rank in the heuristic orders: the link's latest hop position over
+    /// `crossing`, or its tree rank under [`OrderPolicy::TreeOrder`].
+    rank: u64,
+    /// The link's range in the layout last tried. An operation that
+    /// succeeds publishes it in the schedule; the next one recomputes it
+    /// either way.
+    trial: Option<SlotRange>,
+}
+
+/// What the session keeps per admitted flow beside its [`AdmittedFlow`].
+#[derive(Debug, Clone, Copy)]
+struct FlowMeta {
+    /// Admission sequence number: ascending along the admitted set, and
+    /// never reused while the session lives.
+    seq: u64,
+    /// The flow's deadline as a pipeline budget in minislots, fixed at
+    /// admission.
+    budget: Option<u64>,
+}
+
+/// A schedule, the order realising it, and the guaranteed region it
+/// occupies.
+type Layout = (Schedule, TransmissionOrder, u32);
+
+/// Buffers the per-operation passes reuse, so that none of them
+/// allocates once the session has seen its working set.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Links on the routes of the flows the current delta adds or removes.
+    touched: Vec<LinkId>,
+    /// Dense conflict-graph index of every demanded link, by
+    /// [`LinkId::index`]; refreshed before each sweep.
+    vertex_of: Vec<u32>,
+    /// Per graph vertex, for the sweep's inner loop: the position of its
+    /// link in the sweep, and where its trial range ends.
+    turn: Vec<u32>,
+    end: Vec<u64>,
+    /// The graph's vertex numbering before a release changed it: what the
+    /// published order's bits are keyed by until the release publishes.
+    numbering: Vec<LinkId>,
+    /// Worst-case delay of every admitted flow under the trial layout.
+    delays: Vec<Duration>,
+}
+
 /// A stateful admission session over a [`MeshQos`].
 ///
 /// Admit and release flows one at a time; the session maintains a
 /// consistent [`AdmissionOutcome`] ([`QosSession::snapshot`]) for the
-/// currently-admitted set, reusing its cached conflict graph and warm
-/// transmission order across decisions. Decisions are identical to the
-/// cold batch path — admitting `f1..fn` through a fresh session equals
-/// `MeshQos::admit(&[f1..fn])`.
+/// currently-admitted set, applying each decision as a delta to its
+/// per-link and per-flow state (see the module docs). Decisions are
+/// identical to the cold batch path — admitting `f1..fn` through a fresh
+/// session equals `MeshQos::admit(&[f1..fn])`.
+///
+/// # SLO audit
+///
+/// While a `wimesh-obs` sink is installed, the session registers the
+/// terms of every flow it admits with the SLO tracker (its slot count and
+/// deadline, both fixed at admission) and withdraws them on release. A
+/// sink installed mid-session therefore sees only the flows admitted
+/// after it; [`QosSession::rebalance`] and [`MeshQos::restore_session`]
+/// register the whole admitted set.
 ///
 /// # Example
 ///
@@ -247,13 +337,28 @@ pub struct FlowState {
 pub struct QosSession {
     mesh: MeshQos,
     policy: OrderPolicy,
-    accepted: Vec<Accepted>,
+    /// Per-link state, indexed by [`LinkId::index`].
+    links: Vec<LinkState>,
+    /// Per-flow state, parallel to `outcome.admitted` (admission order).
+    meta: Vec<FlowMeta>,
+    /// Admission sequence number of every admitted flow id.
+    seq_of: HashMap<FlowId, u64>,
+    next_seq: u64,
     /// Cached conflict graph; invariant: its vertex set equals the links
-    /// carrying demand from `accepted`.
+    /// with non-zero demand.
     graph: ConflictGraph,
-    warm: Option<WarmOrder>,
+    /// The demanded links, ascending: the order schedules and demand maps
+    /// list them in.
+    demanded: Vec<LinkId>,
+    /// The demanded links as `(rank, link)`, ascending: the order the
+    /// rank policies transmit in.
+    sweep: Vec<(u64, LinkId)>,
+    /// Under [`OrderPolicy::TreeOrder`], the tree rank of every link, or
+    /// why the gateway has no routing tree.
+    tree_ranks: Option<Result<Vec<u64>, String>>,
     outcome: AdmissionOutcome,
     stats: SessionStats,
+    scratch: Scratch,
 }
 
 impl QosSession {
@@ -263,17 +368,36 @@ impl QosSession {
     pub const REJECT_LOG_CAP: usize = 256;
 
     pub(crate) fn new(mesh: MeshQos, policy: OrderPolicy) -> Self {
-        let graph =
-            ConflictGraph::build_for_links(mesh.topology(), Vec::new(), mesh.interference());
+        let topo = mesh.topology();
+        let graph = ConflictGraph::build_for_links(topo, Vec::new(), mesh.interference());
+        let tree_ranks = match policy {
+            OrderPolicy::TreeOrder { gateway } => Some(
+                GatewayRouting::new(topo, gateway)
+                    .map(|routing| order::tree_ranks(topo, &routing))
+                    .map_err(|e| e.to_string()),
+            ),
+            _ => None,
+        };
+        let links = vec![LinkState::default(); topo.link_count()];
+        let scratch = Scratch {
+            vertex_of: vec![0; topo.link_count()],
+            ..Scratch::default()
+        };
         let outcome = empty_outcome(mesh.model());
         Self {
             mesh,
             policy,
-            accepted: Vec::new(),
+            links,
+            meta: Vec::new(),
+            seq_of: HashMap::new(),
+            next_seq: 0,
             graph,
-            warm: None,
+            demanded: Vec::new(),
+            sweep: Vec::new(),
+            tree_ranks,
             outcome,
             stats: SessionStats::default(),
+            scratch,
         }
     }
 
@@ -302,10 +426,14 @@ impl QosSession {
 
     /// Tries to admit one flow on its shortest-hop route.
     ///
-    /// On admission the schedule is recomputed for the whole accepted
-    /// set (existing bounds can change — consult
-    /// [`QosSession::snapshot`]); on rejection the session state is
-    /// untouched apart from the rejection log.
+    /// On admission the flow's links enter the per-link state and every
+    /// start time is laid out again (bounds of previously admitted flows
+    /// can change — consult [`QosSession::snapshot`]); on rejection the
+    /// session state is untouched apart from the rejection log.
+    ///
+    /// A flow whose id is already admitted is rejected with
+    /// [`RejectReason::DuplicateFlow`]: a retried request must not
+    /// reserve twice.
     ///
     /// # Errors
     ///
@@ -348,76 +476,21 @@ impl QosSession {
     fn admit_on(&mut self, spec: &FlowSpec, path: Option<Path>) -> Result<FlowAdmission, QosError> {
         let _span = wimesh_obs::span!("session.admit");
         self.stats.admits += 1;
-        let candidate = match admission::vet_flow(
-            self.mesh.model(),
-            self.mesh.link_payloads(),
-            self.mesh.loss_provisioning(),
-            spec,
-            path.as_ref(),
-        )? {
+        let candidate = match self.vet(spec, path.as_ref())? {
             Ok(c) => c,
-            Err(reason) => {
-                log_reject(&mut self.outcome.rejected, spec, &reason);
-                return Ok(FlowAdmission::Rejected(reason));
-            }
+            Err(reason) => return Ok(self.reject(spec, reason)),
         };
 
-        let demands = {
-            let trial: Vec<&Accepted> = self
-                .accepted
-                .iter()
-                .chain(std::iter::once(&candidate))
-                .collect();
-            admission::aggregate_demands(
-                self.mesh.model(),
-                self.mesh.link_payloads(),
-                self.mesh.loss_provisioning(),
-                &trial,
-            )
-        };
-        let inserted = self.grow_graph(&demands);
-
-        let result = {
-            let trial: Vec<&Accepted> = self
-                .accepted
-                .iter()
-                .chain(std::iter::once(&candidate))
-                .collect();
-            solve_session(
-                &self.mesh,
-                &self.graph,
-                &demands,
-                &trial,
-                self.policy,
-                self.warm.as_ref(),
-                &mut self.stats,
-            )
-        };
-        match result {
-            Ok((schedule, ord, used)) => {
-                self.warm = Some(WarmOrder {
-                    pairs: ord.link_pairs(&self.graph),
-                });
-                self.accepted.push(candidate);
-                self.refresh_outcome(schedule, ord, used);
-                self.certify("admit");
-                self.publish_slo_promises();
-                let admitted = self
-                    .outcome
-                    .admitted
-                    .last()
-                    // check: allow(no-unwrap-in-lib, reason = "the candidate was pushed above, so admitted is non-empty")
-                    .expect("candidate was just accepted")
-                    .clone();
-                Ok(FlowAdmission::Admitted(admitted))
+        let warm = self.search_warm_start();
+        let base = self.outcome.admitted.len();
+        self.enter([candidate]);
+        match self.solve(warm.as_deref()) {
+            Ok(layout) => {
+                self.publish_admitted(base, layout, "admit");
+                Ok(FlowAdmission::Admitted(self.outcome.admitted[base].clone()))
             }
             Err(e) => {
-                // Roll the graph back to exactly the accepted set's links.
-                for l in inserted {
-                    self.graph.remove_vertex(l);
-                    self.stats.incremental_updates += 1;
-                    wimesh_obs::counter_inc("session.graph.incremental");
-                }
+                self.retract(base);
                 let reason = match e {
                     ScheduleError::Infeasible
                     | ScheduleError::FrameTooShort { .. }
@@ -425,24 +498,50 @@ impl QosSession {
                     ScheduleError::SolverFailed(msg) => RejectReason::SolverLimit(msg),
                     other => return Err(other.into()),
                 };
-                log_reject(&mut self.outcome.rejected, spec, &reason);
-                Ok(FlowAdmission::Rejected(reason))
+                Ok(self.reject(spec, reason))
             }
         }
+    }
+
+    /// Vets one request before any schedule attempt: a duplicate id, then
+    /// [`admission::vet_flow`]'s rate, route and deadline checks.
+    fn vet(
+        &self,
+        spec: &FlowSpec,
+        path: Option<&Path>,
+    ) -> Result<Result<Accepted, RejectReason>, QosError> {
+        if self.seq_of.contains_key(&spec.id) {
+            return Ok(Err(RejectReason::DuplicateFlow));
+        }
+        admission::vet_flow(
+            self.mesh.model(),
+            self.mesh.link_payloads(),
+            self.mesh.loss_provisioning(),
+            spec,
+            path,
+        )
+    }
+
+    /// Logs a rejection and returns its verdict.
+    fn reject(&mut self, spec: &FlowSpec, reason: RejectReason) -> FlowAdmission {
+        log_reject(&mut self.outcome.rejected, spec, &reason);
+        FlowAdmission::Rejected(reason)
     }
 
     /// Tries to admit several flows as one coalesced scheduling
     /// decision, returning one verdict per spec in input order.
     ///
-    /// Every spec is vetted individually (rate, route, deadline
-    /// budget); the surviving candidates are then solved for
-    /// *together*: one incremental graph growth, one feasibility search
-    /// over the accepted set plus the whole batch, one certification
-    /// pass. That single solve is the amortization the gateway service
-    /// (`wimesh-svc`) batches requests for. When the combined set is
-    /// not feasible as a whole, the graph is rolled back and the batch
-    /// falls back to per-flow admission in input order — exactly the
-    /// semantics of calling [`QosSession::admit`] once per spec.
+    /// Every spec is vetted individually (duplicate id, rate, route,
+    /// deadline budget; of two specs with one id the first is the
+    /// candidate, the second a [`RejectReason::DuplicateFlow`]); the
+    /// surviving candidates are then solved for *together*: one delta
+    /// over all their routes, one feasibility search over the accepted
+    /// set plus the whole batch, one certification pass. That single
+    /// solve is the amortization the gateway service (`wimesh-svc`)
+    /// batches requests for. When the combined set is not feasible as a
+    /// whole, the delta is rolled back and the batch falls back to
+    /// per-flow admission in input order — exactly the semantics of
+    /// calling [`QosSession::admit`] once per spec.
     ///
     /// Under [`OrderPolicy::ExactMilp`] the admitted set equals what
     /// one-at-a-time admission would produce: feasibility of a set
@@ -466,21 +565,23 @@ impl QosSession {
         // Vet first: rejections here consume no solve and cannot
         // invalidate the batch.
         let mut verdicts: Vec<Option<FlowAdmission>> = (0..specs.len()).map(|_| None).collect();
-        let mut candidates: Vec<(usize, Accepted)> = Vec::new();
+        let mut indices: Vec<usize> = Vec::new();
+        let mut candidates: Vec<Accepted> = Vec::new();
         for (i, spec) in specs.iter().enumerate() {
             let path = shortest_path(self.mesh.topology(), spec.src, spec.dst).ok();
-            match admission::vet_flow(
-                self.mesh.model(),
-                self.mesh.link_payloads(),
-                self.mesh.loss_provisioning(),
-                spec,
-                path.as_ref(),
-            )? {
-                Ok(c) => candidates.push((i, c)),
+            let vetted = if candidates.iter().any(|c| c.spec.id == spec.id) {
+                Err(RejectReason::DuplicateFlow)
+            } else {
+                self.vet(spec, path.as_ref())?
+            };
+            match vetted {
+                Ok(c) => {
+                    indices.push(i);
+                    candidates.push(c);
+                }
                 Err(reason) => {
                     self.stats.admits += 1;
-                    log_reject(&mut self.outcome.rejected, spec, &reason);
-                    verdicts[i] = Some(FlowAdmission::Rejected(reason));
+                    verdicts[i] = Some(self.reject(spec, reason));
                 }
             }
         }
@@ -488,57 +589,20 @@ impl QosSession {
         if !candidates.is_empty() {
             // Optimistic coalesced solve: accepted set plus the whole
             // batch in one search.
-            let demands = {
-                let trial: Vec<&Accepted> = self
-                    .accepted
-                    .iter()
-                    .chain(candidates.iter().map(|(_, c)| c))
-                    .collect();
-                admission::aggregate_demands(
-                    self.mesh.model(),
-                    self.mesh.link_payloads(),
-                    self.mesh.loss_provisioning(),
-                    &trial,
-                )
-            };
-            let inserted = self.grow_graph(&demands);
-            let result = {
-                let trial: Vec<&Accepted> = self
-                    .accepted
-                    .iter()
-                    .chain(candidates.iter().map(|(_, c)| c))
-                    .collect();
-                solve_session(
-                    &self.mesh,
-                    &self.graph,
-                    &demands,
-                    &trial,
-                    self.policy,
-                    self.warm.as_ref(),
-                    &mut self.stats,
-                )
-            };
-            match result {
-                Ok((schedule, ord, used)) => {
-                    self.stats.admits += candidates.len() as u64;
+            let warm = self.search_warm_start();
+            let base = self.outcome.admitted.len();
+            self.enter(candidates);
+            match self.solve(warm.as_deref()) {
+                Ok(layout) => {
+                    let coalesced = indices.len() as u64 - 1;
+                    self.stats.admits += indices.len() as u64;
                     self.stats.batch_solves += 1;
-                    self.stats.coalesced_admits += candidates.len() as u64 - 1;
+                    self.stats.coalesced_admits += coalesced;
                     wimesh_obs::counter_inc("session.batch.solves");
-                    wimesh_obs::counter_add("session.batch.coalesced", candidates.len() as u64 - 1);
-                    self.warm = Some(WarmOrder {
-                        pairs: ord.link_pairs(&self.graph),
-                    });
-                    let base = self.accepted.len();
-                    for (_, c) in &candidates {
-                        self.accepted.push(c.clone());
-                    }
-                    self.refresh_outcome(schedule, ord, used);
-                    self.certify("admit_batch");
-                    self.publish_slo_promises();
-                    for (k, (i, _)) in candidates.iter().enumerate() {
-                        verdicts[*i] = Some(FlowAdmission::Admitted(
-                            self.outcome.admitted[base + k].clone(),
-                        ));
+                    wimesh_obs::counter_add("session.batch.coalesced", coalesced);
+                    self.publish_admitted(base, layout, "admit_batch");
+                    for (i, f) in indices.iter().zip(&self.outcome.admitted[base..]) {
+                        verdicts[*i] = Some(FlowAdmission::Admitted(f.clone()));
                     }
                 }
                 Err(
@@ -553,28 +617,28 @@ impl QosSession {
                     // the grown graph still holds the batch's links);
                     // every other policy keeps input order. Verdicts are
                     // indexed, so reporting order is unaffected.
-                    if let OrderPolicy::GreedySequential { key } = self.policy {
-                        candidates.sort_by_cached_key(|(i, c)| {
-                            (admission::greedy_rank(key, &self.graph, &demands, c), *i)
-                        });
-                    }
-                    // Roll the graph back to exactly the accepted set.
-                    for l in inserted {
-                        self.graph.remove_vertex(l);
-                        self.stats.incremental_updates += 1;
-                        wimesh_obs::counter_inc("session.graph.incremental");
-                    }
-                    for (i, c) in candidates {
-                        let verdict = self.admit_on(&specs[i], Some(c.path))?;
-                        verdicts[i] = Some(verdict);
+                    let demand_of = |l: LinkId| self.links[l.index()].demand;
+                    let rank = |f: &AdmittedFlow| match self.policy {
+                        OrderPolicy::GreedySequential { key } => {
+                            let slots = f.slots_per_link;
+                            admission::greedy_rank(key, &self.graph, demand_of, &f.path, slots)
+                        }
+                        _ => 0,
+                    };
+                    let ranks: Vec<u64> = self.outcome.admitted[base..].iter().map(rank).collect();
+                    let mut fallback: Vec<(u64, usize, Path)> = self
+                        .retract(base)
+                        .into_iter()
+                        .zip(ranks.into_iter().zip(indices))
+                        .map(|(f, (rank, i))| (rank, i, f.path))
+                        .collect();
+                    fallback.sort_by_key(|&(rank, i, _)| (rank, i));
+                    for (_, i, path) in fallback {
+                        verdicts[i] = Some(self.admit_on(&specs[i], Some(path))?);
                     }
                 }
                 Err(other) => {
-                    for l in inserted {
-                        self.graph.remove_vertex(l);
-                        self.stats.incremental_updates += 1;
-                        wimesh_obs::counter_inc("session.graph.incremental");
-                    }
+                    self.retract(base);
                     return Err(other.into());
                 }
             }
@@ -591,20 +655,17 @@ impl QosSession {
     /// graph-independent form — see [`SessionState`] and
     /// [`MeshQos::restore_session`].
     pub fn export_state(&self) -> SessionState {
-        // Canonical pair order: the session lists pairs by its conflict
+        // Canonical pair order: the bits are listed by the conflict
         // graph's vertex numbering, which depends on the insertions and
         // roll-backs that built the graph — equal states must compare equal
         // whatever history produced them.
-        let mut warm_pairs = self
-            .warm
-            .as_ref()
-            .map(|w| w.pairs.clone())
-            .unwrap_or_default();
+        let mut warm_pairs = self.published_pairs(self.graph.links());
         warm_pairs.sort_unstable();
         SessionState {
             policy: self.policy,
             flows: self
-                .accepted
+                .outcome
+                .admitted
                 .iter()
                 .map(|a| FlowState {
                     spec: a.spec.clone(),
@@ -627,12 +688,19 @@ impl QosSession {
     /// # Errors
     ///
     /// [`QosError::Config`] when the state disagrees with this mesh:
-    /// missing links, changed reservations, conflicting or short slot
-    /// grants, a makespan that contradicts the recorded guaranteed
-    /// region.
+    /// missing links, changed reservations, a flow id listed twice,
+    /// conflicting or short slot grants, a makespan that contradicts the
+    /// recorded guaranteed region.
     pub(crate) fn from_state(mesh: MeshQos, state: &SessionState) -> Result<Self, QosError> {
         let mut accepted = Vec::with_capacity(state.flows.len());
+        let mut ids = HashSet::with_capacity(state.flows.len());
         for f in &state.flows {
+            if !ids.insert(f.spec.id) {
+                return Err(QosError::Config(format!(
+                    "restored state lists flow {} twice",
+                    f.spec.id
+                )));
+            }
             let links: Vec<LinkId> = f
                 .path
                 .windows(2)
@@ -670,40 +738,29 @@ impl QosSession {
             accepted.push(candidate);
         }
 
-        let demands = {
-            let trial: Vec<&Accepted> = accepted.iter().collect();
-            admission::aggregate_demands(
-                mesh.model(),
-                mesh.link_payloads(),
-                mesh.loss_provisioning(),
-                &trial,
-            )
-        };
-        let graph = ConflictGraph::build_for_links(
-            mesh.topology(),
-            demands.links().collect(),
-            mesh.interference(),
-        );
+        let mut session = Self::new(mesh, state.policy);
+        session.load(accepted);
 
         let ranges: BTreeMap<LinkId, SlotRange> = state.ranges.iter().copied().collect();
-        let schedule = Schedule::from_ranges(mesh.model().frame(), ranges)?;
+        let schedule = Schedule::from_ranges(session.mesh.model().frame(), ranges)?;
+        let demand_of = |l: LinkId| session.links.get(l.index()).map_or(0, |s| s.demand);
         for l in schedule.links() {
-            if demands.get(l) == 0 {
+            if demand_of(l) == 0 {
                 return Err(QosError::Config(format!(
                     "restored schedule grants slots to link {l}, which no admitted flow uses"
                 )));
             }
         }
-        for l in demands.links() {
+        for &l in &session.demanded {
             let have = schedule.slot_range(l).map_or(0, |r| r.len);
-            let need = demands.get(l);
+            let need = demand_of(l);
             if have < need {
                 return Err(QosError::Config(format!(
                     "restored schedule grants link {l} {have} slot(s), aggregate demand is {need}"
                 )));
             }
         }
-        schedule.validate(&graph).map_err(|(a, b)| {
+        schedule.validate(&session.graph).map_err(|(a, b)| {
             QosError::Config(format!(
                 "restored schedule puts conflicting links {a} and {b} in overlapping slots"
             ))
@@ -716,38 +773,23 @@ impl QosSession {
             )));
         }
 
-        let order = TransmissionOrder::from_link_pairs(&graph, &state.warm_pairs);
-        let warm = if state.warm_pairs.is_empty() {
-            None
-        } else {
-            Some(WarmOrder {
-                pairs: state.warm_pairs.clone(),
-            })
-        };
-        let outcome = empty_outcome(mesh.model());
-        let mut session = Self {
-            mesh,
-            policy: state.policy,
-            accepted,
-            graph,
-            warm,
-            outcome,
-            stats: SessionStats::default(),
-        };
-        session.refresh_outcome(schedule, order, state.guaranteed_slots);
+        let ord = TransmissionOrder::from_link_pairs(&session.graph, &state.warm_pairs);
+        session.adopt(&schedule)?;
+        session.publish((schedule, ord, state.guaranteed_slots));
         session.certify("restore");
-        session.publish_slo_promises();
+        session.promise_slos(0);
         Ok(session)
     }
 
-    /// Releases an admitted flow and recomputes the schedule for the
-    /// remaining set. Returns `Ok(false)` when no admitted flow has this
-    /// id.
+    /// Releases an admitted flow and lays the remaining set out again.
+    /// Returns `Ok(false)` when no admitted flow has this id.
     ///
-    /// Under the heuristic order policies a subset can rank differently
-    /// and need more minislots than the superset did; the session then
-    /// keeps the previous order, restricted to the remaining links, when
-    /// that still fits the frame and meets every deadline.
+    /// The flow's links leave the per-link state (a link nothing crosses
+    /// any more leaves the conflict graph) and every start time is
+    /// recomputed. Under the heuristic order policies a subset can rank
+    /// differently and need more minislots than the superset did; the
+    /// session then keeps the previous order, restricted to the remaining
+    /// links, when that still fits the frame and meets every deadline.
     ///
     /// # Errors
     ///
@@ -759,119 +801,95 @@ impl QosSession {
     /// admitted; [`QosSession::rebalance`] with an exact policy is the
     /// recovery path.
     pub fn release(&mut self, flow: FlowId) -> Result<bool, QosError> {
-        let Some(pos) = self.accepted.iter().position(|a| a.spec.id == flow) else {
+        let Some(&seq) = self.seq_of.get(&flow) else {
+            return Ok(false);
+        };
+        let Ok(pos) = self.meta.binary_search_by_key(&seq, |m| m.seq) else {
             return Ok(false);
         };
         let _span = wimesh_obs::span!("session.release");
-        let removed = self.accepted.remove(pos);
+        // Vertex removal renumbers the graph: the published order's bits
+        // stay readable through the numbering they were built against.
+        self.scratch.numbering.clear();
+        self.scratch.numbering.extend_from_slice(self.graph.links());
+        let warm = self.search_warm_start();
 
-        let demands = {
-            let trial: Vec<&Accepted> = self.accepted.iter().collect();
-            admission::aggregate_demands(
-                self.mesh.model(),
-                self.mesh.link_payloads(),
-                self.mesh.loss_provisioning(),
-                &trial,
-            )
-        };
-        // Shrink the cached graph: links whose demand drained lose their
-        // vertex.
-        let stale: Vec<LinkId> = self
-            .graph
-            .links()
-            .iter()
-            .copied()
-            .filter(|&l| demands.get(l) == 0)
-            .collect();
-        for &l in &stale {
-            self.graph.remove_vertex(l);
-            self.stats.incremental_updates += 1;
-            wimesh_obs::counter_inc("session.graph.incremental");
-        }
+        let removed = self.outcome.admitted.remove(pos);
+        let removed_meta = self.meta.remove(pos);
+        detach(
+            &mut self.links,
+            &mut self.scratch.touched,
+            seq,
+            &removed.path,
+        );
+        self.settle();
 
-        if self.accepted.is_empty() {
-            self.warm = None;
-            self.stats.releases += 1;
-            wimesh_obs::counter_inc("session.releases");
-            self.refresh_outcome(
-                empty_outcome(self.mesh.model()).schedule,
-                TransmissionOrder::new(),
-                0,
-            );
-            self.certify("release");
-            wimesh_obs::slo::withdraw(removed.spec.id.0 as u64);
-            self.publish_slo_promises();
-            return Ok(true);
-        }
-
-        let result = {
-            let trial: Vec<&Accepted> = self.accepted.iter().collect();
-            solve_session(
-                &self.mesh,
-                &self.graph,
-                &demands,
-                &trial,
-                self.policy,
-                self.warm.as_ref(),
-                &mut self.stats,
-            )
-            .or_else(|e| self.keep_previous_order(&demands, &trial).ok_or(e))
-        };
-        match result {
-            Ok((schedule, ord, used)) => {
-                self.warm = Some(WarmOrder {
-                    pairs: ord.link_pairs(&self.graph),
-                });
-                self.stats.releases += 1;
-                wimesh_obs::counter_inc("session.releases");
-                self.refresh_outcome(schedule, ord, used);
-                self.certify("release");
-                wimesh_obs::slo::withdraw(removed.spec.id.0 as u64);
-                self.publish_slo_promises();
-                Ok(true)
-            }
+        let layout = match self.solve(warm.as_deref()) {
+            Ok(layout) => layout,
             Err(e) => {
-                // Restore the graph and the flow; the old schedule is
-                // still valid.
-                for l in stale {
-                    self.graph
-                        .insert_vertex(self.mesh.topology(), l, self.mesh.interference());
-                    self.stats.incremental_updates += 1;
+                let previous = self.published_pairs(&self.scratch.numbering);
+                if let Some(kept) = self.keep_previous_order(&previous) {
+                    kept
+                } else {
+                    // The inverse delta: the flow goes back where it was;
+                    // the published schedule is still valid. Its order is
+                    // re-keyed to the numbering the re-inserted vertices got.
+                    attach(
+                        &mut self.links,
+                        &mut self.scratch.touched,
+                        seq,
+                        &removed.spec,
+                        &removed.path,
+                    );
+                    self.outcome.admitted.insert(pos, removed);
+                    self.meta.insert(pos, removed_meta);
+                    self.settle();
+                    self.outcome.order = TransmissionOrder::from_link_pairs(&self.graph, &previous);
+                    return Err(e.into());
                 }
-                self.accepted.insert(pos, removed);
-                Err(e.into())
             }
-        }
+        };
+        self.seq_of.remove(&flow);
+        self.stats.releases += 1;
+        wimesh_obs::counter_inc("session.releases");
+        self.publish(layout);
+        self.certify("release");
+        wimesh_obs::slo::withdraw(u64::from(flow.0));
+        Ok(true)
     }
 
     /// The release fallback of the heuristic policies: the order that
-    /// scheduled the superset, restricted to the links still carrying
-    /// demand, under the same frame and deadline checks as a fresh solve.
-    fn keep_previous_order(
-        &self,
-        demands: &Demands,
-        flows: &[&Accepted],
-    ) -> Option<(Schedule, TransmissionOrder, u32)> {
+    /// scheduled the superset (`previous`, as link pairs), restricted to
+    /// the links still carrying demand, under the same frame and deadline
+    /// checks as a fresh solve. On success the kept layout is the trial
+    /// layout.
+    fn keep_previous_order(&mut self, previous: &[(LinkId, LinkId)]) -> Option<Layout> {
         if !matches!(
             self.policy,
             OrderPolicy::HopOrder | OrderPolicy::TreeOrder { .. }
         ) {
             return None;
         }
-        let previous = TransmissionOrder::from_link_pairs(&self.graph, &self.warm.as_ref()?.pairs);
-        let model = self.mesh.model();
-        let frame = model.frame();
-        let reqs = admission::path_requirements(model, flows);
-        let kept =
-            validate_order_within(&self.graph, demands, &reqs, frame, frame.slots(), &previous)?;
+        let previous = TransmissionOrder::from_link_pairs(&self.graph, previous);
+        let frame = self.mesh.model().frame();
+        let (demands, reqs) = (self.demands(), self.requirements());
+        let kept = validate_order_within(
+            &self.graph,
+            &demands,
+            &reqs,
+            frame,
+            frame.slots(),
+            &previous,
+        )?;
         wimesh_obs::counter_inc("session.release.kept_order");
+        self.adopt(&kept.schedule).ok()?;
         let used = kept.schedule.makespan();
         Some((kept.schedule, kept.order, used))
     }
 
-    /// Recomputes everything from scratch: rebuilds the conflict graph,
-    /// re-admits the current flows through the cold batch path and
-    /// resets the warm state from the result.
+    /// Recomputes everything from scratch: re-admits the current flows
+    /// through the cold batch path, rebuilds the conflict graph and bulk
+    /// loads the per-link and per-flow state from the result.
     ///
     /// This restores the exact state a fresh batch
     /// [`MeshQos::admit_routed`] over the admitted flows (same routes,
@@ -887,113 +905,458 @@ impl QosSession {
         self.stats.graph_rebuilds += 1;
         wimesh_obs::counter_inc("session.graph.rebuilds");
         let routed: Vec<(FlowSpec, Option<Path>)> = self
-            .accepted
+            .outcome
+            .admitted
             .iter()
             .map(|a| (a.spec.clone(), Some(a.path.clone())))
             .collect();
-        let outcome = self.mesh.admit_routed(&routed, self.policy)?;
+        let cold = self.mesh.admit_routed(&routed, self.policy)?;
 
-        self.accepted = outcome
-            .admitted
-            .iter()
-            .map(|f| Accepted {
-                spec: f.spec.clone(),
-                path: f.path.clone(),
-                slots_per_link: f.slots_per_link,
-            })
-            .collect();
-        let demands = {
-            let trial: Vec<&Accepted> = self.accepted.iter().collect();
-            admission::aggregate_demands(
-                self.mesh.model(),
-                self.mesh.link_payloads(),
-                self.mesh.loss_provisioning(),
-                &trial,
-            )
-        };
-        // Rebuilt over the demand links in ascending id order — the same
-        // construction the batch path used, so the outcome's order maps
-        // onto identical dense indices.
-        self.graph = ConflictGraph::build_for_links(
-            self.mesh.topology(),
-            demands.links().collect(),
-            self.mesh.interference(),
-        );
-        self.warm = if outcome.admitted.is_empty() {
-            None
-        } else {
-            Some(WarmOrder {
-                pairs: outcome.order.link_pairs(&self.graph),
-            })
-        };
         // Rejections recorded before the rebalance stay in the log.
-        let mut rejected = std::mem::take(&mut self.outcome.rejected);
-        for (spec, reason) in &outcome.rejected {
-            log_reject(&mut rejected, spec, reason);
+        for (spec, reason) in &cold.rejected {
+            log_reject(&mut self.outcome.rejected, spec, reason);
         }
-        self.outcome = outcome;
-        self.outcome.rejected = rejected;
+        // The graph is rebuilt over the demand links in ascending id order
+        // — the construction the batch path used, so the cold order maps
+        // onto identical dense indices.
+        self.load(cold.admitted.into_iter().map(|f| Accepted {
+            spec: f.spec,
+            path: f.path,
+            slots_per_link: f.slots_per_link,
+        }));
+        self.adopt(&cold.schedule)?;
+        self.publish((cold.schedule, cold.order, cold.guaranteed_slots));
         self.certify("rebalance");
-        self.publish_slo_promises();
+        self.promise_slos(0);
         Ok(&self.outcome)
     }
 
-    /// Registers (or refreshes) the SLO promise of every currently
-    /// admitted flow with the `wimesh-obs` auditor: the slot count and
-    /// delay bound the admission just guaranteed. Re-promising after a
-    /// reschedule updates the terms without erasing the flow's observed
-    /// history; the whole call is a no-op while instrumentation is
-    /// disabled.
-    fn publish_slo_promises(&self) {
+    /// Registers the SLO promise of every flow admitted from position
+    /// `from` on with the `wimesh-obs` auditor: the slot count and
+    /// deadline the admission guaranteed, both fixed for the flow's life
+    /// (so flows admitted earlier have nothing to refresh). Re-promising
+    /// keeps a flow's observed history; the whole call is a no-op while
+    /// instrumentation is disabled.
+    fn promise_slos(&self, from: usize) {
         if !wimesh_obs::is_enabled() {
             return;
         }
-        for f in &self.outcome.admitted {
-            wimesh_obs::slo::promise(f.spec.id.0 as u64, f.slots_per_link, f.spec.deadline);
+        for f in &self.outcome.admitted[from..] {
+            wimesh_obs::slo::promise(u64::from(f.spec.id.0), f.slots_per_link, f.spec.deadline);
         }
     }
 
-    /// Grows the cached graph to cover every demanded link, returning the
-    /// links inserted (for rollback).
-    fn grow_graph(&mut self, demands: &Demands) -> Vec<LinkId> {
-        let mut inserted = Vec::new();
-        for l in demands.links() {
-            if self
-                .graph
-                .insert_vertex(self.mesh.topology(), l, self.mesh.interference())
-            {
-                inserted.push(l);
-                self.stats.incremental_updates += 1;
-                wimesh_obs::counter_inc("session.graph.incremental");
+    /// The warm start an exact search over the current admitted set gets:
+    /// the published order as link pairs, keyed by the graph as it stands
+    /// (call before a delta renumbers it). `None` for the other policies,
+    /// and while nothing is admitted.
+    fn search_warm_start(&self) -> Option<Vec<(LinkId, LinkId)>> {
+        (self.policy == OrderPolicy::ExactMilp && !self.outcome.admitted.is_empty())
+            .then(|| self.published_pairs(self.graph.links()))
+    }
+
+    /// The published order as `(earlier, later)` link pairs, read through
+    /// the vertex numbering its bits were built against.
+    fn published_pairs(&self, numbering: &[LinkId]) -> Vec<(LinkId, LinkId)> {
+        self.outcome
+            .order
+            .iter()
+            .map(|((i, j), before)| {
+                if before {
+                    (numbering[i], numbering[j])
+                } else {
+                    (numbering[j], numbering[i])
+                }
+            })
+            .collect()
+    }
+
+    /// Appends vetted flows to the admitted set and applies the delta of
+    /// their routes to the per-link state and the graph. The flows are on
+    /// trial until an operation publishes; [`QosSession::retract`] is the
+    /// inverse.
+    fn enter(&mut self, flows: impl IntoIterator<Item = Accepted>) {
+        self.append(flows);
+        self.settle();
+    }
+
+    /// Appends vetted flows to the admitted set and to the crossing lists
+    /// of their routes, leaving the links touched.
+    fn append(&mut self, flows: impl IntoIterator<Item = Accepted>) {
+        for c in flows {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            attach(
+                &mut self.links,
+                &mut self.scratch.touched,
+                seq,
+                &c.spec,
+                &c.path,
+            );
+            self.meta.push(FlowMeta {
+                seq,
+                budget: admission::flow_budget(self.mesh.model(), c.spec.deadline, &c.path),
+            });
+            self.outcome.admitted.push(AdmittedFlow {
+                spec: c.spec,
+                path: c.path,
+                slots_per_link: c.slots_per_link,
+                worst_case_delay: Duration::ZERO,
+            });
+        }
+    }
+
+    /// Takes the flows from position `from` on back out of the admitted
+    /// set, the per-link state and the graph, and returns them.
+    fn retract(&mut self, from: usize) -> Vec<AdmittedFlow> {
+        let flows: Vec<AdmittedFlow> = self.outcome.admitted.drain(from..).collect();
+        for (f, m) in flows.iter().zip(self.meta.drain(from..)) {
+            detach(&mut self.links, &mut self.scratch.touched, m.seq, &f.path);
+        }
+        self.settle();
+        flows
+    }
+
+    /// Brings demand, rank, sweep entry and graph vertex of every touched
+    /// link in line with its `crossing` list.
+    fn settle(&mut self) {
+        self.resum_touched();
+        let mut flipped = std::mem::take(&mut self.scratch.touched);
+        // Newly demanded links join in ascending id order, drained ones
+        // leave in ascending vertex order: the orders a from-scratch
+        // growth over the demand map and a scan of the vertex list take,
+        // so the numbering (which the exact search's model follows) is
+        // the one the session always produced.
+        for &l in &flipped {
+            if self.links[l.index()].demand > 0 {
+                self.graph
+                    .insert_vertex(self.mesh.topology(), l, self.mesh.interference());
+                self.count_graph_update();
             }
         }
-        inserted
+        flipped.retain(|l| self.links[l.index()].demand == 0);
+        flipped.sort_by_key(|&l| self.graph.index_of(l));
+        for &l in &flipped {
+            self.graph.remove_vertex(l);
+            self.count_graph_update();
+        }
+        flipped.clear();
+        self.scratch.touched = flipped;
     }
 
-    fn refresh_outcome(&mut self, schedule: Schedule, ord: TransmissionOrder, used: u32) {
-        self.outcome.admitted =
-            admission::finalize_admitted(self.mesh.model(), &schedule, &self.accepted);
+    /// Re-sums every touched link and leaves in `scratch.touched`,
+    /// ascending, those that started or stopped carrying demand.
+    fn resum_touched(&mut self) {
+        let mut touched = std::mem::take(&mut self.scratch.touched);
+        touched.sort_unstable();
+        touched.dedup();
+        touched.retain(|&l| self.resum(l));
+        self.scratch.touched = touched;
+    }
+
+    fn count_graph_update(&mut self) {
+        self.stats.incremental_updates += 1;
+        wimesh_obs::counter_inc("session.graph.incremental");
+    }
+
+    /// Re-derives one link's demand and rank from its `crossing` list —
+    /// summed in admission order from zero, as the from-scratch
+    /// aggregation sums — and moves its sweep entry. Returns whether the
+    /// link started or stopped carrying demand.
+    fn resum(&mut self, l: LinkId) -> bool {
+        let state = &mut self.links[l.index()];
+        let (mut rate, mut burst, mut last_hop) = (0.0, 0u64, 0u64);
+        for c in &state.crossing {
+            rate += c.rate_bps;
+            burst += c.burst_bytes;
+            last_hop = last_hop.max(u64::from(c.hop));
+        }
+        let demand = admission::link_demand(
+            self.mesh.model(),
+            self.mesh.link_payloads()[l.index()],
+            self.mesh.loss_provisioning(),
+            rate,
+            burst,
+        );
+        let rank = match &self.tree_ranks {
+            Some(Ok(ranks)) => ranks[l.index()],
+            _ => last_hop,
+        };
+        let old = (state.demand > 0).then_some((state.rank, l));
+        let new = (demand > 0).then_some((rank, l));
+        state.demand = demand;
+        state.rank = rank;
+        if old != new {
+            if let Some(key) = old {
+                sorted_remove(&mut self.sweep, &key);
+            }
+            if let Some(key) = new {
+                sorted_insert(&mut self.sweep, key);
+            }
+        }
+        match (old, new) {
+            (None, Some(_)) => sorted_insert(&mut self.demanded, l),
+            (Some(_), None) => sorted_remove(&mut self.demanded, &l),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Replaces the admitted set wholesale ([`MeshQos::restore_session`],
+    /// [`QosSession::rebalance`]): per-link and per-flow state, sweep and
+    /// graph are rebuilt from `flows` in the order given. What is
+    /// published stays until the caller publishes the new layout.
+    fn load(&mut self, flows: impl IntoIterator<Item = Accepted>) {
+        for state in &mut self.links {
+            state.crossing.clear();
+            state.demand = 0;
+        }
+        self.demanded.clear();
+        self.sweep.clear();
+        self.meta.clear();
+        self.outcome.admitted.clear();
+        self.append(flows);
+        self.resum_touched();
+        self.scratch.touched.clear();
+        // Ascending is the order the batch path numbers its graph in.
+        self.graph = ConflictGraph::build_for_links(
+            self.mesh.topology(),
+            self.demanded.clone(),
+            self.mesh.interference(),
+        );
+        self.seq_of = self
+            .outcome
+            .admitted
+            .iter()
+            .zip(&self.meta)
+            .map(|(f, m)| (f.spec.id, m.seq))
+            .collect();
+    }
+
+    /// The per-link demands as the [`Demands`] map the exact and
+    /// approximation kernels read.
+    fn demands(&self) -> Demands {
+        let demand_of = |&l: &LinkId| (l, self.links[l.index()].demand);
+        self.demanded.iter().map(demand_of).collect()
+    }
+
+    /// Route and deadline budget of every admitted flow, for the same
+    /// kernels.
+    fn requirements(&self) -> Vec<PathRequirement> {
+        let flows = self.outcome.admitted.iter().zip(&self.meta);
+        admission::path_requirements(flows.map(|(f, m)| (&f.path, m.budget)))
+    }
+
+    /// One scheduling decision over the current per-link state: on
+    /// success the trial ranges and `scratch.delays` hold the layout that
+    /// is returned, ready for [`QosSession::publish`].
+    fn solve(&mut self, warm: Option<&[(LinkId, LinkId)]>) -> Result<Layout, ScheduleError> {
+        // Mirror the batch path: a demand-free flow set schedules trivially.
+        if self.demanded.is_empty() {
+            self.scratch.delays.clear();
+            let schedule = Schedule::from_ranges(self.mesh.model().frame(), BTreeMap::new())?;
+            return Ok((schedule, TransmissionOrder::new(), 0));
+        }
+        match self.policy {
+            OrderPolicy::HopOrder | OrderPolicy::TreeOrder { .. } => self.rank_layout(),
+            OrderPolicy::GreedySequential { .. } => {
+                let _span = wimesh_obs::span!("session.approx");
+                let lower = self.clique_prune()?;
+                self.stats.greedy_solves += 1;
+                wimesh_obs::counter_inc("session.greedy.solves");
+                let (schedule, ord, used) = self.rank_layout()?;
+                self.stats.approx_gap = u64::from(used.saturating_sub(lower));
+                Ok((schedule, ord, used))
+            }
+            OrderPolicy::ExactMilp => {
+                let (demands, reqs) = (self.demands(), self.requirements());
+                let (schedule, ord, used) = exact_search_warm(
+                    self.mesh.model(),
+                    &self.graph,
+                    &demands,
+                    &reqs,
+                    self.mesh.solver_config(),
+                    warm,
+                    &mut self.stats,
+                )?;
+                self.adopt(&schedule)?;
+                Ok((schedule, ord, used))
+            }
+            OrderPolicy::LpRounding => {
+                let _span = wimesh_obs::span!("session.approx");
+                let lower = self.clique_prune()?;
+                self.stats.lp_solves += 1;
+                wimesh_obs::counter_inc("session.lp.solves");
+                let (demands, reqs) = (self.demands(), self.requirements());
+                let frame = self.mesh.model().frame();
+                let (schedule, ord, used, lp_bound) =
+                    admission::lp_rounding_solve(&self.graph, &demands, &reqs, frame)?;
+                self.stats.approx_gap = u64::from(used.saturating_sub(lower.max(lp_bound)));
+                self.adopt(&schedule)?;
+                Ok((schedule, ord, used))
+            }
+        }
+    }
+
+    /// The clique-bound fast reject the approximation policies share: the
+    /// heaviest clique's total demand floors any feasible guaranteed
+    /// region, so a request whose bound exceeds the frame is rejected
+    /// without running any solver. The bound it returns, subtracted from
+    /// the realised region, is a true upper bound on the optimality gap
+    /// ([`SessionStats::approx_gap`]).
+    fn clique_prune(&mut self) -> Result<u32, ScheduleError> {
+        let demand_of = |l: LinkId| self.links[l.index()].demand;
+        admission::clique_prune(&self.graph, demand_of, self.mesh.model().frame())
+            .inspect_err(|_| self.stats.clique_prunes += 1)
+    }
+
+    /// The layout of the rank policies: every demanded link at its
+    /// earliest start under the `(rank, link)` order, checked against the
+    /// frame and every deadline.
+    fn rank_layout(&mut self) -> Result<Layout, ScheduleError> {
+        if let Some(Err(no_tree)) = &self.tree_ranks {
+            return Err(ScheduleError::SolverFailed(no_tree.clone()));
+        }
+        let frame = self.mesh.model().frame();
+        let makespan = self.sweep_starts();
+        if makespan > u64::from(frame.slots()) {
+            return Err(ScheduleError::FrameTooShort {
+                needed: makespan as u32,
+                available: frame.slots(),
+            });
+        }
+        self.walk_routes(true)?;
+        let granted = |&l: &LinkId| Some((l, self.links[l.index()].trial?));
+        let ranges = self.demanded.iter().filter_map(granted).collect();
+        let schedule = Schedule::from_ranges(frame, ranges)?;
+        let ord = TransmissionOrder::from_ranks(&self.graph, |l| self.links[l.index()].rank);
+        Ok((schedule, ord, makespan as u32))
+    }
+
+    /// Earliest start of every demanded link when conflicting links
+    /// transmit in `(rank, link)` order — the longest-path layout of that
+    /// order, taken in one pass because the sweep visits a link after
+    /// every link that precedes it. Writes the trial ranges, returns the
+    /// makespan.
+    fn sweep_starts(&mut self) -> u64 {
+        let Scratch {
+            vertex_of,
+            turn,
+            end,
+            ..
+        } = &mut self.scratch;
+        for (v, l) in self.graph.links().iter().enumerate() {
+            vertex_of[l.index()] = v as u32;
+        }
+        turn.clear();
+        turn.resize(self.graph.vertex_count(), 0);
+        end.clear();
+        end.resize(self.graph.vertex_count(), 0);
+        for (t, &(_, l)) in self.sweep.iter().enumerate() {
+            turn[vertex_of[l.index()] as usize] = t as u32;
+        }
+        let mut makespan = 0u64;
+        for (t, &(_, l)) in self.sweep.iter().enumerate() {
+            let v = vertex_of[l.index()] as usize;
+            let mut start = 0u64;
+            for &u in self.graph.neighbors(v) {
+                if turn[u] < t as u32 {
+                    start = start.max(end[u]);
+                }
+            }
+            let state = &mut self.links[l.index()];
+            end[v] = start + u64::from(state.demand);
+            makespan = makespan.max(end[v]);
+            // A start past `u32` only occurs in a layout the frame check
+            // refuses.
+            state.trial = Some(SlotRange {
+                start: u32::try_from(start).unwrap_or(u32::MAX),
+                len: state.demand,
+            });
+        }
+        makespan
+    }
+
+    /// Makes `schedule` the trial layout and derives the delay bounds it
+    /// gives. The solver that produced it (or, on restore, nothing — the
+    /// state is loaded verbatim) has done the deadline checks; the walk
+    /// only fails on a schedule that leaves a route's link out.
+    fn adopt(&mut self, schedule: &Schedule) -> Result<(), ScheduleError> {
+        for (l, range) in schedule.iter() {
+            self.links[l.index()].trial = Some(range);
+        }
+        self.walk_routes(false)
+    }
+
+    /// One walk of every admitted flow's route over the trial layout:
+    /// the pipeline delay checked against the flow's budget (when
+    /// `enforce`), and the worst-case bound (source wait + pipeline +
+    /// control subframes) into `scratch.delays`.
+    fn walk_routes(&mut self, enforce: bool) -> Result<(), ScheduleError> {
+        let frame = self.mesh.model().frame();
+        let mesh_frame = self.mesh.model().mesh_frame();
+        let (frame_duration, ctrl) = (mesh_frame.frame_duration(), mesh_frame.ctrl_duration());
+        self.scratch.delays.clear();
+        for (f, m) in self.outcome.admitted.iter().zip(&self.meta) {
+            let hops = f.path.links().iter().map(|l| self.links[l.index()].trial);
+            let (pipeline, wraps) = delay::relay_walk(u64::from(frame.slots()), hops)
+                .ok_or(ScheduleError::Infeasible)?;
+            if enforce && m.budget.is_some_and(|budget| pipeline > budget) {
+                return Err(ScheduleError::Infeasible);
+            }
+            self.scratch
+                .delays
+                .push(frame_duration + frame.slots_to_duration(pipeline) + ctrl * wraps as u32);
+        }
+        Ok(())
+    }
+
+    /// Publishes a layout [`QosSession::solve`] (or a load) left on
+    /// trial: every flow's delay bound, the schedule and order, and the
+    /// count of ranges the operation moved.
+    fn publish(&mut self, (schedule, ord, used): Layout) {
+        let moved = ranges_moved(&self.outcome.schedule, &schedule);
+        self.stats.ranges_moved += moved;
+        wimesh_obs::counter_add("session.ranges_moved", moved);
+        for (f, &bound) in self.outcome.admitted.iter_mut().zip(&self.scratch.delays) {
+            f.worst_case_delay = bound;
+        }
         self.outcome.schedule = schedule;
         self.outcome.order = ord;
         self.outcome.guaranteed_slots = used;
     }
 
+    /// [`QosSession::publish`] for an admit: the flows from position
+    /// `base` on are no longer on trial.
+    fn publish_admitted(&mut self, base: usize, layout: Layout, operation: &str) {
+        self.publish(layout);
+        for (f, m) in self.outcome.admitted[base..].iter().zip(&self.meta[base..]) {
+            self.seq_of.insert(f.spec.id, m.seq);
+        }
+        self.certify(operation);
+        self.promise_slos(base);
+    }
+
     /// Cross-checks the published outcome against the independent
     /// certifier in `wimesh-check` (compiled in by the `checked` cargo
-    /// feature). Panics with the full violation list on failure: the
-    /// optimised incremental paths must never publish a schedule the
-    /// reference oracle rejects.
+    /// feature), with demands aggregated from scratch, and the per-link
+    /// state against those demands. Panics with the full violation list on
+    /// failure: the delta paths must never publish a schedule the
+    /// reference oracle rejects, nor drift from the from-scratch state.
     #[cfg(feature = "checked")]
     fn certify(&self, operation: &str) {
-        let demands = {
-            let trial: Vec<&Accepted> = self.accepted.iter().collect();
-            admission::aggregate_demands(
-                self.mesh.model(),
-                self.mesh.link_payloads(),
-                self.mesh.loss_provisioning(),
-                &trial,
-            )
-        };
+        let demands = self.mesh.demands_for(&self.outcome.admitted);
+        assert_eq!(
+            self.demands(),
+            demands,
+            "session {operation}: per-link demands drifted from the from-scratch aggregation"
+        );
+        let mut vertices = self.graph.links().to_vec();
+        vertices.sort_unstable();
+        assert!(
+            vertices.into_iter().eq(demands.links()),
+            "session {operation}: graph vertices are not the demanded links"
+        );
         let flows: Vec<wimesh_check::FlowRequirement> = self
             .outcome
             .admitted
@@ -1021,6 +1384,72 @@ impl QosSession {
     fn certify(&self, _operation: &str) {}
 }
 
+/// Enters a flow into the `crossing` list of every link on its route, at
+/// its place in admission order, and marks the links touched.
+fn attach(
+    links: &mut [LinkState],
+    touched: &mut Vec<LinkId>,
+    seq: u64,
+    spec: &FlowSpec,
+    path: &Path,
+) {
+    for (hop, &l) in path.links().iter().enumerate() {
+        let crossing = &mut links[l.index()].crossing;
+        let at = crossing.partition_point(|c| c.seq <= seq);
+        crossing.insert(
+            at,
+            Crossing {
+                seq,
+                hop: hop as u32,
+                rate_bps: spec.rate_bps,
+                burst_bytes: u64::from(spec.burst_bytes),
+            },
+        );
+        touched.push(l);
+    }
+}
+
+/// The inverse of [`attach`].
+fn detach(links: &mut [LinkState], touched: &mut Vec<LinkId>, seq: u64, path: &Path) {
+    for &l in path.links() {
+        links[l.index()].crossing.retain(|c| c.seq != seq);
+        touched.push(l);
+    }
+}
+
+/// Takes `item` out of an ascending vector.
+fn sorted_remove<T: Ord>(sorted: &mut Vec<T>, item: &T) {
+    if let Ok(at) = sorted.binary_search(item) {
+        sorted.remove(at);
+    }
+}
+
+/// Puts `item` into an ascending vector, at its place.
+fn sorted_insert<T: Ord>(sorted: &mut Vec<T>, item: T) {
+    let at = sorted.binary_search(&item).unwrap_or_else(|at| at);
+    sorted.insert(at, item);
+}
+
+/// Links whose range appeared, vanished or changed from `old` to `new`:
+/// one merge walk over the two schedules, both ascending by link.
+fn ranges_moved(old: &Schedule, new: &Schedule) -> u64 {
+    let (mut old, mut new) = (old.iter().peekable(), new.iter().peekable());
+    let mut moved = 0;
+    loop {
+        let step = match (old.peek(), new.peek()) {
+            (None, None) => return moved,
+            (Some(_), None) => std::cmp::Ordering::Less,
+            (None, Some(_)) => std::cmp::Ordering::Greater,
+            (Some((a, _)), Some((b, _))) => a.cmp(b),
+        };
+        let (before, after) = (
+            step.is_le().then(|| old.next()).flatten(),
+            step.is_ge().then(|| new.next()).flatten(),
+        );
+        moved += u64::from(before != after);
+    }
+}
+
 /// Appends to the rejection log, dropping the oldest entry at the cap.
 fn log_reject(log: &mut Vec<(FlowSpec, RejectReason)>, spec: &FlowSpec, reason: &RejectReason) {
     if log.len() >= QosSession::REJECT_LOG_CAP {
@@ -1039,98 +1468,6 @@ fn empty_outcome(model: &EmulationModel) -> AdmissionOutcome {
         schedule,
         order: TransmissionOrder::new(),
         guaranteed_slots: 0,
-    }
-}
-
-/// One scheduling decision over the session's cached graph.
-fn solve_session(
-    mesh: &MeshQos,
-    graph: &ConflictGraph,
-    demands: &Demands,
-    flows: &[&Accepted],
-    policy: OrderPolicy,
-    warm: Option<&WarmOrder>,
-    stats: &mut SessionStats,
-) -> Result<(Schedule, TransmissionOrder, u32), ScheduleError> {
-    // Mirror the batch path: a demand-free flow set schedules trivially.
-    if demands.is_empty() {
-        let schedule = Schedule::from_ranges(mesh.model().frame(), Default::default())?;
-        return Ok((schedule, TransmissionOrder::new(), 0));
-    }
-    match policy {
-        // The heuristic policies recompute their (cheap) order from the
-        // current flow set, exactly as the batch path does — only the
-        // conflict-graph construction is saved.
-        OrderPolicy::HopOrder | OrderPolicy::TreeOrder { .. } => admission::solve_demands_on_graph(
-            mesh.topology(),
-            mesh.model(),
-            graph,
-            demands,
-            flows,
-            policy,
-            mesh.solver_config(),
-        ),
-        OrderPolicy::ExactMilp => exact_search_warm(
-            mesh.model(),
-            graph,
-            demands,
-            flows,
-            mesh.solver_config(),
-            warm,
-            stats,
-        ),
-        OrderPolicy::GreedySequential { .. } | OrderPolicy::LpRounding => {
-            approx_solve(mesh, graph, demands, flows, policy, stats)
-        }
-    }
-}
-
-/// The approximation-mode oracles, with per-policy stats and the
-/// certified optimality-gap bookkeeping.
-///
-/// Both policies share the clique-bound fast reject: the heaviest
-/// clique's total demand floors any feasible guaranteed region, so a
-/// request whose bound exceeds the frame is rejected without running
-/// any solver. The realised guaranteed region minus the
-/// best certified lower bound is a true upper bound on the optimality
-/// gap, recorded in [`SessionStats::approx_gap`].
-fn approx_solve(
-    mesh: &MeshQos,
-    graph: &ConflictGraph,
-    demands: &Demands,
-    flows: &[&Accepted],
-    policy: OrderPolicy,
-    stats: &mut SessionStats,
-) -> Result<(Schedule, TransmissionOrder, u32), ScheduleError> {
-    let _span = wimesh_obs::span!("session.approx");
-    let model = mesh.model();
-    let lower = admission::clique_prune(graph, demands, model.frame())
-        .inspect_err(|_| stats.clique_prunes += 1)?;
-    match policy {
-        OrderPolicy::GreedySequential { .. } => {
-            stats.greedy_solves += 1;
-            wimesh_obs::counter_inc("session.greedy.solves");
-            let (schedule, ord, used) = admission::solve_demands_on_graph(
-                mesh.topology(),
-                model,
-                graph,
-                demands,
-                flows,
-                policy,
-                mesh.solver_config(),
-            )?;
-            stats.approx_gap = u64::from(used.saturating_sub(lower));
-            Ok((schedule, ord, used))
-        }
-        OrderPolicy::LpRounding => {
-            stats.lp_solves += 1;
-            wimesh_obs::counter_inc("session.lp.solves");
-            let (schedule, ord, used, lp_bound) =
-                admission::lp_rounding_solve(model, graph, demands, flows)?;
-            stats.approx_gap = u64::from(used.saturating_sub(lower.max(lp_bound)));
-            Ok((schedule, ord, used))
-        }
-        _ => unreachable!("approx_solve is only dispatched for approximation policies"),
     }
 }
 
@@ -1166,26 +1503,25 @@ fn exact_search_warm(
     model: &EmulationModel,
     graph: &ConflictGraph,
     demands: &Demands,
-    flows: &[&Accepted],
+    reqs: &[PathRequirement],
     solver: &SolverConfig,
-    warm: Option<&WarmOrder>,
+    warm: Option<&[(LinkId, LinkId)]>,
     stats: &mut SessionStats,
-) -> Result<(Schedule, TransmissionOrder, u32), ScheduleError> {
+) -> Result<Layout, ScheduleError> {
     let _span = wimesh_obs::span!("session.search");
     let frame = model.frame();
     let total = frame.slots();
-    let reqs = admission::path_requirements(model, flows);
-    let mut lo =
-        admission::clique_prune(graph, demands, frame).inspect_err(|_| stats.clique_prunes += 1)?;
+    let mut lo = admission::clique_prune(graph, |l| demands.get(l), frame)
+        .inspect_err(|_| stats.clique_prunes += 1)?;
 
     // The candidate order: the persisted warm order (replayed through
     // link pairs, so graph reindexing cannot corrupt it), with conflict
     // edges it does not decide — new links, typically — filled in from
     // the hop heuristic over the current paths.
-    let hop = order::hop_order(graph, flows.iter().map(|f| &f.path));
+    let hop = order::hop_order(graph, reqs.iter().map(|r| &r.path));
     let candidate = match warm {
-        Some(w) => {
-            let mut o = TransmissionOrder::from_link_pairs(graph, &w.pairs);
+        Some(pairs) => {
+            let mut o = TransmissionOrder::from_link_pairs(graph, pairs);
             for (i, j) in graph.edges() {
                 if o.before(i, j).is_none() {
                     if let Some(b) = hop.before(i, j) {
@@ -1212,15 +1548,15 @@ fn exact_search_warm(
         stats.oracle_calls += 1;
         wimesh_obs::counter_inc("session.oracle.calls");
         let started = std::time::Instant::now();
-        let step = feasible_order_within(graph, demands, &reqs, frame, used, solver)
-            .map(|sol| admission::earliest_layout(graph, demands, &reqs, frame, used, sol));
+        let step = feasible_order_within(graph, demands, reqs, frame, used, solver)
+            .map(|sol| admission::earliest_layout(graph, demands, reqs, frame, used, sol));
         wimesh_obs::record_duration("session.search.step", started.elapsed());
         step
     };
 
     stats.search_iterations += 1;
     let mut best: OrderSolution;
-    match validate_order_within(graph, demands, &reqs, frame, total, &candidate) {
+    match validate_order_within(graph, demands, reqs, frame, total, &candidate) {
         Some(sol) => {
             stats.oracle_calls_saved += 1;
             wimesh_obs::counter_inc("session.oracle.saved");
@@ -1489,6 +1825,184 @@ mod tests {
         let restored = mesh.restore_session(&session.export_state()).unwrap();
         assert_eq!(restored.export_state(), session.export_state());
         assert!(session.release(FlowId(0)).unwrap());
+    }
+
+    /// The per-link and per-flow state against the admitted set it must
+    /// be a function of: every crossing list holds exactly the flows
+    /// routed over the link, in admission order; the sweep and the graph
+    /// hold exactly the demanded links.
+    fn assert_state_consistent(session: &QosSession) {
+        let admitted = &session.outcome.admitted;
+        assert_eq!(admitted.len(), session.meta.len());
+        assert_eq!(admitted.len(), session.seq_of.len());
+        assert!(session.meta.windows(2).all(|w| w[0].seq < w[1].seq));
+        for (index, state) in session.links.iter().enumerate() {
+            let link = LinkId(index as u32);
+            let expected: Vec<(u64, u32)> = admitted
+                .iter()
+                .zip(&session.meta)
+                .flat_map(|(f, m)| {
+                    let hops = f.path.links().iter().enumerate();
+                    hops.filter(move |(_, &l)| l == link)
+                        .map(|(hop, _)| (m.seq, hop as u32))
+                })
+                .collect();
+            let held: Vec<(u64, u32)> = state.crossing.iter().map(|c| (c.seq, c.hop)).collect();
+            assert_eq!(held, expected, "crossing list of {link}");
+            assert_eq!(state.demand > 0, !expected.is_empty());
+            assert_eq!(state.demand > 0, session.graph.index_of(link).is_some());
+            let entry = session.sweep.binary_search(&(state.rank, link));
+            assert_eq!(state.demand > 0, entry.is_ok(), "sweep entry of {link}");
+        }
+        assert!(session.sweep.windows(2).all(|w| w[0] < w[1]));
+        let mut by_id: Vec<LinkId> = session.sweep.iter().map(|&(_, l)| l).collect();
+        by_id.sort_unstable();
+        assert_eq!(by_id, session.demanded);
+        assert_eq!(session.sweep.len(), session.graph.vertex_count());
+        for f in admitted {
+            assert!(session.seq_of.contains_key(&f.spec.id));
+        }
+    }
+
+    #[test]
+    fn a_failed_release_is_undone_by_the_inverse_delta() {
+        let mesh = mesh(6);
+        // No fallback order under the greedy policies: the subset's own
+        // hop order overflows the frame and the release fails.
+        let policy = OrderPolicy::GreedySequential {
+            key: admission::GreedyKey::Demand,
+        };
+        let mut session = mesh.session(policy);
+        for f in &near_capacity_flows() {
+            assert!(session.admit(f).unwrap().is_admitted());
+        }
+        assert_state_consistent(&session);
+        let before = session.export_state();
+        let bounds: Vec<Duration> = session
+            .snapshot()
+            .admitted
+            .iter()
+            .map(|f| f.worst_case_delay)
+            .collect();
+
+        assert!(session.release(FlowId(3)).is_err());
+        assert_eq!(session.export_state(), before);
+        let after: Vec<Duration> = session
+            .snapshot()
+            .admitted
+            .iter()
+            .map(|f| f.worst_case_delay)
+            .collect();
+        assert_eq!(after, bounds);
+        // Flow 3 is back in the middle of every list it was in, so the
+        // per-link sums still add in admission order.
+        assert_state_consistent(&session);
+        assert_eq!(session.stats().releases, 0);
+
+        // The session keeps working from the restored state.
+        assert!(session.release(FlowId(0)).unwrap());
+        assert_state_consistent(&session);
+        assert!(session.rebalance().is_ok());
+        assert_state_consistent(&session);
+    }
+
+    #[test]
+    fn duplicate_ids_are_rejected_not_double_booked() {
+        let mesh = mesh(5);
+        let mut session = mesh.session(OrderPolicy::HopOrder);
+        let call = FlowSpec::voip(7, NodeId(4), NodeId(0), VoipCodec::G711);
+        assert!(session.admit(&call).unwrap().is_admitted());
+        let booked = session.export_state();
+
+        // A retried request, on the shortest route or an explicit one.
+        let again = session.admit(&call).unwrap();
+        assert_eq!(again.rejected(), Some(&RejectReason::DuplicateFlow));
+        let route = shortest_path(mesh.topology(), call.src, call.dst).unwrap();
+        let via = session.admit_via(&call, route).unwrap();
+        assert_eq!(via.rejected(), Some(&RejectReason::DuplicateFlow));
+        assert_eq!(session.export_state(), booked);
+        assert_eq!(session.snapshot().admitted.len(), 1);
+        assert_eq!(session.snapshot().rejected.len(), 2);
+        assert_state_consistent(&session);
+
+        // One release frees the id and every slot it held.
+        assert!(session.release(call.id).unwrap());
+        assert!(session.snapshot().admitted.is_empty());
+        assert_eq!(session.snapshot().guaranteed_slots, 0);
+        assert!(!session.release(call.id).unwrap());
+        assert!(session.admit(&call).unwrap().is_admitted());
+    }
+
+    #[test]
+    fn admit_batch_admits_the_first_of_a_repeated_id() {
+        let mesh = mesh(5);
+        let mut session = mesh.session(OrderPolicy::HopOrder);
+        let live = FlowSpec::voip(0, NodeId(2), NodeId(0), VoipCodec::G729);
+        assert!(session.admit(&live).unwrap().is_admitted());
+        let specs = vec![
+            FlowSpec::voip(1, NodeId(4), NodeId(0), VoipCodec::G729),
+            FlowSpec::voip(0, NodeId(3), NodeId(0), VoipCodec::G729),
+            FlowSpec::voip(1, NodeId(3), NodeId(0), VoipCodec::G711),
+            FlowSpec::voip(2, NodeId(1), NodeId(0), VoipCodec::G729),
+        ];
+        let verdicts = session.admit_batch(&specs).unwrap();
+        assert!(verdicts[0].is_admitted());
+        assert_eq!(verdicts[1].rejected(), Some(&RejectReason::DuplicateFlow));
+        assert_eq!(verdicts[2].rejected(), Some(&RejectReason::DuplicateFlow));
+        assert!(verdicts[3].is_admitted());
+        assert_eq!(session.stats().admits, 5);
+        assert_eq!(session.stats().coalesced_admits, 1);
+        let admitted = &session.snapshot().admitted;
+        let ids: Vec<u32> = admitted.iter().map(|f| f.spec.id.0).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        assert_eq!(admitted[1].spec, specs[0], "the first occurrence won");
+        assert_state_consistent(&session);
+    }
+
+    #[test]
+    fn restore_refuses_a_state_that_lists_a_flow_twice() {
+        let mesh = mesh(5);
+        let mut session = mesh.session(OrderPolicy::HopOrder);
+        session.admit_batch(&gateway_calls(2, 4)).unwrap();
+        let mut state = session.export_state();
+        state.flows[1].spec.id = state.flows[0].spec.id;
+        match mesh.restore_session(&state) {
+            Err(QosError::Config(why)) => assert!(why.contains("twice"), "{why}"),
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ranges_moved_counts_appeared_vanished_and_changed_ranges() {
+        let mesh = mesh(5);
+        let mut session = mesh.session(OrderPolicy::HopOrder);
+        let far = FlowSpec::voip(0, NodeId(4), NodeId(0), VoipCodec::G711);
+        assert!(session.admit(&far).unwrap().is_admitted());
+        assert_eq!(session.stats().ranges_moved, 4, "four ranges appeared");
+
+        // A rejected admit publishes nothing.
+        let mut id = 100;
+        while session.admit(&big_flow(id)).unwrap().is_admitted() {
+            id += 1;
+        }
+        let before = session.stats().ranges_moved;
+        assert!(!session.admit(&big_flow(id + 1)).unwrap().is_admitted());
+        assert_eq!(session.stats().ranges_moved, before);
+
+        // Whatever an operation moves is the difference of the two
+        // published schedules.
+        let old = session.snapshot().schedule.clone();
+        assert!(session.release(far.id).unwrap());
+        let new = &session.snapshot().schedule;
+        let mut links: Vec<LinkId> = old.links().chain(new.links()).collect();
+        links.sort_unstable();
+        links.dedup();
+        let differing = links
+            .iter()
+            .filter(|&&l| old.slot_range(l) != new.slot_range(l))
+            .count() as u64;
+        assert!(differing >= 2, "links 4->3 and 3->2 lost their ranges");
+        assert_eq!(session.stats().ranges_moved, before + differing);
     }
 
     #[test]

@@ -49,6 +49,11 @@ fn admit_emits_expected_spans_and_metrics() {
         id += 1;
     }
     let oracle_calls = session.stats().oracle_calls;
+    let ranges_moved = session.stats().ranges_moved;
+    assert!(
+        ranges_moved >= 7,
+        "the first call alone gave three links a range, the farthest seven"
+    );
     assert_eq!(
         session.stats().clique_prunes,
         1,
@@ -119,6 +124,9 @@ fn admit_emits_expected_spans_and_metrics() {
     // The session's search: fast reject, gap, and solves the bounds closed.
     assert_eq!(counter("admission.clique_prunes"), Some(1));
     assert_eq!(counter("session.oracle.calls"), Some(oracle_calls));
+    // What each published schedule changed, summed: the stat and the
+    // counter are the same number.
+    assert_eq!(counter("session.ranges_moved"), Some(ranges_moved));
     assert!(counter("session.search.closed_by_bounds").unwrap_or(0) >= 1);
     let gap = snap
         .gauges

@@ -2,10 +2,10 @@
 //! calls, backpressure is typed, views version by epoch, and shutdown
 //! reports the full state.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use wimesh::{FlowSpec, MeshQos, OrderPolicy};
+use wimesh::{FlowSpec, MeshQos, OrderPolicy, RejectReason};
 use wimesh_emu::EmulationParams;
 use wimesh_sim::traffic::VoipCodec;
 use wimesh_sim::FlowId;
@@ -26,6 +26,30 @@ fn voip_toward_gateway(n: u32, far: u32) -> Vec<FlowSpec> {
 
 fn sink_journal() -> JournalWriter {
     JournalWriter::from_writer(Box::new(std::io::sink()))
+}
+
+/// A journal kept in memory, readable after the gateway is gone.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl SharedBuf {
+    fn text(&self) -> String {
+        let bytes = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        String::from_utf8(bytes.clone()).expect("journals are UTF-8")
+    }
 }
 
 #[test]
@@ -246,23 +270,6 @@ fn submissions_after_shutdown_fail_typed() {
 
 #[test]
 fn configured_policy_is_declared_and_survives_crash_recovery() {
-    use std::sync::{Arc, Mutex, PoisonError};
-
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-    impl std::io::Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
     let mesh = mesh(5);
     let policy = OrderPolicy::GreedySequential {
         key: wimesh::GreedyKey::CliqueLoad,
@@ -284,10 +291,7 @@ fn configured_policy_is_declared_and_survives_crash_recovery() {
     }
     let report = gateway.shutdown();
 
-    let journal = {
-        let bytes = buf.0.lock().unwrap_or_else(PoisonError::into_inner);
-        String::from_utf8(bytes.clone()).expect("journals are UTF-8")
-    };
+    let journal = buf.text();
     assert!(
         journal.starts_with("{\"t\":\"svc.policy\",\"policy\":\"greedy:clique\"}"),
         "gateway declares its policy first: {journal}"
@@ -296,6 +300,50 @@ fn configured_policy_is_declared_and_survives_crash_recovery() {
     let recovered = wimesh_svc::recover_recorded(&mesh, &journal).expect("recovers");
     assert_eq!(recovered.session.export_state(), report.state);
     assert_eq!(recovered.session.policy(), policy);
+}
+
+#[test]
+fn a_resubmitted_admit_is_rejected_and_its_journal_recovers() {
+    let mesh = mesh(5);
+    let buf = SharedBuf::default();
+    let (gateway, client) = AdmissionGateway::start(
+        mesh.session(OrderPolicy::HopOrder),
+        JournalWriter::from_writer(Box::new(buf.clone())),
+        GatewayConfig::default(),
+    )
+    .expect("gateway starts");
+    let call = FlowSpec::voip(7, NodeId(4), NodeId(0), VoipCodec::G711);
+    let ask = |spec: &FlowSpec| {
+        let ticket = client.admit(spec.clone()).expect("submit");
+        ticket.wait().expect("reply")
+    };
+
+    assert!(matches!(ask(&call), Reply::Admitted(_)));
+    // The retry — its reply was lost, say — must not reserve twice.
+    let retry = ask(&call);
+    assert!(
+        matches!(retry, Reply::Rejected(RejectReason::DuplicateFlow)),
+        "{retry:?}"
+    );
+    assert!(matches!(
+        ask(&FlowSpec::voip(8, NodeId(3), NodeId(0), VoipCodec::G729)),
+        Reply::Admitted(_)
+    ));
+    // One release frees the id: nothing stays booked under it.
+    let released = client.release(call.id).expect("submit").wait();
+    assert!(matches!(released, Ok(Reply::Released(true))));
+    let again = client.release(call.id).expect("submit").wait();
+    assert!(matches!(again, Ok(Reply::Released(false))));
+
+    let report = gateway.shutdown();
+    assert_eq!(report.state.flows.len(), 1);
+    assert_eq!(report.service.admitted, 2);
+    assert_eq!(report.service.rejected, 1);
+    // The journal holds the retry like any request; replaying it rejects
+    // it again and lands on the same state.
+    let recovered =
+        wimesh_svc::recover(&mesh, OrderPolicy::HopOrder, &buf.text()).expect("recovers");
+    assert_eq!(recovered.session.export_state(), report.state);
 }
 
 #[test]

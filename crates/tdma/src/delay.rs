@@ -12,7 +12,49 @@ use std::time::Duration;
 
 use wimesh_topology::routing::Path;
 
-use crate::Schedule;
+use crate::{Schedule, SlotRange};
+
+/// Pipeline delay and frame wraps of a packet relayed through `hops`, the
+/// slot ranges of its route in travel order, in a frame of
+/// `slots_per_frame` minislots: `(delay, wraps)`, or `None` when a hop has
+/// no range or there is no hop.
+///
+/// The delay runs from the start of the first range to the end of the
+/// last transmission; a hop whose range starts before the previous one
+/// ended waits for the next frame, which is one wrap. The one walk serves
+/// [`path_delay_slots`] and [`frame_wraps`], and `wimesh`'s session, which
+/// reads the ranges from its own per-link state.
+pub fn relay_walk(
+    slots_per_frame: u64,
+    hops: impl IntoIterator<Item = Option<SlotRange>>,
+) -> Option<(u64, u64)> {
+    let mut hops = hops.into_iter();
+    let first = hops.next()??;
+    // The packet is done `frames` whole frames plus `offset` slots after
+    // frame 0 began, `offset` below the frame length. A range that fits
+    // its frame ends inside it or exactly on it, so the division is rare.
+    let mut frames = 0u64;
+    let finish = |range: SlotRange, frames: &mut u64| {
+        let end = u64::from(range.start) + u64::from(range.len);
+        if end < slots_per_frame {
+            return end;
+        }
+        *frames += end / slots_per_frame;
+        end % slots_per_frame
+    };
+    let mut offset = finish(first, &mut frames);
+    let mut wraps = 0;
+    for hop in hops {
+        let range = hop?;
+        if u64::from(range.start) < offset {
+            frames += 1;
+            wraps += 1;
+        }
+        offset = finish(range, &mut frames);
+    }
+    let done = frames * slots_per_frame + offset;
+    Some((done - u64::from(first.start), wraps))
+}
 
 /// End-to-end delay of `path` in minislots: from the start of the first
 /// link's range to the end of the last link's transmission (including the
@@ -24,24 +66,14 @@ use crate::Schedule;
 /// when the first link's range begins. A worst-case arrival adds up to one
 /// more frame of waiting at the source; see [`worst_case_delay_slots`].
 pub fn path_delay_slots(schedule: &Schedule, path: &Path) -> Option<u64> {
-    let slots_per_frame = schedule.frame().slots() as u64;
-    let mut links = path.links().iter();
-    let first = schedule.slot_range(*links.next()?)?;
-    let start = first.start as u64;
-    // `done` is an absolute slot count (frame 0 starts at slot 0).
-    let mut done = start + first.len as u64;
-    for &l in links {
-        let range = schedule.slot_range(l)?;
-        let pos = range.start as u64;
-        // Earliest absolute slot >= done congruent to pos (mod frame).
-        let depart = if pos >= done % slots_per_frame {
-            done - done % slots_per_frame + pos
-        } else {
-            done - done % slots_per_frame + slots_per_frame + pos
-        };
-        done = depart + range.len as u64;
-    }
-    Some(done - start)
+    scheduled_walk(schedule, path).map(|(delay, _)| delay)
+}
+
+fn scheduled_walk(schedule: &Schedule, path: &Path) -> Option<(u64, u64)> {
+    relay_walk(
+        u64::from(schedule.frame().slots()),
+        path.links().iter().map(|&l| schedule.slot_range(l)),
+    )
 }
 
 /// Worst-case end-to-end delay in minislots for a packet arriving at an
@@ -90,23 +122,7 @@ pub fn max_delay_slots(schedule: &Schedule, paths: &[Path]) -> Option<u64> {
 ///
 /// Returns `None` if some path link is not scheduled.
 pub fn frame_wraps(schedule: &Schedule, path: &Path) -> Option<u64> {
-    let slots_per_frame = schedule.frame().slots() as u64;
-    let mut links = path.links().iter();
-    let first = schedule.slot_range(*links.next()?)?;
-    let mut done = first.start as u64 + first.len as u64;
-    let mut wraps = 0;
-    for &l in links {
-        let range = schedule.slot_range(l)?;
-        let pos = range.start as u64;
-        if pos < done % slots_per_frame {
-            wraps += 1;
-            done = done - done % slots_per_frame + slots_per_frame + pos;
-        } else {
-            done = done - done % slots_per_frame + pos;
-        }
-        done += range.len as u64;
-    }
-    Some(wraps)
+    scheduled_walk(schedule, path).map(|(_, wraps)| wraps)
 }
 
 #[cfg(test)]
@@ -149,6 +165,45 @@ mod tests {
     }
 
     use wimesh_topology::routing::Path;
+
+    /// The walk `relay_walk` replaced: an absolute slot count and two
+    /// remainders per hop.
+    fn modular_walk(frame: u64, hops: &[SlotRange]) -> (u64, u64) {
+        let start = u64::from(hops[0].start);
+        let mut done = start + u64::from(hops[0].len);
+        let mut wraps = 0;
+        for r in &hops[1..] {
+            let pos = u64::from(r.start);
+            if pos < done % frame {
+                wraps += 1;
+                done = done - done % frame + frame + pos;
+            } else {
+                done = done - done % frame + pos;
+            }
+            done += u64::from(r.len);
+        }
+        (done - start, wraps)
+    }
+
+    #[test]
+    fn relay_walk_equals_the_modular_walk() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..2000 {
+            let frame = rng.gen_range(1..40u32);
+            // Ranges that fit the frame, end exactly on it, or overrun it.
+            let hops: Vec<SlotRange> = (0..rng.gen_range(1..8))
+                .map(|_| SlotRange::new(rng.gen_range(0..frame + 3), rng.gen_range(1..frame + 3)))
+                .collect();
+            assert_eq!(
+                relay_walk(u64::from(frame), hops.iter().copied().map(Some)),
+                Some(modular_walk(u64::from(frame), &hops)),
+                "frame {frame}, hops {hops:?}"
+            );
+        }
+        assert_eq!(relay_walk(8, std::iter::empty()), None);
+        assert_eq!(relay_walk(8, [Some(SlotRange::new(0, 1)), None]), None);
+    }
 
     #[test]
     fn forward_order_no_wraps() {

@@ -50,10 +50,9 @@ impl TransmissionOrder {
     /// [`TransmissionOrder::from_ranks`] with the `(rank, link)` key of
     /// every vertex already laid out by dense index.
     fn from_vertex_keys(graph: &ConflictGraph, keys: &[(u64, LinkId)]) -> Self {
-        let bits = graph
-            .edges()
-            .map(|(i, j)| ((i, j), keys[i] < keys[j]))
-            .collect();
+        // `edges()` cannot tell its length: reserve instead of growing.
+        let mut bits = Vec::with_capacity(graph.edge_count());
+        bits.extend(graph.edges().map(|(i, j)| ((i, j), keys[i] < keys[j])));
         Self { bits }
     }
 
@@ -253,31 +252,38 @@ pub fn tree_order(
     routing: &GatewayRouting,
     graph: &ConflictGraph,
 ) -> TransmissionOrder {
+    let ranks = tree_ranks(topo, routing);
+    TransmissionOrder::from_ranks(graph, |l| ranks.get(l.index()).copied().unwrap_or(u64::MAX))
+}
+
+/// The rank [`tree_order`] gives every link of `topo`, indexed by
+/// [`LinkId::index`]: a property of the routing tree alone, so a caller
+/// that schedules on one tree many times computes it once.
+pub fn tree_ranks(topo: &MeshTopology, routing: &GatewayRouting) -> Vec<u64> {
     let max_depth = topo
         .node_ids()
         .filter_map(|n| routing.depth(n))
         .max()
         .unwrap_or(0) as u64;
-    let rank = |l: LinkId| -> u64 {
-        let link = match topo.link(l) {
-            Some(link) => *link,
-            None => return u64::MAX,
-        };
-        // Uplink: tx is the child (parent(tx) == rx). Downlink: rx is the
-        // child. Other links are not tree links.
-        if routing.parent(link.tx) == Some(link.rx) {
-            let d = routing.depth(link.tx).unwrap_or(0) as u64;
-            // depth d in [1, max]: rank 0 for deepest.
-            max_depth - d
-        } else if routing.parent(link.rx) == Some(link.tx) {
-            let d = routing.depth(link.rx).unwrap_or(0) as u64;
-            // Downlinks after all uplinks, shallow first.
-            max_depth + d
-        } else {
-            2 * max_depth + 1 + u64::from(u32::from(l))
-        }
-    };
-    TransmissionOrder::from_ranks(graph, rank)
+    topo.links()
+        .iter()
+        .enumerate()
+        .map(|(index, link)| {
+            // Uplink: tx is the child (parent(tx) == rx). Downlink: rx is
+            // the child. Other links are not tree links.
+            if routing.parent(link.tx) == Some(link.rx) {
+                let d = routing.depth(link.tx).unwrap_or(0) as u64;
+                // depth d in [1, max]: rank 0 for deepest.
+                max_depth - d
+            } else if routing.parent(link.rx) == Some(link.tx) {
+                let d = routing.depth(link.rx).unwrap_or(0) as u64;
+                // Downlinks after all uplinks, shallow first.
+                max_depth + d
+            } else {
+                2 * max_depth + 1 + index as u64
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

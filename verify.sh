@@ -70,6 +70,12 @@ cargo test -q -p wimesh --test determinism
 # Cross-check the session paths against the certifier at every
 # admit/release/rebalance (the `checked` feature gates the oracle calls).
 cargo test -q -p wimesh --features checked --test session_equivalence
+# The session's delta state (per-link demand, rank and start, per-flow
+# records, inverse-delta roll-back) must equal the from-scratch pipeline
+# it replaced — exported state and every delay bound, bit for bit, after
+# every operation of random churn; with the certifier compiled in, every
+# publish also compares the per-link demands with a fresh aggregation.
+cargo test -q -p wimesh --features checked --test session_delta_equivalence
 # The repository benchmark (BENCHMARK.json) is a workspace of its own
 # that the root build does not see: its harness tests (metric names in
 # step with BENCHMARK.json, generators, percentile maths) run here.
