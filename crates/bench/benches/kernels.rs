@@ -18,7 +18,7 @@ use wimesh::milp::{LinExpr, Model, Sense, SolverConfig};
 use wimesh::phy80211::dcf::{DcfConfig, DcfFlow, DcfSimulation};
 use wimesh::sim::traffic::{CbrSource, VoipCodec};
 use wimesh::sim::FlowId;
-use wimesh::tdma::milp::min_max_delay_order;
+use wimesh::tdma::milp::{feasible_order_within, min_max_delay_order, PathRequirement};
 use wimesh::tdma::{order, schedule_from_order, Demands, FrameConfig};
 use wimesh::{FlowAdmission, FlowSpec, MeshQos, OrderPolicy};
 use wimesh_emu::tdma::{TdmaFlow, TdmaSimulation};
@@ -179,6 +179,51 @@ fn bench_milp(c: &mut Criterion) {
                 &SolverConfig::default(),
             )
             .unwrap()
+        })
+    });
+
+    // One oracle call of the exact slot search on what `gw_exact_chain8`
+    // holds at the end of an episode: ten G.711 calls toward node 0 of
+    // chain(8). A "yes" at the minimum region (branch & bound stops at
+    // its first integral leaf) and a "no" one slot below it (the tree has
+    // to be emptied) — the session asks both kinds.
+    let mesh = MeshQos::new(generators::chain(8), EmulationParams::default()).unwrap();
+    let mut session = mesh.session(OrderPolicy::ExactMilp);
+    for (id, src) in [4, 1, 7, 2, 5, 3, 1, 6, 2, 3].into_iter().enumerate() {
+        let call = FlowSpec::voip(id as u32, NodeId(src), NodeId(0), VoipCodec::G711);
+        assert!(session.admit(&call).unwrap().is_admitted());
+    }
+    let held = session.snapshot();
+    let demands = mesh.demands_for(held.admitted());
+    let cg = ConflictGraph::build_for_links(
+        mesh.topology(),
+        demands.links().collect(),
+        mesh.interference(),
+    );
+    // The deadline in pipeline minislots: what is left of it after the
+    // source's wait for its frame and one control subframe per relay.
+    let (frame, mesh_frame) = (mesh.model().frame(), mesh.model().mesh_frame());
+    let requirements: Vec<PathRequirement> = held
+        .admitted()
+        .iter()
+        .map(|f| {
+            let relays = f.path.hop_count() as u32 - 1;
+            let fixed = mesh_frame.frame_duration() + mesh_frame.ctrl_duration() * relays;
+            let budget = f.spec.deadline.expect("voip calls have deadlines") - fixed;
+            PathRequirement {
+                path: f.path.clone(),
+                deadline_slots: Some(budget.as_micros() as u64 / frame.slot_duration_us()),
+            }
+        })
+        .collect();
+    let minimum = held.guaranteed_slots;
+    c.bench_function("feasible_order_within_chain8_10calls", |b| {
+        b.iter(|| {
+            let config = SolverConfig::default();
+            let yes = feasible_order_within(&cg, &demands, &requirements, frame, minimum, &config);
+            let no =
+                feasible_order_within(&cg, &demands, &requirements, frame, minimum - 1, &config);
+            assert!(yes.is_ok() && no.is_err());
         })
     });
 }

@@ -1,12 +1,14 @@
 //! E9 — scaling of the exact order MILP (solver ablation).
 //!
 //! The min-max delay order problem is NP-complete; this experiment
-//! measures where our from-scratch branch-and-bound stops being
-//! practical, and how close the polynomial hop-order heuristic stays to
-//! the exact optimum while it is still computable. Expected shape:
-//! exact solve time explodes with the number of order binaries; the
-//! heuristic is within a small constant factor of the optimum on every
-//! instance the exact solver finishes.
+//! measures what our from-scratch branch-and-bound pays for the exact
+//! optimum as the number of order binaries grows, and how close the
+//! polynomial hop-order heuristic stays to it. The optimum (`exact_delay`)
+//! is a property of the instance and is asserted against the pinned
+//! value; node counts and times are properties of the solver (which
+//! optimal vertex each LP relaxation returns decides the next branching
+//! variable) and are only reported. The sweep ends at 41 binaries: it
+//! says nothing about where the exponential wall is beyond that.
 
 use std::time::Instant;
 
@@ -40,20 +42,21 @@ fn instance(nodes: usize, k: usize) -> (MeshTopology, Vec<Path>, Demands) {
 /// Runs the experiment: see the module documentation for what it
 /// measures and the figure it regenerates.
 pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
-    let cases: &[(usize, usize)] = if ctx.quick {
-        &[(4, 1), (5, 2), (6, 2)]
+    // (nodes, flows, the optimum: max pipeline delay in minislots)
+    let cases: &[(usize, usize, u64)] = if ctx.quick {
+        &[(4, 1, 3), (5, 2, 4), (6, 2, 5)]
     } else {
         &[
-            (4, 1),
-            (5, 1),
-            (6, 1),
-            (5, 2),
-            (6, 2),
-            (7, 2),
-            (6, 3),
-            (7, 3),
-            (8, 3),
-            (8, 4),
+            (4, 1, 3),
+            (5, 1, 4),
+            (6, 1, 5),
+            (5, 2, 4),
+            (6, 2, 5),
+            (7, 2, 6),
+            (6, 3, 10),
+            (7, 3, 12),
+            (8, 3, 14),
+            (8, 4, 14),
         ]
     };
     let frame = FrameConfig::new(96, 250);
@@ -70,7 +73,7 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
             "gap",
         ],
     );
-    for &(nodes, k) in cases {
+    for &(nodes, k, optimum) in cases {
         let (topo, paths, demands) = instance(nodes, k);
         let graph = ConflictGraph::build_for_links(
             &topo,
@@ -97,33 +100,25 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
             .max()
             .expect("non-empty");
 
-        match exact {
-            Ok(sol) => {
-                let gap = heur_delay as f64 / sol.max_delay_slots.max(1) as f64;
-                table.row_strings(vec![
-                    nodes.to_string(),
-                    k.to_string(),
-                    binaries.to_string(),
-                    sol.nodes_explored.to_string(),
-                    format!("{:.1}", elapsed.as_secs_f64() * 1e3),
-                    sol.max_delay_slots.to_string(),
-                    heur_delay.to_string(),
-                    format!("{gap:.2}"),
-                ]);
-            }
-            Err(e) => {
-                table.row_strings(vec![
-                    nodes.to_string(),
-                    k.to_string(),
-                    binaries.to_string(),
-                    "-".into(),
-                    format!("{:.1}", elapsed.as_secs_f64() * 1e3),
-                    format!("fail: {e}"),
-                    heur_delay.to_string(),
-                    "-".into(),
-                ]);
-            }
+        // A solve that gives up has no optimum to compare: an error too.
+        let sol = exact?;
+        if sol.max_delay_slots != optimum {
+            return Err(BenchError::Other(format!(
+                "E9 chain({nodes}) x {k} flows: exact delay {} is not the pinned optimum {optimum}",
+                sol.max_delay_slots
+            )));
         }
+        let gap = heur_delay as f64 / sol.max_delay_slots.max(1) as f64;
+        table.row_strings(vec![
+            nodes.to_string(),
+            k.to_string(),
+            binaries.to_string(),
+            sol.nodes_explored.to_string(),
+            format!("{:.1}", elapsed.as_secs_f64() * 1e3),
+            sol.max_delay_slots.to_string(),
+            heur_delay.to_string(),
+            format!("{gap:.2}"),
+        ]);
     }
     table.print();
     ctx.write_csv("e9", &table)

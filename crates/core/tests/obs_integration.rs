@@ -10,6 +10,7 @@ use wimesh::{FlowSpec, MeshQos, OrderPolicy};
 use wimesh_emu::EmulationParams;
 use wimesh_obs::sink::MemorySink;
 use wimesh_sim::traffic::VoipCodec;
+use wimesh_sim::FlowId;
 use wimesh_topology::{generators, NodeId};
 
 #[test]
@@ -59,6 +60,22 @@ fn admit_emits_expected_spans_and_metrics() {
         1,
         "the clique around link 1 -> 0 outgrew the frame: no solver needed to say no"
     );
+
+    // A `gw_exact_chain8`-shaped episode: ten G.711 calls toward the
+    // gateway from every node of chain(8) (three nodes twice), then every
+    // call released. Its oracle calls branch, so the child counters move.
+    let mut episode = chain8.session(OrderPolicy::ExactMilp);
+    for (id, src) in [4, 1, 7, 2, 5, 3, 1, 6, 2, 3].into_iter().enumerate() {
+        let call = FlowSpec::voip(id as u32, NodeId(src), NodeId(0), VoipCodec::G711);
+        assert!(episode.admit(&call).expect("admit").is_admitted());
+    }
+    for id in [6, 0, 9, 3, 1, 8, 5, 2, 7, 4] {
+        assert!(episode.release(FlowId(id)).expect("release"));
+    }
+    assert!(episode.stats().oracle_calls >= 1);
+    // The counters below are sums over both sessions.
+    let oracle_calls = oracle_calls + episode.stats().oracle_calls;
+    let ranges_moved = ranges_moved + episode.stats().ranges_moved;
 
     let mesh = MeshQos::new(generators::chain(5), EmulationParams::default())
         .expect("default emulation params are valid");
@@ -115,6 +132,17 @@ fn admit_emits_expected_spans_and_metrics() {
     assert_eq!(counter("admission.flows.accepted"), Some(4));
     assert!(counter("admission.search.iterations").unwrap_or(0) >= 1);
     assert!(counter("milp.simplex.pivots").unwrap_or(0) >= 1);
+    // Branch & bound children re-optimise their parent's tableau: every
+    // variable of the order model is bounded, so none is solved cold, and
+    // a child is a handful of dual pivots away from its parent.
+    let reoptimised = counter("milp.bnb.children_reoptimised").unwrap_or(0);
+    assert!(reoptimised > 0);
+    assert_eq!(counter("milp.bnb.children_cold").unwrap_or(0), 0);
+    let dual_pivots = counter("milp.simplex.dual_pivots").unwrap_or(0);
+    assert!(
+        dual_pivots <= 8 * reoptimised,
+        "{dual_pivots} dual pivots over {reoptimised} re-optimised children"
+    );
     assert!(
         snap.histograms
             .iter()

@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::model::{LpBasis, Model, Solution, SolveError, VarKind, WarmStart};
+use crate::model::{Model, Relaxed, Solution, SolveError, VarKind, WarmStart};
 
 /// Tuning knobs for [`Model::solve_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,20 +41,14 @@ impl SolverConfig {
 /// (max-heap on the score, where score = bound made sense-independent).
 ///
 /// The LP relaxation is solved once, when the node is created; its result
-/// is cached here so popping never re-solves, and its final basis seeds
-/// the children's relaxations.
+/// is cached here so popping never re-solves, and its final tableau is
+/// what the children re-optimise.
 struct Node {
     /// LP bound of this node, normalized so larger is always better.
     score: f64,
-    /// Per-variable bounds for this subproblem.
-    bounds: Vec<(f64, f64)>,
     depth: usize,
-    /// Relaxation optimum in original variable space.
-    values: Vec<f64>,
-    /// Relaxation objective in the model's sense.
-    obj: f64,
-    /// Final simplex basis of the relaxation, threaded to children.
-    basis: Option<LpBasis>,
+    /// The solved relaxation: bounds, optimum, objective, tableau.
+    relaxed: Relaxed,
 }
 
 impl PartialEq for Node {
@@ -139,10 +133,26 @@ fn warm_incumbent(
     }
 }
 
+/// Bytes of tableaux the open nodes may hold together. Every open node
+/// keeps its final tableau for its children and a best-first frontier can
+/// grow to `max_nodes`, so past this budget a child is queued without
+/// one: its own children are then solved cold (`milp.bnb.children_cold`
+/// shows it) — slower, same answers, bounded memory.
+const OPEN_TABLEAU_BYTES: usize = 256 << 20;
+
 pub(crate) fn branch_and_bound(
     model: &Model,
     config: &SolverConfig,
     warm: Option<&WarmStart>,
+) -> Result<Solution, SolveError> {
+    search(model, config, warm, OPEN_TABLEAU_BYTES)
+}
+
+fn search(
+    model: &Model,
+    config: &SolverConfig,
+    warm: Option<&WarmStart>,
+    tableau_budget: usize,
 ) -> Result<Solution, SolveError> {
     let maximize = matches!(model.sense(), crate::Sense::Maximize);
     // Normalize: score = objective if maximizing else -objective, so
@@ -169,28 +179,27 @@ pub(crate) fn branch_and_bound(
     // a stale hint (wrong arity, violated constraint) is simply dropped.
     let mut incumbent = warm_incumbent(model, config, warm);
 
-    let root = match model.solve_relaxation_seeded(Some(&root_bounds), None) {
-        Ok((values, obj, basis)) => Node {
-            score: to_score(obj),
-            bounds: root_bounds,
-            depth: 0,
-            values,
-            obj,
-            basis,
-        },
-        Err(SolveError::Infeasible) => return Err(SolveError::Infeasible),
-        Err(e) => return Err(e),
-    };
+    let root = model.solve_relaxation(root_bounds)?;
 
+    let mut open_tableau_bytes = root.tableau_bytes();
     let mut heap = BinaryHeap::new();
-    heap.push(root);
+    heap.push(Node {
+        score: to_score(root.obj()),
+        depth: 0,
+        relaxed: root,
+    });
     let mut nodes_explored = 0usize;
     let mut nodes_pruned = 0u64;
     // Set where the budget stops the search: the node popped there is
     // dropped unexplored and counts as open, whatever the heap holds.
     let mut budget_hit = false;
+    // Set when a child's relaxation ends in anything but a verdict
+    // (numerical trouble): its subtree was never searched, so neither
+    // "infeasible" nor "optimal" is proven.
+    let mut child_failed = false;
 
     while let Some(node) = heap.pop() {
+        open_tableau_bytes -= node.relaxed.tableau_bytes();
         // Bound-based pruning: the heap is best-first, so once the best
         // remaining bound cannot beat the incumbent we are done.
         if let Some((_, inc_obj)) = &incumbent {
@@ -208,8 +217,7 @@ pub(crate) fn branch_and_bound(
         nodes_explored += 1;
 
         // The relaxation was solved when the node was created; reuse it.
-        let (values, obj) = (&node.values, node.obj);
-        debug_assert!((to_score(obj) - node.score).abs() < 1e-12);
+        let values = node.relaxed.values();
 
         match pick_branch_var(model, config, values) {
             None => {
@@ -226,39 +234,43 @@ pub(crate) fn branch_and_bound(
             }
             Some((var, x)) => {
                 let floor = x.floor();
+                let (lb, ub) = node.relaxed.bounds_of(var);
                 // Down child: ub = floor; Up child: lb = floor + 1.
-                let mut down = node.bounds.clone();
-                down[var].1 = down[var].1.min(floor);
-                let mut up = node.bounds.clone();
-                up[var].0 = up[var].0.max(floor + 1.0);
-                for child in [down, up] {
-                    if child[var].0 > child[var].1 + 1e-12 {
+                for (lb, ub) in [(lb, ub.min(floor)), (lb.max(floor + 1.0), ub)] {
+                    if lb > ub + 1e-12 {
                         continue;
                     }
-                    // The parent's optimal basis is usually one dual pivot
-                    // away from the child's: seed the child solve with it.
-                    if let Ok((child_values, child_obj, child_basis)) =
-                        model.solve_relaxation_seeded(Some(&child), node.basis.as_ref())
-                    {
-                        let score = to_score(child_obj);
-                        let keep = match &incumbent {
-                            None => true,
-                            Some((_, inc)) => score > to_score(*inc) + config.abs_gap,
-                        };
-                        if keep {
-                            heap.push(Node {
-                                score,
-                                bounds: child,
-                                depth: node.depth + 1,
-                                values: child_values,
-                                obj: child_obj,
-                                basis: child_basis,
-                            });
-                        } else {
-                            // Child bounded away before ever entering the
-                            // heap.
-                            nodes_pruned += 1;
+                    let solved = node.relaxed.child(model, var, lb, ub);
+                    #[cfg(test)]
+                    let solved = tests::injected_failure(solved);
+                    let mut child = match solved {
+                        Ok(child) => child,
+                        // The only proof that the subtree is empty.
+                        Err(SolveError::Infeasible) => continue,
+                        Err(_) => {
+                            child_failed = true;
+                            continue;
                         }
+                    };
+                    let score = to_score(child.obj());
+                    let keep = match &incumbent {
+                        None => true,
+                        Some((_, inc)) => score > to_score(*inc) + config.abs_gap,
+                    };
+                    if keep {
+                        if open_tableau_bytes + child.tableau_bytes() > tableau_budget {
+                            child.drop_tableau();
+                        }
+                        open_tableau_bytes += child.tableau_bytes();
+                        heap.push(Node {
+                            score,
+                            depth: node.depth + 1,
+                            relaxed: child,
+                        });
+                    } else {
+                        // Child bounded away before ever entering the
+                        // heap.
+                        nodes_pruned += 1;
                     }
                 }
             }
@@ -272,17 +284,48 @@ pub(crate) fn branch_and_bound(
             values,
             objective,
             nodes_explored,
-            budget_hit,
+            budget_hit || child_failed,
         )),
         None if budget_hit => Err(SolveError::NodeLimit),
+        None if child_failed => Err(SolveError::IterationLimit),
         None => Err(SolveError::Infeasible),
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use crate::{LinExpr, Model, Sense};
+
+    thread_local! {
+        /// Test hook: `(seen, Some(n))` makes this thread's child
+        /// relaxations fail with `IterationLimit` from the `n`-th on;
+        /// `seen` counts the child solves so far.
+        static CHILD_FAILURES: Cell<(usize, Option<usize>)> = const { Cell::new((0, None)) };
+    }
+
+    /// Passes a child's relaxation result through the failure hook.
+    pub(super) fn injected_failure<T>(solved: Result<T, SolveError>) -> Result<T, SolveError> {
+        CHILD_FAILURES.with(|hook| {
+            let (seen, fail_from) = hook.get();
+            hook.set((seen + 1, fail_from));
+            match fail_from {
+                Some(n) if seen >= n => Err(SolveError::IterationLimit),
+                _ => solved,
+            }
+        })
+    }
+
+    /// Solves `model` with every child relaxation from the `n`-th on
+    /// failing; also says whether the search got that far.
+    fn solve_failing_from(model: &Model, n: usize) -> (Result<Solution, SolveError>, bool) {
+        CHILD_FAILURES.with(|hook| hook.set((0, Some(n))));
+        let result = model.solve();
+        let (seen, _) = CHILD_FAILURES.with(|hook| hook.replace((0, None)));
+        (result, seen > n)
+    }
 
     /// Brute-force optimum of a pure-binary model by enumeration.
     fn brute_force_binary(model: &Model, n: usize) -> Option<f64> {
@@ -309,12 +352,11 @@ mod tests {
         best
     }
 
-    #[test]
-    fn knapsack_matches_brute_force() {
-        // 0/1 knapsack: weights/values chosen to make LP rounding wrong.
+    /// A 0/1 knapsack with weights/values chosen to make LP rounding
+    /// wrong: feasible (brute force: 16), fractional at the root.
+    fn knapsack4() -> Model {
         let weights = [6.0, 5.0, 5.0, 1.0];
         let values = [10.0, 8.0, 8.0, 1.0];
-        let cap = 10.0;
         let mut m = Model::new();
         let vars: Vec<_> = (0..4).map(|i| m.add_binary_var(&format!("x{i}"))).collect();
         let mut w = LinExpr::new();
@@ -323,8 +365,14 @@ mod tests {
             w.add_term(vars[i], weights[i]);
             v.add_term(vars[i], values[i]);
         }
-        m.add_le(w, cap);
+        m.add_le(w, 10.0);
         m.set_objective(Sense::Maximize, v);
+        m
+    }
+
+    #[test]
+    fn knapsack_matches_brute_force() {
+        let m = knapsack4();
         let sol = m.solve().unwrap();
         let brute = brute_force_binary(&m, 4).unwrap();
         assert!((sol.objective() - brute).abs() < 1e-6);
@@ -368,18 +416,7 @@ mod tests {
     #[test]
     fn warm_incumbent_same_objective_fewer_nodes() {
         // The knapsack from above, warm-started with its known optimum.
-        let weights = [6.0, 5.0, 5.0, 1.0];
-        let values = [10.0, 8.0, 8.0, 1.0];
-        let mut m = Model::new();
-        let vars: Vec<_> = (0..4).map(|i| m.add_binary_var(&format!("x{i}"))).collect();
-        let mut w = LinExpr::new();
-        let mut v = LinExpr::new();
-        for i in 0..4 {
-            w.add_term(vars[i], weights[i]);
-            v.add_term(vars[i], values[i]);
-        }
-        m.add_le(w, 10.0);
-        m.set_objective(Sense::Maximize, v);
+        let m = knapsack4();
         let cfg = SolverConfig::default();
         let cold = m.solve_with(&cfg).unwrap();
         let warm = m
@@ -568,6 +605,77 @@ mod tests {
                     assert!(brute.is_none(), "trial {trial}: solver said infeasible");
                 }
                 Err(e) => panic!("trial {trial}: unexpected error {e}"),
+            }
+        }
+    }
+    #[test]
+    fn failed_child_never_prunes() {
+        // Whichever child solve is the first to fail, the subtree below it
+        // was not searched: the answer must not be "infeasible" (brute
+        // force finds 16) and must not claim a closed gap.
+        let m = knapsack4();
+        assert!(brute_force_binary(&m, 4).is_some());
+        let mut failures_seen = 0;
+        for n in 0..64 {
+            let (result, reached) = solve_failing_from(&m, n);
+            if !reached {
+                // The whole search needs fewer than n child solves.
+                let sol = result.unwrap();
+                assert!(!sol.is_bound_gap_open());
+                assert!((sol.objective() - 16.0).abs() < 1e-6);
+                break;
+            }
+            failures_seen += 1;
+            match result {
+                Ok(sol) => {
+                    assert!(sol.is_bound_gap_open(), "failure at child {n}: closed gap");
+                    assert!(m.is_feasible(sol.values(), 1e-6));
+                }
+                Err(e) => assert_eq!(e, SolveError::IterationLimit, "failure at child {n}"),
+            }
+        }
+        assert!(failures_seen >= 2, "the hook never fired");
+    }
+
+    #[test]
+    fn failed_child_of_a_feasibility_model_is_not_a_no() {
+        // No objective (the admission oracle's shape). 1 <= 2x <= 3 over
+        // an integer x: both LP vertices (0.5, 1.5) are fractional and the
+        // one integral point, x = 1, is a level down.
+        let mut m = Model::new();
+        let x = m.add_integer_var(0.0, 2.0, "x");
+        m.add_ge(2.0 * x, 1.0);
+        m.add_le(2.0 * x, 3.0);
+        assert!((m.solve().unwrap().value(x) - 1.0).abs() < 1e-9);
+        for n in [0, 1] {
+            let (result, reached) = solve_failing_from(&m, n);
+            assert!(reached, "two children, so child {n} is solved");
+            match result {
+                Ok(sol) => assert!(sol.is_bound_gap_open(), "failure at child {n}"),
+                Err(e) => assert_eq!(e, SolveError::IterationLimit, "failure at child {n}"),
+            }
+        }
+    }
+
+    #[test]
+    fn nodes_queued_without_a_tableau_reach_the_same_optimum() {
+        // A tableau budget of 0 queues every child bare, so every
+        // grandchild is solved cold; one tableau's worth alternates.
+        let mut general = Model::new();
+        let x = general.add_integer_var(0.0, 9.0, "x");
+        let y = general.add_integer_var(-2.0, 6.0, "y");
+        general.add_le(3.0 * x + 5.0 * y, 31.5);
+        general.add_ge(2.0 * x - y, 1.5);
+        general.set_objective(Sense::Maximize, 2.0 * x + 3.0 * y);
+        for m in [knapsack4(), general] {
+            let cfg = SolverConfig::default();
+            let full = search(&m, &cfg, None, usize::MAX).unwrap();
+            assert!(full.nodes_explored() > 3, "needs grandchildren");
+            for budget in [0, 200] {
+                let lean = search(&m, &cfg, None, budget).unwrap();
+                assert!((lean.objective() - full.objective()).abs() < 1e-9);
+                assert!(m.is_feasible(lean.values(), 1e-6));
+                assert!(!lean.is_bound_gap_open());
             }
         }
     }

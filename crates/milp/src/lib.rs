@@ -8,14 +8,24 @@
 //!
 //! * a **modelling layer** ([`Model`], [`LinExpr`], [`VarId`]) to state
 //!   problems symbolically,
-//! * a dense **two-phase primal simplex** for linear relaxations, and
-//! * **best-first branch & bound** for integer and binary variables.
+//! * a dense full-tableau **simplex** for linear relaxations — two-phase
+//!   primal for a program seen for the first time (an LP, a branch & bound
+//!   root), dual for re-optimising a solved tableau after a bound moved —
+//!   and
+//! * **best-first branch & bound** for integer and binary variables. The
+//!   model is lowered to standard form once per solve; every node keeps
+//!   its final tableau, and a child is a copy of its parent's plus two
+//!   right-hand-side updates and a few dual pivots (typically two or
+//!   three). The admission oracle's models carry no objective, so every
+//!   reduced cost is 0 and the dual method is totally degenerate: Bland's
+//!   smallest-index rule after a stall is what bounds its pivot count.
 //!
 //! The solver is exact up to floating-point tolerances and is sized for the
 //! problems this workspace produces (hundreds of variables/constraints,
 //! tens of binaries). It is not a general-purpose replacement for CPLEX —
-//! experiment E9 in the workspace documentation measures exactly where it
-//! stops scaling.
+//! experiment E9 in the workspace documentation measures what it costs on
+//! the sizes met here (up to 41 order binaries), not where it stops
+//! scaling.
 //!
 //! # Example
 //!

@@ -3,10 +3,11 @@
 
 use std::error::Error;
 use std::fmt;
+use std::rc::Rc;
 
 use crate::branch::{self, SolverConfig};
 use crate::expr::{LinExpr, VarId};
-use crate::simplex::{self, SimplexOutcome, StandardLp};
+use crate::simplex::{self, SimplexOutcome, StandardLp, Tableau};
 
 /// Whether a variable is continuous, general integer, or binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +65,9 @@ pub enum SolveError {
     Infeasible,
     /// The objective is unbounded in the optimization direction.
     Unbounded,
-    /// The simplex iteration limit was hit (numerical trouble).
+    /// The simplex iteration limit was hit (numerical trouble). From
+    /// branch & bound: in a child relaxation, with no incumbent found, so
+    /// neither feasibility nor infeasibility is proven.
     IterationLimit,
     /// Branch & bound exhausted its node budget before proving optimality
     /// and found no incumbent.
@@ -101,8 +104,9 @@ pub struct Solution {
     objective: f64,
     /// Branch & bound nodes explored (1 for pure LPs).
     nodes: usize,
-    /// True when B&B stopped at the node limit with an incumbent that is
-    /// feasible but not proven optimal.
+    /// True when B&B stopped short of a proof (node limit, or a child
+    /// relaxation that failed) with an incumbent that is feasible but not
+    /// proven optimal.
     bound_gap_open: bool,
 }
 
@@ -145,24 +149,176 @@ impl Solution {
         self.nodes
     }
 
-    /// True when the node budget expired before optimality was proven;
-    /// the solution is feasible but possibly suboptimal.
+    /// True when the search ended before optimality was proven — the node
+    /// budget expired, or a child relaxation hit the simplex iteration
+    /// limit and its subtree stayed unsearched; the solution is feasible
+    /// but possibly suboptimal.
     pub fn is_bound_gap_open(&self) -> bool {
         self.bound_gap_open
     }
 }
 
-/// An opaque simplex basis captured from a relaxation solve, reusable to
-/// warm-start the next *structurally identical* relaxation (same bound
-/// finiteness pattern, hence the same standard-form shape).
-///
-/// Staleness is detected by dimension checks at use time; a mismatched
-/// basis is silently ignored, so reuse never affects correctness.
-#[derive(Debug, Clone)]
-pub(crate) struct LpBasis {
-    rows: usize,
-    width: usize,
-    cols: Vec<usize>,
+/// How one model variable appears among the standard-form columns.
+#[derive(Debug, Clone, Copy)]
+enum ColMap {
+    /// `x = col + lb` (finite lb). With a finite ub the row
+    /// `col + slack = ub - lb` bounds it, and `ub_slack` is that slack's
+    /// column.
+    Shifted { col: usize, ub_slack: Option<usize> },
+    /// `x = ub - col` (finite ub, no lb).
+    Mirrored { col: usize },
+    /// `x = pos - neg` (free).
+    Split { pos: usize, neg: usize },
+}
+
+/// A solved LP relaxation: the node of the branch & bound tree. Fields
+/// are private because the tableau is only meaningful together with the
+/// bounds it was moved to.
+#[derive(Debug)]
+pub(crate) struct Relaxed {
+    /// Per-variable bounds the relaxation was solved under.
+    bounds: Vec<(f64, f64)>,
+    /// Optimum in original variable space.
+    values: Vec<f64>,
+    /// Objective in the model's sense.
+    obj: f64,
+    /// The final tableau and the column map it was lowered with, for
+    /// [`Relaxed::child`]; `None` when a redundant row kept an artificial
+    /// basic, or after [`Relaxed::drop_tableau`].
+    lp: Option<(Rc<[ColMap]>, Tableau)>,
+}
+
+impl Relaxed {
+    fn new(
+        model: &Model,
+        bounds: Vec<(f64, f64)>,
+        map: Rc<[ColMap]>,
+        x: &[f64],
+        tab: Option<Tableau>,
+    ) -> Self {
+        let values: Vec<f64> = map
+            .iter()
+            .zip(&bounds)
+            .map(|(m, &(lb, ub))| match *m {
+                ColMap::Shifted { col, .. } => x[col] + lb,
+                ColMap::Mirrored { col } => ub - x[col],
+                ColMap::Split { pos, neg } => x[pos] - x[neg],
+            })
+            .collect();
+        let obj = model.evaluate_objective(&values);
+        Self {
+            bounds,
+            values,
+            obj,
+            lp: tab.map(|tab| (map, tab)),
+        }
+    }
+
+    /// The bounds of `var` this relaxation was solved under.
+    pub(crate) fn bounds_of(&self, var: usize) -> (f64, f64) {
+        self.bounds[var]
+    }
+
+    /// Optimum in original variable space.
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Objective in the model's sense.
+    pub(crate) fn obj(&self) -> f64 {
+        self.obj
+    }
+
+    /// Heap bytes of the tableau this node keeps for its children.
+    pub(crate) fn tableau_bytes(&self) -> usize {
+        self.lp.as_ref().map_or(0, |(_, tab)| tab.bytes())
+    }
+
+    /// Gives the tableau up: this node's children will be solved cold.
+    pub(crate) fn drop_tableau(&mut self) {
+        self.lp = None;
+    }
+
+    /// Solves the relaxation under this node's bounds with `var` moved to
+    /// `[lb, ub]`: the branch & bound child.
+    ///
+    /// A child differs from its parent by right-hand sides only, so it
+    /// starts from a copy of the parent's final tableau. With the
+    /// variable lowered as `x = y + lb_parent` and bounded by the row
+    /// `y + s = ub_parent - lb_parent`:
+    ///
+    /// * tightening `ub` by `D` lowers that row's rhs by `D`, which in the
+    ///   parent's basis is `rhs -= D * column(s)` (`column(s) = B^-1 e_row`);
+    /// * raising `lb` by `d` substitutes `y = y' + d`: `rhs -= d * column(y)`,
+    ///   the new shift being the child's `lb` itself.
+    ///
+    /// Both are O(rows) and keep the parent's optimum dual feasible; the
+    /// dual simplex then restores primal feasibility or proves there is
+    /// none. The cold two-phase solve is the fallback for what this form
+    /// cannot express — `var` without a finite lower bound, an infinite
+    /// `ub` before or after the move (no row to tighten), a parent without
+    /// a tableau (an artificial left basic, or dropped for memory) — and
+    /// for an iteration limit on the dual path.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Model::solve_relaxation`].
+    pub(crate) fn child(
+        &self,
+        model: &Model,
+        var: usize,
+        lb: f64,
+        ub: f64,
+    ) -> Result<Relaxed, SolveError> {
+        if lb > ub + 1e-12 {
+            return Err(SolveError::Infeasible);
+        }
+        let mut bounds = self.bounds.clone();
+        bounds[var] = (lb, ub);
+        if let Some((map, mut tab)) = self.moved(var, lb, ub) {
+            match simplex::reoptimise(&mut tab) {
+                SimplexOutcome::Optimal { x } => {
+                    wimesh_obs::counter_inc("milp.bnb.children_reoptimised");
+                    return Ok(Relaxed::new(model, bounds, map, &x, Some(tab)));
+                }
+                SimplexOutcome::Infeasible => {
+                    wimesh_obs::counter_inc("milp.bnb.children_reoptimised");
+                    return Err(SolveError::Infeasible);
+                }
+                // Numerical trouble on the dual path: solve cold.
+                SimplexOutcome::Unbounded | SimplexOutcome::IterationLimit => {}
+            }
+        }
+        wimesh_obs::counter_inc("milp.bnb.children_cold");
+        model.solve_relaxation(bounds)
+    }
+
+    /// A copy of this node's tableau with the rhs moved for `var` in
+    /// `[lb, ub]` (and its column map), or `None` when the move is not a
+    /// pair of rhs updates.
+    fn moved(&self, var: usize, lb: f64, ub: f64) -> Option<(Rc<[ColMap]>, Tableau)> {
+        let (map, tab) = self.lp.as_ref()?;
+        let ColMap::Shifted { col, ub_slack } = map[var] else {
+            return None;
+        };
+        let (old_lb, old_ub) = self.bounds[var];
+        let ub_move = match ub_slack {
+            _ if ub == old_ub => None,
+            Some(slack) if ub.is_finite() => Some((slack, old_ub - ub)),
+            _ => return None,
+        };
+        if !lb.is_finite() {
+            return None;
+        }
+        let mut tab = tab.clone();
+        if lb != old_lb {
+            tab.shift_rhs(col, lb - old_lb);
+        }
+        if let Some((slack, by)) = ub_move {
+            tab.shift_rhs(slack, by);
+        }
+        Some((Rc::clone(map), tab))
+    }
 }
 
 /// A warm-start hint for [`Model::solve_with_warm_start`].
@@ -369,10 +525,16 @@ impl Model {
                 return Err(SolveError::BadBounds { var: VarId(i) });
             }
         }
-        let (values, objective) = self.solve_relaxation(None)?;
+        self.solve_lp()
+    }
+
+    /// The model as a plain LP over its declared bounds.
+    fn solve_lp(&self) -> Result<Solution, SolveError> {
+        let bounds = self.vars.iter().map(|v| (v.lb, v.ub)).collect();
+        let relaxed = self.solve_relaxation(bounds)?;
         Ok(Solution {
-            values,
-            objective,
+            values: relaxed.values,
+            objective: relaxed.obj,
             nodes: 1,
             bound_gap_open: false,
         })
@@ -389,13 +551,7 @@ impl Model {
             }
         }
         if self.integer_count() == 0 {
-            let (values, objective) = self.solve_relaxation(None)?;
-            Ok(Solution {
-                values,
-                objective,
-                nodes: 1,
-                bound_gap_open: false,
-            })
+            self.solve_lp()
         } else {
             branch::branch_and_bound(self, config, warm)
         }
@@ -409,33 +565,11 @@ impl Model {
         self.sense.unwrap_or(Sense::Minimize)
     }
 
-    /// Solves the LP relaxation, optionally with overridden variable bounds
-    /// (used by branch & bound). Returns values in original variable space
-    /// and the objective in the model's sense.
-    pub(crate) fn solve_relaxation(
-        &self,
-        bounds_override: Option<&[(f64, f64)]>,
-    ) -> Result<(Vec<f64>, f64), SolveError> {
-        self.solve_relaxation_seeded(bounds_override, None)
-            .map(|(values, obj, _)| (values, obj))
-    }
-
-    /// Like [`Model::solve_relaxation`], optionally warm-started from the
-    /// basis of a previous structurally identical relaxation, and returning
-    /// this solve's final basis for the next one.
-    ///
-    /// A basis whose dimensions no longer match (e.g. branching turned an
-    /// infinite bound finite, changing the standard-form shape) is ignored.
-    pub(crate) fn solve_relaxation_seeded(
-        &self,
-        bounds_override: Option<&[(f64, f64)]>,
-        warm: Option<&LpBasis>,
-    ) -> Result<(Vec<f64>, f64, Option<LpBasis>), SolveError> {
-        let n = self.vars.len();
-        let bounds: Vec<(f64, f64)> = match bounds_override {
-            Some(b) => b.to_vec(),
-            None => self.vars.iter().map(|v| (v.lb, v.ub)).collect(),
-        };
+    /// Solves the LP relaxation under `bounds` from scratch: lowers the
+    /// model to standard form and runs the two-phase primal simplex.
+    /// Branch & bound does this for the root; children go through
+    /// [`Relaxed::child`].
+    pub(crate) fn solve_relaxation(&self, bounds: Vec<(f64, f64)>) -> Result<Relaxed, SolveError> {
         for &(lb, ub) in &bounds {
             if lb > ub + 1e-12 {
                 return Err(SolveError::Infeasible);
@@ -444,39 +578,27 @@ impl Model {
 
         // --- lower to standard form ------------------------------------
         // Each model variable becomes one or two standard-form columns.
-        #[derive(Clone, Copy)]
-        enum ColMap {
-            /// x = col + shift
-            Shifted { col: usize, shift: f64 },
-            /// x = shift - col  (finite ub, no lb)
-            Mirrored { col: usize, shift: f64 },
-            /// x = col_pos - col_neg (free)
-            Split { pos: usize, neg: usize },
-        }
-        let mut col_map = Vec::with_capacity(n);
+        let mut col_map = Vec::with_capacity(bounds.len());
         let mut ncols = 0usize;
-        // Extra upper-bound rows (col, ub_minus_lb).
-        let mut ub_rows: Vec<(usize, f64)> = Vec::new();
-        for &(lb, ub) in &bounds {
+        // Extra upper-bound rows (variable, col, ub_minus_lb).
+        let mut ub_rows: Vec<(usize, usize, f64)> = Vec::new();
+        for (i, &(lb, ub)) in bounds.iter().enumerate() {
             if lb.is_finite() {
                 let col = ncols;
                 ncols += 1;
-                col_map.push(ColMap::Shifted { col, shift: lb });
+                col_map.push(ColMap::Shifted {
+                    col,
+                    ub_slack: None,
+                });
                 if ub.is_finite() {
-                    let width = ub - lb;
-                    if width > 0.0 {
-                        ub_rows.push((col, width));
-                    } else {
-                        // Fixed variable: pin with an equality row below by
-                        // using width 0 upper bound (col <= 0 plus col >= 0
-                        // implied by nonnegativity).
-                        ub_rows.push((col, 0.0));
-                    }
+                    // A fixed variable is pinned by a width-0 row (col <= 0
+                    // plus col >= 0 implied by nonnegativity).
+                    ub_rows.push((i, col, (ub - lb).max(0.0)));
                 }
             } else if ub.is_finite() {
                 let col = ncols;
                 ncols += 1;
-                col_map.push(ColMap::Mirrored { col, shift: ub });
+                col_map.push(ColMap::Mirrored { col });
             } else {
                 let pos = ncols;
                 let neg = ncols + 1;
@@ -484,26 +606,31 @@ impl Model {
                 col_map.push(ColMap::Split { pos, neg });
             }
         }
+        // Slack columns follow the structural ones in row order: model
+        // constraints first, then the upper-bound rows.
+        let cons_slacks = self
+            .constraints
+            .iter()
+            .filter(|c| c.op != CmpOp::Eq)
+            .count();
+        for (k, &(var, col, _)) in ub_rows.iter().enumerate() {
+            col_map[var] = ColMap::Shifted {
+                col,
+                ub_slack: Some(ncols + cons_slacks + k),
+            };
+        }
 
         // Objective in standard columns (internal sense: minimize).
         let sign = match self.sense() {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
         };
-        let mut c = vec![0.0; ncols];
-        // Constant contribution of shifts/mirrors to the objective:
-        // x = col + shift (or shift - col) adds coef*shift per term.
-        let mut obj_const = self.objective.constant();
+        let width = ncols + cons_slacks + ub_rows.len();
+        let mut c = vec![0.0; width];
         for (var, coef) in self.objective.iter() {
             match col_map[var.index()] {
-                ColMap::Shifted { col, shift } => {
-                    c[col] += sign * coef;
-                    obj_const += coef * shift;
-                }
-                ColMap::Mirrored { col, shift } => {
-                    c[col] -= sign * coef;
-                    obj_const += coef * shift;
-                }
+                ColMap::Shifted { col, .. } => c[col] += sign * coef,
+                ColMap::Mirrored { col } => c[col] -= sign * coef,
                 ColMap::Split { pos, neg } => {
                     c[pos] += sign * coef;
                     c[neg] -= sign * coef;
@@ -511,133 +638,72 @@ impl Model {
             }
         }
 
-        // Rows: model constraints then upper-bound rows.
-        let mut a: Vec<Vec<f64>> = Vec::new();
-        let mut b: Vec<f64> = Vec::new();
-        let mut basis_seed: Vec<Option<usize>> = Vec::new();
-        // Slack columns appended after ncols; grow lazily.
-        let mut slack_cols = 0usize;
-        struct RowBuild {
-            coefs: Vec<(usize, f64)>,
-            rhs: f64,
-            op: CmpOp,
-        }
-        let mut rows: Vec<RowBuild> = Vec::new();
+        // Rows: model constraints (variables replaced by their columns,
+        // the shifts moved to the rhs), then upper-bound rows.
+        let mut rows: Vec<(Vec<f64>, f64, CmpOp)> = Vec::new();
         for cons in &self.constraints {
-            let mut coefs: Vec<(usize, f64)> = Vec::new();
+            let mut arow = vec![0.0; width];
             let mut rhs = cons.rhs;
             for (var, coef) in cons.expr.iter() {
+                let (lb, ub) = bounds[var.index()];
                 match col_map[var.index()] {
-                    ColMap::Shifted { col, shift } => {
-                        coefs.push((col, coef));
-                        rhs -= coef * shift;
+                    ColMap::Shifted { col, .. } => {
+                        arow[col] += coef;
+                        rhs -= coef * lb;
                     }
-                    ColMap::Mirrored { col, shift } => {
-                        coefs.push((col, -coef));
-                        rhs -= coef * shift;
+                    ColMap::Mirrored { col } => {
+                        arow[col] -= coef;
+                        rhs -= coef * ub;
                     }
                     ColMap::Split { pos, neg } => {
-                        coefs.push((pos, coef));
-                        coefs.push((neg, -coef));
+                        arow[pos] += coef;
+                        arow[neg] -= coef;
                     }
                 }
             }
-            rows.push(RowBuild {
-                coefs,
-                rhs,
-                op: cons.op,
-            });
+            rows.push((arow, rhs, cons.op));
         }
-        for &(col, width) in &ub_rows {
-            rows.push(RowBuild {
-                coefs: vec![(col, 1.0)],
-                rhs: width,
-                op: CmpOp::Le,
-            });
-        }
-
-        let total_slack: usize = rows.iter().filter(|r| r.op != CmpOp::Eq).count();
-        let width = ncols + total_slack;
-        for row in rows {
+        for &(_, col, span) in &ub_rows {
             let mut arow = vec![0.0; width];
-            for (col, coef) in row.coefs {
-                arow[col] += coef;
-            }
-            let mut rhs = row.rhs;
-            let mut seed = None;
-            match row.op {
-                CmpOp::Le => {
-                    let scol = ncols + slack_cols;
-                    slack_cols += 1;
-                    arow[scol] = 1.0;
-                    if rhs < 0.0 {
-                        for v in arow.iter_mut() {
-                            *v = -*v;
-                        }
-                        rhs = -rhs;
-                        // slack coefficient now -1: cannot seed the basis.
-                    } else {
-                        seed = Some(scol);
-                    }
-                }
-                CmpOp::Ge => {
-                    let scol = ncols + slack_cols;
-                    slack_cols += 1;
-                    arow[scol] = -1.0;
-                    if rhs < 0.0 {
-                        for v in arow.iter_mut() {
-                            *v = -*v;
-                        }
-                        rhs = -rhs;
-                        // surplus became +1: usable seed.
-                        seed = Some(scol);
-                    }
-                }
-                CmpOp::Eq => {
-                    if rhs < 0.0 {
-                        for v in arow.iter_mut() {
-                            *v = -*v;
-                        }
-                        rhs = -rhs;
-                    }
-                }
-            }
-            a.push(arow);
-            b.push(rhs);
-            basis_seed.push(seed);
+            arow[col] = 1.0;
+            rows.push((arow, span, CmpOp::Le));
         }
 
-        let mut cfull = vec![0.0; width];
-        cfull[..ncols].copy_from_slice(&c);
-        let nrows = a.len();
-        let lp = StandardLp {
-            a,
-            b,
-            c: cfull,
-            basis_seed,
+        let mut lp = StandardLp {
+            a: Vec::with_capacity(rows.len()),
+            b: Vec::with_capacity(rows.len()),
+            c,
+            basis_seed: Vec::with_capacity(rows.len()),
         };
-        let seed = warm
-            .filter(|w| w.rows == nrows && w.width == width)
-            .map(|w| w.cols.as_slice());
-        match simplex::solve_seeded(&lp, seed) {
-            (SimplexOutcome::Optimal { x, objective }, final_basis) => {
-                let mut values = vec![0.0; n];
-                for (i, map) in col_map.iter().enumerate() {
-                    values[i] = match *map {
-                        ColMap::Shifted { col, shift } => x[col] + shift,
-                        ColMap::Mirrored { col, shift } => shift - x[col],
-                        ColMap::Split { pos, neg } => x[pos] - x[neg],
-                    };
-                }
-                // Undo the internal minimize sign and add constants.
-                let obj = sign * objective + obj_const;
-                let basis = final_basis.map(|cols| LpBasis {
-                    rows: nrows,
-                    width,
-                    cols,
-                });
-                Ok((values, obj, basis))
+        let mut next_slack = ncols;
+        for (mut arow, mut rhs, op) in rows {
+            // A slack with coefficient +1 can seed the basis: that of a
+            // <= row, or the surplus of a >= row negated for its rhs < 0.
+            let mut slack = match op {
+                CmpOp::Le => 1.0,
+                CmpOp::Ge => -1.0,
+                CmpOp::Eq => 0.0,
+            };
+            let scol = next_slack;
+            if op != CmpOp::Eq {
+                arow[scol] = slack;
+                next_slack += 1;
             }
+            if rhs < 0.0 {
+                for v in arow.iter_mut() {
+                    *v = -*v;
+                }
+                rhs = -rhs;
+                slack = -slack;
+            }
+            lp.a.push(arow);
+            lp.b.push(rhs);
+            lp.basis_seed.push((slack > 0.0).then_some(scol));
+        }
+
+        let map: Rc<[ColMap]> = col_map.into();
+        match simplex::solve(&lp) {
+            (SimplexOutcome::Optimal { x }, tab) => Ok(Relaxed::new(self, bounds, map, &x, tab)),
             (SimplexOutcome::Infeasible, _) => Err(SolveError::Infeasible),
             (SimplexOutcome::Unbounded, _) => Err(SolveError::Unbounded),
             (SimplexOutcome::IterationLimit, _) => Err(SolveError::IterationLimit),
@@ -673,6 +739,9 @@ impl Model {
         self.objective.eval(values)
     }
 }
+
+#[cfg(test)]
+mod reoptimise_equivalence;
 
 #[cfg(test)]
 mod tests {
@@ -900,5 +969,111 @@ mod tests {
         assert!(m.is_feasible(&[3.0], 1e-6));
         assert!(!m.is_feasible(&[2.5], 1e-6));
         assert!(!m.is_feasible(&[4.5, 0.0], 1e-6)); // wrong arity
+    }
+    /// `node.child(..)` against the cold solve of the same bounds.
+    fn assert_child_matches_cold(m: &Model, node: &Relaxed, var: VarId, lb: f64, ub: f64) {
+        let mut bounds = node.bounds.clone();
+        bounds[var.index()] = (lb, ub);
+        let cold = m.solve_relaxation(bounds).map(|r| r.obj);
+        let child = node.child(m, var.index(), lb, ub).map(|r| r.obj);
+        match (child, cold) {
+            (Ok(a), Ok(b)) => assert!((a - b).abs() < 1e-9, "{a} vs {b}"),
+            (a, b) => assert_eq!(a, b),
+        }
+    }
+
+    fn root(m: &Model) -> Relaxed {
+        let bounds = m.vars.iter().map(|v| (v.lb, v.ub)).collect();
+        m.solve_relaxation(bounds).unwrap()
+    }
+
+    #[test]
+    fn bounded_variable_moves_are_rhs_updates() {
+        // max x + y st 2x + 2y <= 7 over [0, 3]^2: every move of a
+        // bounded variable reuses the tableau, infeasible ones included.
+        let mut m = Model::new();
+        let x = m.add_integer_var(0.0, 3.0, "x");
+        let y = m.add_integer_var(0.0, 3.0, "y");
+        m.add_le(2.0 * x + 2.0 * y, 7.0);
+        m.add_ge(x + y, 2.0);
+        m.set_objective(Sense::Maximize, x + y);
+        let node = root(&m);
+        for (lb, ub) in [(0.0, 1.0), (2.0, 3.0), (1.0, 1.0), (0.0, 0.0), (3.0, 3.0)] {
+            assert!(node.moved(x.index(), lb, ub).is_some(), "[{lb}, {ub}]");
+            assert_child_matches_cold(&m, &node, x, lb, ub);
+        }
+        // x <= 0 then y <= 1 leaves x + y >= 2 empty: proven by the dual
+        // simplex on the grandchild.
+        let down = node.child(&m, x.index(), 0.0, 0.0).unwrap();
+        assert!(down.moved(y.index(), 0.0, 1.0).is_some());
+        assert_eq!(
+            down.child(&m, y.index(), 0.0, 1.0).unwrap_err(),
+            SolveError::Infeasible
+        );
+    }
+
+    #[test]
+    fn free_variable_move_falls_back_to_cold() {
+        // A free integer has no column of its own to shift (x = pos - neg).
+        let mut m = Model::new();
+        let x = m.add_integer_var(f64::NEG_INFINITY, f64::INFINITY, "x");
+        m.add_le(2.0 * x, 5.0);
+        m.add_ge(2.0 * x, -5.0);
+        m.set_objective(Sense::Maximize, LinExpr::from(x));
+        let node = root(&m);
+        assert!((node.values[0] - 2.5).abs() < 1e-9);
+        for (lb, ub) in [(f64::NEG_INFINITY, 2.0), (3.0, f64::INFINITY)] {
+            assert!(node.moved(x.index(), lb, ub).is_none());
+            assert_child_matches_cold(&m, &node, x, lb, ub);
+        }
+        assert!((m.solve().unwrap().value(x) - 2.0).abs() < 1e-9);
+        // The same for a variable bounded above only (x = ub - col).
+        let mut m = Model::new();
+        let x = m.add_integer_var(f64::NEG_INFINITY, 2.5, "x");
+        m.set_objective(Sense::Maximize, LinExpr::from(x));
+        let node = root(&m);
+        assert!(node.moved(x.index(), f64::NEG_INFINITY, 2.0).is_none());
+        assert_child_matches_cold(&m, &node, x, f64::NEG_INFINITY, 2.0);
+        assert!((m.solve().unwrap().value(x) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn infinite_ub_has_no_row_to_tighten() {
+        // x in [0, inf): raising lb is the substitution, tightening ub
+        // would need a row the lowering never made. The cold child then
+        // has that row, so its own children re-optimise.
+        let mut m = Model::new();
+        let x = m.add_integer_var(0.0, f64::INFINITY, "x");
+        m.add_le(2.0 * x, 9.0);
+        m.set_objective(Sense::Maximize, LinExpr::from(x));
+        let node = root(&m);
+        assert!(node.moved(x.index(), 5.0, f64::INFINITY).is_some());
+        assert!(node.moved(x.index(), 0.0, 4.0).is_none());
+        assert_child_matches_cold(&m, &node, x, 5.0, f64::INFINITY);
+        assert_child_matches_cold(&m, &node, x, 0.0, 4.0);
+        let down = node.child(&m, x.index(), 0.0, 4.0).unwrap();
+        assert!(down.moved(x.index(), 0.0, 3.0).is_some());
+        assert_child_matches_cold(&m, &down, x, 0.0, 3.0);
+    }
+
+    #[test]
+    fn artificial_left_basic_at_the_root_falls_back_to_cold() {
+        // x + y = 2 stated twice: the second row's artificial cannot be
+        // driven out, so the root has no tableau to hand down.
+        let mut m = Model::new();
+        let x = m.add_integer_var(0.0, 3.0, "x");
+        let y = m.add_integer_var(0.0, 3.0, "y");
+        m.add_eq(x + y, 2.0);
+        m.add_eq(x + y, 2.0);
+        m.add_le(2.0 * x, 3.0);
+        m.set_objective(Sense::Maximize, LinExpr::from(x));
+        let node = root(&m);
+        assert!(node.lp.is_none());
+        assert!((node.values[0] - 1.5).abs() < 1e-9);
+        assert_child_matches_cold(&m, &node, x, 0.0, 1.0);
+        assert_child_matches_cold(&m, &node, x, 2.0, 3.0);
+        let sol = m.solve().unwrap();
+        assert!((sol.value(x) - 1.0).abs() < 1e-9);
+        assert!((sol.value(y) - 1.0).abs() < 1e-9);
     }
 }

@@ -109,7 +109,7 @@ pub fn lp_rounded_order(
         if ub < 0.0 {
             return Err(ScheduleError::Infeasible);
         }
-        sigma.insert(link, model.add_var(0.0, ub, &format!("sigma_{link}")));
+        sigma.insert(link, model.add_var(0.0, ub, "sigma"));
     }
 
     // Makespan: M >= sigma_e + d_e for every demanded link. Minimizing M
@@ -131,7 +131,7 @@ pub fn lp_rounded_order(
         if di == 0 || dj == 0 {
             continue;
         }
-        let o = model.add_var(0.0, 1.0, &format!("o_{li}_{lj}"));
+        let o = model.add_var(0.0, 1.0, "o");
         order_vars.push(((i, j), o));
         let (si, sj) = (sigma[&li], sigma[&lj]);
         model.add_ge(sj - si + horizon * (1.0 - o), di as f64);
@@ -139,14 +139,14 @@ pub fn lp_rounded_order(
     }
 
     // Frame-wrap chains and deadlines, with continuous wrap counters.
-    for (pidx, req) in requirements.iter().enumerate() {
+    for req in requirements {
         let links = req.path.links();
         let hops = links.len();
         let first = sigma[&links[0]];
         let last = sigma[&links[hops - 1]];
         let mut prev_w: Option<VarId> = None;
         for m in 1..hops {
-            let w = model.add_var(0.0, hops as f64, &format!("w_{pidx}_{m}"));
+            let w = model.add_var(0.0, hops as f64, "w");
             let (sp, sc) = (sigma[&links[m - 1]], sigma[&links[m]]);
             let d_prev = demands.get(links[m - 1]) as f64;
             let mut lhs = LinExpr::from(sc) + wrap * w - sp;

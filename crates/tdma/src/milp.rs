@@ -288,7 +288,7 @@ fn solve(
         if ub < 0.0 {
             return Err(ScheduleError::Infeasible);
         }
-        sigma.insert(link, model.add_var(0.0, ub, &format!("sigma_{link}")));
+        sigma.insert(link, model.add_var(0.0, ub, "sigma"));
     }
 
     // Order binaries per conflict edge among demanded links.
@@ -299,7 +299,7 @@ fn solve(
         if di == 0 || dj == 0 {
             continue;
         }
-        let o = model.add_binary_var(&format!("o_{li}_{lj}"));
+        let o = model.add_binary_var("o");
         order_vars.push(((i, j), o));
         let (si, sj) = (sigma[&li], sigma[&lj]);
         // o = 1 -> i before j: sigma_j - sigma_i >= d_i  (else relaxed)
@@ -319,7 +319,7 @@ fn solve(
         // W_m: total wraps accumulated entering hop m (W_0 = 0 implicit).
         let mut prev_w: Option<VarId> = None;
         for m in 1..hops {
-            let w = model.add_integer_var(0.0, hops as f64, &format!("w_{pidx}_{m}"));
+            let w = model.add_integer_var(0.0, hops as f64, "w");
             let (sp, sc) = (sigma[&links[m - 1]], sigma[&links[m]]);
             let d_prev = demands.get(links[m - 1]) as f64;
             // sigma_m + S W_m >= sigma_{m-1} + S W_{m-1} + d_{m-1},

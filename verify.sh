@@ -17,6 +17,12 @@ cargo test -q -p wimesh-tdma --test kernel_equivalence
 # (The oracle itself is pinned to the model it replaced by wimesh-tdma's
 # milp_model_equivalence suite, part of `cargo test -q` above.)
 cargo test -q -p wimesh --features checked --test exact_search_equivalence
+# A branch & bound child re-optimised from its parent's tableau (two rhs
+# updates and dual simplex pivots) must agree with the cold two-phase
+# solve of the same bounds on verdict and objective, and its point must
+# satisfy every row and bound, after every move of random bound chains
+# over random bounded mixed models.
+cargo test -q -p wimesh-milp reoptimise_equivalence
 # The distributed-runtime scenario suite is the end-to-end gate for the
 # fault-handling stack; run it by name so a filter typo can't skip it.
 cargo test -q -p wimesh-node --test node_runtime
