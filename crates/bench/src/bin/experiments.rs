@@ -10,7 +10,10 @@
 //! ```
 //!
 //! CSV outputs land in `results/`, along with one `BENCH_<id>.json`
-//! timing artifact per experiment. `--trace <file>` streams spans and
+//! timing artifact per experiment; a `--quick` run is a smoke test, not a
+//! result, and writes under the system temp directory instead. An unknown
+//! id (or `--help`) prints the id list and exits 2 before anything is
+//! written. `--trace <file>` streams spans and
 //! metric snapshots as JSONL via `wimesh-obs`; `--trace-tree` (with
 //! `--trace`) additionally renders the causal trace forest captured in
 //! that file as ASCII trees after the run; `--summary` prints a
@@ -21,12 +24,29 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use wimesh_bench::{experiment, run_experiment, Ctx, EXPERIMENTS};
+use wimesh_bench::{experiment, Ctx, Experiment, EXPERIMENTS};
 use wimesh_obs::sink::{JsonlSink, NoopSink};
 
-/// The span a run of `id` is recorded under.
-fn span_name(id: &str) -> &'static str {
-    experiment(id).map_or("bench.experiment", |(_, span, _)| span)
+/// Where a run writes: the committed `results/` for full sweeps, a
+/// directory of its own under the system temp directory for `--quick`
+/// runs, whose shrunken sweeps must not overwrite committed results.
+fn out_dir(quick: bool) -> std::path::PathBuf {
+    if quick {
+        std::env::temp_dir().join("wimesh-results-quick")
+    } else {
+        "results".into()
+    }
+}
+
+/// The experiments named on the command line (all of them for none), or
+/// the first word that names none.
+fn select(ids: &[String]) -> Result<Vec<&'static Experiment>, &str> {
+    if ids.is_empty() {
+        return Ok(EXPERIMENTS.iter().collect());
+    }
+    ids.iter()
+        .map(|id| experiment(id).ok_or(id.as_str()))
+        .collect()
 }
 
 /// Warns about `BENCH_*.json` files in the output directory that no
@@ -79,13 +99,13 @@ fn write_artifact(ctx: &Ctx, id: &str, ok: bool, wall_s: f64) {
 
 /// Runs one experiment end to end: span, timing, artifact, optional
 /// summary. Returns `false` on failure.
-fn run_one(ctx: &Ctx, id: &str, summary: bool) -> bool {
+fn run_one(ctx: &Ctx, &(id, span, run): &Experiment, summary: bool) -> bool {
     println!("\n########## experiment {id} ##########");
     let start = std::time::Instant::now();
     let started_at = std::time::SystemTime::now();
     let ok = {
-        let _span = wimesh_obs::span!(span_name(id));
-        match run_experiment(id, ctx) {
+        let _span = wimesh_obs::span!(span);
+        match run(ctx) {
             Ok(()) => true,
             Err(e) => {
                 eprintln!("experiment {id} failed: {e}");
@@ -137,10 +157,20 @@ fn main() -> ExitCode {
             other => ids.push(other.to_string()),
         }
     }
-    let ids: Vec<&str> = if ids.is_empty() {
-        EXPERIMENTS.iter().map(|(id, ..)| *id).collect()
-    } else {
-        ids.iter().map(String::as_str).collect()
+    let selected = match select(&ids) {
+        Ok(selected) => selected,
+        Err(unknown) => {
+            if !matches!(unknown, "-h" | "--help") {
+                eprintln!("unknown experiment id: {unknown}");
+            }
+            let known: Vec<&str> = EXPERIMENTS.iter().map(|(id, ..)| *id).collect();
+            eprintln!(
+                "usage: experiments [ID...] [--quick] [--summary] [--trace FILE [--trace-tree]]\n\
+                 ids: {}",
+                known.join(" ")
+            );
+            return ExitCode::from(2);
+        }
     };
 
     // --trace streams to a JSONL file; --summary alone still needs
@@ -157,10 +187,10 @@ fn main() -> ExitCode {
         wimesh_obs::install(Arc::new(NoopSink));
     }
 
-    let ctx = Ctx::new("results", quick);
+    let ctx = Ctx::new(out_dir(quick), quick);
     let mut failed = false;
-    for id in ids {
-        failed |= !run_one(&ctx, id, summary);
+    for experiment in selected {
+        failed |= !run_one(&ctx, experiment, summary);
     }
     warn_orphaned_artifacts(&ctx);
     if wimesh_obs::is_enabled() {

@@ -30,7 +30,7 @@ pub enum BenchError {
     Qos(wimesh::QosError),
     /// TDMA schedule construction failure.
     Schedule(wimesh::tdma::ScheduleError),
-    /// Anything else (unknown ids, experiment-specific invariants).
+    /// Anything else (experiment-specific invariants).
     Other(String),
 }
 
@@ -96,7 +96,7 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    /// Context writing to `results/` at the workspace root.
+    /// Context writing to `out_dir`.
     pub fn new(out_dir: impl Into<PathBuf>, quick: bool) -> Self {
         Self {
             out_dir: out_dir.into(),
@@ -155,16 +155,4 @@ pub const EXPERIMENTS: &[Experiment] = &[
 /// The row of [`EXPERIMENTS`] with this id.
 pub fn experiment(id: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|(known, ..)| *known == id)
-}
-
-/// Runs one experiment by id.
-///
-/// # Errors
-///
-/// Returns an error for unknown ids or experiment failures.
-pub fn run_experiment(id: &str, ctx: &Ctx) -> Result<(), BenchError> {
-    match experiment(id) {
-        Some((_, _, run)) => run(ctx),
-        None => Err(BenchError::Other(format!("unknown experiment id: {id}"))),
-    }
 }

@@ -8,8 +8,8 @@
 //! on `(rule, workspace-relative path, line)`.
 //!
 //! The file format is a plain JSON object — parsed here with a ~100-line
-//! hand-rolled reader, keeping the crate std-only like the rest of the
-//! lint engine:
+//! hand-rolled reader of nested values (no dependency outside the
+//! workspace; strings are written with `wimesh_obs::json::escape`):
 //!
 //! ```json
 //! {
@@ -23,6 +23,8 @@
 //! ```
 
 use std::path::Path;
+
+use wimesh_obs::json::escape;
 
 use crate::error::CheckError;
 use crate::lint::{Diagnostic, LintReport};
@@ -161,10 +163,10 @@ impl Baseline {
         for (i, e) in self.entries.iter().enumerate() {
             out.push_str(&format!(
                 "    {{ \"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"note\": \"{}\" }}",
-                json::escape(&e.rule),
-                json::escape(&e.path),
+                escape(&e.rule),
+                escape(&e.path),
                 e.line,
-                json::escape(&e.note)
+                escape(&e.note)
             ));
             if i + 1 < self.entries.len() {
                 out.push(',');
@@ -312,6 +314,8 @@ mod json {
                         Some('n') => out.push('\n'),
                         Some('t') => out.push('\t'),
                         Some('r') => out.push('\r'),
+                        Some('b') => out.push('\u{08}'),
+                        Some('f') => out.push('\u{0c}'),
                         Some('u') => {
                             let hex: String = chars
                                 .get(*pos + 1..*pos + 5)
@@ -391,21 +395,6 @@ mod json {
             }
         }
     }
-
-    pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -458,6 +447,23 @@ mod tests {
         assert_eq!(gate.fresh[0].rule, Rule::LockOrderConsistency);
         assert_eq!(gate.stale.len(), 1);
         assert_eq!(gate.stale[0].rule, "no-panic-in-worker");
+    }
+
+    #[test]
+    fn every_escaped_char_round_trips() {
+        // Everything the writer escapes: the control characters (two-char
+        // forms and `\u00XX`), the quote and the backslash.
+        let awkward: String = (0u8..0x20).map(char::from).chain("\"\\é".chars()).collect();
+        let base = Baseline {
+            entries: vec![BaselineEntry {
+                rule: "no-unwrap-in-lib".into(),
+                path: format!("crates/{awkward}/src/lib.rs"),
+                line: 7,
+                note: awkward.clone(),
+            }],
+        };
+        let parsed = Baseline::parse(&base.to_json()).expect("parses");
+        assert_eq!(parsed.entries, base.entries);
     }
 
     #[test]

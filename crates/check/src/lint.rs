@@ -18,6 +18,8 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use wimesh_obs::json;
+
 use crate::error::CheckError;
 use crate::lexer::{Lexed, TokenKind};
 
@@ -305,10 +307,10 @@ impl LintReport {
             out.push_str(&format!("\"rule\": \"{}\", ", d.rule));
             out.push_str(&format!(
                 "\"path\": \"{}\", ",
-                json_escape(&d.path.display().to_string())
+                json::escape(&d.path.display().to_string())
             ));
             out.push_str(&format!("\"line\": {}, ", d.line));
-            out.push_str(&format!("\"message\": \"{}\"", json_escape(&d.message)));
+            out.push_str(&format!("\"message\": \"{}\"", json::escape(&d.message)));
             out.push('}');
             if i + 1 < self.diagnostics.len() {
                 out.push(',');
@@ -322,21 +324,6 @@ impl LintReport {
         out.push_str("}\n");
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// How a source file participates in the crate.
@@ -932,6 +919,17 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let report = LintReport {
+            diagnostics: vec![Diagnostic {
+                rule: Rule::NoUnwrapInLib,
+                path: PathBuf::from("a\"b.rs"),
+                line: 1,
+                message: "b\\c\nd".into(),
+            }],
+            ..LintReport::default()
+        };
+        let json = report.to_json();
+        assert!(json.contains(r#""path": "a\"b.rs""#), "{json}");
+        assert!(json.contains(r#""message": "b\\c\nd""#), "{json}");
     }
 }

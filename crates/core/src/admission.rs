@@ -1,5 +1,5 @@
-//! Admission control: the linear minislot search over a scheduling
-//! feasibility oracle.
+//! Admission control: the vocabulary and building blocks of the minislot
+//! search over a scheduling feasibility oracle.
 //!
 //! Guaranteed flows are admitted sequentially. For each candidate the
 //! controller:
@@ -13,35 +13,28 @@
 //! 4. asks the scheduling oracle whether *all* accepted flows plus the
 //!    candidate fit: for the heuristic order policies the oracle is
 //!    one longest-path schedule construction plus a delay check; for
-//!    [`OrderPolicy::ExactMilp`] it is a **linear search for the minimum
-//!    number of minislots** whose feasibility test is the integer program
-//!    of [`wimesh_tdma::milp`] — the optimization the companion paper
+//!    [`OrderPolicy::ExactMilp`] it is a **search for the minimum number
+//!    of minislots** whose feasibility test is the integer program of
+//!    [`wimesh_tdma::milp`] — the optimization the companion paper
 //!    describes.
 //!
 //! Minislots not claimed by the guaranteed region remain for best-effort
 //! traffic.
 //!
-//! This is the cold engine: every call aggregates demands, builds the
-//! conflict graph and solves from nothing. The stateful
-//! [`crate::QosSession`] shares its building blocks (flow vetting, the
-//! per-link demand formula, the clique bound, the greedy ranking, the LP
-//! rounding arm) but keeps per-link and per-flow state between calls and
-//! applies each decision as a delta to it.
+//! There is one engine, [`crate::QosSession`]: step 4 and the state it
+//! runs on live in `session.rs`, and the batch API
+//! ([`crate::MeshQos::admit`]) is a fresh session placing its flows in
+//! order. This module holds what a decision is made of and reported in:
+//! the policies, the verdict and outcome types, flow vetting, the
+//! per-link demand formula and the greedy ranking.
 
 use std::time::Duration;
 
-use wimesh_conflict::{heaviest_clique, ConflictGraph, InterferenceModel};
+use wimesh_conflict::ConflictGraph;
 use wimesh_emu::EmulationModel;
-use wimesh_milp::SolverConfig;
-use wimesh_tdma::milp::{
-    feasible_order_within, validate_order_within, OrderSolution, PathRequirement,
-};
-use wimesh_tdma::{
-    delay, order, schedule_from_order, Demands, FrameConfig, Schedule, ScheduleError,
-    TransmissionOrder,
-};
-use wimesh_topology::routing::{shortest_path, GatewayRouting, Path};
-use wimesh_topology::{LinkId, MeshTopology, NodeId};
+use wimesh_tdma::{Demands, Schedule, TransmissionOrder};
+use wimesh_topology::routing::Path;
+use wimesh_topology::{LinkId, NodeId};
 
 use crate::{FlowSpec, QosError};
 
@@ -141,11 +134,20 @@ pub struct AdmittedFlow {
 pub struct AdmissionOutcome {
     /// Flows admitted, with reservations.
     pub admitted: Vec<AdmittedFlow>,
-    /// Flows rejected, with reasons, in input order.
+    /// Flows rejected, with reasons. A batch outcome
+    /// ([`crate::MeshQos::admit`]) lists every reject of the batch in
+    /// input order; [`crate::QosSession::snapshot`] is a log in decision
+    /// order, capped at [`crate::QosSession::REJECT_LOG_CAP`] entries.
     pub rejected: Vec<(FlowSpec, RejectReason)>,
     /// The final conflict-free schedule for all admitted flows.
     pub schedule: Schedule,
-    /// The transmission order realising it.
+    /// The transmission order realising it, indexed by conflict-graph
+    /// vertex — and the outcome carries no graph. A batch outcome's
+    /// indices are those of [`ConflictGraph::build_for_links`] over
+    /// `schedule.links()` (ascending), so a caller can rebuild the graph
+    /// and lay the order out again. A session's snapshot follows the
+    /// session's own, history-dependent numbering: read its order through
+    /// [`crate::QosSession::export_state`]'s `warm_pairs` instead.
     pub order: TransmissionOrder,
     /// Minislots consumed by the guaranteed region (the makespan).
     pub guaranteed_slots: u32,
@@ -157,7 +159,8 @@ impl AdmissionOutcome {
         &self.admitted
     }
 
-    /// The rejected flows with their reasons, in input order.
+    /// The rejected flows with their reasons (see the field for the
+    /// order).
     pub fn rejected(&self) -> &[(FlowSpec, RejectReason)] {
         &self.rejected
     }
@@ -188,158 +191,9 @@ pub(crate) struct Accepted {
     pub(crate) slots_per_link: u32,
 }
 
-#[allow(clippy::too_many_arguments)] // internal plumbing behind MeshQos
-pub(crate) fn admit(
-    topo: &MeshTopology,
-    model: &EmulationModel,
-    interference: InterferenceModel,
-    link_payloads: &[u32],
-    loss_provisioning: f64,
-    flows: &[FlowSpec],
-    policy: OrderPolicy,
-    solver: &SolverConfig,
-) -> Result<AdmissionOutcome, QosError> {
-    let routed: Vec<(FlowSpec, Option<Path>)> = flows
-        .iter()
-        .map(|spec| {
-            let path = shortest_path(topo, spec.src, spec.dst).ok();
-            (spec.clone(), path)
-        })
-        .collect();
-    admit_routed(
-        topo,
-        model,
-        interference,
-        link_payloads,
-        loss_provisioning,
-        &routed,
-        policy,
-        solver,
-    )
-}
-
-/// Admission over caller-supplied routes: `None` paths are rejected with
-/// [`RejectReason::NoRoute`]. This is the entry point for multipath
-/// admission (subflows over edge-disjoint paths) and any custom routing.
-#[allow(clippy::too_many_arguments)] // internal plumbing behind MeshQos
-pub(crate) fn admit_routed(
-    topo: &MeshTopology,
-    model: &EmulationModel,
-    interference: InterferenceModel,
-    link_payloads: &[u32],
-    loss_provisioning: f64,
-    flows: &[(FlowSpec, Option<Path>)],
-    policy: OrderPolicy,
-    solver: &SolverConfig,
-) -> Result<AdmissionOutcome, QosError> {
-    let _span = wimesh_obs::span!("admission.admit");
-    let frame = model.frame();
-
-    // Vet every flow up front (cheap, no solver). Greedy policies then
-    // reorder the surviving candidates by their key before sequential
-    // placement; every other policy keeps input order, as before.
-    let mut vetted: Vec<(usize, Accepted)> = Vec::new();
-    let mut rejected_idx: Vec<(usize, FlowSpec, RejectReason)> = Vec::new();
-    for (idx, (spec, maybe_path)) in flows.iter().enumerate() {
-        match vet_flow(
-            model,
-            link_payloads,
-            loss_provisioning,
-            spec,
-            maybe_path.as_ref(),
-        )? {
-            Ok(c) => vetted.push((idx, c)),
-            Err(reason) => rejected_idx.push((idx, spec.clone(), reason)),
-        }
-    }
-    if let OrderPolicy::GreedySequential { key } = policy {
-        // Rank against the joint demand of the whole candidate set: the
-        // clique loads a flow competes with are those of everyone asking.
-        let (demands, graph) = {
-            let demands = aggregate_demands(
-                model,
-                link_payloads,
-                loss_provisioning,
-                vetted.iter().map(|(_, c)| (&c.spec, &c.path)),
-            );
-            let graph =
-                ConflictGraph::build_for_links(topo, demands.links().collect(), interference);
-            (demands, graph)
-        };
-        vetted.sort_by_cached_key(|(idx, c)| {
-            let rank = greedy_rank(key, &graph, |l| demands.get(l), &c.path, c.slots_per_link);
-            (rank, *idx)
-        });
-    }
-
-    let mut accepted: Vec<Accepted> = Vec::new();
-    let mut best: Option<(Schedule, TransmissionOrder, u32)> = None;
-
-    for (idx, candidate) in vetted {
-        // One span per flow decision: covers demand aggregation and the
-        // (possibly MILP-backed) schedule attempt.
-        let _flow_span = wimesh_obs::span!("admission.flow");
-        let trial: Vec<&Accepted> = accepted.iter().chain(std::iter::once(&candidate)).collect();
-        match try_schedule(
-            topo,
-            model,
-            interference,
-            link_payloads,
-            loss_provisioning,
-            &trial,
-            policy,
-            solver,
-        ) {
-            Ok((schedule, ord, used)) => {
-                accepted.push(candidate);
-                best = Some((schedule, ord, used));
-            }
-            Err(ScheduleError::Infeasible)
-            | Err(ScheduleError::FrameTooShort { .. })
-            | Err(ScheduleError::OrderCycle { .. }) => {
-                rejected_idx.push((idx, candidate.spec, RejectReason::Infeasible));
-            }
-            Err(ScheduleError::SolverFailed(msg)) => {
-                rejected_idx.push((idx, candidate.spec, RejectReason::SolverLimit(msg)));
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-
-    // Verdicts are reported in input order regardless of placement order.
-    rejected_idx.sort_by_key(|(idx, _, _)| *idx);
-    let rejected: Vec<(FlowSpec, RejectReason)> =
-        rejected_idx.into_iter().map(|(_, s, r)| (s, r)).collect();
-
-    if wimesh_obs::is_enabled() {
-        wimesh_obs::counter_add("admission.flows.accepted", accepted.len() as u64);
-        wimesh_obs::counter_add("admission.flows.rejected", rejected.len() as u64);
-    }
-
-    let (schedule, order, guaranteed_slots) = match best {
-        Some(b) => b,
-        None => (
-            Schedule::from_ranges(frame, Default::default())?,
-            TransmissionOrder::new(),
-            0,
-        ),
-    };
-
-    let admitted = finalize_admitted(model, &schedule, &accepted);
-
-    Ok(AdmissionOutcome {
-        admitted,
-        rejected,
-        schedule,
-        order,
-        guaranteed_slots,
-    })
-}
-
 /// Vets one flow before any schedule attempt: rate validity (an error),
 /// route presence and endpoints, deadline headroom, and the per-link
-/// reservation size. Shared between batch admission and
-/// [`crate::QosSession::admit`].
+/// reservation size.
 pub(crate) fn vet_flow(
     model: &EmulationModel,
     link_payloads: &[u32],
@@ -486,25 +340,6 @@ pub(crate) fn aggregate_demands<'a>(
     demands
 }
 
-/// The clique lower bound on the guaranteed region: links of a clique of
-/// the conflict graph can never share a minislot, so no schedule uses
-/// fewer minislots than a clique's total demand. The clique is
-/// [`heaviest_clique`]'s — one maximal clique grown per link, heaviest
-/// common neighbour first, and the clique cover's own cliques — which is
-/// a heuristic, not the maximum-weight clique: the bound is a sound
-/// floor whichever clique it finds, and every search above it closes the
-/// remaining gap with the oracle. At least 1.
-pub(crate) fn clique_lower_bound(graph: &ConflictGraph, demand_of: impl Fn(LinkId) -> u32) -> u32 {
-    // Looked up once per vertex: the growth loop weighs each many times.
-    let weights: Vec<u64> = graph
-        .links()
-        .iter()
-        .map(|&l| u64::from(demand_of(l)))
-        .collect();
-    let (_, weight) = heaviest_clique(graph, |v| weights[v]);
-    u32::try_from(weight).unwrap_or(u32::MAX).max(1)
-}
-
 /// The placement cost of a vetted flow under a [`GreedyKey`] — smaller
 /// ranks place first. `CliqueLoad` mines the maximal clique around each
 /// path link ([`ConflictGraph::maximal_clique_containing`]) and charges
@@ -535,252 +370,17 @@ pub(crate) fn greedy_rank(
     }
 }
 
-/// The MILP path requirements of a flow set, from each flow's route and
-/// deadline budget in pipeline minislots ([`flow_budget`]).
-pub(crate) fn path_requirements<'a>(
-    flows: impl IntoIterator<Item = (&'a Path, Option<u64>)>,
-) -> Vec<PathRequirement> {
-    flows
-        .into_iter()
-        .map(|(path, deadline_slots)| PathRequirement {
-            path: path.clone(),
-            deadline_slots,
-        })
-        .collect()
-}
-
-/// [`path_requirements`] of the cold engine's vetted flows.
-fn cold_requirements(model: &EmulationModel, flows: &[&Accepted]) -> Vec<PathRequirement> {
-    path_requirements(
-        flows
-            .iter()
-            .map(|f| (&f.path, flow_budget(model, f.spec.deadline, &f.path))),
-    )
-}
-
-/// Computes the final hard delay bounds from the actual schedule.
-pub(crate) fn finalize_admitted(
-    model: &EmulationModel,
-    schedule: &Schedule,
-    accepted: &[Accepted],
-) -> Vec<AdmittedFlow> {
-    let frame = model.frame();
-    let mesh_frame = model.mesh_frame();
-    let ctrl = mesh_frame.ctrl_duration();
-    let mut admitted = Vec::with_capacity(accepted.len());
-    for a in accepted {
-        let pipeline =
-            // check: allow(no-unwrap-in-lib, reason = "the solver scheduled every accepted demand or it would have errored")
-            delay::path_delay_slots(schedule, &a.path).expect("admitted paths are fully scheduled");
-        // check: allow(no-unwrap-in-lib, reason = "same invariant: accepted paths are fully scheduled")
-        let wraps = delay::frame_wraps(schedule, &a.path).expect("scheduled");
-        let worst_case_delay =
-            mesh_frame.frame_duration() + frame.slots_to_duration(pipeline) + ctrl * wraps as u32;
-        admitted.push(AdmittedFlow {
-            spec: a.spec.clone(),
-            path: a.path.clone(),
-            slots_per_link: a.slots_per_link,
-            worst_case_delay,
-        });
-    }
-    admitted
-}
-
-/// Tries to schedule all `flows` under `policy`, returning the schedule,
-/// the order, and the guaranteed-region size in minislots. Builds the
-/// conflict graph from scratch — [`crate::QosSession`] keeps its own
-/// incremental graph and per-link state instead.
-#[allow(clippy::too_many_arguments)] // internal plumbing behind MeshQos
-fn try_schedule(
-    topo: &MeshTopology,
-    model: &EmulationModel,
-    interference: InterferenceModel,
-    link_payloads: &[u32],
-    loss_provisioning: f64,
-    flows: &[&Accepted],
-    policy: OrderPolicy,
-    solver: &SolverConfig,
-) -> Result<(Schedule, TransmissionOrder, u32), ScheduleError> {
-    let _span = wimesh_obs::span!("admission.try_schedule");
-    let frame = model.frame();
-    let demands = aggregate_demands(
-        model,
-        link_payloads,
-        loss_provisioning,
-        flows.iter().map(|f| (&f.spec, &f.path)),
-    );
-    if demands.is_empty() {
-        let schedule = Schedule::from_ranges(frame, Default::default())?;
-        return Ok((schedule, TransmissionOrder::new(), 0));
-    }
-    let graph = ConflictGraph::build_for_links(topo, demands.links().collect(), interference);
-    if matches!(
-        policy,
-        OrderPolicy::GreedySequential { .. } | OrderPolicy::LpRounding
-    ) {
-        clique_prune(&graph, |l| demands.get(l), frame)?;
-    }
-    solve_demands_on_graph(topo, model, &graph, &demands, flows, policy, solver)
-}
-
-/// The fast reject of the exact and approximation searches: the heaviest
-/// clique's demand floors any feasible horizon, so a request whose bound
-/// exceeds the frame dies before any solver runs (counted as
-/// `admission.clique_prunes`). Otherwise returns the bound.
-pub(crate) fn clique_prune(
-    graph: &ConflictGraph,
-    demand_of: impl Fn(LinkId) -> u32,
-    frame: FrameConfig,
-) -> Result<u32, ScheduleError> {
-    let lower = clique_lower_bound(graph, demand_of);
-    if lower > frame.slots() {
-        wimesh_obs::counter_inc("admission.clique_prunes");
-        return Err(ScheduleError::FrameTooShort {
-            needed: lower,
-            available: frame.slots(),
-        });
-    }
-    Ok(lower)
-}
-
-/// What an exact search keeps of an oracle "yes" at `used`: the
-/// earliest-start layout of the answer's order when that layout still
-/// meets every requirement within `used` (its makespan is then the least
-/// this order allows), else the oracle's own start times. The oracle
-/// stops at its first feasible point, so its layout may leave gaps; and
-/// pulling every link to its earliest start can lengthen a wait past a
-/// tight deadline, which is why the solver's layout stays the fallback.
-pub(crate) fn earliest_layout(
-    graph: &ConflictGraph,
-    demands: &Demands,
-    reqs: &[PathRequirement],
-    frame: FrameConfig,
-    used: u32,
-    sol: OrderSolution,
-) -> OrderSolution {
-    validate_order_within(graph, demands, reqs, frame, used, &sol.order).unwrap_or(sol)
-}
-
-/// The [`OrderPolicy::LpRounding`] oracle: schedule, order, guaranteed
-/// region, and the LP relaxation's certified lower bound on that region.
-pub(crate) fn lp_rounding_solve(
-    graph: &ConflictGraph,
-    demands: &Demands,
-    reqs: &[PathRequirement],
-    frame: FrameConfig,
-) -> Result<(Schedule, TransmissionOrder, u32, u32), ScheduleError> {
-    let rounded = wimesh_tdma::approx::lp_rounded_order(graph, demands, reqs, frame)?;
-    let sol = rounded.solution;
-    let used = sol.schedule.makespan().max(1);
-    Ok((sol.schedule, sol.order, used, rounded.lp_bound_slots))
-}
-
-/// The cold engine's scheduling oracle, on a conflict graph whose vertices
-/// cover every demanded link.
-///
-/// For the heuristic policies this is one longest-path schedule
-/// construction plus a delay check; for [`OrderPolicy::ExactMilp`] it is
-/// the linear minimum-minislot search over the MILP feasibility oracle.
-/// The approximation policies' [`clique_prune`] is the caller's to run
-/// first.
-fn solve_demands_on_graph(
-    topo: &MeshTopology,
-    model: &EmulationModel,
-    graph: &ConflictGraph,
-    demands: &Demands,
-    flows: &[&Accepted],
-    policy: OrderPolicy,
-    solver: &SolverConfig,
-) -> Result<(Schedule, TransmissionOrder, u32), ScheduleError> {
-    let frame = model.frame();
-    match policy {
-        OrderPolicy::HopOrder
-        | OrderPolicy::TreeOrder { .. }
-        | OrderPolicy::GreedySequential { .. } => {
-            let ord = match policy {
-                OrderPolicy::HopOrder | OrderPolicy::GreedySequential { .. } => {
-                    order::hop_order(graph, flows.iter().map(|f| &f.path))
-                }
-                OrderPolicy::TreeOrder { gateway } => {
-                    let routing = GatewayRouting::new(topo, gateway)
-                        .map_err(|e| ScheduleError::SolverFailed(e.to_string()))?;
-                    order::tree_order(topo, &routing, graph)
-                }
-                _ => unreachable!("outer match covers only order-heuristic policies"),
-            };
-            // One longest-path pass: a makespan beyond the frame comes back
-            // as `FrameTooShort { needed: makespan, .. }`.
-            let schedule = schedule_from_order(graph, demands, &ord, frame)?;
-            let used = schedule.makespan();
-            for f in flows {
-                if let Some(b) = flow_budget(model, f.spec.deadline, &f.path) {
-                    let d = delay::path_delay_slots(&schedule, &f.path)
-                        .ok_or(ScheduleError::Infeasible)?;
-                    if d > b {
-                        return Err(ScheduleError::Infeasible);
-                    }
-                }
-            }
-            Ok((schedule, ord, used))
-        }
-        OrderPolicy::LpRounding => {
-            let reqs = cold_requirements(model, flows);
-            let (schedule, ord, used, _) = lp_rounding_solve(graph, demands, &reqs, frame)?;
-            Ok((schedule, ord, used))
-        }
-        OrderPolicy::ExactMilp => {
-            let reqs = cold_requirements(model, flows);
-            // Linear search upward from the clique lower bound.
-            //
-            // Soundness of returning the *first* feasible `used`: the
-            // feasibility predicate is monotone non-decreasing in `used`.
-            // The horizon appears only as the upper bound on start times
-            // (`sigma <= used - d`) and as the big-M in the order
-            // disjunctions — both relax as `used` grows — while deadline
-            // and wrap costs depend on the (fixed) frame length, not on
-            // `used`. Any point feasible at `used` therefore stays
-            // feasible at `used + 1`, so the first feasible value is the
-            // exact minimum and every smaller value (including `S - 1`)
-            // is infeasible without re-checking. The same monotonicity is
-            // what lets `QosSession` binary-search this range instead.
-            //
-            // The lower bound is safe to skip below: a clique of
-            // conflicting links can never share a minislot, so its total
-            // demand is a floor on any feasible horizon.
-            let lower = clique_prune(graph, |l| demands.get(l), frame)?;
-            let _search_span = wimesh_obs::span!("admission.search");
-            for used in lower..=frame.slots() {
-                wimesh_obs::counter_inc("admission.search.iterations");
-                let step_start = std::time::Instant::now();
-                let step = feasible_order_within(graph, demands, &reqs, frame, used, solver);
-                wimesh_obs::record_duration("admission.search.step", step_start.elapsed());
-                match step {
-                    Ok(sol) => {
-                        wimesh_obs::counter_inc("admission.milp.feasible");
-                        // Every smaller region was refused, so whichever
-                        // layout is kept occupies exactly `used`.
-                        let sol = earliest_layout(graph, demands, &reqs, frame, used, sol);
-                        return Ok((sol.schedule, sol.order, used));
-                    }
-                    Err(ScheduleError::Infeasible) => {
-                        wimesh_obs::counter_inc("admission.milp.infeasible");
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Err(ScheduleError::Infeasible)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::MeshQos;
     use wimesh_emu::EmulationParams;
+    use wimesh_milp::SolverConfig;
     use wimesh_sim::traffic::VoipCodec;
+    use wimesh_tdma::milp::{feasible_order_within, PathRequirement};
+    use wimesh_tdma::{schedule_from_order, ScheduleError};
     use wimesh_topology::generators;
+    use wimesh_topology::routing::shortest_path;
 
     fn mesh(n: usize) -> MeshQos {
         MeshQos::new(generators::chain(n), EmulationParams::default()).unwrap()
@@ -942,6 +542,78 @@ mod tests {
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         assert_eq!(ids, sorted);
+    }
+
+    #[test]
+    fn a_repeated_id_in_one_batch_is_reserved_once() {
+        let mesh = mesh(5);
+        let flows = vec![
+            FlowSpec::voip(7, NodeId(4), NodeId(0), VoipCodec::G711),
+            FlowSpec::voip(7, NodeId(3), NodeId(0), VoipCodec::G729),
+        ];
+        let out = mesh.admit(&flows, OrderPolicy::HopOrder).unwrap();
+        assert_eq!(out.admitted.len(), 1);
+        assert_eq!(out.admitted[0].spec, flows[0], "the first occurrence won");
+        assert_eq!(
+            out.rejected,
+            [(flows[1].clone(), RejectReason::DuplicateFlow)]
+        );
+        // Nothing of the second request is reserved.
+        let alone = mesh.admit(&flows[..1], OrderPolicy::HopOrder).unwrap();
+        assert_eq!(out.schedule, alone.schedule);
+    }
+
+    #[test]
+    fn batch_order_is_keyed_by_the_ascending_graph_of_the_schedule() {
+        let mesh = mesh(6);
+        // The far call's links enter the session's graph first, the
+        // trunk the frame has no room for rolls its own back, the near
+        // call's links enter last: the session's own vertex numbering is
+        // not ascending.
+        let trunk = FlowSpec::guaranteed(
+            1,
+            NodeId(5),
+            NodeId(0),
+            2_000_000.0,
+            Duration::from_millis(200),
+        );
+        let flows = vec![
+            FlowSpec::voip(0, NodeId(5), NodeId(2), VoipCodec::G711),
+            trunk.clone(),
+            FlowSpec::voip(2, NodeId(3), NodeId(0), VoipCodec::G711),
+        ];
+        let out = mesh.admit(&flows, OrderPolicy::HopOrder).unwrap();
+        assert_eq!(out.rejected, [(trunk, RejectReason::Infeasible)]);
+        assert_eq!(out.admitted.len(), 2);
+
+        // The outcome carries no graph; the documented one reads its order.
+        let graph = ConflictGraph::build_for_links(
+            mesh.topology(),
+            out.schedule.links().collect(),
+            mesh.interference(),
+        );
+        let demands = mesh.demands_for(&out.admitted);
+        let frame = mesh.model().frame();
+        let laid_out = schedule_from_order(&graph, &demands, &out.order, frame).unwrap();
+        assert_eq!(laid_out, out.schedule);
+    }
+
+    #[test]
+    fn every_reject_of_a_batch_is_reported_in_input_order() {
+        let mut topo = generators::chain(3);
+        let isolated = topo.add_node();
+        let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+        let flows: Vec<FlowSpec> = (0..300)
+            .map(|i| FlowSpec::voip(i, isolated, NodeId(0), VoipCodec::G729))
+            .collect();
+        assert!(flows.len() > crate::QosSession::REJECT_LOG_CAP);
+        let out = mesh.admit(&flows, OrderPolicy::HopOrder).unwrap();
+        assert!(out.admitted.is_empty());
+        let expected: Vec<_> = flows
+            .into_iter()
+            .map(|f| (f, RejectReason::NoRoute))
+            .collect();
+        assert_eq!(out.rejected, expected);
     }
 
     #[test]

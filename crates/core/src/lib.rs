@@ -11,8 +11,9 @@
 //! synchronisation plus guard times turn the WiFi channel into minislots,
 //! delay-aware transmission-order scheduling turns minislots into
 //! end-to-end delay guarantees, and an admission controller decides — via
-//! a linear search over an integer-programming feasibility oracle — how
-//! many minislots the guaranteed flows need.
+//! a search over an integer-programming feasibility oracle (the paper's
+//! linear scan, run here as a binary search between two bounds) — how few
+//! minislots the guaranteed flows need.
 //!
 //! This crate is the façade over the workspace:
 //!
@@ -57,9 +58,10 @@
 //! # Ok::<(), wimesh::QosError>(())
 //! ```
 //!
-//! Batch admission over a whole flow set is [`MeshQos::admit`];
-//! [`QosSession::release`] and [`QosSession::rebalance`] complete the
-//! churn lifecycle.
+//! There is one admission engine, [`QosSession`]. Batch admission over a
+//! whole flow set ([`MeshQos::admit`]) is a fresh session placing the
+//! flows in order; [`QosSession::release`] and [`QosSession::rebalance`]
+//! complete the churn lifecycle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -62,7 +62,8 @@ impl MeshQos {
 
     /// Opens a stateful [`QosSession`](crate::QosSession) over this mesh:
     /// incremental admission with a cached conflict graph and a
-    /// warm-started feasibility search. The session clones the mesh
+    /// warm-started feasibility search — the engine [`MeshQos::admit`]
+    /// runs a fresh instance of. The session clones the mesh
     /// configuration; later changes to `self` do not affect it.
     pub fn session(&self, policy: OrderPolicy) -> crate::QosSession {
         crate::QosSession::new(self.clone(), policy)
@@ -254,7 +255,8 @@ impl MeshQos {
         &self.solver
     }
 
-    /// Runs admission control over `flows` (in order) under `policy`.
+    /// Runs admission control over `flows` under `policy`, each on its
+    /// minimum-hop route ([`MeshQos::admit_routed`] has the contract).
     ///
     /// # Errors
     ///
@@ -266,22 +268,27 @@ impl MeshQos {
         flows: &[FlowSpec],
         policy: OrderPolicy,
     ) -> Result<AdmissionOutcome, QosError> {
-        admission::admit(
-            &self.topo,
-            &self.model,
-            self.interference,
-            &self.link_payloads,
-            self.loss_provisioning,
-            flows,
-            policy,
-            &self.solver,
-        )
+        let route = |spec: &FlowSpec| shortest_path(&self.topo, spec.src, spec.dst).ok();
+        let routed: Vec<_> = flows.iter().map(|f| (f.clone(), route(f))).collect();
+        self.admit_routed(&routed, policy)
     }
 
     /// Admission over caller-supplied routes (`None` = reject as
     /// unroutable). The entry point for multipath admission — see
     /// [`crate::multipath::split_over_disjoint_paths`] — and any custom
     /// routing policy.
+    ///
+    /// The flows are vetted, then placed one at a time on a fresh
+    /// [`QosSession`](crate::QosSession): in input order, or cheapest
+    /// first by the key of [`OrderPolicy::GreedySequential`], ranked
+    /// against the joint demand of the whole batch. Each placement is the
+    /// session's own admit decision, so verdicts are prefix-consistent —
+    /// under the policies that keep input order, a flow's verdict depends
+    /// only on the flows before it — and of two flows with one id the
+    /// second is a [`RejectReason::DuplicateFlow`](crate::RejectReason).
+    /// With a `wimesh-obs` sink installed the batch is one
+    /// `admission.admit` span over the session's own spans, and the
+    /// admitted flows register their SLO terms like any session admit.
     ///
     /// # Errors
     ///
@@ -291,16 +298,7 @@ impl MeshQos {
         flows: &[(FlowSpec, Option<Path>)],
         policy: OrderPolicy,
     ) -> Result<AdmissionOutcome, QosError> {
-        admission::admit_routed(
-            &self.topo,
-            &self.model,
-            self.interference,
-            &self.link_payloads,
-            self.loss_provisioning,
-            flows,
-            policy,
-            &self.solver,
-        )
+        crate::QosSession::admit_fresh(self, flows, policy)
     }
 
     /// Simulates the admitted flows over the emulated TDMA MAC for

@@ -1,14 +1,13 @@
-//! Stateful incremental admission: [`QosSession`].
+//! The admission engine: [`QosSession`].
 //!
-//! [`crate::MeshQos::admit`] is a *batch* API: every call rebuilds the
-//! conflict graph, re-derives a transmission order from nothing and — for
-//! [`OrderPolicy::ExactMilp`] — walks the minislot search linearly from
-//! the clique lower bound, paying one MILP solve per probed value. Under
-//! churn (flows arriving and departing one at a time, each decision
-//! re-examining all currently-admitted flows) almost all of that work
-//! repeats verbatim.
+//! Every admission decision in the crate is made here. A session holds
+//! the admitted set and decides one request at a time against it; the
+//! batch API ([`crate::MeshQos::admit`]) is a fresh session placing its
+//! flows in order. Under churn (flows arriving and departing one at a
+//! time, each decision re-examining all currently-admitted flows) almost
+//! all of the work of a decision repeats verbatim from the one before.
 //!
-//! A [`QosSession`] keeps the state between decisions, keyed by
+//! A [`QosSession`] therefore keeps its state between decisions, keyed by
 //! [`LinkId::index`] (never by the conflict graph's dense vertex index,
 //! which a vertex removal reshuffles), and every operation applies a
 //! *delta* to it:
@@ -34,31 +33,35 @@
 //!   order** is replayed as a warm start — a Bellman–Ford validation
 //!   pass ([`wimesh_tdma::milp::validate_order_within`]) often certifies
 //!   feasibility outright, skipping the MILP oracle — and the minislot
-//!   search is a **binary search** seeded by the warm order's makespan
-//!   instead of a linear scan — sound because oracle feasibility is
-//!   monotone in the probed slot count (see `admission.rs`), and any
-//!   feasible solution with makespan `m` stays feasible for every
-//!   horizon `>= m`, which turns each "yes" answer into an immediate
-//!   upper-bound jump.
+//!   search is a **binary search** between the heaviest clique's demand
+//!   and the warm order's makespan instead of the paper's linear scan —
+//!   sound because oracle feasibility is monotone in the probed slot
+//!   count (the argument is on `exact_search_warm`), and any feasible
+//!   solution with makespan `m` stays feasible for every horizon `>= m`,
+//!   which turns each "yes" answer into an immediate upper-bound jump.
 //!
-//! The session's verdicts are identical to the cold batch path: the fast
-//! paths only ever *certify* feasibility (a validated order is a real
-//! schedule), never declare infeasibility — that verdict still requires
-//! the exact oracle. The property tests in `tests/session_equivalence.rs`
-//! pin this, and `tests/session_delta_equivalence.rs` pins the delta
-//! state to the from-scratch pipeline it replaced, bit for bit.
+//! History must not leak into verdicts: the fast paths only ever
+//! *certify* feasibility (a validated order is a real schedule), never
+//! declare infeasibility — that verdict still requires the exact oracle.
+//! Three suites hold the engine to references that share no code with it:
+//! `tests/session_delta_equivalence.rs` pins the delta state to a
+//! from-scratch pipeline, bit for bit; `tests/exact_search_equivalence.rs`
+//! pins the exact search to a bound-free linear scan; and
+//! `tests/session_equivalence.rs` pins a churned session to a fresh one.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Duration;
 
-use wimesh_conflict::ConflictGraph;
+use wimesh_conflict::{heaviest_clique, ConflictGraph};
 use wimesh_emu::EmulationModel;
 use wimesh_milp::SolverConfig;
 use wimesh_sim::FlowId;
 use wimesh_tdma::milp::{
     feasible_order_within, validate_order_within, OrderSolution, PathRequirement,
 };
-use wimesh_tdma::{delay, order, Demands, Schedule, ScheduleError, SlotRange, TransmissionOrder};
+use wimesh_tdma::{
+    delay, order, Demands, FrameConfig, Schedule, ScheduleError, SlotRange, TransmissionOrder,
+};
 use wimesh_topology::routing::{shortest_path, GatewayRouting, Path};
 use wimesh_topology::{LinkId, NodeId};
 
@@ -115,9 +118,9 @@ pub struct SessionStats {
     pub releases: u64,
     /// MILP feasibility-oracle invocations.
     pub oracle_calls: u64,
-    /// Search probes answered without the MILP (warm-order validation or
-    /// makespan reuse) — each one is an oracle call the cold linear
-    /// search would have paid for.
+    /// Searches whose upper bound came from validating the candidate
+    /// order (the warm one, or the hop order when there is none) instead
+    /// of an oracle call at the full frame.
     pub oracle_calls_saved: u64,
     /// Times the persisted warm order validated as-is.
     pub warm_order_hits: u64,
@@ -302,9 +305,10 @@ struct Scratch {
 /// Admit and release flows one at a time; the session maintains a
 /// consistent [`AdmissionOutcome`] ([`QosSession::snapshot`]) for the
 /// currently-admitted set, applying each decision as a delta to its
-/// per-link and per-flow state (see the module docs). Decisions are
-/// identical to the cold batch path — admitting `f1..fn` through a fresh
-/// session equals `MeshQos::admit(&[f1..fn])`.
+/// per-link and per-flow state (see the module docs). The batch API is
+/// this engine too: under the policies that keep input order,
+/// `MeshQos::admit(&[f1..fn])` is a fresh session admitting `f1..fn` one
+/// at a time.
 ///
 /// # SLO audit
 ///
@@ -561,27 +565,85 @@ impl QosSession {
             return specs.iter().map(|s| self.admit(s)).collect();
         }
         let _span = wimesh_obs::span!("session.admit_batch");
+        let topo = self.mesh.topology();
+        let routed: Vec<(&FlowSpec, Option<Path>)> = specs
+            .iter()
+            .map(|s| (s, shortest_path(topo, s.src, s.dst).ok()))
+            .collect();
+        self.place_batch(routed.iter().map(|(s, p)| (*s, p.as_ref())), true)
+    }
 
+    /// The engine behind [`MeshQos::admit`] and [`MeshQos::admit_routed`]:
+    /// a fresh session places `flows` one at a time, in input order or by
+    /// the greedy key, on the routes given. Unlike
+    /// [`QosSession::admit_batch`] it never tries the whole batch first:
+    /// the batch API promises that a flow's verdict depends only on the
+    /// flows placed before it.
+    ///
+    /// The session's outcome is returned with two repairs. `rejected` is
+    /// rebuilt from the verdicts — complete and in input order, where the
+    /// session keeps a capped log in decision order. `order` is re-keyed
+    /// from the session's vertex numbering, which follows the insertions
+    /// and roll-backs of this run, to the ascending numbering a caller can
+    /// rebuild from the schedule alone.
+    pub(crate) fn admit_fresh(
+        mesh: &MeshQos,
+        flows: &[(FlowSpec, Option<Path>)],
+        policy: OrderPolicy,
+    ) -> Result<AdmissionOutcome, QosError> {
+        let _span = wimesh_obs::span!("admission.admit");
+        let mut session = Self::new(mesh.clone(), policy);
+        let routed = flows.iter().map(|(spec, path)| (spec, path.as_ref()));
+        let verdicts = session.place_batch(routed, false)?;
+        let mut outcome = session.outcome;
+        outcome.rejected = flows
+            .iter()
+            .zip(verdicts)
+            .filter_map(|((spec, _), verdict)| match verdict {
+                FlowAdmission::Rejected(reason) => Some((spec.clone(), reason)),
+                FlowAdmission::Admitted(_) => None,
+            })
+            .collect();
+        let ascending = ConflictGraph::build_for_links(
+            mesh.topology(),
+            outcome.schedule.links().collect(),
+            mesh.interference(),
+        );
+        let pairs = outcome.order.link_pairs(&session.graph);
+        outcome.order = TransmissionOrder::from_link_pairs(&ascending, &pairs);
+        Ok(outcome)
+    }
+
+    /// Batch admission over routed requests (`None` = unroutable), one
+    /// verdict per request in input order: vet each, enter the survivors
+    /// together, then either settle them with one solve over the whole
+    /// batch (`coalesce`) or take them back out and place them one at a
+    /// time.
+    fn place_batch<'a>(
+        &mut self,
+        routed: impl IntoIterator<Item = (&'a FlowSpec, Option<&'a Path>)>,
+        coalesce: bool,
+    ) -> Result<Vec<FlowAdmission>, QosError> {
         // Vet first: rejections here consume no solve and cannot
         // invalidate the batch.
-        let mut verdicts: Vec<Option<FlowAdmission>> = (0..specs.len()).map(|_| None).collect();
+        let mut verdicts: Vec<Option<FlowAdmission>> = Vec::new();
         let mut indices: Vec<usize> = Vec::new();
         let mut candidates: Vec<Accepted> = Vec::new();
-        for (i, spec) in specs.iter().enumerate() {
-            let path = shortest_path(self.mesh.topology(), spec.src, spec.dst).ok();
+        for (i, (spec, path)) in routed.into_iter().enumerate() {
             let vetted = if candidates.iter().any(|c| c.spec.id == spec.id) {
                 Err(RejectReason::DuplicateFlow)
             } else {
-                self.vet(spec, path.as_ref())?
+                self.vet(spec, path)?
             };
             match vetted {
                 Ok(c) => {
                     indices.push(i);
                     candidates.push(c);
+                    verdicts.push(None);
                 }
                 Err(reason) => {
                     self.stats.admits += 1;
-                    verdicts[i] = Some(self.reject(spec, reason));
+                    verdicts.push(Some(self.reject(spec, reason)));
                 }
             }
         }
@@ -591,8 +653,18 @@ impl QosSession {
             // batch in one search.
             let warm = self.search_warm_start();
             let base = self.outcome.admitted.len();
-            self.enter(candidates);
-            match self.solve(warm.as_deref()) {
+            // The batch's links join the graph only for a reader: the
+            // coalesced solve, or the greedy ranking against joint demand.
+            self.append(candidates);
+            if coalesce || matches!(self.policy, OrderPolicy::GreedySequential { .. }) {
+                self.settle();
+            }
+            let whole = if coalesce {
+                self.solve(warm.as_deref())
+            } else {
+                Err(ScheduleError::Infeasible)
+            };
+            match whole {
                 Ok(layout) => {
                     let coalesced = indices.len() as u64 - 1;
                     self.stats.admits += indices.len() as u64;
@@ -611,9 +683,10 @@ impl QosSession {
                     | ScheduleError::OrderCycle { .. }
                     | ScheduleError::SolverFailed(_),
                 ) => {
-                    // The batch does not fit as a unit: fall back to
-                    // per-flow admission. Greedy-sequential places the
-                    // candidates cheapest-first by its key (ranked while
+                    // The batch does not fit as a unit (or was not asked
+                    // to): per-flow admission. Greedy-sequential places
+                    // the candidates cheapest-first by its key, ranked
+                    // against the joint demand of everyone asking (while
                     // the grown graph still holds the batch's links);
                     // every other policy keeps input order. Verdicts are
                     // indexed, so reporting order is unaffected.
@@ -626,15 +699,15 @@ impl QosSession {
                         _ => 0,
                     };
                     let ranks: Vec<u64> = self.outcome.admitted[base..].iter().map(rank).collect();
-                    let mut fallback: Vec<(u64, usize, Path)> = self
+                    let mut fallback: Vec<(u64, usize, AdmittedFlow)> = self
                         .retract(base)
                         .into_iter()
                         .zip(ranks.into_iter().zip(indices))
-                        .map(|(f, (rank, i))| (rank, i, f.path))
+                        .map(|(f, (rank, i))| (rank, i, f))
                         .collect();
                     fallback.sort_by_key(|&(rank, i, _)| (rank, i));
-                    for (_, i, path) in fallback {
-                        verdicts[i] = Some(self.admit_on(&specs[i], Some(path))?);
+                    for (_, i, f) in fallback {
+                        verdicts[i] = Some(self.admit_on(&f.spec, Some(f.path))?);
                     }
                 }
                 Err(other) => {
@@ -646,7 +719,7 @@ impl QosSession {
 
         Ok(verdicts
             .into_iter()
-            // check: allow(no-unwrap-in-lib, reason = "every index was filled above: vet rejection, coalesced admit, or per-flow fallback")
+            // check: allow(no-unwrap-in-lib, reason = "every index was filled above: vet rejection, coalesced admit, or per-flow placement")
             .map(|v| v.expect("every spec received a verdict"))
             .collect())
     }
@@ -887,15 +960,18 @@ impl QosSession {
         Some((kept.schedule, kept.order, used))
     }
 
-    /// Recomputes everything from scratch: re-admits the current flows
-    /// through the cold batch path, rebuilds the conflict graph and bulk
-    /// loads the per-link and per-flow state from the result.
+    /// Recomputes everything from scratch: re-places the current flows on
+    /// a fresh session ([`MeshQos::admit_routed`] over their routes, in
+    /// admission order), rebuilds the conflict graph and bulk loads the
+    /// per-link and per-flow state from the result.
     ///
-    /// This restores the exact state a fresh batch
-    /// [`MeshQos::admit_routed`] over the admitted flows (same routes,
-    /// same admission order) would produce — the reference point the
-    /// warm paths are tested against — and is the recovery path when a
-    /// heuristic [`QosSession::release`] fails.
+    /// What is left is the state a session that had never seen anything
+    /// but these flows would hold — no warm order, no vertex numbering,
+    /// no kept release order survives — and it is the recovery path when
+    /// a heuristic [`QosSession::release`] fails. A flow the fresh
+    /// placement rejects (possible under the heuristic policies, whose
+    /// orders are not subset-monotone) leaves the admitted set and enters
+    /// the rejection log.
     ///
     /// # Errors
     ///
@@ -917,8 +993,8 @@ impl QosSession {
             log_reject(&mut self.outcome.rejected, spec, reason);
         }
         // The graph is rebuilt over the demand links in ascending id order
-        // — the construction the batch path used, so the cold order maps
-        // onto identical dense indices.
+        // — the numbering a batch outcome's order is keyed by, so its bits
+        // map onto identical dense indices.
         self.load(cold.admitted.into_iter().map(|f| Accepted {
             spec: f.spec,
             path: f.path,
@@ -1118,7 +1194,7 @@ impl QosSession {
         self.append(flows);
         self.resum_touched();
         self.scratch.touched.clear();
-        // Ascending is the order the batch path numbers its graph in.
+        // Ascending is the numbering a batch outcome's order is keyed by.
         self.graph = ConflictGraph::build_for_links(
             self.mesh.topology(),
             self.demanded.clone(),
@@ -1144,24 +1220,31 @@ impl QosSession {
     /// kernels.
     fn requirements(&self) -> Vec<PathRequirement> {
         let flows = self.outcome.admitted.iter().zip(&self.meta);
-        admission::path_requirements(flows.map(|(f, m)| (&f.path, m.budget)))
+        flows
+            .map(|(f, m)| PathRequirement {
+                path: f.path.clone(),
+                deadline_slots: m.budget,
+            })
+            .collect()
     }
 
     /// One scheduling decision over the current per-link state: on
     /// success the trial ranges and `scratch.delays` hold the layout that
     /// is returned, ready for [`QosSession::publish`].
     fn solve(&mut self, warm: Option<&[(LinkId, LinkId)]>) -> Result<Layout, ScheduleError> {
-        // Mirror the batch path: a demand-free flow set schedules trivially.
+        // A demand-free flow set schedules trivially.
         if self.demanded.is_empty() {
             self.scratch.delays.clear();
             let schedule = Schedule::from_ranges(self.mesh.model().frame(), BTreeMap::new())?;
             return Ok((schedule, TransmissionOrder::new(), 0));
         }
+        let frame = self.mesh.model().frame();
+        let demand_of = |l: LinkId| self.links[l.index()].demand;
         match self.policy {
             OrderPolicy::HopOrder | OrderPolicy::TreeOrder { .. } => self.rank_layout(),
             OrderPolicy::GreedySequential { .. } => {
                 let _span = wimesh_obs::span!("session.approx");
-                let lower = self.clique_prune()?;
+                let lower = clique_prune(&self.graph, demand_of, frame, &mut self.stats)?;
                 self.stats.greedy_solves += 1;
                 wimesh_obs::counter_inc("session.greedy.solves");
                 let (schedule, ord, used) = self.rank_layout()?;
@@ -1184,30 +1267,21 @@ impl QosSession {
             }
             OrderPolicy::LpRounding => {
                 let _span = wimesh_obs::span!("session.approx");
-                let lower = self.clique_prune()?;
+                let lower = clique_prune(&self.graph, demand_of, frame, &mut self.stats)?;
                 self.stats.lp_solves += 1;
                 wimesh_obs::counter_inc("session.lp.solves");
                 let (demands, reqs) = (self.demands(), self.requirements());
-                let frame = self.mesh.model().frame();
-                let (schedule, ord, used, lp_bound) =
-                    admission::lp_rounding_solve(&self.graph, &demands, &reqs, frame)?;
-                self.stats.approx_gap = u64::from(used.saturating_sub(lower.max(lp_bound)));
-                self.adopt(&schedule)?;
-                Ok((schedule, ord, used))
+                let rounded =
+                    wimesh_tdma::approx::lp_rounded_order(&self.graph, &demands, &reqs, frame)?;
+                let sol = rounded.solution;
+                let used = sol.schedule.makespan().max(1);
+                // The LP relaxation's optimum is a second certified floor.
+                let floor = lower.max(rounded.lp_bound_slots);
+                self.stats.approx_gap = u64::from(used.saturating_sub(floor));
+                self.adopt(&sol.schedule)?;
+                Ok((sol.schedule, sol.order, used))
             }
         }
-    }
-
-    /// The clique-bound fast reject the approximation policies share: the
-    /// heaviest clique's total demand floors any feasible guaranteed
-    /// region, so a request whose bound exceeds the frame is rejected
-    /// without running any solver. The bound it returns, subtracted from
-    /// the realised region, is a true upper bound on the optimality gap
-    /// ([`SessionStats::approx_gap`]).
-    fn clique_prune(&mut self) -> Result<u32, ScheduleError> {
-        let demand_of = |l: LinkId| self.links[l.index()].demand;
-        admission::clique_prune(&self.graph, demand_of, self.mesh.model().frame())
-            .inspect_err(|_| self.stats.clique_prunes += 1)
     }
 
     /// The layout of the rank policies: every demanded link at its
@@ -1471,15 +1545,64 @@ fn empty_outcome(model: &EmulationModel) -> AdmissionOutcome {
     }
 }
 
-/// The warm-started exact minislot search: binary instead of linear,
-/// seeded by the persisted order.
+/// The fast reject of the exact and approximation searches, and their
+/// lower bound. Links of a clique of the conflict graph can never share a
+/// minislot, so no schedule uses fewer minislots than a clique's total
+/// demand: a request whose bound exceeds the frame dies before any solver
+/// runs (counted in [`SessionStats::clique_prunes`] and as
+/// `admission.clique_prunes`); otherwise the bound (one minislot at
+/// least) is returned. Subtracted from the realised region it is a true
+/// upper bound on the optimality gap ([`SessionStats::approx_gap`]).
 ///
-/// Correctness rests on two facts proved at the call sites they mirror:
+/// The clique is [`heaviest_clique`]'s — one maximal clique grown per
+/// link, heaviest common neighbour first, and the clique cover's own
+/// cliques — which is a heuristic, not the maximum-weight clique: the
+/// bound is a sound floor whichever clique it finds, and every search
+/// above it closes the remaining gap with the oracle.
+fn clique_prune(
+    graph: &ConflictGraph,
+    demand_of: impl Fn(LinkId) -> u32,
+    frame: FrameConfig,
+    stats: &mut SessionStats,
+) -> Result<u32, ScheduleError> {
+    // Looked up once per vertex: the growth loop weighs each many times.
+    let weights: Vec<u64> = graph
+        .links()
+        .iter()
+        .map(|&l| u64::from(demand_of(l)))
+        .collect();
+    let (_, weight) = heaviest_clique(graph, |v| weights[v]);
+    let lower = u32::try_from(weight).unwrap_or(u32::MAX).max(1);
+    if lower > frame.slots() {
+        stats.clique_prunes += 1;
+        wimesh_obs::counter_inc("admission.clique_prunes");
+        return Err(ScheduleError::FrameTooShort {
+            needed: lower,
+            available: frame.slots(),
+        });
+    }
+    Ok(lower)
+}
+
+/// The exact minislot search: the least `used` for which the order MILP
+/// ([`feasible_order_within`]) is feasible. The paper's formulation is a
+/// linear scan upward from 1 (it survives as the reference of
+/// `tests/exact_search_equivalence.rs`); this is a binary search between
+/// two bounds, seeded by the persisted order.
 ///
-/// 1. **Monotonicity** (see the linear search in `admission.rs`): oracle
-///    feasibility at `used` implies feasibility at every larger value,
-///    so binary search over `[lower bound, frame]` finds the same
-///    minimal feasible count the linear scan does.
+/// Correctness rests on two facts:
+///
+/// 1. **Monotonicity**: the feasibility predicate is monotone
+///    non-decreasing in `used`. The horizon appears only as the upper
+///    bound on start times (`sigma <= used - d`) and as the big-M in the
+///    order disjunctions — both relax as `used` grows — while deadline
+///    and wrap costs depend on the (fixed) frame length, not on `used`.
+///    Any point feasible at `used` therefore stays feasible at
+///    `used + 1`: the first feasible value of a linear scan is the exact
+///    minimum, every smaller value is infeasible without re-checking, and
+///    a binary search over `[lower bound, frame]` finds that same value.
+///    Skipping everything below the clique bound is safe for the reason
+///    [`clique_prune`] gives.
 /// 2. **Makespan reuse**: a feasible solution whose schedule occupies
 ///    `m` minislots satisfies every constraint of the oracle at any
 ///    horizon `>= m` (start times are unchanged; shrinking the horizon
@@ -1490,7 +1613,7 @@ fn empty_outcome(model: &EmulationModel) -> AdmissionOutcome {
 /// The warm order only ever *adds* a feasibility certificate (its
 /// validated schedule is real); an infeasibility verdict still requires
 /// MILP answers for every value below the returned minimum, so verdicts
-/// match the cold path exactly.
+/// do not depend on what the session has seen before.
 ///
 /// The oracle is paid only inside the gap the two bounds leave: below
 /// `lo` the heaviest clique already says no, at `hi` the candidate order
@@ -1511,8 +1634,7 @@ fn exact_search_warm(
     let _span = wimesh_obs::span!("session.search");
     let frame = model.frame();
     let total = frame.slots();
-    let mut lo = admission::clique_prune(graph, |l| demands.get(l), frame)
-        .inspect_err(|_| stats.clique_prunes += 1)?;
+    let mut lo = clique_prune(graph, |l| demands.get(l), frame, stats)?;
 
     // The candidate order: the persisted warm order (replayed through
     // link pairs, so graph reindexing cannot corrupt it), with conflict
@@ -1539,17 +1661,20 @@ fn exact_search_warm(
     // touching the MILP. A miss proves nothing; fall back to one oracle
     // call at the full frame to settle feasibility at all.
     //
-    // The oracle returns a feasible point, not a compact one, so each
-    // "yes" is replayed as the earliest-start layout of its order: that
-    // is the layout the session publishes, and its makespan is the
-    // tightest upper bound the answer gives.
+    // The oracle stops at its first feasible point, so its layout may
+    // leave gaps: each "yes" is replayed as the earliest-start layout of
+    // its order, which is the layout the session publishes, and whose
+    // makespan is the tightest upper bound the answer gives. Pulling every
+    // link to its earliest start can lengthen a wait past a tight
+    // deadline; the oracle's own start times stay the fallback then.
     let calls_before = stats.oracle_calls;
     let oracle = |used: u32, stats: &mut SessionStats| {
         stats.oracle_calls += 1;
         wimesh_obs::counter_inc("session.oracle.calls");
         let started = std::time::Instant::now();
-        let step = feasible_order_within(graph, demands, reqs, frame, used, solver)
-            .map(|sol| admission::earliest_layout(graph, demands, reqs, frame, used, sol));
+        let step = feasible_order_within(graph, demands, reqs, frame, used, solver).map(|sol| {
+            validate_order_within(graph, demands, reqs, frame, used, &sol.order).unwrap_or(sol)
+        });
         wimesh_obs::record_duration("session.search.step", started.elapsed());
         step
     };
@@ -1617,62 +1742,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_admits_equal_batch_hop_order() {
-        let mesh = mesh(5);
-        let flows = gateway_calls(3, 4);
-        let batch = mesh.admit(&flows, OrderPolicy::HopOrder).unwrap();
-
-        let mut session = mesh.session(OrderPolicy::HopOrder);
-        for f in &flows {
-            session.admit(f).unwrap();
-        }
-        let snap = session.snapshot();
-        assert_eq!(snap.admitted.len(), batch.admitted.len());
-        assert_eq!(snap.rejected.len(), batch.rejected.len());
-        assert_eq!(snap.guaranteed_slots, batch.guaranteed_slots);
-        // Heuristic orders are deterministic: bit-identical schedules.
-        for (a, b) in snap.admitted.iter().zip(&batch.admitted) {
-            assert_eq!(a.spec, b.spec);
-            assert_eq!(a.slots_per_link, b.slots_per_link);
-            assert_eq!(a.worst_case_delay, b.worst_case_delay);
-        }
-        let links_a: Vec<_> = snap.schedule.links().collect();
-        let links_b: Vec<_> = batch.schedule.links().collect();
-        assert_eq!(links_a, links_b);
-        for l in links_a {
-            assert_eq!(snap.schedule.slot_range(l), batch.schedule.slot_range(l));
-        }
-    }
-
-    #[test]
-    fn incremental_admits_equal_batch_exact_milp() {
-        let mesh = mesh(5);
-        let flows = gateway_calls(3, 4);
-        let batch = mesh.admit(&flows, OrderPolicy::ExactMilp).unwrap();
-
-        let mut session = mesh.session(OrderPolicy::ExactMilp);
-        for f in &flows {
-            session.admit(f).unwrap();
-        }
-        let snap = session.snapshot();
-        // Verdicts and the minimal guaranteed region must match the cold
-        // linear search exactly (schedules may be alternate optima).
-        assert_eq!(snap.admitted.len(), batch.admitted.len());
-        assert_eq!(snap.rejected.len(), batch.rejected.len());
-        assert_eq!(snap.guaranteed_slots, batch.guaranteed_slots);
-        snap.schedule
-            .validate(&ConflictGraph::build_for_links(
-                mesh.topology(),
-                snap.schedule.links().collect(),
-                mesh.interference(),
-            ))
-            .expect("session schedule must be conflict-free");
-        for f in &snap.admitted {
-            assert!(f.worst_case_delay <= f.spec.deadline.unwrap());
-        }
-    }
-
-    #[test]
     fn churn_reuses_warm_state() {
         let mesh = mesh(5);
         let flows = gateway_calls(3, 4);
@@ -1698,8 +1767,7 @@ mod tests {
             stats.oracle_calls > calls_after_admits - 1 || stats.oracle_calls_saved >= 2,
             "churn must be answered by warm state or few oracle calls"
         );
-        // Final state matches a cold batch over the same sequence
-        // outcome: all still admitted.
+        // All still admitted.
         assert_eq!(session.snapshot().admitted.len(), 3);
     }
 
@@ -1805,9 +1873,9 @@ mod tests {
             assert!(session.admit(f).unwrap().is_admitted());
         }
         let remaining: Vec<FlowSpec> = flows.iter().filter(|f| f.id.0 != 3).cloned().collect();
-        let cold = mesh.admit(&remaining, OrderPolicy::HopOrder).unwrap();
+        let fresh = mesh.admit(&remaining, OrderPolicy::HopOrder).unwrap();
         assert_eq!(
-            cold.rejected.len(),
+            fresh.rejected.len(),
             1,
             "the subset's own hop order overflows"
         );
@@ -2023,7 +2091,7 @@ mod tests {
             snap.guaranteed_slots, before,
             "rebalance of a clean session is stable"
         );
-        // Matches a cold batch admission of the remaining flows.
+        // Matches a batch admission of the remaining flows.
         let batch = mesh.admit(&flows[1..], OrderPolicy::HopOrder).unwrap();
         assert_eq!(snap.guaranteed_slots, batch.guaranteed_slots);
         assert_eq!(snap.admitted.len(), batch.admitted.len());

@@ -82,14 +82,24 @@ fn admit_emits_expected_spans_and_metrics() {
     let flows: Vec<FlowSpec> = (0..2)
         .map(|i| FlowSpec::voip(i, NodeId(4 - i), NodeId(0), VoipCodec::G729))
         .collect();
-    let outcome = mesh
-        .admit(&flows, OrderPolicy::ExactMilp)
-        .expect("chain admits two voip flows");
-    assert!(!outcome.admitted.is_empty());
-    // HopOrder goes through tdma's schedule_from_order, covering the
-    // tdma.schedule.build span.
-    mesh.admit(&flows, OrderPolicy::HopOrder)
-        .expect("hop order admits the same flows");
+    // The batch API is a fresh session placing the flows in order: one
+    // `admission.admit` root per call over the session's own spans. The
+    // sessions it runs are not handed out, so each call is mirrored by a
+    // session of our own admitting the same flows — same work, same
+    // counts — to keep the sums below exact.
+    let (mut oracle_calls, mut ranges_moved) = (oracle_calls, ranges_moved);
+    for policy in [OrderPolicy::ExactMilp, OrderPolicy::HopOrder] {
+        let outcome = mesh
+            .admit(&flows, policy)
+            .expect("chain admits two voip flows");
+        assert_eq!(outcome.admitted.len(), 2);
+        let mut mirror = mesh.session(policy);
+        for f in &flows {
+            assert!(mirror.admit(f).expect("admit").is_admitted());
+        }
+        oracle_calls += 2 * mirror.stats().oracle_calls;
+        ranges_moved += 2 * mirror.stats().ranges_moved;
+    }
 
     assert!(wimesh_obs::finish().is_some());
 
@@ -97,9 +107,8 @@ fn admit_emits_expected_spans_and_metrics() {
     let names = sink.span_names();
     for expected in [
         "admission.admit",
-        "admission.flow",
-        "admission.try_schedule",
-        "admission.search",
+        "session.admit",
+        "session.search",
         "milp.simplex.solve",
         "tdma.schedule.build",
     ] {
@@ -109,14 +118,28 @@ fn admit_emits_expected_spans_and_metrics() {
         );
     }
 
-    // Spans close innermost-first: the root admission span is last.
-    assert_eq!(*names.last().unwrap(), "admission.admit");
-    let root = sink
-        .span_events()
-        .into_iter()
-        .find(|e| e.name == "admission.admit")
+    // A batch call is one tree: its `admission.admit` root closes after
+    // the `session.admit` of each of its two flows, which sit under it.
+    let events = sink.span_events();
+    let first_root = events
+        .iter()
+        .position(|e| e.name == "admission.admit")
         .unwrap();
-    assert_eq!(root.depth, 0, "admission.admit is the outermost span");
+    assert_eq!(events[first_root].depth, 0, "admission.admit is a root");
+    let placements: Vec<_> = events[..first_root]
+        .iter()
+        .rev()
+        .take_while(|e| e.depth > 0)
+        .filter(|e| e.name == "session.admit")
+        .collect();
+    assert_eq!(placements.len(), 2);
+    assert!(placements.iter().all(|e| e.depth == 1));
+    assert!(
+        events[..first_root]
+            .iter()
+            .any(|e| e.name == "session.search" && e.depth == 2),
+        "the exact batch searches under its placements"
+    );
 
     // finish() flushed one registry snapshot with the admission metrics.
     let snaps = sink.metrics_snapshots();
@@ -128,9 +151,6 @@ fn admit_emits_expected_spans_and_metrics() {
             .find(|(n, _)| n == name)
             .map(|(_, v)| *v)
     };
-    // Two flows accepted per admit call, two calls.
-    assert_eq!(counter("admission.flows.accepted"), Some(4));
-    assert!(counter("admission.search.iterations").unwrap_or(0) >= 1);
     assert!(counter("milp.simplex.pivots").unwrap_or(0) >= 1);
     // Branch & bound children re-optimise their parent's tableau: every
     // variable of the order model is bounded, so none is solved cold, and
@@ -146,8 +166,8 @@ fn admit_emits_expected_spans_and_metrics() {
     assert!(
         snap.histograms
             .iter()
-            .any(|(n, h)| n == "admission.search.step" && h.count() >= 1),
-        "per-step durations recorded"
+            .any(|(n, h)| n == "session.search.step" && h.count() == oracle_calls),
+        "one step duration per oracle call"
     );
     // The session's search: fast reject, gap, and solves the bounds closed.
     assert_eq!(counter("admission.clique_prunes"), Some(1));

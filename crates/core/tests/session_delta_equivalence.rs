@@ -10,9 +10,10 @@
 //! [`order::tree_order`], lays it out with [`schedule_from_order`], checks
 //! every deadline and derives every bound from the [`Schedule`] — nothing
 //! is carried over but the flow list, the graph and the last order. It
-//! shares no state code with the session; what it does share are the
-//! kernels both call (`wimesh-tdma`, `wimesh-conflict`, the cold
-//! [`MeshQos::admit_routed`] behind `rebalance`).
+//! shares no engine with the session — `rebalance` included, which
+//! re-places the held flows through this same pipeline on a fresh
+//! reference; what it does share are the kernels both call
+//! (`wimesh-tdma`, `wimesh-conflict`).
 //!
 //! After every operation of random churn the session's
 //! [`QosSession::export_state`] and every flow's delay bound must equal
@@ -474,28 +475,30 @@ impl<'a> Reference<'a> {
         Some((kept.schedule, kept.order, used))
     }
 
-    /// `QosSession::rebalance`: the cold batch engine over the held flows,
-    /// the graph rebuilt over the demanded links in ascending order.
-    fn rebalance(&mut self) -> Result<(), QosError> {
-        let routed: Vec<(FlowSpec, Option<Path>)> = self
-            .held
-            .iter()
-            .map(|f| (f.spec.clone(), Some(f.path.clone())))
-            .collect();
-        let cold = self.mesh.admit_routed(&routed, self.policy)?;
-        self.held = cold
-            .admitted
-            .iter()
-            .map(|f| Held {
-                spec: f.spec.clone(),
-                path: f.path.clone(),
-                slots_per_link: f.slots_per_link,
-            })
-            .collect();
+    /// `QosSession::rebalance`: the held flows placed one at a time on a
+    /// fresh reference — in admission order, or cheapest first by the
+    /// greedy key against their joint demand — and the graph rebuilt over
+    /// the demanded links in ascending order. A flow the fresh placement
+    /// refuses is dropped.
+    fn rebalance(&mut self) {
+        let mut fresh = Reference::new(self.mesh, self.policy);
+        let mut flows = std::mem::take(&mut self.held);
+        if let OrderPolicy::GreedySequential { key } = self.policy {
+            let demands = fresh.demands(&flows.iter().collect::<Vec<_>>());
+            let inserted = fresh.grow(&demands);
+            // Stable: equal ranks keep admission order.
+            flows.sort_by_cached_key(|f| fresh.greedy_rank(key, &demands, f));
+            for l in inserted {
+                fresh.graph.remove_vertex(l);
+            }
+        }
+        for f in flows {
+            fresh.admit_on(&f.spec, Some(f.path));
+        }
+        fresh.seen = self.seen;
+        fresh.seen.rebalances += 1;
+        *self = fresh;
         self.rebuild_graph();
-        self.commit((cold.schedule, cold.order, cold.guaranteed_slots));
-        self.seen.rebalances += 1;
-        Ok(())
     }
 
     /// What an export → restore round trip does to the old session: the
@@ -626,9 +629,8 @@ fn step<'a>(
             }
         }
         Op::Rebalance => {
-            let ours = session.rebalance().map(|_| ());
-            let theirs = reference.rebalance();
-            prop_assert_eq!(ours.is_ok(), theirs.is_ok(), "rebalance");
+            session.rebalance().map_err(fail)?;
+            reference.rebalance();
         }
         Op::Restore => {
             *session = session

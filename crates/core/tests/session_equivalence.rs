@@ -1,14 +1,23 @@
-//! Property tests proving the stateful warm path is indistinguishable
-//! from cold batch admission.
+//! Property tests proving that a session's history does not leak into
+//! its verdicts: a churned session equals a fresh one.
 //!
-//! The contract of [`QosSession`] is that caching (incremental conflict
-//! graph, warm transmission order, makespan-seeded binary search) is an
-//! *optimisation*, never a semantic change: after any admit/release
-//! churn the session must hold exactly the verdicts and reservations a
-//! stateless controller would compute from scratch over the same flow
-//! set. These tests drive random meshes and flow sets through
-//! admit → release-all → re-admit and compare against a fresh cold
-//! [`MeshQos::admit`] at the end.
+//! The contract of [`QosSession`] is that what it carries between
+//! decisions (incremental conflict graph and its vertex numbering, warm
+//! transmission order, makespan-seeded binary search, kept release
+//! orders) is an *optimisation*, never a semantic change: after any
+//! admit/release churn the session must hold exactly the verdicts and
+//! reservations a controller that had never seen anything but the final
+//! flow set would compute. These tests drive random meshes and flow sets
+//! through admit → release-all → re-admit and compare against
+//! [`MeshQos::admit`] — a fresh session placing the same flows in order —
+//! at the end, certifying every intermediate schedule on the way.
+//!
+//! Both sides run the one engine, so this suite alone would accept an
+//! engine that is wrong the same way twice. The independent references
+//! are elsewhere: `session_delta_equivalence.rs` (a from-scratch pipeline
+//! for the rank policies, sharing no engine code) and
+//! `exact_search_equivalence.rs` (a bound-free linear scan over the MILP
+//! oracle for [`OrderPolicy::ExactMilp`]).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -153,8 +162,8 @@ fn assert_schedule_sane(session: &QosSession) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Heuristic policies: after admit → release-all → re-admit the warm
-    /// session's outcome is *bit-identical* to a cold batch admission
+    /// Heuristic policies: after admit → release-all → re-admit the
+    /// churned session's outcome is *bit-identical* to a fresh session's
     /// (same verdicts, same slot count, same schedule).
     #[test]
     fn warm_churn_equals_cold_batch_heuristic(
@@ -170,7 +179,7 @@ proptest! {
         } else {
             OrderPolicy::HopOrder
         };
-        let cold = match mesh.admit(&scenario.flows, policy) {
+        let fresh = match mesh.admit(&scenario.flows, policy) {
             Ok(o) => o,
             Err(_) => return Ok(()),
         };
@@ -178,14 +187,14 @@ proptest! {
         if churn_warm(&mut session, &scenario.flows)?.is_none() {
             return Ok(());
         }
-        let warm = session.snapshot();
-        prop_assert_eq!(admitted_ids(warm), admitted_ids(&cold), "verdicts diverged");
-        prop_assert_eq!(warm.guaranteed_slots, cold.guaranteed_slots);
-        prop_assert_eq!(&warm.schedule, &cold.schedule, "schedules diverged");
+        let churned = session.snapshot();
+        prop_assert_eq!(admitted_ids(churned), admitted_ids(&fresh), "verdicts diverged");
+        prop_assert_eq!(churned.guaranteed_slots, fresh.guaranteed_slots);
+        prop_assert_eq!(&churned.schedule, &fresh.schedule, "schedules diverged");
     }
 
     /// Exact MILP policy: identical verdicts and identical *minimal*
-    /// slot counts warm vs cold. (Alternate optimal schedules are
+    /// slot counts churned vs fresh. (Alternate optimal schedules are
     /// allowed; the minimum itself is unique.) Smaller instances keep
     /// the branch-and-bound affordable under 48 cases.
     #[test]
@@ -194,20 +203,20 @@ proptest! {
             Ok(m) => m,
             Err(_) => return Ok(()),
         };
-        let cold = match mesh.admit(&scenario.flows, OrderPolicy::ExactMilp) {
+        let fresh = match mesh.admit(&scenario.flows, OrderPolicy::ExactMilp) {
             Ok(o) => o,
             Err(_) => return Ok(()),
         };
         let mut session = mesh.session(OrderPolicy::ExactMilp);
-        let churned = churn_warm(&mut session, &scenario.flows)?;
+        let survived = churn_warm(&mut session, &scenario.flows)?;
         // Releasing a subset of a feasible set is always feasible under
         // the exact oracle — the pathological escape is heuristic-only.
-        prop_assert!(churned.is_some(), "exact release must not fail");
-        let warm = session.snapshot();
-        prop_assert_eq!(admitted_ids(warm), admitted_ids(&cold), "verdicts diverged");
+        prop_assert!(survived.is_some(), "exact release must not fail");
+        let churned = session.snapshot();
+        prop_assert_eq!(admitted_ids(churned), admitted_ids(&fresh), "verdicts diverged");
         prop_assert_eq!(
-            warm.guaranteed_slots, cold.guaranteed_slots,
-            "warm search found a different minimum"
+            churned.guaranteed_slots, fresh.guaranteed_slots,
+            "the churned search found a different minimum"
         );
     }
 }

@@ -73,8 +73,12 @@ cargo test -q -p wimesh-check --test parser_props
 # The emulation pipeline must stay bit-deterministic under a fixed seed
 # (guards the BTreeMap payload-ordering fix the analyzer forced).
 cargo test -q -p wimesh --test determinism
-# Cross-check the session paths against the certifier at every
-# admit/release/rebalance (the `checked` feature gates the oracle calls).
+# History must not leak into verdicts: a session churned through admit,
+# release-all and re-admit equals a fresh one placing the same flows
+# (`MeshQos::admit`), with the certifier compiled in at every
+# admit/release/rebalance. Both sides are the one engine; the suites that
+# hold it to references of their own are the next one (rank policies) and
+# exact_search_equivalence above (ExactMilp).
 cargo test -q -p wimesh --features checked --test session_equivalence
 # The session's delta state (per-link demand, rank and start, per-flow
 # records, inverse-delta roll-back) must equal the from-scratch pipeline
@@ -90,4 +94,7 @@ cargo clippy --workspace -- -D warnings
 cargo fmt --check
 # API docs must build warning-clean (covers the vendored stand-ins too).
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+# Nothing above may rewrite a committed result: `--quick` runs write under
+# the system temp directory.
+test -z "$(git status --porcelain results/)"
 echo "verify: all checks passed"
