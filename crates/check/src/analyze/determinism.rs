@@ -14,10 +14,8 @@
 //! `HashMap::new()`-style initialisers; lookups (`get`, `insert`,
 //! `contains_key`) never iterate and are untouched.
 
-use crate::lint::{Diagnostic, Rule};
+use crate::lint::{push, CrateAst, Diagnostic, LintConfig, Rule};
 use crate::parse::{ident, match_brace, punct, skip_angles, Callee, EventKind, FileAst};
-
-use super::{push, AnalyzeConfig, CrateAst};
 
 /// Iterator sources on hash containers.
 const ITER_METHODS: &[&str] = &[
@@ -52,7 +50,7 @@ const ORDER_FREE_TERMINALS: &[&str] = &[
     "is_empty",
 ];
 
-pub(crate) fn check(krate: &CrateAst, config: &AnalyzeConfig, out: &mut Vec<Diagnostic>) {
+pub(crate) fn check(krate: &CrateAst, config: &LintConfig, out: &mut Vec<Diagnostic>) {
     if !config.deterministic_order.contains(&krate.name) {
         return;
     }

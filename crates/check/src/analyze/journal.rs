@@ -1,25 +1,31 @@
 //! `journal-precedes-mutation`: every call-graph path that reaches a raw
 //! session mutator must pass through a write-ahead journal append first.
 //!
-//! This replaces the old token-tier file-name confinement rule
-//! (`no-unjournaled-mutation`, "mutators only in `journaled.rs`") with the
-//! property the recovery proof actually needs: at every mutator call site,
-//! either an append happens earlier in the same body, or **every** caller
-//! chain that can reach the site performs an append before the call. A
-//! refactor that moves a mutator out of `journaled.rs` but keeps the
-//! append-first discipline now passes; deleting the append fires at the
-//! exact mutator line no matter which file it lives in.
+//! This is the property the recovery proof needs: at every mutator call
+//! site, either an append happens earlier in the same body, or **every**
+//! caller chain that can reach the site performs an append before the
+//! call. Deleting the append fires at the exact mutator line no matter
+//! which file it lives in.
+//!
+//! "Earlier in the same body" counts calls to functions that append
+//! transitively (`self.journal(..)` wrapping `w.append(..)`): that call
+//! really does run first. Climbing to callers counts only a direct
+//! append. Events are in source order, not execution order, so in a
+//! caller that dispatches on a request (`Admit => admit_flows(..)`,
+//! `Release => release_flow(..)`) an earlier match arm that appends
+//! transitively never runs before the later arm's call; accepting it
+//! would let the first arm guard every later one.
+
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::callgraph::{CallGraph, FnId};
-use crate::lint::{Diagnostic, Rule};
+use crate::lint::{push, CrateAst, Diagnostic, LintConfig, Rule};
 use crate::parse::{Event, EventKind};
-
-use super::{push, AnalyzeConfig, CrateAst};
 
 pub(crate) fn check(
     krate: &CrateAst,
     graph: &CallGraph<'_>,
-    config: &AnalyzeConfig,
+    config: &LintConfig,
     out: &mut Vec<Diagnostic>,
 ) {
     if !config.journaled.contains(&krate.name) {
@@ -30,14 +36,10 @@ pub(crate) fn check(
     // their body: calling one of these counts as appending.
     let appending = graph.transitive_callers_of_names(&append_names);
 
-    let is_append_event = |e: &Event| -> bool {
-        match &e.kind {
-            EventKind::Call(c) => {
-                append_names.contains(&c.name())
-                    || graph.resolve(e).iter().any(|t| appending.contains(t))
-            }
-            _ => false,
-        }
+    let is_direct_append =
+        |e: &Event| matches!(&e.kind, EventKind::Call(c) if append_names.contains(&c.name()));
+    let is_append = |e: &Event| -> bool {
+        is_direct_append(e) || graph.resolve(e).iter().any(|t| appending.contains(t))
     };
 
     for id in graph.all_fns() {
@@ -51,12 +53,12 @@ pub(crate) fn check(
                 continue;
             }
             // Guarded directly: an append strictly earlier in this body.
-            if def.events[..mi].iter().any(is_append_event) {
+            if def.events[..mi].iter().any(is_append) {
                 continue;
             }
             // Otherwise climb the inverse call graph: every caller chain
             // must append before the call site that leads here.
-            if let Some(entry) = unguarded_entry(graph, id, &is_append_event) {
+            if let Some(entry) = unguarded_entry(graph, id, &is_direct_append) {
                 let entry_desc = if entry == id {
                     format!("`{}`", def.name)
                 } else {
@@ -84,10 +86,10 @@ pub(crate) fn check(
 fn unguarded_entry(
     graph: &CallGraph<'_>,
     id: FnId,
-    is_append_event: &dyn Fn(&Event) -> bool,
+    is_append: &dyn Fn(&Event) -> bool,
 ) -> Option<FnId> {
-    let mut visited = std::collections::BTreeSet::new();
-    let mut queue = std::collections::VecDeque::new();
+    let mut visited = BTreeSet::new();
+    let mut queue = VecDeque::new();
     visited.insert(id);
     queue.push_back(id);
     while let Some(f) = queue.pop_front() {
@@ -99,7 +101,7 @@ fn unguarded_entry(
         }
         for (caller, ei) in callers {
             let cdef = graph.def(*caller);
-            if cdef.events[..*ei].iter().any(is_append_event) {
+            if cdef.events[..*ei].iter().any(is_append) {
                 continue; // this chain appends before calling down
             }
             if visited.insert(*caller) {

@@ -6,20 +6,19 @@
 //! self-deadlock with `std::sync::Mutex`) is flagged directly.
 //!
 //! Acquisitions are `.lock()` / `.try_lock()` events keyed by the mutex
-//! field name; a guard is modelled as held until its enclosing block
-//! closes. Two indirections are resolved: calls to `lock_*` helper
-//! functions that return a guard count as acquisitions at the call site,
-//! and calling a function that itself locks (one call level deep) while
-//! holding a guard contributes an ordering edge.
+//! field name (`RwLock` `.read()` / `.write()` are not tracked); a guard
+//! is modelled as held until its enclosing block closes. Two indirections
+//! are resolved: calls to `lock_*` helper functions that return a guard
+//! count as acquisitions at the call site, and calling a function that
+//! itself locks (one call level deep) while holding a guard contributes
+//! an ordering edge.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use crate::callgraph::{CallGraph, FnId};
-use crate::lint::{Diagnostic, Rule};
+use crate::lint::{push, Diagnostic, Rule};
 use crate::parse::{guard_scope_end, EventKind};
-
-use super::{push, CrateAst};
 
 /// One acquisition inside a function body: a direct lock event or a call
 /// to a guard-returning `lock_*` helper.
@@ -30,7 +29,7 @@ struct Acq {
     scope_end: usize,
 }
 
-pub(crate) fn check(_krate: &CrateAst, graph: &CallGraph<'_>, out: &mut Vec<Diagnostic>) {
+pub(crate) fn check(graph: &CallGraph<'_>, out: &mut Vec<Diagnostic>) {
     // Guard-returning helpers: `lock`-prefixed functions containing
     // exactly one lock event. A call to one is an acquisition that
     // outlives the helper's own body.

@@ -1,195 +1,28 @@
-//! The semantic-tier analysis pass (`wimesh-check analyze`).
+//! The three call-graph rules of the lint pass.
 //!
-//! Where [`crate::lint`] judges one token stream at a time, this pass
-//! parses every crate into function skeletons ([`crate::parse`]), builds a
-//! per-crate call graph (the private `callgraph` module) and runs the
-//! five flow-sensitive rules:
+//! Where the token rules in [`crate::lint`] judge one token stream at a
+//! time, these read the function skeletons of a whole crate
+//! ([`crate::parse`]) through a per-crate call graph (the private
+//! `callgraph` module):
 //!
-//! * [`Rule::JournalPrecedesMutation`] — every call-graph path reaching a
-//!   raw session mutator in a journaled crate passes a journal append
-//!   first.
-//! * [`Rule::AtomicOrderingPairing`] — `Release` stores pair with
-//!   `Acquire` loads per atomic field; `Relaxed`-only publication is
-//!   flagged.
-//! * [`Rule::LockOrderConsistency`] — mutex acquisition order is globally
+//! * `journal-precedes-mutation` — every call-graph path reaching a raw
+//!   session mutator in a journaled crate passes a journal append first.
+//! * `lock-order-consistency` — lock acquisition order is globally
 //!   consistent; cycles are reported with both sites.
-//! * [`Rule::NoPanicInWorker`] — no panic path reachable from a thread
-//!   entry point in the worker crates.
-//! * [`Rule::DeterministicIteration`] — no `HashMap`/`HashSet` iteration
-//!   feeds an order-sensitive result in deterministic crates.
-//!
-//! Findings share the [`Diagnostic`] shape and the
-//! `// check: allow(<rule>, reason = "…")` escape hatch with the token
-//! tier, and `analyze --workspace` is gated in CI on the committed ratchet
-//! baseline (`crates/check/baseline.json`, see [`crate::baseline`]).
+//! * `deterministic-iteration` — no `HashMap`/`HashSet` iteration feeds
+//!   an order-sensitive result in deterministic crates.
 
-mod atomics;
 mod determinism;
 mod journal;
 mod locks;
-mod panics;
-
-use std::path::Path;
 
 use crate::callgraph::CallGraph;
-use crate::error::CheckError;
-use crate::lint::{self, Diagnostic, LintReport, Rule};
-use crate::parse::FileAst;
+use crate::lint::{CrateAst, Diagnostic, LintConfig};
 
-/// Scope configuration for the semantic rules.
-#[derive(Debug, Clone)]
-pub struct AnalyzeConfig {
-    /// Crates whose session mutators must be journal-guarded
-    /// (`journal-precedes-mutation`).
-    pub journaled: Vec<String>,
-    /// Method names that mutate session state.
-    pub mutators: Vec<String>,
-    /// Method names that append to the write-ahead journal.
-    pub journal_appends: Vec<String>,
-    /// Crates whose thread entry points must be panic-free
-    /// (`no-panic-in-worker`).
-    pub worker_crates: Vec<String>,
-    /// Crates where hash iteration must not feed ordered results
-    /// (`deterministic-iteration`). Atomics pairing and lock order run
-    /// on every crate.
-    pub deterministic_order: Vec<String>,
-    /// Also analyze `vendor/*` stand-in crates (off by default).
-    pub include_vendor: bool,
-}
-
-impl Default for AnalyzeConfig {
-    fn default() -> Self {
-        AnalyzeConfig {
-            journaled: vec!["wimesh-svc".into()],
-            mutators: vec![
-                "admit".into(),
-                "admit_via".into(),
-                "admit_batch".into(),
-                "release".into(),
-                "rebalance".into(),
-            ],
-            journal_appends: vec!["append".into()],
-            worker_crates: vec!["wimesh-svc".into(), "wimesh-milp".into()],
-            deterministic_order: vec![
-                "wimesh".into(),
-                "wimesh-conflict".into(),
-                "wimesh-tdma".into(),
-                "wimesh-milp".into(),
-                "wimesh-svc".into(),
-                "wimesh-emu".into(),
-                "wimesh-sim".into(),
-                "wimesh-topology".into(),
-                "wimesh-node".into(),
-            ],
-            include_vendor: false,
-        }
-    }
-}
-
-/// One crate parsed for semantic analysis.
-#[derive(Debug)]
-pub struct CrateAst {
-    /// The `[package] name` from the manifest.
-    pub name: String,
-    /// Parsed `src/**/*.rs` files, sorted by path.
-    pub files: Vec<FileAst>,
-}
-
-/// Parses a single crate directory (must contain `Cargo.toml` and `src/`).
-pub fn load_crate_ast(dir: &Path) -> Result<CrateAst, CheckError> {
-    let manifest = dir.join("Cargo.toml");
-    let toml = lint::read_file(&manifest)?;
-    let name = lint::package_name(&toml).ok_or_else(|| CheckError::MissingCrateName {
-        path: manifest.clone(),
-    })?;
-    let src = dir.join("src");
-    let mut files = Vec::new();
-    if src.is_dir() {
-        let mut paths = Vec::new();
-        lint::collect_rs_files(&src, &mut paths)?;
-        paths.sort();
-        for path in paths {
-            let text = lint::read_file(&path)?;
-            files.push(FileAst::parse(&path, &text));
-        }
-    }
-    Ok(CrateAst { name, files })
-}
-
-/// Analyzes every crate under `<root>/crates` (and `<root>/vendor` when
-/// configured) and returns the merged report.
-pub fn analyze_workspace(root: &Path, config: &AnalyzeConfig) -> Result<LintReport, CheckError> {
-    let mut dirs = lint::crate_dirs(&root.join("crates"))?;
-    if config.include_vendor {
-        dirs.extend(lint::crate_dirs(&root.join("vendor"))?);
-    }
-    let mut report = LintReport::default();
-    for dir in dirs {
-        let sub = analyze_crate(&dir, config)?;
-        report.diagnostics.extend(sub.diagnostics);
-        report.suppressed += sub.suppressed;
-        report.crates_scanned += sub.crates_scanned;
-        report.files_scanned += sub.files_scanned;
-    }
-    report
-        .diagnostics
-        .sort_by_key(|d| (d.path.clone(), d.line, d.rule));
-    Ok(report)
-}
-
-/// Analyzes one crate directory with all five semantic rules.
-pub fn analyze_crate(dir: &Path, config: &AnalyzeConfig) -> Result<LintReport, CheckError> {
-    let krate = load_crate_ast(dir)?;
+/// Runs the three call-graph rules over one parsed crate.
+pub(crate) fn check(krate: &CrateAst, config: &LintConfig, out: &mut Vec<Diagnostic>) {
     let graph = CallGraph::build(&krate.files);
-
-    let mut raw = Vec::new();
-    journal::check(&krate, &graph, config, &mut raw);
-    atomics::check(&krate, &mut raw);
-    locks::check(&krate, &graph, &mut raw);
-    panics::check(&krate, &graph, config, &mut raw);
-    determinism::check(&krate, config, &mut raw);
-
-    let mut report = LintReport {
-        crates_scanned: 1,
-        files_scanned: krate.files.len(),
-        ..LintReport::default()
-    };
-    for diag in raw {
-        if is_allowed(&krate, &diag) {
-            report.suppressed += 1;
-        } else {
-            report.diagnostics.push(diag);
-        }
-    }
-    report
-        .diagnostics
-        .sort_by_key(|d| (d.path.clone(), d.line, d.rule));
-    Ok(report)
-}
-
-/// Semantic findings honour the same escape hatch as the token tier: an
-/// allow directive for the rule on the same or the preceding line.
-fn is_allowed(krate: &CrateAst, diag: &Diagnostic) -> bool {
-    krate.files.iter().any(|f| {
-        f.path == diag.path
-            && f.allows
-                .iter()
-                .any(|a| a.suppresses(diag.rule.name(), diag.line))
-    })
-}
-
-/// Shorthand used by the rule modules.
-pub(crate) fn push(
-    out: &mut Vec<Diagnostic>,
-    rule: Rule,
-    file: &FileAst,
-    line: u32,
-    message: String,
-) {
-    out.push(Diagnostic {
-        rule,
-        path: file.path.clone(),
-        line,
-        message,
-    });
+    journal::check(krate, &graph, config, out);
+    locks::check(&graph, out);
+    determinism::check(krate, config, out);
 }

@@ -3,12 +3,12 @@
 //! Resolution is deliberately conservative and name-based: a call event
 //! `x.foo(..)` or `a::b::foo(..)` resolves to **every** function named
 //! `foo` in the resolution scope (one crate). Over-approximation is the
-//! safe direction for the reachability rules built on top (a false edge
-//! can only add findings, which a reasoned allow can then document), and
-//! names that resolve to nothing — `std`, other crates, trait methods from
-//! vendored stand-ins — simply contribute no edges.
+//! safe direction for the rules built on top (a false edge can only add
+//! findings, which a reasoned allow can then document), and names that
+//! resolve to nothing — `std`, other crates, trait methods from vendored
+//! stand-ins — simply contribute no edges.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::parse::{Callee, Event, EventKind, FileAst, FnDef};
 
@@ -143,20 +143,6 @@ impl<'a> CallGraph<'a> {
         self.redges.get(&id).map_or(&[], Vec::as_slice)
     }
 
-    /// Every function reachable from `roots` (inclusive) via call edges.
-    pub fn reachable(&self, roots: &[FnId]) -> BTreeSet<FnId> {
-        let mut seen: BTreeSet<FnId> = roots.iter().copied().collect();
-        let mut queue: VecDeque<FnId> = roots.iter().copied().collect();
-        while let Some(id) = queue.pop_front() {
-            for next in self.callees(id) {
-                if seen.insert(next) {
-                    queue.push_back(next);
-                }
-            }
-        }
-        seen
-    }
-
     /// Fixpoint of "functions that call one of `names`, directly or
     /// through other functions in the set". Used for "does a journal
     /// append happen inside this call" style queries.
@@ -214,12 +200,14 @@ mod tests {
         ]);
         let g = CallGraph::build(&fs);
         let a = id_of(&g, "a");
+        let b = id_of(&g, "b");
         let c = id_of(&g, "c");
         let island = id_of(&g, "island");
-        let reach = g.reachable(&[a]);
-        assert!(reach.contains(&c));
-        assert!(!reach.contains(&island));
-        assert_eq!(g.callers(c).len(), 1);
+        // a → b → c across files; island is on no edge.
+        assert_eq!(g.callees(a).collect::<Vec<_>>(), vec![b]);
+        assert_eq!(g.callees(b).collect::<Vec<_>>(), vec![c]);
+        assert_eq!(g.callers(c), &[(b, 0)]);
+        assert!(g.callers(island).is_empty() && g.callees(island).next().is_none());
     }
 
     #[test]

@@ -25,13 +25,6 @@ pub enum CheckError {
         /// The directory the search started from.
         start: PathBuf,
     },
-    /// A ratchet baseline file exists but is not valid baseline JSON.
-    MalformedBaseline {
-        /// The baseline file path.
-        path: PathBuf,
-        /// What the parser objected to.
-        message: String,
-    },
 }
 
 impl fmt::Display for CheckError {
@@ -48,9 +41,6 @@ impl fmt::Display for CheckError {
                 "no workspace root ([workspace] in Cargo.toml) above {}",
                 start.display()
             ),
-            CheckError::MalformedBaseline { path, message } => {
-                write!(f, "malformed baseline {}: {message}", path.display())
-            }
         }
     }
 }

@@ -3,26 +3,20 @@
 //! Two engines, one goal: the paper's *guaranteed* QoS must not rest on
 //! "the optimizer said so".
 //!
-//! * [`lint`] + [`analyze`] — a two-tier workspace static analysis built
-//!   on a handwritten Rust lexer ([`lexer`]). The **token tier**
-//!   ([`lint`]) enforces repo-specific surface rules generic tooling
-//!   cannot express: library code returns errors instead of unwrapping,
-//!   no wall-clock reads in deterministic model code, no printing from
-//!   library crates, `#![forbid(unsafe_code)]` on every crate root,
-//!   public `*Error` types implementing `Display` + `std::error::Error`,
-//!   and every `check: allow` carrying a written reason. The **semantic
-//!   tier** ([`analyze`]) parses each file into a skeleton AST
-//!   ([`parse`]), builds a cross-file call graph, and runs flow-sensitive
-//!   rules: every call-graph path to a session mutator in the gateway
-//!   passes a journal append first, `Release` stores pair with `Acquire`
-//!   loads per atomic field, mutex acquisition order is globally
-//!   consistent, no panic is reachable from a worker thread entry point,
-//!   and no hash-map iteration feeds an order-sensitive result in the
-//!   deterministic crates. Run them with
-//!   `cargo run -p wimesh-check -- lint --workspace` and
-//!   `cargo run -p wimesh-check -- analyze --workspace`; the semantic
-//!   pass gates on the committed ratchet [`baseline`]
-//!   (`crates/check/baseline.json`).
+//! * [`lint`] — one workspace lint pass built on a handwritten Rust lexer
+//!   ([`lexer`]) and skeleton parser ([`parse`]); each file is parsed
+//!   once and every rule reads that parse. Seven token rules enforce
+//!   repo-specific surface discipline generic tooling cannot express:
+//!   library code returns errors instead of unwrapping, no wall-clock
+//!   reads in deterministic model code, no printing from library crates,
+//!   `#![forbid(unsafe_code)]` on every crate root, public `*Error` types
+//!   implementing `Display` + `std::error::Error`, traced fabric sends,
+//!   and every `check: allow` naming a rule and carrying a written
+//!   reason. Three call-graph rules check flow: every path to a session
+//!   mutator in the gateway passes a journal append first, lock
+//!   acquisition order is globally consistent, and no hash-map iteration
+//!   feeds an order-sensitive result in the deterministic crates. Run it
+//!   with `cargo run -p wimesh-check -- lint --workspace`.
 //! * [`certify`] — a deliberately-simple re-verification of every schedule
 //!   the admission controller emits: conflict-freedom slot by slot, demand
 //!   satisfaction, per-flow delay bounds re-derived hop by hop, guard-time
@@ -36,8 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analyze;
-pub mod baseline;
+mod analyze;
 mod callgraph;
 pub mod certify;
 pub mod error;
@@ -45,8 +38,6 @@ pub mod lexer;
 pub mod lint;
 pub mod parse;
 
-pub use analyze::{analyze_crate, analyze_workspace, AnalyzeConfig};
-pub use baseline::{Baseline, BaselineEntry, GateResult};
 pub use certify::{
     CertParams, Certificate, CertificateReport, CertifyError, DriftModel, FlowRequirement,
     Violation,

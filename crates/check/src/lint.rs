@@ -1,30 +1,26 @@
-//! The token-tier workspace lint engine.
+//! The workspace lint engine: one pass, ten rules.
 //!
-//! Walks every crate of the workspace, lexes each `src/**/*.rs` file with
-//! the handwritten [`crate::lexer`] and enforces the repo-specific rules
-//! that generic clippy cannot express. Diagnostics carry `file:line`
-//! locations, can be suppressed with a
-//! `// check: allow(<rule>, reason = "…")` comment on the same or the
-//! immediately preceding line, and serialise to JSON for machine
-//! consumption (`--json`).
-//!
-//! This module owns the *token* tier: rules decidable from the raw token
-//! stream of one file. The flow-sensitive *semantic* tier (call graphs,
-//! atomics pairing, lock order) lives in [`crate::analyze`] and shares the
-//! [`Rule`] enum, [`Diagnostic`] type and allow-directive machinery
-//! defined here.
+//! Walks every crate under `<root>/crates` and parses each `src/**/*.rs`
+//! file once into a [`FileAst`]: the handwritten [`crate::lexer`]'s
+//! tokens with `#[cfg(test)]` items stripped, plus function skeletons,
+//! hash-typed bindings and allow directives. Every rule runs over that
+//! one parse: seven token rules, decidable from one file's token stream,
+//! are defined here; the three call-graph rules (journal discipline,
+//! lock order, hash-iteration determinism) live in the private `analyze`
+//! module. Diagnostics carry `file:line` locations and can be suppressed
+//! with a `// check: allow(<rule>, reason = "…")` comment on the same or
+//! the immediately preceding line.
 
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use wimesh_obs::json;
-
+use crate::analyze;
 use crate::error::CheckError;
 use crate::lexer::{Lexed, TokenKind};
+use crate::parse::{ident, punct, FileAst};
 
-/// The lint rules — token tier and semantic tier — in the order they are
-/// reported.
+/// The lint rules, in the order they are reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Library code must return errors instead of calling
@@ -51,41 +47,30 @@ pub enum Rule {
     /// [`LintConfig::traced_sends`] must carry a `ctx` field: a fabric
     /// send without a trace context is invisible to the causal tracer.
     NoUntracedFabricSend,
-    /// Every allow directive must carry a `reason = "…"` clause: an
-    /// unexplained suppression is a finding in its own right.
+    /// Every allow directive must name a rule in [`Rule::ALL`] and carry
+    /// a `reason = "…"` clause: an unexplained suppression, or one that
+    /// suppresses nothing, is a finding in its own right.
     AllowWithoutReason,
-    /// Semantic: every call-graph path in the journaled service crates
-    /// that reaches a raw session mutator (`.admit(` / `.admit_batch(` /
+    /// Every call-graph path in the journaled service crates that
+    /// reaches a raw session mutator (`.admit(` / `.admit_batch(` /
     /// `.release(` / `.rebalance(` / `.admit_via(`) must pass through a
     /// write-ahead journal append first — otherwise a mutation escapes
-    /// crash recovery. Replaces the old file-name confinement rule
-    /// `no-unjournaled-mutation`.
+    /// crash recovery.
     JournalPrecedesMutation,
-    /// Semantic: each atomic field's `Release` stores must have matching
-    /// `Acquire` loads and vice versa, and a field that is both written
-    /// and read cross-thread with only `Relaxed` orderings is flagged as
-    /// unsynchronised publication.
-    AtomicOrderingPairing,
-    /// Semantic: `Mutex` acquisition order must be globally consistent —
-    /// two locks taken in both orders somewhere in the crate are a
-    /// potential deadlock (both sites are reported), as is re-locking a
-    /// mutex already held.
+    /// Lock acquisition order (`.lock()` / `.try_lock()`) must be
+    /// globally consistent — two locks taken in both orders somewhere in
+    /// the crate are a potential deadlock (both sites are reported), as
+    /// is re-locking a mutex already held.
     LockOrderConsistency,
-    /// Semantic: no `panic!` / `.unwrap()` / `.expect()` may be reachable
-    /// through the call graph from a thread entry point (a function that
-    /// spawns) in the worker crates — a panicking worker kills the
-    /// gateway or poisons the solver pool.
-    NoPanicInWorker,
-    /// Semantic: no `HashMap`/`HashSet` iteration may feed an
-    /// order-sensitive computation (loop bodies, `collect` into ordered
-    /// containers) in deterministic crates — the bit-for-bit
-    /// parallel-equivalence guarantee depends on stable iteration order.
+    /// No `HashMap`/`HashSet` iteration may feed an order-sensitive
+    /// computation (loop bodies, `collect` into ordered containers) in
+    /// deterministic crates — seeded runs must reproduce bit for bit.
     DeterministicIteration,
 }
 
 impl Rule {
     /// All rules in reporting order.
-    pub const ALL: [Rule; 12] = [
+    pub const ALL: [Rule; 10] = [
         Rule::NoUnwrapInLib,
         Rule::NoWallclockInDeterministic,
         Rule::NoPrintlnInLib,
@@ -94,29 +79,7 @@ impl Rule {
         Rule::NoUntracedFabricSend,
         Rule::AllowWithoutReason,
         Rule::JournalPrecedesMutation,
-        Rule::AtomicOrderingPairing,
         Rule::LockOrderConsistency,
-        Rule::NoPanicInWorker,
-        Rule::DeterministicIteration,
-    ];
-
-    /// The token-tier rules run by `wimesh-check lint`.
-    pub const TOKEN: [Rule; 7] = [
-        Rule::NoUnwrapInLib,
-        Rule::NoWallclockInDeterministic,
-        Rule::NoPrintlnInLib,
-        Rule::ForbidUnsafeEverywhere,
-        Rule::ErrorEnumsImplError,
-        Rule::NoUntracedFabricSend,
-        Rule::AllowWithoutReason,
-    ];
-
-    /// The semantic-tier rules run by `wimesh-check analyze`.
-    pub const SEMANTIC: [Rule; 5] = [
-        Rule::JournalPrecedesMutation,
-        Rule::AtomicOrderingPairing,
-        Rule::LockOrderConsistency,
-        Rule::NoPanicInWorker,
         Rule::DeterministicIteration,
     ];
 
@@ -131,20 +94,8 @@ impl Rule {
             Rule::NoUntracedFabricSend => "no-untraced-fabric-send",
             Rule::AllowWithoutReason => "allow-without-reason",
             Rule::JournalPrecedesMutation => "journal-precedes-mutation",
-            Rule::AtomicOrderingPairing => "atomic-ordering-pairing",
             Rule::LockOrderConsistency => "lock-order-consistency",
-            Rule::NoPanicInWorker => "no-panic-in-worker",
             Rule::DeterministicIteration => "deterministic-iteration",
-        }
-    }
-
-    /// Which engine runs the rule: `"token"` (per-file lexing, `lint`) or
-    /// `"semantic"` (parsed skeletons + call graph, `analyze`).
-    pub fn tier(self) -> &'static str {
-        if Rule::SEMANTIC.contains(&self) {
-            "semantic"
-        } else {
-            "token"
         }
     }
 
@@ -166,19 +117,13 @@ impl Rule {
                 "fabric Deliver events carry a `ctx` trace context in traced crates"
             }
             Rule::AllowWithoutReason => {
-                "every check: allow(..) directive carries a reason = \"…\" clause"
+                "every check: allow(..) directive names a rule and carries a reason = \"…\""
             }
             Rule::JournalPrecedesMutation => {
                 "every call path to a session mutator passes a journal append first"
             }
-            Rule::AtomicOrderingPairing => {
-                "Release stores pair with Acquire loads; no Relaxed-only publication"
-            }
             Rule::LockOrderConsistency => {
-                "mutex acquisition order is globally consistent (no lock cycles)"
-            }
-            Rule::NoPanicInWorker => {
-                "no panic!/unwrap/expect reachable from worker thread entry points"
+                "lock acquisition order is globally consistent (no lock cycles)"
             }
             Rule::DeterministicIteration => {
                 "no HashMap/HashSet iteration feeding order-sensitive results"
@@ -220,10 +165,11 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Which crates each rule applies to, and how the tree is walked.
+/// Which crates (by package name) and which method names each rule
+/// applies to.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
-    /// Crates (by package name) adopted into `no-unwrap-in-lib`.
+    /// Crates adopted into `no-unwrap-in-lib`.
     pub unwrap_adopted: Vec<String>,
     /// Crates whose model code must be wall-clock free.
     pub deterministic: Vec<String>,
@@ -233,9 +179,16 @@ pub struct LintConfig {
     /// Crates whose `Deliver { .. }` fabric events must carry a `ctx`
     /// trace context (`no-untraced-fabric-send`).
     pub traced_sends: Vec<String>,
-    /// Also walk `vendor/*` stand-in crates (off by default: they mirror
-    /// external APIs and are not held to workspace rules).
-    pub include_vendor: bool,
+    /// Crates whose session mutators must be journal-guarded
+    /// (`journal-precedes-mutation`).
+    pub journaled: Vec<String>,
+    /// Method names that mutate session state.
+    pub mutators: Vec<String>,
+    /// Method names that append to the write-ahead journal.
+    pub journal_appends: Vec<String>,
+    /// Crates where hash iteration must not feed ordered results
+    /// (`deterministic-iteration`). Lock order runs on every crate.
+    pub deterministic_order: Vec<String>,
 }
 
 impl Default for LintConfig {
@@ -247,6 +200,7 @@ impl Default for LintConfig {
                 "wimesh-conflict".into(),
                 "wimesh-milp".into(),
                 "wimesh-check".into(),
+                "wimesh-svc".into(),
             ],
             deterministic: vec![
                 "wimesh-sim".into(),
@@ -255,7 +209,26 @@ impl Default for LintConfig {
             ],
             println_exempt: vec!["wimesh-bench".into()],
             traced_sends: vec!["wimesh-node".into()],
-            include_vendor: false,
+            journaled: vec!["wimesh-svc".into()],
+            mutators: vec![
+                "admit".into(),
+                "admit_via".into(),
+                "admit_batch".into(),
+                "release".into(),
+                "rebalance".into(),
+            ],
+            journal_appends: vec!["append".into()],
+            deterministic_order: vec![
+                "wimesh".into(),
+                "wimesh-conflict".into(),
+                "wimesh-tdma".into(),
+                "wimesh-milp".into(),
+                "wimesh-svc".into(),
+                "wimesh-emu".into(),
+                "wimesh-sim".into(),
+                "wimesh-topology".into(),
+                "wimesh-node".into(),
+            ],
         }
     }
 }
@@ -288,7 +261,7 @@ pub struct LintReport {
     pub suppressed: usize,
     /// Crates walked.
     pub crates_scanned: usize,
-    /// Files lexed.
+    /// Files parsed.
     pub files_scanned: usize,
 }
 
@@ -296,33 +269,6 @@ impl LintReport {
     /// True when no diagnostics survived.
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
-    }
-
-    /// Serialises the report as a JSON object (hand-rolled: the lint has
-    /// no serialisation dependency).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"diagnostics\": [\n");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"rule\": \"{}\", ", d.rule));
-            out.push_str(&format!(
-                "\"path\": \"{}\", ",
-                json::escape(&d.path.display().to_string())
-            ));
-            out.push_str(&format!("\"line\": {}, ", d.line));
-            out.push_str(&format!("\"message\": \"{}\"", json::escape(&d.message)));
-            out.push('}');
-            if i + 1 < self.diagnostics.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"suppressed\": {},\n", self.suppressed));
-        out.push_str(&format!("  \"crates_scanned\": {},\n", self.crates_scanned));
-        out.push_str(&format!("  \"files_scanned\": {}\n", self.files_scanned));
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -347,46 +293,53 @@ impl FileKind {
     }
 }
 
-struct SourceFile {
-    path: PathBuf,
-    kind: FileKind,
-    lexed: Lexed,
-    mask: Vec<bool>,
-    /// Allow directives found in comments.
-    allows: Vec<AllowDirective>,
+/// One crate, parsed once for every rule.
+pub(crate) struct CrateAst {
+    /// The `[package] name` from the manifest.
+    pub(crate) name: String,
+    /// The crate's `src/` directory, against which file kinds are read.
+    src: PathBuf,
+    /// Parsed `src/**/*.rs` files, sorted by path.
+    pub(crate) files: Vec<FileAst>,
 }
 
-struct CrateSource {
-    name: String,
-    files: Vec<SourceFile>,
-}
-
-/// Lints every crate under `<root>/crates` (and `<root>/vendor` when
-/// configured) and returns the merged report.
-pub fn lint_workspace(root: &Path, config: &LintConfig) -> Result<LintReport, CheckError> {
-    let mut dirs = crate_dirs(&root.join("crates"))?;
-    if config.include_vendor {
-        dirs.extend(crate_dirs(&root.join("vendor"))?);
+impl CrateAst {
+    fn kind(&self, file: &FileAst) -> FileKind {
+        let path = file.path.as_path();
+        if path == self.src.join("lib.rs") {
+            FileKind::LibRoot
+        } else if path == self.src.join("main.rs")
+            || path.parent() == Some(self.src.join("bin").as_path())
+        {
+            FileKind::BinRoot
+        } else {
+            FileKind::Lib
+        }
     }
+}
+
+/// Lints every crate under `<root>/crates` and returns the merged
+/// report. Crate directories are visited in sorted order, so the merged
+/// diagnostics stay sorted by path.
+pub fn lint_workspace(root: &Path, config: &LintConfig) -> Result<LintReport, CheckError> {
     let mut report = LintReport::default();
-    for dir in dirs {
+    for dir in crate_dirs(&root.join("crates"))? {
         let sub = lint_crate(&dir, config)?;
         report.diagnostics.extend(sub.diagnostics);
         report.suppressed += sub.suppressed;
         report.crates_scanned += sub.crates_scanned;
         report.files_scanned += sub.files_scanned;
     }
-    report
-        .diagnostics
-        .sort_by_key(|d| (d.path.clone(), d.line, d.rule));
     Ok(report)
 }
 
-/// Lints a single crate directory (must contain `Cargo.toml` and `src/`).
+/// Lints a single crate directory (must contain `Cargo.toml` and `src/`)
+/// with every rule.
 pub fn lint_crate(dir: &Path, config: &LintConfig) -> Result<LintReport, CheckError> {
     let krate = load_crate(dir)?;
     let mut raw = Vec::new();
-    run_rules(&krate, config, &mut raw);
+    run_token_rules(&krate, config, &mut raw);
+    analyze::check(&krate, config, &mut raw);
 
     let mut report = LintReport {
         crates_scanned: 1,
@@ -408,7 +361,7 @@ pub fn lint_crate(dir: &Path, config: &LintConfig) -> Result<LintReport, CheckEr
 
 /// A diagnostic is suppressed when an allow directive for its rule sits
 /// on the same line or the line directly above it, in the same file.
-fn is_allowed(krate: &CrateSource, diag: &Diagnostic) -> bool {
+fn is_allowed(krate: &CrateAst, diag: &Diagnostic) -> bool {
     krate.files.iter().any(|f| {
         f.path == diag.path
             && f.allows
@@ -417,7 +370,23 @@ fn is_allowed(krate: &CrateSource, diag: &Diagnostic) -> bool {
     })
 }
 
-pub(crate) fn crate_dirs(parent: &Path) -> Result<Vec<PathBuf>, CheckError> {
+/// Shorthand for the rules: a finding of `rule` at `file:line`.
+pub(crate) fn push(
+    out: &mut Vec<Diagnostic>,
+    rule: Rule,
+    file: &FileAst,
+    line: u32,
+    message: String,
+) {
+    out.push(Diagnostic {
+        rule,
+        path: file.path.clone(),
+        line,
+        message,
+    });
+}
+
+fn crate_dirs(parent: &Path) -> Result<Vec<PathBuf>, CheckError> {
     if !parent.exists() {
         return Ok(Vec::new());
     }
@@ -440,7 +409,7 @@ pub(crate) fn crate_dirs(parent: &Path) -> Result<Vec<PathBuf>, CheckError> {
     Ok(dirs)
 }
 
-fn load_crate(dir: &Path) -> Result<CrateSource, CheckError> {
+fn load_crate(dir: &Path) -> Result<CrateAst, CheckError> {
     let manifest = dir.join("Cargo.toml");
     let toml = read_file(&manifest)?;
     let name = package_name(&toml).ok_or_else(|| CheckError::MissingCrateName {
@@ -453,31 +422,21 @@ fn load_crate(dir: &Path) -> Result<CrateSource, CheckError> {
         collect_rs_files(&src, &mut paths)?;
         paths.sort();
         for path in paths {
-            let kind = classify(&src, &path);
             let text = read_file(&path)?;
-            let lexed = Lexed::lex(&text);
-            let mask = lexed.test_mask();
-            let allows = allow_directives(&lexed);
-            files.push(SourceFile {
-                path,
-                kind,
-                lexed,
-                mask,
-                allows,
-            });
+            files.push(FileAst::parse(&path, &text));
         }
     }
-    Ok(CrateSource { name, files })
+    Ok(CrateAst { name, src, files })
 }
 
-pub(crate) fn read_file(path: &Path) -> Result<String, CheckError> {
+fn read_file(path: &Path) -> Result<String, CheckError> {
     std::fs::read_to_string(path).map_err(|source| CheckError::Io {
         path: path.to_path_buf(),
         source,
     })
 }
 
-pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), CheckError> {
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), CheckError> {
     let entries = std::fs::read_dir(dir).map_err(|source| CheckError::Io {
         path: dir.to_path_buf(),
         source,
@@ -497,20 +456,10 @@ pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(),
     Ok(())
 }
 
-fn classify(src: &Path, path: &Path) -> FileKind {
-    if path == src.join("lib.rs") {
-        FileKind::LibRoot
-    } else if path == src.join("main.rs") || path.parent() == Some(src.join("bin").as_path()) {
-        FileKind::BinRoot
-    } else {
-        FileKind::Lib
-    }
-}
-
 /// Extracts the `[package] name` from a manifest without a TOML parser:
 /// tracks section headers and takes the first `name = "..."` inside
 /// `[package]`.
-pub(crate) fn package_name(toml: &str) -> Option<String> {
+fn package_name(toml: &str) -> Option<String> {
     let mut in_package = false;
     for line in toml.lines() {
         let line = line.trim();
@@ -532,13 +481,20 @@ pub(crate) fn package_name(toml: &str) -> Option<String> {
     None
 }
 
-/// Parses `check: allow(<rule>[, reason = "…"])` directives out of
-/// comments. The rule name runs to the first `,` or `)`; the directive
-/// `has_reason` only when a `reason = "…"` clause with a non-empty quoted
-/// string follows.
+/// Parses `check: allow(<rule>[, reason = "…"])` directives out of plain
+/// comments (doc comments describe the syntax; they direct nothing). The
+/// rule name runs to the first `,` or `)`; the directive `has_reason`
+/// only when a `reason = "…"` clause with a non-empty quoted string
+/// follows.
 pub(crate) fn allow_directives(lexed: &Lexed) -> Vec<AllowDirective> {
     let mut out = Vec::new();
     for comment in &lexed.comments {
+        if ["///", "//!", "/**", "/*!"]
+            .iter()
+            .any(|doc| comment.text.starts_with(doc))
+        {
+            continue;
+        }
         let Some(idx) = comment.text.find("check:") else {
             continue;
         };
@@ -573,22 +529,23 @@ pub(crate) fn allow_directives(lexed: &Lexed) -> Vec<AllowDirective> {
     out
 }
 
-fn run_rules(krate: &CrateSource, config: &LintConfig, out: &mut Vec<Diagnostic>) {
+fn run_token_rules(krate: &CrateAst, config: &LintConfig, out: &mut Vec<Diagnostic>) {
     let adopted = config.unwrap_adopted.contains(&krate.name);
     let deterministic = config.deterministic.contains(&krate.name);
     let println_exempt = config.println_exempt.contains(&krate.name);
     let traced = config.traced_sends.contains(&krate.name);
     for file in &krate.files {
-        if adopted && file.kind.is_lib() {
+        let kind = krate.kind(file);
+        if adopted && kind.is_lib() {
             rule_no_unwrap(file, out);
         }
         if deterministic {
             rule_no_wallclock(file, out);
         }
-        if !println_exempt && file.kind.is_lib() {
+        if !println_exempt && kind.is_lib() {
             rule_no_println(file, out);
         }
-        if file.kind.is_root() {
+        if kind.is_root() {
             rule_forbid_unsafe(file, out);
         }
         if traced {
@@ -599,125 +556,110 @@ fn run_rules(krate: &CrateSource, config: &LintConfig, out: &mut Vec<Diagnostic>
     rule_error_enums(krate, out);
 }
 
-/// A bare allow directive with no `reason = "…"` clause is itself a
-/// finding: suppressions must be justified in place.
-fn rule_allow_without_reason(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+/// An allow directive without a `reason = "…"` clause, or naming no rule
+/// (a typo, or a rule since deleted) and so suppressing nothing, is
+/// itself a finding: suppressions must be justified in place.
+fn rule_allow_without_reason(file: &FileAst, out: &mut Vec<Diagnostic>) {
     for allow in &file.allows {
-        if !allow.has_reason {
-            out.push(Diagnostic {
-                rule: Rule::AllowWithoutReason,
-                path: file.path.clone(),
-                line: allow.line,
-                message: format!(
-                    "allow({}) without a reason; write check: allow({}, reason = \"…\")",
-                    allow.rule, allow.rule
-                ),
-            });
-        }
-    }
-}
-
-fn ident_at(file: &SourceFile, i: usize) -> Option<&str> {
-    match file.lexed.tokens.get(i).map(|t| &t.kind) {
-        Some(TokenKind::Ident(name)) => Some(name),
-        _ => None,
-    }
-}
-
-fn punct_at(file: &SourceFile, i: usize, c: char) -> bool {
-    matches!(
-        file.lexed.tokens.get(i),
-        Some(t) if t.kind == TokenKind::Punct(c)
-    )
-}
-
-fn rule_no_unwrap(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for (i, token) in file.lexed.tokens.iter().enumerate() {
-        if file.mask[i] {
+        let message = if !Rule::ALL.iter().any(|r| r.name() == allow.rule) {
+            format!(
+                "allow({}) names no rule and suppresses nothing; delete it or name a \
+                 rule listed by `wimesh-check rules`",
+                allow.rule
+            )
+        } else if !allow.has_reason {
+            format!(
+                "allow({}) without a reason; write check: allow({}, reason = \"…\")",
+                allow.rule, allow.rule
+            )
+        } else {
             continue;
-        }
+        };
+        push(out, Rule::AllowWithoutReason, file, allow.line, message);
+    }
+}
+
+fn rule_no_unwrap(file: &FileAst, out: &mut Vec<Diagnostic>) {
+    let tokens = &file.tokens;
+    for (i, token) in tokens.iter().enumerate() {
         let TokenKind::Ident(name) = &token.kind else {
             continue;
         };
         if !matches!(name.as_str(), "unwrap" | "expect" | "expect_err") {
             continue;
         }
-        if i > 0 && punct_at(file, i - 1, '.') && punct_at(file, i + 1, '(') {
-            out.push(Diagnostic {
-                rule: Rule::NoUnwrapInLib,
-                path: file.path.clone(),
-                line: token.line,
-                message: format!(
-                    ".{name}() in library code; return the crate's error enum instead"
-                ),
-            });
+        if i > 0 && punct(tokens, i - 1, '.') && punct(tokens, i + 1, '(') {
+            push(
+                out,
+                Rule::NoUnwrapInLib,
+                file,
+                token.line,
+                format!(".{name}() in library code; return the crate's error enum instead"),
+            );
         }
     }
 }
 
-fn rule_no_wallclock(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for (i, token) in file.lexed.tokens.iter().enumerate() {
-        if file.mask[i] {
-            continue;
-        }
+fn rule_no_wallclock(file: &FileAst, out: &mut Vec<Diagnostic>) {
+    let tokens = &file.tokens;
+    for (i, token) in tokens.iter().enumerate() {
         let TokenKind::Ident(name) = &token.kind else {
             continue;
         };
         if name == "Instant"
-            && punct_at(file, i + 1, ':')
-            && punct_at(file, i + 2, ':')
-            && ident_at(file, i + 3) == Some("now")
+            && punct(tokens, i + 1, ':')
+            && punct(tokens, i + 2, ':')
+            && ident(tokens, i + 3) == Some("now")
         {
-            out.push(Diagnostic {
-                rule: Rule::NoWallclockInDeterministic,
-                path: file.path.clone(),
-                line: token.line,
-                message: "Instant::now() in deterministic model code; use the virtual clock"
-                    .to_string(),
-            });
+            push(
+                out,
+                Rule::NoWallclockInDeterministic,
+                file,
+                token.line,
+                "Instant::now() in deterministic model code; use the virtual clock".to_string(),
+            );
         }
         if name == "SystemTime" {
-            out.push(Diagnostic {
-                rule: Rule::NoWallclockInDeterministic,
-                path: file.path.clone(),
-                line: token.line,
-                message: "SystemTime in deterministic model code; use the virtual clock"
-                    .to_string(),
-            });
+            push(
+                out,
+                Rule::NoWallclockInDeterministic,
+                file,
+                token.line,
+                "SystemTime in deterministic model code; use the virtual clock".to_string(),
+            );
         }
     }
 }
 
-fn rule_no_println(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for (i, token) in file.lexed.tokens.iter().enumerate() {
-        if file.mask[i] {
-            continue;
-        }
+fn rule_no_println(file: &FileAst, out: &mut Vec<Diagnostic>) {
+    let tokens = &file.tokens;
+    for (i, token) in tokens.iter().enumerate() {
         let TokenKind::Ident(name) = &token.kind else {
             continue;
         };
         if matches!(
             name.as_str(),
             "println" | "print" | "eprintln" | "eprint" | "dbg"
-        ) && punct_at(file, i + 1, '!')
+        ) && punct(tokens, i + 1, '!')
         {
-            out.push(Diagnostic {
-                rule: Rule::NoPrintlnInLib,
-                path: file.path.clone(),
-                line: token.line,
-                message: format!("{name}! in library code; route output through wimesh-obs"),
-            });
+            push(
+                out,
+                Rule::NoPrintlnInLib,
+                file,
+                token.line,
+                format!("{name}! in library code; route output through wimesh-obs"),
+            );
         }
     }
 }
 
-fn rule_forbid_unsafe(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+fn rule_forbid_unsafe(file: &FileAst, out: &mut Vec<Diagnostic>) {
     // Look for `#![forbid(.. unsafe_code ..)]` anywhere in the root file.
-    let tokens = &file.lexed.tokens;
+    let tokens = &file.tokens;
     let mut found = false;
     for i in 0..tokens.len() {
-        if punct_at(file, i, '#') && punct_at(file, i + 1, '!') && punct_at(file, i + 2, '[') {
-            if ident_at(file, i + 3) != Some("forbid") {
+        if punct(tokens, i, '#') && punct(tokens, i + 1, '!') && punct(tokens, i + 2, '[') {
+            if ident(tokens, i + 3) != Some("forbid") {
                 continue;
             }
             // Scan to the closing `]` of this attribute for `unsafe_code`.
@@ -735,33 +677,31 @@ fn rule_forbid_unsafe(file: &SourceFile, out: &mut Vec<Diagnostic>) {
         }
     }
     if !found {
-        out.push(Diagnostic {
-            rule: Rule::ForbidUnsafeEverywhere,
-            path: file.path.clone(),
-            line: 1,
-            message: "crate root is missing #![forbid(unsafe_code)]".to_string(),
-        });
+        push(
+            out,
+            Rule::ForbidUnsafeEverywhere,
+            file,
+            1,
+            "crate root is missing #![forbid(unsafe_code)]".to_string(),
+        );
     }
 }
 
-fn rule_no_untraced_fabric_send(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+fn rule_no_untraced_fabric_send(file: &FileAst, out: &mut Vec<Diagnostic>) {
     // Every `Deliver { .. }` token group — the event's definition, its
     // constructions and its destructurings alike — must mention a `ctx`
     // field at the top nesting level of its braces.
-    let tokens = &file.lexed.tokens;
+    let tokens = &file.tokens;
     for (i, token) in tokens.iter().enumerate() {
-        if file.mask[i] {
-            continue;
-        }
         let TokenKind::Ident(name) = &token.kind else {
             continue;
         };
-        if name != "Deliver" || !punct_at(file, i + 1, '{') {
+        if name != "Deliver" || !punct(tokens, i + 1, '{') {
             continue;
         }
         // `fn f(..) -> Deliver {` puts a function body, not a field
         // list, after the name; return-type position is not a send.
-        if i >= 2 && punct_at(file, i - 2, '-') && punct_at(file, i - 1, '>') {
+        if i >= 2 && punct(tokens, i - 2, '-') && punct(tokens, i - 1, '>') {
             continue;
         }
         let mut j = i + 2;
@@ -777,43 +717,35 @@ fn rule_no_untraced_fabric_send(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             j += 1;
         }
         if !has_ctx {
-            out.push(Diagnostic {
-                rule: Rule::NoUntracedFabricSend,
-                path: file.path.clone(),
-                line: token.line,
-                message: "Deliver without a `ctx` field; every fabric send must carry a \
-                          trace context"
+            push(
+                out,
+                Rule::NoUntracedFabricSend,
+                file,
+                token.line,
+                "Deliver without a `ctx` field; every fabric send must carry a trace context"
                     .to_string(),
-            });
+            );
         }
     }
 }
 
-fn rule_error_enums(krate: &CrateSource, out: &mut Vec<Diagnostic>) {
+fn rule_error_enums(krate: &CrateAst, out: &mut Vec<Diagnostic>) {
     // Public `*Error` definitions in library code.
-    let mut defs: Vec<(&SourceFile, u32, String)> = Vec::new();
+    let mut defs: Vec<(&FileAst, u32, &str)> = Vec::new();
     for file in &krate.files {
-        if !file.kind.is_lib() {
+        if !krate.kind(file).is_lib() {
             continue;
         }
-        for (i, token) in file.lexed.tokens.iter().enumerate() {
-            if file.mask[i] {
+        let tokens = &file.tokens;
+        for (i, token) in tokens.iter().enumerate() {
+            if ident(tokens, i) != Some("pub") {
                 continue;
             }
-            if ident_at(file, i) != Some("pub") {
+            if !matches!(ident(tokens, i + 1), Some("enum" | "struct")) {
                 continue;
             }
-            let Some(kw) = ident_at(file, i + 1) else {
-                continue;
-            };
-            if kw != "enum" && kw != "struct" {
-                continue;
-            }
-            let Some(name) = ident_at(file, i + 2) else {
-                continue;
-            };
-            if name.ends_with("Error") {
-                defs.push((file, token.line, name.to_string()));
+            if let Some(name) = ident(tokens, i + 2).filter(|n| n.ends_with("Error")) {
+                defs.push((file, token.line, name));
             }
         }
     }
@@ -822,44 +754,47 @@ fn rule_error_enums(krate: &CrateSource, out: &mut Vec<Diagnostic>) {
     }
     // Trait impls anywhere in the crate (`impl fmt::Display for X` lexes
     // with `Display`, `for`, `X` as consecutive tokens).
-    let mut display_for: BTreeSet<String> = BTreeSet::new();
-    let mut error_for: BTreeSet<String> = BTreeSet::new();
+    let mut display_for: BTreeSet<&str> = BTreeSet::new();
+    let mut error_for: BTreeSet<&str> = BTreeSet::new();
     for file in &krate.files {
-        for (i, token) in file.lexed.tokens.iter().enumerate() {
-            let TokenKind::Ident(name) = &token.kind else {
-                continue;
-            };
-            if ident_at(file, i + 1) != Some("for") {
+        let tokens = &file.tokens;
+        for i in 0..tokens.len() {
+            if ident(tokens, i + 1) != Some("for") {
                 continue;
             }
-            let Some(target) = ident_at(file, i + 2) else {
+            let Some(target) = ident(tokens, i + 2) else {
                 continue;
             };
-            if name == "Display" {
-                display_for.insert(target.to_string());
-            } else if name == "Error" {
-                error_for.insert(target.to_string());
+            match ident(tokens, i) {
+                Some("Display") => {
+                    display_for.insert(target);
+                }
+                Some("Error") => {
+                    error_for.insert(target);
+                }
+                _ => {}
             }
         }
     }
     for (file, line, name) in defs {
         let mut missing = Vec::new();
-        if !display_for.contains(&name) {
+        if !display_for.contains(name) {
             missing.push("Display");
         }
-        if !error_for.contains(&name) {
+        if !error_for.contains(name) {
             missing.push("std::error::Error");
         }
         if !missing.is_empty() {
-            out.push(Diagnostic {
-                rule: Rule::ErrorEnumsImplError,
-                path: file.path.clone(),
+            push(
+                out,
+                Rule::ErrorEnumsImplError,
+                file,
                 line,
-                message: format!(
+                format!(
                     "public type {name} does not implement {}",
                     missing.join(" + ")
                 ),
-            });
+            );
         }
     }
 }
@@ -879,7 +814,8 @@ mod tests {
     #[test]
     fn allow_directive_parsing() {
         let lexed = Lexed::lex(
-            "// check: allow(no-unwrap-in-lib) invariant: always present\nlet x = 1;\n// plain comment\n",
+            "// check: allow(no-unwrap-in-lib) invariant: always present\nlet x = 1;\n// plain comment\n\
+             /// doc comments describe `// check: allow(<rule>)`, they direct nothing\n",
         );
         let allows = allow_directives(&lexed);
         assert_eq!(
@@ -905,31 +841,5 @@ mod tests {
         assert_eq!(allows[0].rule, "no-unwrap-in-lib");
         assert!(!allows[1].has_reason, "empty reason counts as missing");
         assert!(allows[2].has_reason, "spaces around = are optional");
-    }
-
-    #[test]
-    fn rule_tiers_partition_all() {
-        for rule in Rule::ALL {
-            let token = Rule::TOKEN.contains(&rule);
-            let semantic = Rule::SEMANTIC.contains(&rule);
-            assert!(token ^ semantic, "{} must be in exactly one tier", rule);
-            assert_eq!(rule.tier(), if token { "token" } else { "semantic" });
-        }
-    }
-
-    #[test]
-    fn json_escaping() {
-        let report = LintReport {
-            diagnostics: vec![Diagnostic {
-                rule: Rule::NoUnwrapInLib,
-                path: PathBuf::from("a\"b.rs"),
-                line: 1,
-                message: "b\\c\nd".into(),
-            }],
-            ..LintReport::default()
-        };
-        let json = report.to_json();
-        assert!(json.contains(r#""path": "a\"b.rs""#), "{json}");
-        assert!(json.contains(r#""message": "b\\c\nd""#), "{json}");
     }
 }

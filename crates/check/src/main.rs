@@ -1,28 +1,20 @@
 //! The `wimesh-check` command-line interface.
 //!
 //! ```text
-//! wimesh-check lint    [--workspace | --root <dir>] [--json] [--include-vendor]
-//! wimesh-check analyze [--workspace | --root <dir>] [--json] [--include-vendor]
-//!                      [--baseline <file>] [--write-baseline]
+//! wimesh-check lint [--workspace | --root <dir>]
 //! wimesh-check rules
 //! ```
 //!
-//! Both passes exit 0 when clean, 1 when any finding survives, 2 on usage
-//! or I/O errors — so `verify.sh` can gate on them directly. `analyze`
-//! additionally honours a ratchet baseline: when
-//! `<root>/crates/check/baseline.json` exists (or `--baseline` names a
-//! file), findings listed there are tolerated, new findings fail, and
-//! entries that no longer fire are reported as stale. `--write-baseline`
-//! rewrites the file from the current findings.
+//! `lint` runs every rule over `<root>/crates` (the enclosing workspace
+//! by default) and exits 0 when clean, 1 when any diagnostic survives, 2
+//! on usage or I/O errors — so `verify.sh` can gate on it directly.
 
 #![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use wimesh_check::{
-    analyze_workspace, lint_workspace, AnalyzeConfig, Baseline, CheckError, LintConfig, Rule,
-};
+use wimesh_check::{lint_workspace, CheckError, LintConfig, Rule};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,10 +36,9 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<bool, String> {
     match args.first().map(String::as_str) {
         Some("lint") => lint_command(&args[1..]),
-        Some("analyze") => analyze_command(&args[1..]),
         Some("rules") => {
             for rule in Rule::ALL {
-                println!("{:<28} [{}]  {}", rule.name(), rule.tier(), rule.summary());
+                println!("{:<30} {}", rule.name(), rule.summary());
             }
             Ok(true)
         }
@@ -57,48 +48,22 @@ fn run(args: &[String]) -> Result<bool, String> {
 }
 
 const USAGE: &str = "usage:
-  wimesh-check lint    [--workspace | --root <dir>] [--json] [--include-vendor]
-  wimesh-check analyze [--workspace | --root <dir>] [--json] [--include-vendor]
-                       [--baseline <file>] [--write-baseline]
+  wimesh-check lint [--workspace | --root <dir>]
   wimesh-check rules";
 
-/// Flags shared by `lint` and `analyze`.
-struct CommonArgs {
-    root: PathBuf,
-    json: bool,
-    include_vendor: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: bool,
-}
-
-fn parse_common(args: &[String], allow_baseline: bool) -> Result<CommonArgs, String> {
+fn lint_command(args: &[String]) -> Result<bool, String> {
+    // `--workspace` names the default: the workspace enclosing the cwd.
     let mut root: Option<PathBuf> = None;
-    let mut json = false;
-    let mut include_vendor = false;
-    let mut baseline: Option<PathBuf> = None;
-    let mut write_baseline = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--workspace" => {
-                let cwd = std::env::current_dir().map_err(|e| format!("cannot read cwd: {e}"))?;
-                root = Some(find_workspace_root(&cwd).map_err(|e| e.to_string())?);
-            }
+            "--workspace" => root = None,
             "--root" => {
                 let dir = iter
                     .next()
                     .ok_or_else(|| format!("--root needs a directory\n{USAGE}"))?;
                 root = Some(PathBuf::from(dir));
             }
-            "--json" => json = true,
-            "--include-vendor" => include_vendor = true,
-            "--baseline" if allow_baseline => {
-                let file = iter
-                    .next()
-                    .ok_or_else(|| format!("--baseline needs a file\n{USAGE}"))?;
-                baseline = Some(PathBuf::from(file));
-            }
-            "--write-baseline" if allow_baseline => write_baseline = true,
             other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
         }
     }
@@ -109,109 +74,18 @@ fn parse_common(args: &[String], allow_baseline: bool) -> Result<CommonArgs, Str
             find_workspace_root(&cwd).map_err(|e| e.to_string())?
         }
     };
-    Ok(CommonArgs {
-        root,
-        json,
-        include_vendor,
-        baseline,
-        write_baseline,
-    })
-}
-
-fn lint_command(args: &[String]) -> Result<bool, String> {
-    let common = parse_common(args, false)?;
-    let config = LintConfig {
-        include_vendor: common.include_vendor,
-        ..LintConfig::default()
-    };
-    let report = lint_workspace(&common.root, &config).map_err(|e| e.to_string())?;
-    if common.json {
-        print!("{}", report.to_json());
-    } else {
-        for diag in &report.diagnostics {
-            println!("{diag}");
-        }
-        println!(
-            "wimesh-check: {} diagnostic(s), {} suppressed, {} crate(s), {} file(s)",
-            report.diagnostics.len(),
-            report.suppressed,
-            report.crates_scanned,
-            report.files_scanned
-        );
+    let report = lint_workspace(&root, &LintConfig::default()).map_err(|e| e.to_string())?;
+    for diag in &report.diagnostics {
+        println!("{diag}");
     }
+    println!(
+        "wimesh-check: {} diagnostic(s), {} suppressed, {} crate(s), {} file(s)",
+        report.diagnostics.len(),
+        report.suppressed,
+        report.crates_scanned,
+        report.files_scanned
+    );
     Ok(report.is_clean())
-}
-
-fn analyze_command(args: &[String]) -> Result<bool, String> {
-    let common = parse_common(args, true)?;
-    let config = AnalyzeConfig {
-        include_vendor: common.include_vendor,
-        ..AnalyzeConfig::default()
-    };
-    let report = analyze_workspace(&common.root, &config).map_err(|e| e.to_string())?;
-
-    // Resolve the baseline: an explicit --baseline must exist; the
-    // default location is used only when present.
-    let default_path = common.root.join("crates/check/baseline.json");
-    let baseline_path = match &common.baseline {
-        Some(p) => Some(p.clone()),
-        None if default_path.is_file() => Some(default_path),
-        None => None,
-    };
-
-    if common.write_baseline {
-        let path = baseline_path
-            .clone()
-            .unwrap_or_else(|| common.root.join("crates/check/baseline.json"));
-        let base = Baseline::from_report(&report, &common.root);
-        std::fs::write(&path, base.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!(
-            "wimesh-check: wrote {} entry(ies) to {}",
-            base.entries.len(),
-            path.display()
-        );
-    }
-
-    let gate = match &baseline_path {
-        Some(path) => {
-            let base = Baseline::load(path).map_err(|e| e.to_string())?;
-            base.gate(&report, &common.root)
-        }
-        None => wimesh_check::GateResult {
-            fresh: report.diagnostics.clone(),
-            baselined: 0,
-            stale: Vec::new(),
-        },
-    };
-
-    if common.json {
-        // JSON output carries the raw report; baseline gating still
-        // decides the exit code.
-        print!("{}", report.to_json());
-    } else {
-        for diag in &gate.fresh {
-            println!("{diag}");
-        }
-        for entry in &gate.stale {
-            eprintln!(
-                "wimesh-check: warning: stale baseline entry {} {}:{} no longer fires — \
-                 tighten the ratchet",
-                entry.rule, entry.path, entry.line
-            );
-        }
-        println!(
-            "wimesh-check: {} finding(s) ({} baselined, {} stale), {} suppressed, \
-             {} crate(s), {} file(s)",
-            gate.fresh.len(),
-            gate.baselined,
-            gate.stale.len(),
-            report.suppressed,
-            report.crates_scanned,
-            report.files_scanned
-        );
-    }
-    Ok(gate.fresh.is_empty())
 }
 
 /// Walks up from `start` to the first directory whose `Cargo.toml`

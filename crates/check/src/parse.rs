@@ -1,18 +1,17 @@
 //! A lightweight recursive-descent parser over the handwritten lexer.
 //!
-//! This is the foundation of the semantic analysis pass (`wimesh-check
-//! analyze`). It is deliberately **not** a full Rust parser: it recognises
-//! the item skeleton (modules, impls, traits, functions) and reduces each
-//! function body to an ordered list of [`Event`]s — calls, atomic
-//! operations with their memory orderings, lock acquisitions with their
-//! guard scopes, and `for` iterations — which is exactly what the
-//! flow-sensitive rules need. Everything it cannot classify it skips, and
-//! it never panics on malformed input (the property suite feeds it random
+//! Every file the lint pass reads is parsed once, here. It is
+//! deliberately **not** a full Rust parser: it recognises the item
+//! skeleton (modules, impls, traits, functions) and reduces each function
+//! body to an ordered list of [`Event`]s — calls, lock acquisitions with
+//! their guard scopes, and `for` iterations — which is exactly what the
+//! call-graph rules need. Everything it cannot classify it skips, and it
+//! never panics on malformed input (the property suite feeds it random
 //! token soup).
 //!
 //! Tokens under `#[cfg(test)]` are stripped before parsing, so test code
-//! never contributes events: the masked regions are balanced item bodies,
-//! which keeps brace tracking intact.
+//! never contributes events or token-rule findings: the masked regions
+//! are balanced item bodies, which keeps brace tracking intact.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -64,13 +63,11 @@ pub struct Event {
     pub tok: usize,
 }
 
-/// The event classes the semantic rules consume.
+/// The event classes the call-graph rules consume.
 #[derive(Debug)]
 pub enum EventKind {
     /// A call (method, path or macro).
     Call(Callee),
-    /// An atomic operation with explicit memory orderings.
-    Atomic(AtomicEvent),
     /// A `.lock()` / `.try_lock()` acquisition. `scope_end` is the token
     /// index at which the guard's enclosing block closes.
     Lock {
@@ -116,73 +113,6 @@ impl Callee {
             Callee::Method { name, .. } | Callee::Macro { name } => name,
             Callee::Path { segments } => segments.last().map_or("", String::as_str),
         }
-    }
-}
-
-/// An atomic load/store/read-modify-write with its orderings.
-#[derive(Debug)]
-pub struct AtomicEvent {
-    /// Last receiver segment: the atomic field or static name.
-    pub field: String,
-    /// Operation class.
-    pub op: AtomicOp,
-    /// Memory orderings found in the argument list, in source order
-    /// (`compare_exchange` carries two).
-    pub orderings: Vec<MemOrdering>,
-}
-
-/// Classification of an atomic method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AtomicOp {
-    /// `load`.
-    Load,
-    /// `store`.
-    Store,
-    /// `swap`, `fetch_*`, `compare_exchange*`, `fetch_update`.
-    Rmw,
-}
-
-/// A `std::sync::atomic::Ordering` variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemOrdering {
-    /// `Ordering::Relaxed`.
-    Relaxed,
-    /// `Ordering::Acquire`.
-    Acquire,
-    /// `Ordering::Release`.
-    Release,
-    /// `Ordering::AcqRel`.
-    AcqRel,
-    /// `Ordering::SeqCst`.
-    SeqCst,
-}
-
-impl MemOrdering {
-    fn from_ident(name: &str) -> Option<MemOrdering> {
-        match name {
-            "Relaxed" => Some(MemOrdering::Relaxed),
-            "Acquire" => Some(MemOrdering::Acquire),
-            "Release" => Some(MemOrdering::Release),
-            "AcqRel" => Some(MemOrdering::AcqRel),
-            "SeqCst" => Some(MemOrdering::SeqCst),
-            _ => None,
-        }
-    }
-
-    /// True when the ordering has acquire semantics on the load side.
-    pub fn acquires(self) -> bool {
-        matches!(
-            self,
-            MemOrdering::Acquire | MemOrdering::AcqRel | MemOrdering::SeqCst
-        )
-    }
-
-    /// True when the ordering has release semantics on the store side.
-    pub fn releases(self) -> bool {
-        matches!(
-            self,
-            MemOrdering::Release | MemOrdering::AcqRel | MemOrdering::SeqCst
-        )
     }
 }
 
@@ -518,23 +448,6 @@ fn parse_items(
     }
 }
 
-const ATOMIC_METHODS: &[(&str, AtomicOp)] = &[
-    ("load", AtomicOp::Load),
-    ("store", AtomicOp::Store),
-    ("swap", AtomicOp::Rmw),
-    ("fetch_add", AtomicOp::Rmw),
-    ("fetch_sub", AtomicOp::Rmw),
-    ("fetch_and", AtomicOp::Rmw),
-    ("fetch_or", AtomicOp::Rmw),
-    ("fetch_xor", AtomicOp::Rmw),
-    ("fetch_update", AtomicOp::Rmw),
-    ("fetch_max", AtomicOp::Rmw),
-    ("fetch_min", AtomicOp::Rmw),
-    ("compare_exchange", AtomicOp::Rmw),
-    ("compare_exchange_weak", AtomicOp::Rmw),
-    ("compare_and_swap", AtomicOp::Rmw),
-];
-
 /// Scans one function body `[start, end)` into an ordered event list.
 fn scan_body(tokens: &[Token], start: usize, end: usize) -> Vec<Event> {
     let mut events = Vec::new();
@@ -587,7 +500,21 @@ fn scan_body(tokens: &[Token], start: usize, end: usize) -> Vec<Event> {
         if punct(tokens, after, '(') && !is_keyword(name) {
             if punct(tokens, i.wrapping_sub(1), '.') && i > start {
                 let recv = receiver_chain(tokens, i - 1, start);
-                push_method_event(tokens, i, name, recv, after, &mut events);
+                let kind = match recv.last() {
+                    Some(key) if matches!(name.as_str(), "lock" | "try_lock") => EventKind::Lock {
+                        key: key.clone(),
+                        scope_end: guard_scope_end(tokens, i),
+                    },
+                    _ => EventKind::Call(Callee::Method {
+                        name: name.clone(),
+                        recv,
+                    }),
+                };
+                events.push(Event {
+                    kind,
+                    line: tokens[i].line,
+                    tok: i,
+                });
             } else if ident(tokens, i.wrapping_sub(1)) != Some("fn") {
                 let segments = path_segments(tokens, i, start);
                 events.push(Event {
@@ -600,86 +527,6 @@ fn scan_body(tokens: &[Token], start: usize, end: usize) -> Vec<Event> {
         i += 1;
     }
     events
-}
-
-/// Emits the right event for a method call: an [`EventKind::Atomic`] when
-/// the name is an atomic method with explicit orderings, a
-/// [`EventKind::Lock`] for `.lock()`/`.try_lock()`, and a plain
-/// [`EventKind::Call`] otherwise.
-fn push_method_event(
-    tokens: &[Token],
-    i: usize,
-    name: &str,
-    recv: Vec<String>,
-    open_paren: usize,
-    events: &mut Vec<Event>,
-) {
-    let line = tokens[i].line;
-    if let Some((_, op)) = ATOMIC_METHODS.iter().find(|(m, _)| *m == name) {
-        let orderings = call_orderings(tokens, open_paren);
-        if !orderings.is_empty() {
-            if let Some(field) = recv.last() {
-                events.push(Event {
-                    kind: EventKind::Atomic(AtomicEvent {
-                        field: field.clone(),
-                        op: *op,
-                        orderings,
-                    }),
-                    line,
-                    tok: i,
-                });
-                return;
-            }
-        }
-    }
-    if matches!(name, "lock" | "try_lock") {
-        if let Some(key) = recv.last() {
-            events.push(Event {
-                kind: EventKind::Lock {
-                    key: key.clone(),
-                    scope_end: guard_scope_end(tokens, i),
-                },
-                line,
-                tok: i,
-            });
-            return;
-        }
-    }
-    events.push(Event {
-        kind: EventKind::Call(Callee::Method {
-            name: name.to_string(),
-            recv,
-        }),
-        line,
-        tok: i,
-    });
-}
-
-/// Collects `Ordering::X` variants from a balanced argument list whose
-/// opening `(` sits at `open`.
-fn call_orderings(tokens: &[Token], open: usize) -> Vec<MemOrdering> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < tokens.len() {
-        match &tokens[i].kind {
-            TokenKind::Punct('(' | '[' | '{') => depth += 1,
-            TokenKind::Punct(')' | ']' | '}') => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    break;
-                }
-            }
-            TokenKind::Ident(name) => {
-                if let Some(ord) = MemOrdering::from_ident(name) {
-                    out.push(ord);
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out
 }
 
 /// The guard of a lock acquired at token `i` lives until the enclosing
@@ -955,32 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_events_carry_field_and_orderings() {
-        let src = r#"
-            impl Cell {
-                fn publish(&self) { self.epoch.fetch_add(1, Ordering::Release); }
-                fn read(&self) -> u64 { self.epoch.load(Ordering::Acquire) }
-                fn cas(&self) {
-                    self.max.compare_exchange_weak(0, 1, Ordering::Relaxed, Ordering::Relaxed);
-                }
-            }
-        "#;
-        let ast = parse(src);
-        let publish = fn_named(&ast, "publish");
-        let EventKind::Atomic(a) = &publish.events[0].kind else {
-            panic!("expected atomic, got {:?}", publish.events);
-        };
-        assert_eq!(a.field, "epoch");
-        assert_eq!(a.op, AtomicOp::Rmw);
-        assert_eq!(a.orderings, vec![MemOrdering::Release]);
-        let cas = fn_named(&ast, "cas");
-        let EventKind::Atomic(a) = &cas.events[0].kind else {
-            panic!("expected atomic, got {:?}", cas.events);
-        };
-        assert_eq!(a.orderings.len(), 2);
-    }
-
-    #[test]
     fn non_atomic_load_is_a_plain_call() {
         let src = "fn f() { reader.load(path); }";
         let ast = parse(src);
@@ -1071,17 +892,14 @@ mod tests {
     fn receiver_chain_through_call_results() {
         let src = "fn f(&self) { self.cell(name).fetch_add(1, Ordering::Relaxed); }";
         let ast = parse(src);
-        let f = fn_named(&ast, "f");
-        let EventKind::Atomic(a) = &f
+        let recv = fn_named(&ast, "f")
             .events
             .iter()
-            .find(|e| matches!(e.kind, EventKind::Atomic(_)))
-            .expect("atomic event")
-            .kind
-        else {
-            unreachable!()
-        };
-        assert_eq!(a.field, "cell");
+            .find_map(|e| match &e.kind {
+                EventKind::Call(Callee::Method { name, recv }) if name == "fetch_add" => Some(recv),
+                _ => None,
+            });
+        assert_eq!(recv.expect("fetch_add call"), &["self", "cell"]);
     }
 
     #[test]

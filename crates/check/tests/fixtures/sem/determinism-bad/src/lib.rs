@@ -1,7 +1,7 @@
 //! Violates deterministic-iteration: HashMap/HashSet iteration feeding
 //! branching and serialization order (the "iterate a HashMap into
 //! branching order" mutation).
-
+#![forbid(unsafe_code)]
 use std::collections::{HashMap, HashSet};
 
 /// A for-loop over a hash map decides the branching order → finding.

@@ -1,7 +1,7 @@
 //! Passes deterministic-iteration: BTree containers where order matters,
 //! order-free reductions over hash containers, collects into order-free
 //! containers, and a reasoned allow on a debug path.
-
+#![forbid(unsafe_code)]
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Ordered iteration comes from a BTreeMap — deterministic.

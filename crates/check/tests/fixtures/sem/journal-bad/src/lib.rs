@@ -1,7 +1,7 @@
 //! Violates journal-precedes-mutation: raw session mutators reachable
 //! from entry points with no journal append on the path. Line numbers
 //! matter — the self-tests assert exact locations.
-
+#![forbid(unsafe_code)]
 pub struct Session;
 
 impl Session {
@@ -43,4 +43,31 @@ pub fn too_late(s: &mut Session, j: &mut Journal, x: u32) -> u32 {
     let got = s.admit(x);
     j.append(got);
     got
+}
+
+fn journal(j: &mut Journal, x: u32) {
+    j.append(x);
+}
+
+/// Journals through a wrapper before mutating: guarded in its own body.
+fn admit_flows(s: &mut Session, j: &mut Journal, x: u32) -> u32 {
+    journal(j, x);
+    s.admit(x)
+}
+
+/// Mutates before journaling → finding at the release call (line 62).
+/// The dispatcher's earlier `admit_flows` arm appends, but that arm never
+/// runs before this one.
+fn release_flow(s: &mut Session, j: &mut Journal, x: u32) -> u32 {
+    let got = s.release(x);
+    journal(j, x);
+    got
+}
+
+/// A request dispatcher with one arm per request kind.
+pub fn process(s: &mut Session, j: &mut Journal, admit: bool, x: u32) -> u32 {
+    match admit {
+        true => admit_flows(s, j, x),
+        false => release_flow(s, j, x),
+    }
 }

@@ -1,7 +1,7 @@
 //! Passes journal-precedes-mutation: every path reaching a raw session
 //! mutator appends to the journal first — directly, through a caller, or
 //! under a reasoned allow.
-
+#![forbid(unsafe_code)]
 pub struct Session;
 
 impl Session {

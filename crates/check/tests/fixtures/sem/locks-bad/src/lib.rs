@@ -1,7 +1,7 @@
 //! Violates lock-order-consistency: two functions acquire the same two
 //! mutexes in opposite orders (the "reverse the acquisition order"
 //! mutation), and one function re-locks a mutex it already holds.
-
+#![forbid(unsafe_code)]
 use std::sync::Mutex;
 
 pub struct Shared {

@@ -1,7 +1,7 @@
 //! Passes lock-order-consistency: every overlapping acquisition takes
 //! `queue` before `stats`, and the one stats-first function drops its
 //! guard (block scope) before touching `queue`.
-
+#![forbid(unsafe_code)]
 use std::sync::Mutex;
 
 pub struct Shared {

@@ -84,3 +84,10 @@ pub fn reasoned_allow(x: Option<u32>) -> u32 {
     // check: allow(no-unwrap-in-lib, reason = "fixture: reasoned suppressions are not findings")
     x.unwrap()
 }
+
+/// A directive naming no rule (say, one a later PR deleted) suppresses
+/// nothing → allow-without-reason (one finding, at the directive).
+pub fn stale_allow(x: u32) -> u32 {
+    // check: allow(atomic-ordering-pairing, reason = "fixture: that rule no longer exists")
+    x + 1
+}

@@ -1,7 +1,7 @@
 //! Regression guard for run-to-run determinism of the TDMA emulation
 //! pipeline. The per-link payload overrides used to flow through a
 //! `HashMap`, whose randomized iteration order was flagged by
-//! `wimesh-check analyze` (deterministic-iteration); they now travel in
+//! `wimesh-check`'s deterministic-iteration rule; they now travel in
 //! a `BTreeMap`. This test reruns the identical seeded admission +
 //! simulation twice in one process — a hash-order leak anywhere on the
 //! path shows up as diverging statistics, because each run builds its

@@ -107,7 +107,7 @@ pub(crate) fn epoch() -> Instant {
 pub fn install(sink: Arc<dyn Sink>) {
     epoch(); // pin the time origin no later than installation
     *SINK.write().expect("obs sink lock poisoned") = Some(sink);
-    // check: allow(atomic-ordering-pairing, reason = "enable flag guards only the sink RwLock read; a stale false merely skips one event")
+    // Relaxed: enable flag guards only the sink RwLock read; a stale false merely skips one event.
     ENABLED.store(true, Ordering::Relaxed);
 }
 

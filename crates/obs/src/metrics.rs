@@ -57,11 +57,11 @@ impl GaugeCell {
     }
 
     fn set(&self, value: f64) {
-        // check: allow(atomic-ordering-pairing, reason = "gauge cell; readers tolerate a stale last value, no data is published through it")
+        // Relaxed: gauge cell; readers tolerate a stale last value, no data is published through it.
         self.last.store(value.to_bits(), Ordering::Relaxed);
         let mut cur = self.max.load(Ordering::Relaxed);
         while value > f64::from_bits(cur) {
-            // check: allow(atomic-ordering-pairing, reason = "monotonic max raised by CAS; readers tolerate a momentarily stale max")
+            // Relaxed: monotonic max raised by CAS; readers tolerate a momentarily stale max.
             match self.max.compare_exchange_weak(
                 cur,
                 value.to_bits(),
@@ -246,7 +246,7 @@ fn cell<T>(
 }
 
 pub(crate) fn counter_add(name: &'static str, delta: u64) {
-    // check: allow(atomic-ordering-pairing, reason = "stats counter; snapshot readers tolerate slightly stale totals")
+    // Relaxed: stats counter; snapshot readers tolerate slightly stale totals.
     cell(&REGISTRY.counters, name, || AtomicU64::new(0)).fetch_add(delta, Ordering::Relaxed);
 }
 

@@ -1,12 +1,12 @@
 //! The journaled wrapper around [`QosSession`]: every mutation is
 //! appended to the write-ahead journal *before* it is applied.
 //!
-//! This file is the only place in `wimesh-svc` allowed to call the raw
-//! session mutators — the `no-unjournaled-mutation` lint in
-//! `wimesh-check` flags `.admit(` / `.admit_batch(` / `.release(` /
-//! `.rebalance(` calls anywhere else in the crate, so a future code
-//! path cannot quietly mutate admission state without a journal record
-//! and break crash recovery.
+//! Every raw session mutator call in `wimesh-svc` (`.admit(` /
+//! `.admit_batch(` / `.release(` / `.rebalance(`) must come after a
+//! journal append in its own body or on every caller chain reaching it —
+//! `wimesh-check`'s `journal-precedes-mutation` rule checks each call
+//! site, so a future code path cannot quietly mutate admission state
+//! without a journal record and break crash recovery.
 
 use wimesh::{FlowAdmission, FlowSpec, QosSession};
 use wimesh_sim::FlowId;

@@ -176,7 +176,7 @@ impl GatewayClient {
                 return Err(SvcError::ShuttingDown);
             }
             if q.items.len() >= self.shared.capacity {
-                // check: allow(atomic-ordering-pairing, reason = "shed counter; stats() tolerates a stale count, no data hangs off it")
+                // Relaxed: shed counter; stats() tolerates a stale count, no data hangs off it.
                 self.shared.overloaded.fetch_add(1, Ordering::Relaxed);
                 return Err(SvcError::Overloaded {
                     capacity: self.shared.capacity,

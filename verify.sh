@@ -51,25 +51,24 @@ cargo test -q -p wimesh-svc --test journal_decode
 # The serde feature must keep round-tripping the persistable types the
 # journal depends on (SessionState, FlowSpec, schedules, stats).
 cargo test -q -p wimesh --features serde --test serde_feature
-# Workspace lint (token tier): the repo-specific rules (no unwrap in
-# adopted library crates, no wall-clock in deterministic code,
+# Workspace lint, one pass over one parse per file: the token rules (no
+# unwrap in adopted library crates, no wall-clock in deterministic code,
 # forbid(unsafe_code) roots, error enums implementing Error, no stray
-# printing, reasoned allow directives) must hold.
+# printing, traced fabric sends, reasoned allows naming a real rule) and
+# the call-graph rules (journal-precedes-mutation, lock order,
+# hash-iteration determinism) must all hold.
 cargo run -p wimesh-check --release -- lint --workspace
-# Semantic analysis (flow tier): journal-precedes-mutation, atomic
-# ordering pairs, lock order, worker panics and hash-iteration
-# determinism over the skeleton parser + call graph. Exits non-zero on
-# any finding not in the committed ratchet baseline
-# (crates/check/baseline.json) and warns on stale baseline entries.
-cargo run -p wimesh-check --release -- analyze --workspace
-# The certifier must keep rejecting every mutated schedule, and both
-# rule tiers must keep firing at exact file:line on their fixture
-# crates; the parser must survive every workspace file plus fuzz input.
-# Run each suite by name so a filter typo can't skip one.
+# The certifier must keep rejecting every mutated schedule; every rule
+# must keep firing at exact file:line on its fixture crate and on
+# violations seeded into a copy of the real tree; the parser must
+# survive every workspace file plus fuzz input; the CLI must keep its
+# 0/1/2 exit codes. Run each suite by name so a filter typo can't skip
+# one.
 cargo test -q -p wimesh-check --test certifier_mutations
 cargo test -q -p wimesh-check --test lint_rules
 cargo test -q -p wimesh-check --test semantic_rules
 cargo test -q -p wimesh-check --test parser_props
+cargo test -q -p wimesh-check --test cli
 # The emulation pipeline must stay bit-deterministic under a fixed seed
 # (guards the BTreeMap payload-ordering fix the analyzer forced).
 cargo test -q -p wimesh --test determinism
