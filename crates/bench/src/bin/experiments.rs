@@ -19,7 +19,11 @@
 //! that file as ASCII trees after the run; `--summary` prints a
 //! human-readable metrics digest after each experiment.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a CLI: progress goes to stdout, usage and failures to stderr"
+)]
 
 use std::process::ExitCode;
 use std::sync::Arc;

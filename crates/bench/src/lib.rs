@@ -7,8 +7,11 @@
 //! `results/`. See `DESIGN.md` §4 for the experiment ↔ figure mapping and
 //! `EXPERIMENTS.md` for recorded outcomes.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![expect(
+    clippy::print_stdout,
+    reason = "the printed tables are the experiments' console report, beside the CSVs"
+)]
 
 pub mod experiments;
 mod table;
@@ -33,6 +36,9 @@ pub enum BenchError {
     /// Anything else (experiment-specific invariants).
     Other(String),
 }
+
+// `?` and `Box<dyn Error>` need it: a missing impl fails here with E0277.
+const _: fn(&BenchError) -> &dyn std::error::Error = |e| e;
 
 impl fmt::Display for BenchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -1,9 +1,9 @@
 //! The three call-graph rules of the lint pass.
 //!
-//! Where the token rules in [`crate::lint`] judge one token stream at a
-//! time, these read the function skeletons of a whole crate
-//! ([`crate::parse`]) through a per-crate call graph (the private
-//! `callgraph` module):
+//! Each reads the function skeletons of a whole crate ([`crate::parse`])
+//! through a per-crate call graph (the private `callgraph` module) —
+//! properties no per-file token lint, rustc's or clippy's included, can
+//! decide:
 //!
 //! * `journal-precedes-mutation` — every call-graph path reaching a raw
 //!   session mutator in a journaled crate passes a journal append first.

@@ -312,6 +312,9 @@ pub struct CertifyError {
     pub violations: Vec<Violation>,
 }
 
+// `?` and `Box<dyn Error>` need it: a missing impl fails here with E0277.
+const _: fn(&CertifyError) -> &dyn std::error::Error = |e| e;
+
 impl CertifyError {
     /// True when a violation of the given [`Violation::kind`] is present.
     pub fn has_kind(&self, kind: &str) -> bool {

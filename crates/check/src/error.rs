@@ -27,6 +27,9 @@ pub enum CheckError {
     },
 }
 
+// `?` and `Box<dyn Error>` need it: a missing impl fails here with E0277.
+const _: fn(&CheckError) -> &dyn std::error::Error = |e| e;
+
 impl fmt::Display for CheckError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

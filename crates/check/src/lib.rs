@@ -5,18 +5,15 @@
 //!
 //! * [`lint`] — one workspace lint pass built on a handwritten Rust lexer
 //!   ([`lexer`]) and skeleton parser ([`parse`]); each file is parsed
-//!   once and every rule reads that parse. Seven token rules enforce
-//!   repo-specific surface discipline generic tooling cannot express:
-//!   library code returns errors instead of unwrapping, no wall-clock
-//!   reads in deterministic model code, no printing from library crates,
-//!   `#![forbid(unsafe_code)]` on every crate root, public `*Error` types
-//!   implementing `Display` + `std::error::Error`, traced fabric sends,
-//!   and every `check: allow` naming a rule and carrying a written
-//!   reason. Three call-graph rules check flow: every path to a session
-//!   mutator in the gateway passes a journal append first, lock
+//!   once and every rule reads that parse through a per-crate call
+//!   graph. Three rules check what no per-file lint can: every path to a
+//!   session mutator in the gateway passes a journal append first, lock
 //!   acquisition order is globally consistent, and no hash-map iteration
 //!   feeds an order-sensitive result in the deterministic crates. Run it
-//!   with `cargo run -p wimesh-check -- lint --workspace`.
+//!   with `cargo run -p wimesh-check -- lint --workspace`. Token-level
+//!   discipline (no `unsafe`, no unwrap in library code, no printing, no
+//!   wall clock in model code, reasoned suppressions) is rustc's and
+//!   clippy's, configured in the root manifest's `[workspace.lints]`.
 //! * [`certify`] — a deliberately-simple re-verification of every schedule
 //!   the admission controller emits: conflict-freedom slot by slot, demand
 //!   satisfaction, per-flow delay bounds re-derived hop by hop, guard-time
@@ -27,7 +24,7 @@
 //!   session admit/release/rebalance, and the integration suites gate on
 //!   it unconditionally.
 
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 mod analyze;

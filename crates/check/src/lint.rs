@@ -1,56 +1,31 @@
-//! The workspace lint engine: one pass, ten rules.
+//! The workspace lint engine: one pass, three call-graph rules.
 //!
 //! Walks every crate under `<root>/crates` and parses each `src/**/*.rs`
 //! file once into a [`FileAst`]: the handwritten [`crate::lexer`]'s
 //! tokens with `#[cfg(test)]` items stripped, plus function skeletons,
-//! hash-typed bindings and allow directives. Every rule runs over that
-//! one parse: seven token rules, decidable from one file's token stream,
-//! are defined here; the three call-graph rules (journal discipline,
-//! lock order, hash-iteration determinism) live in the private `analyze`
-//! module. Diagnostics carry `file:line` locations and can be suppressed
-//! with a `// check: allow(<rule>, reason = "…")` comment on the same or
-//! the immediately preceding line.
+//! hash-typed bindings and allow directives. The rules (journal
+//! discipline, lock order, hash-iteration determinism) live in the
+//! private `analyze` module and read that one parse through a per-crate
+//! call graph. Diagnostics carry `file:line` locations and can be
+//! suppressed with a `// check: allow(<rule>, reason = "…")` comment on
+//! the same or the immediately preceding line.
+//!
+//! Token-level discipline is the compiler's: `[workspace.lints]` in the
+//! root manifest, `clippy::unwrap_used`/`expect_used` at the adopted
+//! crate roots and `disallowed-methods` in the deterministic crates'
+//! `clippy.toml` (DESIGN §3.10 maps each former rule to its lint).
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use crate::analyze;
 use crate::error::CheckError;
-use crate::lexer::{Lexed, TokenKind};
-use crate::parse::{ident, punct, FileAst};
+use crate::lexer::Lexed;
+use crate::parse::FileAst;
 
 /// The lint rules, in the order they are reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Library code must return errors instead of calling
-    /// `.unwrap()` / `.expect()` / `.expect_err()`. Tests, benches and
-    /// examples are exempt. Applies to the adopted crates listed in
-    /// [`LintConfig::unwrap_adopted`] (a ratchet: crates are added as they
-    /// are cleaned up).
-    NoUnwrapInLib,
-    /// `Instant::now` / `SystemTime` are forbidden in deterministic model
-    /// code (`wimesh-sim`, `wimesh-emu`, `wimesh-node`): wall-clock reads
-    /// break seeded reproducibility.
-    NoWallclockInDeterministic,
-    /// Library code must not print to stdout/stderr; route output through
-    /// `wimesh-obs` instead. CLI reporting crates are exempt.
-    NoPrintlnInLib,
-    /// Every crate root (`src/lib.rs`, `src/main.rs`, `src/bin/*.rs`) must
-    /// carry `#![forbid(unsafe_code)]`.
-    ForbidUnsafeEverywhere,
-    /// Public `*Error` types must implement `Display` and
-    /// `std::error::Error` so they compose with `?` and `Box<dyn Error>`.
-    ErrorEnumsImplError,
-    /// Every `Deliver { .. }` construction (and the event definition
-    /// itself) in the fabric crates listed in
-    /// [`LintConfig::traced_sends`] must carry a `ctx` field: a fabric
-    /// send without a trace context is invisible to the causal tracer.
-    NoUntracedFabricSend,
-    /// Every allow directive must name a rule in [`Rule::ALL`] and carry
-    /// a `reason = "…"` clause: an unexplained suppression, or one that
-    /// suppresses nothing, is a finding in its own right.
-    AllowWithoutReason,
     /// Every call-graph path in the journaled service crates that
     /// reaches a raw session mutator (`.admit(` / `.admit_batch(` /
     /// `.release(` / `.rebalance(` / `.admit_via(`) must pass through a
@@ -70,14 +45,7 @@ pub enum Rule {
 
 impl Rule {
     /// All rules in reporting order.
-    pub const ALL: [Rule; 10] = [
-        Rule::NoUnwrapInLib,
-        Rule::NoWallclockInDeterministic,
-        Rule::NoPrintlnInLib,
-        Rule::ForbidUnsafeEverywhere,
-        Rule::ErrorEnumsImplError,
-        Rule::NoUntracedFabricSend,
-        Rule::AllowWithoutReason,
+    pub const ALL: [Rule; 3] = [
         Rule::JournalPrecedesMutation,
         Rule::LockOrderConsistency,
         Rule::DeterministicIteration,
@@ -86,13 +54,6 @@ impl Rule {
     /// The kebab-case rule name used in diagnostics and allow directives.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::NoUnwrapInLib => "no-unwrap-in-lib",
-            Rule::NoWallclockInDeterministic => "no-wallclock-in-deterministic",
-            Rule::NoPrintlnInLib => "no-println-in-lib",
-            Rule::ForbidUnsafeEverywhere => "forbid-unsafe-everywhere",
-            Rule::ErrorEnumsImplError => "error-enums-impl-error",
-            Rule::NoUntracedFabricSend => "no-untraced-fabric-send",
-            Rule::AllowWithoutReason => "allow-without-reason",
             Rule::JournalPrecedesMutation => "journal-precedes-mutation",
             Rule::LockOrderConsistency => "lock-order-consistency",
             Rule::DeterministicIteration => "deterministic-iteration",
@@ -102,23 +63,6 @@ impl Rule {
     /// One-line description shown by `wimesh-check rules`.
     pub fn summary(self) -> &'static str {
         match self {
-            Rule::NoUnwrapInLib => {
-                "library code returns errors; no .unwrap()/.expect() outside tests"
-            }
-            Rule::NoWallclockInDeterministic => {
-                "Instant::now/SystemTime forbidden in sim/emu/node model code"
-            }
-            Rule::NoPrintlnInLib => "no println!/eprintln!/dbg! in library code; use wimesh-obs",
-            Rule::ForbidUnsafeEverywhere => "every crate root carries #![forbid(unsafe_code)]",
-            Rule::ErrorEnumsImplError => {
-                "public *Error types implement Display + std::error::Error"
-            }
-            Rule::NoUntracedFabricSend => {
-                "fabric Deliver events carry a `ctx` trace context in traced crates"
-            }
-            Rule::AllowWithoutReason => {
-                "every check: allow(..) directive names a rule and carries a reason = \"…\""
-            }
             Rule::JournalPrecedesMutation => {
                 "every call path to a session mutator passes a journal append first"
             }
@@ -169,16 +113,6 @@ impl fmt::Display for Diagnostic {
 /// applies to.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
-    /// Crates adopted into `no-unwrap-in-lib`.
-    pub unwrap_adopted: Vec<String>,
-    /// Crates whose model code must be wall-clock free.
-    pub deterministic: Vec<String>,
-    /// Crates exempt from `no-println-in-lib` (CLI reporting crates whose
-    /// printed tables are their product).
-    pub println_exempt: Vec<String>,
-    /// Crates whose `Deliver { .. }` fabric events must carry a `ctx`
-    /// trace context (`no-untraced-fabric-send`).
-    pub traced_sends: Vec<String>,
     /// Crates whose session mutators must be journal-guarded
     /// (`journal-precedes-mutation`).
     pub journaled: Vec<String>,
@@ -194,21 +128,6 @@ pub struct LintConfig {
 impl Default for LintConfig {
     fn default() -> Self {
         LintConfig {
-            unwrap_adopted: vec![
-                "wimesh".into(),
-                "wimesh-tdma".into(),
-                "wimesh-conflict".into(),
-                "wimesh-milp".into(),
-                "wimesh-check".into(),
-                "wimesh-svc".into(),
-            ],
-            deterministic: vec![
-                "wimesh-sim".into(),
-                "wimesh-emu".into(),
-                "wimesh-node".into(),
-            ],
-            println_exempt: vec!["wimesh-bench".into()],
-            traced_sends: vec!["wimesh-node".into()],
             journaled: vec!["wimesh-svc".into()],
             mutators: vec![
                 "admit".into(),
@@ -233,22 +152,22 @@ impl Default for LintConfig {
     }
 }
 
-/// One parsed `// check: allow(<rule>[, reason = "…"])` directive.
+/// One `// check: allow(<rule>, reason = "…")` directive. Only directives
+/// that name a rule in [`Rule::ALL`] and carry a non-empty reason are
+/// kept; any other comment suppresses nothing, so its finding surfaces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowDirective {
     /// 1-based line of the comment.
     pub line: u32,
-    /// The rule name being allowed.
-    pub rule: String,
-    /// Whether the directive carried a non-empty `reason = "…"` clause.
-    pub has_reason: bool,
+    /// The rule being allowed.
+    pub rule: Rule,
 }
 
 impl AllowDirective {
-    /// True when this directive suppresses a `rule_name` finding at
-    /// `line` (same line or the line directly below the comment).
-    pub fn suppresses(&self, rule_name: &str, line: u32) -> bool {
-        self.rule == rule_name && (self.line == line || self.line + 1 == line)
+    /// True when this directive suppresses a `rule` finding at `line`
+    /// (same line or the line directly below the comment).
+    pub fn suppresses(&self, rule: Rule, line: u32) -> bool {
+        self.rule == rule && (self.line == line || self.line + 1 == line)
     }
 }
 
@@ -272,50 +191,12 @@ impl LintReport {
     }
 }
 
-/// How a source file participates in the crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FileKind {
-    /// `src/lib.rs` — a crate root that is also library code.
-    LibRoot,
-    /// `src/main.rs` or `src/bin/*.rs` — a crate root for a binary.
-    BinRoot,
-    /// Any other file under `src/` — library code.
-    Lib,
-}
-
-impl FileKind {
-    fn is_root(self) -> bool {
-        matches!(self, FileKind::LibRoot | FileKind::BinRoot)
-    }
-
-    fn is_lib(self) -> bool {
-        matches!(self, FileKind::LibRoot | FileKind::Lib)
-    }
-}
-
 /// One crate, parsed once for every rule.
 pub(crate) struct CrateAst {
     /// The `[package] name` from the manifest.
     pub(crate) name: String,
-    /// The crate's `src/` directory, against which file kinds are read.
-    src: PathBuf,
     /// Parsed `src/**/*.rs` files, sorted by path.
     pub(crate) files: Vec<FileAst>,
-}
-
-impl CrateAst {
-    fn kind(&self, file: &FileAst) -> FileKind {
-        let path = file.path.as_path();
-        if path == self.src.join("lib.rs") {
-            FileKind::LibRoot
-        } else if path == self.src.join("main.rs")
-            || path.parent() == Some(self.src.join("bin").as_path())
-        {
-            FileKind::BinRoot
-        } else {
-            FileKind::Lib
-        }
-    }
 }
 
 /// Lints every crate under `<root>/crates` and returns the merged
@@ -338,7 +219,6 @@ pub fn lint_workspace(root: &Path, config: &LintConfig) -> Result<LintReport, Ch
 pub fn lint_crate(dir: &Path, config: &LintConfig) -> Result<LintReport, CheckError> {
     let krate = load_crate(dir)?;
     let mut raw = Vec::new();
-    run_token_rules(&krate, config, &mut raw);
     analyze::check(&krate, config, &mut raw);
 
     let mut report = LintReport {
@@ -362,12 +242,10 @@ pub fn lint_crate(dir: &Path, config: &LintConfig) -> Result<LintReport, CheckEr
 /// A diagnostic is suppressed when an allow directive for its rule sits
 /// on the same line or the line directly above it, in the same file.
 fn is_allowed(krate: &CrateAst, diag: &Diagnostic) -> bool {
-    krate.files.iter().any(|f| {
-        f.path == diag.path
-            && f.allows
-                .iter()
-                .any(|a| a.suppresses(diag.rule.name(), diag.line))
-    })
+    krate
+        .files
+        .iter()
+        .any(|f| f.path == diag.path && f.allows.iter().any(|a| a.suppresses(diag.rule, diag.line)))
 }
 
 /// Shorthand for the rules: a finding of `rule` at `file:line`.
@@ -390,22 +268,8 @@ fn crate_dirs(parent: &Path) -> Result<Vec<PathBuf>, CheckError> {
     if !parent.exists() {
         return Ok(Vec::new());
     }
-    let entries = std::fs::read_dir(parent).map_err(|source| CheckError::Io {
-        path: parent.to_path_buf(),
-        source,
-    })?;
-    let mut dirs = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|source| CheckError::Io {
-            path: parent.to_path_buf(),
-            source,
-        })?;
-        let path = entry.path();
-        if path.is_dir() && path.join("Cargo.toml").is_file() {
-            dirs.push(path);
-        }
-    }
-    dirs.sort();
+    let mut dirs = read_dir_sorted(parent)?;
+    dirs.retain(|path| path.is_dir() && path.join("Cargo.toml").is_file());
     Ok(dirs)
 }
 
@@ -420,13 +284,12 @@ fn load_crate(dir: &Path) -> Result<CrateAst, CheckError> {
     if src.is_dir() {
         let mut paths = Vec::new();
         collect_rs_files(&src, &mut paths)?;
-        paths.sort();
         for path in paths {
             let text = read_file(&path)?;
             files.push(FileAst::parse(&path, &text));
         }
     }
-    Ok(CrateAst { name, src, files })
+    Ok(CrateAst { name, files })
 }
 
 fn read_file(path: &Path) -> Result<String, CheckError> {
@@ -436,17 +299,24 @@ fn read_file(path: &Path) -> Result<String, CheckError> {
     })
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), CheckError> {
-    let entries = std::fs::read_dir(dir).map_err(|source| CheckError::Io {
+/// The entries of `dir`, sorted by path.
+fn read_dir_sorted(dir: &Path) -> Result<Vec<PathBuf>, CheckError> {
+    let io = |source| CheckError::Io {
         path: dir.to_path_buf(),
         source,
-    })?;
-    for entry in entries {
-        let entry = entry.map_err(|source| CheckError::Io {
-            path: dir.to_path_buf(),
-            source,
-        })?;
-        let path = entry.path();
+    };
+    let mut paths = std::fs::read_dir(dir)
+        .map_err(io)?
+        .map(|entry| entry.map(|e| e.path()).map_err(io))
+        .collect::<Result<Vec<_>, _>>()?;
+    paths.sort();
+    Ok(paths)
+}
+
+/// Every `.rs` file under `dir`, depth first over sorted entries — which
+/// is sorted by path, so diagnostics come out in a stable order.
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), CheckError> {
+    for path in read_dir_sorted(dir)? {
         if path.is_dir() {
             collect_rs_files(&path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
@@ -481,11 +351,11 @@ fn package_name(toml: &str) -> Option<String> {
     None
 }
 
-/// Parses `check: allow(<rule>[, reason = "…"])` directives out of plain
+/// Parses `check: allow(<rule>, reason = "…")` directives out of plain
 /// comments (doc comments describe the syntax; they direct nothing). The
-/// rule name runs to the first `,` or `)`; the directive `has_reason`
-/// only when a `reason = "…"` clause with a non-empty quoted string
-/// follows.
+/// rule name runs to the first `,`; a directive is kept only when that
+/// name is a rule in [`Rule::ALL`] and a `reason = "…"` clause with a
+/// non-empty quoted string follows.
 pub(crate) fn allow_directives(lexed: &Lexed) -> Vec<AllowDirective> {
     let mut out = Vec::new();
     for comment in &lexed.comments {
@@ -499,304 +369,28 @@ pub(crate) fn allow_directives(lexed: &Lexed) -> Vec<AllowDirective> {
             continue;
         };
         let rest = comment.text[idx + "check:".len()..].trim_start();
-        let Some(rest) = rest.strip_prefix("allow(") else {
+        let Some((name, clause)) = rest.strip_prefix("allow(").and_then(|r| r.split_once(','))
+        else {
             continue;
         };
-        let name_end = rest.find([',', ')']);
-        let Some(name_end) = name_end else {
+        let Some(rule) = Rule::ALL.into_iter().find(|r| r.name() == name.trim()) else {
             continue;
         };
-        let rule = rest[..name_end].trim().to_string();
-        let mut has_reason = false;
-        if rest.as_bytes()[name_end] == b',' {
-            let clause = rest[name_end + 1..].trim_start();
-            if let Some(clause) = clause.strip_prefix("reason") {
-                let clause = clause.trim_start();
-                if let Some(clause) = clause.strip_prefix('=') {
-                    let clause = clause.trim_start();
-                    if let Some(quoted) = clause.strip_prefix('"') {
-                        has_reason = quoted.find('"').is_some_and(|q| q > 0);
-                    }
-                }
-            }
+        let has_reason = clause
+            .trim_start()
+            .strip_prefix("reason")
+            .and_then(|c| c.trim_start().strip_prefix('='))
+            .and_then(|c| c.trim_start().strip_prefix('"'))
+            .and_then(|q| q.find('"'))
+            .is_some_and(|q| q > 0);
+        if has_reason {
+            out.push(AllowDirective {
+                line: comment.line,
+                rule,
+            });
         }
-        out.push(AllowDirective {
-            line: comment.line,
-            rule,
-            has_reason,
-        });
     }
     out
-}
-
-fn run_token_rules(krate: &CrateAst, config: &LintConfig, out: &mut Vec<Diagnostic>) {
-    let adopted = config.unwrap_adopted.contains(&krate.name);
-    let deterministic = config.deterministic.contains(&krate.name);
-    let println_exempt = config.println_exempt.contains(&krate.name);
-    let traced = config.traced_sends.contains(&krate.name);
-    for file in &krate.files {
-        let kind = krate.kind(file);
-        if adopted && kind.is_lib() {
-            rule_no_unwrap(file, out);
-        }
-        if deterministic {
-            rule_no_wallclock(file, out);
-        }
-        if !println_exempt && kind.is_lib() {
-            rule_no_println(file, out);
-        }
-        if kind.is_root() {
-            rule_forbid_unsafe(file, out);
-        }
-        if traced {
-            rule_no_untraced_fabric_send(file, out);
-        }
-        rule_allow_without_reason(file, out);
-    }
-    rule_error_enums(krate, out);
-}
-
-/// An allow directive without a `reason = "…"` clause, or naming no rule
-/// (a typo, or a rule since deleted) and so suppressing nothing, is
-/// itself a finding: suppressions must be justified in place.
-fn rule_allow_without_reason(file: &FileAst, out: &mut Vec<Diagnostic>) {
-    for allow in &file.allows {
-        let message = if !Rule::ALL.iter().any(|r| r.name() == allow.rule) {
-            format!(
-                "allow({}) names no rule and suppresses nothing; delete it or name a \
-                 rule listed by `wimesh-check rules`",
-                allow.rule
-            )
-        } else if !allow.has_reason {
-            format!(
-                "allow({}) without a reason; write check: allow({}, reason = \"…\")",
-                allow.rule, allow.rule
-            )
-        } else {
-            continue;
-        };
-        push(out, Rule::AllowWithoutReason, file, allow.line, message);
-    }
-}
-
-fn rule_no_unwrap(file: &FileAst, out: &mut Vec<Diagnostic>) {
-    let tokens = &file.tokens;
-    for (i, token) in tokens.iter().enumerate() {
-        let TokenKind::Ident(name) = &token.kind else {
-            continue;
-        };
-        if !matches!(name.as_str(), "unwrap" | "expect" | "expect_err") {
-            continue;
-        }
-        if i > 0 && punct(tokens, i - 1, '.') && punct(tokens, i + 1, '(') {
-            push(
-                out,
-                Rule::NoUnwrapInLib,
-                file,
-                token.line,
-                format!(".{name}() in library code; return the crate's error enum instead"),
-            );
-        }
-    }
-}
-
-fn rule_no_wallclock(file: &FileAst, out: &mut Vec<Diagnostic>) {
-    let tokens = &file.tokens;
-    for (i, token) in tokens.iter().enumerate() {
-        let TokenKind::Ident(name) = &token.kind else {
-            continue;
-        };
-        if name == "Instant"
-            && punct(tokens, i + 1, ':')
-            && punct(tokens, i + 2, ':')
-            && ident(tokens, i + 3) == Some("now")
-        {
-            push(
-                out,
-                Rule::NoWallclockInDeterministic,
-                file,
-                token.line,
-                "Instant::now() in deterministic model code; use the virtual clock".to_string(),
-            );
-        }
-        if name == "SystemTime" {
-            push(
-                out,
-                Rule::NoWallclockInDeterministic,
-                file,
-                token.line,
-                "SystemTime in deterministic model code; use the virtual clock".to_string(),
-            );
-        }
-    }
-}
-
-fn rule_no_println(file: &FileAst, out: &mut Vec<Diagnostic>) {
-    let tokens = &file.tokens;
-    for (i, token) in tokens.iter().enumerate() {
-        let TokenKind::Ident(name) = &token.kind else {
-            continue;
-        };
-        if matches!(
-            name.as_str(),
-            "println" | "print" | "eprintln" | "eprint" | "dbg"
-        ) && punct(tokens, i + 1, '!')
-        {
-            push(
-                out,
-                Rule::NoPrintlnInLib,
-                file,
-                token.line,
-                format!("{name}! in library code; route output through wimesh-obs"),
-            );
-        }
-    }
-}
-
-fn rule_forbid_unsafe(file: &FileAst, out: &mut Vec<Diagnostic>) {
-    // Look for `#![forbid(.. unsafe_code ..)]` anywhere in the root file.
-    let tokens = &file.tokens;
-    let mut found = false;
-    for i in 0..tokens.len() {
-        if punct(tokens, i, '#') && punct(tokens, i + 1, '!') && punct(tokens, i + 2, '[') {
-            if ident(tokens, i + 3) != Some("forbid") {
-                continue;
-            }
-            // Scan to the closing `]` of this attribute for `unsafe_code`.
-            let mut j = i + 4;
-            let mut depth = 1usize;
-            while j < tokens.len() && depth > 0 {
-                match &tokens[j].kind {
-                    TokenKind::Punct('[' | '(') => depth += 1,
-                    TokenKind::Punct(']' | ')') => depth -= 1,
-                    TokenKind::Ident(name) if name == "unsafe_code" => found = true,
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-    }
-    if !found {
-        push(
-            out,
-            Rule::ForbidUnsafeEverywhere,
-            file,
-            1,
-            "crate root is missing #![forbid(unsafe_code)]".to_string(),
-        );
-    }
-}
-
-fn rule_no_untraced_fabric_send(file: &FileAst, out: &mut Vec<Diagnostic>) {
-    // Every `Deliver { .. }` token group — the event's definition, its
-    // constructions and its destructurings alike — must mention a `ctx`
-    // field at the top nesting level of its braces.
-    let tokens = &file.tokens;
-    for (i, token) in tokens.iter().enumerate() {
-        let TokenKind::Ident(name) = &token.kind else {
-            continue;
-        };
-        if name != "Deliver" || !punct(tokens, i + 1, '{') {
-            continue;
-        }
-        // `fn f(..) -> Deliver {` puts a function body, not a field
-        // list, after the name; return-type position is not a send.
-        if i >= 2 && punct(tokens, i - 2, '-') && punct(tokens, i - 1, '>') {
-            continue;
-        }
-        let mut j = i + 2;
-        let mut depth = 1usize;
-        let mut has_ctx = false;
-        while j < tokens.len() && depth > 0 {
-            match &tokens[j].kind {
-                TokenKind::Punct('{') => depth += 1,
-                TokenKind::Punct('}') => depth -= 1,
-                TokenKind::Ident(id) if depth == 1 && id == "ctx" => has_ctx = true,
-                _ => {}
-            }
-            j += 1;
-        }
-        if !has_ctx {
-            push(
-                out,
-                Rule::NoUntracedFabricSend,
-                file,
-                token.line,
-                "Deliver without a `ctx` field; every fabric send must carry a trace context"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-fn rule_error_enums(krate: &CrateAst, out: &mut Vec<Diagnostic>) {
-    // Public `*Error` definitions in library code.
-    let mut defs: Vec<(&FileAst, u32, &str)> = Vec::new();
-    for file in &krate.files {
-        if !krate.kind(file).is_lib() {
-            continue;
-        }
-        let tokens = &file.tokens;
-        for (i, token) in tokens.iter().enumerate() {
-            if ident(tokens, i) != Some("pub") {
-                continue;
-            }
-            if !matches!(ident(tokens, i + 1), Some("enum" | "struct")) {
-                continue;
-            }
-            if let Some(name) = ident(tokens, i + 2).filter(|n| n.ends_with("Error")) {
-                defs.push((file, token.line, name));
-            }
-        }
-    }
-    if defs.is_empty() {
-        return;
-    }
-    // Trait impls anywhere in the crate (`impl fmt::Display for X` lexes
-    // with `Display`, `for`, `X` as consecutive tokens).
-    let mut display_for: BTreeSet<&str> = BTreeSet::new();
-    let mut error_for: BTreeSet<&str> = BTreeSet::new();
-    for file in &krate.files {
-        let tokens = &file.tokens;
-        for i in 0..tokens.len() {
-            if ident(tokens, i + 1) != Some("for") {
-                continue;
-            }
-            let Some(target) = ident(tokens, i + 2) else {
-                continue;
-            };
-            match ident(tokens, i) {
-                Some("Display") => {
-                    display_for.insert(target);
-                }
-                Some("Error") => {
-                    error_for.insert(target);
-                }
-                _ => {}
-            }
-        }
-    }
-    for (file, line, name) in defs {
-        let mut missing = Vec::new();
-        if !display_for.contains(name) {
-            missing.push("Display");
-        }
-        if !error_for.contains(name) {
-            missing.push("std::error::Error");
-        }
-        if !missing.is_empty() {
-            push(
-                out,
-                Rule::ErrorEnumsImplError,
-                file,
-                line,
-                format!(
-                    "public type {name} does not implement {}",
-                    missing.join(" + ")
-                ),
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -813,17 +407,22 @@ mod tests {
 
     #[test]
     fn allow_directive_parsing() {
+        // Only the reasoned directive naming a live rule is kept: a bare
+        // one, one naming a rule moved to clippy, and a doc comment
+        // describing the syntax all suppress nothing.
         let lexed = Lexed::lex(
-            "// check: allow(no-unwrap-in-lib) invariant: always present\nlet x = 1;\n// plain comment\n\
-             /// doc comments describe `// check: allow(<rule>)`, they direct nothing\n",
+            "// check: allow(lock-order-consistency) invariant: always present\nlet x = 1;\n\
+             // check: allow(no-unwrap-in-lib, reason = \"moved to clippy::unwrap_used\")\n\
+             // plain comment\n\
+             /// doc comments describe `// check: allow(<rule>, reason = \"…\")`, they direct nothing\n\
+             // check: allow(journal-precedes-mutation, reason = \"replay\")\n",
         );
         let allows = allow_directives(&lexed);
         assert_eq!(
             allows,
             vec![AllowDirective {
-                line: 1,
-                rule: "no-unwrap-in-lib".to_string(),
-                has_reason: false,
+                line: 6,
+                rule: Rule::JournalPrecedesMutation,
             }]
         );
     }
@@ -831,15 +430,21 @@ mod tests {
     #[test]
     fn allow_directive_with_reason() {
         let lexed = Lexed::lex(
-            "// check: allow(no-unwrap-in-lib, reason = \"slice is never empty\")\n\
-             // check: allow(no-println-in-lib, reason = \"\")\n\
+            "// check: allow(lock-order-consistency, reason = \"guards are scoped\")\n\
+             // check: allow(journal-precedes-mutation, reason = \"\")\n\
              // check: allow(deterministic-iteration, reason=\"order-free fold\")\n",
         );
         let allows = allow_directives(&lexed);
-        assert_eq!(allows.len(), 3);
-        assert!(allows[0].has_reason);
-        assert_eq!(allows[0].rule, "no-unwrap-in-lib");
-        assert!(!allows[1].has_reason, "empty reason counts as missing");
-        assert!(allows[2].has_reason, "spaces around = are optional");
+        let kept: Vec<(u32, Rule)> = allows.iter().map(|a| (a.line, a.rule)).collect();
+        // The empty reason counts as missing; spaces around `=` are optional.
+        assert_eq!(
+            kept,
+            vec![
+                (1, Rule::LockOrderConsistency),
+                (3, Rule::DeterministicIteration)
+            ]
+        );
+        assert!(allows[0].suppresses(Rule::LockOrderConsistency, 2));
+        assert!(!allows[0].suppresses(Rule::DeterministicIteration, 1));
     }
 }

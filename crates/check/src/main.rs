@@ -9,7 +9,11 @@
 //! by default) and exits 0 when clean, 1 when any diagnostic survives, 2
 //! on usage or I/O errors — so `verify.sh` can gate on it directly.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a CLI: findings go to stdout, usage errors to stderr"
+)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

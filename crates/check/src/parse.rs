@@ -10,8 +10,8 @@
 //! token soup).
 //!
 //! Tokens under `#[cfg(test)]` are stripped before parsing, so test code
-//! never contributes events or token-rule findings: the masked regions
-//! are balanced item bodies, which keeps brace tracking intact.
+//! never contributes events: the masked regions are balanced item
+//! bodies, which keeps brace tracking intact.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};

@@ -112,7 +112,7 @@ proptest! {
                 Just("for k in m ".to_string()),
                 Just("let m: HashMap<u32, u32> = ".to_string()),
                 Just("a.load(Ordering::Acquire)".to_string()),
-                Just("// check: allow(no-unwrap-in-lib)".to_string()),
+                Just("// check: allow(lock-order-consistency, reason = \"r\")".to_string()),
                 Just("\n".to_string()),
                 Just("\"str { ) \"".to_string()),
                 Just("#[cfg(test)]".to_string()),

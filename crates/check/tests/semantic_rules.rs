@@ -132,14 +132,6 @@ const SEEDS: &[Seed] = &[
         rule: Rule::LockOrderConsistency,
         findings: 2,
     },
-    // A panic in the gateway worker.
-    Seed {
-        file: "svc/src/service.rs",
-        from: "        self.stats.batches += 1;\n",
-        to: "        self.stats.batches += 1;\n        let _first = batch.first().unwrap();\n",
-        rule: Rule::NoUnwrapInLib,
-        findings: 1,
-    },
     // Each journaled mutation applied before its journal append.
     Seed {
         file: "svc/src/journaled.rs",
@@ -171,8 +163,8 @@ const SEEDS: &[Seed] = &[
     // Hash order leaking into a result in the schedule crate.
     Seed {
         file: "tdma/src/lib.rs",
-        from: "#![forbid(unsafe_code)]\n",
-        to: "#![forbid(unsafe_code)]\n\
+        from: "pub mod render;\n",
+        to: "pub mod render;\n\
              pub fn seeded(map: &std::collections::HashMap<u32, u32>) -> Vec<u32> {\n    \
              let mut out = Vec::new();\n    for (k, _) in map {\n        out.push(*k);\n    }\n    \
              out\n}\n",

@@ -75,10 +75,13 @@ pub fn greedy_coloring(graph: &ConflictGraph) -> Coloring {
                 used[c] = true;
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "pigeonhole: degree(v)+1 candidates, at most degree(v) taken"
+        )]
         let c = used
             .iter()
             .position(|&taken| !taken)
-            // check: allow(no-unwrap-in-lib, reason = "pigeonhole: degree(v)+1 candidates, at most degree(v) taken")
             .expect("degree+1 colors always suffice");
         colors[v] = c;
         color_count = color_count.max(c + 1);

@@ -156,9 +156,12 @@ impl CsrPool {
     /// freed inside the span is headroom, not dead space.
     fn remove_value(&mut self, j: usize, v: usize) {
         let s = self.spans[j];
+        #[expect(
+            clippy::expect_used,
+            reason = "adjacency is symmetric: v is in j's span iff j is in v's"
+        )]
         let pos = self.pool[s.start..s.start + s.len]
             .binary_search(&v)
-            // check: allow(no-unwrap-in-lib, reason = "adjacency is symmetric: v is in j's span iff j is in v's")
             .expect("symmetric edge");
         for k in pos..s.len - 1 {
             self.pool[s.start + k] = self.pool[s.start + k + 1];
@@ -172,9 +175,12 @@ impl CsrPool {
     fn replace_value(&mut self, j: usize, old: usize, new: usize) {
         self.remove_value(j, old);
         let s = self.spans[j];
+        #[expect(
+            clippy::expect_used,
+            reason = "the graph is irreflexive, so `new` cannot already be adjacent"
+        )]
         let pos = self.pool[s.start..s.start + s.len]
             .binary_search(&new)
-            // check: allow(no-unwrap-in-lib, reason = "the graph is irreflexive, so `new` cannot already be adjacent")
             .expect_err("irreflexive");
         for k in (pos..s.len).rev() {
             self.pool[s.start + k + 1] = self.pool[s.start + k];
@@ -282,10 +288,16 @@ impl ConflictGraph {
         let n = links.len();
         let mut edges = Vec::new();
         for i in 0..n {
-            // check: allow(no-unwrap-in-lib, reason = "every id was checked against the topology at entry")
+            #[expect(
+                clippy::expect_used,
+                reason = "every id was checked against the topology at entry"
+            )]
             let li = *topo.link(links[i]).expect("validated above");
             for (j, &link_j) in links.iter().enumerate().skip(i + 1) {
-                // check: allow(no-unwrap-in-lib, reason = "every id was checked against the topology at entry")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every id was checked against the topology at entry"
+                )]
                 let lj = *topo.link(link_j).expect("validated above");
                 if conflicts(topo, &li, &lj, model, hop_dist.as_deref()) {
                     edges.push((i, j));
@@ -403,7 +415,10 @@ impl ConflictGraph {
         if self.index.contains_key(&link) {
             return false;
         }
-        // check: allow(no-unwrap-in-lib, reason = "documented panic contract: callers pass links of `topo`")
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic contract: callers pass links of `topo`"
+        )]
         let new = *topo.link(link).expect("link not in topology");
         // For the protocol model the conflict test needs
         // `hop_distance(a.tx, b.rx)` both ways; BFS from the new link's
@@ -418,7 +433,10 @@ impl ConflictGraph {
         let i = self.links.len();
         let mut nbrs = Vec::new();
         for (j, &lj) in self.links.iter().enumerate() {
-            // check: allow(no-unwrap-in-lib, reason = "vertices were validated when inserted; topologies never drop links")
+            #[expect(
+                clippy::expect_used,
+                reason = "vertices were validated when inserted; topologies never drop links"
+            )]
             let other = *topo.link(lj).expect("existing vertices stay valid");
             let conflict = if new.shares_endpoint(&other) {
                 true
@@ -426,13 +444,19 @@ impl ConflictGraph {
                 match model {
                     InterferenceModel::PrimaryOnly => false,
                     InterferenceModel::Protocol { hops } => {
-                        // check: allow(no-unwrap-in-lib, reason = "dist is Some exactly when the model is Protocol")
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "dist is Some exactly when the model is Protocol"
+                        )]
                         let (from_tx, from_rx) = dist.as_ref().expect("computed above");
                         from_tx[other.rx.index()] <= hops || from_rx[other.tx.index()] <= hops
                     }
                     InterferenceModel::Distance { range_m } => {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "link endpoints are nodes of the same topology"
+                        )]
                         let node =
-                            // check: allow(no-unwrap-in-lib, reason = "link endpoints are nodes of the same topology")
                             |id: NodeId| *topo.node(id).expect("links reference valid nodes");
                         node(new.tx).distance_to(&node(other.rx)) <= range_m
                             || node(other.tx).distance_to(&node(new.rx)) <= range_m
@@ -521,13 +545,19 @@ fn conflicts(
     match model {
         InterferenceModel::PrimaryOnly => false,
         InterferenceModel::Protocol { hops } => {
-            // check: allow(no-unwrap-in-lib, reason = "hop_dist is Some exactly when the model is Protocol")
+            #[expect(
+                clippy::expect_used,
+                reason = "hop_dist is Some exactly when the model is Protocol"
+            )]
             let dist = hop_dist.expect("precomputed for protocol model");
             let d = |t: NodeId, r: NodeId| dist[t.index()][r.index()];
             d(a.tx, b.rx) <= hops || d(b.tx, a.rx) <= hops
         }
         InterferenceModel::Distance { range_m } => {
-            // check: allow(no-unwrap-in-lib, reason = "link endpoints are nodes of the same topology")
+            #[expect(
+                clippy::expect_used,
+                reason = "link endpoints are nodes of the same topology"
+            )]
             let node = |id: NodeId| *topo.node(id).expect("links reference valid nodes");
             node(a.tx).distance_to(&node(b.rx)) <= range_m
                 || node(b.tx).distance_to(&node(a.rx)) <= range_m

@@ -35,7 +35,7 @@
 //! assert!(!cg.are_in_conflict(a, b));
 //! ```
 
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 mod cliques;

@@ -32,6 +32,9 @@ pub enum QosError {
     Config(String),
 }
 
+// `?` and `Box<dyn Error>` need it: a missing impl fails here with E0277.
+const _: fn(&QosError) -> &dyn std::error::Error = |e| e;
+
 impl fmt::Display for QosError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -63,7 +63,7 @@
 //! flows in order; [`QosSession::release`] and [`QosSession::rebalance`]
 //! complete the churn lifecycle.
 
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 mod admission;

@@ -155,10 +155,12 @@ impl MeshQos {
         let model = EmulationModel::new(params)?;
         let mut link_payloads = vec![model.slot_payload_bytes(); topo.link_count()];
         if let RatePolicy::DistanceAdaptive(table) = &rates {
+            #[expect(
+                clippy::expect_used,
+                reason = "MeshTopology guarantees link endpoints are its own nodes"
+            )]
             for link in topo.links() {
-                // check: allow(no-unwrap-in-lib, reason = "MeshTopology guarantees link endpoints are its own nodes")
                 let a = topo.node(link.tx).expect("links reference valid nodes");
-                // check: allow(no-unwrap-in-lib, reason = "MeshTopology guarantees link endpoints are its own nodes")
                 let b = topo.node(link.rx).expect("links reference valid nodes");
                 let d = a.distance_to(b);
                 let rate = table

@@ -717,11 +717,15 @@ impl QosSession {
             }
         }
 
-        Ok(verdicts
+        #[expect(
+            clippy::expect_used,
+            reason = "every index was filled above: vet rejection, coalesced admit, or per-flow placement"
+        )]
+        let verdicts = verdicts
             .into_iter()
-            // check: allow(no-unwrap-in-lib, reason = "every index was filled above: vet rejection, coalesced admit, or per-flow placement")
             .map(|v| v.expect("every spec received a verdict"))
-            .collect())
+            .collect();
+        Ok(verdicts)
     }
 
     /// Exports the session's admission state in a portable,
@@ -1533,8 +1537,11 @@ fn log_reject(log: &mut Vec<(FlowSpec, RejectReason)>, spec: &FlowSpec, reason: 
 }
 
 fn empty_outcome(model: &EmulationModel) -> AdmissionOutcome {
+    #[expect(
+        clippy::expect_used,
+        reason = "no ranges to overflow: an empty schedule fits any frame"
+    )]
     let schedule = Schedule::from_ranges(model.frame(), Default::default())
-        // check: allow(no-unwrap-in-lib, reason = "no ranges to overflow: an empty schedule fits any frame")
         .expect("an empty schedule fits any frame");
     AdmissionOutcome {
         admitted: Vec::new(),

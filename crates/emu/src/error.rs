@@ -33,6 +33,9 @@ pub enum EmuError {
     Config(String),
 }
 
+// `?` and `Box<dyn Error>` need it: a missing impl fails here with E0277.
+const _: fn(&EmuError) -> &dyn std::error::Error = |e| e;
+
 impl fmt::Display for EmuError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -30,7 +30,6 @@
 //! # Ok::<(), wimesh_emu::EmuError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

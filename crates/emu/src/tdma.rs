@@ -200,7 +200,10 @@ impl TdmaSimulation {
     /// Runs the simulation for `duration` of virtual time.
     pub fn run<R: Rng>(&mut self, duration: Duration, rng: &mut R) {
         let _span = wimesh_obs::span!("emu.tdma.run");
-        // check: allow(no-wallclock-in-deterministic, reason = "host wall-time feeds the sim.virtual_per_wall obs gauge only; no simulated state depends on it")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "host wall-time feeds the sim.virtual_per_wall obs gauge only; no simulated state depends on it"
+        )]
         let wall_start = std::time::Instant::now();
         let missed_before = self.missed_slots;
         let mut q: EventQueue<Event> = EventQueue::new();

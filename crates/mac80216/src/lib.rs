@@ -24,7 +24,6 @@
 //! * **Network entry** ([`entry`]): scan, sponsor selection and the NENT
 //!   handshake by which a cold mesh wakes up in waves from the gateway.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csch;

@@ -46,7 +46,7 @@
 //! # Ok::<(), wimesh_milp::SolveError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 mod branch;

@@ -45,7 +45,7 @@ pub(crate) struct VarData {
     pub kind: VarKind,
     pub lb: f64,
     pub ub: f64,
-    #[allow(dead_code)] // names are kept for debugging dumps
+    #[expect(dead_code, reason = "names are kept for debugging dumps")]
     pub name: String,
 }
 
@@ -78,6 +78,9 @@ pub enum SolveError {
         var: VarId,
     },
 }
+
+// `?` and `Box<dyn Error>` need it: a missing impl fails here with E0277.
+const _: fn(&SolveError) -> &dyn std::error::Error = |e| e;
 
 impl fmt::Display for SolveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

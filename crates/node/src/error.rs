@@ -20,6 +20,9 @@ pub enum NodeError {
     Qos(QosError),
 }
 
+// `?` and `Box<dyn Error>` need it: a missing impl fails here with E0277.
+const _: fn(&NodeError) -> &dyn std::error::Error = |e| e;
+
 impl fmt::Display for NodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -38,7 +38,6 @@
 //! assert!(seg.time_to_sync.is_some());
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod error;

@@ -152,8 +152,7 @@ enum Event {
         link: LinkId,
         frame: AirFrame,
         /// Causal trace context carried with the frame; every fabric
-        /// send attaches one (enforced by the `no-untraced-fabric-send`
-        /// lint rule).
+        /// send attaches one (a `Deliver` literal without it is E0063).
         ctx: TraceCtx,
     },
 }

@@ -29,6 +29,9 @@ pub enum MergeError {
     },
 }
 
+// `?` and `Box<dyn Error>` need it: a missing impl fails here with E0277.
+const _: fn(&MergeError) -> &dyn std::error::Error = |e| e;
+
 impl fmt::Display for MergeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -58,7 +58,6 @@
 //! # assert!(sink.span_names().contains(&"demo.inner"));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod flight;

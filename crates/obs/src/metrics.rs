@@ -104,6 +104,9 @@ pub struct SnapshotMergeError {
     pub source: crate::hist::MergeError,
 }
 
+// `?` and `Box<dyn Error>` need it: a missing impl fails here with E0277.
+const _: fn(&SnapshotMergeError) -> &dyn std::error::Error = |e| e;
+
 impl fmt::Display for SnapshotMergeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

@@ -467,6 +467,9 @@ pub struct JsonlError {
     pub reason: String,
 }
 
+// `?` and `Box<dyn Error>` need it: a missing impl fails here with E0277.
+const _: fn(&JsonlError) -> &dyn std::error::Error = |e| e;
+
 impl fmt::Display for JsonlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "jsonl line {}: {}", self.line, self.reason)

@@ -16,7 +16,6 @@
 //! interference range of the receiver during the frame — which reproduces
 //! collisions, binary exponential backoff and hidden terminals.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod airtime;

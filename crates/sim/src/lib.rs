@@ -27,7 +27,6 @@
 //! assert!(matches!(ev, Ev::Arrival(0)));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;

@@ -28,6 +28,9 @@ pub enum SvcError {
     Journal(io::Error),
 }
 
+// `?` and `Box<dyn Error>` need it: a missing impl fails here with E0277.
+const _: fn(&SvcError) -> &dyn std::error::Error = |e| e;
+
 impl fmt::Display for SvcError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

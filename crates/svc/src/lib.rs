@@ -27,7 +27,7 @@
 //!   [`ScheduleView`]s, so data-plane readers poll the live schedule
 //!   wait-free in the steady state while the worker solves.
 
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 mod error;

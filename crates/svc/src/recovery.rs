@@ -52,6 +52,9 @@ pub enum RecoveryError {
     Io(io::Error),
 }
 
+// `?` and `Box<dyn Error>` need it: a missing impl fails here with E0277.
+const _: fn(&RecoveryError) -> &dyn std::error::Error = |e| e;
+
 impl fmt::Display for RecoveryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

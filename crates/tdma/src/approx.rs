@@ -191,7 +191,10 @@ pub fn lp_rounded_order(
         let v = relaxed.value(var);
         let rounded = v > 0.5;
         order.set(i, j, rounded);
-        // check: allow(no-unwrap-in-lib, reason = "hop_order ranks every graph vertex (ties broken by LinkId), so every edge is decided")
+        #[expect(
+            clippy::expect_used,
+            reason = "hop_order ranks every graph vertex (ties broken by LinkId), so every edge is decided"
+        )]
         let want = target.before(i, j).expect("hop order decides every edge");
         if want != rounded {
             disagreements.push((i, j, (v - 0.5).abs()));
@@ -229,7 +232,10 @@ pub fn lp_rounded_order(
                 }
                 let take = batch.min(disagreements.len() - flipped);
                 for &(i, j, _) in &disagreements[flipped..flipped + take] {
-                    // check: allow(no-unwrap-in-lib, reason = "same total hop order as above: every edge is decided")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "same total hop order as above: every edge is decided"
+                    )]
                     let want = target.before(i, j).expect("hop order decides every edge");
                     order.set(i, j, want);
                 }

@@ -34,6 +34,9 @@ pub enum ScheduleError {
     Infeasible,
 }
 
+// `?` and `Box<dyn Error>` need it: a missing impl fails here with E0277.
+const _: fn(&ScheduleError) -> &dyn std::error::Error = |e| e;
+
 impl fmt::Display for ScheduleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -253,16 +253,25 @@ fn bellman_ford_starts(
     };
     // Walk predecessors n times to land on the cycle, then collect it.
     let mut v = start;
+    #[expect(
+        clippy::expect_used,
+        reason = "a vertex relaxed in round n has a predecessor by construction"
+    )]
     for _ in 0..n {
-        // check: allow(no-unwrap-in-lib, reason = "a vertex relaxed in round n has a predecessor by construction")
         v = pred[v].expect("relaxed vertices have predecessors");
     }
     let mut cycle = vec![v];
-    // check: allow(no-unwrap-in-lib, reason = "v was reached by a predecessor walk, so pred[v] is set")
+    #[expect(
+        clippy::expect_used,
+        reason = "v was reached by a predecessor walk, so pred[v] is set"
+    )]
     let mut cur = pred[v].expect("on cycle");
+    #[expect(
+        clippy::expect_used,
+        reason = "every vertex of the positive cycle has a predecessor on it"
+    )]
     while cur != v {
         cycle.push(cur);
-        // check: allow(no-unwrap-in-lib, reason = "every vertex of the positive cycle has a predecessor on it")
         cur = pred[cur].expect("on cycle");
     }
     cycle.reverse();

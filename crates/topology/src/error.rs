@@ -28,6 +28,9 @@ pub enum TopologyError {
     EmptyPath,
 }
 
+// `?` and `Box<dyn Error>` need it: a missing impl fails here with E0277.
+const _: fn(&TopologyError) -> &dyn std::error::Error = |e| e;
+
 impl fmt::Display for TopologyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -32,7 +32,6 @@
 //! assert_eq!(path.hop_count(), 3);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

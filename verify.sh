@@ -51,19 +51,17 @@ cargo test -q -p wimesh-svc --test journal_decode
 # The serde feature must keep round-tripping the persistable types the
 # journal depends on (SessionState, FlowSpec, schedules, stats).
 cargo test -q -p wimesh --features serde --test serde_feature
-# Workspace lint, one pass over one parse per file: the token rules (no
-# unwrap in adopted library crates, no wall-clock in deterministic code,
-# forbid(unsafe_code) roots, error enums implementing Error, no stray
-# printing, traced fabric sends, reasoned allows naming a real rule) and
-# the call-graph rules (journal-precedes-mutation, lock order,
-# hash-iteration determinism) must all hold.
+# Workspace lint, one pass over one parse per file: the three call-graph
+# rules (journal-precedes-mutation, lock order, hash-iteration
+# determinism) must hold. Token-level rules are the compiler's (clippy
+# step below; DESIGN §3.10).
 cargo run -p wimesh-check --release -- lint --workspace
 # The certifier must keep rejecting every mutated schedule; every rule
 # must keep firing at exact file:line on its fixture crate and on
-# violations seeded into a copy of the real tree; the parser must
-# survive every workspace file plus fuzz input; the CLI must keep its
-# 0/1/2 exit codes. Run each suite by name so a filter typo can't skip
-# one.
+# violations seeded into a copy of the real tree; every crate must opt
+# into [workspace.lints]; the parser must survive every workspace file
+# plus fuzz input; the CLI must keep its 0/1/2 exit codes and list three
+# rules. Run each suite by name so a filter typo can't skip one.
 cargo test -q -p wimesh-check --test certifier_mutations
 cargo test -q -p wimesh-check --test lint_rules
 cargo test -q -p wimesh-check --test semantic_rules
@@ -89,6 +87,13 @@ cargo test -q -p wimesh --features checked --test session_delta_equivalence
 # that the root build does not see: its harness tests (metric names in
 # step with BENCHMARK.json, generators, percentile maths) run here.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# Clippy over lib and bin targets carries the repo's former token rules:
+# [workspace.lints] (forbid unsafe_code, print_stdout/print_stderr/
+# dbg_macro, allow_attributes and allow_attributes_without_reason, so
+# every suppression is a reasoned #[expect] and a stale one fails),
+# unwrap_used/expect_used at the six adopted crate roots, and
+# disallowed_methods (Instant::now, SystemTime::now) from the
+# clippy.toml of sim, emu and node. No --all-targets: tests may unwrap.
 cargo clippy --workspace -- -D warnings
 cargo fmt --check
 # API docs must build warning-clean (covers the vendored stand-ins too).
