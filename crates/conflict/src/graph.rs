@@ -274,37 +274,34 @@ impl ConflictGraph {
         model: InterferenceModel,
     ) -> Self {
         let mut index = HashMap::with_capacity(links.len());
+        let mut ends = Vec::with_capacity(links.len());
         for (i, &l) in links.iter().enumerate() {
-            assert!(topo.link(l).is_some(), "link {l} not in topology");
+            let Some(&link) = topo.link(l) else {
+                panic!("link {l} not in topology");
+            };
+            ends.push(link);
             let prev = index.insert(l, i);
             assert!(prev.is_none(), "duplicate link {l} in active set");
         }
         // Precompute pairwise hop distances between link endpoints when the
         // protocol model needs them.
-        let hop_dist = match model {
-            InterferenceModel::Protocol { hops } => Some(all_pairs_hop_distance(topo, hops + 1)),
-            _ => None,
+        let hop_dist: Vec<Vec<usize>> = match model {
+            InterferenceModel::Protocol { hops } => topo
+                .node_ids()
+                .map(|src| hop_distances(topo, src, hops, false))
+                .collect(),
+            _ => Vec::new(),
         };
-        let n = links.len();
+        let d = |t: NodeId, r: NodeId| hop_dist[t.index()][r.index()];
         let mut edges = Vec::new();
-        for i in 0..n {
-            #[expect(
-                clippy::expect_used,
-                reason = "every id was checked against the topology at entry"
-            )]
-            let li = *topo.link(links[i]).expect("validated above");
-            for (j, &link_j) in links.iter().enumerate().skip(i + 1) {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "every id was checked against the topology at entry"
-                )]
-                let lj = *topo.link(link_j).expect("validated above");
-                if conflicts(topo, &li, &lj, model, hop_dist.as_deref()) {
+        for (i, a) in ends.iter().enumerate() {
+            for (j, b) in ends.iter().enumerate().skip(i + 1) {
+                if conflicts(topo, a, b, model, || (d(a.tx, b.rx), d(b.tx, a.rx))) {
                     edges.push((i, j));
                 }
             }
         }
-        let adj = CsrPool::from_edges(n, &edges);
+        let adj = CsrPool::from_edges(links.len(), &edges);
         Self {
             links,
             index,
@@ -392,16 +389,11 @@ impl ConflictGraph {
         })
     }
 
-    /// Adds `link` as a new vertex, computing its conflicts against the
-    /// existing vertices only — `O(V)` conflict checks plus (for the
-    /// protocol model) two bounded BFS runs, instead of the `O(V^2)`
-    /// full rebuild.
-    ///
-    /// The new vertex gets the highest dense index. Returns `false`
-    /// (leaving the graph untouched) when `link` is already a vertex.
-    ///
-    /// `topo` and `model` must be the same the graph was built with;
-    /// mixing models yields a graph neither model describes.
+    /// Adds `link` as a new vertex with the conflicts [`conflicting_links`]
+    /// finds for it ([`ConflictGraph::insert_conflicting`]): two bounded
+    /// BFS runs and one scan of the topology's links, instead of the
+    /// `O(V^2)` full rebuild. `topo` and `model` must be the ones the graph
+    /// was built with; mixing models yields a graph neither describes.
     ///
     /// # Panics
     ///
@@ -412,63 +404,31 @@ impl ConflictGraph {
         link: LinkId,
         model: InterferenceModel,
     ) -> bool {
+        !self.index.contains_key(&link)
+            && self.insert_conflicting(link, &conflicting_links(topo, link, model))
+    }
+
+    /// Adds `link` as a new vertex joined to the vertices among
+    /// `conflicting`: the list [`conflicting_links`] returns for `link`
+    /// (ascending by id) over the topology and model the graph was built
+    /// with. A caller that inserts the same link many times computes the
+    /// list once; the insert is then one scan of the vertex set.
+    ///
+    /// The new vertex gets the highest dense index. Returns `false`
+    /// (leaving the graph untouched) when `link` is already a vertex.
+    pub fn insert_conflicting(&mut self, link: LinkId, conflicting: &[LinkId]) -> bool {
         if self.index.contains_key(&link) {
             return false;
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "documented panic contract: callers pass links of `topo`"
-        )]
-        let new = *topo.link(link).expect("link not in topology");
-        // For the protocol model the conflict test needs
-        // `hop_distance(a.tx, b.rx)` both ways; BFS from the new link's
-        // endpoints answers every pairing with an existing link.
-        let dist = match model {
-            InterferenceModel::Protocol { hops } => Some((
-                hop_distance_from(topo, new.tx, hops + 1),
-                hop_distance_from(topo, new.rx, hops + 1),
-            )),
-            _ => None,
-        };
         let i = self.links.len();
         let mut nbrs = Vec::new();
-        for (j, &lj) in self.links.iter().enumerate() {
-            #[expect(
-                clippy::expect_used,
-                reason = "vertices were validated when inserted; topologies never drop links"
-            )]
-            let other = *topo.link(lj).expect("existing vertices stay valid");
-            let conflict = if new.shares_endpoint(&other) {
-                true
-            } else {
-                match model {
-                    InterferenceModel::PrimaryOnly => false,
-                    InterferenceModel::Protocol { hops } => {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "dist is Some exactly when the model is Protocol"
-                        )]
-                        let (from_tx, from_rx) = dist.as_ref().expect("computed above");
-                        from_tx[other.rx.index()] <= hops || from_rx[other.tx.index()] <= hops
-                    }
-                    InterferenceModel::Distance { range_m } => {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "link endpoints are nodes of the same topology"
-                        )]
-                        let node =
-                            |id: NodeId| *topo.node(id).expect("links reference valid nodes");
-                        node(new.tx).distance_to(&node(other.rx)) <= range_m
-                            || node(other.tx).distance_to(&node(new.rx)) <= range_m
-                    }
-                }
-            };
-            if conflict {
+        for (j, lj) in self.links.iter().enumerate() {
+            if conflicting.binary_search(lj).is_ok() {
                 self.adj.append_max(j, i); // i is the largest index: stays sorted
                 nbrs.push(j);
-                self.edge_count += 1;
             }
         }
+        self.edge_count += nbrs.len();
         self.links.push(link);
         self.index.insert(link, i);
         self.adj.push_span(&nbrs); // ascending by construction
@@ -531,27 +491,65 @@ impl ConflictGraph {
     }
 }
 
-/// Decides whether two distinct links conflict under `model`.
+/// Every link of `topo` that conflicts with `link` under `model`,
+/// ascending by id (`link` itself excluded): the neighbourhood a vertex
+/// for `link` has in any conflict graph over `topo` and `model`,
+/// restricted to that graph's vertices. It depends on the topology and the
+/// model alone, so a caller inserting one link many times computes it once
+/// ([`ConflictGraph::insert_conflicting`]). The cost is two BFS runs
+/// bounded at the protocol radius and one scan of the topology's links.
+///
+/// # Panics
+///
+/// Panics if `link` is not in `topo`.
+pub fn conflicting_links(
+    topo: &MeshTopology,
+    link: LinkId,
+    model: InterferenceModel,
+) -> Vec<LinkId> {
+    let Some(&new) = topo.link(link) else {
+        panic!("link {link} not in topology");
+    };
+    // The protocol test needs `hop_distance(new.tx, other.rx)` and
+    // `hop_distance(other.tx, new.rx)` for every other link: one BFS out
+    // of `new.tx`, one into `new.rx`.
+    let (from_tx, to_rx) = match model {
+        InterferenceModel::Protocol { hops } => (
+            hop_distances(topo, new.tx, hops, false),
+            hop_distances(topo, new.rx, hops, true),
+        ),
+        _ => Default::default(),
+    };
+    topo.links()
+        .iter()
+        .filter(|other| {
+            other.id != link
+                && conflicts(topo, &new, other, model, || {
+                    (from_tx[other.rx.index()], to_rx[other.tx.index()])
+                })
+        })
+        .map(|other| other.id)
+        .collect()
+}
+
+/// Decides whether two distinct links conflict under `model` — the one
+/// place the conflict rules are written. `hops` gives the hop distances
+/// `a.tx -> b.rx` and `b.tx -> a.rx`; only the protocol model asks.
 fn conflicts(
     topo: &MeshTopology,
     a: &Link,
     b: &Link,
     model: InterferenceModel,
-    hop_dist: Option<&[Vec<usize>]>,
+    hops: impl FnOnce() -> (usize, usize),
 ) -> bool {
     if a.shares_endpoint(b) {
         return true;
     }
     match model {
         InterferenceModel::PrimaryOnly => false,
-        InterferenceModel::Protocol { hops } => {
-            #[expect(
-                clippy::expect_used,
-                reason = "hop_dist is Some exactly when the model is Protocol"
-            )]
-            let dist = hop_dist.expect("precomputed for protocol model");
-            let d = |t: NodeId, r: NodeId| dist[t.index()][r.index()];
-            d(a.tx, b.rx) <= hops || d(b.tx, a.rx) <= hops
+        InterferenceModel::Protocol { hops: radius } => {
+            let (a_to_b, b_to_a) = hops();
+            a_to_b <= radius || b_to_a <= radius
         }
         InterferenceModel::Distance { range_m } => {
             #[expect(
@@ -565,9 +563,10 @@ fn conflicts(
     }
 }
 
-/// BFS hop distances from one source, truncated at `cap` (distances
-/// greater than `cap` are reported as `cap + 1`).
-fn hop_distance_from(topo: &MeshTopology, src: NodeId, cap: usize) -> Vec<usize> {
+/// BFS hop distances from `src` over outgoing links, or to `src` over
+/// incoming links when `inbound`, truncated at `cap` (distances greater
+/// than `cap` are reported as `cap + 1`).
+fn hop_distances(topo: &MeshTopology, src: NodeId, cap: usize, inbound: bool) -> Vec<usize> {
     let mut row = vec![cap + 1; topo.node_count()];
     row[src.index()] = 0;
     let mut queue = std::collections::VecDeque::from([src]);
@@ -576,7 +575,14 @@ fn hop_distance_from(topo: &MeshTopology, src: NodeId, cap: usize) -> Vec<usize>
         if d == cap {
             continue;
         }
-        for v in topo.neighbors(u) {
+        let step = if inbound {
+            topo.in_links(u)
+        } else {
+            topo.out_links(u)
+        };
+        for l in step {
+            let link = &topo.links()[l.index()];
+            let v = if inbound { link.tx } else { link.rx };
             if row[v.index()] > d + 1 {
                 row[v.index()] = d + 1;
                 queue.push_back(v);
@@ -584,32 +590,6 @@ fn hop_distance_from(topo: &MeshTopology, src: NodeId, cap: usize) -> Vec<usize>
         }
     }
     row
-}
-
-/// BFS hop distances between all node pairs, truncated at `cap` (distances
-/// greater than `cap` are reported as `cap + 1`). Truncation keeps the
-/// computation `O(V * (V + E))` but bounded per query radius.
-fn all_pairs_hop_distance(topo: &MeshTopology, cap: usize) -> Vec<Vec<usize>> {
-    let n = topo.node_count();
-    let mut all = vec![vec![cap + 1; n]; n];
-    for src in topo.node_ids() {
-        let row = &mut all[src.index()];
-        row[src.index()] = 0;
-        let mut queue = std::collections::VecDeque::from([src]);
-        while let Some(u) = queue.pop_front() {
-            let d = row[u.index()];
-            if d == cap {
-                continue;
-            }
-            for v in topo.neighbors(u) {
-                if row[v.index()] > d + 1 {
-                    row[v.index()] = d + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-    }
-    all
 }
 
 #[cfg(test)]

@@ -145,9 +145,9 @@ pub struct AdmissionOutcome {
     /// vertex — and the outcome carries no graph. A batch outcome's
     /// indices are those of [`ConflictGraph::build_for_links`] over
     /// `schedule.links()` (ascending), so a caller can rebuild the graph
-    /// and lay the order out again. A session's snapshot follows the
-    /// session's own, history-dependent numbering: read its order through
-    /// [`crate::QosSession::export_state`]'s `warm_pairs` instead.
+    /// and lay the order out again. A session's snapshot leaves it empty:
+    /// its order is the schedule's start order, read as link pairs through
+    /// [`crate::QosSession::export_state`]'s `warm_pairs`.
     pub order: TransmissionOrder,
     /// Minislots consumed by the guaranteed region (the makespan).
     pub guaranteed_slots: u32,

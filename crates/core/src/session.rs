@@ -19,8 +19,8 @@
 //!   floating-point sum taken in admission order is bit-identical to the
 //!   from-scratch one, and to a restored session's);
 //! * the **conflict graph** gains and loses vertices only along those
-//!   routes; a rejected admit rolls back by the inverse delta, the same
-//!   code a release runs;
+//!   routes, each link's conflicts found once per session; a rejected
+//!   admit rolls back by the inverse delta, the same code a release runs;
 //! * per flow, its [`AdmittedFlow`] record, updated in place — the
 //!   deadline check and the published delay bound come from one walk of
 //!   the route over the per-link start times;
@@ -49,10 +49,10 @@
 //! pins the exact search to a bound-free linear scan; and
 //! `tests/session_equivalence.rs` pins a churned session to a fresh one.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
-use wimesh_conflict::{heaviest_clique, ConflictGraph};
+use wimesh_conflict::{conflicting_links, heaviest_clique, ConflictGraph};
 use wimesh_emu::EmulationModel;
 use wimesh_milp::SolverConfig;
 use wimesh_sim::FlowId;
@@ -263,6 +263,9 @@ struct LinkState {
     /// succeeds publishes it in the schedule; the next one recomputes it
     /// either way.
     trial: Option<SlotRange>,
+    /// The topology links conflicting with this one, found when it first
+    /// joins the graph: they depend on the topology and the model alone.
+    conflicting: Option<Vec<LinkId>>,
 }
 
 /// What the session keeps per admitted flow beside its [`AdmittedFlow`].
@@ -276,9 +279,9 @@ struct FlowMeta {
     budget: Option<u64>,
 }
 
-/// A schedule, the order realising it, and the guaranteed region it
-/// occupies.
-type Layout = (Schedule, TransmissionOrder, u32);
+/// A schedule and the guaranteed region it occupies. The order realising
+/// it is its start order ([`QosSession::published_pairs`]).
+type Layout = (Schedule, u32);
 
 /// Buffers the per-operation passes reuse, so that none of them
 /// allocates once the session has seen its working set.
@@ -293,9 +296,6 @@ struct Scratch {
     /// link in the sweep, and where its trial range ends.
     turn: Vec<u32>,
     end: Vec<u64>,
-    /// The graph's vertex numbering before a release changed it: what the
-    /// published order's bits are keyed by until the release publishes.
-    numbering: Vec<LinkId>,
     /// Worst-case delay of every admitted flow under the trial layout.
     delays: Vec<Duration>,
 }
@@ -360,6 +360,7 @@ pub struct QosSession {
     /// Under [`OrderPolicy::TreeOrder`], the tree rank of every link, or
     /// why the gateway has no routing tree.
     tree_ranks: Option<Result<Vec<u64>, String>>,
+    /// What is published; `order` stays empty ([`Layout`]).
     outcome: AdmissionOutcome,
     stats: SessionStats,
     scratch: Scratch,
@@ -485,10 +486,9 @@ impl QosSession {
             Err(reason) => return Ok(self.reject(spec, reason)),
         };
 
-        let warm = self.search_warm_start();
         let base = self.outcome.admitted.len();
         self.enter([candidate]);
-        match self.solve(warm.as_deref()) {
+        match self.solve(base > 0) {
             Ok(layout) => {
                 self.publish_admitted(base, layout, "admit");
                 Ok(FlowAdmission::Admitted(self.outcome.admitted[base].clone()))
@@ -580,12 +580,11 @@ impl QosSession {
     /// the batch API promises that a flow's verdict depends only on the
     /// flows placed before it.
     ///
-    /// The session's outcome is returned with two repairs. `rejected` is
+    /// The session's outcome is returned with two additions. `rejected` is
     /// rebuilt from the verdicts — complete and in input order, where the
-    /// session keeps a capped log in decision order. `order` is re-keyed
-    /// from the session's vertex numbering, which follows the insertions
-    /// and roll-backs of this run, to the ascending numbering a caller can
-    /// rebuild from the schedule alone.
+    /// session keeps a capped log in decision order. `order`, which a
+    /// session leaves empty, is laid over the ascending numbering a caller
+    /// can rebuild from the schedule alone.
     pub(crate) fn admit_fresh(
         mesh: &MeshQos,
         flows: &[(FlowSpec, Option<Path>)],
@@ -595,7 +594,14 @@ impl QosSession {
         let mut session = Self::new(mesh.clone(), policy);
         let routed = flows.iter().map(|(spec, path)| (spec, path.as_ref()));
         let verdicts = session.place_batch(routed, false)?;
+        let ascending = ConflictGraph::build_for_links(
+            mesh.topology(),
+            session.outcome.schedule.links().collect(),
+            mesh.interference(),
+        );
+        let pairs = session.published_pairs(&ascending);
         let mut outcome = session.outcome;
+        outcome.order = TransmissionOrder::from_link_pairs(&ascending, &pairs);
         outcome.rejected = flows
             .iter()
             .zip(verdicts)
@@ -604,13 +610,6 @@ impl QosSession {
                 FlowAdmission::Admitted(_) => None,
             })
             .collect();
-        let ascending = ConflictGraph::build_for_links(
-            mesh.topology(),
-            outcome.schedule.links().collect(),
-            mesh.interference(),
-        );
-        let pairs = outcome.order.link_pairs(&session.graph);
-        outcome.order = TransmissionOrder::from_link_pairs(&ascending, &pairs);
         Ok(outcome)
     }
 
@@ -651,7 +650,6 @@ impl QosSession {
         if !candidates.is_empty() {
             // Optimistic coalesced solve: accepted set plus the whole
             // batch in one search.
-            let warm = self.search_warm_start();
             let base = self.outcome.admitted.len();
             // The batch's links join the graph only for a reader: the
             // coalesced solve, or the greedy ranking against joint demand.
@@ -660,7 +658,7 @@ impl QosSession {
                 self.settle();
             }
             let whole = if coalesce {
-                self.solve(warm.as_deref())
+                self.solve(base > 0)
             } else {
                 Err(ScheduleError::Infeasible)
             };
@@ -732,11 +730,11 @@ impl QosSession {
     /// graph-independent form — see [`SessionState`] and
     /// [`MeshQos::restore_session`].
     pub fn export_state(&self) -> SessionState {
-        // Canonical pair order: the bits are listed by the conflict
-        // graph's vertex numbering, which depends on the insertions and
-        // roll-backs that built the graph — equal states must compare equal
-        // whatever history produced them.
-        let mut warm_pairs = self.published_pairs(self.graph.links());
+        // Canonical pair order: the pairs come out in the conflict graph's
+        // vertex numbering, which depends on the insertions and roll-backs
+        // that built the graph — equal states must compare equal whatever
+        // history produced them.
+        let mut warm_pairs = self.published_pairs(&self.graph);
         warm_pairs.sort_unstable();
         SessionState {
             policy: self.policy,
@@ -765,9 +763,11 @@ impl QosSession {
     /// # Errors
     ///
     /// [`QosError::Config`] when the state disagrees with this mesh:
-    /// missing links, changed reservations, a flow id listed twice,
+    /// missing links, changed reservations, a flow id listed twice, slot
+    /// ranges not strictly ascending by link or past the frame,
     /// conflicting or short slot grants, a makespan that contradicts the
-    /// recorded guaranteed region.
+    /// recorded guaranteed region, order pairs the schedule does not
+    /// follow.
     pub(crate) fn from_state(mesh: MeshQos, state: &SessionState) -> Result<Self, QosError> {
         let mut accepted = Vec::with_capacity(state.flows.len());
         let mut ids = HashSet::with_capacity(state.flows.len());
@@ -818,8 +818,8 @@ impl QosSession {
         let mut session = Self::new(mesh, state.policy);
         session.load(accepted);
 
-        let ranges: BTreeMap<LinkId, SlotRange> = state.ranges.iter().copied().collect();
-        let schedule = Schedule::from_ranges(session.mesh.model().frame(), ranges)?;
+        let schedule = Schedule::from_sorted(session.mesh.model().frame(), state.ranges.clone())
+            .map_err(|e| QosError::Config(format!("restored schedule: {e}")))?;
         let demand_of = |l: LinkId| session.links.get(l.index()).map_or(0, |s| s.demand);
         for l in schedule.links() {
             if demand_of(l) == 0 {
@@ -850,9 +850,15 @@ impl QosSession {
             )));
         }
 
-        let ord = TransmissionOrder::from_link_pairs(&session.graph, &state.warm_pairs);
         session.adopt(&schedule)?;
-        session.publish((schedule, ord, state.guaranteed_slots));
+        session.publish((schedule, state.guaranteed_slots));
+        // A restored session exports the state it came from: all that can
+        // still differ are order pairs other than the schedule's own.
+        if session.export_state() != *state {
+            return Err(QosError::Config(
+                "restored order pairs contradict the schedule".into(),
+            ));
+        }
         session.certify("restore");
         session.promise_slos(0);
         Ok(session)
@@ -885,12 +891,6 @@ impl QosSession {
             return Ok(false);
         };
         let _span = wimesh_obs::span!("session.release");
-        // Vertex removal renumbers the graph: the published order's bits
-        // stay readable through the numbering they were built against.
-        self.scratch.numbering.clear();
-        self.scratch.numbering.extend_from_slice(self.graph.links());
-        let warm = self.search_warm_start();
-
         let removed = self.outcome.admitted.remove(pos);
         let removed_meta = self.meta.remove(pos);
         detach(
@@ -901,16 +901,14 @@ impl QosSession {
         );
         self.settle();
 
-        let layout = match self.solve(warm.as_deref()) {
+        let layout = match self.solve(true) {
             Ok(layout) => layout,
             Err(e) => {
-                let previous = self.published_pairs(&self.scratch.numbering);
-                if let Some(kept) = self.keep_previous_order(&previous) {
+                if let Some(kept) = self.keep_previous_order() {
                     kept
                 } else {
                     // The inverse delta: the flow goes back where it was;
-                    // the published schedule is still valid. Its order is
-                    // re-keyed to the numbering the re-inserted vertices got.
+                    // the published schedule and order are still valid.
                     attach(
                         &mut self.links,
                         &mut self.scratch.touched,
@@ -921,7 +919,6 @@ impl QosSession {
                     self.outcome.admitted.insert(pos, removed);
                     self.meta.insert(pos, removed_meta);
                     self.settle();
-                    self.outcome.order = TransmissionOrder::from_link_pairs(&self.graph, &previous);
                     return Err(e.into());
                 }
             }
@@ -935,19 +932,19 @@ impl QosSession {
         Ok(true)
     }
 
-    /// The release fallback of the heuristic policies: the order that
-    /// scheduled the superset (`previous`, as link pairs), restricted to
-    /// the links still carrying demand, under the same frame and deadline
-    /// checks as a fresh solve. On success the kept layout is the trial
-    /// layout.
-    fn keep_previous_order(&mut self, previous: &[(LinkId, LinkId)]) -> Option<Layout> {
+    /// The release fallback of the heuristic policies: the published
+    /// order, which scheduled the superset, laid over the post-removal
+    /// graph, under the same frame and deadline checks as a fresh solve.
+    /// On success the kept layout is the trial layout.
+    fn keep_previous_order(&mut self) -> Option<Layout> {
         if !matches!(
             self.policy,
             OrderPolicy::HopOrder | OrderPolicy::TreeOrder { .. }
         ) {
             return None;
         }
-        let previous = TransmissionOrder::from_link_pairs(&self.graph, previous);
+        let previous = self.published_pairs(&self.graph);
+        let previous = TransmissionOrder::from_link_pairs(&self.graph, &previous);
         let frame = self.mesh.model().frame();
         let (demands, reqs) = (self.demands(), self.requirements());
         let kept = validate_order_within(
@@ -961,7 +958,7 @@ impl QosSession {
         wimesh_obs::counter_inc("session.release.kept_order");
         self.adopt(&kept.schedule).ok()?;
         let used = kept.schedule.makespan();
-        Some((kept.schedule, kept.order, used))
+        Some((kept.schedule, used))
     }
 
     /// Recomputes everything from scratch: re-places the current flows on
@@ -998,14 +995,14 @@ impl QosSession {
         }
         // The graph is rebuilt over the demand links in ascending id order
         // — the numbering a batch outcome's order is keyed by, so its bits
-        // map onto identical dense indices.
+        // read as the right link pairs.
         self.load(cold.admitted.into_iter().map(|f| Accepted {
             spec: f.spec,
             path: f.path,
             slots_per_link: f.slots_per_link,
         }));
         self.adopt(&cold.schedule)?;
-        self.publish((cold.schedule, cold.order, cold.guaranteed_slots));
+        self.publish((cold.schedule, cold.guaranteed_slots));
         self.certify("rebalance");
         self.promise_slos(0);
         Ok(&self.outcome)
@@ -1026,29 +1023,21 @@ impl QosSession {
         }
     }
 
-    /// The warm start an exact search over the current admitted set gets:
-    /// the published order as link pairs, keyed by the graph as it stands
-    /// (call before a delta renumbers it). `None` for the other policies,
-    /// and while nothing is admitted.
-    fn search_warm_start(&self) -> Option<Vec<(LinkId, LinkId)>> {
-        (self.policy == OrderPolicy::ExactMilp && !self.outcome.admitted.is_empty())
-            .then(|| self.published_pairs(self.graph.links()))
-    }
-
-    /// The published order as `(earlier, later)` link pairs, read through
-    /// the vertex numbering its bits were built against.
-    fn published_pairs(&self, numbering: &[LinkId]) -> Vec<(LinkId, LinkId)> {
-        self.outcome
-            .order
-            .iter()
-            .map(|((i, j), before)| {
-                if before {
-                    (numbering[i], numbering[j])
-                } else {
-                    (numbering[j], numbering[i])
-                }
-            })
-            .collect()
+    /// The published order over the conflict edges of `graph` between
+    /// links the published schedule holds, as `(earlier, later)` link
+    /// pairs: of two conflicting links the one starting first transmits
+    /// first. Every layout the session publishes (a rank sweep, an exact,
+    /// LP-rounded or kept order, a recorded state) follows its order.
+    fn published_pairs(&self, graph: &ConflictGraph) -> Vec<(LinkId, LinkId)> {
+        let schedule = &self.outcome.schedule;
+        let start_of = |l| Some(schedule.slot_range(l)?.start);
+        let start: Vec<Option<u32>> = graph.links().iter().map(|&l| start_of(l)).collect();
+        let key = |v: usize| Some((start[v]?, graph.link_at(v)));
+        let pair = |(i, j)| {
+            let (x, y) = (key(i)?, key(j)?);
+            Some((x.min(y).1, x.max(y).1))
+        };
+        graph.edges().filter_map(pair).collect()
     }
 
     /// Appends vetted flows to the admitted set and applies the delta of
@@ -1108,9 +1097,13 @@ impl QosSession {
         // so the numbering (which the exact search's model follows) is
         // the one the session always produced.
         for &l in &flipped {
-            if self.links[l.index()].demand > 0 {
-                self.graph
-                    .insert_vertex(self.mesh.topology(), l, self.mesh.interference());
+            let state = &mut self.links[l.index()];
+            if state.demand > 0 {
+                let (topo, model) = (self.mesh.topology(), self.mesh.interference());
+                let conflicting = state
+                    .conflicting
+                    .get_or_insert_with(|| conflicting_links(topo, l, model));
+                self.graph.insert_conflicting(l, conflicting);
                 self.count_graph_update();
             }
         }
@@ -1234,13 +1227,14 @@ impl QosSession {
 
     /// One scheduling decision over the current per-link state: on
     /// success the trial ranges and `scratch.delays` hold the layout that
-    /// is returned, ready for [`QosSession::publish`].
-    fn solve(&mut self, warm: Option<&[(LinkId, LinkId)]>) -> Result<Layout, ScheduleError> {
+    /// is returned, ready for [`QosSession::publish`]. An exact search
+    /// starts `warm` from the published order when asked to.
+    fn solve(&mut self, warm: bool) -> Result<Layout, ScheduleError> {
         // A demand-free flow set schedules trivially.
         if self.demanded.is_empty() {
             self.scratch.delays.clear();
-            let schedule = Schedule::from_ranges(self.mesh.model().frame(), BTreeMap::new())?;
-            return Ok((schedule, TransmissionOrder::new(), 0));
+            let schedule = Schedule::from_sorted(self.mesh.model().frame(), Vec::new())?;
+            return Ok((schedule, 0));
         }
         let frame = self.mesh.model().frame();
         let demand_of = |l: LinkId| self.links[l.index()].demand;
@@ -1251,23 +1245,24 @@ impl QosSession {
                 let lower = clique_prune(&self.graph, demand_of, frame, &mut self.stats)?;
                 self.stats.greedy_solves += 1;
                 wimesh_obs::counter_inc("session.greedy.solves");
-                let (schedule, ord, used) = self.rank_layout()?;
+                let (schedule, used) = self.rank_layout()?;
                 self.stats.approx_gap = u64::from(used.saturating_sub(lower));
-                Ok((schedule, ord, used))
+                Ok((schedule, used))
             }
             OrderPolicy::ExactMilp => {
                 let (demands, reqs) = (self.demands(), self.requirements());
-                let (schedule, ord, used) = exact_search_warm(
+                let warm = warm.then(|| self.published_pairs(&self.graph));
+                let (schedule, used) = exact_search_warm(
                     self.mesh.model(),
                     &self.graph,
                     &demands,
                     &reqs,
                     self.mesh.solver_config(),
-                    warm,
+                    warm.as_deref(),
                     &mut self.stats,
                 )?;
                 self.adopt(&schedule)?;
-                Ok((schedule, ord, used))
+                Ok((schedule, used))
             }
             OrderPolicy::LpRounding => {
                 let _span = wimesh_obs::span!("session.approx");
@@ -1283,7 +1278,7 @@ impl QosSession {
                 let floor = lower.max(rounded.lp_bound_slots);
                 self.stats.approx_gap = u64::from(used.saturating_sub(floor));
                 self.adopt(&sol.schedule)?;
-                Ok((sol.schedule, sol.order, used))
+                Ok((sol.schedule, used))
             }
         }
     }
@@ -1306,9 +1301,7 @@ impl QosSession {
         self.walk_routes(true)?;
         let granted = |&l: &LinkId| Some((l, self.links[l.index()].trial?));
         let ranges = self.demanded.iter().filter_map(granted).collect();
-        let schedule = Schedule::from_ranges(frame, ranges)?;
-        let ord = TransmissionOrder::from_ranks(&self.graph, |l| self.links[l.index()].rank);
-        Ok((schedule, ord, makespan as u32))
+        Ok((Schedule::from_sorted(frame, ranges)?, makespan as u32))
     }
 
     /// Earliest start of every demanded link when conflicting links
@@ -1392,7 +1385,7 @@ impl QosSession {
     /// Publishes a layout [`QosSession::solve`] (or a load) left on
     /// trial: every flow's delay bound, the schedule and order, and the
     /// count of ranges the operation moved.
-    fn publish(&mut self, (schedule, ord, used): Layout) {
+    fn publish(&mut self, (schedule, used): Layout) {
         let moved = ranges_moved(&self.outcome.schedule, &schedule);
         self.stats.ranges_moved += moved;
         wimesh_obs::counter_add("session.ranges_moved", moved);
@@ -1400,7 +1393,6 @@ impl QosSession {
             f.worst_case_delay = bound;
         }
         self.outcome.schedule = schedule;
-        self.outcome.order = ord;
         self.outcome.guaranteed_slots = used;
     }
 
@@ -1417,8 +1409,8 @@ impl QosSession {
 
     /// Cross-checks the published outcome against the independent
     /// certifier in `wimesh-check` (compiled in by the `checked` cargo
-    /// feature), with demands aggregated from scratch, and the per-link
-    /// state against those demands. Panics with the full violation list on
+    /// feature), with demands and conflict graph built from scratch, and
+    /// the per-link state against those demands. Panics with the full violation list on
     /// failure: the delta paths must never publish a schedule the
     /// reference oracle rejects, nor drift from the from-scratch state.
     #[cfg(feature = "checked")]
@@ -1446,9 +1438,12 @@ impl QosSession {
             })
             .collect();
         let params = wimesh_check::CertParams::from_emulation(self.mesh.model());
+        // Built pairwise: the memoised conflict lists never reach it.
+        let (topo, model) = (self.mesh.topology(), self.mesh.interference());
+        let graph = ConflictGraph::build_for_links(topo, demands.links().collect(), model);
         if let Err(err) = wimesh_check::Certificate::check(
             &self.outcome.schedule,
-            &self.graph,
+            &graph,
             &demands,
             &flows,
             &params,
@@ -1541,8 +1536,8 @@ fn empty_outcome(model: &EmulationModel) -> AdmissionOutcome {
         clippy::expect_used,
         reason = "no ranges to overflow: an empty schedule fits any frame"
     )]
-    let schedule = Schedule::from_ranges(model.frame(), Default::default())
-        .expect("an empty schedule fits any frame");
+    let schedule =
+        Schedule::from_sorted(model.frame(), Vec::new()).expect("an empty schedule fits any frame");
     AdmissionOutcome {
         admitted: Vec::new(),
         rejected: Vec::new(),
@@ -1727,7 +1722,7 @@ fn exact_search_warm(
     if stats.oracle_calls == calls_before {
         wimesh_obs::counter_inc("session.search.closed_by_bounds");
     }
-    Ok((best.schedule, best.order, hi))
+    Ok((best.schedule, hi))
 }
 
 #[cfg(test)]
@@ -2044,6 +2039,97 @@ mod tests {
         match mesh.restore_session(&state) {
             Err(QosError::Config(why)) => assert!(why.contains("twice"), "{why}"),
             other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_refuses_ranges_listed_twice_or_out_of_order() {
+        let mesh = mesh(5);
+        let mut session = mesh.session(OrderPolicy::HopOrder);
+        session.admit_batch(&gateway_calls(2, 4)).unwrap();
+        let state = session.export_state();
+        assert!(state.ranges.len() >= 2);
+        // A first copy that contradicts the second: a map kept the last.
+        let mut twice = state.clone();
+        let (link, mut range) = twice.ranges[0];
+        range.start += 1;
+        twice.ranges.insert(0, (link, range));
+        let mut swapped = state.clone();
+        swapped.ranges.swap(0, 1);
+        for bad in [twice, swapped] {
+            match mesh.restore_session(&bad) {
+                Err(QosError::Config(why)) => assert!(why.contains("listed after"), "{why}"),
+                other => panic!("expected a config error, got {other:?}"),
+            }
+        }
+    }
+
+    /// `from_ranks(..).link_pairs(..)`, sorted, over the graph of `links`:
+    /// the pairs of the rank order `policy` gives `flows`.
+    fn rank_pairs(
+        mesh: &MeshQos,
+        policy: OrderPolicy,
+        flows: &[AdmittedFlow],
+        links: Vec<LinkId>,
+    ) -> Vec<(LinkId, LinkId)> {
+        let topo = mesh.topology();
+        let graph = ConflictGraph::build_for_links(topo, links, mesh.interference());
+        let tree = match policy {
+            OrderPolicy::TreeOrder { gateway } => {
+                order::tree_ranks(topo, &GatewayRouting::new(topo, gateway).unwrap())
+            }
+            _ => Vec::new(),
+        };
+        let hop = |l: LinkId| {
+            let hops = flows
+                .iter()
+                .filter_map(|f| f.path.links().iter().position(|&x| x == l));
+            hops.max().unwrap() as u64
+        };
+        let rank = |l: LinkId| tree.get(l.index()).copied().unwrap_or_else(|| hop(l));
+        let mut pairs = TransmissionOrder::from_ranks(&graph, rank).link_pairs(&graph);
+        pairs.sort_unstable();
+        pairs
+    }
+
+    #[test]
+    fn rank_policies_export_the_pairs_of_their_published_ranks() {
+        let mesh = mesh(6);
+        for policy in [
+            OrderPolicy::HopOrder,
+            OrderPolicy::TreeOrder { gateway: NodeId(0) },
+        ] {
+            let expect = |session: &QosSession, flows: &[AdmittedFlow]| {
+                let links = session.snapshot().schedule.links().collect();
+                let pairs = rank_pairs(&mesh, policy, flows, links);
+                assert_eq!(session.export_state().warm_pairs, pairs, "{policy:?}");
+            };
+            // The tree order has no room for every one of these flows.
+            let mut session = mesh.session(policy);
+            for f in &near_capacity_flows() {
+                session.admit(f).unwrap();
+                expect(&session, &session.snapshot().admitted);
+            }
+            let superset = session.snapshot().admitted.clone();
+            assert!(!session.admit(&big_flow(9)).unwrap().is_admitted());
+            expect(&session, &superset);
+
+            // Under the hop order the release keeps the superset's ranks,
+            // which differ from the subset's own.
+            let gone = superset.iter().map(|f| f.spec.id).find(|&id| id.0 >= 3);
+            assert!(session.release(gone.unwrap()).unwrap());
+            expect(&session, &superset);
+            let remaining = session.snapshot().admitted.clone();
+            if policy == OrderPolicy::HopOrder {
+                let links = session.snapshot().schedule.links().collect();
+                let own = rank_pairs(&mesh, policy, &remaining, links);
+                assert_ne!(session.export_state().warm_pairs, own);
+            }
+            let restored = mesh.restore_session(&session.export_state()).unwrap();
+            expect(&restored, &superset);
+
+            session.rebalance().unwrap();
+            expect(&session, &session.snapshot().admitted);
         }
     }
 

@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use wimesh::tdma::SlotRange;
-use wimesh::{FlowSpec, FlowState, GreedyKey, MeshQos, OrderPolicy, SessionState};
+use wimesh::{FlowSpec, FlowState, GreedyKey, MeshQos, OrderPolicy, QosError, SessionState};
 use wimesh_emu::EmulationParams;
 use wimesh_sim::traffic::VoipCodec;
 use wimesh_sim::FlowId;
@@ -562,6 +562,51 @@ fn assert_decodes_or_fails_typed(mesh: &MeshQos, text: &str) -> Result<(), TestC
         }
     }
     Ok(())
+}
+
+/// A snapshot edited to list one link's range twice, or two links out of
+/// order, parses — the decoder reads lines, not layouts — but restoring
+/// it is a typed refusal: the restored session would not export the state
+/// it came from.
+#[test]
+fn a_snapshot_with_repeated_or_unsorted_ranges_recovers_as_a_typed_error() {
+    let mesh = mesh();
+    let buf = SharedBuf::default();
+    let writer = JournalWriter::from_writer(Box::new(buf.clone()));
+    let mut journaled = JournaledSession::new(mesh.session(OrderPolicy::HopOrder), writer, 1);
+    let call = FlowSpec::voip(1, NodeId(8), NodeId(0), VoipCodec::G711);
+    journaled.admit_flows(&[call]).expect("admit");
+    let text = buf.text();
+    let snapshot = &text[text.rfind("{\"t\":\"svc.snap\",").expect("snapshots")..];
+    recover(&mesh, OrderPolicy::HopOrder, snapshot).expect("the unedited snapshot recovers");
+
+    let lines: Vec<String> = snapshot.lines().map(|l| format!("{l}\n")).collect();
+    let first = lines
+        .iter()
+        .position(|l| l.starts_with("{\"t\":\"svc.snap.range\""))
+        .expect("the call holds ranges");
+    let count = lines
+        .iter()
+        .filter(|l| l.contains("svc.snap.range"))
+        .count();
+    assert!(count >= 2, "{snapshot}");
+
+    let mut swapped = lines.clone();
+    swapped.swap(first, first + 1);
+    let mut repeated = lines.clone();
+    repeated.insert(first + 1, lines[first].clone());
+    let header = format!("\"ranges\":{count},");
+    repeated[0] = lines[0].replace(&header, &format!("\"ranges\":{},", count + 1));
+    for edited in [swapped.concat(), repeated.concat()] {
+        assert!(parse_journal(&edited).is_ok(), "{edited}");
+        match recover(&mesh, OrderPolicy::HopOrder, &edited) {
+            Err(RecoveryError::Qos(QosError::Config(why))) => {
+                assert!(why.contains("listed after"), "{why}")
+            }
+            Err(other) => panic!("expected a config error, got {other}"),
+            Ok(_) => panic!("recovered a snapshot whose ranges are not ascending:\n{edited}"),
+        }
+    }
 }
 
 proptest! {

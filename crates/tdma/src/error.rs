@@ -23,6 +23,10 @@ pub enum ScheduleError {
         /// Minislots available in the frame.
         available: u32,
     },
+    /// Slot ranges handed to [`crate::Schedule::from_sorted`] are not
+    /// strictly ascending by link: the second link is listed after the
+    /// first (the same link when it is listed twice).
+    RangesNotAscending(LinkId, LinkId),
     /// A link with demand is not a vertex of the conflict graph.
     LinkNotInGraph(LinkId),
     /// A path link has no demand, so no slots were assigned to it.
@@ -49,6 +53,9 @@ impl fmt::Display for ScheduleError {
             }
             ScheduleError::FrameTooShort { needed, available } => {
                 write!(f, "order needs {needed} slots but frame has {available}")
+            }
+            ScheduleError::RangesNotAscending(first, then) => {
+                write!(f, "slot range of link {then} listed after link {first}")
             }
             ScheduleError::LinkNotInGraph(l) => {
                 write!(f, "link {l} has demand but is not in the conflict graph")

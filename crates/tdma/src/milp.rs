@@ -369,16 +369,16 @@ fn solve(
     for ((i, j), var) in &order_vars {
         order.set(*i, *j, solution.value(*var) > 0.5);
     }
-    let mut ranges = BTreeMap::new();
+    let mut ranges = Vec::with_capacity(demands.len());
     for (link, d) in demands.iter() {
         let s = solution.value(sigma[&link]).round();
         debug_assert!(
             (solution.value(sigma[&link]) - s).abs() < 1e-4,
             "start times should be integral"
         );
-        ranges.insert(link, SlotRange::new(s as u32, d));
+        ranges.push((link, SlotRange::new(s as u32, d)));
     }
-    let schedule = Schedule::from_ranges(frame, ranges)?;
+    let schedule = Schedule::from_sorted(frame, ranges)?;
     if let Err((a, b)) = schedule.validate(graph) {
         return Err(ScheduleError::SolverFailed(format!(
             "MILP produced overlapping conflicting links {a} and {b}"

@@ -18,14 +18,39 @@ use crate::{Demands, FrameConfig, ScheduleError, SlotRange, TransmissionOrder};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     frame: FrameConfig,
-    ranges: BTreeMap<LinkId, SlotRange>,
+    /// Strictly ascending by link.
+    ranges: Vec<(LinkId, SlotRange)>,
 }
 
 impl Schedule {
-    /// Builds a schedule from explicit ranges without checking conflicts.
+    /// Builds a schedule from explicit ranges, strictly ascending by link,
+    /// without checking conflicts.
     ///
-    /// Prefer [`schedule_from_order`]; this constructor exists for the MILP
-    /// path and for tests. Frame-boundary violations are still rejected.
+    /// Prefer [`schedule_from_order`]; this constructor exists for the
+    /// solvers and for restoring a recorded layout.
+    ///
+    /// # Errors
+    ///
+    /// [`ScheduleError::RangesNotAscending`] if a link is listed twice or
+    /// out of order; [`ScheduleError::FrameTooShort`] if any range exceeds
+    /// the frame.
+    pub fn from_sorted(
+        frame: FrameConfig,
+        ranges: Vec<(LinkId, SlotRange)>,
+    ) -> Result<Self, ScheduleError> {
+        if let Some(w) = ranges.windows(2).find(|w| w[0].0 >= w[1].0) {
+            return Err(ScheduleError::RangesNotAscending(w[0].0, w[1].0));
+        }
+        if let Some((_, range)) = ranges.iter().find(|(_, r)| !r.fits(frame.slots())) {
+            return Err(ScheduleError::FrameTooShort {
+                needed: range.end(),
+                available: frame.slots(),
+            });
+        }
+        Ok(Self { frame, ranges })
+    }
+
+    /// [`Schedule::from_sorted`] over a map, ascending by construction.
     ///
     /// # Errors
     ///
@@ -34,15 +59,7 @@ impl Schedule {
         frame: FrameConfig,
         ranges: BTreeMap<LinkId, SlotRange>,
     ) -> Result<Self, ScheduleError> {
-        for range in ranges.values() {
-            if !range.fits(frame.slots()) {
-                return Err(ScheduleError::FrameTooShort {
-                    needed: range.end(),
-                    available: frame.slots(),
-                });
-            }
-        }
-        Ok(Self { frame, ranges })
+        Self::from_sorted(frame, ranges.into_iter().collect())
     }
 
     /// The frame this schedule is laid out in.
@@ -52,17 +69,18 @@ impl Schedule {
 
     /// The slot range assigned to `link`, if any.
     pub fn slot_range(&self, link: LinkId) -> Option<SlotRange> {
-        self.ranges.get(&link).copied()
+        let at = self.ranges.binary_search_by_key(&link, |&(l, _)| l).ok()?;
+        Some(self.ranges[at].1)
     }
 
     /// Scheduled links in ascending id order.
     pub fn links(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.ranges.keys().copied()
+        self.ranges.iter().map(|&(l, _)| l)
     }
 
     /// `(link, range)` pairs in ascending link order.
     pub fn iter(&self) -> impl Iterator<Item = (LinkId, SlotRange)> + '_ {
-        self.ranges.iter().map(|(&l, &r)| (l, r))
+        self.ranges.iter().copied()
     }
 
     /// Number of scheduled links.
@@ -78,12 +96,12 @@ impl Schedule {
     /// Last occupied slot boundary: the minimum frame length this layout
     /// needs.
     pub fn makespan(&self) -> u32 {
-        self.ranges.values().map(SlotRange::end).max().unwrap_or(0)
+        self.ranges.iter().map(|(_, r)| r.end()).max().unwrap_or(0)
     }
 
     /// Total scheduled slots (sum of range lengths).
     pub fn busy_slots(&self) -> u64 {
-        self.ranges.values().map(|r| r.len as u64).sum()
+        self.ranges.iter().map(|(_, r)| u64::from(r.len)).sum()
     }
 
     /// Fraction of the frame's slots that are assigned, counting spatial
@@ -99,9 +117,8 @@ impl Schedule {
     ///
     /// Returns the first overlapping conflicting pair.
     pub fn validate(&self, graph: &ConflictGraph) -> Result<(), (LinkId, LinkId)> {
-        let entries: Vec<(LinkId, SlotRange)> = self.iter().collect();
-        for (i, &(la, ra)) in entries.iter().enumerate() {
-            for &(lb, rb) in &entries[i + 1..] {
+        for (i, &(la, ra)) in self.ranges.iter().enumerate() {
+            for &(lb, rb) in &self.ranges[i + 1..] {
                 if ra.overlaps(&rb) && graph.are_in_conflict(la, lb) {
                     return Err((la, lb));
                 }
@@ -330,7 +347,7 @@ pub fn schedule_from_order(
         .zip(&starts.vertices)
         .map(|((link, d), &i)| (link, SlotRange::new(starts.sigma[i] as u32, d)))
         .collect();
-    Schedule::from_ranges(frame, ranges)
+    Schedule::from_sorted(frame, ranges)
 }
 
 #[cfg(test)]

@@ -10,6 +10,12 @@ cargo test -q
 # The longest-path kernel behind every schedule must agree with the
 # reference Bellman-Ford (start times, makespans, errors, real cycles).
 cargo test -q -p wimesh-tdma --test kernel_equivalence
+# The conflict predicate is written once, in `conflicting_links`: a graph
+# grown and shrunk one vertex at a time, through `insert_vertex` or through
+# the per-link lists a session memoises, must hold exactly the edges of the
+# pairwise build over the same vertices, on chains, grids and random
+# unit-disk meshes under every interference model.
+cargo test -q -p wimesh-conflict --test incremental_conflicts
 # The exact slot search (heaviest-clique bound, warm order, oracle calls
 # inside the gap) must return the verdicts and minimal regions of a
 # bound-free linear scan over the same oracle after any churn; run with
