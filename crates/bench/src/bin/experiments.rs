@@ -29,6 +29,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use wimesh_bench::{experiment, Ctx, Experiment, EXPERIMENTS};
+use wimesh_obs::json::Object;
 use wimesh_obs::sink::{JsonlSink, NoopSink};
 
 /// Where a run writes: the committed `results/` for full sweeps, a
@@ -82,22 +83,14 @@ fn warn_orphaned_artifacts(ctx: &Ctx) {
 /// Writes `results/BENCH_<id>.json` so CI and scripts can read
 /// per-experiment outcomes without scraping stdout.
 fn write_artifact(ctx: &Ctx, id: &str, ok: bool, wall_s: f64) {
-    let mut line = String::with_capacity(96);
-    line.push_str("{\"experiment\":");
-    wimesh_obs::json::push_str_value(&mut line, id);
-    line.push_str(",\"ok\":");
-    line.push_str(if ok { "true" } else { "false" });
-    line.push_str(",\"wall_s\":");
-    wimesh_obs::json::push_f64(&mut line, wall_s);
-    line.push_str(",\"quick\":");
-    line.push_str(if ctx.quick { "true" } else { "false" });
-    line.push_str("}\n");
-    let path = ctx.out_dir.join(format!("BENCH_{id}.json"));
-    if std::fs::create_dir_all(&ctx.out_dir)
-        .and_then(|()| std::fs::write(&path, line))
-        .is_err()
-    {
-        eprintln!("warning: could not write {}", path.display());
+    let mut json = String::with_capacity(96);
+    Object::new(&mut json)
+        .str("experiment", id)
+        .bool("ok", ok)
+        .f64("wall_s", wall_s)
+        .bool("quick", ctx.quick);
+    if let Err(e) = ctx.write_artifact(id, &json) {
+        eprintln!("warning: could not write BENCH_{id}.json: {e}");
     }
 }
 

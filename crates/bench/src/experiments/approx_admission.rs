@@ -38,6 +38,7 @@ use wimesh::sim::traffic::VoipCodec;
 use wimesh::sim::FlowId;
 use wimesh::{FlowSpec, GreedyKey, MeshQos, OrderPolicy, QosSession, SessionStats};
 use wimesh_check::{CertParams, Certificate, FlowRequirement};
+use wimesh_obs::json::Object;
 use wimesh_topology::{generators, MeshTopology, NodeId};
 
 use crate::{BenchError, Ctx, Table};
@@ -244,49 +245,42 @@ impl Scenario {
 /// (`results/BENCH_approx_admission.json`).
 fn artifact_json(scenarios: &[Scenario], quick: bool, best_greedy_speedup: f64) -> String {
     let mut out = String::with_capacity(2048);
-    out.push_str("{\"experiment\":\"approx_admission\",\"ok\":true,\"quick\":");
-    out.push_str(if quick { "true" } else { "false" });
-    out.push_str(",\"best_greedy_speedup\":");
-    wimesh_obs::json::push_f64(&mut out, best_greedy_speedup);
-    out.push_str(",\"scenarios\":[");
-    for (i, s) in scenarios.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        wimesh_obs::json::push_str_value(&mut out, s.name);
-        out.push_str(&format!(",\"flows\":{},\"events\":{}", s.flows, s.events));
-        out.push_str(",\"exact_median_admit_us\":");
-        wimesh_obs::json::push_f64(&mut out, s.exact.median_admit_us());
-        out.push_str(&format!(",\"exact_accepted\":{}", s.exact.accepted));
-        out.push_str(",\"policies\":[");
-        for (j, run) in s.approx.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
+    Object::new(&mut out)
+        .str("experiment", "approx_admission")
+        .bool("ok", true)
+        .bool("quick", quick)
+        .f64("best_greedy_speedup", best_greedy_speedup)
+        .arr("scenarios", |list| {
+            for s in scenarios {
+                list.obj("", |o| {
+                    o.str("name", s.name)
+                        .int("flows", s.flows as u64)
+                        .int("events", s.events as u64)
+                        .f64("exact_median_admit_us", s.exact.median_admit_us())
+                        .int("exact_accepted", s.exact.accepted)
+                        .arr("policies", |list| {
+                            for run in &s.approx {
+                                list.obj("", |p| policy_json(p, s, run));
+                            }
+                        });
+                });
             }
-            out.push_str("{\"policy\":");
-            wimesh_obs::json::push_str_value(&mut out, run.policy_label);
-            out.push_str(",\"median_admit_us\":");
-            wimesh_obs::json::push_f64(&mut out, run.median_admit_us());
-            out.push_str(",\"speedup_vs_exact\":");
-            wimesh_obs::json::push_f64(&mut out, s.speedup(run));
-            out.push_str(",\"acceptance_ratio\":");
-            wimesh_obs::json::push_f64(&mut out, s.acceptance_ratio(run));
-            out.push_str(&format!(
-                ",\"accepted\":{},\"certified_events\":{},\"approx_gap\":{},\
-                 \"clique_prunes\":{},\"greedy_solves\":{},\"lp_solves\":{}}}",
-                run.accepted,
-                run.certified_events,
-                run.stats.approx_gap,
-                run.stats.clique_prunes,
-                run.stats.greedy_solves,
-                run.stats.lp_solves
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}\n");
+        });
     out
+}
+
+/// One approximate policy's entry in the artifact.
+fn policy_json(o: &mut Object<'_>, s: &Scenario, run: &PolicyRun) {
+    o.str("policy", run.policy_label)
+        .f64("median_admit_us", run.median_admit_us())
+        .f64("speedup_vs_exact", s.speedup(run))
+        .f64("acceptance_ratio", s.acceptance_ratio(run))
+        .int("accepted", run.accepted)
+        .int("certified_events", run.certified_events)
+        .int("approx_gap", run.stats.approx_gap)
+        .int("clique_prunes", run.stats.clique_prunes)
+        .int("greedy_solves", run.stats.greedy_solves)
+        .int("lp_solves", run.stats.lp_solves);
 }
 
 /// Runs the approximation-mode admission comparison.
@@ -382,13 +376,6 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
         })
         .fold(0.0, f64::max);
 
-    std::fs::create_dir_all(&ctx.out_dir)?;
-    let artifact = ctx.out_dir.join("BENCH_approx_admission.json");
-    std::fs::write(
-        &artifact,
-        artifact_json(&scenarios, ctx.quick, best_greedy_speedup),
-    )?;
-    println!("  -> {}", artifact.display());
-
-    Ok(())
+    let artifact = artifact_json(&scenarios, ctx.quick, best_greedy_speedup);
+    ctx.write_artifact("approx_admission", &artifact)
 }

@@ -32,6 +32,7 @@ use wimesh_emu::{EmulationModel, EmulationParams};
 use wimesh_node::{
     FabricConfig, LossModel, MeshRuntime, RepairController, RuntimeConfig, SegmentReport,
 };
+use wimesh_obs::json::Object;
 use wimesh_obs::sink::NoopSink;
 use wimesh_topology::{generators, NodeId};
 
@@ -45,6 +46,24 @@ struct ScenarioResult {
     steady: SegmentReport,
     restartd: SegmentReport,
     repaired_flows: u64,
+}
+
+impl ScenarioResult {
+    /// The four phases, in order.
+    fn phases(&self) -> [&SegmentReport; 4] {
+        [&self.cold, &self.crash, &self.steady, &self.restartd]
+    }
+
+    /// A count summed over the four phases.
+    fn total(&self, count: fn(&SegmentReport) -> u64) -> u64 {
+        self.phases().into_iter().map(count).sum()
+    }
+
+    /// The largest mutual clock error of any phase.
+    fn max_mutual_error(&self) -> Duration {
+        let errors = self.phases().map(|p| p.max_mutual_error);
+        errors.into_iter().max().unwrap_or_default()
+    }
 }
 
 fn ms(d: Option<Duration>) -> f64 {
@@ -148,65 +167,40 @@ fn run_scenario(
 /// (`results/BENCH_runtime_faults.json`).
 fn artifact_json(results: &[ScenarioResult], guard: Duration, quick: bool) -> String {
     let mut out = String::with_capacity(2048);
-    out.push_str("{\"experiment\":\"runtime_faults\",\"ok\":true,\"quick\":");
-    out.push_str(if quick { "true" } else { "false" });
-    out.push_str(",\"guard_time_us\":");
-    wimesh_obs::json::push_f64(&mut out, guard.as_secs_f64() * 1e6);
-    out.push_str(",\"scenarios\":[");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"loss\":");
-        wimesh_obs::json::push_f64(&mut out, r.loss);
-        out.push_str(",\"time_to_sync_ms\":");
-        wimesh_obs::json::push_f64(&mut out, ms(r.cold.time_to_sync));
-        out.push_str(",\"time_to_converge_ms\":");
-        wimesh_obs::json::push_f64(&mut out, ms(r.cold.time_to_converge));
-        out.push_str(",\"detection_latency_ms\":");
-        wimesh_obs::json::push_f64(&mut out, ms(r.crash.detection_latency));
-        out.push_str(",\"repair_converge_ms\":");
-        wimesh_obs::json::push_f64(&mut out, ms(r.crash.time_to_converge));
-        out.push_str(",\"resync_after_restart_ms\":");
-        wimesh_obs::json::push_f64(&mut out, ms(r.restartd.time_to_sync));
-        out.push_str(&format!(
-            ",\"reservations_repaired\":{},\"beacons_sent\":{},\"beacons_lost\":{},\
-             \"dsch_sent\":{},\"dsch_lost\":{},\"rerequests\":{}",
-            r.repaired_flows,
-            r.cold.beacons_sent
-                + r.crash.beacons_sent
-                + r.steady.beacons_sent
-                + r.restartd.beacons_sent,
-            r.cold.beacons_lost
-                + r.crash.beacons_lost
-                + r.steady.beacons_lost
-                + r.restartd.beacons_lost,
-            r.cold.dsch_sent + r.crash.dsch_sent + r.steady.dsch_sent + r.restartd.dsch_sent,
-            r.cold.dsch_lost + r.crash.dsch_lost + r.steady.dsch_lost + r.restartd.dsch_lost,
-            r.cold.rerequests + r.crash.rerequests + r.steady.rerequests + r.restartd.rerequests,
-        ));
-        out.push_str(&format!(
-            ",\"collisions_cold\":{},\"collisions_steady\":{},\"collisions_total\":{}",
-            r.cold.collisions,
-            r.steady.collisions,
-            r.cold.collisions + r.crash.collisions + r.steady.collisions + r.restartd.collisions,
-        ));
-        out.push_str(",\"max_mutual_error_us\":");
-        let max_err = r
-            .cold
-            .max_mutual_error
-            .max(r.crash.max_mutual_error)
-            .max(r.steady.max_mutual_error)
-            .max(r.restartd.max_mutual_error);
-        wimesh_obs::json::push_f64(&mut out, max_err.as_secs_f64() * 1e6);
-        out.push_str(&format!(
-            ",\"within_guard\":{},\"reconverged\":{}}}",
-            max_err <= guard,
-            r.steady.converged && r.restartd.converged,
-        ));
-    }
-    out.push_str("]}\n");
+    Object::new(&mut out)
+        .str("experiment", "runtime_faults")
+        .bool("ok", true)
+        .bool("quick", quick)
+        .f64("guard_time_us", guard.as_secs_f64() * 1e6)
+        .arr("scenarios", |list| {
+            for r in results {
+                list.obj("", |o| scenario_json(o, r, guard));
+            }
+        });
     out
+}
+
+/// One loss rate's entry in the artifact.
+fn scenario_json(o: &mut Object<'_>, r: &ScenarioResult, guard: Duration) {
+    let max_err = r.max_mutual_error();
+    o.f64("loss", r.loss)
+        .f64("time_to_sync_ms", ms(r.cold.time_to_sync))
+        .f64("time_to_converge_ms", ms(r.cold.time_to_converge))
+        .f64("detection_latency_ms", ms(r.crash.detection_latency))
+        .f64("repair_converge_ms", ms(r.crash.time_to_converge))
+        .f64("resync_after_restart_ms", ms(r.restartd.time_to_sync))
+        .int("reservations_repaired", r.repaired_flows)
+        .int("beacons_sent", r.total(|p| p.beacons_sent))
+        .int("beacons_lost", r.total(|p| p.beacons_lost))
+        .int("dsch_sent", r.total(|p| p.dsch_sent))
+        .int("dsch_lost", r.total(|p| p.dsch_lost))
+        .int("rerequests", r.total(|p| p.rerequests))
+        .int("collisions_cold", r.cold.collisions)
+        .int("collisions_steady", r.steady.collisions)
+        .int("collisions_total", r.total(|p| p.collisions))
+        .f64("max_mutual_error_us", max_err.as_secs_f64() * 1e6)
+        .bool("within_guard", max_err <= guard)
+        .bool("reconverged", r.steady.converged && r.restartd.converged);
 }
 
 /// Runs the fault-injection sweep.
@@ -249,12 +243,6 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
         ],
     );
     for r in &results {
-        let max_err = r
-            .cold
-            .max_mutual_error
-            .max(r.crash.max_mutual_error)
-            .max(r.steady.max_mutual_error)
-            .max(r.restartd.max_mutual_error);
         table.row_strings(vec![
             format!("{:.0}%", r.loss * 100.0),
             format!("{:.1}", ms(r.cold.time_to_sync)),
@@ -262,9 +250,8 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
             format!("{:.1}", ms(r.crash.detection_latency)),
             format!("{:.1}", ms(r.crash.time_to_converge)),
             r.repaired_flows.to_string(),
-            (r.cold.collisions + r.crash.collisions + r.steady.collisions + r.restartd.collisions)
-                .to_string(),
-            format!("{:.2}", max_err.as_secs_f64() * 1e6),
+            r.total(|p| p.collisions).to_string(),
+            format!("{:.2}", r.max_mutual_error().as_secs_f64() * 1e6),
             format!("{:.2}", guard.as_secs_f64() * 1e6),
         ]);
     }
@@ -275,14 +262,7 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
     // mutually synchronised within the guard time, the TDMA schedule
     // must be collision-free — fault injection or not.
     for r in &results {
-        let max_err = r
-            .cold
-            .max_mutual_error
-            .max(r.crash.max_mutual_error)
-            .max(r.steady.max_mutual_error)
-            .max(r.restartd.max_mutual_error);
-        let collisions =
-            r.cold.collisions + r.crash.collisions + r.steady.collisions + r.restartd.collisions;
+        let (max_err, collisions) = (r.max_mutual_error(), r.total(|p| p.collisions));
         if max_err <= guard && collisions != 0 {
             return Err(BenchError::Other(format!(
                 "loss {}: {collisions} collisions despite mutual error {:?} <= guard {:?}",
@@ -303,9 +283,5 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
         }
     }
 
-    std::fs::create_dir_all(&ctx.out_dir)?;
-    let artifact = ctx.out_dir.join("BENCH_runtime_faults.json");
-    std::fs::write(&artifact, artifact_json(&results, guard, ctx.quick))?;
-    println!("  -> {}", artifact.display());
-    Ok(())
+    ctx.write_artifact("runtime_faults", &artifact_json(&results, guard, ctx.quick))
 }

@@ -40,6 +40,7 @@ use wimesh::sim::traffic::{TrafficSource, VoipCodec, VoipSource};
 use wimesh::{FlowSpec, MeshQos, OrderPolicy};
 use wimesh_emu::{EmulationModel, EmulationParams};
 use wimesh_node::{FabricConfig, LossModel, MeshRuntime, RepairController, RuntimeConfig};
+use wimesh_obs::json::Object;
 use wimesh_obs::sink::MemorySink;
 use wimesh_obs::slo::{SloStatus, SloVerdict};
 use wimesh_obs::trace::TraceForest;
@@ -227,25 +228,18 @@ fn run_emu_audit(quick: bool) -> Result<Vec<SloVerdict>, BenchError> {
     Ok(verdicts)
 }
 
-fn push_verdict(out: &mut String, v: &SloVerdict) {
-    out.push_str("{\"flow\":");
-    out.push_str(&v.flow.to_string());
-    out.push_str(",\"status\":");
-    wimesh_obs::json::push_str_value(out, &v.status.to_string());
-    out.push_str(&format!(",\"promised_slots\":{}", v.promised_slots));
-    out.push_str(",\"bound_ms\":");
-    match v.bound_ns {
-        Some(b) => wimesh_obs::json::push_f64(out, b as f64 / 1e6),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"max_delay_ms\":");
-    wimesh_obs::json::push_f64(out, v.max_delay_ns as f64 / 1e6);
-    out.push_str(",\"margin_ms\":");
-    wimesh_obs::json::push_f64(out, v.margin_ns as f64 / 1e6);
-    out.push_str(&format!(
-        ",\"delivered\":{},\"dropped\":{},\"frames_observed\":{},\"frames_short\":{}}}",
-        v.delivered, v.dropped, v.frames_observed, v.frames_short
-    ));
+fn verdict_json(o: &mut Object<'_>, v: &SloVerdict) {
+    o.int("flow", v.flow)
+        .str("status", &v.status.to_string())
+        .int("promised_slots", v.promised_slots)
+        // `null` for a flow promised no bound.
+        .f64("bound_ms", v.bound_ns.map_or(f64::NAN, |b| b as f64 / 1e6))
+        .f64("max_delay_ms", v.max_delay_ns as f64 / 1e6)
+        .f64("margin_ms", v.margin_ns as f64 / 1e6)
+        .int("delivered", v.delivered)
+        .int("dropped", v.dropped)
+        .int("frames_observed", v.frames_observed)
+        .int("frames_short", v.frames_short);
 }
 
 /// Serialises the acceptance artifact (`results/BENCH_slo_audit.json`).
@@ -255,51 +249,41 @@ fn artifact_json(
     mutant: &SloVerdict,
     quick: bool,
 ) -> String {
-    let mut out = String::with_capacity(2048);
-    out.push_str("{\"experiment\":\"slo_audit\",\"ok\":true,\"quick\":");
-    out.push_str(if quick { "true" } else { "false" });
-    out.push_str(&format!(
-        ",\"trace\":{{\"events\":{},\"traces\":{},\"handshake_depth\":{},\
-         \"handshake_nodes\":{},\"repair_hops\":{},\"flight_dumps\":{},\
-         \"reservations_repaired\":{},\"flight_reasons\":[",
-        fault.trace_events,
-        fault.traces,
-        fault.handshake_depth,
-        fault.handshake_nodes,
-        fault.repair_hops,
-        fault.flight_dumps,
-        fault.reservations_repaired,
-    ));
-    for (i, r) in fault.flight_reasons.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let verdict_list = |list: &mut Object<'_>, verdicts: &[SloVerdict]| {
+        for v in verdicts {
+            list.obj("", |o| verdict_json(o, v));
         }
-        wimesh_obs::json::push_str_value(&mut out, r);
-    }
-    out.push_str("]},\"frame_audit\":[");
-    for (i, v) in fault.frame_verdicts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_verdict(&mut out, v);
-    }
-    out.push_str("],\"verdicts\":[");
-    for (i, v) in verdicts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_verdict(&mut out, v);
-    }
+    };
     let violated = verdicts
         .iter()
         .filter(|v| v.status == SloStatus::Violated)
         .count();
-    out.push_str(&format!("],\"violated\":{violated},\"mutation\":"));
-    push_verdict(&mut out, mutant);
-    out.push_str(&format!(
-        ",\"mutation_flagged\":{}}}\n",
-        mutant.status == SloStatus::Violated
-    ));
+    let mut out = String::with_capacity(2048);
+    Object::new(&mut out)
+        .str("experiment", "slo_audit")
+        .bool("ok", true)
+        .bool("quick", quick)
+        .obj("trace", |o| {
+            o.int("events", fault.trace_events as u64)
+                .int("traces", fault.traces as u64)
+                .int("handshake_depth", fault.handshake_depth as u64)
+                .int("handshake_nodes", fault.handshake_nodes as u64)
+                .int("repair_hops", fault.repair_hops as u64)
+                .int("flight_dumps", fault.flight_dumps as u64)
+                .int("reservations_repaired", fault.reservations_repaired)
+                .arr("flight_reasons", |list| {
+                    for r in &fault.flight_reasons {
+                        list.str("", r);
+                    }
+                });
+        })
+        .arr("frame_audit", |list| {
+            verdict_list(list, &fault.frame_verdicts)
+        })
+        .arr("verdicts", |list| verdict_list(list, verdicts))
+        .int("violated", violated as u64)
+        .obj("mutation", |o| verdict_json(o, mutant))
+        .bool("mutation_flagged", mutant.status == SloStatus::Violated);
     out
 }
 
@@ -399,12 +383,6 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
     );
     ctx.write_csv("slo_audit", &table)?;
 
-    std::fs::create_dir_all(&ctx.out_dir)?;
-    let artifact = ctx.out_dir.join("BENCH_slo_audit.json");
-    std::fs::write(
-        &artifact,
-        artifact_json(&fault, &verdicts, &mutant, ctx.quick),
-    )?;
-    println!("  -> {}", artifact.display());
-    Ok(())
+    let artifact = artifact_json(&fault, &verdicts, &mutant, ctx.quick);
+    ctx.write_artifact("slo_audit", &artifact)
 }

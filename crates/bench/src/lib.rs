@@ -112,9 +112,19 @@ impl Ctx {
 
     /// Writes a finished table to `<out_dir>/<id>.csv`.
     pub fn write_csv(&self, id: &str, table: &Table) -> Result<(), BenchError> {
+        self.write(&format!("{id}.csv"), &table.to_csv())
+    }
+
+    /// Writes an experiment's own acceptance artifact, one JSON object, to
+    /// `<out_dir>/BENCH_<id>.json`.
+    pub fn write_artifact(&self, id: &str, json: &str) -> Result<(), BenchError> {
+        self.write(&format!("BENCH_{id}.json"), &format!("{json}\n"))
+    }
+
+    fn write(&self, file: &str, contents: &str) -> Result<(), BenchError> {
         std::fs::create_dir_all(&self.out_dir)?;
-        let path = self.out_dir.join(format!("{id}.csv"));
-        std::fs::write(&path, table.to_csv())?;
+        let path = self.out_dir.join(file);
+        std::fs::write(&path, contents)?;
         println!("  -> {}", path.display());
         Ok(())
     }

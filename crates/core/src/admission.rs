@@ -113,6 +113,10 @@ pub enum RejectReason {
     /// in the same batch): a retried request must not reserve twice.
     /// Release the id first to change its reservation.
     DuplicateFlow,
+    /// A request `wimesh-svc` cannot journal (a rate that is not finite and
+    /// positive, a deadline past `u64::MAX` ns), answered alone; the
+    /// engine itself reports a bad rate as [`crate::QosError::InvalidRate`].
+    InvalidRequest(String),
 }
 
 /// An admitted flow with its reservation and delay bound.
@@ -206,8 +210,8 @@ pub(crate) fn vet_flow(
     let ctrl = mesh_frame.ctrl_duration();
     let slot = Duration::from_micros(frame.slot_duration_us());
 
-    // `<= 0.0 || NaN` spelled to reject non-finite rates too.
-    if spec.rate_bps <= 0.0 || spec.rate_bps.is_nan() {
+    // Negated so that NaN fails too.
+    if !(spec.rate_bps > 0.0 && spec.rate_bps.is_finite()) {
         return Err(QosError::InvalidRate { flow: spec.id.0 });
     }
     let path = match maybe_path {
@@ -265,7 +269,8 @@ fn pipeline_budget_slots(
         return None;
     }
     let budget = deadline - fixed;
-    Some((budget.as_nanos() / slot.as_nanos()) as u64)
+    // A budget past `u64` slots is as good as unbounded.
+    Some(u64::try_from(budget.as_nanos() / slot.as_nanos()).unwrap_or(u64::MAX))
 }
 
 /// The deadline budget of a vetted flow in pipeline minislots (`None`
@@ -408,6 +413,21 @@ mod tests {
         let out = mesh.admit(&flows, OrderPolicy::HopOrder).unwrap();
         assert!(out.admitted.is_empty());
         assert_eq!(out.rejected[0].1, RejectReason::NoRoute);
+    }
+
+    #[test]
+    fn a_deadline_past_u64_slots_saturates_its_budget() {
+        // Budget 2^64 slots: truncated to 64 bits it read as 0 and the
+        // loosest deadline there is was refused as infeasible.
+        let mesh = mesh(2);
+        let (model, slot) = (mesh.model(), mesh.model().frame().slot_duration_us());
+        let fixed = model.mesh_frame().frame_duration().as_nanos();
+        let ns = fixed + u128::from(slot) * 1_000 * (1 << 64);
+        let secs = u64::try_from(ns / 1_000_000_000).unwrap();
+        let deadline = Duration::new(secs, (ns % 1_000_000_000) as u32);
+        let call = FlowSpec::guaranteed(0, NodeId(1), NodeId(0), 64_000.0, deadline);
+        let out = mesh.admit(&[call], OrderPolicy::HopOrder).unwrap();
+        assert_eq!(out.admitted.len(), 1, "{:?}", out.rejected);
     }
 
     #[test]

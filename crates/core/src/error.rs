@@ -17,7 +17,7 @@ pub enum QosError {
     Emulation(EmuError),
     /// Scheduling failure.
     Schedule(ScheduleError),
-    /// A flow has a non-positive rate.
+    /// A flow's rate is not finite and positive.
     InvalidRate {
         /// The offending flow id.
         flow: u32,
@@ -42,7 +42,7 @@ impl fmt::Display for QosError {
             QosError::Emulation(e) => write!(f, "emulation error: {e}"),
             QosError::Schedule(e) => write!(f, "scheduling error: {e}"),
             QosError::InvalidRate { flow } => {
-                write!(f, "flow {flow} has a non-positive rate")
+                write!(f, "flow {flow} has a rate that is not finite and positive")
             }
             QosError::LinkBeyondRange { link } => {
                 write!(f, "link {link} is beyond every PHY rate's range")

@@ -50,15 +50,15 @@ use crate::{FlowSpec, QosError};
 /// # Errors
 ///
 /// [`QosError::Topology`] when no route exists at all, and
-/// [`QosError::InvalidRate`] for non-positive rates.
+/// [`QosError::InvalidRate`] for a rate that is not finite and positive.
 pub fn split_over_disjoint_paths(
     topo: &MeshTopology,
     spec: &FlowSpec,
     k: usize,
     base_id: u32,
 ) -> Result<Vec<(FlowSpec, Path)>, QosError> {
-    // `<= 0.0 || NaN` spelled to reject non-finite rates too.
-    if spec.rate_bps <= 0.0 || spec.rate_bps.is_nan() {
+    // Negated so that NaN fails too.
+    if !(spec.rate_bps > 0.0 && spec.rate_bps.is_finite()) {
         return Err(QosError::InvalidRate { flow: spec.id.0 });
     }
     let paths = edge_disjoint_paths(topo, spec.src, spec.dst, k.max(1))?;

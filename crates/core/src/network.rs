@@ -262,9 +262,9 @@ impl MeshQos {
     ///
     /// # Errors
     ///
-    /// [`QosError::InvalidRate`] for non-positive rates; scheduling and
-    /// solver failures other than plain infeasibility (which is reported
-    /// per flow in the outcome, not as an error).
+    /// [`QosError::InvalidRate`] for a rate that is not finite and positive;
+    /// scheduling and solver failures other than plain infeasibility (which
+    /// is reported per flow in the outcome, not as an error).
     pub fn admit(
         &self,
         flows: &[FlowSpec],

@@ -161,38 +161,6 @@ pub struct SessionStats {
     pub ranges_moved: u64,
 }
 
-impl SessionStats {
-    /// Renders the counters as one flat JSON object (stable field
-    /// order) — for artifact writers that do not enable the optional
-    /// `serde` feature.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"admits\":{},\"releases\":{},\"oracle_calls\":{},\
-             \"oracle_calls_saved\":{},\"warm_order_hits\":{},\
-             \"search_iterations\":{},\"incremental_updates\":{},\
-             \"graph_rebuilds\":{},\"batch_solves\":{},\
-             \"coalesced_admits\":{},\"clique_prunes\":{},\
-             \"greedy_solves\":{},\"lp_solves\":{},\"approx_gap\":{},\
-             \"ranges_moved\":{}}}",
-            self.admits,
-            self.releases,
-            self.oracle_calls,
-            self.oracle_calls_saved,
-            self.warm_order_hits,
-            self.search_iterations,
-            self.incremental_updates,
-            self.graph_rebuilds,
-            self.batch_solves,
-            self.coalesced_admits,
-            self.clique_prunes,
-            self.greedy_solves,
-            self.lp_solves,
-            self.approx_gap,
-            self.ranges_moved,
-        )
-    }
-}
-
 /// A portable export of a session's admission state: everything needed
 /// to reconstruct the exact published schedule on an identically
 /// configured [`MeshQos`] — admitted flows with routes and
@@ -442,9 +410,9 @@ impl QosSession {
     ///
     /// # Errors
     ///
-    /// [`QosError::InvalidRate`] for non-positive rates; scheduling and
-    /// solver failures other than plain infeasibility (which is a
-    /// [`FlowAdmission::Rejected`] verdict, not an error).
+    /// [`QosError::InvalidRate`] for a rate that is not finite and positive;
+    /// scheduling and solver failures other than plain infeasibility (which
+    /// is a [`FlowAdmission::Rejected`] verdict, not an error).
     pub fn admit(&mut self, spec: &FlowSpec) -> Result<FlowAdmission, QosError> {
         let path = shortest_path(self.mesh.topology(), spec.src, spec.dst).ok();
         self.admit_on(spec, path)
@@ -869,15 +837,16 @@ impl QosSession {
     ///
     /// The flow's links leave the per-link state (a link nothing crosses
     /// any more leaves the conflict graph) and every start time is
-    /// recomputed. Under the heuristic order policies a subset can rank
-    /// differently and need more minislots than the superset did; the
-    /// session then keeps the previous order, restricted to the remaining
-    /// links, when that still fits the frame and meets every deadline.
+    /// recomputed. Under every policy but [`OrderPolicy::ExactMilp`] a
+    /// subset can be ordered differently and need more minislots than the
+    /// superset did; the session then keeps the previous order, restricted
+    /// to the remaining links, when that still fits the frame and meets
+    /// every deadline.
     ///
     /// # Errors
     ///
-    /// Rescheduling the remaining flows can only fail for the heuristic
-    /// order policies, when neither the recomputed nor the previous order
+    /// Rescheduling the remaining flows can only fail for the non-exact
+    /// policies, when neither the recomputed nor the previous order
     /// meets a deadline the superset met (under
     /// [`OrderPolicy::ExactMilp`] a subset of a feasible set is always
     /// feasible). On error the session is left unchanged — the flow stays
@@ -932,15 +901,12 @@ impl QosSession {
         Ok(true)
     }
 
-    /// The release fallback of the heuristic policies: the published
-    /// order, which scheduled the superset, laid over the post-removal
-    /// graph, under the same frame and deadline checks as a fresh solve.
-    /// On success the kept layout is the trial layout.
+    /// The release fallback of every policy but the exact one: the
+    /// published order (every policy's layout follows its order), which
+    /// scheduled the superset, laid over the post-removal graph under the
+    /// checks of a fresh solve. On success the kept layout is on trial.
     fn keep_previous_order(&mut self) -> Option<Layout> {
-        if !matches!(
-            self.policy,
-            OrderPolicy::HopOrder | OrderPolicy::TreeOrder { .. }
-        ) {
+        if self.policy == OrderPolicy::ExactMilp {
             return None;
         }
         let previous = self.published_pairs(&self.graph);
@@ -1870,10 +1836,6 @@ mod tests {
     fn release_near_capacity_keeps_the_previous_order() {
         let mesh = mesh(6);
         let flows = near_capacity_flows();
-        let mut session = mesh.session(OrderPolicy::HopOrder);
-        for f in &flows {
-            assert!(session.admit(f).unwrap().is_admitted());
-        }
         let remaining: Vec<FlowSpec> = flows.iter().filter(|f| f.id.0 != 3).cloned().collect();
         let fresh = mesh.admit(&remaining, OrderPolicy::HopOrder).unwrap();
         assert_eq!(
@@ -1882,19 +1844,30 @@ mod tests {
             "the subset's own hop order overflows"
         );
 
-        assert!(session.release(FlowId(3)).unwrap());
-        let snap = session.snapshot();
-        assert_eq!(snap.admitted.len(), 4);
-        assert!(snap.guaranteed_slots <= snap.frame_slots());
-        assert!(snap.schedule.validate(&session.graph).is_ok());
-        for f in &snap.admitted {
-            assert!(f.worst_case_delay <= f.spec.deadline.unwrap());
+        // Every greedy key lays out the same `(rank, link)` sweep as the
+        // hop order, so it has the same fallback.
+        let greedy = OrderPolicy::GreedySequential {
+            key: admission::GreedyKey::Demand,
+        };
+        for policy in [OrderPolicy::HopOrder, greedy] {
+            let mut session = mesh.session(policy);
+            for f in &flows {
+                assert!(session.admit(f).unwrap().is_admitted(), "{policy:?}");
+            }
+            assert!(session.release(FlowId(3)).unwrap(), "{policy:?}");
+            let snap = session.snapshot();
+            assert_eq!(snap.admitted.len(), 4);
+            assert!(snap.guaranteed_slots <= snap.frame_slots());
+            assert!(snap.schedule.validate(&session.graph).is_ok());
+            for f in &snap.admitted {
+                assert!(f.worst_case_delay <= f.spec.deadline.unwrap());
+            }
+            // The kept order is ordinary warm state: it round-trips and the
+            // session keeps admitting and releasing from it.
+            let restored = mesh.restore_session(&session.export_state()).unwrap();
+            assert_eq!(restored.export_state(), session.export_state());
+            assert!(session.release(FlowId(0)).unwrap());
         }
-        // The kept order is ordinary warm state: it round-trips and the
-        // session keeps admitting and releasing from it.
-        let restored = mesh.restore_session(&session.export_state()).unwrap();
-        assert_eq!(restored.export_state(), session.export_state());
-        assert!(session.release(FlowId(0)).unwrap());
     }
 
     /// The per-link and per-flow state against the admitted set it must
@@ -1936,15 +1909,19 @@ mod tests {
 
     #[test]
     fn a_failed_release_is_undone_by_the_inverse_delta() {
-        let mesh = mesh(6);
-        // No fallback order under the greedy policies: the subset's own
-        // hop order overflows the frame and the release fails.
-        let policy = OrderPolicy::GreedySequential {
-            key: admission::GreedyKey::Demand,
-        };
-        let mut session = mesh.session(policy);
-        for f in &near_capacity_flows() {
-            assert!(session.admit(f).unwrap().is_admitted());
+        let mesh = MeshQos::new(generators::grid(3, 3), EmulationParams::default()).unwrap();
+        // Without flow 1, neither the recomputed hop order nor the previous
+        // one meets every deadline: earlier starts can cost a route a wrap.
+        let deadline = Duration::from_micros;
+        let flows = [
+            (0, 1, 250_000.0, deadline(24_220)),
+            (1, 4, 270_000.0, deadline(26_720)),
+            (3, 7, 40_000.0, deadline(20_440)),
+        ];
+        let mut session = mesh.session(OrderPolicy::HopOrder);
+        for (id, (src, dst, rate, deadline)) in flows.into_iter().enumerate() {
+            let f = FlowSpec::guaranteed(id as u32, NodeId(src), NodeId(dst), rate, deadline);
+            assert!(session.admit(&f).unwrap().is_admitted());
         }
         assert_state_consistent(&session);
         let before = session.export_state();
@@ -1955,7 +1932,7 @@ mod tests {
             .map(|f| f.worst_case_delay)
             .collect();
 
-        assert!(session.release(FlowId(3)).is_err());
+        assert!(session.release(FlowId(1)).is_err());
         assert_eq!(session.export_state(), before);
         let after: Vec<Duration> = session
             .snapshot()
@@ -1964,7 +1941,7 @@ mod tests {
             .map(|f| f.worst_case_delay)
             .collect();
         assert_eq!(after, bounds);
-        // Flow 3 is back in the middle of every list it was in, so the
+        // Flow 1 is back in the middle of every list it was in, so the
         // per-link sums still add in admission order.
         assert_state_consistent(&session);
         assert_eq!(session.stats().releases, 0);

@@ -10,11 +10,13 @@
 //!   optimal on the same set);
 //! * [`wimesh::SessionStats::approx_gap`] is a true upper bound on the
 //!   optimality gap: `approx_used - exact_used <= approx_gap`.
+//!
+//! A fixed ring(5) instance pins a case where the policies differ.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wimesh::conflict::ConflictGraph;
+use wimesh::conflict::{ConflictGraph, InterferenceModel};
 use wimesh::sim::traffic::VoipCodec;
 use wimesh::sim::FlowId;
 use wimesh::{FlowSpec, GreedyKey, MeshQos, OrderPolicy, QosSession};
@@ -207,5 +209,57 @@ proptest! {
             prop_assert_eq!(exact.admitted.len(), accepted.len());
             prop_assert!(exact.guaranteed_slots <= outcome.guaranteed_slots);
         }
+    }
+}
+
+/// One direction of each edge of ring(5) under primary interference is a
+/// 5-cycle of conflicts: its heaviest clique (two links) is below what any
+/// schedule needs, so the clique bound does not close the search. With
+/// three 600 kb/s one-hop flows per link, admitted one at a time, exact
+/// admits all fifteen and `LpRounding` too, while the hop order and every
+/// greedy key (the same sweep on single admits) stop at eleven. Every
+/// schedule certifies, and every reported gap covers the true one.
+#[test]
+fn ring5_odd_cycle_separates_the_policies() {
+    let mesh = MeshQos::builder(generators::ring(5))
+        .interference(InterferenceModel::PrimaryOnly)
+        .build()
+        .expect("ring mesh");
+    let flows: Vec<FlowSpec> = (0..15u32)
+        .map(|i| FlowSpec::best_effort(i, NodeId(i % 5), NodeId((i + 1) % 5), 600_000.0))
+        .collect();
+    let admit_all = |policy: OrderPolicy| {
+        let mut session = mesh.session(policy);
+        for f in &flows {
+            session.admit(f).expect("admission solves");
+            certify(&session).expect("certified");
+        }
+        session
+    };
+    let admitted = |session: &QosSession| session.snapshot().admitted.len();
+    let exact = admit_all(OrderPolicy::ExactMilp);
+    assert_eq!(admitted(&exact), 15);
+    assert_eq!(admitted(&admit_all(OrderPolicy::HopOrder)), 11);
+
+    for policy in APPROX_POLICIES {
+        let session = admit_all(policy);
+        let expected = if policy == OrderPolicy::LpRounding {
+            15
+        } else {
+            11
+        };
+        assert_eq!(admitted(&session), expected, "{policy:?}");
+        let outcome = session.snapshot();
+        let accepted: Vec<FlowSpec> = outcome.admitted.iter().map(|f| f.spec.clone()).collect();
+        let exact = mesh
+            .admit(&accepted, OrderPolicy::ExactMilp)
+            .expect("exact re-admission solves");
+        assert_eq!(exact.admitted.len(), accepted.len(), "{policy:?}");
+        let true_gap = outcome.guaranteed_slots - exact.guaranteed_slots;
+        assert!(
+            u64::from(true_gap) <= session.stats().approx_gap,
+            "true gap {true_gap} exceeds the reported {} under {policy:?}",
+            session.stats().approx_gap
+        );
     }
 }

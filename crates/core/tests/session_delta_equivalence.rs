@@ -453,10 +453,7 @@ impl<'a> Reference<'a> {
     }
 
     fn keep_previous_order(&mut self, demands: &Demands, flows: &[&Held]) -> Option<Solved> {
-        if !matches!(
-            self.policy,
-            OrderPolicy::HopOrder | OrderPolicy::TreeOrder { .. }
-        ) {
+        if self.policy == OrderPolicy::ExactMilp {
             return None;
         }
         let previous = TransmissionOrder::from_link_pairs(&self.graph, &self.warm);
@@ -716,8 +713,7 @@ fn flow(rng: &mut StdRng, mesh: &MeshQos, id: u32) -> FlowSpec {
 
 /// Five flows that fill `chain(6)` under the hop order; without flow 3
 /// the recomputed hop order needs more minislots than the frame has, so
-/// releasing it keeps the previous order (hop and tree policies) or fails
-/// (greedy policies, which have no fallback).
+/// releasing it keeps the previous order.
 fn near_capacity_flows() -> Vec<FlowSpec> {
     [
         (0, 5, 700_000.0),
@@ -866,7 +862,10 @@ fn the_churn_reaches_every_branch() {
     assert!(total.releases >= 1000, "{total:?}");
     assert!(total.releases_of_unknown_ids >= 70, "{total:?}");
     assert!(total.releases_keeping_the_previous_order >= 10, "{total:?}");
-    assert!(total.releases_failed >= 5, "{total:?}");
+    // Every policy here keeps the previous order when the recomputed one
+    // fails, so a release fails only where that order misses a deadline
+    // too.
+    assert!(total.releases_failed >= 1, "{total:?}");
     assert!(total.rebalances >= 60, "{total:?}");
     assert!(total.restores >= 60, "{total:?}");
 }

@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::model::{Model, Relaxed, Solution, SolveError, VarKind, WarmStart};
+use crate::model::{Model, Relaxed, Solution, SolveError, VarKind};
 
 /// Tuning knobs for [`Model::solve_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,31 +108,6 @@ fn snap_integral(model: &Model, values: &[f64]) -> (Vec<f64>, f64) {
     (snapped, obj)
 }
 
-/// Seeds the incumbent from a warm-start hint, if the hint checks out.
-fn warm_incumbent(
-    model: &Model,
-    config: &SolverConfig,
-    warm: Option<&WarmStart>,
-) -> Option<(Vec<f64>, f64)> {
-    let hint = warm.and_then(WarmStart::incumbent)?;
-    let mut snapped = hint.to_vec();
-    if snapped.len() == model.vars().len() {
-        for (x, v) in snapped.iter_mut().zip(model.vars()) {
-            if v.kind != VarKind::Continuous {
-                *x = x.round();
-            }
-        }
-    }
-    if model.is_feasible(&snapped, config.int_tol.max(1e-9)) {
-        let obj = model.evaluate_objective(&snapped);
-        wimesh_obs::counter_inc("milp.bnb.warm.incumbents");
-        Some((snapped, obj))
-    } else {
-        wimesh_obs::counter_inc("milp.bnb.warm.rejected");
-        None
-    }
-}
-
 /// Bytes of tableaux the open nodes may hold together. Every open node
 /// keeps its final tableau for its children and a best-first frontier can
 /// grow to `max_nodes`, so past this budget a child is queued without
@@ -143,15 +118,13 @@ const OPEN_TABLEAU_BYTES: usize = 256 << 20;
 pub(crate) fn branch_and_bound(
     model: &Model,
     config: &SolverConfig,
-    warm: Option<&WarmStart>,
 ) -> Result<Solution, SolveError> {
-    search(model, config, warm, OPEN_TABLEAU_BYTES)
+    search(model, config, OPEN_TABLEAU_BYTES)
 }
 
 fn search(
     model: &Model,
     config: &SolverConfig,
-    warm: Option<&WarmStart>,
     tableau_budget: usize,
 ) -> Result<Solution, SolveError> {
     let maximize = matches!(model.sense(), crate::Sense::Maximize);
@@ -174,10 +147,7 @@ fn search(
 
     let _span = wimesh_obs::span!("milp.bnb.solve");
 
-    // Seed the incumbent from the warm-start hint, if it checks out. A
-    // feasible incumbent bounds the whole tree from the first pop onward;
-    // a stale hint (wrong arity, violated constraint) is simply dropped.
-    let mut incumbent = warm_incumbent(model, config, warm);
+    let mut incumbent: Option<(Vec<f64>, f64)> = None;
 
     let root = model.solve_relaxation(root_bounds)?;
 
@@ -414,62 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_incumbent_same_objective_fewer_nodes() {
-        // The knapsack from above, warm-started with its known optimum.
-        let m = knapsack4();
-        let cfg = SolverConfig::default();
-        let cold = m.solve_with(&cfg).unwrap();
-        let warm = m
-            .solve_with_warm_start(
-                &cfg,
-                &crate::WarmStart::with_incumbent(cold.values().to_vec()),
-            )
-            .unwrap();
-        assert!((warm.objective() - cold.objective()).abs() < 1e-6);
-        assert!(
-            warm.nodes_explored() <= cold.nodes_explored(),
-            "warm {} > cold {}",
-            warm.nodes_explored(),
-            cold.nodes_explored()
-        );
-        assert!(m.is_feasible(warm.values(), 1e-6));
-    }
-
-    #[test]
-    fn stale_warm_incumbent_is_ignored() {
-        let mut m = Model::new();
-        let x = m.add_integer_var(0.0, 10.0, "x");
-        m.add_le(2.0 * x, 5.0);
-        m.set_objective(Sense::Maximize, LinExpr::from(x));
-        let cfg = SolverConfig::default();
-        for bad in [vec![99.0], vec![1.0, 1.0], vec![]] {
-            let sol = m
-                .solve_with_warm_start(&cfg, &crate::WarmStart::with_incumbent(bad.clone()))
-                .unwrap();
-            assert!((sol.value(x) - 2.0).abs() < 1e-6, "hint {bad:?}");
-        }
-        // An empty hint behaves exactly like a cold solve.
-        let sol = m
-            .solve_with_warm_start(&cfg, &crate::WarmStart::new())
-            .unwrap();
-        assert!((sol.value(x) - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn warm_incumbent_on_infeasible_model_still_infeasible() {
-        let mut m = Model::new();
-        let x = m.add_integer_var(0.4, 0.6, "x");
-        m.set_objective(Sense::Minimize, LinExpr::from(x));
-        let err = m
-            .solve_with_warm_start(
-                &SolverConfig::default(),
-                &crate::WarmStart::with_incumbent(vec![0.5]),
-            )
-            .unwrap_err();
-        assert_eq!(err, SolveError::Infeasible);
-    }
-
-    #[test]
     fn node_limit_reported() {
         // A model guaranteed to need branching with a 0-node budget.
         let mut m = Model::new();
@@ -513,21 +427,30 @@ mod tests {
 
     #[test]
     fn node_dropped_at_the_budget_leaves_the_gap_open() {
-        // Warm incumbent x = 0, budget 1: the root branches, its x <= 2
-        // child is popped and dropped by the budget. The heap is empty
-        // then, but x = 0 is not proven optimal.
+        // Under best-first search the first incumbent is optimal unless
+        // rounding it costs objective, which a loose `int_tol` allows. The
+        // root (x, y) = (0.6, 0.85) branches on x. Its x >= 1 child,
+        // (1, 0.25) at 6.5, counts as integral and becomes the incumbent
+        // (1, 0) at 5; its x <= 0 child, bound 6, is then popped and
+        // dropped by a budget of 2. x = 5 is not proven optimal: (0, 1)
+        // reaches 6.
         let mut m = Model::new();
         let x = m.add_integer_var(0.0, 10.0, "x");
-        m.add_le(2.0 * x, 5.0);
-        m.set_objective(Sense::Maximize, LinExpr::from(x));
-        let sol = m
-            .solve_with_warm_start(
-                &SolverConfig::with_max_nodes(1),
-                &crate::WarmStart::with_incumbent(vec![0.0]),
-            )
-            .unwrap();
-        assert!(sol.objective().abs() < 1e-9);
+        let y = m.add_integer_var(0.0, 10.0, "y");
+        m.add_le(2.0 * x + 8.0 * y, 8.0);
+        m.add_le(6.0 * x + 4.0 * y, 7.0);
+        m.set_objective(Sense::Maximize, 5.0 * x + 6.0 * y);
+        let config = |max_nodes| SolverConfig {
+            max_nodes,
+            int_tol: 0.3,
+            ..SolverConfig::default()
+        };
+        let sol = m.solve_with(&config(2)).unwrap();
+        assert!((sol.objective() - 5.0).abs() < 1e-9);
         assert!(sol.is_bound_gap_open());
+        let sol = m.solve_with(&config(3)).unwrap();
+        assert!((sol.objective() - 6.0).abs() < 1e-9);
+        assert!(!sol.is_bound_gap_open());
     }
 
     #[test]
@@ -669,10 +592,10 @@ mod tests {
         general.set_objective(Sense::Maximize, 2.0 * x + 3.0 * y);
         for m in [knapsack4(), general] {
             let cfg = SolverConfig::default();
-            let full = search(&m, &cfg, None, usize::MAX).unwrap();
+            let full = search(&m, &cfg, usize::MAX).unwrap();
             assert!(full.nodes_explored() > 3, "needs grandchildren");
             for budget in [0, 200] {
-                let lean = search(&m, &cfg, None, budget).unwrap();
+                let lean = search(&m, &cfg, budget).unwrap();
                 assert!((lean.objective() - full.objective()).abs() < 1e-9);
                 assert!(m.is_feasible(lean.values(), 1e-6));
                 assert!(!lean.is_bound_gap_open());

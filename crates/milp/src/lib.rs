@@ -56,4 +56,4 @@ mod simplex;
 
 pub use branch::SolverConfig;
 pub use expr::{LinExpr, VarId};
-pub use model::{CmpOp, Model, Sense, Solution, SolveError, VarKind, WarmStart};
+pub use model::{CmpOp, Model, Sense, Solution, SolveError, VarKind};

@@ -324,38 +324,6 @@ impl Relaxed {
     }
 }
 
-/// A warm-start hint for [`Model::solve_with_warm_start`].
-///
-/// Currently carries an optional *incumbent*: a complete variable
-/// assignment believed to be feasible. A valid incumbent hands branch &
-/// bound an immediate pruning bound, often collapsing the search to a
-/// handful of nodes; an invalid or stale one is checked and dropped, so
-/// hints can speed a solve up but never change its verdict.
-#[derive(Debug, Clone, Default)]
-pub struct WarmStart {
-    incumbent: Option<Vec<f64>>,
-}
-
-impl WarmStart {
-    /// An empty hint, equivalent to a cold solve.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A hint seeding branch & bound with `values` (indexed by
-    /// [`VarId::index`]) as the starting incumbent.
-    pub fn with_incumbent(values: Vec<f64>) -> Self {
-        Self {
-            incumbent: Some(values),
-        }
-    }
-
-    /// The incumbent assignment, if any.
-    pub fn incumbent(&self) -> Option<&[f64]> {
-        self.incumbent.as_deref()
-    }
-}
-
 /// A mixed-integer linear program.
 ///
 /// See the [crate documentation](crate) for a worked example.
@@ -487,26 +455,16 @@ impl Model {
     ///
     /// See [`SolveError`].
     pub fn solve_with(&self, config: &SolverConfig) -> Result<Solution, SolveError> {
-        self.solve_inner(config, None)
-    }
-
-    /// Solves with an explicit configuration and a [`WarmStart`] hint.
-    ///
-    /// Hints are validated before use and silently dropped when stale, so
-    /// the result always has the same verdict (optimal / infeasible /
-    /// unbounded) and objective value as a cold [`Model::solve_with`]; only
-    /// the work spent getting there changes. With alternate optima the
-    /// returned *assignment* may differ from the cold one.
-    ///
-    /// # Errors
-    ///
-    /// See [`SolveError`].
-    pub fn solve_with_warm_start(
-        &self,
-        config: &SolverConfig,
-        warm: &WarmStart,
-    ) -> Result<Solution, SolveError> {
-        self.solve_inner(config, Some(warm))
+        for (i, v) in self.vars.iter().enumerate() {
+            if v.lb > v.ub {
+                return Err(SolveError::BadBounds { var: VarId(i) });
+            }
+        }
+        if self.integer_count() == 0 {
+            self.solve_lp()
+        } else {
+            branch::branch_and_bound(self, config)
+        }
     }
 
     /// Solves the LP relaxation of the model: every integer and binary
@@ -541,23 +499,6 @@ impl Model {
             nodes: 1,
             bound_gap_open: false,
         })
-    }
-
-    fn solve_inner(
-        &self,
-        config: &SolverConfig,
-        warm: Option<&WarmStart>,
-    ) -> Result<Solution, SolveError> {
-        for (i, v) in self.vars.iter().enumerate() {
-            if v.lb > v.ub {
-                return Err(SolveError::BadBounds { var: VarId(i) });
-            }
-        }
-        if self.integer_count() == 0 {
-            self.solve_lp()
-        } else {
-            branch::branch_and_bound(self, config, warm)
-        }
     }
 
     pub(crate) fn vars(&self) -> &[VarData] {

@@ -14,8 +14,8 @@
 //!   iteration.
 //! * **Sinks** — [`sink::Sink`] implementations decide where events go:
 //!   [`sink::MemorySink`] for test assertions, [`sink::JsonlSink`] for
-//!   machine-readable traces (hand-rolled JSON, no serde), or nothing at
-//!   all.
+//!   machine-readable traces (written by [`json::Object`], read back by
+//!   [`reader::Cursor`]; no serde), or nothing at all.
 //!
 //! Three distributed-observability layers build on the same sink
 //! plumbing:

@@ -554,11 +554,10 @@ mod tests {
         assert!(matches!(c.str("plain"), Ok(Cow::Borrowed("µs a-b"))));
         assert_eq!(c.str("esc").as_deref(), Ok("a\\b/c\n\t\r\u{08}\u{0c}é😀"));
         assert!(c.str("lone").is_err());
-        // What `json::escape_into` writes reads back as it was.
+        // What `json::Object` writes reads back as it was.
         let original = "q\"b\\s\u{01}\n";
-        let mut line = String::from("{\"v\":");
-        crate::json::push_str_value(&mut line, original);
-        line.push('}');
+        let mut line = String::new();
+        crate::json::Object::new(&mut line).str("v", original);
         assert_eq!(cursor(&line).str("v").as_deref(), Ok(original));
     }
 

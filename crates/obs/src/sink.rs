@@ -2,8 +2,8 @@
 //!
 //! Three implementations cover the workspace's needs: [`NoopSink`]
 //! (explicitly discard), [`MemorySink`] (test assertions), and
-//! [`JsonlSink`] (one JSON object per line, written with the hand-rolled
-//! [`crate::json`] helpers).
+//! [`JsonlSink`] (one JSON object per line, written by
+//! [`crate::json::Object`]).
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -11,7 +11,7 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use crate::flight::FlightDump;
-use crate::json;
+use crate::json::Object;
 use crate::metrics::MetricsSnapshot;
 use crate::slo::SloVerdict;
 use crate::span::SpanEvent;
@@ -159,6 +159,10 @@ impl Sink for MemorySink {
 /// {"t":"slo","flow":N,"status":"...","promised_slots":N,"bound_ns":N,"max_delay_ns":N,"margin_ns":N,"delivered":N,"dropped":N,"frames_observed":N,"frames_short":N}
 /// ```
 ///
+/// Each line is one [`Object::record`]. An `slo` line for a flow promised
+/// no bound has no `bound_ns` (once `null`, which a `Cursor` refuses;
+/// absent is what [`crate::reader::Cursor::optional_u64`] reads).
+///
 /// The sink flushes on drop, so a short-lived process that never calls
 /// [`crate::finish`] still gets its final buffered records on disk.
 pub struct JsonlSink {
@@ -185,64 +189,54 @@ impl JsonlSink {
         // A failed trace write must never abort the traced program.
         let _ = writeln!(w, "{line}");
     }
+
+    /// Writes one line: the record `tag`, then the fields `fill` writes.
+    fn write_record(&self, tag: &str, fill: impl FnOnce(&mut Object<'_>)) {
+        let mut line = String::with_capacity(128);
+        fill(&mut Object::record(&mut line, tag));
+        self.write_line(&line);
+    }
 }
 
 impl Sink for JsonlSink {
     fn on_span(&self, event: &SpanEvent) {
-        let mut line = String::with_capacity(96);
-        line.push_str("{\"t\":\"span\",\"name\":");
-        json::push_str_value(&mut line, event.name);
-        line.push_str(&format!(
-            ",\"start_us\":{},\"dur_ns\":{},\"depth\":{}}}",
-            event.start_us, event.dur_ns, event.depth
-        ));
-        self.write_line(&line);
+        self.write_record("span", |o| {
+            o.str("name", event.name)
+                .int("start_us", event.start_us)
+                .int("dur_ns", event.dur_ns)
+                .int("depth", event.depth);
+        });
     }
 
     fn on_metrics(&self, snapshot: &MetricsSnapshot) {
         for (name, value) in &snapshot.counters {
-            let mut line = String::with_capacity(64);
-            line.push_str("{\"t\":\"counter\",\"name\":");
-            json::push_str_value(&mut line, name);
-            line.push_str(&format!(",\"value\":{value}}}"));
-            self.write_line(&line);
+            self.write_record("counter", |o| {
+                o.str("name", name).int("value", *value);
+            });
         }
         for (name, g) in &snapshot.gauges {
-            let mut line = String::with_capacity(64);
-            line.push_str("{\"t\":\"gauge\",\"name\":");
-            json::push_str_value(&mut line, name);
-            line.push_str(",\"last\":");
-            json::push_f64(&mut line, g.last);
-            line.push_str(",\"max\":");
-            json::push_f64(&mut line, g.max);
-            line.push('}');
-            self.write_line(&line);
+            self.write_record("gauge", |o| {
+                o.str("name", name).f64("last", g.last).f64("max", g.max);
+            });
         }
         for (name, h) in &snapshot.histograms {
-            let mut line = String::with_capacity(128);
-            line.push_str("{\"t\":\"hist\",\"name\":");
-            json::push_str_value(&mut line, name);
-            line.push_str(&format!(",\"count\":{}", h.count()));
-            line.push_str(",\"mean_ns\":");
-            json::push_f64(&mut line, h.mean().unwrap_or(0.0));
-            line.push_str(&format!(
-                ",\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{},\"overflow\":{}}}",
-                h.quantile(0.5).unwrap_or(0),
-                h.quantile(0.99).unwrap_or(0),
-                h.max_value(),
-                h.overflow_count()
-            ));
-            self.write_line(&line);
+            self.write_record("hist", |o| {
+                o.str("name", name)
+                    .int("count", h.count())
+                    .f64("mean_ns", h.mean().unwrap_or(0.0))
+                    .int("p50_ns", h.quantile(0.5).unwrap_or(0))
+                    .int("p99_ns", h.quantile(0.99).unwrap_or(0))
+                    .int("max_ns", h.max_value())
+                    .int("overflow", h.overflow_count());
+            });
         }
         for (name, agg) in &snapshot.spans {
-            let mut line = String::with_capacity(96);
-            line.push_str("{\"t\":\"span_agg\",\"name\":");
-            json::push_str_value(&mut line, name);
-            line.push_str(&format!(
-                ",\"count\":{},\"total_ns\":{},\"max_ns\":{}}}",
-                agg.count, agg.total_ns, agg.max_ns
-            ));
-            self.write_line(&line);
+            self.write_record("span_agg", |o| {
+                o.str("name", name)
+                    .int("count", agg.count)
+                    .int("total_ns", agg.total_ns)
+                    .int("max_ns", agg.max_ns);
+            });
         }
     }
 
@@ -251,53 +245,40 @@ impl Sink for JsonlSink {
     }
 
     fn on_flight(&self, dump: &FlightDump) {
-        let mut line = String::with_capacity(96);
-        line.push_str("{\"t\":\"flight\",\"node\":");
-        line.push_str(&dump.node.to_string());
-        line.push_str(",\"reason\":");
-        json::push_str_value(&mut line, &dump.reason);
-        line.push_str(&format!(
-            ",\"t_ns\":{},\"events\":{}}}",
-            dump.t_ns,
-            dump.events.len()
-        ));
-        self.write_line(&line);
+        self.write_record("flight", |o| {
+            o.int("node", dump.node)
+                .str("reason", &dump.reason)
+                .int("t_ns", dump.t_ns)
+                .int("events", dump.events.len() as u64);
+        });
         for (i, e) in dump.events.iter().enumerate() {
-            let mut line = String::with_capacity(96);
-            line.push_str("{\"t\":\"flight_ev\",\"node\":");
-            line.push_str(&dump.node.to_string());
-            line.push_str(&format!(
-                ",\"i\":{i},\"t_ns\":{},\"lamport\":{}",
-                e.t_ns, e.lamport
-            ));
-            line.push_str(",\"kind\":");
-            json::push_str_value(&mut line, e.kind);
-            line.push_str(&format!(",\"a\":{},\"b\":{}}}", e.a, e.b));
-            self.write_line(&line);
+            self.write_record("flight_ev", |o| {
+                o.int("node", dump.node)
+                    .int("i", i as u64)
+                    .int("t_ns", e.t_ns)
+                    .int("lamport", e.lamport)
+                    .str("kind", e.kind)
+                    .int("a", e.a)
+                    .int("b", e.b);
+            });
         }
     }
 
     fn on_slo(&self, verdict: &SloVerdict) {
-        let mut line = String::with_capacity(128);
-        line.push_str("{\"t\":\"slo\",\"flow\":");
-        line.push_str(&verdict.flow.to_string());
-        line.push_str(",\"status\":");
-        json::push_str_value(&mut line, &verdict.status.to_string());
-        line.push_str(&format!(",\"promised_slots\":{}", verdict.promised_slots));
-        match verdict.bound_ns {
-            Some(b) => line.push_str(&format!(",\"bound_ns\":{b}")),
-            None => line.push_str(",\"bound_ns\":null"),
-        }
-        line.push_str(&format!(
-            ",\"max_delay_ns\":{},\"margin_ns\":{},\"delivered\":{},\"dropped\":{},\"frames_observed\":{},\"frames_short\":{}}}",
-            verdict.max_delay_ns,
-            verdict.margin_ns,
-            verdict.delivered,
-            verdict.dropped,
-            verdict.frames_observed,
-            verdict.frames_short
-        ));
-        self.write_line(&line);
+        self.write_record("slo", |o| {
+            o.int("flow", verdict.flow)
+                .str("status", &verdict.status.to_string())
+                .int("promised_slots", verdict.promised_slots);
+            if let Some(bound) = verdict.bound_ns {
+                o.int("bound_ns", bound);
+            }
+            o.int("max_delay_ns", verdict.max_delay_ns)
+                .int("margin_ns", verdict.margin_ns)
+                .int("delivered", verdict.delivered)
+                .int("dropped", verdict.dropped)
+                .int("frames_observed", verdict.frames_observed)
+                .int("frames_short", verdict.frames_short);
+        });
     }
 
     fn flush(&self) {
@@ -314,11 +295,7 @@ impl Drop for JsonlSink {
     /// bench runs) that exit without calling [`crate::finish`] must
     /// never truncate the final buffered record.
     fn drop(&mut self) {
-        let _ = self
-            .writer
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .flush();
+        Sink::flush(self);
     }
 }
 

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::json;
+use crate::json::Object;
 use crate::reader::{Cursor, JsonlReader};
 
 /// Causal context attached to one distributed message.
@@ -81,21 +81,14 @@ impl TraceEvent {
     /// exactly the shape [`crate::sink::JsonlSink`] writes.
     pub fn to_jsonl(&self) -> String {
         let mut line = String::with_capacity(128);
-        line.push_str("{\"t\":\"trace\",\"trace\":");
-        let _ = write!(line, "{}", self.ctx.trace_id);
-        line.push_str(",\"span\":");
-        let _ = write!(line, "{}", self.ctx.span_id);
-        line.push_str(",\"parent\":");
-        let _ = write!(line, "{}", self.ctx.parent_span);
-        line.push_str(",\"lamport\":");
-        let _ = write!(line, "{}", self.ctx.lamport);
-        line.push_str(",\"kind\":");
-        json::push_str_value(&mut line, self.kind);
-        line.push_str(",\"node\":");
-        let _ = write!(line, "{}", self.node);
-        line.push_str(",\"t_ns\":");
-        let _ = write!(line, "{}", self.t_ns);
-        line.push('}');
+        Object::record(&mut line, "trace")
+            .int("trace", self.ctx.trace_id)
+            .int("span", self.ctx.span_id)
+            .int("parent", self.ctx.parent_span)
+            .int("lamport", self.ctx.lamport)
+            .str("kind", self.kind)
+            .int("node", self.node)
+            .int("t_ns", self.t_ns);
         line
     }
 }

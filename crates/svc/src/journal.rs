@@ -63,7 +63,7 @@ use std::time::Duration;
 
 use wimesh::tdma::SlotRange;
 use wimesh::{FlowSpec, FlowState, GreedyKey, OrderPolicy, SessionState};
-use wimesh_obs::json;
+use wimesh_obs::json::Object;
 use wimesh_obs::reader::{Cursor, JsonlError, JsonlLine, JsonlReader};
 use wimesh_sim::FlowId;
 use wimesh_topology::{LinkId, NodeId};
@@ -395,29 +395,60 @@ fn decode_snap_range(fields: &mut Cursor<'_>) -> Result<(LinkId, SlotRange), Jso
     Ok((link, SlotRange::new(start, len)))
 }
 
+/// The journal name of every policy but `TreeOrder`, which is
+/// `tree:<gateway>`. None holds a character JSON would escape.
+const POLICY_NAMES: [(OrderPolicy, &str); 6] = [
+    (OrderPolicy::HopOrder, "hop"),
+    (OrderPolicy::ExactMilp, "exact"),
+    (OrderPolicy::LpRounding, "lp"),
+    (greedy(GreedyKey::CliqueLoad), "greedy:clique"),
+    (greedy(GreedyKey::HopCount), "greedy:hop"),
+    (greedy(GreedyKey::Demand), "greedy:demand"),
+];
+
+const fn greedy(key: GreedyKey) -> OrderPolicy {
+    OrderPolicy::GreedySequential { key }
+}
+
 fn decode_policy(fields: &mut Cursor<'_>) -> Result<OrderPolicy, JsonlError> {
     let s = fields.str("policy")?;
-    let policy = match &*s {
-        "hop" => OrderPolicy::HopOrder,
-        "exact" => OrderPolicy::ExactMilp,
-        "lp" => OrderPolicy::LpRounding,
-        "greedy:clique" => OrderPolicy::GreedySequential {
-            key: GreedyKey::CliqueLoad,
-        },
-        "greedy:hop" => OrderPolicy::GreedySequential {
-            key: GreedyKey::HopCount,
-        },
-        "greedy:demand" => OrderPolicy::GreedySequential {
-            key: GreedyKey::Demand,
-        },
-        other => match other.strip_prefix("tree:").map(str::parse) {
-            Some(Ok(gateway)) => OrderPolicy::TreeOrder {
-                gateway: NodeId(gateway),
-            },
-            _ => return Err(fields.error(format!("unknown order policy \"{other}\""))),
-        },
+    if let Some(&(policy, _)) = POLICY_NAMES.iter().find(|(_, name)| *name == s) {
+        return Ok(policy);
+    }
+    match s.strip_prefix("tree:").map(str::parse) {
+        Some(Ok(gateway)) => Ok(OrderPolicy::TreeOrder {
+            gateway: NodeId(gateway),
+        }),
+        _ => Err(fields.error(format!("unknown order policy \"{s}\""))),
+    }
+}
+
+/// Why `spec` cannot be journaled, if it cannot: a rate that is not finite
+/// and positive (replay would fail on it) or a deadline past `u64::MAX`
+/// nanoseconds (the reader refuses it).
+pub(crate) fn unjournalable(spec: &FlowSpec) -> Option<String> {
+    let deadline_ns = spec.deadline.map(|d| d.as_nanos());
+    let why = if !(spec.rate_bps > 0.0 && spec.rate_bps.is_finite()) {
+        "rate is not finite and positive"
+    } else if deadline_ns > Some(u128::from(u64::MAX)) {
+        "deadline is past u64::MAX nanoseconds"
+    } else {
+        return None;
     };
-    Ok(policy)
+    Some(format!("flow {}: {why}", spec.id.0))
+}
+
+/// Refuses a record its reader would refuse, before any of it is written.
+fn refuse(why: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, why.into())
+}
+
+/// Starts a line of a record, ending the line before it if need be.
+fn line<'a>(out: &'a mut String, tag: &str) -> Object<'a> {
+    if !out.is_empty() && !out.ends_with('\n') {
+        out.push('\n');
+    }
+    Object::record(out, tag)
 }
 
 fn encode_record(record: &JournalRecord, out: &mut String) -> io::Result<()> {
@@ -425,106 +456,88 @@ fn encode_record(record: &JournalRecord, out: &mut String) -> io::Result<()> {
     match record {
         JournalRecord::AdmitBatch(specs) => {
             if specs.is_empty() {
-                return Err(io::Error::other("refusing to journal an empty batch"));
+                return Err(refuse("refusing to journal an empty batch"));
             }
-            let _ = writeln!(out, "{{\"t\":\"svc.batch\",\"n\":{}}}", specs.len());
+            line(out, "svc.batch").int("n", specs.len() as u64);
             for spec in specs {
-                out.push_str("{\"t\":\"svc.admit\",");
-                encode_spec_fields(spec, out);
-                out.push_str("}\n");
+                encode_spec(&mut line(out, "svc.admit"), spec)?;
             }
         }
         JournalRecord::Release(flow) => {
-            let _ = writeln!(out, "{{\"t\":\"svc.release\",\"flow\":{}}}", flow.0);
+            line(out, "svc.release").int("flow", flow.0);
         }
-        JournalRecord::Rebalance => {
-            out.push_str("{\"t\":\"svc.rebalance\"}\n");
-        }
+        JournalRecord::Rebalance => drop(line(out, "svc.rebalance")),
         JournalRecord::Policy(policy) => {
-            out.push_str("{\"t\":\"svc.policy\",\"policy\":");
-            encode_policy(*policy, out)?;
-            out.push_str("}\n");
+            line(out, "svc.policy").str("policy", &policy_name(*policy)?);
         }
         JournalRecord::Snapshot(state) => {
-            out.push_str("{\"t\":\"svc.snap\",\"policy\":");
-            encode_policy(state.policy, out)?;
-            let _ = writeln!(
-                out,
-                ",\"flows\":{},\"warm\":{},\"ranges\":{},\"slots\":{}}}",
-                state.flows.len(),
-                state.warm_pairs.len(),
-                state.ranges.len(),
-                state.guaranteed_slots
-            );
+            line(out, "svc.snap")
+                .str("policy", &policy_name(state.policy)?)
+                .int("flows", state.flows.len() as u64)
+                .int("warm", state.warm_pairs.len() as u64)
+                .int("ranges", state.ranges.len() as u64)
+                .int("slots", state.guaranteed_slots);
+            let mut path = String::new();
             for f in &state.flows {
-                out.push_str("{\"t\":\"svc.snap.flow\",");
-                encode_spec_fields(&f.spec, out);
-                let _ = write!(out, ",\"slots_per_link\":{},\"path\":\"", f.slots_per_link);
-                for (k, node) in f.path.iter().enumerate() {
-                    let sep = if k == 0 { "" } else { "-" };
-                    let _ = write!(out, "{sep}{}", node.0);
+                if f.path.is_empty() {
+                    return Err(refuse(format!("flow {}: empty path", f.spec.id.0)));
                 }
-                out.push_str("\"}\n");
+                path.clear();
+                for node in &f.path {
+                    let sep = if path.is_empty() { "" } else { "-" };
+                    let _ = write!(path, "{sep}{}", node.0);
+                }
+                let mut flow = line(out, "svc.snap.flow");
+                encode_spec(&mut flow, &f.spec)?;
+                flow.int("slots_per_link", f.slots_per_link)
+                    .str("path", &path);
             }
             for &(a, b) in &state.warm_pairs {
-                let _ = writeln!(
-                    out,
-                    "{{\"t\":\"svc.snap.warm\",\"a\":{},\"b\":{}}}",
-                    a.0, b.0
-                );
+                line(out, "svc.snap.warm").int("a", a.0).int("b", b.0);
             }
             for &(l, r) in &state.ranges {
-                let _ = writeln!(
-                    out,
-                    "{{\"t\":\"svc.snap.range\",\"link\":{},\"start\":{},\"len\":{}}}",
-                    l.0, r.start, r.len
-                );
+                if r.len == 0 || r.start.checked_add(r.len).is_none() {
+                    return Err(refuse(format!("link {}: empty or overflowing range", l.0)));
+                }
+                line(out, "svc.snap.range")
+                    .int("link", l.0)
+                    .int("start", r.start)
+                    .int("len", r.len);
             }
-            out.push_str("{\"t\":\"svc.snap.end\"}\n");
+            drop(line(out, "svc.snap.end"));
         }
     }
+    out.push('\n');
     Ok(())
 }
 
-fn encode_spec_fields(spec: &FlowSpec, out: &mut String) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        "\"id\":{},\"src\":{},\"dst\":{},\"rate_bps\":",
-        spec.id.0, spec.src.0, spec.dst.0
-    );
-    json::push_f64(out, spec.rate_bps);
-    let _ = write!(out, ",\"burst\":{}", spec.burst_bytes);
+/// The fields every admit and snapshot-flow line starts with.
+fn encode_spec(line: &mut Object<'_>, spec: &FlowSpec) -> io::Result<()> {
+    if let Some(why) = unjournalable(spec) {
+        return Err(refuse(why));
+    }
+    line.int("id", spec.id.0)
+        .int("src", spec.src.0)
+        .int("dst", spec.dst.0)
+        .f64("rate_bps", spec.rate_bps)
+        .int("burst", spec.burst_bytes);
     if let Some(d) = spec.deadline {
-        let _ = write!(out, ",\"deadline_ns\":{}", d.as_nanos());
+        // `unjournalable` refused a deadline past u64::MAX ns.
+        line.int("deadline_ns", d.as_nanos() as u64);
     }
+    Ok(())
 }
 
-/// Appends the policy's journal name as a quoted string; none of the
-/// names holds a character JSON would escape.
-fn encode_policy(policy: OrderPolicy, out: &mut String) -> io::Result<()> {
-    use std::fmt::Write as _;
-    let name = match policy {
-        OrderPolicy::HopOrder => "hop",
-        OrderPolicy::ExactMilp => "exact",
-        OrderPolicy::LpRounding => "lp",
-        OrderPolicy::TreeOrder { gateway } => {
-            let _ = write!(out, "\"tree:{}\"", gateway.0);
-            return Ok(());
-        }
-        OrderPolicy::GreedySequential { key } => match key {
-            GreedyKey::CliqueLoad => "greedy:clique",
-            GreedyKey::HopCount => "greedy:hop",
-            GreedyKey::Demand => "greedy:demand",
-            // `GreedyKey` is non-exhaustive too.
-            _ => return Err(io::Error::other("greedy key has no journal encoding")),
-        },
-        // `OrderPolicy` is non-exhaustive: refuse to journal a policy
-        // this writer has no stable encoding for.
-        _ => return Err(io::Error::other("order policy has no journal encoding")),
-    };
-    let _ = write!(out, "\"{name}\"");
-    Ok(())
+/// The policy's journal name. A policy without one (`OrderPolicy` and
+/// `GreedyKey` are non-exhaustive) is refused.
+fn policy_name(policy: OrderPolicy) -> io::Result<String> {
+    if let OrderPolicy::TreeOrder { gateway } = policy {
+        return Ok(format!("tree:{}", gateway.0));
+    }
+    let named = POLICY_NAMES.iter().find(|(p, _)| *p == policy);
+    named
+        .map(|&(_, name)| name.to_owned())
+        .ok_or_else(|| refuse("order policy has no journal encoding"))
 }
 
 #[cfg(test)]

@@ -8,11 +8,11 @@
 //! site, so a future code path cannot quietly mutate admission state
 //! without a journal record and break crash recovery.
 
-use wimesh::{FlowAdmission, FlowSpec, QosSession};
+use wimesh::{FlowAdmission, FlowSpec, QosSession, RejectReason};
 use wimesh_sim::FlowId;
 
 use crate::error::SvcError;
-use crate::journal::{JournalRecord, JournalWriter};
+use crate::journal::{unjournalable, JournalRecord, JournalWriter};
 
 /// A [`QosSession`] whose mutations are write-ahead journaled.
 ///
@@ -68,11 +68,35 @@ impl JournaledSession {
     /// grouping is recorded verbatim so replay repeats the exact same
     /// solves.
     ///
+    /// A spec the journal cannot hold, or replay could not admit again, is
+    /// answered alone as [`RejectReason::InvalidRequest`]: journaled, it
+    /// would wedge recovery; solved with the rest, it would fail them all.
+    ///
     /// # Errors
     ///
     /// [`SvcError::Journal`] if the append failed (nothing applied), or
     /// [`SvcError::Qos`] from the solve.
     pub fn admit_flows(&mut self, specs: &[FlowSpec]) -> Result<Vec<FlowAdmission>, SvcError> {
+        // Replay keeps such a spec in: a journal that holds one was not
+        // written by this writer, and the engine's error refuses it.
+        if self.writer.is_none() || specs.iter().all(|s| unjournalable(s).is_none()) {
+            return self.journal_and_admit(specs);
+        }
+        let valid: Vec<FlowSpec> = specs
+            .iter()
+            .filter(|s| unjournalable(s).is_none())
+            .cloned()
+            .collect();
+        let mut solved = self.journal_and_admit(&valid)?.into_iter();
+        let verdict = |s| match unjournalable(s) {
+            Some(why) => Some(FlowAdmission::Rejected(RejectReason::InvalidRequest(why))),
+            None => solved.next(),
+        };
+        Ok(specs.iter().filter_map(verdict).collect())
+    }
+
+    /// Journals `specs` as one batch, then solves them together.
+    fn journal_and_admit(&mut self, specs: &[FlowSpec]) -> Result<Vec<FlowAdmission>, SvcError> {
         if specs.is_empty() {
             return Ok(Vec::new());
         }

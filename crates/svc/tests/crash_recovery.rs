@@ -8,7 +8,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use proptest::prelude::*;
-use wimesh::{FlowSpec, GreedyKey, MeshQos, OrderPolicy, SessionState};
+use wimesh::{FlowSpec, GreedyKey, MeshQos, OrderPolicy, RejectReason, SessionState};
 use wimesh_emu::EmulationParams;
 use wimesh_sim::traffic::VoipCodec;
 use wimesh_sim::FlowId;
@@ -393,6 +393,112 @@ fn release_near_capacity_does_not_poison_the_journal() {
     let truth = journaled.session().export_state();
 
     let recovered = recover(&mesh, OrderPolicy::HopOrder, &buf.text()).expect("recovers");
+    assert_eq!(recovered.session.export_state(), truth);
+}
+
+/// The four requests a journal cannot hold or replay: a rate of NaN, of
+/// +inf or of -5, and a deadline past `u64::MAX` nanoseconds. Each is the
+/// middle of a batch of three admits; it is answered on its own, the
+/// other two are admitted live, and the journal recovers to the live
+/// state, certified.
+#[test]
+fn a_bad_request_is_answered_alone_and_the_journal_recovers() {
+    let mesh = mesh(4);
+    let bad = [
+        FlowSpec::best_effort(2, NodeId(3), NodeId(0), f64::NAN),
+        FlowSpec::best_effort(2, NodeId(3), NodeId(0), f64::INFINITY),
+        FlowSpec::guaranteed(2, NodeId(3), NodeId(0), 64_000.0, std::time::Duration::MAX),
+        FlowSpec::best_effort(2, NodeId(3), NodeId(0), -5.0),
+    ];
+    for middle in bad {
+        let buf = SharedBuf::default();
+        let writer = JournalWriter::from_writer(Box::new(buf.clone()));
+        let mut journaled = JournaledSession::new(mesh.session(OrderPolicy::HopOrder), writer, 0);
+        journaled.admit_flows(&[voip(0, 3)]).expect("good admit");
+        let verdicts = journaled
+            .admit_flows(&[voip(1, 2), middle.clone(), voip(3, 1)])
+            .unwrap_or_else(|e| panic!("{middle:?} failed the batch: {e}"));
+        assert!(verdicts[0].is_admitted(), "{middle:?}");
+        assert!(
+            matches!(
+                verdicts[1].rejected(),
+                Some(RejectReason::InvalidRequest(_))
+            ),
+            "{middle:?}: {:?}",
+            verdicts[1]
+        );
+        assert!(verdicts[2].is_admitted(), "{middle:?}");
+        let live = journaled.session().export_state();
+        assert_eq!(live.flows.len(), 3);
+
+        let journal = buf.text();
+        let recovered = recover(&mesh, OrderPolicy::HopOrder, &journal)
+            .unwrap_or_else(|e| panic!("{middle:?}: {e}\n{journal}"));
+        assert_eq!(recovered.session.export_state(), live, "{middle:?}");
+        assert_eq!(recovered.report.makespan, live.guaranteed_slots);
+    }
+}
+
+/// The writer refuses, as a typed error and before writing a byte, every
+/// record its reader would refuse.
+#[test]
+fn the_writer_refuses_what_its_reader_would() {
+    let buf = SharedBuf::default();
+    let mut writer = JournalWriter::from_writer(Box::new(buf.clone()));
+    for spec in [
+        FlowSpec::best_effort(1, NodeId(3), NodeId(0), f64::NAN),
+        FlowSpec::guaranteed(1, NodeId(3), NodeId(0), 64_000.0, std::time::Duration::MAX),
+    ] {
+        let record = JournalRecord::AdmitBatch(vec![voip(0, 2), spec]);
+        let err = writer.append(&record).expect_err("unreadable record");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+    let err = writer
+        .append(&JournalRecord::AdmitBatch(Vec::new()))
+        .expect_err("empty");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(buf.text(), "");
+}
+
+/// The flows of `release_near_capacity_does_not_poison_the_journal`:
+/// without flow 3 the recomputed hop order needs 33 of the frame's 32
+/// minislots.
+fn near_capacity_flows() -> Vec<FlowSpec> {
+    [
+        (0, 5, 700_000.0),
+        (1, 0, 700_000.0),
+        (1, 4, 700_000.0),
+        (4, 0, 100_000.0),
+        (1, 3, 600_000.0),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(id, (src, dst, rate))| {
+        let deadline = std::time::Duration::from_millis(150);
+        FlowSpec::guaranteed(id as u32, NodeId(src), NodeId(dst), rate, deadline)
+    })
+    .collect()
+}
+
+/// A `GreedySequential` release near capacity keeps the previous order,
+/// as `HopOrder` does, so its journaled record replays.
+#[test]
+fn greedy_release_near_capacity_does_not_poison_the_journal() {
+    let mesh = mesh(6);
+    let policy = OrderPolicy::GreedySequential {
+        key: GreedyKey::Demand,
+    };
+    let buf = SharedBuf::default();
+    let writer = JournalWriter::from_writer(Box::new(buf.clone()));
+    let mut journaled = JournaledSession::new(mesh.session(policy), writer, 0);
+    for f in near_capacity_flows() {
+        let verdicts = journaled.admit_flows(&[f]).expect("admit");
+        assert!(verdicts[0].is_admitted());
+    }
+    assert!(journaled.release_flow(FlowId(3)).expect("release succeeds"));
+    let truth = journaled.session().export_state();
+
+    let recovered = recover(&mesh, policy, &buf.text()).expect("recovers");
     assert_eq!(recovered.session.export_state(), truth);
 }
 

@@ -346,6 +346,44 @@ fn a_resubmitted_admit_is_rejected_and_its_journal_recovers() {
     assert_eq!(recovered.session.export_state(), report.state);
 }
 
+/// A request the journal cannot hold is answered alone, however the
+/// worker coalesces it with its neighbours, and the journal recovers.
+#[test]
+fn a_bad_request_fails_alone_and_its_journal_recovers() {
+    let mesh = mesh(4);
+    let buf = SharedBuf::default();
+    let (gateway, client) = AdmissionGateway::start(
+        mesh.session(OrderPolicy::HopOrder),
+        JournalWriter::from_writer(Box::new(buf.clone())),
+        GatewayConfig::default(),
+    )
+    .expect("gateway starts");
+    let tickets: Vec<Ticket> = [
+        FlowSpec::voip(0, NodeId(3), NodeId(0), VoipCodec::G729),
+        FlowSpec::best_effort(1, NodeId(2), NodeId(0), f64::NAN),
+        FlowSpec::voip(2, NodeId(1), NodeId(0), VoipCodec::G729),
+    ]
+    .into_iter()
+    .map(|spec| client.admit(spec).expect("submit"))
+    .collect();
+    let replies: Vec<Reply> = tickets
+        .into_iter()
+        .map(|t| t.wait().expect("reply"))
+        .collect();
+    assert!(matches!(replies[0], Reply::Admitted(_)), "{replies:?}");
+    assert!(
+        matches!(replies[1], Reply::Rejected(RejectReason::InvalidRequest(_))),
+        "{replies:?}"
+    );
+    assert!(matches!(replies[2], Reply::Admitted(_)), "{replies:?}");
+
+    let report = gateway.shutdown();
+    assert_eq!(report.state.flows.len(), 2);
+    let recovered =
+        wimesh_svc::recover(&mesh, OrderPolicy::HopOrder, &buf.text()).expect("recovers");
+    assert_eq!(recovered.session.export_state(), report.state);
+}
+
 #[test]
 fn configured_policy_mismatch_refuses_to_start() {
     let mesh = mesh(4);

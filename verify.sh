@@ -46,7 +46,8 @@ cargo test -q -p wimesh-obs --test obs_stream
 cargo run -p wimesh-bench --release --bin experiments -- slo_audit --quick
 # The admission gateway service: batched front-end semantics and the
 # crash-point recovery harness (every line-boundary and torn-write
-# truncation must recover certified or fail typed).
+# truncation must recover certified or fail typed; a request the journal
+# cannot hold is answered alone and never wedges recovery).
 cargo test -q -p wimesh-svc --test service
 cargo test -q -p wimesh-svc --test crash_recovery
 # The journal decoder: equivalence with the substring decoder it
@@ -54,6 +55,12 @@ cargo test -q -p wimesh-svc --test crash_recovery
 # recovery is certified), and recovery's blindness to what precedes the
 # last snapshot.
 cargo test -q -p wimesh-svc --test journal_decode
+# One writer (`wimesh_obs::json::Object`) and one reader (`Cursor`) own
+# the line format: seeded random journal records of every kind, trace
+# lines and sink lines (quotes, backslashes, control and non-ASCII text,
+# u32/u64 extremes, negative, subnormal and huge f64s) must read back
+# into exactly what was written.
+cargo test -q -p wimesh-svc --test jsonl_roundtrip
 # The serde feature must keep round-tripping the persistable types the
 # journal depends on (SessionState, FlowSpec, schedules, stats).
 cargo test -q -p wimesh --features serde --test serde_feature
