@@ -1,7 +1,8 @@
 //! The workspace's one JSON writer (no serde): [`Object`] writes every
 //! sink and trace line, the `wimesh-svc` journal and the experiment
 //! artifacts, so the format [`crate::reader::Cursor`] reads back is
-//! decided here alone. Strings are escaped per RFC 8259 §7.
+//! decided here alone: a line it reads nests nothing but arrays of
+//! unsigned integers. Strings are escaped per RFC 8259 §7.
 
 use std::fmt::Write as _;
 
@@ -69,7 +70,8 @@ fn push_f64(out: &mut String, v: f64) {
 
 /// A JSON object appended to a `String`, closed on drop: `"key":value` in
 /// call order, no whitespace, plain keys, escaped strings, integers as such,
-/// shortest round-trip `f64`s. A flat [`Object::record`] is a `Cursor` line.
+/// shortest round-trip `f64`s. An [`Object::record`] whose members are
+/// scalars, or arrays of unsigned integers only, is a `Cursor` line.
 pub struct Object<'a>(&'a mut String, char);
 
 impl<'a> Object<'a> {

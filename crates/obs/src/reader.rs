@@ -10,10 +10,11 @@
 //! classic torn write a crashed process leaves behind).
 //! [`JsonlLine::cursor`] opens a [`Cursor`] that walks the line *once*,
 //! field by field in the order the sinks write them — borrowed, no heap
-//! allocation — and accepts nothing but exactly one flat object, so
-//! what a line costs to read does not depend on how many fields it has
-//! or in which order they are wanted. Failures carry the offending line
-//! number via [`JsonlError`].
+//! allocation — and accepts nothing but exactly one object whose values
+//! are strings, numbers, or arrays of unsigned integers only, so what a
+//! line costs to read does not depend on how many fields it has or in
+//! which order they are wanted. Failures carry the offending line number
+//! via [`JsonlError`].
 
 use std::borrow::Cow;
 use std::fmt;
@@ -109,10 +110,11 @@ impl<'a> JsonlLine<'a> {
 
 /// A single pass over the fields of one line.
 ///
-/// The line must be exactly one *flat* JSON object as the sinks of this
+/// The line must be exactly one JSON object as the sinks of this
 /// workspace write it: `{"key":value,...}` with no whitespace between
-/// tokens, plain (escape-free) keys, and values that are strings or
-/// numbers — never a nested object or array.
+/// tokens, plain (escape-free) keys, and values that are strings,
+/// numbers, or arrays of unsigned integers only — never a nested object,
+/// and no other kind of array.
 ///
 /// A sink writes the fields of a record in one fixed order, and the
 /// cursor reads them in that order: each read names the key that must
@@ -192,18 +194,32 @@ impl<'a> Cursor<'a> {
 
     #[inline]
     fn take_u64(&mut self) -> Option<u64> {
+        let (v, len) = leading_u64(self.rest.as_bytes())?;
+        self.value(len).map(|_| v)
+    }
+
+    /// Moves past `[n,...]`, handing each `n` to `each`; `None` (after
+    /// `each` may have seen a prefix) unless every element is a `u32`.
+    #[inline]
+    fn take_u32_array(&mut self, mut each: impl FnMut(u32)) -> Option<()> {
         let b = self.rest.as_bytes();
-        let mut v: u64 = 0;
-        let mut len = 0;
-        while let Some(c) = b.get(len).filter(|c| c.is_ascii_digit()) {
-            v = v.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
-            len += 1;
-        }
-        // JSON has no empty number and no leading zero.
-        if len == 0 || (len > 1 && b[0] == b'0') {
+        if b.first() != Some(&b'[') {
             return None;
         }
-        self.value(len).map(|_| v)
+        let mut at = 1;
+        if b.get(at) != Some(&b']') {
+            loop {
+                let (v, len) = leading_u64(&b[at..])?;
+                each(u32::try_from(v).ok()?);
+                at += len;
+                match b.get(at)? {
+                    b',' => at += 1,
+                    b']' => break,
+                    _ => return None,
+                }
+            }
+        }
+        self.value(at + 1).map(|_| ())
     }
 
     #[inline]
@@ -289,6 +305,24 @@ impl<'a> Cursor<'a> {
         })
     }
 
+    /// The next field, which must be the array `key` of integers that
+    /// each read as [`Self::u32`] would: no sign, no leading zero, nothing
+    /// past `u32::MAX`, and no whitespace anywhere in the array. Each
+    /// element is handed to `each` in order, so the caller, not a count,
+    /// decides what to keep.
+    ///
+    /// # Errors
+    ///
+    /// A typed error naming the line and the field when another field
+    /// comes next or its value is not such an array; `each` may have
+    /// been handed a prefix of the elements by then.
+    #[inline]
+    pub fn u32_array(&mut self, key: &str, each: impl FnMut(u32)) -> Result<(), JsonlError> {
+        self.field(key, "an array of unsigned integers of 32 bits", |cursor| {
+            cursor.take_u32_array(each)
+        })
+    }
+
     /// Like [`Self::u64`], for a field the writer may leave out: read
     /// only if it comes next.
     ///
@@ -353,6 +387,23 @@ impl<'a> Cursor<'a> {
     fn expected(&self, what: &str, key: &str) -> JsonlError {
         self.error(format!("expected field \"{key}\" holding {what}"))
     }
+}
+
+/// The unsigned integer `b` starts with, and its length in bytes; `None`
+/// when it is empty, has a leading zero or is past `u64::MAX`.
+#[inline]
+fn leading_u64(b: &[u8]) -> Option<(u64, usize)> {
+    let mut v: u64 = 0;
+    let mut len = 0;
+    while let Some(c) = b.get(len).filter(|c| c.is_ascii_digit()) {
+        v = v.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
+        len += 1;
+    }
+    // JSON has no empty number and no leading zero.
+    if len == 0 || (len > 1 && b[0] == b'0') {
+        return None;
+    }
+    Some((v, len))
 }
 
 /// Index of the quote closing the string whose contents start at `from`,
@@ -596,6 +647,55 @@ mod tests {
             assert!(cursor(&line).u64("v").is_err(), "read {bad:?}");
         }
         assert_eq!(cursor("{\"v\":0}").u64("v"), Ok(0));
+    }
+
+    #[test]
+    fn u32_arrays_read_each_element_with_the_u32_grammar() {
+        fn read(line: &str) -> Result<Vec<u32>, JsonlError> {
+            let mut c = JsonlReader::new(line).next().expect("one line").cursor()?;
+            let mut out = Vec::new();
+            c.u32_array("v", |v| out.push(v))?;
+            c.end()?;
+            Ok(out)
+        }
+        assert_eq!(read("{\"v\":[]}"), Ok(vec![]));
+        assert_eq!(read("{\"v\":[7]}"), Ok(vec![7]));
+        assert_eq!(read("{\"v\":[0,4294967295,12]}"), Ok(vec![0, u32::MAX, 12]));
+        let mut c = cursor("{\"a\":[1,2],\"b\":3}");
+        let mut a = Vec::new();
+        assert_eq!(c.u32_array("a", |v| a.push(v)), Ok(()));
+        assert_eq!(c.u64("b"), Ok(3));
+        assert_eq!(a, [1, 2]);
+        for bad in [
+            "[4294967296]",
+            "[01]",
+            "[-1]",
+            "[+1]",
+            "[1.0]",
+            "[1e3]",
+            "[1,]",
+            "[,1]",
+            "[ 1]",
+            "[1 ]",
+            "[1, 2]",
+            "[[1]]",
+            "[\"1\"]",
+            "[1",
+            "[1,2",
+            "[",
+            "[1]x",
+            "[1] ",
+            "[1]]",
+            "1",
+            "\"[1]\"",
+            "null",
+        ] {
+            let err = read(&format!("{{\"v\":{bad}}}\n")).expect_err(bad);
+            assert_eq!(err.line, 1, "{bad}");
+            assert!(err.reason.contains("\"v\""), "{bad}: {err}");
+        }
+        // A scalar reader still refuses an array.
+        assert!(cursor("{\"v\":[1]}").u32("v").is_err());
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //!
 //! # Record format
 //!
-//! The journal reuses the flat one-line JSON shape of the `wimesh-obs`
-//! sinks (every line is `{"t":"<tag>",...}`), so the same
-//! [`JsonlReader`] and [`Cursor`] read both: each line is decoded once,
-//! its fields taken in the order shown here, and a line that is anything
-//! else — not one flat object, a field missing, unknown, repeated or out
-//! of order, an id that does not fit its type — is corrupt. Four record
-//! kinds, three of them mutations:
+//! The journal reuses the one-line JSON shape of the `wimesh-obs` sinks
+//! (every line is `{"t":"<tag>",...}`), so the same [`JsonlReader`] and
+//! [`Cursor`] read both: each line is decoded once, its fields taken in
+//! the order shown here, and a line that is anything else — not one
+//! object of scalars and arrays of unsigned integers only, a field
+//! missing, unknown, repeated or out of order, an id that does not fit
+//! its type — is corrupt. Four record kinds, three of them mutations:
 //!
 //! ```text
 //! {"t":"svc.batch","n":2}                  // admission batch header
@@ -27,16 +27,25 @@
 //! {"t":"svc.policy","policy":"greedy:clique"}
 //! ```
 //!
-//! and the periodic snapshot, a multi-line group bracketed by counts in
-//! its header and a terminator line:
+//! and the periodic snapshot, a group of `flows + 4` lines however large
+//! the conflict graph: its header, one line per flow, the order pairs and
+//! the slot ranges as columns of one line each, and a terminator line:
 //!
 //! ```text
 //! {"t":"svc.snap","policy":"exact","flows":1,"warm":2,"ranges":3,"slots":5}
-//! {"t":"svc.snap.flow","id":8,...,"slots_per_link":1,"path":"4-3-2-0"}
-//! {"t":"svc.snap.warm","a":3,"b":5}        // exactly `warm` pair lines
-//! {"t":"svc.snap.range","link":5,"start":0,"len":2}
+//! {"t":"svc.snap.flow","id":8,...,"slots_per_link":1,"path":[4,3,2,0]}
+//! {"t":"svc.snap.warm","a":[3,3],"b":[5,7]}   // pair i is (a[i], b[i])
+//! {"t":"svc.snap.range","link":[3,5,7],"start":[0,2,4],"len":[2,2,1]}
 //! {"t":"svc.snap.end"}
 //! ```
+//!
+//! The header's `warm` and `ranges` are the lengths of those columns; a
+//! column of any other length is corrupt, and so is an empty path or a
+//! range that is empty or ends past `u32::MAX`. Every array element reads
+//! with the grammar of every other id. A snapshot in the format before
+//! (one line per pair and per range, the path a `"4-3-0"` string) is
+//! corrupt at its first member line — or, when it ends the text with
+//! fewer than `flows + 3` member lines, a torn tail, as any short group.
 //!
 //! `deadline_ns` is omitted for best-effort flows. The batch grouping
 //! is itself part of the record — replaying the same grouping through
@@ -48,7 +57,9 @@
 //!
 //! The writer appends every line of a record and flushes before the
 //! mutation is applied, so a crash can only lose the *suffix* of the
-//! stream. The parser therefore treats exactly two shapes as a torn
+//! stream; after a failed write it appends nothing more, so a write
+//! error can only leave a partial record at the end of the stream, as a
+//! crash does. The parser therefore treats exactly two shapes as a torn
 //! tail (dropped, `torn_tail = true`): a final line without its
 //! newline, and a trailing group with fewer member lines than its
 //! header promises. Anything malformed *before* complete later lines
@@ -91,11 +102,19 @@ pub enum JournalRecord {
 
 /// Appends journal records to a byte stream, flushing each record
 /// before the caller applies its mutation (write-ahead discipline).
+///
+/// The writer is fail-stop: once a write or flush has failed, the stream
+/// may end in part of a record, and a record written after it would turn
+/// that torn tail into corruption mid-journal. So every later append is
+/// refused before it writes a byte, and the stream holds complete records
+/// and at most one torn record, at its end.
 pub struct JournalWriter {
     out: Box<dyn Write + Send>,
     /// The record being appended, encoded in full before any of it is
     /// written; kept between appends for its capacity.
     buf: String,
+    /// Whether a write or flush has failed.
+    failed: bool,
 }
 
 impl fmt::Debug for JournalWriter {
@@ -130,6 +149,7 @@ impl JournalWriter {
         JournalWriter {
             out,
             buf: String::with_capacity(256),
+            failed: false,
         }
     }
 
@@ -139,12 +159,24 @@ impl JournalWriter {
     ///
     /// # Errors
     ///
-    /// The I/O error; the caller must *not* apply the mutation then.
+    /// The I/O error; the caller must *not* apply the mutation then. A
+    /// record the reader would refuse is an `InvalidInput` error and
+    /// writes nothing. After a failed write or flush, this append and
+    /// every later one fail before writing a byte.
     pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
+        if self.failed {
+            return Err(io::Error::other(
+                "an earlier append failed; the journal takes no more records",
+            ));
+        }
         self.buf.clear();
         encode_record(record, &mut self.buf)?;
-        self.out.write_all(self.buf.as_bytes())?;
-        self.out.flush()
+        let written = self
+            .out
+            .write_all(self.buf.as_bytes())
+            .and_then(|()| self.out.flush());
+        self.failed = written.is_err();
+        written
     }
 }
 
@@ -302,27 +334,27 @@ impl<'a> RecordStream<'a> {
                 let nr = head.u64("ranges")?;
                 let guaranteed_slots = head.u32("slots")?;
                 head.end()?;
-                // + svc.snap.end. A sum past u64::MAX is in any case more
+                // The flow lines, then the pairs, the ranges and
+                // svc.snap.end. A count past u64::MAX is in any case more
                 // lines than a text can hold.
-                let members = nf.saturating_add(nw).saturating_add(nr).saturating_add(1);
-                if !self.gather(members) {
+                if !self.gather(nf.saturating_add(3)) {
                     return Ok(None);
                 }
                 superseded();
-                // `members` lines are in hand, so each count fits usize.
+                // `nf + 3` lines are in hand, so `nf` fits usize.
                 let (flows, rest) = self.group.split_at(nf as usize);
-                let (warm, rest) = rest.split_at(nw as usize);
-                let (ranges, end) = rest.split_at(nr as usize);
                 let state = SessionState {
                     policy,
                     flows: decode_all(flows, "svc.snap.flow", decode_snap_flow)?,
-                    warm_pairs: decode_all(warm, "svc.snap.warm", |fields| {
-                        Ok((LinkId(fields.u32("a")?), LinkId(fields.u32("b")?)))
+                    warm_pairs: decode_member(&rest[0], "svc.snap.warm", |fields| {
+                        decode_snap_pairs(fields, nw)
                     })?,
-                    ranges: decode_all(ranges, "svc.snap.range", decode_snap_range)?,
+                    ranges: decode_member(&rest[1], "svc.snap.range", |fields| {
+                        decode_snap_ranges(fields, nr)
+                    })?,
                     guaranteed_slots,
                 };
-                decode_all(end, "svc.snap.end", |_| Ok(()))?;
+                decode_member(&rest[2], "svc.snap.end", |_| Ok(()))?;
                 JournalRecord::Snapshot(state)
             }
             other => {
@@ -343,15 +375,40 @@ fn decode_all<'a, T>(
 ) -> Result<Vec<T>, JsonlError> {
     let mut out = Vec::with_capacity(lines.len());
     for line in lines {
-        let mut fields = line.cursor()?;
-        let found = fields.tag()?;
-        if found != tag {
-            return Err(line.error(format!("expected {tag}, found {found}")));
-        }
-        out.push(decode(&mut fields)?);
-        fields.end()?;
+        out.push(decode_member(line, tag, &decode)?);
     }
     Ok(out)
+}
+
+/// Decodes `line` as a `tag` record whose fields `decode` reads.
+fn decode_member<'a, T>(
+    line: &JsonlLine<'a>,
+    tag: &str,
+    decode: impl FnOnce(&mut Cursor<'a>) -> Result<T, JsonlError>,
+) -> Result<T, JsonlError> {
+    let mut fields = line.cursor()?;
+    let found = fields.tag()?;
+    if found != tag {
+        return Err(line.error(format!("expected {tag}, found {found}")));
+    }
+    let value = decode(&mut fields)?;
+    fields.end()?;
+    Ok(value)
+}
+
+/// The next field, the snapshot column `key`, which must hold the `count`
+/// values its header promised. The result is sized by the line, not by
+/// `count`.
+fn column(fields: &mut Cursor<'_>, key: &str, count: u64) -> Result<Vec<u32>, JsonlError> {
+    let mut values = Vec::new();
+    fields.u32_array(key, |v| values.push(v))?;
+    if values.len() as u64 != count {
+        let found = values.len();
+        return Err(fields.error(format!(
+            "column \"{key}\" holds {found} values, its header promises {count}"
+        )));
+    }
+    Ok(values)
 }
 
 fn decode_spec(fields: &mut Cursor<'_>) -> Result<FlowSpec, JsonlError> {
@@ -370,14 +427,11 @@ fn decode_spec(fields: &mut Cursor<'_>) -> Result<FlowSpec, JsonlError> {
 fn decode_snap_flow(fields: &mut Cursor<'_>) -> Result<FlowState, JsonlError> {
     let spec = decode_spec(fields)?;
     let slots_per_link = fields.u32("slots_per_link")?;
-    let path = fields
-        .str("path")?
-        .split('-')
-        .map(|part| match part.parse() {
-            Ok(id) => Ok(NodeId(id)),
-            Err(_) => Err(fields.error(format!("malformed path node \"{part}\""))),
-        })
-        .collect::<Result<_, _>>()?;
+    let mut path = Vec::new();
+    fields.u32_array("path", |node| path.push(NodeId(node)))?;
+    if path.is_empty() {
+        return Err(fields.error("empty path"));
+    }
     Ok(FlowState {
         spec,
         path,
@@ -385,14 +439,36 @@ fn decode_snap_flow(fields: &mut Cursor<'_>) -> Result<FlowState, JsonlError> {
     })
 }
 
-fn decode_snap_range(fields: &mut Cursor<'_>) -> Result<(LinkId, SlotRange), JsonlError> {
-    let link = LinkId(fields.u32("link")?);
-    let start = fields.u32("start")?;
-    let len = fields.u32("len")?;
-    if len == 0 || start.checked_add(len).is_none() {
-        return Err(fields.error("slot range is empty or ends past u32::MAX"));
-    }
-    Ok((link, SlotRange::new(start, len)))
+fn decode_snap_pairs(
+    fields: &mut Cursor<'_>,
+    count: u64,
+) -> Result<Vec<(LinkId, LinkId)>, JsonlError> {
+    let a = column(fields, "a", count)?;
+    let b = column(fields, "b", count)?;
+    Ok(a.into_iter()
+        .zip(b)
+        .map(|(a, b)| (LinkId(a), LinkId(b)))
+        .collect())
+}
+
+fn decode_snap_ranges(
+    fields: &mut Cursor<'_>,
+    count: u64,
+) -> Result<Vec<(LinkId, SlotRange)>, JsonlError> {
+    let links = column(fields, "link", count)?;
+    let starts = column(fields, "start", count)?;
+    let lens = column(fields, "len", count)?;
+    let ranges = links.into_iter().zip(starts).zip(lens);
+    ranges
+        .map(|((link, start), len)| {
+            if len == 0 || start.checked_add(len).is_none() {
+                return Err(fields.error(format!(
+                    "link {link}: slot range is empty or ends past u32::MAX"
+                )));
+            }
+            Ok((LinkId(link), SlotRange::new(start, len)))
+        })
+        .collect()
 }
 
 /// The journal name of every policy but `TreeOrder`, which is
@@ -451,8 +527,14 @@ fn line<'a>(out: &'a mut String, tag: &str) -> Object<'a> {
     Object::record(out, tag)
 }
 
+/// Writes `get` of every one of `rows` as the elements of `array`.
+fn ints<T>(array: &mut Object<'_>, rows: &[T], get: impl Fn(&T) -> u32) {
+    for row in rows {
+        array.int("", get(row));
+    }
+}
+
 fn encode_record(record: &JournalRecord, out: &mut String) -> io::Result<()> {
-    use std::fmt::Write as _;
     match record {
         JournalRecord::AdmitBatch(specs) => {
             if specs.is_empty() {
@@ -477,33 +559,30 @@ fn encode_record(record: &JournalRecord, out: &mut String) -> io::Result<()> {
                 .int("warm", state.warm_pairs.len() as u64)
                 .int("ranges", state.ranges.len() as u64)
                 .int("slots", state.guaranteed_slots);
-            let mut path = String::new();
             for f in &state.flows {
                 if f.path.is_empty() {
                     return Err(refuse(format!("flow {}: empty path", f.spec.id.0)));
                 }
-                path.clear();
-                for node in &f.path {
-                    let sep = if path.is_empty() { "" } else { "-" };
-                    let _ = write!(path, "{sep}{}", node.0);
-                }
                 let mut flow = line(out, "svc.snap.flow");
                 encode_spec(&mut flow, &f.spec)?;
                 flow.int("slots_per_link", f.slots_per_link)
-                    .str("path", &path);
+                    .arr("path", |a| ints(a, &f.path, |node| node.0));
             }
-            for &(a, b) in &state.warm_pairs {
-                line(out, "svc.snap.warm").int("a", a.0).int("b", b.0);
+            let pairs = &state.warm_pairs;
+            line(out, "svc.snap.warm")
+                .arr("a", |a| ints(a, pairs, |(a, _)| a.0))
+                .arr("b", |a| ints(a, pairs, |(_, b)| b.0));
+            let ranges = &state.ranges;
+            if let Some((l, _)) = ranges
+                .iter()
+                .find(|(_, r)| r.len == 0 || r.start.checked_add(r.len).is_none())
+            {
+                return Err(refuse(format!("link {}: empty or overflowing range", l.0)));
             }
-            for &(l, r) in &state.ranges {
-                if r.len == 0 || r.start.checked_add(r.len).is_none() {
-                    return Err(refuse(format!("link {}: empty or overflowing range", l.0)));
-                }
-                line(out, "svc.snap.range")
-                    .int("link", l.0)
-                    .int("start", r.start)
-                    .int("len", r.len);
-            }
+            line(out, "svc.snap.range")
+                .arr("link", |a| ints(a, ranges, |(l, _)| l.0))
+                .arr("start", |a| ints(a, ranges, |(_, r)| r.start))
+                .arr("len", |a| ints(a, ranges, |(_, r)| r.len));
             drop(line(out, "svc.snap.end"));
         }
     }
@@ -729,22 +808,96 @@ mod tests {
             (2, "\"burst\":60"),
             (4, "\"slots\":4"),
             (5, "\"slots_per_link\":2"),
-            (5, "4-3-0"),
-            (6, "\"a\":3"),
-            (6, "\"b\":5"),
-            (7, "\"link\":3"),
-            (7, "\"start\":0"),
-            (7, "\"len\":2"),
+            (5, "\"path\":[4"),
+            (5, "[4,3"),
+            (6, "\"a\":[3"),
+            (6, "\"b\":[5"),
+            (7, "\"link\":[3"),
+            (7, "[3,5"),
+            (7, "\"start\":[0"),
+            (7, "\"len\":[2"),
         ] {
-            let (name, _) = field.rsplit_once([':', '-']).expect("a value");
+            let (name, _) = field.rsplit_once([':', '[', ',']).expect("a value");
             let sep = &field[name.len()..=name.len()];
             let bad = good.replacen(field, &format!("{name}{sep}{wide}"), 1);
             assert_ne!(bad, good, "{field} not found");
             assert_eq!(corrupt_at(&bad), line, "{field}");
         }
         // A range may not end past u32::MAX either.
-        let bad = good.replacen("\"start\":0", "\"start\":4294967295", 1);
+        let bad = good.replacen("\"start\":[0", "\"start\":[4294967295", 1);
         assert_eq!(corrupt_at(&bad), 7);
+        // Path nodes read as every other id does: no sign, no leading
+        // zero, no whitespace, and never from a string.
+        for path in [
+            "\"4-+3-0\"",
+            "\"4-03-0\"",
+            "\"+4-3-0\"",
+            "\"4-3-0\"",
+            "[4,+3,0]",
+            "[4,03,0]",
+            "[4, 3,0]",
+            "[]",
+        ] {
+            let bad = good.replacen("\"path\":[4,3,0]", &format!("\"path\":{path}"), 1);
+            assert_ne!(bad, good);
+            assert_eq!(corrupt_at(&bad), 5, "{path}");
+        }
+    }
+
+    #[test]
+    fn snapshot_columns_must_hold_what_their_header_counts() {
+        let good = roundtrip(&[JournalRecord::Snapshot(sample_state())]);
+        assert!(good.contains("\"a\":[3],\"b\":[5]"), "{good}");
+        // Lines: header, one flow, pairs (3), ranges (4), end.
+        for (line, from, to) in [
+            (3, "\"a\":[3]", "\"a\":[]"),
+            (3, "\"a\":[3],\"b\":[5]", "\"a\":[3,4],\"b\":[5,6]"),
+            (3, "\"b\":[5]", "\"b\":[5,6]"),
+            (3, "\"b\":[5]", "\"b\":[]"),
+            (3, "\"warm\":1", "\"warm\":2"),
+            (4, "\"link\":[3,5]", "\"link\":[3]"),
+            (4, "\"start\":[0,2]", "\"start\":[0,2,4]"),
+            (4, "\"len\":[2,2]", "\"len\":[2]"),
+            (4, "\"len\":[2,2]", "\"len\":[2,0]"),
+            (4, "\"ranges\":2", "\"ranges\":1"),
+        ] {
+            let bad = good.replacen(from, to, 1);
+            assert_ne!(bad, good, "{from}");
+            let err = parse_journal(&bad).expect_err(to);
+            assert_eq!(err.line, line, "{to}: {err}");
+        }
+    }
+
+    #[test]
+    fn the_per_pair_format_before_is_corruption() {
+        // The golden text of the format before.
+        let old = "\
+{\"t\":\"svc.policy\",\"policy\":\"tree:12\"}
+{\"t\":\"svc.policy\",\"policy\":\"greedy:clique\"}
+{\"t\":\"svc.batch\",\"n\":2}
+{\"t\":\"svc.admit\",\"id\":1,\"src\":4,\"dst\":0,\"rate_bps\":24000,\"burst\":60,\"deadline_ns\":80000000}
+{\"t\":\"svc.admit\",\"id\":2,\"src\":3,\"dst\":0,\"rate_bps\":64000,\"burst\":160}
+{\"t\":\"svc.release\",\"flow\":7}
+{\"t\":\"svc.rebalance\"}
+{\"t\":\"svc.snap\",\"policy\":\"tree:0\",\"flows\":2,\"warm\":1,\"ranges\":2,\"slots\":4}
+{\"t\":\"svc.snap.flow\",\"id\":1,\"src\":4,\"dst\":0,\"rate_bps\":24000,\"burst\":60,\"deadline_ns\":80000000,\"slots_per_link\":2,\"path\":\"4-3-0\"}
+{\"t\":\"svc.snap.flow\",\"id\":2,\"src\":3,\"dst\":0,\"rate_bps\":64000,\"burst\":160,\"slots_per_link\":1,\"path\":\"3\"}
+{\"t\":\"svc.snap.warm\",\"a\":3,\"b\":5}
+{\"t\":\"svc.snap.range\",\"link\":3,\"start\":0,\"len\":2}
+{\"t\":\"svc.snap.range\",\"link\":5,\"start\":2,\"len\":2}
+{\"t\":\"svc.snap.end\"}
+";
+        // Its first flow line holds a string path.
+        let err = parse_journal(old).expect_err("a string path");
+        assert_eq!(err.line, 9, "{err}");
+        assert!(err.reason.contains("\"path\""), "{err}");
+        // With its paths as arrays, its first pair line is refused.
+        let old =
+            old.replacen("\"4-3-0\"", "[4,3,0]", 1)
+                .replacen("\"path\":\"3\"", "\"path\":[3]", 1);
+        let err = parse_journal(&old).expect_err("a scalar pair");
+        assert_eq!(err.line, 11, "{err}");
+        assert!(err.reason.contains("\"a\""), "{err}");
     }
 
     #[test]
@@ -765,6 +918,16 @@ mod tests {
         // With the promised lines present, the members do get decoded.
         let text = "{\"t\":\"svc.batch\",\"n\":2}\nany line\n{\"t\":\"svc.rebalance\"}\n";
         assert_eq!(corrupt_at(text), 2);
+        // A column is sized by its line, never by its header's count.
+        let text = format!(
+            "{{\"t\":\"svc.snap\",\"policy\":\"hop\",\"flows\":0,\"warm\":{max},\"ranges\":{max},\"slots\":1}}\n\
+             {{\"t\":\"svc.snap.warm\",\"a\":[1],\"b\":[2]}}\n\
+             {{\"t\":\"svc.snap.range\",\"link\":[],\"start\":[],\"len\":[]}}\n{{\"t\":\"svc.snap.end\"}}\n"
+        );
+        assert_eq!(corrupt_at(&text), 2);
+        let text = text.replacen("\"a\":[1],\"b\":[2]", "\"a\":[],\"b\":[]", 1);
+        let text = text.replacen(&format!("\"warm\":{max}"), "\"warm\":0", 1);
+        assert_eq!(corrupt_at(&text), 3);
     }
 
     #[test]
@@ -828,6 +991,13 @@ mod tests {
             JournalRecord::Release(FlowId(7)),
             JournalRecord::Rebalance,
             JournalRecord::Snapshot(state),
+            JournalRecord::Snapshot(SessionState {
+                policy: OrderPolicy::HopOrder,
+                flows: Vec::new(),
+                warm_pairs: Vec::new(),
+                ranges: Vec::new(),
+                guaranteed_slots: 0,
+            }),
         ];
         let golden = "\
 {\"t\":\"svc.policy\",\"policy\":\"tree:12\"}
@@ -838,11 +1008,14 @@ mod tests {
 {\"t\":\"svc.release\",\"flow\":7}
 {\"t\":\"svc.rebalance\"}
 {\"t\":\"svc.snap\",\"policy\":\"tree:0\",\"flows\":2,\"warm\":1,\"ranges\":2,\"slots\":4}
-{\"t\":\"svc.snap.flow\",\"id\":1,\"src\":4,\"dst\":0,\"rate_bps\":24000,\"burst\":60,\"deadline_ns\":80000000,\"slots_per_link\":2,\"path\":\"4-3-0\"}
-{\"t\":\"svc.snap.flow\",\"id\":2,\"src\":3,\"dst\":0,\"rate_bps\":64000,\"burst\":160,\"slots_per_link\":1,\"path\":\"3\"}
-{\"t\":\"svc.snap.warm\",\"a\":3,\"b\":5}
-{\"t\":\"svc.snap.range\",\"link\":3,\"start\":0,\"len\":2}
-{\"t\":\"svc.snap.range\",\"link\":5,\"start\":2,\"len\":2}
+{\"t\":\"svc.snap.flow\",\"id\":1,\"src\":4,\"dst\":0,\"rate_bps\":24000,\"burst\":60,\"deadline_ns\":80000000,\"slots_per_link\":2,\"path\":[4,3,0]}
+{\"t\":\"svc.snap.flow\",\"id\":2,\"src\":3,\"dst\":0,\"rate_bps\":64000,\"burst\":160,\"slots_per_link\":1,\"path\":[3]}
+{\"t\":\"svc.snap.warm\",\"a\":[3],\"b\":[5]}
+{\"t\":\"svc.snap.range\",\"link\":[3,5],\"start\":[0,2],\"len\":[2,2]}
+{\"t\":\"svc.snap.end\"}
+{\"t\":\"svc.snap\",\"policy\":\"hop\",\"flows\":0,\"warm\":0,\"ranges\":0,\"slots\":0}
+{\"t\":\"svc.snap.warm\",\"a\":[],\"b\":[]}
+{\"t\":\"svc.snap.range\",\"link\":[],\"start\":[],\"len\":[]}
 {\"t\":\"svc.snap.end\"}
 ";
         // Through the writer itself, whose buffer is reused across appends.

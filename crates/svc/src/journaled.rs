@@ -20,7 +20,9 @@ use crate::journal::{unjournalable, JournalRecord, JournalWriter};
 /// first; only if that succeeds is the mutation applied. A journal
 /// failure therefore leaves the session untouched
 /// ([`SvcError::Journal`]), and a crash can only ever lose *unapplied*
-/// suffixes — never record a mutation that did not happen.
+/// suffixes — never record a mutation that did not happen. After a
+/// failed append the writer takes no more records, so every later
+/// mutation fails the same way, unapplied.
 #[derive(Debug)]
 pub struct JournaledSession {
     session: QosSession,
@@ -102,7 +104,7 @@ impl JournaledSession {
         }
         self.journal(&JournalRecord::AdmitBatch(specs.to_vec()))?;
         let verdicts = self.session.admit_batch(specs)?;
-        self.after_mutation()?;
+        self.after_mutation();
         Ok(verdicts)
     }
 
@@ -116,7 +118,7 @@ impl JournaledSession {
     pub fn release_flow(&mut self, flow: FlowId) -> Result<bool, SvcError> {
         self.journal(&JournalRecord::Release(flow))?;
         let released = self.session.release(flow)?;
-        self.after_mutation()?;
+        self.after_mutation();
         Ok(released)
     }
 
@@ -129,7 +131,7 @@ impl JournaledSession {
     pub fn rebalance_flows(&mut self) -> Result<(), SvcError> {
         self.journal(&JournalRecord::Rebalance)?;
         self.session.rebalance()?;
-        self.after_mutation()?;
+        self.after_mutation();
         Ok(())
     }
 
@@ -156,11 +158,17 @@ impl JournaledSession {
         Ok(())
     }
 
-    fn after_mutation(&mut self) -> Result<(), SvcError> {
+    /// Counts the mutation just applied and appends a snapshot when one
+    /// is due. A failed snapshot is not a failed mutation: the mutation's
+    /// record is complete and the mutation is applied, so its caller gets
+    /// its result, and recovery drops the torn snapshot and replays the
+    /// record. The writer refuses every append after the failure, so the
+    /// next mutation fails before it is applied.
+    fn after_mutation(&mut self) {
         self.since_snapshot += 1;
         if self.snapshot_every > 0 && self.since_snapshot >= self.snapshot_every {
-            self.snapshot_now()?;
+            // The writer remembers the failure; the next append reports it.
+            let _ = self.snapshot_now();
         }
-        Ok(())
     }
 }

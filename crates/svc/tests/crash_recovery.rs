@@ -5,6 +5,7 @@
 //! a panic, never a silently wrong schedule.
 
 use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use proptest::prelude::*;
@@ -14,6 +15,7 @@ use wimesh_sim::traffic::VoipCodec;
 use wimesh_sim::FlowId;
 use wimesh_svc::{
     recover, recover_recorded, JournalRecord, JournalWriter, JournaledSession, RecoveryError,
+    SvcError,
 };
 use wimesh_topology::{generators, NodeId};
 
@@ -355,6 +357,13 @@ fn grid_churn_with_vertex_rollbacks_recovers_bit_identical() {
     let truth = journaled.session().export_state();
     assert!(truth.flows.len() >= 10 && truth.warm_pairs.len() >= 100);
 
+    // However many pairs and ranges, a snapshot is `flows + 4` lines.
+    let snap = SharedBuf::default();
+    JournalWriter::from_writer(Box::new(snap.clone()))
+        .append(&JournalRecord::Snapshot(truth.clone()))
+        .expect("appends");
+    assert_eq!(snap.text().lines().count(), truth.flows.len() + 4);
+
     let recovered = recover(&mesh, OrderPolicy::HopOrder, &buf.text()).expect("recovers");
     assert!(recovered.snapshot_used && recovered.replayed > 0);
     assert_eq!(recovered.session.export_state(), truth);
@@ -458,6 +467,151 @@ fn the_writer_refuses_what_its_reader_would() {
         .expect_err("empty");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert_eq!(buf.text(), "");
+}
+
+/// A disk onto a [`SharedBuf`] that takes `budget` bytes, makes one short
+/// write with what is left of them, fails the next write as a full disk
+/// does, and then takes everything again, as a disk someone freed space
+/// on.
+struct FaultyDisk {
+    buf: SharedBuf,
+    /// Bytes left before the fault; `None` once it has fired.
+    budget: Option<usize>,
+    fired: Arc<AtomicBool>,
+}
+
+impl FaultyDisk {
+    fn new(budget: usize) -> (Self, SharedBuf, Arc<AtomicBool>) {
+        let disk = FaultyDisk {
+            buf: SharedBuf::default(),
+            budget: Some(budget),
+            fired: Arc::default(),
+        };
+        let (buf, fired) = (disk.buf.clone(), Arc::clone(&disk.fired));
+        (disk, buf, fired)
+    }
+}
+
+impl Write for FaultyDisk {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        match self.budget {
+            Some(0) => {
+                self.budget = None;
+                self.fired.store(true, Ordering::SeqCst);
+                Err(std::io::Error::new(
+                    std::io::ErrorKind::StorageFull,
+                    "no space left on device",
+                ))
+            }
+            Some(left) => {
+                let n = left.min(data.len());
+                self.budget = Some(left - n);
+                self.buf.write(&data[..n])
+            }
+            None => self.buf.write(data),
+        }
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The `step`th mutation of a short churn on chain(6), whatever its
+/// result.
+fn churn_step(journaled: &mut JournaledSession, step: usize) -> Result<(), SvcError> {
+    match step {
+        0 => journaled.admit_flows(&[voip(1, 4)]).map(drop),
+        1 => journaled.admit_flows(&[voip(2, 3), voip(3, 5)]).map(drop),
+        2 => journaled.release_flow(FlowId(1)).map(drop),
+        3 => journaled.admit_flows(&[voip(4, 2)]).map(drop),
+        4 => journaled.rebalance_flows(),
+        _ => journaled.release_flow(FlowId(3)).map(drop),
+    }
+}
+
+const CHURN_STEPS: usize = 6;
+
+/// A write that fails at any byte of the journal — inside a mutation's
+/// record or inside an auto-snapshot — stops the writer: every later
+/// mutation fails as a journal error and is not applied, so the file
+/// holds complete records and at most one torn one at its end, and it
+/// recovers, certified, to the live state.
+#[test]
+fn a_failed_append_stops_the_writer_at_every_byte_offset() {
+    let mesh = mesh(6);
+    let (whole, _, _) = FaultyDisk::new(usize::MAX);
+    let buf = whole.buf.clone();
+    let writer = JournalWriter::from_writer(Box::new(whole));
+    let mut journaled = JournaledSession::new(mesh.session(OrderPolicy::HopOrder), writer, 2);
+    for step in 0..CHURN_STEPS {
+        churn_step(&mut journaled, step).expect("no fault");
+    }
+    let total = buf.text().len();
+    assert!(buf.text().matches("svc.snap\"").count() >= 3);
+
+    for budget in 0..=total {
+        let (disk, buf, fired) = FaultyDisk::new(budget);
+        let writer = JournalWriter::from_writer(Box::new(disk));
+        let mut journaled = JournaledSession::new(mesh.session(OrderPolicy::HopOrder), writer, 2);
+        for step in 0..CHURN_STEPS {
+            let stopped = fired.load(Ordering::SeqCst);
+            let before = journaled.session().export_state();
+            match churn_step(&mut journaled, step) {
+                Ok(()) => assert!(!stopped, "budget {budget}: step {step} after the fault"),
+                Err(SvcError::Journal(_)) => {
+                    assert_eq!(
+                        journaled.session().export_state(),
+                        before,
+                        "budget {budget}"
+                    );
+                }
+                Err(e) => panic!("budget {budget}: step {step}: {e}"),
+            }
+        }
+        let live = journaled.session().export_state();
+        let journal = buf.text();
+        let recovered = recover(&mesh, OrderPolicy::HopOrder, &journal)
+            .unwrap_or_else(|e| panic!("budget {budget}: {e}\n{journal}"));
+        assert_eq!(recovered.session.export_state(), live, "budget {budget}");
+        assert_eq!(recovered.report.makespan, live.guaranteed_slots);
+    }
+}
+
+/// A mutation whose record is complete is applied, and answered as such,
+/// even when the auto-snapshot after it fails; the request after it is
+/// refused, and the journal recovers to the live state.
+#[test]
+fn a_failed_snapshot_does_not_fail_the_applied_mutation() {
+    let mesh = mesh(6);
+    let (whole, _, _) = FaultyDisk::new(usize::MAX);
+    let buf = whole.buf.clone();
+    let writer = JournalWriter::from_writer(Box::new(whole));
+    let mut journaled = JournaledSession::new(mesh.session(OrderPolicy::HopOrder), writer, 2);
+    journaled.admit_flows(&[voip(1, 4)]).expect("first admit");
+    journaled.admit_flows(&[voip(2, 3)]).expect("second admit");
+    let snapshot_at = buf.text().find("{\"t\":\"svc.snap\"").expect("a snapshot");
+
+    let (disk, buf, fired) = FaultyDisk::new(snapshot_at + 30);
+    let writer = JournalWriter::from_writer(Box::new(disk));
+    let mut journaled = JournaledSession::new(mesh.session(OrderPolicy::HopOrder), writer, 2);
+    journaled.admit_flows(&[voip(1, 4)]).expect("first admit");
+    let verdicts = journaled
+        .admit_flows(&[voip(2, 3)])
+        .expect("the admit is applied");
+    assert!(fired.load(Ordering::SeqCst), "the snapshot failed");
+    assert!(verdicts[0].is_admitted());
+    let live = journaled.session().export_state();
+    assert_eq!(live.flows.len(), 2);
+
+    let refused = journaled.admit_flows(&[voip(3, 2)]);
+    assert!(matches!(refused, Err(SvcError::Journal(_))), "{refused:?}");
+    let refused = journaled.release_flow(FlowId(1));
+    assert!(matches!(refused, Err(SvcError::Journal(_))), "{refused:?}");
+    assert_eq!(journaled.session().export_state(), live);
+
+    let recovered = recover(&mesh, OrderPolicy::HopOrder, &buf.text()).expect("recovers");
+    assert!(recovered.torn_tail, "the snapshot is torn");
+    assert_eq!(recovered.session.export_state(), live);
 }
 
 /// The flows of `release_near_capacity_does_not_poison_the_journal`:

@@ -30,8 +30,9 @@ use wimesh_topology::{generators, LinkId, NodeId};
 
 /// The decoder as it was before the cursor: one `format!`ed pattern and
 /// one substring search from the start of the line per field, every line
-/// indexed first. Kept only as the reference for (a); an error is its
-/// 1-based line.
+/// indexed first, taught the snapshot's integer arrays in the same
+/// style. Kept only as the reference for (a); an error is its 1-based
+/// line.
 mod old {
     use super::*;
 
@@ -98,6 +99,30 @@ mod old {
                 .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
                 .unwrap_or(rest.len());
             rest[..end].parse().map_err(|_| self.number)
+        }
+
+        /// The integers between `"key":[` and the next `]`.
+        fn u32s(&self, key: &str) -> Result<Vec<u32>, u32> {
+            let rest = field_value(self.raw, key)
+                .and_then(|v| v.strip_prefix('['))
+                .ok_or(self.number)?;
+            let body = &rest[..rest.find(']').ok_or(self.number)?];
+            if body.is_empty() {
+                return Ok(Vec::new());
+            }
+            body.split(',')
+                .map(|v| v.parse().map_err(|_| self.number))
+                .collect()
+        }
+
+        /// [`Self::u32s`], holding `len` values.
+        fn column(&self, key: &str, len: usize) -> Result<Vec<u32>, u32> {
+            let values = self.u32s(key)?;
+            if values.len() == len {
+                Ok(values)
+            } else {
+                Err(self.number)
+            }
         }
 
         fn str(&self, key: &str) -> Result<String, u32> {
@@ -207,7 +232,8 @@ mod old {
                     let nw = line.u64("warm")? as usize;
                     let nr = line.u64("ranges")? as usize;
                     let guaranteed_slots = line.u64("slots")? as u32;
-                    let members = nf + nw + nr + 1;
+                    // The flows, the pair line, the range line, the end.
+                    let members = nf + 3;
                     if i + members >= lines.len() {
                         torn_tail = true;
                         break;
@@ -217,9 +243,9 @@ mod old {
                         l.expect_tag("svc.snap.flow")?;
                         let spec = l.spec()?;
                         let slots_per_link = l.u64("slots_per_link")? as u32;
-                        let mut path = Vec::new();
-                        for part in l.str("path")?.split('-') {
-                            path.push(NodeId(part.parse().map_err(|_| l.number)?));
+                        let path: Vec<NodeId> = l.u32s("path")?.into_iter().map(NodeId).collect();
+                        if path.is_empty() {
+                            return Err(l.number);
                         }
                         flows.push(FlowState {
                             spec,
@@ -227,22 +253,24 @@ mod old {
                             slots_per_link,
                         });
                     }
-                    let mut warm_pairs = Vec::new();
-                    for l in &lines[i + 1 + nf..][..nw] {
-                        l.expect_tag("svc.snap.warm")?;
-                        warm_pairs.push((LinkId(l.u64("a")? as u32), LinkId(l.u64("b")? as u32)));
-                    }
+                    let l = &lines[i + 1 + nf];
+                    l.expect_tag("svc.snap.warm")?;
+                    let warm_pairs = l
+                        .column("a", nw)?
+                        .into_iter()
+                        .zip(l.column("b", nw)?)
+                        .map(|(a, b)| (LinkId(a), LinkId(b)))
+                        .collect();
+                    let l = &lines[i + 2 + nf];
+                    l.expect_tag("svc.snap.range")?;
                     let mut ranges = Vec::new();
-                    for l in &lines[i + 1 + nf + nw..][..nr] {
-                        l.expect_tag("svc.snap.range")?;
-                        let len = l.u64("len")? as u32;
+                    let links = l.column("link", nr)?;
+                    let starts = l.column("start", nr)?;
+                    for (k, len) in l.column("len", nr)?.into_iter().enumerate() {
                         if len == 0 {
                             return Err(l.number);
                         }
-                        ranges.push((
-                            LinkId(l.u64("link")? as u32),
-                            SlotRange::new(l.u64("start")? as u32, len),
-                        ));
+                        ranges.push((LinkId(links[k]), SlotRange::new(starts[k], len)));
                     }
                     lines[i + members].expect_tag("svc.snap.end")?;
                     records.push(JournalRecord::Snapshot(SessionState {
@@ -565,7 +593,7 @@ fn assert_decodes_or_fails_typed(mesh: &MeshQos, text: &str) -> Result<(), TestC
 }
 
 /// A snapshot edited to list one link's range twice, or two links out of
-/// order, parses — the decoder reads lines, not layouts — but restoring
+/// order, parses — the decoder reads columns, not layouts — but restoring
 /// it is a typed refusal: the restored session would not export the state
 /// it came from.
 #[test]
@@ -580,24 +608,22 @@ fn a_snapshot_with_repeated_or_unsorted_ranges_recovers_as_a_typed_error() {
     let snapshot = &text[text.rfind("{\"t\":\"svc.snap\",").expect("snapshots")..];
     recover(&mesh, OrderPolicy::HopOrder, snapshot).expect("the unedited snapshot recovers");
 
-    let lines: Vec<String> = snapshot.lines().map(|l| format!("{l}\n")).collect();
-    let first = lines
-        .iter()
-        .position(|l| l.starts_with("{\"t\":\"svc.snap.range\""))
-        .expect("the call holds ranges");
-    let count = lines
-        .iter()
-        .filter(|l| l.contains("svc.snap.range"))
-        .count();
-    assert!(count >= 2, "{snapshot}");
-
-    let mut swapped = lines.clone();
-    swapped.swap(first, first + 1);
-    let mut repeated = lines.clone();
-    repeated.insert(first + 1, lines[first].clone());
-    let header = format!("\"ranges\":{count},");
-    repeated[0] = lines[0].replace(&header, &format!("\"ranges\":{},", count + 1));
-    for edited in [swapped.concat(), repeated.concat()] {
+    let Some(JournalRecord::Snapshot(state)) =
+        parse_journal(snapshot).expect("parses").records.pop()
+    else {
+        panic!("not a snapshot: {snapshot}");
+    };
+    assert!(state.ranges.len() >= 2, "{snapshot}");
+    let mut swapped = state.clone();
+    swapped.ranges.swap(0, 1);
+    let mut repeated = state.clone();
+    repeated.ranges.insert(1, state.ranges[0]);
+    for edited in [swapped, repeated] {
+        let buf = SharedBuf::default();
+        JournalWriter::from_writer(Box::new(buf.clone()))
+            .append(&JournalRecord::Snapshot(edited))
+            .expect("the writer does not check layouts");
+        let edited = buf.text();
         assert!(parse_journal(&edited).is_ok(), "{edited}");
         match recover(&mesh, OrderPolicy::HopOrder, &edited) {
             Err(RecoveryError::Qos(QosError::Config(why))) => {
@@ -622,8 +648,10 @@ proptest! {
             "\"t\":", "\"svc.batch\"", "\"svc.admit\"", "\"svc.snap\"", "\"svc.snap.end\"",
             "\"svc.release\"", "\"svc.rebalance\"", "\"svc.policy\"", "\"policy\":\"hop\"",
             "\"n\":", "\"flow\":", "\"flows\":", "\"warm\":", "\"ranges\":", "\"slots\":",
+            "\"a\":[", "\"path\":[",
             "{\"t\":\"svc.rebalance\"}\n", "{\"t\":\"svc.batch\",\"n\":1}\n",
             "{\"t\":\"svc.snap\",\"policy\":\"hop\",\"flows\":0,\"warm\":0,\"ranges\":0,\"slots\":0}\n",
+            "{\"t\":\"svc.snap.warm\",\"a\":[],\"b\":[]}\n{\"t\":\"svc.snap.range\",\"link\":[],\"start\":[],\"len\":[]}\n",
             "{\"t\":\"svc.snap.end\"}\n", "{\"t\":\"svc.release\",\"flow\":3}\n",
             "{\"t\":\"svc.admit\",\"id\":1,\"src\":4,\"dst\":0,\"rate_bps\":24000,\"burst\":60}\n",
         ];

@@ -178,13 +178,32 @@ impl Gen {
                 (LinkId(self.u32()), SlotRange::new(start, len))
             })
             .collect();
-        SessionState {
+        let mut state = SessionState {
             policy: self.policy(),
             flows,
             warm_pairs,
             ranges,
             guaranteed_slots: self.u32(),
+        };
+        match self.below(4) {
+            // The pair and range columns empty.
+            0 => {
+                state.warm_pairs.clear();
+                state.ranges.clear();
+            }
+            // Every node and link id at u32::MAX, every range ending there.
+            1 => {
+                let max = u32::MAX;
+                for f in &mut state.flows {
+                    f.path.fill(NodeId(max));
+                }
+                state.warm_pairs.fill((LinkId(max), LinkId(max)));
+                state.ranges.fill((LinkId(max), SlotRange::new(max - 1, 1)));
+                state.ranges.push((LinkId(max), SlotRange::new(0, max)));
+            }
+            _ => {}
         }
+        state
     }
 }
 

@@ -47,13 +47,20 @@ cargo run -p wimesh-bench --release --bin experiments -- slo_audit --quick
 # The admission gateway service: batched front-end semantics and the
 # crash-point recovery harness (every line-boundary and torn-write
 # truncation must recover certified or fail typed; a request the journal
-# cannot hold is answered alone and never wedges recovery).
+# cannot hold is answered alone and never wedges recovery). The writer is
+# fail-stop: a write that fails at any byte of a churn, inside a record
+# or inside an auto-snapshot, must leave every later mutation refused and
+# unapplied and the file recovering, certified, to the live state; a
+# failed snapshot must not fail the mutation it follows; and a snapshot
+# must stay `flows + 4` lines however many pairs it holds.
 cargo test -q -p wimesh-svc --test service
 cargo test -q -p wimesh-svc --test crash_recovery
-# The journal decoder: equivalence with the substring decoder it
-# replaced, fuzz (arbitrary text and edited journals never panic, every
-# recovery is certified), and recovery's blindness to what precedes the
-# last snapshot.
+# The journal decoder: equivalence with a substring decoder written
+# without the cursor (taught the snapshot's integer columns in its own
+# style, so the array format is held to an independent reading), fuzz
+# (arbitrary text with array pieces and edited journals never panic,
+# every recovery is certified), and recovery's blindness to what
+# precedes the last snapshot.
 cargo test -q -p wimesh-svc --test journal_decode
 # One writer (`wimesh_obs::json::Object`) and one reader (`Cursor`) own
 # the line format: seeded random journal records of every kind, trace
