@@ -18,11 +18,20 @@
 //! [`SvcError::Overloaded`] instead of queueing without bound, and a
 //! request that waits past [`GatewayConfig::request_timeout`] is
 //! answered [`Reply::Expired`] without ever reaching the solver.
+//!
+//! The hand-off wakes only threads that sleep. A submission notifies the
+//! worker only when the worker has parked on an empty queue, and the
+//! worker notifies a client only when that client has parked in
+//! [`Ticket::wait`] — after the whole batch is answered, so a woken
+//! client finds every reply of that batch in place. A thread that is still
+//! running finds its work or its reply under the lock without a wake-up.
+//! Each reply travels through a one-shot slot shared by the ticket and its
+//! queued request — no channel per request — and the worker reuses its
+//! batch buffers across batches.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Instant;
 
@@ -104,15 +113,85 @@ pub enum Reply {
     Failed(String),
 }
 
+/// One request's reply on its way from the worker to its [`Ticket`].
+#[derive(Debug, Default)]
+struct ReplySlot {
+    state: Mutex<SlotState>,
+    answered: Condvar,
+}
+
+#[derive(Debug)]
+enum SlotState {
+    /// Not answered yet.
+    Empty {
+        /// The ticket's thread sleeps on `answered`: filling the slot
+        /// must wake it.
+        parked: bool,
+    },
+    Ready(Reply),
+    /// The worker's half was dropped unanswered.
+    Dead,
+}
+
+impl Default for SlotState {
+    fn default() -> Self {
+        SlotState::Empty { parked: false }
+    }
+}
+
+fn lock_slot(slot: &ReplySlot) -> MutexGuard<'_, SlotState> {
+    slot.state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl ReplySlot {
+    /// Fills the slot; true if the ticket's thread had parked, so the
+    /// caller must notify `answered`.
+    fn fill(&self, value: SlotState) -> bool {
+        let mut state = lock_slot(self);
+        let parked = matches!(*state, SlotState::Empty { parked: true });
+        *state = value;
+        parked
+    }
+}
+
+/// The worker's half of a [`ReplySlot`]. It answers at most once; dropped
+/// unanswered — held by a worker that died, or abandoned in a closed
+/// queue — it marks the slot dead, so the ticket's wait returns
+/// [`SvcError::ShuttingDown`] instead of blocking for good.
+struct Responder {
+    slot: Option<Arc<ReplySlot>>,
+}
+
+impl Responder {
+    /// Fills the slot, returning it if its ticket's thread parked and is
+    /// still to be woken.
+    fn answer(&mut self, reply: Reply) -> Option<Arc<ReplySlot>> {
+        let slot = self.slot.take()?;
+        slot.fill(SlotState::Ready(reply)).then_some(slot)
+    }
+}
+
+impl Drop for Responder {
+    fn drop(&mut self) {
+        if let Some(slot) = self.slot.take() {
+            if slot.fill(SlotState::Dead) {
+                slot.answered.notify_one();
+            }
+        }
+    }
+}
+
 struct Pending {
     request: Request,
     enqueued: Instant,
-    tx: mpsc::Sender<Reply>,
+    reply: Responder,
 }
 
 struct Queue {
     items: VecDeque<Pending>,
     closed: bool,
+    /// The worker sleeps on `ready`: the next submission must wake it.
+    parked: bool,
 }
 
 struct Shared {
@@ -123,14 +202,20 @@ struct Shared {
     view: Arc<EpochCell<ScheduleView>>,
 }
 
-fn lock_queue(shared: &Shared) -> std::sync::MutexGuard<'_, Queue> {
+fn lock_queue(shared: &Shared) -> MutexGuard<'_, Queue> {
     shared.queue.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A blocking handle for one submitted request.
+///
+/// The worker writes the reply into a slot this ticket shares with the
+/// queued request and signals the slot, once its whole batch is
+/// answered, only if [`Ticket::wait`] has already gone to sleep on it; a
+/// ticket first waited on after its reply arrived returns at once,
+/// having cost no wake-up.
 #[derive(Debug)]
 pub struct Ticket {
-    rx: mpsc::Receiver<Reply>,
+    slot: Arc<ReplySlot>,
 }
 
 impl Ticket {
@@ -141,7 +226,19 @@ impl Ticket {
     /// [`SvcError::ShuttingDown`] if the worker died before answering —
     /// while it held this request or with the request still queued.
     pub fn wait(self) -> Result<Reply, SvcError> {
-        self.rx.recv().map_err(|_| SvcError::ShuttingDown)
+        let mut state = lock_slot(&self.slot);
+        while let SlotState::Empty { parked } = &mut *state {
+            *parked = true;
+            state = self
+                .slot
+                .answered
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        match std::mem::replace(&mut *state, SlotState::Dead) {
+            SlotState::Ready(reply) => Ok(reply),
+            _ => Err(SvcError::ShuttingDown),
+        }
     }
 }
 
@@ -169,8 +266,8 @@ impl GatewayClient {
     /// [`SvcError::ShuttingDown`] after shutdown began or the worker
     /// died.
     pub fn submit(&self, request: Request) -> Result<Ticket, SvcError> {
-        let (tx, rx) = mpsc::channel();
-        {
+        let slot = Arc::new(ReplySlot::default());
+        let wake = {
             let mut q = lock_queue(&self.shared);
             if q.closed {
                 return Err(SvcError::ShuttingDown);
@@ -185,11 +282,18 @@ impl GatewayClient {
             q.items.push_back(Pending {
                 request,
                 enqueued: Instant::now(),
-                tx,
+                reply: Responder {
+                    slot: Some(Arc::clone(&slot)),
+                },
             });
+            // One wake-up per park: later submitters find the flag
+            // cleared and leave the worker to drain their requests too.
+            std::mem::take(&mut q.parked)
+        };
+        if wake {
+            self.shared.ready.notify_one();
         }
-        self.shared.ready.notify_one();
-        Ok(Ticket { rx })
+        Ok(Ticket { slot })
     }
 
     /// Submits an admission request.
@@ -224,8 +328,9 @@ impl GatewayClient {
         SnapshotReader::new(Arc::clone(&self.shared.view))
     }
 
-    /// The latest published view (allocating handle; prefer a
-    /// [`Self::reader`] for repeated polling).
+    /// The latest published view: one `Arc` clone under the view's swap
+    /// mutex on every call; prefer a [`Self::reader`] for repeated
+    /// polling, which takes that mutex only when the epoch moved.
     pub fn view(&self) -> Arc<ScheduleView> {
         self.shared.view.load()
     }
@@ -277,14 +382,21 @@ struct Worker {
     shared: Arc<Shared>,
     config: GatewayConfig,
     stats: ServiceStats,
+    // Kept across batches, empty between them.
+    batch: Vec<Pending>,
+    replies: Vec<Reply>,
+    specs: Vec<FlowSpec>,
+    /// Answered slots whose tickets parked, woken once the whole batch
+    /// is answered.
+    wake: Vec<Arc<ReplySlot>>,
 }
 
 /// Closes the queue when the worker leaves [`Worker::run`], by return or
 /// by unwinding. A worker that panics must not leave the queue open:
 /// `submit` would keep accepting, and every request queued behind the
-/// panic would hold a live `tx` nobody will ever answer, its
+/// panic would hold a live [`Responder`] nobody will ever fill, its
 /// [`Ticket::wait`] blocked for good. Dropping the queued requests drops
-/// their senders, which turns those waits into
+/// their responders, which turns those waits into
 /// [`SvcError::ShuttingDown`].
 struct CloseOnExit(Arc<Shared>);
 
@@ -295,7 +407,8 @@ impl Drop for CloseOnExit {
             q.closed = true;
             std::mem::take(&mut q.items)
         };
-        // Senders are dropped outside the lock.
+        // Responders are dropped outside the lock: a reply slot is never
+        // locked under the queue.
         drop(abandoned);
         self.0.ready.notify_all();
     }
@@ -305,48 +418,53 @@ impl Worker {
     fn run(mut self) -> (SessionState, ServiceStats, SessionStats) {
         let _close = CloseOnExit(Arc::clone(&self.shared));
         loop {
-            let batch = {
+            {
                 let mut q = lock_queue(&self.shared);
                 while q.items.is_empty() && !q.closed {
+                    q.parked = true;
                     q = self
                         .shared
                         .ready
                         .wait(q)
                         .unwrap_or_else(PoisonError::into_inner);
+                    q.parked = false;
                 }
                 if q.items.is_empty() {
                     // Closed and drained: exit after answering everything.
                     break;
                 }
                 let take = q.items.len().min(self.config.max_batch.max(1));
-                q.items.drain(..take).collect::<Vec<_>>()
-            };
-            self.process(batch);
+                self.batch.extend(q.items.drain(..take));
+            }
+            self.process();
         }
         let state = self.journaled.session().export_state();
         let session_stats = self.journaled.session().stats().clone();
         (state, self.stats, session_stats)
     }
 
-    fn process(&mut self, batch: Vec<Pending>) {
+    /// Answers every request in `self.batch` and leaves the batch
+    /// buffers empty.
+    fn process(&mut self) {
         self.stats.batches += 1;
-        self.stats.max_batch_seen = self.stats.max_batch_seen.max(batch.len() as u64);
+        self.stats.max_batch_seen = self.stats.max_batch_seen.max(self.batch.len() as u64);
+        self.stats.requests += self.batch.len() as u64;
 
         // Drop requests that waited past their deadline before doing
         // any solver work for them.
-        let mut live = Vec::with_capacity(batch.len());
-        for p in batch {
-            self.stats.requests += 1;
-            let stale = self
-                .config
-                .request_timeout
-                .is_some_and(|t| p.enqueued.elapsed() > t);
-            if stale {
-                self.stats.expired += 1;
-                let _ = p.tx.send(Reply::Expired);
-            } else {
-                live.push(p);
-            }
+        if let Some(timeout) = self.config.request_timeout {
+            let expired = &mut self.stats.expired;
+            self.batch.retain_mut(|p| {
+                let stale = p.enqueued.elapsed() > timeout;
+                if stale {
+                    *expired += 1;
+                    // Not held back behind the batch's solve.
+                    if let Some(slot) = p.reply.answer(Reply::Expired) {
+                        slot.answered.notify_one();
+                    }
+                }
+                !stale
+            });
         }
 
         // Coalesce runs of consecutive admits into one journaled solve;
@@ -354,22 +472,23 @@ impl Worker {
         // buffered and delivered only after the fresh view is published,
         // so a client that has its reply can already read a view
         // reflecting its request.
-        let mut replies: Vec<Reply> = Vec::with_capacity(live.len());
+        let live = &self.batch;
+        let replies = &mut self.replies;
         let mut i = 0;
         while i < live.len() {
             match &live[i].request {
                 Request::Admit(_) => {
                     let mut j = i;
-                    let mut specs = Vec::new();
+                    self.specs.clear();
                     while j < live.len() {
                         if let Request::Admit(spec) = &live[j].request {
-                            specs.push(spec.clone());
+                            self.specs.push(spec.clone());
                             j += 1;
                         } else {
                             break;
                         }
                     }
-                    match self.journaled.admit_flows(&specs) {
+                    match self.journaled.admit_flows(&self.specs) {
                         Ok(verdicts) => {
                             for v in verdicts {
                                 replies.push(match v {
@@ -425,8 +544,16 @@ impl Worker {
         }
 
         self.publish_view();
-        for (p, reply) in live.iter().zip(replies) {
-            let _ = p.tx.send(reply);
+        // Every reply is in place before any parked client is woken: a
+        // client woken on its first reply would otherwise find the next
+        // one missing and park again, and on a shared CPU each such
+        // wake-up can preempt the worker mid-delivery.
+        for (p, reply) in self.batch.iter_mut().zip(self.replies.drain(..)) {
+            self.wake.extend(p.reply.answer(reply));
+        }
+        self.batch.clear();
+        for slot in self.wake.drain(..) {
+            slot.answered.notify_one();
         }
     }
 
@@ -498,6 +625,7 @@ impl AdmissionGateway {
             queue: Mutex::new(Queue {
                 items: VecDeque::with_capacity(config.queue_capacity),
                 closed: false,
+                parked: false,
             }),
             ready: Condvar::new(),
             capacity: config.queue_capacity.max(1),
@@ -509,6 +637,10 @@ impl AdmissionGateway {
             shared: Arc::clone(&shared),
             config,
             stats: ServiceStats::default(),
+            batch: Vec::new(),
+            replies: Vec::new(),
+            specs: Vec::new(),
+            wake: Vec::new(),
         };
         let handle = thread::Builder::new()
             .name(String::from("wimesh-svc-worker"))

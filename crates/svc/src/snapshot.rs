@@ -5,7 +5,7 @@
 //! `Arc<T>` and bumps an atomic epoch; each reader keeps its own cached
 //! `Arc` keyed by the epoch it last saw. The steady-state read — by far
 //! the common case for a data plane polling an unchanged schedule — is
-//! a single relaxed-ordering atomic load and no lock at all. Only when
+//! a single `Acquire` atomic load and no lock at all. Only when
 //! the epoch moved does the reader take the (uncontended, swap-only)
 //! mutex for one `Arc::clone`. The writer never waits on readers:
 //! publishing is an allocation, a pointer swap and an atomic increment,
@@ -49,8 +49,14 @@ impl<T> EpochCell<T> {
     /// previous `Arc` keep it alive; the writer does not wait for them.
     pub fn publish(&self, value: T) {
         let fresh = Arc::new(value);
-        *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = fresh;
+        let replaced = std::mem::replace(
+            &mut *self.slot.lock().unwrap_or_else(PoisonError::into_inner),
+            fresh,
+        );
         self.epoch.fetch_add(1, Ordering::Release);
+        // The writer may hold the last reference: free the old value
+        // after the swap mutex is released, not while readers wait on it.
+        drop(replaced);
     }
 
     /// The current epoch (0 before the first publish).
@@ -65,7 +71,7 @@ impl<T> EpochCell<T> {
 }
 
 /// A per-reader handle over an [`EpochCell`] with an epoch-keyed cache:
-/// reads are one relaxed atomic load while the value is unchanged.
+/// reads are one `Acquire` atomic load while the value is unchanged.
 #[derive(Debug)]
 pub struct SnapshotReader<T> {
     cell: Arc<EpochCell<T>>,
@@ -177,5 +183,33 @@ mod tests {
         assert_eq!(*held, "v1");
         assert_eq!(*cell.load(), "v2");
         assert_eq!(cell.epoch(), 1);
+    }
+
+    #[test]
+    fn publish_frees_the_replaced_value_outside_the_swap_mutex() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Weak;
+
+        static FREED_UNLOCKED: AtomicUsize = AtomicUsize::new(0);
+        /// A value that checks, as it is freed, that its cell's swap
+        /// mutex is free for readers.
+        struct Probe(Weak<EpochCell<Probe>>);
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                if let Some(cell) = self.0.upgrade() {
+                    assert!(
+                        cell.slot.try_lock().is_ok(),
+                        "the replaced value was freed under the swap mutex"
+                    );
+                    FREED_UNLOCKED.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+
+        let cell = Arc::new_cyclic(|own| EpochCell::new(Probe(Weak::clone(own))));
+        // The cell holds the only reference to the initial probe, so the
+        // publish frees it.
+        cell.publish(Probe(Arc::downgrade(&cell)));
+        assert_eq!(FREED_UNLOCKED.load(Ordering::Relaxed), 1);
     }
 }

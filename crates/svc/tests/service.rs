@@ -3,7 +3,7 @@
 //! reports the full state.
 
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wimesh::{FlowSpec, MeshQos, OrderPolicy, RejectReason};
 use wimesh_emu::EmulationParams;
@@ -431,6 +431,132 @@ fn wait_bounded(ticket: Ticket) -> Result<Reply, SvcError> {
     });
     rx.recv_timeout(Duration::from_secs(30))
         .expect("the ticket blocked: its request was left in a queue nobody serves")
+}
+
+/// The worker and a waiting client each wake only a parked peer. One
+/// client with one request in flight parks on nearly every reply while the
+/// worker parks on nearly every empty queue: a lost wake-up on either
+/// side stalls a ticket and fails `wait_bounded`.
+#[test]
+fn one_client_in_lockstep_loses_no_wake_up() {
+    let mesh = mesh(4);
+    let (gateway, client) = AdmissionGateway::start(
+        mesh.session(OrderPolicy::HopOrder),
+        sink_journal(),
+        GatewayConfig::default(),
+    )
+    .expect("gateway starts");
+    for i in 0..10_000u32 {
+        let spec = FlowSpec::voip(i, NodeId(3), NodeId(0), VoipCodec::G729);
+        let admitted = wait_bounded(client.admit(spec).expect("submit")).expect("reply");
+        assert!(matches!(admitted, Reply::Admitted(_)), "{admitted:?}");
+        let released = wait_bounded(client.release(FlowId(i)).expect("submit")).expect("reply");
+        assert!(matches!(released, Reply::Released(true)), "{released:?}");
+    }
+    let report = gateway.shutdown();
+    assert_eq!(report.service.requests, 20_000);
+    assert!(report.state.flows.is_empty());
+}
+
+/// Eight clients contend for a two-deep queue drained one request at a
+/// time, so the worker parks and is woken over and over while submitters
+/// race each other for the flag. Every accepted request is answered.
+#[test]
+fn contending_clients_on_a_tiny_queue_lose_no_wake_up() {
+    const CLIENTS: u32 = 8;
+    const PER_CLIENT: u32 = 1_000;
+    let mesh = mesh(5);
+    let config = GatewayConfig {
+        queue_capacity: 2,
+        max_batch: 1,
+        ..GatewayConfig::default()
+    };
+    let (gateway, client) =
+        AdmissionGateway::start(mesh.session(OrderPolicy::HopOrder), sink_journal(), config)
+            .expect("gateway starts");
+
+    let replies: u64 = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let client = client.clone();
+                scope.spawn(move || {
+                    let spec = FlowSpec::voip(c, NodeId(4 - c % 2), NodeId(0), VoipCodec::G729);
+                    let mut answered = 0u64;
+                    for k in 0..PER_CLIENT {
+                        let request = if k % 2 == 0 {
+                            Request::Admit(spec.clone())
+                        } else {
+                            Request::Release(spec.id)
+                        };
+                        // A worker that never wakes keeps the queue full:
+                        // give up, as `wait_bounded` does, after 30 s.
+                        let deadline = Instant::now() + Duration::from_secs(30);
+                        let ticket = loop {
+                            match client.submit(request.clone()) {
+                                Ok(ticket) => break ticket,
+                                Err(SvcError::Overloaded { capacity: 2 }) => {
+                                    assert!(
+                                        Instant::now() < deadline,
+                                        "the queue stayed full: its worker stopped draining"
+                                    );
+                                    std::thread::yield_now();
+                                }
+                                Err(e) => panic!("submit failed: {e}"),
+                            }
+                        };
+                        let reply = wait_bounded(ticket).expect("reply");
+                        assert!(
+                            matches!(
+                                reply,
+                                Reply::Admitted(_) | Reply::Rejected(_) | Reply::Released(_)
+                            ),
+                            "{reply:?}"
+                        );
+                        answered += 1;
+                    }
+                    answered
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("client thread"))
+            .sum()
+    });
+
+    assert_eq!(replies, u64::from(CLIENTS * PER_CLIENT));
+    let report = gateway.shutdown();
+    assert_eq!(report.service.requests, replies);
+    assert_eq!(report.service.max_batch_seen, 1);
+    assert!(report.state.flows.is_empty(), "every client released last");
+}
+
+#[test]
+fn dropped_and_late_tickets_leave_the_worker_serving() {
+    let mesh = mesh(5);
+    let (gateway, client) = AdmissionGateway::start(
+        mesh.session(OrderPolicy::HopOrder),
+        sink_journal(),
+        GatewayConfig::default(),
+    )
+    .expect("gateway starts");
+    let call = |id| FlowSpec::voip(id, NodeId(4), NodeId(0), VoipCodec::G729);
+
+    // Nobody waits for this reply; the worker answers into a slot only
+    // it still holds.
+    drop(client.admit(call(0)).expect("submit"));
+
+    // The worker answers in queue order, so by the time `second` is
+    // answered `first` already is: its wait finds the reply without
+    // parking.
+    let first = client.admit(call(1)).expect("submit");
+    let second = client.admit(call(2)).expect("submit");
+    assert!(matches!(wait_bounded(second), Ok(Reply::Admitted(_))));
+    assert!(matches!(wait_bounded(first), Ok(Reply::Admitted(_))));
+
+    let report = gateway.shutdown();
+    assert_eq!(report.service.requests, 3);
+    assert_eq!(report.service.admitted, 3, "the dropped ticket's admit ran");
 }
 
 #[test]

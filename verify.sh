@@ -44,7 +44,11 @@ cargo run -p wimesh-bench --release --bin experiments -- approx_admission --quic
 # mutation probe that must be flagged.
 cargo test -q -p wimesh-obs --test obs_stream
 cargo run -p wimesh-bench --release --bin experiments -- slo_audit --quick
-# The admission gateway service: batched front-end semantics and the
+# The admission gateway service: batched front-end semantics, the
+# wake-up protocol of the hand-off (a worker or client woken only when
+# parked must never miss its wake-up: 20 000 lockstep requests and eight
+# clients racing for a two-deep queue, every wait bounded so a lost
+# wake-up fails instead of hanging), and the
 # crash-point recovery harness (every line-boundary and torn-write
 # truncation must recover certified or fail typed; a request the journal
 # cannot hold is answered alone and never wedges recovery). The writer is
