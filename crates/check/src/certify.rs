@@ -58,12 +58,23 @@ impl DriftModel {
     /// (two nodes may err in opposite directions) plus turnaround.
     ///
     /// Re-derived here from the model definition; intentionally not a call
-    /// into `wimesh-emu`'s bound.
+    /// into `wimesh-emu`'s bound. Saturates rather than panics, and a
+    /// non-finite drift requires [`Duration::MAX`], so no finite guard
+    /// covers it.
     pub fn required_guard(&self) -> Duration {
-        let stamping = self.timestamp_error * self.max_sync_depth.max(1);
+        if !self.drift_ppm.is_finite() {
+            return Duration::MAX;
+        }
+        let stamping = self
+            .timestamp_error
+            .saturating_mul(self.max_sync_depth.max(1));
+        // `as` saturates a huge product at `u64::MAX`.
         let drift_ns =
             (self.drift_ppm.abs() * 1e-6 * self.resync_interval.as_nanos() as f64).ceil() as u64;
-        2 * (stamping + Duration::from_nanos(drift_ns)) + self.turnaround
+        stamping
+            .saturating_add(Duration::from_nanos(drift_ns))
+            .saturating_mul(2)
+            .saturating_add(self.turnaround)
     }
 }
 
@@ -512,9 +523,10 @@ impl Certificate {
                 // One mesh frame of source wait + pipeline slots + one
                 // control subframe per frame wrap: the admission
                 // controller's promise, recomputed.
-                let worst_case = params.mesh_frame_duration
-                    + mul_duration(params.slot_duration, pipeline)
-                    + mul_duration(params.ctrl_duration, wraps);
+                let worst_case = params
+                    .mesh_frame_duration
+                    .saturating_add(mul_duration(params.slot_duration, pipeline))
+                    .saturating_add(mul_duration(params.ctrl_duration, wraps));
                 if worst_case > deadline {
                     violations.push(Violation::DelayBoundExceeded {
                         flow: flow.id,
@@ -555,10 +567,11 @@ impl Certificate {
     }
 }
 
-/// `duration * n` for `u64` without overflow surprises on 32-bit `u32`
-/// multipliers.
+/// `duration * n` for a `u64` multiplier, saturating instead of
+/// panicking or wrapping.
 fn mul_duration(d: Duration, n: u64) -> Duration {
-    Duration::from_nanos((d.as_nanos() as u64).saturating_mul(n))
+    let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+    Duration::from_nanos(ns.saturating_mul(n))
 }
 
 /// Walks a flow's path through consecutive frames: each hop departs at the

@@ -296,6 +296,31 @@ fn doubled_resync_interval_outgrows_the_guard() {
     assert!(err.has_kind("guard-insufficient"), "{err}");
 }
 
+#[test]
+fn unbounded_stamping_error_is_insufficient_not_a_panic() {
+    let (mesh, outcome) = base();
+    let mut params = CertParams::from_emulation(mesh.model());
+    // Stamping error times sync depth overflows `Duration`.
+    params.drift.timestamp_error = Duration::MAX;
+    params.drift.max_sync_depth = 2;
+    let err = expect_reject(&mesh, &outcome, &outcome.schedule, None, None, Some(params));
+    assert!(err.has_kind("guard-insufficient"), "{err}");
+}
+
+#[test]
+fn nan_drift_is_insufficient_not_zero_drift() {
+    let (mesh, outcome) = base();
+    let mut params = CertParams::from_emulation(mesh.model());
+    // A guard covering stamping and turnaround alone: enough only if the
+    // drift term were zero, which is what `NaN as u64` made it.
+    let drift = params.drift;
+    let stamping = drift.timestamp_error * drift.max_sync_depth.max(1);
+    params.guard = 2 * stamping + drift.turnaround;
+    params.drift.drift_ppm = f64::NAN;
+    let err = expect_reject(&mesh, &outcome, &outcome.schedule, None, None, Some(params));
+    assert!(err.has_kind("guard-insufficient"), "{err}");
+}
+
 /// Certifies a session snapshot the same way the `checked` feature does.
 fn certify_session(session: &wimesh::QosSession) -> Result<(), TestCaseError> {
     let mesh = session.mesh();

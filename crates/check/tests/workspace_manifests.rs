@@ -1,0 +1,99 @@
+//! The compiler-enforced rules hold for every crate: each opts into
+//! `[workspace.lints]`, and each crate-local `clippy.toml` keeps every ban
+//! of the root one (DESIGN §3.10).
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root")
+}
+
+fn crate_dirs() -> Vec<PathBuf> {
+    let mut dirs: Vec<PathBuf> = fs::read_dir(workspace_root().join("crates"))
+        .expect("crates/ is readable")
+        .map(|entry| entry.expect("crates/ entry").path())
+        .filter(|dir| dir.join("Cargo.toml").is_file())
+        .collect();
+    dirs.sort();
+    dirs
+}
+
+/// Every `path = "…"` of the `key = [ … ]` array in a clippy.toml.
+fn banned_paths(toml: &str, key: &str) -> Vec<String> {
+    let Some(start) = toml.find(&format!("{key} = [")) else {
+        return Vec::new();
+    };
+    let body = &toml[start..];
+    let body = &body[..body.find("\n]").expect("array is closed")];
+    body.split("path = \"")
+        .skip(1)
+        .map(|rest| rest[..rest.find('"').expect("path is quoted")].to_string())
+        .collect()
+}
+
+#[test]
+fn every_crate_opts_into_workspace_lints() {
+    // `forbid(unsafe_code)`, the print and suppression lints live in
+    // `[workspace.lints]`; a crate that does not opt in escapes all of
+    // them, so a new crate must carry `[lints] workspace = true`.
+    let dirs = crate_dirs();
+    assert!(dirs.len() >= 13, "found only {} crates", dirs.len());
+    for dir in dirs {
+        let manifest = dir.join("Cargo.toml");
+        let toml = fs::read_to_string(&manifest).expect("manifest is readable");
+        let mut lines = toml.lines().map(str::trim);
+        let opted_in = lines.any(|l| l == "[lints]") && lines.next() == Some("workspace = true");
+        assert!(
+            opted_in,
+            "{} lacks `[lints] workspace = true`",
+            manifest.display()
+        );
+    }
+}
+
+#[test]
+fn crate_clippy_tomls_repeat_every_root_ban() {
+    let root = fs::read_to_string(workspace_root().join("clippy.toml")).expect("root clippy.toml");
+    // The bans that replaced the deterministic-iteration and lock-order
+    // rules (DESIGN §3.10).
+    let types = banned_paths(&root, "disallowed-types");
+    let methods = banned_paths(&root, "disallowed-methods");
+    for (have, path) in [
+        (&types, "std::collections::HashMap"),
+        (&types, "std::collections::HashSet"),
+        (&methods, "std::sync::Mutex::lock"),
+        (&methods, "std::sync::Mutex::try_lock"),
+    ] {
+        assert!(
+            have.iter().any(|p| p == path),
+            "root clippy.toml lacks {path}"
+        );
+    }
+    // Clippy reads only the nearest clippy.toml: a crate-local file
+    // silently replaces the root's bans unless it repeats them.
+    let mut local_files = 0;
+    for dir in crate_dirs() {
+        let Ok(local) = fs::read_to_string(dir.join("clippy.toml")) else {
+            continue;
+        };
+        local_files += 1;
+        for (key, required) in [
+            ("disallowed-types", &types),
+            ("disallowed-methods", &methods),
+        ] {
+            let have = banned_paths(&local, key);
+            for path in required {
+                assert!(
+                    have.contains(path),
+                    "{}/clippy.toml drops the root's {key} ban on {path}",
+                    dir.display()
+                );
+            }
+        }
+    }
+    assert!(local_files > 0, "no crate-local clippy.toml was checked");
+}

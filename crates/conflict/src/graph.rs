@@ -1,7 +1,5 @@
 //! Conflict graph construction.
 
-use std::collections::HashMap;
-
 use wimesh_topology::{Link, LinkId, MeshTopology, NodeId};
 
 /// How secondary (interference) conflicts are decided.
@@ -245,8 +243,9 @@ impl CsrPool {
 pub struct ConflictGraph {
     /// The vertex set, in insertion order.
     links: Vec<LinkId>,
-    /// Dense index of each link in `links`.
-    index: HashMap<LinkId, usize>,
+    /// Dense index of each vertex, at its `LinkId::index()`; `None` for a
+    /// link that is not a vertex.
+    index: Vec<Option<usize>>,
     /// Pooled adjacency over dense indices, each list sorted ascending.
     adj: CsrPool,
     edge_count: usize,
@@ -273,14 +272,14 @@ impl ConflictGraph {
         links: Vec<LinkId>,
         model: InterferenceModel,
     ) -> Self {
-        let mut index = HashMap::with_capacity(links.len());
+        let mut index = vec![None; topo.link_count()];
         let mut ends = Vec::with_capacity(links.len());
         for (i, &l) in links.iter().enumerate() {
             let Some(&link) = topo.link(l) else {
                 panic!("link {l} not in topology");
             };
             ends.push(link);
-            let prev = index.insert(l, i);
+            let prev = index[l.index()].replace(i);
             assert!(prev.is_none(), "duplicate link {l} in active set");
         }
         // Precompute pairwise hop distances between link endpoints when the
@@ -327,7 +326,7 @@ impl ConflictGraph {
 
     /// Dense index of a link, if it is a vertex of this graph.
     pub fn index_of(&self, link: LinkId) -> Option<usize> {
-        self.index.get(&link).copied()
+        self.index.get(link.index()).copied().flatten()
     }
 
     /// Link at dense index `i`.
@@ -404,7 +403,7 @@ impl ConflictGraph {
         link: LinkId,
         model: InterferenceModel,
     ) -> bool {
-        !self.index.contains_key(&link)
+        self.index_of(link).is_none()
             && self.insert_conflicting(link, &conflicting_links(topo, link, model))
     }
 
@@ -417,7 +416,7 @@ impl ConflictGraph {
     /// The new vertex gets the highest dense index. Returns `false`
     /// (leaving the graph untouched) when `link` is already a vertex.
     pub fn insert_conflicting(&mut self, link: LinkId, conflicting: &[LinkId]) -> bool {
-        if self.index.contains_key(&link) {
+        if self.index_of(link).is_some() {
             return false;
         }
         let i = self.links.len();
@@ -430,7 +429,7 @@ impl ConflictGraph {
         }
         self.edge_count += nbrs.len();
         self.links.push(link);
-        self.index.insert(link, i);
+        self.set_index(link, Some(i));
         self.adj.push_span(&nbrs); // ascending by construction
         self.adj.maybe_compact();
         true
@@ -440,9 +439,10 @@ impl ConflictGraph {
     /// over the freed dense index, so indices of other vertices may
     /// change). Returns `false` when `link` is not a vertex.
     pub fn remove_vertex(&mut self, link: LinkId) -> bool {
-        let Some(i) = self.index.remove(&link) else {
+        let Some(i) = self.index_of(link) else {
             return false;
         };
+        self.set_index(link, None);
         let last = self.links.len() - 1;
         // Drop edges incident to i.
         let nbrs: Vec<usize> = self.adj.neighbors(i).to_vec();
@@ -455,13 +455,20 @@ impl ConflictGraph {
         self.links.swap_remove(i);
         self.adj.swap_remove_span(i);
         if i != last {
-            self.index.insert(self.links[i], i);
+            self.set_index(self.links[i], Some(i));
             for j in self.adj.neighbors(i).to_vec() {
                 self.adj.replace_value(j, last, i);
             }
         }
         self.adj.maybe_compact();
         true
+    }
+
+    fn set_index(&mut self, link: LinkId, i: Option<usize>) {
+        if self.index.len() <= link.index() {
+            self.index.resize(link.index() + 1, None);
+        }
+        self.index[link.index()] = i;
     }
 
     /// Mines the maximal clique containing vertex `seed` (greedy growth:

@@ -49,7 +49,7 @@
 //! pins the exact search to a bound-free linear scan; and
 //! `tests/session_equivalence.rs` pins a churned session to a fresh one.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use wimesh_conflict::{conflicting_links, heaviest_clique, ConflictGraph};
@@ -314,7 +314,7 @@ pub struct QosSession {
     /// Per-flow state, parallel to `outcome.admitted` (admission order).
     meta: Vec<FlowMeta>,
     /// Admission sequence number of every admitted flow id.
-    seq_of: HashMap<FlowId, u64>,
+    seq_of: BTreeMap<FlowId, u64>,
     next_seq: u64,
     /// Cached conflict graph; invariant: its vertex set equals the links
     /// with non-zero demand.
@@ -362,7 +362,7 @@ impl QosSession {
             policy,
             links,
             meta: Vec::new(),
-            seq_of: HashMap::new(),
+            seq_of: BTreeMap::new(),
             next_seq: 0,
             graph,
             demanded: Vec::new(),
@@ -738,7 +738,7 @@ impl QosSession {
     /// follow.
     pub(crate) fn from_state(mesh: MeshQos, state: &SessionState) -> Result<Self, QosError> {
         let mut accepted = Vec::with_capacity(state.flows.len());
-        let mut ids = HashSet::with_capacity(state.flows.len());
+        let mut ids = BTreeSet::new();
         for f in &state.flows {
             if !ids.insert(f.spec.id) {
                 return Err(QosError::Config(format!(

@@ -1,11 +1,10 @@
 //! Regression guard for run-to-run determinism of the TDMA emulation
 //! pipeline. The per-link payload overrides used to flow through a
-//! `HashMap`, whose randomized iteration order was flagged by
-//! `wimesh-check`'s deterministic-iteration rule; they now travel in
-//! a `BTreeMap`. This test reruns the identical seeded admission +
-//! simulation twice in one process — a hash-order leak anywhere on the
-//! path shows up as diverging statistics, because each run builds its
-//! own hasher state.
+//! `HashMap`, whose randomized iteration order broke seeded runs; they
+//! now travel in a `BTreeMap`, and the root `clippy.toml` bans `HashMap`
+//! and `HashSet` in every crate. This test reruns the identical seeded
+//! admission + simulation twice in one process — an order leak anywhere
+//! on the path shows up as diverging statistics.
 
 use std::time::Duration;
 

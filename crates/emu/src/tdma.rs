@@ -8,7 +8,7 @@
 //! `wimesh_phy80211::dcf` this provides the two MACs the paper's
 //! evaluation compares.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use rand::Rng;
@@ -52,9 +52,9 @@ pub struct TdmaSimulation {
     /// Per scheduled link: payload bytes one of its minislots carries
     /// (differs per link under rate adaptation).
     payloads: Vec<u32>,
-    link_index: HashMap<LinkId, usize>,
+    link_index: BTreeMap<LinkId, usize>,
     /// Dense index of each flow id (ids need not be contiguous).
-    flow_index: HashMap<FlowId, usize>,
+    flow_index: BTreeMap<FlowId, usize>,
     queues: Vec<FifoQueue>,
     /// Per flow: link sequence as dense link indices.
     flow_paths: Vec<Vec<usize>>,
@@ -102,7 +102,7 @@ impl TdmaSimulation {
         let ctrl = model.mesh_frame().ctrl_duration();
         let slot_duration = Duration::from_micros(model.frame().slot_duration_us());
         let mut links = Vec::new();
-        let mut link_index = HashMap::new();
+        let mut link_index = BTreeMap::new();
         for (link, range) in schedule.iter() {
             let offset = ctrl + slot_duration * range.start;
             link_index.insert(link, links.len());

@@ -152,15 +152,12 @@ pub fn raise(kind: &str) {
     if !crate::is_enabled() {
         return;
     }
-    RAISED
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(kind.to_string());
+    crate::sync::lock(&RAISED).push(kind.to_string());
 }
 
 /// Drains every anomaly raised since the previous call.
 pub fn take_raised() -> Vec<String> {
-    std::mem::take(&mut *RAISED.lock().unwrap_or_else(|e| e.into_inner()))
+    std::mem::take(&mut *crate::sync::lock(&RAISED))
 }
 
 #[cfg(test)]

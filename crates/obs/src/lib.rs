@@ -32,6 +32,9 @@
 //!   promises (slots, delay bound) against observed delivery and emits
 //!   typed [`slo::SloVerdict`]s.
 //!
+//! [`sync::lock`] is how every workspace crate takes a `Mutex`: it
+//! recovers from poison and, in debug builds, panics on a nested lock.
+//!
 //! # Overhead policy
 //!
 //! With no sink installed (the default) every instrumentation call —
@@ -69,6 +72,7 @@ pub mod report;
 pub mod sink;
 pub mod slo;
 pub mod span;
+pub mod sync;
 pub mod trace;
 
 use std::sync::atomic::{AtomicBool, Ordering};

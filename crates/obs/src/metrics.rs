@@ -13,7 +13,7 @@
 //! instrumented code keeps hot-loop tallies in locals and publishes
 //! once per call, so those locks are taken at call granularity.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,6 +21,7 @@ use std::sync::{Arc, LazyLock, Mutex, RwLock};
 use std::time::Duration;
 
 use crate::hist::FixedHistogram;
+use crate::sync::lock;
 
 /// Default duration histogram geometry: 20 µs bins spanning 40 ms.
 /// Overflow samples keep exact mean/max via [`FixedHistogram`].
@@ -217,10 +218,10 @@ impl MetricsSnapshot {
 
 #[derive(Default)]
 struct Registry {
-    counters: RwLock<HashMap<&'static str, Arc<AtomicU64>>>,
-    gauges: RwLock<HashMap<&'static str, Arc<GaugeCell>>>,
-    histograms: Mutex<HashMap<&'static str, FixedHistogram>>,
-    spans: Mutex<HashMap<&'static str, SpanAgg>>,
+    counters: RwLock<BTreeMap<&'static str, Arc<AtomicU64>>>,
+    gauges: RwLock<BTreeMap<&'static str, Arc<GaugeCell>>>,
+    histograms: Mutex<BTreeMap<&'static str, FixedHistogram>>,
+    spans: Mutex<BTreeMap<&'static str, SpanAgg>>,
 }
 
 static REGISTRY: LazyLock<Registry> = LazyLock::new(Registry::default);
@@ -229,7 +230,7 @@ static REGISTRY: LazyLock<Registry> = LazyLock::new(Registry::default);
 /// returns a clone of its `Arc`, so the atomic update itself happens
 /// outside any lock.
 fn cell<T>(
-    map: &RwLock<HashMap<&'static str, Arc<T>>>,
+    map: &RwLock<BTreeMap<&'static str, Arc<T>>>,
     name: &'static str,
     init: impl FnOnce() -> T,
 ) -> Arc<T> {
@@ -261,10 +262,7 @@ pub(crate) fn gauge_set(name: &'static str, value: f64) {
 
 pub(crate) fn record_duration(name: &'static str, d: Duration) {
     let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-    REGISTRY
-        .histograms
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+    lock(&REGISTRY.histograms)
         .entry(name)
         .or_insert_with(|| FixedHistogram::new(DURATION_BIN_WIDTH_NS, DURATION_BINS))
         .record(ns);
@@ -272,7 +270,7 @@ pub(crate) fn record_duration(name: &'static str, d: Duration) {
 
 pub(crate) fn span_closed(name: &'static str, dur: Duration) {
     let ns = u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
-    let mut spans = REGISTRY.spans.lock().unwrap_or_else(|e| e.into_inner());
+    let mut spans = lock(&REGISTRY.spans);
     let agg = spans.entry(name).or_default();
     agg.count += 1;
     agg.total_ns = agg.total_ns.saturating_add(ns);
@@ -281,41 +279,36 @@ pub(crate) fn span_closed(name: &'static str, dur: Duration) {
 
 /// Copies the registry into a snapshot, sorted by name.
 pub fn snapshot() -> MetricsSnapshot {
-    let mut snap = MetricsSnapshot {
-        counters: REGISTRY
-            .counters
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(n, v)| (n.to_string(), v.load(Ordering::Relaxed)))
-            .collect(),
-        gauges: REGISTRY
-            .gauges
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(n, g)| (n.to_string(), g.load()))
-            .collect(),
-        histograms: REGISTRY
-            .histograms
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(n, h)| (n.to_string(), h.clone()))
-            .collect(),
-        spans: REGISTRY
-            .spans
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(n, a)| (n.to_string(), *a))
-            .collect(),
-    };
-    snap.counters.sort_by(|a, b| a.0.cmp(&b.0));
-    snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-    snap.histograms.sort_by(|a, b| a.0.cmp(&b.0));
-    snap.spans.sort_by(|a, b| a.0.cmp(&b.0));
-    snap
+    // One statement per map: a guard lives to the end of its statement,
+    // and this thread may hold one registry mutex at a time.
+    let counters = REGISTRY
+        .counters
+        .read()
+        .unwrap_or_else(|e| e.into_inner())
+        .iter()
+        .map(|(n, v)| (n.to_string(), v.load(Ordering::Relaxed)))
+        .collect();
+    let gauges = REGISTRY
+        .gauges
+        .read()
+        .unwrap_or_else(|e| e.into_inner())
+        .iter()
+        .map(|(n, g)| (n.to_string(), g.load()))
+        .collect();
+    let histograms = lock(&REGISTRY.histograms)
+        .iter()
+        .map(|(n, h)| (n.to_string(), h.clone()))
+        .collect();
+    let spans = lock(&REGISTRY.spans)
+        .iter()
+        .map(|(n, a)| (n.to_string(), *a))
+        .collect();
+    MetricsSnapshot {
+        counters,
+        gauges,
+        histograms,
+        spans,
+    }
 }
 
 /// Empties the registry.
@@ -330,16 +323,8 @@ pub(crate) fn clear() {
         .write()
         .unwrap_or_else(|e| e.into_inner())
         .clear();
-    REGISTRY
-        .histograms
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clear();
-    REGISTRY
-        .spans
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clear();
+    lock(&REGISTRY.histograms).clear();
+    lock(&REGISTRY.spans).clear();
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@ use crate::json::Object;
 use crate::metrics::MetricsSnapshot;
 use crate::slo::SloVerdict;
 use crate::span::SpanEvent;
+use crate::sync::lock;
 use crate::trace::TraceEvent;
 
 /// Destination for instrumentation events.
@@ -68,7 +69,7 @@ pub struct MemorySink {
 impl MemorySink {
     /// All span events received so far, in arrival order.
     pub fn span_events(&self) -> Vec<SpanEvent> {
-        self.spans.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        lock(&self.spans).clone()
     }
 
     /// The names of all received spans, in arrival order.
@@ -78,68 +79,44 @@ impl MemorySink {
 
     /// All metrics snapshots received so far.
     pub fn metrics_snapshots(&self) -> Vec<MetricsSnapshot> {
-        self.snapshots
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        lock(&self.snapshots).clone()
     }
 
     /// All causal trace events received so far, in arrival order.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.traces
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        lock(&self.traces).clone()
     }
 
     /// All flight-recorder dumps received so far.
     pub fn flight_dumps(&self) -> Vec<FlightDump> {
-        self.flights
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        lock(&self.flights).clone()
     }
 
     /// All SLO verdicts received so far.
     pub fn slo_verdicts(&self) -> Vec<SloVerdict> {
-        self.slos.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        lock(&self.slos).clone()
     }
 }
 
 impl Sink for MemorySink {
     fn on_span(&self, event: &SpanEvent) {
-        self.spans
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(*event);
+        lock(&self.spans).push(*event);
     }
 
     fn on_metrics(&self, snapshot: &MetricsSnapshot) {
-        self.snapshots
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(snapshot.clone());
+        lock(&self.snapshots).push(snapshot.clone());
     }
 
     fn on_trace(&self, event: &TraceEvent) {
-        self.traces
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(*event);
+        lock(&self.traces).push(*event);
     }
 
     fn on_flight(&self, dump: &FlightDump) {
-        self.flights
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(dump.clone());
+        lock(&self.flights).push(dump.clone());
     }
 
     fn on_slo(&self, verdict: &SloVerdict) {
-        self.slos
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(*verdict);
+        lock(&self.slos).push(*verdict);
     }
 }
 
@@ -185,7 +162,7 @@ impl JsonlSink {
     }
 
     fn write_line(&self, line: &str) {
-        let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let mut w = lock(&self.writer);
         // A failed trace write must never abort the traced program.
         let _ = writeln!(w, "{line}");
     }
@@ -282,11 +259,7 @@ impl Sink for JsonlSink {
     }
 
     fn flush(&self) {
-        let _ = self
-            .writer
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .flush();
+        let _ = lock(&self.writer).flush();
     }
 }
 

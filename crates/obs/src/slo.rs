@@ -203,7 +203,7 @@ static TRACKER: LazyLock<Mutex<FlowSloTracker>> =
     LazyLock::new(|| Mutex::new(FlowSloTracker::new()));
 
 fn with_tracker<R>(f: impl FnOnce(&mut FlowSloTracker) -> R) -> R {
-    f(&mut TRACKER.lock().unwrap_or_else(|e| e.into_inner()))
+    f(&mut crate::sync::lock(&TRACKER))
 }
 
 /// Registers a promise in the global tracker (no-op while disabled).

@@ -20,7 +20,7 @@
 //! behaviour the paper's motivation rests on: contention collapse and
 //! unbounded delay tails over multiple hops.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 use rand::Rng;
@@ -109,7 +109,7 @@ struct NodeState {
 pub struct DcfSimulation {
     config: DcfConfig,
     /// Dense index of each flow id (ids need not be contiguous).
-    flow_index: std::collections::HashMap<FlowId, usize>,
+    flow_index: BTreeMap<FlowId, usize>,
     /// 1-hop neighbour sets (carrier-sense and interference range).
     neighbors: Vec<Vec<NodeId>>,
     nodes: Vec<NodeState>,

@@ -1,18 +1,69 @@
 //! The journaled wrapper around [`QosSession`]: every mutation is
 //! appended to the write-ahead journal *before* it is applied.
 //!
-//! Every raw session mutator call in `wimesh-svc` (`.admit(` /
-//! `.admit_batch(` / `.release(` / `.rebalance(`) must come after a
-//! journal append in its own body or on every caller chain reaching it —
-//! `wimesh-check`'s `journal-precedes-mutation` rule checks each call
-//! site, so a future code path cannot quietly mutate admission state
-//! without a journal record and break crash recovery.
+//! The order is a type, not a convention. The session lives in the
+//! private [`wal::WriteAhead`], whose fields nothing else in the crate can
+//! name: the only `&mut QosSession` it hands out is the value
+//! [`wal::WriteAhead::append`] returns once the record is written. A
+//! mutation written before its append does not compile (E0616, private
+//! field), so no code path can change admission state without a journal
+//! record and break crash recovery.
+//!
+//! An owned `QosSession` outside the wrapper is not watched: recovery
+//! restores one before wrapping it, and [`JournaledSession::into_session`]
+//! gives one back. Neither mutates it.
 
 use wimesh::{FlowAdmission, FlowSpec, QosSession, RejectReason};
 use wimesh_sim::FlowId;
 
 use crate::error::SvcError;
 use crate::journal::{unjournalable, JournalRecord, JournalWriter};
+
+mod wal {
+    use wimesh::QosSession;
+
+    use crate::error::SvcError;
+    use crate::journal::{JournalRecord, JournalWriter};
+
+    /// A session and the journal its mutations go to first.
+    #[derive(Debug)]
+    pub(super) struct WriteAhead {
+        session: QosSession,
+        /// `None` on the replay path, whose records are already on disk.
+        writer: Option<JournalWriter>,
+    }
+
+    impl WriteAhead {
+        pub(super) fn new(session: QosSession, writer: Option<JournalWriter>) -> Self {
+            WriteAhead { session, writer }
+        }
+
+        pub(super) fn session(&self) -> &QosSession {
+            &self.session
+        }
+
+        /// Appends `record` (nothing on the replay path), then hands out
+        /// the session for the mutation it describes.
+        pub(super) fn append(
+            &mut self,
+            record: &JournalRecord,
+        ) -> Result<&mut QosSession, SvcError> {
+            if let Some(w) = self.writer.as_mut() {
+                w.append(record)?;
+            }
+            Ok(&mut self.session)
+        }
+
+        /// Whether appends reach a journal (false on the replay path).
+        pub(super) fn journals(&self) -> bool {
+            self.writer.is_some()
+        }
+
+        pub(super) fn into_session(self) -> QosSession {
+            self.session
+        }
+    }
+}
 
 /// A [`QosSession`] whose mutations are write-ahead journaled.
 ///
@@ -25,8 +76,7 @@ use crate::journal::{unjournalable, JournalRecord, JournalWriter};
 /// mutation fails the same way, unapplied.
 #[derive(Debug)]
 pub struct JournaledSession {
-    session: QosSession,
-    writer: Option<JournalWriter>,
+    wal: wal::WriteAhead,
     /// Mutations applied since the last snapshot record.
     since_snapshot: u64,
     snapshot_every: u64,
@@ -38,8 +88,7 @@ impl JournaledSession {
     /// (`0` disables auto-snapshots).
     pub fn new(session: QosSession, writer: JournalWriter, snapshot_every: u64) -> Self {
         JournaledSession {
-            session,
-            writer: Some(writer),
+            wal: wal::WriteAhead::new(session, Some(writer)),
             since_snapshot: 0,
             snapshot_every,
         }
@@ -49,8 +98,7 @@ impl JournaledSession {
     /// mutations being applied are already in the journal being read.
     pub fn replay_only(session: QosSession) -> Self {
         JournaledSession {
-            session,
-            writer: None,
+            wal: wal::WriteAhead::new(session, None),
             since_snapshot: 0,
             snapshot_every: 0,
         }
@@ -58,12 +106,12 @@ impl JournaledSession {
 
     /// Read-only access to the wrapped session.
     pub fn session(&self) -> &QosSession {
-        &self.session
+        self.wal.session()
     }
 
     /// Consumes the wrapper, returning the session.
     pub fn into_session(self) -> QosSession {
-        self.session
+        self.wal.into_session()
     }
 
     /// Journals and applies a coalesced admission batch. The batch
@@ -81,7 +129,7 @@ impl JournaledSession {
     pub fn admit_flows(&mut self, specs: &[FlowSpec]) -> Result<Vec<FlowAdmission>, SvcError> {
         // Replay keeps such a spec in: a journal that holds one was not
         // written by this writer, and the engine's error refuses it.
-        if self.writer.is_none() || specs.iter().all(|s| unjournalable(s).is_none()) {
+        if !self.wal.journals() || specs.iter().all(|s| unjournalable(s).is_none()) {
             return self.journal_and_admit(specs);
         }
         let valid: Vec<FlowSpec> = specs
@@ -102,8 +150,10 @@ impl JournaledSession {
         if specs.is_empty() {
             return Ok(Vec::new());
         }
-        self.journal(&JournalRecord::AdmitBatch(specs.to_vec()))?;
-        let verdicts = self.session.admit_batch(specs)?;
+        let verdicts = self
+            .wal
+            .append(&JournalRecord::AdmitBatch(specs.to_vec()))?
+            .admit_batch(specs)?;
         self.after_mutation();
         Ok(verdicts)
     }
@@ -116,8 +166,10 @@ impl JournaledSession {
     /// [`SvcError::Journal`] if the append failed (nothing applied), or
     /// [`SvcError::Qos`] from the re-solve.
     pub fn release_flow(&mut self, flow: FlowId) -> Result<bool, SvcError> {
-        self.journal(&JournalRecord::Release(flow))?;
-        let released = self.session.release(flow)?;
+        let released = self
+            .wal
+            .append(&JournalRecord::Release(flow))?
+            .release(flow)?;
         self.after_mutation();
         Ok(released)
     }
@@ -129,8 +181,7 @@ impl JournaledSession {
     /// [`SvcError::Journal`] if the append failed (nothing applied), or
     /// [`SvcError::Qos`] from the re-solve.
     pub fn rebalance_flows(&mut self) -> Result<(), SvcError> {
-        self.journal(&JournalRecord::Rebalance)?;
-        self.session.rebalance()?;
+        self.wal.append(&JournalRecord::Rebalance)?.rebalance()?;
         self.after_mutation();
         Ok(())
     }
@@ -143,17 +194,10 @@ impl JournaledSession {
     ///
     /// [`SvcError::Journal`] if the append failed.
     pub fn snapshot_now(&mut self) -> Result<(), SvcError> {
-        if self.writer.is_some() {
-            let state = self.session.export_state();
-            self.journal(&JournalRecord::Snapshot(state))?;
+        if self.wal.journals() {
+            let state = self.wal.session().export_state();
+            self.wal.append(&JournalRecord::Snapshot(state))?;
             self.since_snapshot = 0;
-        }
-        Ok(())
-    }
-
-    fn journal(&mut self, record: &JournalRecord) -> Result<(), SvcError> {
-        if let Some(w) = self.writer.as_mut() {
-            w.append(record)?;
         }
         Ok(())
     }

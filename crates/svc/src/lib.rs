@@ -15,7 +15,9 @@
 //! * [`JournaledSession`] — the write-ahead discipline: every mutation
 //!   is appended to a JSONL journal (same line format as the
 //!   `wimesh-obs` sinks) and flushed *before* it is applied, plus
-//!   periodic [state snapshots](JournalRecord::Snapshot).
+//!   periodic [state snapshots](JournalRecord::Snapshot). The session
+//!   is reachable for mutation only through the append, so the order
+//!   is checked by the compiler.
 //! * [`recover`] — snapshot + replay rebuilds the exact pre-crash
 //!   state: the last snapshot is restored verbatim (no solver run) and
 //!   the journaled tail is re-applied with the same batch grouping.

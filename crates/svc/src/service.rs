@@ -31,7 +31,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
 
@@ -39,6 +39,7 @@ use wimesh::{
     AdmittedFlow, FlowSpec, OrderPolicy, QosError, QosSession, RejectReason, SessionState,
     SessionStats,
 };
+use wimesh_obs::sync::{lock, Guard};
 use wimesh_sim::FlowId;
 
 use crate::error::SvcError;
@@ -139,8 +140,8 @@ impl Default for SlotState {
     }
 }
 
-fn lock_slot(slot: &ReplySlot) -> MutexGuard<'_, SlotState> {
-    slot.state.lock().unwrap_or_else(PoisonError::into_inner)
+fn lock_slot(slot: &ReplySlot) -> Guard<'_, SlotState> {
+    lock(&slot.state)
 }
 
 impl ReplySlot {
@@ -202,8 +203,8 @@ struct Shared {
     view: Arc<EpochCell<ScheduleView>>,
 }
 
-fn lock_queue(shared: &Shared) -> MutexGuard<'_, Queue> {
-    shared.queue.lock().unwrap_or_else(PoisonError::into_inner)
+fn lock_queue(shared: &Shared) -> Guard<'_, Queue> {
+    lock(&shared.queue)
 }
 
 /// A blocking handle for one submitted request.
@@ -229,11 +230,7 @@ impl Ticket {
         let mut state = lock_slot(&self.slot);
         while let SlotState::Empty { parked } = &mut *state {
             *parked = true;
-            state = self
-                .slot
-                .answered
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+            state = state.wait(&self.slot.answered);
         }
         match std::mem::replace(&mut *state, SlotState::Dead) {
             SlotState::Ready(reply) => Ok(reply),
@@ -422,11 +419,7 @@ impl Worker {
                 let mut q = lock_queue(&self.shared);
                 while q.items.is_empty() && !q.closed {
                     q.parked = true;
-                    q = self
-                        .shared
-                        .ready
-                        .wait(q)
-                        .unwrap_or_else(PoisonError::into_inner);
+                    q = q.wait(&self.shared.ready);
                     q.parked = false;
                 }
                 if q.items.is_empty() {

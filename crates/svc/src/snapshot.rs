@@ -17,10 +17,11 @@
 //! not on the steady-state path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use wimesh::tdma::Schedule;
 use wimesh::{AdmittedFlow, SessionStats};
+use wimesh_obs::sync::lock;
 use wimesh_sim::FlowId;
 use wimesh_topology::LinkId;
 
@@ -49,10 +50,7 @@ impl<T> EpochCell<T> {
     /// previous `Arc` keep it alive; the writer does not wait for them.
     pub fn publish(&self, value: T) {
         let fresh = Arc::new(value);
-        let replaced = std::mem::replace(
-            &mut *self.slot.lock().unwrap_or_else(PoisonError::into_inner),
-            fresh,
-        );
+        let replaced = std::mem::replace(&mut *lock(&self.slot), fresh);
         self.epoch.fetch_add(1, Ordering::Release);
         // The writer may hold the last reference: free the old value
         // after the swap mutex is released, not while readers wait on it.
@@ -66,7 +64,7 @@ impl<T> EpochCell<T> {
 
     /// Clones out the current value (takes the swap mutex briefly).
     pub fn load(&self) -> Arc<T> {
-        Arc::clone(&self.slot.lock().unwrap_or_else(PoisonError::into_inner))
+        Arc::clone(&lock(&self.slot))
     }
 }
 

@@ -4,7 +4,7 @@
 //! links* — the [`Path`] type — because TDMA slot demands, conflict
 //! relations and scheduling delay are all per-link quantities.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::{LinkId, MeshTopology, NodeId, TopologyError};
 
@@ -160,7 +160,7 @@ pub fn edge_disjoint_paths(
     k: usize,
 ) -> Result<Vec<Path>, TopologyError> {
     let first = shortest_path(topo, from, to)?;
-    let mut banned: std::collections::HashSet<LinkId> = first.links().iter().copied().collect();
+    let mut banned: BTreeSet<LinkId> = first.links().iter().copied().collect();
     let mut paths = vec![first];
     while paths.len() < k {
         match shortest_path_avoiding(topo, from, to, &banned) {
@@ -179,7 +179,7 @@ fn shortest_path_avoiding(
     topo: &MeshTopology,
     from: NodeId,
     to: NodeId,
-    banned: &std::collections::HashSet<LinkId>,
+    banned: &BTreeSet<LinkId>,
 ) -> Option<Path> {
     let mut inbound: Vec<Option<LinkId>> = vec![None; topo.node_count()];
     let mut seen = vec![false; topo.node_count()];
@@ -471,7 +471,7 @@ mod tests {
         assert_eq!(paths[0].hop_count(), 3);
         assert_eq!(paths[1].hop_count(), 3);
         // Disjointness.
-        let a: std::collections::HashSet<_> = paths[0].links().iter().collect();
+        let a: BTreeSet<_> = paths[0].links().iter().collect();
         assert!(paths[1].links().iter().all(|l| !a.contains(l)));
     }
 
@@ -489,7 +489,7 @@ mod tests {
         let paths = edge_disjoint_paths(&t, NodeId(0), NodeId(8), 3).unwrap();
         assert!(paths.len() >= 2, "got {}", paths.len());
         for w in paths.windows(2) {
-            let a: std::collections::HashSet<_> = w[0].links().iter().collect();
+            let a: BTreeSet<_> = w[0].links().iter().collect();
             assert!(w[1].links().iter().all(|l| !a.contains(l)));
         }
         // Paths are sorted shortest-first.

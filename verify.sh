@@ -75,24 +75,14 @@ cargo test -q -p wimesh-svc --test jsonl_roundtrip
 # The serde feature must keep round-tripping the persistable types the
 # journal depends on (SessionState, FlowSpec, schedules, stats).
 cargo test -q -p wimesh --features serde --test serde_feature
-# Workspace lint, one pass over one parse per file: the three call-graph
-# rules (journal-precedes-mutation, lock order, hash-iteration
-# determinism) must hold. Token-level rules are the compiler's (clippy
-# step below; DESIGN §3.10).
-cargo run -p wimesh-check --release -- lint --workspace
-# The certifier must keep rejecting every mutated schedule; every rule
-# must keep firing at exact file:line on its fixture crate and on
-# violations seeded into a copy of the real tree; every crate must opt
-# into [workspace.lints]; the parser must survive every workspace file
-# plus fuzz input; the CLI must keep its 0/1/2 exit codes and list three
-# rules. Run each suite by name so a filter typo can't skip one.
+# The certifier must keep rejecting every mutated schedule (and a drift
+# model it cannot bound, without panicking); every crate must opt into
+# [workspace.lints], and every crate-local clippy.toml must repeat the
+# root's bans. Run each suite by name so a filter typo can't skip one.
 cargo test -q -p wimesh-check --test certifier_mutations
-cargo test -q -p wimesh-check --test lint_rules
-cargo test -q -p wimesh-check --test semantic_rules
-cargo test -q -p wimesh-check --test parser_props
-cargo test -q -p wimesh-check --test cli
+cargo test -q -p wimesh-check --test workspace_manifests
 # The emulation pipeline must stay bit-deterministic under a fixed seed
-# (guards the BTreeMap payload-ordering fix the analyzer forced).
+# (the hash types it once iterated are banned by clippy below).
 cargo test -q -p wimesh --test determinism
 # History must not leak into verdicts: a session churned through admit,
 # release-all and re-admit equals a fresh one placing the same flows
@@ -111,13 +101,17 @@ cargo test -q -p wimesh --features checked --test session_delta_equivalence
 # that the root build does not see: its harness tests (metric names in
 # step with BENCHMARK.json, generators, percentile maths) run here.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-# Clippy over lib and bin targets carries the repo's former token rules:
+# Clippy over lib and bin targets carries the repo's former lint rules:
 # [workspace.lints] (forbid unsafe_code, print_stdout/print_stderr/
 # dbg_macro, allow_attributes and allow_attributes_without_reason, so
 # every suppression is a reasoned #[expect] and a stale one fails),
-# unwrap_used/expect_used at the six adopted crate roots, and
-# disallowed_methods (Instant::now, SystemTime::now) from the
-# clippy.toml of sim, emu and node. No --all-targets: tests may unwrap.
+# unwrap_used/expect_used at the six adopted crate roots, and the root
+# clippy.toml's bans: HashMap/HashSet (random iteration order) and raw
+# Mutex::lock/try_lock (workspace mutexes go through
+# wimesh_obs::sync::lock, whose debug-build held-lock check every test
+# above ran). sim, emu and node repeat those bans in their own
+# clippy.toml beside Instant::now and SystemTime::now. No --all-targets:
+# tests may unwrap and take raw locks.
 cargo clippy --workspace -- -D warnings
 cargo fmt --check
 # API docs must build warning-clean (covers the vendored stand-ins too).
