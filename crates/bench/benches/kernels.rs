@@ -90,7 +90,7 @@ fn bench_schedule_from_order(c: &mut Criterion) {
 
     // What the session pays for one call arriving and one leaving while it
     // holds those 25 (routing and vetting of the arrival included).
-    let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+    let mesh = MeshQos::builder(topo).build().unwrap();
     let mut session = mesh.session(OrderPolicy::HopOrder);
     for (id, path) in paths.iter().enumerate() {
         let (src, dst) = (path.source(), path.destination());
@@ -187,7 +187,7 @@ fn bench_milp(c: &mut Criterion) {
     // chain(8). A "yes" at the minimum region (branch & bound stops at
     // its first integral leaf) and a "no" one slot below it (the tree has
     // to be emptied) — the session asks both kinds.
-    let mesh = MeshQos::new(generators::chain(8), EmulationParams::default()).unwrap();
+    let mesh = MeshQos::builder(generators::chain(8)).build().unwrap();
     let mut session = mesh.session(OrderPolicy::ExactMilp);
     for (id, src) in [4, 1, 7, 2, 5, 3, 1, 6, 2, 3].into_iter().enumerate() {
         let call = FlowSpec::voip(id as u32, NodeId(src), NodeId(0), VoipCodec::G711);
@@ -337,7 +337,7 @@ fn bench_packet_macs(c: &mut Criterion) {
 /// run of admissions coalesced into one batch, and a snapshot every
 /// `GatewayConfig::default().snapshot_every` mutations.
 fn churn_journal_grid4(requests: usize) -> String {
-    let mesh = MeshQos::new(generators::grid(4, 4), EmulationParams::default()).unwrap();
+    let mesh = MeshQos::builder(generators::grid(4, 4)).build().unwrap();
     let path = std::env::temp_dir().join(format!("wimesh_kernels_{}.jsonl", std::process::id()));
     let mut journaled = JournaledSession::new(
         mesh.session(OrderPolicy::HopOrder),

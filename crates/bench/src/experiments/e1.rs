@@ -10,7 +10,6 @@
 //! contention and hidden terminals destroy quality several hops earlier.
 
 use wimesh::{MeshQos, OrderPolicy};
-use wimesh_emu::EmulationParams;
 use wimesh_sim::traffic::VoipCodec;
 use wimesh_topology::{generators, NodeId};
 
@@ -38,7 +37,7 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
     );
     for (i, &n) in lengths.iter().enumerate() {
         let topo = generators::chain(n);
-        let mesh = MeshQos::new(topo, EmulationParams::default())?;
+        let mesh = MeshQos::builder(topo).build()?;
         let flows = common::voip_calls_to_gateway(n, NodeId(0), max_calls, VoipCodec::G729);
         let tdma =
             common::tdma_capacity(&mesh, &flows, OrderPolicy::TreeOrder { gateway: NodeId(0) });

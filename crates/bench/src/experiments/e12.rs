@@ -14,7 +14,6 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wimesh::{FlowSpec, MeshQos, OrderPolicy};
-use wimesh_emu::EmulationParams;
 use wimesh_sim::traffic::VoipCodec;
 use wimesh_topology::{generators, NodeId};
 
@@ -56,7 +55,7 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
     };
     let topo = generators::grid(3, 4);
     let node_count = topo.node_count();
-    let mesh = MeshQos::new(topo, EmulationParams::default())?;
+    let mesh = MeshQos::builder(topo).build()?;
 
     let mut table = Table::new(
         "E12: burst-provisioning ablation (3x4 grid, G.711 to gateway, 30 s sims)",

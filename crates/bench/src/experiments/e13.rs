@@ -14,7 +14,7 @@
 //! where *contention* (not noise) destroys DCF while leaving TDMA
 //! untouched. The `tdma_prov20` column shows the mitigation the library
 //! offers: over-provisioning the reservation's *slot count* for an
-//! expected loss rate (`MeshQos::set_loss_provisioning`) buys in-frame
+//! expected loss rate (`MeshQosBuilder::loss_provisioning`) buys in-frame
 //! retry headroom and pulls the tail back near the clean bound.
 
 use std::time::Duration;
@@ -25,7 +25,6 @@ use wimesh::emu::tdma::{TdmaFlow, TdmaSimulation};
 use wimesh::phy80211::dcf::DcfConfig;
 use wimesh::sim::traffic::{TrafficSource, VoipCodec, VoipSource};
 use wimesh::{FlowSpec, MeshQos, OrderPolicy};
-use wimesh_emu::EmulationParams;
 use wimesh_topology::{generators, NodeId};
 
 use crate::experiments::common::ms;
@@ -45,11 +44,10 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
         Duration::from_secs(40)
     };
     let topo = generators::chain(5);
-    let mesh = MeshQos::new(topo.clone(), EmulationParams::default())?;
+    let mesh = MeshQos::builder(topo.clone()).build()?;
     // A second controller that over-provisions for 20% loss: the fix the
     // measured TDMA tail motivates.
-    let mut provisioned = MeshQos::new(topo, EmulationParams::default())?;
-    provisioned.set_loss_provisioning(0.20);
+    let provisioned = MeshQos::builder(topo).loss_provisioning(0.20).build()?;
     let flows: Vec<FlowSpec> = (0..2)
         .map(|i| FlowSpec::voip(i, NodeId(4 - i), NodeId(0), VoipCodec::G711))
         .collect();

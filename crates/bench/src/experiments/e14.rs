@@ -12,10 +12,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wimesh::conflict::InterferenceModel;
 use wimesh::phy80211::RateTable;
 use wimesh::{MeshQos, OrderPolicy, RatePolicy};
-use wimesh_emu::EmulationParams;
 use wimesh_sim::traffic::VoipCodec;
 use wimesh_topology::{generators, NodeId};
 
@@ -54,16 +52,13 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
         let flows =
             common::voip_calls_to_gateway(topo.node_count(), NodeId(0), calls, VoipCodec::G729);
 
-        let uniform = MeshQos::new(topo.clone(), EmulationParams::default())?;
+        let uniform = MeshQos::builder(topo.clone()).build()?;
         let u_out = uniform.admit(&flows, OrderPolicy::TreeOrder { gateway: NodeId(0) })?;
 
         let table_rates = RateTable::new(wimesh::phy80211::PhyStandard::Dot11a, 400.0, 3.0);
-        let adaptive = MeshQos::with_rate_policy(
-            topo.clone(),
-            EmulationParams::default(),
-            InterferenceModel::protocol_default(),
-            RatePolicy::DistanceAdaptive(table_rates),
-        )?;
+        let adaptive = MeshQos::builder(topo.clone())
+            .rate_policy(RatePolicy::DistanceAdaptive(table_rates))
+            .build()?;
         let a_out = adaptive.admit(&flows, OrderPolicy::TreeOrder { gateway: NodeId(0) })?;
 
         let payloads: Vec<u32> = topo.link_ids().map(|l| adaptive.link_payload(l)).collect();

@@ -13,7 +13,6 @@ use rand::SeedableRng;
 use wimesh::phy80211::dcf::DcfConfig;
 use wimesh::sim::traffic::{CbrSource, TrafficSource, VoipCodec, VoipSource};
 use wimesh::{FlowSpec, MeshQos, OrderPolicy};
-use wimesh_emu::EmulationParams;
 use wimesh_topology::{generators, NodeId};
 
 use crate::experiments::common::ms;
@@ -29,7 +28,7 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
         Duration::from_secs(60)
     };
     let topo = generators::chain(n);
-    let mesh = MeshQos::new(topo, EmulationParams::default())?;
+    let mesh = MeshQos::builder(topo).build()?;
 
     // Four G.711 calls from the far end to the gateway.
     let calls: Vec<FlowSpec> = (0..4)

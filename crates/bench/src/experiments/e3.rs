@@ -13,7 +13,6 @@
 use wimesh::conflict::{greedy_clique_cover, ConflictGraph};
 use wimesh::tdma::Demands;
 use wimesh::{FlowSpec, MeshQos, OrderPolicy};
-use wimesh_emu::EmulationParams;
 use wimesh_sim::traffic::VoipCodec;
 use wimesh_topology::{generators, NodeId};
 
@@ -71,7 +70,7 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
     );
     let n = 6;
     let topo = generators::chain(n);
-    let mesh = MeshQos::new(topo, EmulationParams::default())?;
+    let mesh = MeshQos::builder(topo).build()?;
     for k in 1..=max_flows {
         let flows = common::voip_calls_to_gateway(n, NodeId(0), k, VoipCodec::G711);
         let exact = mesh.admit(&flows, OrderPolicy::ExactMilp)?;
@@ -87,7 +86,7 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
     }
     // A grid instance for the spatial-reuse contrast.
     let topo = generators::grid(3, 3);
-    let mesh = MeshQos::new(topo, EmulationParams::default())?;
+    let mesh = MeshQos::builder(topo).build()?;
     let mut grid_table = Table::new(
         "E3b: same sweep on a 3x3 grid (gateway at a corner)",
         &[

@@ -181,7 +181,7 @@ fn run_fault_scenario(
 /// and returns the auditor's final verdicts.
 fn run_emu_audit(quick: bool) -> Result<Vec<SloVerdict>, BenchError> {
     let topo = generators::chain(5);
-    let mesh = MeshQos::new(topo, EmulationParams::default())?;
+    let mesh = MeshQos::builder(topo).build()?;
     let mut session = mesh.session(OrderPolicy::TreeOrder { gateway: NodeId(0) });
     for i in 0..2u32 {
         let spec = FlowSpec::voip(i, NodeId(4 - i), NodeId(0), VoipCodec::G711);

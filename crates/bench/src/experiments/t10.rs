@@ -12,7 +12,6 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wimesh::{FlowSpec, MeshQos, OrderPolicy};
-use wimesh_emu::EmulationParams;
 use wimesh_sim::traffic::VoipCodec;
 use wimesh_topology::{generators, NodeId};
 
@@ -34,7 +33,7 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
     };
     let topo = generators::grid(3, 4);
     let node_count = topo.node_count();
-    let mesh = MeshQos::new(topo, EmulationParams::default())?;
+    let mesh = MeshQos::builder(topo).build()?;
     let gateway = NodeId(0);
 
     let mut table = Table::new(

@@ -7,10 +7,9 @@
 //! hop, guard-time sufficiency against the drift model, and a
 //! from-scratch Bellman–Ford cross-check of the makespan. It shares no
 //! code with `crates/tdma`, so the optimised solver and the oracle can
-//! only agree by both being right. `wimesh` calls it behind the `checked`
-//! cargo feature on every session admit/release/rebalance, `wimesh-svc`
-//! on every recovery ([`Certificate::check_recovery`]), and the
-//! integration suites gate on it unconditionally.
+//! only agree by both being right. The engine it checks never calls it:
+//! `wimesh-svc` does on every recovery ([`Certificate::check_recovery`]),
+//! and the engine's suites hand it every outcome they see.
 //!
 //! The code disciplines the certifier's guarantee also rests on are the
 //! compiler's, not a lint of this crate's (DESIGN §3.10): the root

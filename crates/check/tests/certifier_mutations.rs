@@ -18,13 +18,15 @@ use wimesh::sim::traffic::VoipCodec;
 use wimesh::tdma::{Demands, Schedule, SlotRange};
 use wimesh::{AdmissionOutcome, FlowSpec, MeshQos, OrderPolicy};
 use wimesh_check::{CertParams, Certificate, CertifyError, FlowRequirement};
-use wimesh_emu::EmulationParams;
 use wimesh_topology::{generators, LinkId, NodeId};
+
+#[path = "../../core/tests/support/mod.rs"]
+mod support;
 
 /// Real admission over a 5-node chain: four VoIP flows 4 → 0, so every
 /// path link carries a multi-slot aggregate demand (2 slots per link).
 fn base() -> (MeshQos, AdmissionOutcome) {
-    let mesh = MeshQos::new(generators::chain(5), EmulationParams::default()).unwrap();
+    let mesh = MeshQos::builder(generators::chain(5)).build().unwrap();
     let flows: Vec<FlowSpec> = (0..4)
         .map(|i| FlowSpec::voip(i, NodeId(4), NodeId(0), VoipCodec::G711))
         .collect();
@@ -321,32 +323,11 @@ fn nan_drift_is_insufficient_not_zero_drift() {
     assert!(err.has_kind("guard-insufficient"), "{err}");
 }
 
-/// Certifies a session snapshot the same way the `checked` feature does.
+/// Certifies a session snapshot the way the engine's own suites do.
 fn certify_session(session: &wimesh::QosSession) -> Result<(), TestCaseError> {
-    let mesh = session.mesh();
-    let snap = session.snapshot();
-    let demands = mesh.demands_for(snap.admitted());
-    let graph = ConflictGraph::build_for_links(
-        mesh.topology(),
-        snap.schedule.links().collect(),
-        mesh.interference(),
-    );
-    let flows: Vec<FlowRequirement> = snap
-        .admitted()
-        .iter()
-        .map(|f| FlowRequirement {
-            id: f.spec.id.0 as u64,
-            links: f.path.links().to_vec(),
-            deadline: f.spec.deadline,
-        })
-        .collect();
-    let params = CertParams::from_emulation(mesh.model());
-    if let Err(err) = Certificate::check(&snap.schedule, &graph, &demands, &flows, &params) {
-        return Err(TestCaseError::fail(format!(
-            "session schedule failed certification: {err}"
-        )));
-    }
-    Ok(())
+    support::certify(session.mesh(), session.snapshot())
+        .map(drop)
+        .map_err(|e| TestCaseError::fail(format!("session {e}")))
 }
 
 proptest! {

@@ -1,6 +1,7 @@
 //! The compiler-enforced rules hold for every crate: each opts into
-//! `[workspace.lints]`, and each crate-local `clippy.toml` keeps every ban
-//! of the root one (DESIGN §3.10).
+//! `[workspace.lints]`, each crate-local `clippy.toml` keeps every ban of
+//! the root one (DESIGN §3.10), and no crate declares a cargo feature, so
+//! the build every suite tests is the one that ships.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -52,6 +53,24 @@ fn every_crate_opts_into_workspace_lints() {
             "{} lacks `[lints] workspace = true`",
             manifest.display()
         );
+    }
+}
+
+#[test]
+fn no_crate_declares_a_feature() {
+    // A feature is a second build: code behind it is tested only where a
+    // run turns it on. Suites that need more checking (the certifier, say)
+    // do it from the outside instead.
+    for dir in crate_dirs() {
+        let manifest = dir.join("Cargo.toml");
+        let toml = fs::read_to_string(&manifest).expect("manifest is readable");
+        for line in toml.lines().map(str::trim) {
+            assert!(
+                line != "[features]" && !line.contains("optional = true"),
+                "{} declares a feature: `{line}`",
+                manifest.display()
+            );
+        }
     }
 }
 

@@ -379,7 +379,6 @@ pub(crate) fn greedy_rank(
 mod tests {
     use super::*;
     use crate::MeshQos;
-    use wimesh_emu::EmulationParams;
     use wimesh_milp::SolverConfig;
     use wimesh_sim::traffic::VoipCodec;
     use wimesh_tdma::milp::{feasible_order_within, PathRequirement};
@@ -388,7 +387,7 @@ mod tests {
     use wimesh_topology::routing::shortest_path;
 
     fn mesh(n: usize) -> MeshQos {
-        MeshQos::new(generators::chain(n), EmulationParams::default()).unwrap()
+        MeshQos::builder(generators::chain(n)).build().unwrap()
     }
 
     #[test]
@@ -408,7 +407,7 @@ mod tests {
     fn rejects_unroutable_flow() {
         let mut topo = generators::chain(3);
         let isolated = topo.add_node();
-        let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+        let mesh = MeshQos::builder(topo).build().unwrap();
         let flows = vec![FlowSpec::voip(0, isolated, NodeId(0), VoipCodec::G729)];
         let out = mesh.admit(&flows, OrderPolicy::HopOrder).unwrap();
         assert!(out.admitted.is_empty());
@@ -490,7 +489,7 @@ mod tests {
     #[test]
     fn tree_policy_on_gateway_tree() {
         let topo = generators::binary_tree(2);
-        let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+        let mesh = MeshQos::builder(topo).build().unwrap();
         let flows: Vec<FlowSpec> = (3..7)
             .map(|i| FlowSpec::voip(i, NodeId(i), NodeId(0), VoipCodec::G729))
             .collect();
@@ -622,7 +621,7 @@ mod tests {
     fn every_reject_of_a_batch_is_reported_in_input_order() {
         let mut topo = generators::chain(3);
         let isolated = topo.add_node();
-        let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+        let mesh = MeshQos::builder(topo).build().unwrap();
         let flows: Vec<FlowSpec> = (0..300)
             .map(|i| FlowSpec::voip(i, isolated, NodeId(0), VoipCodec::G729))
             .collect();

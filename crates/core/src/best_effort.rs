@@ -50,11 +50,10 @@ impl BestEffortAllocation {
 /// use wimesh::best_effort::fill_best_effort;
 /// use wimesh::tdma::Demands;
 /// use wimesh::{FlowSpec, MeshQos, OrderPolicy};
-/// use wimesh_emu::EmulationParams;
 /// use wimesh_sim::traffic::VoipCodec;
 /// use wimesh_topology::generators;
 ///
-/// let mesh = MeshQos::new(generators::chain(3), EmulationParams::default())?;
+/// let mesh = MeshQos::builder(generators::chain(3)).build()?;
 /// let voip = vec![FlowSpec::voip(0, 2.into(), 0.into(), VoipCodec::G729)];
 /// let outcome = mesh.admit(&voip, OrderPolicy::HopOrder)?;
 ///
@@ -155,13 +154,12 @@ fn first_free_run(busy: &[SlotRange], slots: u32, max_len: u32) -> Option<SlotRa
 mod tests {
     use super::*;
     use crate::{FlowSpec, MeshQos, OrderPolicy};
-    use wimesh_emu::EmulationParams;
     use wimesh_sim::traffic::VoipCodec;
     use wimesh_topology::{generators, NodeId};
 
     fn setup() -> (MeshQos, Schedule) {
         let topo = generators::chain(5);
-        let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+        let mesh = MeshQos::builder(topo).build().unwrap();
         let flows = vec![
             FlowSpec::voip(0, NodeId(4), NodeId(0), VoipCodec::G711),
             FlowSpec::voip(1, NodeId(3), NodeId(0), VoipCodec::G711),
@@ -213,7 +211,7 @@ mod tests {
         // Fill the whole frame with a fat guaranteed reservation, then ask
         // for best effort on a conflicting link.
         let topo = generators::chain(3);
-        let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+        let mesh = MeshQos::builder(topo).build().unwrap();
         let flows = vec![FlowSpec::guaranteed(
             0,
             NodeId(2),

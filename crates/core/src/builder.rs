@@ -1,25 +1,19 @@
-//! The validated builder for [`MeshQos`].
+//! The validated builder for [`MeshQos`], the one way to construct one.
 //!
-//! [`MeshQos`] grew construction knobs one constructor at a time (`new`,
-//! `with_interference`, `with_rate_policy`, plus post-construction
-//! setters). The builder replaces that ladder with a single entry point
-//! whose defaults match [`MeshQos::new`] exactly, and whose validation
-//! happens once, in [`MeshQosBuilder::build`] — invalid loss
-//! provisioning becomes an error instead of a panic.
+//! Every setting is given before the mesh exists and validated once, in
+//! [`MeshQosBuilder::build`]: a built mesh is immutable, and an invalid
+//! setting is an error, never a panic.
 
 use wimesh_conflict::InterferenceModel;
 use wimesh_emu::EmulationParams;
-use wimesh_milp::SolverConfig;
 use wimesh_topology::MeshTopology;
 
-use crate::{MeshQos, OrderPolicy, QosError, RatePolicy};
+use crate::{MeshQos, QosError, RatePolicy};
 
 /// Builds a [`MeshQos`] with validated defaults.
 ///
 /// Defaults: [`EmulationParams::default`], the 1-hop protocol
-/// interference model, [`RatePolicy::Uniform`], no loss provisioning and
-/// [`SolverConfig::default`] — identical to what [`MeshQos::new`]
-/// produces.
+/// interference model, [`RatePolicy::Uniform`] and no loss provisioning.
 ///
 /// # Example
 ///
@@ -40,9 +34,7 @@ pub struct MeshQosBuilder {
     params: EmulationParams,
     interference: InterferenceModel,
     rates: RatePolicy,
-    solver: SolverConfig,
     loss_provisioning: f64,
-    default_policy: OrderPolicy,
 }
 
 impl MeshQosBuilder {
@@ -52,9 +44,7 @@ impl MeshQosBuilder {
             params: EmulationParams::default(),
             interference: InterferenceModel::protocol_default(),
             rates: RatePolicy::Uniform,
-            solver: SolverConfig::default(),
             loss_provisioning: 0.0,
-            default_policy: OrderPolicy::HopOrder,
         }
     }
 
@@ -77,14 +67,11 @@ impl MeshQosBuilder {
         self
     }
 
-    /// Overrides the MILP solver configuration (node limits etc.).
-    pub fn solver_config(mut self, solver: SolverConfig) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// Over-provisions reservations for an expected per-transmission
-    /// channel loss `p` in `[0, 0.9]` (validated at [`build`]).
+    /// Over-provisions every reservation for an expected
+    /// per-transmission channel loss `p` in `[0, 0.9]` (validated at
+    /// [`build`]): demands scale by `1/(1-p)`, giving retries in-frame
+    /// headroom so the delay tail under loss stays near the clean-channel
+    /// bound (see experiment E13).
     ///
     /// [`build`]: MeshQosBuilder::build
     pub fn loss_provisioning(mut self, p: f64) -> Self {
@@ -92,22 +79,17 @@ impl MeshQosBuilder {
         self
     }
 
-    /// Sets the admission policy [`MeshQos::default_session`] opens with
-    /// ([`OrderPolicy::HopOrder`] unless set). Approximation deployments
-    /// configure [`OrderPolicy::GreedySequential`] or
-    /// [`OrderPolicy::LpRounding`] here once instead of at every call
-    /// site.
-    pub fn default_policy(mut self, policy: OrderPolicy) -> Self {
-        self.default_policy = policy;
-        self
-    }
-
     /// Validates the configuration and builds the mesh.
     ///
     /// # Errors
     ///
-    /// [`QosError::Config`] for an out-of-range loss provisioning, plus
-    /// every error [`MeshQos::with_rate_policy`] can produce.
+    /// - [`QosError::Config`] for an out-of-range loss provisioning;
+    /// - [`QosError::Emulation`] when the emulation parameters cannot
+    ///   produce a usable minislot (guard too large, slot too short), or a
+    ///   link's adapted rate leaves no room in it;
+    /// - [`QosError::LinkBeyondRange`] when
+    ///   [`RatePolicy::DistanceAdaptive`] finds a link longer than the base
+    ///   rate's reach.
     pub fn build(self) -> Result<MeshQos, QosError> {
         if !(0.0..=0.9).contains(&self.loss_provisioning) {
             return Err(QosError::Config(format!(
@@ -115,14 +97,13 @@ impl MeshQosBuilder {
                 self.loss_provisioning
             )));
         }
-        let mut mesh =
-            MeshQos::with_rate_policy(self.topo, self.params, self.interference, self.rates)?;
-        if self.loss_provisioning > 0.0 {
-            mesh.set_loss_provisioning(self.loss_provisioning);
-        }
-        mesh.set_solver_config(self.solver);
-        mesh.set_default_policy(self.default_policy);
-        Ok(mesh)
+        MeshQos::configured(
+            self.topo,
+            self.params,
+            self.interference,
+            &self.rates,
+            self.loss_provisioning,
+        )
     }
 }
 
@@ -135,19 +116,25 @@ mod tests {
     use wimesh_topology::NodeId;
 
     #[test]
-    fn builder_defaults_match_new() {
+    fn builder_defaults_match_explicit_settings() {
         let topo = generators::chain(4);
         let built = MeshQos::builder(topo.clone()).build().unwrap();
-        let legacy = MeshQos::new(topo, EmulationParams::default()).unwrap();
-        assert_eq!(built.interference(), legacy.interference());
+        let explicit = MeshQos::builder(topo)
+            .params(EmulationParams::default())
+            .interference(InterferenceModel::protocol_default())
+            .rate_policy(RatePolicy::Uniform)
+            .loss_provisioning(0.0)
+            .build()
+            .unwrap();
+        assert_eq!(built.interference(), explicit.interference());
         assert_eq!(
             built.model().slot_payload_bytes(),
-            legacy.model().slot_payload_bytes()
+            explicit.model().slot_payload_bytes()
         );
         // Same admission behaviour.
         let flows = vec![FlowSpec::voip(0, NodeId(3), NodeId(0), VoipCodec::G711)];
         let a = built.admit(&flows, OrderPolicy::HopOrder).unwrap();
-        let b = legacy.admit(&flows, OrderPolicy::HopOrder).unwrap();
+        let b = explicit.admit(&flows, OrderPolicy::HopOrder).unwrap();
         assert_eq!(a.admitted.len(), b.admitted.len());
         assert_eq!(a.guaranteed_slots, b.guaranteed_slots);
     }
@@ -170,6 +157,8 @@ mod tests {
             .build()
             .unwrap();
         let plain = MeshQos::builder(topo).build().unwrap();
+        // 1.2 Mbit/s over 3 hops: 6 slots/link plain, 8 provisioned —
+        // both fit the 32-slot frame.
         let flows = vec![FlowSpec::guaranteed(
             0,
             NodeId(3),
@@ -179,7 +168,11 @@ mod tests {
         )];
         let a = provisioned.admit(&flows, OrderPolicy::HopOrder).unwrap();
         let b = plain.admit(&flows, OrderPolicy::HopOrder).unwrap();
-        assert!(a.guaranteed_slots > b.guaranteed_slots);
+        assert_eq!(a.admitted.len(), 1);
+        assert!(
+            a.guaranteed_slots > b.guaranteed_slots,
+            "headroom costs slots"
+        );
     }
 
     #[test]

@@ -13,7 +13,6 @@ use wimesh_topology::NodeId;
 /// the deadline, and it then keeps that bound for life. A flow without a
 /// deadline is *best effort*: it rides whatever minislots the guaranteed
 /// region leaves free.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowSpec {
     /// Flow identifier.

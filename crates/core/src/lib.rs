@@ -61,7 +61,9 @@
 //! There is one admission engine, [`QosSession`]. Batch admission over a
 //! whole flow set ([`MeshQos::admit`]) is a fresh session placing the
 //! flows in order; [`QosSession::release`] and [`QosSession::rebalance`]
-//! complete the churn lifecycle.
+//! complete the churn lifecycle. There is one way to build a mesh,
+//! [`MeshQos::builder`], and one build of the crate: it declares no cargo
+//! features.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]

@@ -86,7 +86,6 @@ mod tests {
     use super::*;
     use crate::{MeshQos, OrderPolicy};
     use std::time::Duration;
-    use wimesh_emu::EmulationParams;
     use wimesh_topology::{generators, NodeId};
 
     #[test]
@@ -137,7 +136,7 @@ mod tests {
         // 14 slots > 32) but two half-rate subflows on disjoint routes
         // fit.
         let topo = generators::ring(6);
-        let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+        let mesh = MeshQos::builder(topo).build().unwrap();
         let spec = FlowSpec::guaranteed(
             0,
             NodeId(0),
@@ -169,7 +168,7 @@ mod tests {
     #[test]
     fn admit_routed_rejects_mismatched_route() {
         let topo = generators::chain(4);
-        let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+        let mesh = MeshQos::builder(topo).build().unwrap();
         let spec = FlowSpec::best_effort(0, NodeId(0), NodeId(3), 50_000.0);
         // A path ending at the wrong node.
         let wrong =

@@ -6,7 +6,6 @@ use rand::Rng;
 use wimesh_conflict::InterferenceModel;
 use wimesh_emu::tdma::{TdmaFlow, TdmaSimulation};
 use wimesh_emu::{EmulationModel, EmulationParams};
-use wimesh_milp::SolverConfig;
 use wimesh_phy80211::dcf::{DcfConfig, DcfFlow, DcfSimulation};
 use wimesh_phy80211::RateTable;
 use wimesh_sim::traffic::TrafficSource;
@@ -43,19 +42,16 @@ pub struct MeshQos {
     topo: MeshTopology,
     model: EmulationModel,
     interference: InterferenceModel,
-    solver: SolverConfig,
     /// Per-link minislot payload in bytes, indexed by `LinkId`.
     link_payloads: Vec<u32>,
     /// Expected per-transmission channel loss the reservations are
     /// over-provisioned for (demands scale by `1/(1-p)`).
     loss_provisioning: f64,
-    /// The admission policy [`MeshQos::default_session`] opens with.
-    default_policy: OrderPolicy,
 }
 
 impl MeshQos {
     /// Starts a [`MeshQosBuilder`] for `topo` with validated defaults —
-    /// the preferred way to construct a [`MeshQos`].
+    /// the one way to construct a [`MeshQos`].
     pub fn builder(topo: MeshTopology) -> MeshQosBuilder {
         MeshQosBuilder::new(topo)
     }
@@ -63,27 +59,9 @@ impl MeshQos {
     /// Opens a stateful [`QosSession`](crate::QosSession) over this mesh:
     /// incremental admission with a cached conflict graph and a
     /// warm-started feasibility search — the engine [`MeshQos::admit`]
-    /// runs a fresh instance of. The session clones the mesh
-    /// configuration; later changes to `self` do not affect it.
+    /// runs a fresh instance of. The session owns a clone of the mesh.
     pub fn session(&self, policy: OrderPolicy) -> crate::QosSession {
         crate::QosSession::new(self.clone(), policy)
-    }
-
-    /// Opens a session under the mesh's configured default policy
-    /// ([`MeshQosBuilder::default_policy`]; [`OrderPolicy::HopOrder`]
-    /// unless overridden).
-    pub fn default_session(&self) -> crate::QosSession {
-        self.session(self.default_policy)
-    }
-
-    /// The admission policy [`MeshQos::default_session`] opens with.
-    pub fn default_policy(&self) -> OrderPolicy {
-        self.default_policy
-    }
-
-    /// Sets the policy [`MeshQos::default_session`] opens with.
-    pub fn set_default_policy(&mut self, policy: OrderPolicy) {
-        self.default_policy = policy;
     }
 
     /// Reconstructs a session from a previously exported
@@ -107,54 +85,18 @@ impl MeshQos {
         crate::QosSession::from_state(self.clone(), state)
     }
 
-    /// Builds the mesh with the default 1-hop protocol interference
-    /// model.
-    ///
-    /// **Deprecated in favour of [`MeshQos::builder`]**, which exposes
-    /// every knob (interference, rate policy, loss provisioning, solver
-    /// limits) through one validated entry point. `new` remains as a
-    /// forwarding shim and will keep working.
-    ///
-    /// # Errors
-    ///
-    /// [`QosError::Emulation`] when the emulation parameters cannot
-    /// produce a usable minislot (guard too large, slot too short).
-    pub fn new(topo: MeshTopology, params: EmulationParams) -> Result<Self, QosError> {
-        Self::with_interference(topo, params, InterferenceModel::protocol_default())
-    }
-
-    /// Builds the mesh with an explicit interference model.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MeshQos::new`].
-    pub fn with_interference(
+    /// The rest of [`MeshQosBuilder::build`] once it has validated the
+    /// loss provisioning; the errors are the ones `build` documents.
+    pub(crate) fn configured(
         topo: MeshTopology,
         params: EmulationParams,
         interference: InterferenceModel,
-    ) -> Result<Self, QosError> {
-        Self::with_rate_policy(topo, params, interference, RatePolicy::Uniform)
-    }
-
-    /// Builds the mesh with an explicit interference model and per-link
-    /// rate policy.
-    ///
-    /// # Errors
-    ///
-    /// In addition to [`MeshQos::new`]'s conditions,
-    /// [`QosError::LinkBeyondRange`] when
-    /// [`RatePolicy::DistanceAdaptive`] finds a link longer than the base
-    /// rate's reach, and [`QosError::Emulation`] when a link's adapted
-    /// rate leaves no room in the minislot.
-    pub fn with_rate_policy(
-        topo: MeshTopology,
-        params: EmulationParams,
-        interference: InterferenceModel,
-        rates: RatePolicy,
+        rates: &RatePolicy,
+        loss_provisioning: f64,
     ) -> Result<Self, QosError> {
         let model = EmulationModel::new(params)?;
         let mut link_payloads = vec![model.slot_payload_bytes(); topo.link_count()];
-        if let RatePolicy::DistanceAdaptive(table) = &rates {
+        if let RatePolicy::DistanceAdaptive(table) = rates {
             #[expect(
                 clippy::expect_used,
                 reason = "MeshTopology guarantees link endpoints are its own nodes"
@@ -173,27 +115,9 @@ impl MeshQos {
             topo,
             model,
             interference,
-            solver: SolverConfig::default(),
             link_payloads,
-            loss_provisioning: 0.0,
-            default_policy: OrderPolicy::HopOrder,
+            loss_provisioning,
         })
-    }
-
-    /// Over-provisions every reservation for an expected per-transmission
-    /// channel loss `p`: demands scale by `1/(1-p)`, giving retries
-    /// in-frame headroom so the delay tail under loss stays near the
-    /// clean-channel bound (see experiment E13).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p` is within `[0, 0.9]`.
-    pub fn set_loss_provisioning(&mut self, p: f64) {
-        assert!(
-            (0.0..=0.9).contains(&p),
-            "loss provisioning must be in [0, 0.9]"
-        );
-        self.loss_provisioning = p;
     }
 
     /// Payload bytes one minislot carries on `link` under the rate
@@ -204,11 +128,6 @@ impl MeshQos {
     /// Panics if `link` is not in the topology.
     pub fn link_payload(&self, link: wimesh_topology::LinkId) -> u32 {
         self.link_payloads[link.index()]
-    }
-
-    /// Overrides the MILP solver configuration (node limits etc.).
-    pub fn set_solver_config(&mut self, solver: SolverConfig) {
-        self.solver = solver;
     }
 
     /// The mesh topology.
@@ -250,11 +169,6 @@ impl MeshQos {
     /// The configured loss over-provisioning factor (internal).
     pub(crate) fn loss_provisioning(&self) -> f64 {
         self.loss_provisioning
-    }
-
-    /// The MILP solver configuration (internal).
-    pub(crate) fn solver_config(&self) -> &SolverConfig {
-        &self.solver
     }
 
     /// Runs admission control over `flows` under `policy`, each on its
@@ -398,7 +312,7 @@ mod tests {
     #[test]
     fn end_to_end_guarantee_holds_in_simulation() {
         let topo = generators::chain(5);
-        let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+        let mesh = MeshQos::builder(topo).build().unwrap();
         let flows = vec![
             FlowSpec::voip(0, NodeId(4), NodeId(0), VoipCodec::G711),
             FlowSpec::voip(1, NodeId(2), NodeId(0), VoipCodec::G729),
@@ -429,7 +343,7 @@ mod tests {
     #[test]
     fn dcf_baseline_runs_same_flows() {
         let topo = generators::chain(4);
-        let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+        let mesh = MeshQos::builder(topo).build().unwrap();
         let flows = vec![FlowSpec::voip(0, NodeId(3), NodeId(0), VoipCodec::G711)];
         // CBR keeps this smoke test independent of on/off luck.
         let results = mesh.simulate_dcf(
@@ -456,14 +370,11 @@ mod tests {
         // Base rate reaching 350 m puts the 250 m chain links at
         // 12 Mbit/s — slower than the uniform model's 24.
         let table = RateTable::new(wimesh_phy80211::PhyStandard::Dot11a, 350.0, 3.0);
-        let mesh = MeshQos::with_rate_policy(
-            topo,
-            EmulationParams::default(),
-            InterferenceModel::protocol_default(),
-            RatePolicy::DistanceAdaptive(table),
-        )
-        .unwrap();
-        let uniform = MeshQos::new(generators::chain(4), EmulationParams::default()).unwrap();
+        let mesh = MeshQos::builder(topo)
+            .rate_policy(RatePolicy::DistanceAdaptive(table))
+            .build()
+            .unwrap();
+        let uniform = MeshQos::builder(generators::chain(4)).build().unwrap();
         let l = mesh.topology().link_between(NodeId(0), NodeId(1)).unwrap();
         // 250 m at the default table is slower than 24 Mbit/s: capacity
         // per minislot drops below the uniform model's.
@@ -498,12 +409,9 @@ mod tests {
         topo.add_bidirectional(a, b).unwrap();
         let table = RateTable::mesh_default(wimesh_phy80211::PhyStandard::Dot11a);
         assert!(matches!(
-            MeshQos::with_rate_policy(
-                topo,
-                EmulationParams::default(),
-                InterferenceModel::protocol_default(),
-                RatePolicy::DistanceAdaptive(table),
-            ),
+            MeshQos::builder(topo)
+                .rate_policy(RatePolicy::DistanceAdaptive(table))
+                .build(),
             Err(QosError::LinkBeyondRange { .. })
         ));
     }
@@ -511,9 +419,13 @@ mod tests {
     #[test]
     fn loss_provisioning_buys_headroom() {
         let topo = generators::chain(4);
-        let mut provisioned = MeshQos::new(topo.clone(), EmulationParams::default()).unwrap();
-        provisioned.set_loss_provisioning(0.2);
-        let plain = MeshQos::new(topo, EmulationParams::default()).unwrap();
+        let provisioned = MeshQos::builder(topo.clone())
+            .loss_provisioning(0.2)
+            .build()
+            .unwrap();
+        let plain = MeshQos::builder(topo).build().unwrap();
+        assert_eq!(provisioned.loss_provisioning(), 0.2);
+        assert_eq!(plain.loss_provisioning(), 0.0);
         // 1.2 Mbit/s over 3 hops: 6 slots/link plain, 8 provisioned —
         // both fit the 32-slot frame.
         let flows = vec![crate::FlowSpec::guaranteed(
@@ -526,6 +438,7 @@ mod tests {
         let a = provisioned.admit(&flows, OrderPolicy::HopOrder).unwrap();
         let b = plain.admit(&flows, OrderPolicy::HopOrder).unwrap();
         assert_eq!(a.admitted.len(), 1);
+        assert_eq!(b.admitted.len(), 1);
         assert!(
             a.guaranteed_slots > b.guaranteed_slots,
             "headroom costs slots"
@@ -533,16 +446,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "loss provisioning")]
-    fn loss_provisioning_bounds_checked() {
-        let mut mesh = MeshQos::new(generators::chain(3), EmulationParams::default()).unwrap();
-        mesh.set_loss_provisioning(0.95);
-    }
-
-    #[test]
     fn accessors() {
         let topo = generators::chain(3);
-        let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+        let mesh = MeshQos::builder(topo).build().unwrap();
         assert_eq!(mesh.topology().node_count(), 3);
         assert!(mesh.model().slot_payload_bytes() > 0);
         assert_eq!(mesh.interference(), InterferenceModel::protocol_default());

@@ -48,6 +48,9 @@
 //! from-scratch pipeline, bit for bit; `tests/exact_search_equivalence.rs`
 //! pins the exact search to a bound-free linear scan; and
 //! `tests/session_equivalence.rs` pins a churned session to a fresh one.
+//! The session does not certify what it publishes: all three hand every
+//! outcome to the `wimesh-check` certifier from outside
+//! (`tests/support`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
@@ -107,7 +110,6 @@ impl FlowAdmission {
 ///
 /// The same figures are emitted as `session.*` counters through
 /// `wimesh-obs` when instrumentation is enabled.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct SessionStats {
@@ -173,7 +175,6 @@ pub struct SessionStats {
 /// survives the conflict graph's dense reindexing. The rejection log is
 /// deliberately *not* part of the state: it is observability, not
 /// schedule-bearing.
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionState {
     /// Order policy the session admits under.
@@ -192,7 +193,6 @@ pub struct SessionState {
 }
 
 /// One admitted flow inside a [`SessionState`].
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowState {
     /// The admitted spec.
@@ -458,7 +458,7 @@ impl QosSession {
         self.enter([candidate]);
         match self.solve(base > 0) {
             Ok(layout) => {
-                self.publish_admitted(base, layout, "admit");
+                self.publish_admitted(base, layout);
                 Ok(FlowAdmission::Admitted(self.outcome.admitted[base].clone()))
             }
             Err(e) => {
@@ -638,7 +638,7 @@ impl QosSession {
                     self.stats.coalesced_admits += coalesced;
                     wimesh_obs::counter_inc("session.batch.solves");
                     wimesh_obs::counter_add("session.batch.coalesced", coalesced);
-                    self.publish_admitted(base, layout, "admit_batch");
+                    self.publish_admitted(base, layout);
                     for (i, f) in indices.iter().zip(&self.outcome.admitted[base..]) {
                         verdicts[*i] = Some(FlowAdmission::Admitted(f.clone()));
                     }
@@ -827,7 +827,6 @@ impl QosSession {
                 "restored order pairs contradict the schedule".into(),
             ));
         }
-        session.certify("restore");
         session.promise_slos(0);
         Ok(session)
     }
@@ -896,7 +895,6 @@ impl QosSession {
         self.stats.releases += 1;
         wimesh_obs::counter_inc("session.releases");
         self.publish(layout);
-        self.certify("release");
         wimesh_obs::slo::withdraw(u64::from(flow.0));
         Ok(true)
     }
@@ -969,7 +967,6 @@ impl QosSession {
         }));
         self.adopt(&cold.schedule)?;
         self.publish((cold.schedule, cold.guaranteed_slots));
-        self.certify("rebalance");
         self.promise_slos(0);
         Ok(&self.outcome)
     }
@@ -1223,7 +1220,6 @@ impl QosSession {
                     &self.graph,
                     &demands,
                     &reqs,
-                    self.mesh.solver_config(),
                     warm.as_deref(),
                     &mut self.stats,
                 )?;
@@ -1364,63 +1360,13 @@ impl QosSession {
 
     /// [`QosSession::publish`] for an admit: the flows from position
     /// `base` on are no longer on trial.
-    fn publish_admitted(&mut self, base: usize, layout: Layout, operation: &str) {
+    fn publish_admitted(&mut self, base: usize, layout: Layout) {
         self.publish(layout);
         for (f, m) in self.outcome.admitted[base..].iter().zip(&self.meta[base..]) {
             self.seq_of.insert(f.spec.id, m.seq);
         }
-        self.certify(operation);
         self.promise_slos(base);
     }
-
-    /// Cross-checks the published outcome against the independent
-    /// certifier in `wimesh-check` (compiled in by the `checked` cargo
-    /// feature), with demands and conflict graph built from scratch, and
-    /// the per-link state against those demands. Panics with the full violation list on
-    /// failure: the delta paths must never publish a schedule the
-    /// reference oracle rejects, nor drift from the from-scratch state.
-    #[cfg(feature = "checked")]
-    fn certify(&self, operation: &str) {
-        let demands = self.mesh.demands_for(&self.outcome.admitted);
-        assert_eq!(
-            self.demands(),
-            demands,
-            "session {operation}: per-link demands drifted from the from-scratch aggregation"
-        );
-        let mut vertices = self.graph.links().to_vec();
-        vertices.sort_unstable();
-        assert!(
-            vertices.into_iter().eq(demands.links()),
-            "session {operation}: graph vertices are not the demanded links"
-        );
-        let flows: Vec<wimesh_check::FlowRequirement> = self
-            .outcome
-            .admitted
-            .iter()
-            .map(|f| wimesh_check::FlowRequirement {
-                id: f.spec.id.0 as u64,
-                links: f.path.links().to_vec(),
-                deadline: f.spec.deadline,
-            })
-            .collect();
-        let params = wimesh_check::CertParams::from_emulation(self.mesh.model());
-        // Built pairwise: the memoised conflict lists never reach it.
-        let (topo, model) = (self.mesh.topology(), self.mesh.interference());
-        let graph = ConflictGraph::build_for_links(topo, demands.links().collect(), model);
-        if let Err(err) = wimesh_check::Certificate::check(
-            &self.outcome.schedule,
-            &graph,
-            &demands,
-            &flows,
-            &params,
-        ) {
-            panic!("session {operation} published an uncertifiable schedule: {err}");
-        }
-    }
-
-    /// No-op without the `checked` feature.
-    #[cfg(not(feature = "checked"))]
-    fn certify(&self, _operation: &str) {}
 }
 
 /// Enters a flow into the `crossing` list of every link on its route, at
@@ -1595,7 +1541,6 @@ fn exact_search_warm(
     graph: &ConflictGraph,
     demands: &Demands,
     reqs: &[PathRequirement],
-    solver: &SolverConfig,
     warm: Option<&[(LinkId, LinkId)]>,
     stats: &mut SessionStats,
 ) -> Result<Layout, ScheduleError> {
@@ -1636,11 +1581,12 @@ fn exact_search_warm(
     // link to its earliest start can lengthen a wait past a tight
     // deadline; the oracle's own start times stay the fallback then.
     let calls_before = stats.oracle_calls;
+    let solver = SolverConfig::default();
     let oracle = |used: u32, stats: &mut SessionStats| {
         stats.oracle_calls += 1;
         wimesh_obs::counter_inc("session.oracle.calls");
         let started = std::time::Instant::now();
-        let step = feasible_order_within(graph, demands, reqs, frame, used, solver).map(|sol| {
+        let step = feasible_order_within(graph, demands, reqs, frame, used, &solver).map(|sol| {
             validate_order_within(graph, demands, reqs, frame, used, &sol.order).unwrap_or(sol)
         });
         wimesh_obs::record_duration("session.search.step", started.elapsed());
@@ -1694,13 +1640,12 @@ fn exact_search_warm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wimesh_emu::EmulationParams;
     use wimesh_sim::traffic::VoipCodec;
     use wimesh_topology::generators;
     use wimesh_topology::NodeId;
 
     fn mesh(n: usize) -> MeshQos {
-        MeshQos::new(generators::chain(n), EmulationParams::default()).unwrap()
+        MeshQos::builder(generators::chain(n)).build().unwrap()
     }
 
     fn gateway_calls(n: u32, far: u32) -> Vec<FlowSpec> {
@@ -1909,7 +1854,7 @@ mod tests {
 
     #[test]
     fn a_failed_release_is_undone_by_the_inverse_delta() {
-        let mesh = MeshQos::new(generators::grid(3, 3), EmulationParams::default()).unwrap();
+        let mesh = MeshQos::builder(generators::grid(3, 3)).build().unwrap();
         // Without flow 1, neither the recomputed hop order nor the previous
         // one meets every deadline: earlier starts can cost a route a wrap.
         let deadline = Duration::from_micros;
@@ -2246,7 +2191,7 @@ mod tests {
     fn admit_batch_vets_every_spec_and_keeps_input_order() {
         let mut topo = generators::chain(4);
         let isolated = topo.add_node();
-        let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+        let mesh = MeshQos::builder(topo).build().unwrap();
         let mut session = mesh.session(OrderPolicy::HopOrder);
         let specs = vec![
             FlowSpec::voip(0, NodeId(3), NodeId(0), VoipCodec::G729),
@@ -2354,7 +2299,7 @@ mod tests {
     fn session_rejects_unroutable_and_tight_deadlines() {
         let mut topo = generators::chain(3);
         let isolated = topo.add_node();
-        let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+        let mesh = MeshQos::builder(topo).build().unwrap();
         let mut session = mesh.session(OrderPolicy::HopOrder);
         let unroutable = FlowSpec::voip(0, isolated, NodeId(0), VoipCodec::G729);
         assert!(matches!(

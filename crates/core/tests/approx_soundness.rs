@@ -16,13 +16,13 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wimesh::conflict::{ConflictGraph, InterferenceModel};
+use wimesh::conflict::InterferenceModel;
 use wimesh::sim::traffic::VoipCodec;
 use wimesh::sim::FlowId;
 use wimesh::{FlowSpec, GreedyKey, MeshQos, OrderPolicy, QosSession};
-use wimesh_check::{CertParams, Certificate, FlowRequirement};
-use wimesh_emu::EmulationParams;
 use wimesh_topology::{generators, MeshTopology, NodeId};
+
+mod support;
 
 #[derive(Debug, Clone)]
 struct Scenario {
@@ -80,30 +80,9 @@ const APPROX_POLICIES: [OrderPolicy; 4] = [
 /// Re-proves the session's current schedule with the independent
 /// certifier.
 fn certify(session: &QosSession) -> Result<(), TestCaseError> {
-    let mesh = session.mesh();
-    let outcome = session.snapshot();
-    if outcome.admitted.is_empty() {
-        return Ok(());
-    }
-    let demands = mesh.demands_for(&outcome.admitted);
-    let graph = ConflictGraph::build_for_links(
-        mesh.topology(),
-        demands.links().collect(),
-        mesh.interference(),
-    );
-    let reqs: Vec<FlowRequirement> = outcome
-        .admitted
-        .iter()
-        .map(|f| FlowRequirement {
-            id: u64::from(f.spec.id.0),
-            links: f.path.links().to_vec(),
-            deadline: f.spec.deadline,
-        })
-        .collect();
-    let params = CertParams::from_emulation(mesh.model());
-    Certificate::check(&outcome.schedule, &graph, &demands, &reqs, &params)
-        .map(|_| ())
-        .map_err(|e| TestCaseError::fail(format!("schedule failed certification: {e}")))
+    support::certify(session.mesh(), session.snapshot())
+        .map(drop)
+        .map_err(|e| TestCaseError::fail(format!("{e}")))
 }
 
 proptest! {
@@ -114,7 +93,7 @@ proptest! {
     /// cost, and the reported gap bounds the true optimality gap.
     #[test]
     fn approx_admission_is_sound(scenario in arb_scenario()) {
-        let mesh = match MeshQos::new(scenario.topo.clone(), EmulationParams::default()) {
+        let mesh = match MeshQos::builder(scenario.topo.clone()).build() {
             Ok(m) => m,
             Err(_) => return Ok(()),
         };
@@ -179,7 +158,7 @@ proptest! {
     /// rejected flows are reported in input order.
     #[test]
     fn approx_batch_never_overcommits(scenario in arb_scenario()) {
-        let mesh = match MeshQos::new(scenario.topo.clone(), EmulationParams::default()) {
+        let mesh = match MeshQos::builder(scenario.topo.clone()).build() {
             Ok(m) => m,
             Err(_) => return Ok(()),
         };

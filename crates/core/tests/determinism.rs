@@ -11,7 +11,6 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wimesh::{FlowSpec, MeshQos, OrderPolicy};
-use wimesh_emu::EmulationParams;
 use wimesh_sim::traffic::{TrafficSource, VoipCodec, VoipSource};
 use wimesh_sim::FlowStats;
 use wimesh_topology::{generators, NodeId};
@@ -25,7 +24,7 @@ fn run_once(seed: u64) -> Vec<FlowStats> {
     // payload map holds several entries and any order sensitivity in
     // applying them has room to surface.
     let topo = generators::grid(3, 3);
-    let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+    let mesh = MeshQos::builder(topo).build().unwrap();
     let flows = vec![
         FlowSpec::voip(0, NodeId(8), NodeId(0), VoipCodec::G711),
         FlowSpec::voip(1, NodeId(6), NodeId(2), VoipCodec::G729),

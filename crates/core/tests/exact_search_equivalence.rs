@@ -12,9 +12,9 @@
 //! replaced.
 //!
 //! After every step of arbitrary admit/release churn the session's
-//! verdict and its `guaranteed_slots` must equal the scan's, and
-//! `release` must never fail. Run with `--features checked` as well: the
-//! session then certifies every schedule it publishes.
+//! verdict and its `guaranteed_slots` must equal the scan's, `release`
+//! must never fail, and the independent certifier must prove the schedule
+//! the session publishes.
 
 use std::time::Duration;
 
@@ -29,6 +29,8 @@ use wimesh::tdma::ScheduleError;
 use wimesh::topology::routing::shortest_path;
 use wimesh::topology::{generators, MeshTopology, NodeId};
 use wimesh::{AdmittedFlow, FlowSpec, MeshQos, OrderPolicy, QosSession};
+
+mod support;
 
 /// The reference controller: the flows it holds and nothing else.
 struct Scan<'a> {
@@ -132,7 +134,14 @@ fn step_admit(
     );
     prop_assert_eq!(session.snapshot().guaranteed_slots, region);
     prop_assert_eq!(session.snapshot().admitted().len(), scan.held.len());
-    Ok(())
+    certified(session)
+}
+
+/// The published schedule passes the independent certifier.
+fn certified(session: &QosSession) -> Result<(), TestCaseError> {
+    support::certify(session.mesh(), session.snapshot())
+        .map(drop)
+        .map_err(|e| TestCaseError::fail(format!("published an uncertifiable schedule: {e}")))
 }
 
 fn step_release(
@@ -148,7 +157,7 @@ fn step_release(
     let region = scan.release(at);
     prop_assert_eq!(session.snapshot().guaranteed_slots, region);
     prop_assert_eq!(session.snapshot().admitted().len(), scan.held.len());
-    Ok(())
+    certified(session)
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -7,7 +7,6 @@
 use std::sync::Arc;
 
 use wimesh::{FlowSpec, MeshQos, OrderPolicy};
-use wimesh_emu::EmulationParams;
 use wimesh_obs::sink::MemorySink;
 use wimesh_sim::traffic::VoipCodec;
 use wimesh_sim::FlowId;
@@ -23,7 +22,8 @@ fn admit_emits_expected_spans_and_metrics() {
     // chain(8) leave a gap between clique bound and warm order on some
     // admissions and none on others, and a flow the heaviest clique
     // alone rules out is a counted fast reject.
-    let chain8 = MeshQos::new(generators::chain(8), EmulationParams::default())
+    let chain8 = MeshQos::builder(generators::chain(8))
+        .build()
         .expect("default emulation params are valid");
     let mut session = chain8.session(OrderPolicy::ExactMilp);
     for (id, src) in [3, 7, 1, 5, 2, 6].into_iter().enumerate() {
@@ -77,7 +77,8 @@ fn admit_emits_expected_spans_and_metrics() {
     let oracle_calls = oracle_calls + episode.stats().oracle_calls;
     let ranges_moved = ranges_moved + episode.stats().ranges_moved;
 
-    let mesh = MeshQos::new(generators::chain(5), EmulationParams::default())
+    let mesh = MeshQos::builder(generators::chain(5))
+        .build()
         .expect("default emulation params are valid");
     let flows: Vec<FlowSpec> = (0..2)
         .map(|i| FlowSpec::voip(i, NodeId(4 - i), NodeId(0), VoipCodec::G729))

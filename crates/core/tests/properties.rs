@@ -7,11 +7,11 @@ use std::time::Duration;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wimesh::conflict::ConflictGraph;
 use wimesh::tdma::delay;
 use wimesh::{FlowSpec, MeshQos, OrderPolicy};
-use wimesh_emu::EmulationParams;
 use wimesh_topology::{generators, MeshTopology, NodeId};
+
+mod support;
 
 #[derive(Debug, Clone)]
 struct Scenario {
@@ -65,7 +65,7 @@ proptest! {
 
     #[test]
     fn admission_invariants(scenario in arb_scenario()) {
-        let mesh = MeshQos::new(scenario.topo.clone(), EmulationParams::default())
+        let mesh = MeshQos::builder(scenario.topo.clone()).build()
             .expect("default params valid");
         let outcome = match mesh.admit(&scenario.flows, OrderPolicy::HopOrder) {
             Ok(o) => o,
@@ -77,15 +77,10 @@ proptest! {
             outcome.admitted.len() + outcome.rejected.len(),
             scenario.flows.len()
         );
-        // Schedule is conflict-free over the scheduled links.
-        let links: Vec<_> = outcome.schedule.links().collect();
-        if !links.is_empty() {
-            let graph = ConflictGraph::build_for_links(
-                mesh.topology(),
-                links,
-                mesh.interference(),
-            );
-            prop_assert!(outcome.schedule.validate(&graph).is_ok());
+        // The schedule certifies: conflict-free, every demand covered,
+        // every delay bound re-derived within its deadline.
+        if let Err(e) = support::certify(&mesh, &outcome) {
+            return Err(TestCaseError::fail(format!("{e}")));
         }
         prop_assert!(outcome.guaranteed_slots <= mesh.model().frame().slots());
         prop_assert_eq!(outcome.guaranteed_slots, outcome.schedule.makespan());
@@ -112,7 +107,7 @@ proptest! {
         // is not monotone in the flow set — adding flows changes the
         // heuristic's link ranks — which is why this checks decisions,
         // not slots.)
-        let mesh = MeshQos::new(scenario.topo.clone(), EmulationParams::default())
+        let mesh = MeshQos::builder(scenario.topo.clone()).build()
             .expect("default params valid");
         let Ok(full) = mesh.admit(&scenario.flows, OrderPolicy::HopOrder) else {
             return Ok(());
@@ -134,7 +129,7 @@ proptest! {
 
     #[test]
     fn admission_is_deterministic(scenario in arb_scenario()) {
-        let mesh = MeshQos::new(scenario.topo.clone(), EmulationParams::default())
+        let mesh = MeshQos::builder(scenario.topo.clone()).build()
             .expect("default params valid");
         let a = mesh.admit(&scenario.flows, OrderPolicy::HopOrder);
         let b = mesh.admit(&scenario.flows, OrderPolicy::HopOrder);

@@ -19,9 +19,8 @@
 //! [`QosSession::export_state`] and every flow's delay bound must equal
 //! the reference's bit for bit, verdicts and release results must agree,
 //! and an operation that fails or rejects must leave the exported state as
-//! it was. Run with `--features checked` as well: the session then also
-//! certifies every schedule and compares its per-link demands with a
-//! from-scratch aggregation at every publish.
+//! it was; the independent certifier must prove the published schedule
+//! against demands aggregated afresh from the admitted flows.
 //!
 //! One deliberate difference: when a release fails, the reference puts the
 //! drained links back into its graph in ascending id order (as the
@@ -47,6 +46,8 @@ use wimesh::{
     FlowAdmission, FlowSpec, FlowState, GreedyKey, MeshQos, OrderPolicy, QosError, QosSession,
     RejectReason, SessionState,
 };
+
+mod support;
 
 /// A vetted flow the reference holds.
 #[derive(Debug, Clone)]
@@ -543,7 +544,8 @@ fn empty_schedule(mesh: &MeshQos) -> Schedule {
     Schedule::from_ranges(mesh.model().frame(), Default::default()).expect("empty fits")
 }
 
-/// The session's whole observable state equals the reference's.
+/// The session's whole observable state equals the reference's, and its
+/// schedule certifies.
 fn assert_same_state(session: &QosSession, reference: &Reference) -> Result<(), TestCaseError> {
     let (ours, theirs) = (session.export_state(), reference.export_state());
     prop_assert_eq!(&ours, &theirs);
@@ -552,7 +554,9 @@ fn assert_same_state(session: &QosSession, reference: &Reference) -> Result<(), 
     prop_assert_eq!(&snap.schedule, &reference.schedule);
     let bounds: Vec<Duration> = snap.admitted.iter().map(|f| f.worst_case_delay).collect();
     prop_assert_eq!(&bounds, &reference.bounds);
-    Ok(())
+    support::certify(session.mesh(), snap)
+        .map(drop)
+        .map_err(|e| TestCaseError::fail(format!("published an uncertifiable schedule: {e}")))
 }
 
 fn verdict_of(admission: &FlowAdmission) -> Option<RejectReason> {

@@ -10,7 +10,7 @@
 //! flow set would compute. These tests drive random meshes and flow sets
 //! through admit → release-all → re-admit and compare against
 //! [`MeshQos::admit`] — a fresh session placing the same flows in order —
-//! at the end, certifying every intermediate schedule on the way.
+//! at the end, certifying every schedule either side publishes.
 //!
 //! Both sides run the one engine, so this suite alone would accept an
 //! engine that is wrong the same way twice. The independent references
@@ -23,11 +23,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
-use wimesh::conflict::ConflictGraph;
 use wimesh::{AdmissionOutcome, FlowSpec, MeshQos, OrderPolicy, QosSession};
-use wimesh_check::{CertParams, Certificate, FlowRequirement};
 use wimesh_sim::FlowId;
 use wimesh_topology::{generators, MeshTopology, NodeId};
+
+mod support;
 
 #[derive(Debug, Clone)]
 struct Scenario {
@@ -112,42 +112,12 @@ fn churn_warm(session: &mut QosSession, flows: &[FlowSpec]) -> Result<Option<()>
     Ok(Some(()))
 }
 
-/// Mid-churn invariant: the session's schedule is conflict-free and
-/// every admitted flow keeps its deadline after *every* event.
+/// Mid-churn invariant: the schedule certifies and every admitted flow
+/// keeps its deadline after *every* event.
 fn assert_schedule_sane(session: &QosSession) -> Result<(), TestCaseError> {
     let snap = session.snapshot();
     prop_assert!(snap.guaranteed_slots <= snap.frame_slots());
-    let links: Vec<_> = snap.schedule.links().collect();
-    if !links.is_empty() {
-        let graph = ConflictGraph::build_for_links(
-            session.mesh().topology(),
-            links,
-            session.mesh().interference(),
-        );
-        prop_assert!(
-            snap.schedule.validate(&graph).is_ok(),
-            "conflicting schedule"
-        );
-        // Unconditional independent gate: the wimesh-check certifier
-        // re-derives conflict freedom, demand satisfaction and delay
-        // bounds from scratch — it shares no code with the solver.
-        let demands = session.mesh().demands_for(snap.admitted());
-        let flows: Vec<FlowRequirement> = snap
-            .admitted()
-            .iter()
-            .map(|f| FlowRequirement {
-                id: f.spec.id.0 as u64,
-                links: f.path.links().to_vec(),
-                deadline: f.spec.deadline,
-            })
-            .collect();
-        let params = CertParams::from_emulation(session.mesh().model());
-        if let Err(err) = Certificate::check(&snap.schedule, &graph, &demands, &flows, &params) {
-            return Err(TestCaseError::fail(format!(
-                "certifier rejected mid-churn schedule: {err}"
-            )));
-        }
-    }
+    certified(session.mesh(), snap)?;
     for f in snap.admitted() {
         if let Some(deadline) = f.spec.deadline {
             prop_assert!(
@@ -157,6 +127,15 @@ fn assert_schedule_sane(session: &QosSession) -> Result<(), TestCaseError> {
         }
     }
     Ok(())
+}
+
+/// The wimesh-check certifier re-derives conflict freedom, demand
+/// satisfaction and delay bounds from scratch; it shares no code with
+/// the solver.
+fn certified(mesh: &MeshQos, outcome: &AdmissionOutcome) -> Result<(), TestCaseError> {
+    support::certify(mesh, outcome)
+        .map(drop)
+        .map_err(|e| TestCaseError::fail(format!("certifier rejected the schedule: {e}")))
 }
 
 proptest! {
@@ -183,6 +162,7 @@ proptest! {
             Ok(o) => o,
             Err(_) => return Ok(()),
         };
+        certified(&mesh, &fresh)?;
         let mut session = mesh.session(policy);
         if churn_warm(&mut session, &scenario.flows)?.is_none() {
             return Ok(());
@@ -207,6 +187,7 @@ proptest! {
             Ok(o) => o,
             Err(_) => return Ok(()),
         };
+        certified(&mesh, &fresh)?;
         let mut session = mesh.session(OrderPolicy::ExactMilp);
         let survived = churn_warm(&mut session, &scenario.flows)?;
         // Releasing a subset of a feasible set is always feasible under

@@ -5,7 +5,6 @@ use std::fmt;
 use crate::SimTime;
 
 /// Identifier of a traffic flow.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FlowId(pub u32);
 

@@ -8,7 +8,6 @@ use std::time::Duration;
 ///
 /// Nanosecond resolution comfortably represents both 802.11 slot times
 /// (9 µs) and multi-hour simulations (`u64` nanoseconds span ~584 years).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 

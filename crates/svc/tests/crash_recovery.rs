@@ -10,7 +10,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use proptest::prelude::*;
 use wimesh::{FlowSpec, GreedyKey, MeshQos, OrderPolicy, RejectReason, SessionState};
-use wimesh_emu::EmulationParams;
 use wimesh_sim::traffic::VoipCodec;
 use wimesh_sim::FlowId;
 use wimesh_svc::{
@@ -20,7 +19,9 @@ use wimesh_svc::{
 use wimesh_topology::{generators, NodeId};
 
 fn mesh(n: usize) -> MeshQos {
-    MeshQos::new(generators::chain(n), EmulationParams::default()).expect("chain mesh")
+    MeshQos::builder(generators::chain(n))
+        .build()
+        .expect("chain mesh")
 }
 
 /// A `Write` handing the test a view of everything journaled so far.
@@ -317,7 +318,9 @@ fn recovery_resumes_and_the_extended_journal_still_recovers() {
 /// The exported state must not show the difference.
 #[test]
 fn grid_churn_with_vertex_rollbacks_recovers_bit_identical() {
-    let mesh = MeshQos::new(generators::grid(4, 4), EmulationParams::default()).expect("grid");
+    let mesh = MeshQos::builder(generators::grid(4, 4))
+        .build()
+        .expect("grid");
     let buf = SharedBuf::default();
     let writer = JournalWriter::from_writer(Box::new(buf.clone()));
     let mut journaled = JournaledSession::new(mesh.session(OrderPolicy::HopOrder), writer, 0);

@@ -19,7 +19,6 @@ use std::time::Duration;
 use proptest::prelude::*;
 use wimesh::tdma::SlotRange;
 use wimesh::{FlowSpec, FlowState, GreedyKey, MeshQos, OrderPolicy, QosError, SessionState};
-use wimesh_emu::EmulationParams;
 use wimesh_sim::traffic::VoipCodec;
 use wimesh_sim::FlowId;
 use wimesh_svc::{
@@ -515,7 +514,9 @@ proptest! {
 }
 
 fn mesh() -> MeshQos {
-    MeshQos::new(generators::grid(3, 3), EmulationParams::default()).expect("grid mesh")
+    MeshQos::builder(generators::grid(3, 3))
+        .build()
+        .expect("grid mesh")
 }
 
 /// A real journal: seeded churn through a journaled session that

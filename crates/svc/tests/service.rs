@@ -6,7 +6,6 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use wimesh::{FlowSpec, MeshQos, OrderPolicy, RejectReason};
-use wimesh_emu::EmulationParams;
 use wimesh_sim::traffic::VoipCodec;
 use wimesh_sim::FlowId;
 use wimesh_svc::{
@@ -15,7 +14,9 @@ use wimesh_svc::{
 use wimesh_topology::{generators, NodeId};
 
 fn mesh(n: usize) -> MeshQos {
-    MeshQos::new(generators::chain(n), EmulationParams::default()).expect("chain mesh")
+    MeshQos::builder(generators::chain(n))
+        .build()
+        .expect("chain mesh")
 }
 
 fn voip_toward_gateway(n: u32, far: u32) -> Vec<FlowSpec> {

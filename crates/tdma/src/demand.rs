@@ -24,7 +24,6 @@ use wimesh_topology::LinkId;
 /// assert_eq!(d.get(LinkId(1)), 0);
 /// assert_eq!(d.total(), 3);
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Demands {
     slots: BTreeMap<LinkId, u32>,

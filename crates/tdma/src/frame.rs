@@ -11,7 +11,6 @@ use std::time::Duration;
 /// WiFi emulation uses coarser minislots (long enough for one 802.11
 /// frame exchange plus guard time), which is why the duration is
 /// configurable.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FrameConfig {
     slots: u32,
@@ -82,7 +81,6 @@ impl fmt::Display for FrameConfig {
 ///
 /// Ranges never wrap around the frame boundary; the schedule constructor
 /// guarantees `start + len <= frame.slots()`.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SlotRange {
     /// First minislot index.

@@ -14,7 +14,6 @@ use crate::{Demands, FrameConfig, ScheduleError, SlotRange, TransmissionOrder};
 /// Produced by [`schedule_from_order`] or by the exact optimizer in
 /// [`crate::milp`]. Immutable once built; [`Schedule::validate`] re-checks
 /// conflict-freeness against any conflict graph.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     frame: FrameConfig,

@@ -9,7 +9,6 @@ use crate::{LinkId, NodeId, TopologyError};
 /// Positions are used by the random unit-disk generator and by
 /// distance-based interference models; purely combinatorial topologies leave
 /// them at the origin.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Node {
     /// This node's identifier.
@@ -30,7 +29,6 @@ impl Node {
 }
 
 /// A *directed* radio link between two distinct nodes.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Link {
     /// This link's identifier.

@@ -10,7 +10,6 @@ use std::fmt;
 ///
 /// [`MeshTopology`]: crate::MeshTopology
 /// [`MeshTopology::add_node`]: crate::MeshTopology::add_node
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
@@ -47,7 +46,6 @@ impl fmt::Display for NodeId {
 /// distinct ids.
 ///
 /// [`MeshTopology`]: crate::MeshTopology
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LinkId(pub u32);
 

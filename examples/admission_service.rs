@@ -12,13 +12,12 @@ use std::sync::mpsc;
 use std::thread;
 
 use wimesh::{FlowSpec, MeshQos, OrderPolicy};
-use wimesh_emu::EmulationParams;
 use wimesh_sim::traffic::VoipCodec;
 use wimesh_svc::{recover_file, AdmissionGateway, GatewayConfig, JournalWriter, Reply, SvcError};
 use wimesh_topology::{generators, NodeId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mesh = MeshQos::new(generators::grid(3, 3), EmulationParams::default())?;
+    let mesh = MeshQos::builder(generators::grid(3, 3)).build()?;
     let journal_path = std::env::temp_dir().join("wimesh_admission_service.jsonl");
 
     // --- Phase 1: a live gateway under concurrent load -----------------

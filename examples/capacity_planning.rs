@@ -19,14 +19,13 @@ use wimesh::best_effort::fill_best_effort;
 use wimesh::multipath::split_over_disjoint_paths;
 use wimesh::tdma::{render, Demands};
 use wimesh::{FlowSpec, MeshQos, OrderPolicy};
-use wimesh_emu::EmulationParams;
 use wimesh_sim::traffic::VoipCodec;
 use wimesh_topology::{generators, NodeId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let topo = generators::ring(8);
-    let mut mesh = MeshQos::new(topo, EmulationParams::default())?;
-    mesh.set_loss_provisioning(0.05); // plan for a 5% lossy channel
+    // Plan for a 5% lossy channel.
+    let mesh = MeshQos::builder(topo).loss_provisioning(0.05).build()?;
     println!(
         "ring of 8 routers; minislot carries {} B; planning with 5% loss headroom",
         mesh.model().slot_payload_bytes()

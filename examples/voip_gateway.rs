@@ -14,7 +14,6 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wimesh::{FlowSpec, MeshQos, OrderPolicy};
-use wimesh_emu::EmulationParams;
 use wimesh_phy80211::dcf::DcfConfig;
 use wimesh_sim::traffic::{TrafficSource, VoipCodec, VoipSource};
 use wimesh_topology::generators;
@@ -24,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 15-node binary tree, gateway at the root.
     let topo = generators::binary_tree(3);
     let gateway = NodeId(0);
-    let mesh = MeshQos::new(topo, EmulationParams::default())?;
+    let mesh = MeshQos::builder(topo).build()?;
 
     // One G.729 call from every leaf (nodes 7..=14) to the gateway.
     let flows: Vec<FlowSpec> = (7u32..=14)

@@ -10,38 +10,22 @@ use wimesh_emu::EmulationParams;
 use wimesh_sim::traffic::VoipCodec;
 use wimesh_topology::{generators, MeshTopology, NodeId};
 
+#[path = "../crates/core/tests/support/mod.rs"]
+mod support;
+
 fn mesh_of(topo: MeshTopology) -> MeshQos {
-    MeshQos::new(topo, EmulationParams::default()).expect("default emulation params are valid")
+    MeshQos::builder(topo)
+        .build()
+        .expect("default emulation params are valid")
 }
 
-/// The admission outcome's schedule must be conflict-free and its delay
-/// bounds must match a recomputation from scratch.
+/// The admission outcome's schedule must certify and its delay bounds
+/// must match a recomputation from scratch.
 fn validate_outcome(mesh: &MeshQos, outcome: &wimesh::AdmissionOutcome) {
-    let mut demands = Demands::new();
-    for f in &outcome.admitted {
-        for &l in f.path.links() {
-            demands.add(l, f.slots_per_link);
-        }
+    if let Err(e) = support::certify(mesh, outcome) {
+        panic!("admission published an uncertifiable schedule: {e}");
     }
-    if demands.is_empty() {
-        return;
-    }
-    let graph = ConflictGraph::build_for_links(
-        mesh.topology(),
-        demands.links().collect(),
-        mesh.interference(),
-    );
-    assert!(
-        outcome.schedule.validate(&graph).is_ok(),
-        "admission produced a conflicting schedule"
-    );
     for f in &outcome.admitted {
-        // Every link of every admitted path carries at least the flow's
-        // demand.
-        for &l in f.path.links() {
-            let r = outcome.schedule.slot_range(l).expect("scheduled");
-            assert!(r.len >= f.slots_per_link);
-        }
         // The reported worst-case bound is internally consistent.
         let pipeline = delay::path_delay_slots(&outcome.schedule, &f.path).unwrap();
         assert!(
@@ -151,7 +135,7 @@ fn emulation_parameters_flow_through() {
         },
         ..EmulationParams::default()
     };
-    match MeshQos::new(generators::chain(3), bad) {
+    match MeshQos::builder(generators::chain(3)).params(bad).build() {
         Err(QosError::Emulation(_)) => {}
         other => panic!("expected emulation error, got {other:?}"),
     }

@@ -6,42 +6,20 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wimesh::conflict::ConflictGraph;
 use wimesh::phy80211::dcf::DcfConfig;
 use wimesh::sim::traffic::{CbrSource, TrafficSource, VoipCodec, VoipSource};
 use wimesh::{AdmissionOutcome, FlowSpec, MeshQos, OrderPolicy};
-use wimesh_check::{CertParams, Certificate, FlowRequirement};
-use wimesh_emu::EmulationParams;
 use wimesh_topology::{generators, NodeId};
+
+#[path = "../crates/core/tests/support/mod.rs"]
+mod support;
 
 /// Unconditional gate: every schedule the admission controller publishes
 /// must pass the independent certifier in `wimesh-check` — conflict
 /// freedom, demand satisfaction, delay bounds and guard sufficiency are
 /// re-derived from scratch, not trusted.
 fn certify_outcome(mesh: &MeshQos, outcome: &AdmissionOutcome) {
-    let demands = mesh.demands_for(&outcome.admitted);
-    let graph = ConflictGraph::build_for_links(
-        mesh.topology(),
-        outcome.schedule.links().collect(),
-        mesh.interference(),
-    );
-    let flows: Vec<FlowRequirement> = outcome
-        .admitted
-        .iter()
-        .map(|f| FlowRequirement {
-            id: f.spec.id.0 as u64,
-            links: f.path.links().to_vec(),
-            deadline: f.spec.deadline,
-        })
-        .collect();
-    let report = Certificate::check(
-        &outcome.schedule,
-        &graph,
-        &demands,
-        &flows,
-        &CertParams::from_emulation(mesh.model()),
-    )
-    .expect("published schedule must certify");
+    let report = support::certify(mesh, outcome).expect("published schedule must certify");
     assert_eq!(report.links, outcome.schedule.len());
 }
 
@@ -56,7 +34,7 @@ fn voip_source(spec: &FlowSpec) -> Box<dyn TrafficSource> {
 
 #[test]
 fn guarantees_hold_over_long_runs() {
-    let mesh = MeshQos::new(generators::chain(6), EmulationParams::default()).unwrap();
+    let mesh = MeshQos::builder(generators::chain(6)).build().unwrap();
     let flows: Vec<FlowSpec> = (0..4)
         .map(|i| FlowSpec::voip(i, NodeId(5), NodeId(0), VoipCodec::G729))
         .collect();
@@ -100,7 +78,7 @@ fn guarantees_hold_over_long_runs() {
 #[test]
 fn guarantees_hold_under_peak_rate_stress() {
     // CBR at the full reserved (talkspurt) rate: the hardest legal load.
-    let mesh = MeshQos::new(generators::chain(5), EmulationParams::default()).unwrap();
+    let mesh = MeshQos::builder(generators::chain(5)).build().unwrap();
     let flows: Vec<FlowSpec> = (0..3)
         .map(|i| FlowSpec::voip(i, NodeId(4), NodeId(0), VoipCodec::G711))
         .collect();
@@ -131,7 +109,7 @@ fn dcf_collapses_where_tdma_does_not() {
     // the VoIP flow is unaffected because interfering traffic simply is
     // not admitted into its slots.
     let topo = generators::chain(7);
-    let mesh = MeshQos::new(topo, EmulationParams::default()).unwrap();
+    let mesh = MeshQos::builder(topo).build().unwrap();
 
     let voip = FlowSpec::voip(0, NodeId(6), NodeId(0), VoipCodec::G711);
     let outcome = mesh
@@ -193,7 +171,7 @@ fn dcf_collapses_where_tdma_does_not() {
 fn jitter_is_bounded_by_frame_structure() {
     // TDMA service is periodic, so consecutive-packet delay differences
     // stay within one frame.
-    let mesh = MeshQos::new(generators::chain(4), EmulationParams::default()).unwrap();
+    let mesh = MeshQos::builder(generators::chain(4)).build().unwrap();
     let flows = vec![FlowSpec::voip(0, NodeId(3), NodeId(0), VoipCodec::G711)];
     let outcome = mesh.admit(&flows, OrderPolicy::HopOrder).unwrap();
     certify_outcome(&mesh, &outcome);

@@ -18,11 +18,11 @@ cargo test -q -p wimesh-tdma --test kernel_equivalence
 cargo test -q -p wimesh-conflict --test incremental_conflicts
 # The exact slot search (heaviest-clique bound, warm order, oracle calls
 # inside the gap) must return the verdicts and minimal regions of a
-# bound-free linear scan over the same oracle after any churn; run with
-# the certifier compiled in, so every schedule it publishes is proven too.
-# (The oracle itself is pinned to the model it replaced by wimesh-tdma's
+# bound-free linear scan over the same oracle after any churn, and the
+# suite certifies every schedule the session publishes. (The oracle
+# itself is pinned to the model it replaced by wimesh-tdma's
 # milp_model_equivalence suite, part of `cargo test -q` above.)
-cargo test -q -p wimesh --features checked --test exact_search_equivalence
+cargo test -q -p wimesh --test exact_search_equivalence
 # A branch & bound child re-optimised from its parent's tableau (two rhs
 # updates and dual simplex pivots) must agree with the cold two-phase
 # solve of the same bounds on verdict and objective, and its point must
@@ -72,9 +72,6 @@ cargo test -q -p wimesh-svc --test journal_decode
 # u32/u64 extremes, negative, subnormal and huge f64s) must read back
 # into exactly what was written.
 cargo test -q -p wimesh-svc --test jsonl_roundtrip
-# The serde feature must keep round-tripping the persistable types the
-# journal depends on (SessionState, FlowSpec, schedules, stats).
-cargo test -q -p wimesh --features serde --test serde_feature
 # The certifier must keep rejecting every mutated schedule (and a drift
 # model it cannot bound, without panicking); every crate must opt into
 # [workspace.lints], and every crate-local clippy.toml must repeat the
@@ -86,17 +83,20 @@ cargo test -q -p wimesh-check --test workspace_manifests
 cargo test -q -p wimesh --test determinism
 # History must not leak into verdicts: a session churned through admit,
 # release-all and re-admit equals a fresh one placing the same flows
-# (`MeshQos::admit`), with the certifier compiled in at every
-# admit/release/rebalance. Both sides are the one engine; the suites that
-# hold it to references of their own are the next one (rank policies) and
-# exact_search_equivalence above (ExactMilp).
-cargo test -q -p wimesh --features checked --test session_equivalence
+# (`MeshQos::admit`), and every schedule either side publishes certifies.
+# Both sides are the one engine; the suites that hold it to references of
+# their own are the next one (rank policies) and exact_search_equivalence
+# above (ExactMilp).
+cargo test -q -p wimesh --test session_equivalence
 # The session's delta state (per-link demand, rank and start, per-flow
 # records, inverse-delta roll-back) must equal the from-scratch pipeline
 # it replaced — exported state and every delay bound, bit for bit, after
-# every operation of random churn; with the certifier compiled in, every
-# publish also compares the per-link demands with a fresh aggregation.
-cargo test -q -p wimesh --features checked --test session_delta_equivalence
+# every operation of random churn — and every schedule it publishes must
+# certify against demands aggregated afresh from the admitted flows.
+# The engine never certifies itself: these suites hand each outcome to
+# the certifier through crates/core/tests/support, and there is no cargo
+# feature anywhere in the workspace, so what they test is the one build.
+cargo test -q -p wimesh --test session_delta_equivalence
 # The repository benchmark (BENCHMARK.json) is a workspace of its own
 # that the root build does not see: its harness tests (metric names in
 # step with BENCHMARK.json, generators, percentile maths) run here.
