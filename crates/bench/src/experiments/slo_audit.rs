@@ -18,16 +18,18 @@
 //!    recorder must have dumped at least once (the `flow.reroute`
 //!    anomaly).
 //! 2. **Delay audit** — the emulated TDMA MAC carries the admitted VoIP
-//!    flows on a clean channel; every per-packet delivery feeds the SLO
-//!    tracker, and **zero** admitted flow may end the run
-//!    [`SloStatus::Violated`] (the paper's guarantee: the admission
-//!    bound holds on the emulated schedule).
+//!    flows on a clean channel; each flow's delivery totals feed an SLO
+//!    ledger holding its admission promise, and **zero** admitted flow
+//!    may end the run [`SloStatus::Violated`] (the paper's guarantee:
+//!    the admission bound holds on the emulated schedule).
 //! 3. **Mutation probe** — a synthetic flow is promised a bound it then
 //!    grossly misses; the auditor MUST flag it `violated`. A checker
 //!    that cannot fail is not a checker.
 //!
-//! Writes `results/slo_audit.csv` and the acceptance artifact
-//! `results/BENCH_slo_audit.json`.
+//! Each phase owns its ledger (the runtime's for the fault scenario, a
+//! fresh [`FlowSloTracker`] for the other two), so the phases' flow ids
+//! cannot meet. Writes `results/slo_audit.csv` and the acceptance
+//! artifact `results/BENCH_slo_audit.json`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -42,7 +44,7 @@ use wimesh_emu::{EmulationModel, EmulationParams};
 use wimesh_node::{FabricConfig, LossModel, MeshRuntime, RepairController, RuntimeConfig};
 use wimesh_obs::json::Object;
 use wimesh_obs::sink::MemorySink;
-use wimesh_obs::slo::{SloStatus, SloVerdict};
+use wimesh_obs::slo::{FlowSloTracker, SloStatus, SloVerdict};
 use wimesh_obs::trace::TraceForest;
 use wimesh_topology::{generators, NodeId};
 
@@ -173,7 +175,7 @@ fn run_fault_scenario(
         flight_dumps: dumps.len(),
         flight_reasons,
         reservations_repaired: react_report.reservations_repaired + steady.reservations_repaired,
-        frame_verdicts: wimesh_obs::slo::verdicts(),
+        frame_verdicts: rt.slo().verdicts(),
     })
 }
 
@@ -209,7 +211,14 @@ fn run_emu_audit(quick: bool) -> Result<Vec<SloVerdict>, BenchError> {
     let mut sim = TdmaSimulation::new(*mesh.model(), &outcome.schedule, flows, 200)?;
     sim.run(sim_time, &mut StdRng::seed_from_u64(777));
 
-    let verdicts = wimesh_obs::slo::verdicts();
+    let mut ledger = FlowSloTracker::new();
+    for (i, a) in outcome.admitted.iter().enumerate() {
+        let id = u64::from(a.spec.id.0);
+        let stats = sim.flow_stats(i);
+        ledger.promise(id, a.slots_per_link, a.spec.deadline);
+        ledger.observe_totals(id, stats.delivered(), stats.dropped(), stats.max_delay());
+    }
+    let verdicts = ledger.verdicts();
     for a in &outcome.admitted {
         let v = verdicts
             .iter()
@@ -298,28 +307,24 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
     let model = EmulationModel::new(EmulationParams::default())?;
 
     // Capture in memory regardless of any CLI-installed sink; the
-    // causal traces are replayed into the restored sink afterwards so a
-    // `--trace` file still carries this experiment's trees.
+    // causal traces are replayed into the restored sink afterwards, and
+    // the verdicts handed to it, so a `--trace` file still carries this
+    // experiment's trees and judgements.
     let prev = wimesh_obs::finish();
     let sink = Arc::new(MemorySink::default());
-    wimesh_obs::slo::clear();
     wimesh_obs::install(sink.clone());
 
     let audited = (|| {
         let fault = run_fault_scenario(ctx.quick, &model, &sink)?;
-        // Fresh tracker for the delay audit: the fault scenario's flows
-        // share ids with the emulated ones.
-        wimesh_obs::slo::clear();
         let verdicts = run_emu_audit(ctx.quick)?;
 
         // Mutation probe: promise a 1ms bound, deliver at 40ms.
-        wimesh_obs::slo::promise(MUTANT_FLOW, 1, Some(Duration::from_millis(1)));
-        wimesh_obs::slo::observe_delivery(MUTANT_FLOW, Duration::from_millis(40));
-        let mutant = wimesh_obs::slo::emit_verdicts()
-            .into_iter()
-            .find(|v| v.flow == MUTANT_FLOW)
+        let mut probe = FlowSloTracker::new();
+        probe.promise(MUTANT_FLOW, 1, Some(Duration::from_millis(1)));
+        probe.observe_delivery(MUTANT_FLOW, Duration::from_millis(40));
+        let mutant = probe
+            .verdict_for(MUTANT_FLOW)
             .ok_or_else(|| BenchError::Other("mutation probe produced no verdict".into()))?;
-        wimesh_obs::slo::clear();
         if mutant.status != SloStatus::Violated {
             return Err(BenchError::Other(format!(
                 "mutation probe was NOT flagged violated (got {}): the auditor cannot fail",
@@ -331,9 +336,14 @@ pub fn run(ctx: &Ctx) -> Result<(), BenchError> {
 
     wimesh_obs::finish();
     if let Some(p) = prev {
-        wimesh_obs::install(p);
+        wimesh_obs::install(p.clone());
         for ev in sink.trace_events() {
             wimesh_obs::trace::emit(&ev);
+        }
+        if let Ok((fault, verdicts, mutant)) = &audited {
+            for v in fault.frame_verdicts.iter().chain(verdicts).chain([mutant]) {
+                p.on_slo(v);
+            }
         }
     }
     let (fault, verdicts, mutant) = audited?;

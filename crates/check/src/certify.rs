@@ -27,7 +27,9 @@
 //! state, no pruning — so the heavily optimised admission paths (warm
 //! orders, binary slot search, bound-closed exact search) are continuously
 //! cross-checked against a reference oracle. All violations are collected,
-//! not just the first.
+//! not just the first, and returned: the check is a pure function that
+//! writes no telemetry or other process-global state, so a failure
+//! reaches only its caller.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -558,10 +560,6 @@ impl Certificate {
                 guard_slack: params.guard.saturating_sub(required),
             })
         } else {
-            // The certifier owns no flight recorder; raising lets the
-            // runtime dump its gateway's ring at the next frame boundary
-            // with the conversation that produced the bad schedule.
-            wimesh_obs::flight::raise("certifier.violation");
             Err(CertifyError { violations })
         }
     }

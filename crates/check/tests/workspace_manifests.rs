@@ -1,7 +1,8 @@
 //! The compiler-enforced rules hold for every crate: each opts into
 //! `[workspace.lints]`, each crate-local `clippy.toml` keeps every ban of
-//! the root one (DESIGN §3.10), and no crate declares a cargo feature, so
-//! the build every suite tests is the one that ships.
+//! the root one (DESIGN §3.10), no crate declares a cargo feature, so
+//! the build every suite tests is the one that ships, and the certifier
+//! does not depend on the telemetry crate.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -72,6 +73,21 @@ fn no_crate_declares_a_feature() {
             );
         }
     }
+}
+
+#[test]
+fn the_certifier_does_not_depend_on_telemetry() {
+    // A certificate is a pure function of its inputs: the certifier
+    // reports a violation by returning it, never through a process-global
+    // channel, so it needs nothing of `wimesh-obs`.
+    let toml = fs::read_to_string(workspace_root().join("crates/check/Cargo.toml"))
+        .expect("wimesh-check manifest is readable");
+    let deps = &toml[toml.find("[dependencies]").expect("has [dependencies]")..];
+    let deps = deps[1..].find("\n[").map_or(deps, |end| &deps[..=end]);
+    assert!(
+        !deps.contains("wimesh-obs"),
+        "wimesh-check's [dependencies] name wimesh-obs:\n{deps}"
+    );
 }
 
 #[test]

@@ -203,8 +203,7 @@ impl MeshQos {
     /// only on the flows before it — and of two flows with one id the
     /// second is a [`RejectReason::DuplicateFlow`](crate::RejectReason).
     /// With a `wimesh-obs` sink installed the batch is one
-    /// `admission.admit` span over the session's own spans, and the
-    /// admitted flows register their SLO terms like any session admit.
+    /// `admission.admit` span over the session's own spans.
     ///
     /// # Errors
     ///

@@ -280,12 +280,10 @@ struct Scratch {
 ///
 /// # SLO audit
 ///
-/// While a `wimesh-obs` sink is installed, the session registers the
-/// terms of every flow it admits with the SLO tracker (its slot count and
-/// deadline, both fixed at admission) and withdraws them on release. A
-/// sink installed mid-session therefore sees only the flows admitted
-/// after it; [`QosSession::rebalance`] and [`MeshQos::restore_session`]
-/// register the whole admitted set.
+/// The session writes no audit state. Each [`AdmittedFlow`] carries its
+/// promise (`slots_per_link` and `spec.deadline`, both fixed at
+/// admission); an auditor reads it from [`QosSession::snapshot`] into a
+/// ledger of its own (`wimesh_node::MeshRuntime` does, every frame).
 ///
 /// # Example
 ///
@@ -827,7 +825,6 @@ impl QosSession {
                 "restored order pairs contradict the schedule".into(),
             ));
         }
-        session.promise_slos(0);
         Ok(session)
     }
 
@@ -895,7 +892,6 @@ impl QosSession {
         self.stats.releases += 1;
         wimesh_obs::counter_inc("session.releases");
         self.publish(layout);
-        wimesh_obs::slo::withdraw(u64::from(flow.0));
         Ok(true)
     }
 
@@ -967,23 +963,7 @@ impl QosSession {
         }));
         self.adopt(&cold.schedule)?;
         self.publish((cold.schedule, cold.guaranteed_slots));
-        self.promise_slos(0);
         Ok(&self.outcome)
-    }
-
-    /// Registers the SLO promise of every flow admitted from position
-    /// `from` on with the `wimesh-obs` auditor: the slot count and
-    /// deadline the admission guaranteed, both fixed for the flow's life
-    /// (so flows admitted earlier have nothing to refresh). Re-promising
-    /// keeps a flow's observed history; the whole call is a no-op while
-    /// instrumentation is disabled.
-    fn promise_slos(&self, from: usize) {
-        if !wimesh_obs::is_enabled() {
-            return;
-        }
-        for f in &self.outcome.admitted[from..] {
-            wimesh_obs::slo::promise(u64::from(f.spec.id.0), f.slots_per_link, f.spec.deadline);
-        }
     }
 
     /// The published order over the conflict edges of `graph` between
@@ -1365,7 +1345,6 @@ impl QosSession {
         for (f, m) in self.outcome.admitted[base..].iter().zip(&self.meta[base..]) {
             self.seq_of.insert(f.spec.id, m.seq);
         }
-        self.promise_slos(base);
     }
 }
 

@@ -122,11 +122,7 @@ impl TdmaSimulation {
         let queues = (0..links.len())
             .map(|_| FifoQueue::new(queue_capacity))
             .collect();
-        // Carrying the flow id lets the stats feed the SLO auditor.
-        let stats = flows
-            .iter()
-            .map(|f| FlowStats::for_voip().with_flow(f.id.0 as u64))
-            .collect();
+        let stats = flows.iter().map(|_| FlowStats::for_voip()).collect();
         let seqs = vec![0; flows.len()];
         let pending = vec![0; flows.len()];
         let flow_index = flows.iter().enumerate().map(|(i, f)| (f.id, i)).collect();

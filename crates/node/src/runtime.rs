@@ -36,7 +36,9 @@
 //! conflicting transmissions whose true on-air intervals overlap are a
 //! **collision** — by construction this cannot happen while every pair
 //! of transmitters is mutually synchronised within the guard time, and
-//! the runtime verifies it frame by frame.
+//! the runtime verifies it frame by frame. It also checks every admitted
+//! flow's reservation against the flow's promise and records the result
+//! in the runtime's own SLO ledger ([`MeshRuntime::slo`]), sink or none.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
@@ -48,8 +50,10 @@ use wimesh_mac80216::election::MeshElection;
 use wimesh_mac80216::protocol::links_conflict;
 use wimesh_mac80216::DschMessage;
 use wimesh_obs::flight::FlightEvent;
+use wimesh_obs::slo::FlowSloTracker;
 use wimesh_obs::trace::{TraceCtx, TraceEvent};
 use wimesh_sim::{EventQueue, SimTime};
+use wimesh_topology::routing::Path;
 use wimesh_topology::{LinkId, MeshTopology, NodeId};
 
 use crate::fabric::{Fabric, FabricConfig, FabricStats};
@@ -261,6 +265,11 @@ pub struct MeshRuntime {
     /// `(node, reason)` pairs already flight-dumped this segment
     /// (rate limit: one dump per node and reason per segment).
     flight_dumped: BTreeSet<(u32, &'static str)>,
+    /// Per-flow SLO ledger of the repair session's admitted flows,
+    /// observed every frame (sink or none).
+    slo: FlowSloTracker,
+    /// The route each flow in `slo` was promised on.
+    slo_routes: BTreeMap<u64, Path>,
 }
 
 impl MeshRuntime {
@@ -336,6 +345,8 @@ impl MeshRuntime {
             converge_tracked: false,
             next_span: config.seed.wrapping_shl(32),
             flight_dumped: BTreeSet::new(),
+            slo: FlowSloTracker::new(),
+            slo_routes: BTreeMap::new(),
         })
     }
 
@@ -350,6 +361,13 @@ impl MeshRuntime {
     /// The attached repair controller, if any.
     pub fn controller(&self) -> Option<&RepairController> {
         self.repair.as_ref()
+    }
+
+    /// The SLO ledger: one frame observation per admitted flow and
+    /// frame boundary. A flow released and re-admitted on another route
+    /// starts a fresh history; one released for good leaves the ledger.
+    pub fn slo(&self) -> &FlowSloTracker {
+        &self.slo
     }
 
     /// The node states (read-only).
@@ -579,24 +597,6 @@ impl MeshRuntime {
 
         self.measure_collisions(now, segment_start);
         self.observe_flow_slo();
-
-        // Anomalies raised by recorder-less components (the certifier,
-        // for instance) dump the gateway's ring: it holds the
-        // control-plane conversation that produced the offending
-        // schedule. String reasons bypass the per-segment rate limit —
-        // the raise channel is already one-shot per detection.
-        if wimesh_obs::is_enabled() {
-            let gw = self.config.gateway;
-            for reason in wimesh_obs::flight::take_raised() {
-                wimesh_obs::flight::dump(
-                    u64::from(gw.0),
-                    &reason,
-                    now.as_nanos(),
-                    &self.nodes[gw.index()].flight,
-                );
-                wimesh_obs::counter_inc("node.flight.dumps");
-            }
-        }
     }
 
     /// The data plane of the frame that just ended at `now`: each
@@ -672,15 +672,33 @@ impl MeshRuntime {
     /// Audits every admitted flow's reservation against its promise for
     /// the frame that just ended: each link on the flow's path must hold
     /// a confirmed range covering the pushed demand, from an alive
-    /// transmitter. No-op while instrumentation is disabled.
-    fn observe_flow_slo(&self) {
-        if !wimesh_obs::is_enabled() {
-            return;
-        }
+    /// transmitter.
+    ///
+    /// The ledger is first reconciled with the session's admitted set,
+    /// keyed by flow id and route, which also picks up flows admitted
+    /// before the controller was attached: a flow no longer admitted
+    /// leaves it, and a new flow or one re-admitted on another route
+    /// (a re-route or a restore releases it first) is promised afresh.
+    fn observe_flow_slo(&mut self) {
         let Some(repair) = self.repair.as_ref() else {
             return;
         };
-        for flow in &repair.session().snapshot().admitted {
+        let admitted = repair.session().snapshot().admitted();
+        let (slo, routes) = (&mut self.slo, &mut self.slo_routes);
+        routes.retain(|&id, _| {
+            let kept = admitted.iter().any(|f| u64::from(f.spec.id.0) == id);
+            if !kept {
+                slo.withdraw(id);
+            }
+            kept
+        });
+        for flow in admitted {
+            let id = u64::from(flow.spec.id.0);
+            if routes.get(&id) != Some(&flow.path) {
+                slo.withdraw(id);
+                slo.promise(id, flow.slots_per_link, flow.spec.deadline);
+                routes.insert(id, flow.path.clone());
+            }
             let satisfied = flow.path.links().iter().all(|&l| {
                 let tx = self.topo.link(l).expect("session links exist").tx;
                 let demand = self.desired.get(&l).copied().unwrap_or(0);
@@ -692,7 +710,7 @@ impl MeshRuntime {
                         .get(&l)
                         .map_or(demand == 0, |r| r.len >= demand)
             });
-            wimesh_obs::slo::observe_frame(u64::from(flow.spec.id.0), satisfied);
+            slo.observe_frame(id, satisfied);
         }
     }
 

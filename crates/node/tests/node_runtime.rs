@@ -12,6 +12,7 @@ use wimesh::{FlowSpec, MeshQos, OrderPolicy};
 use wimesh_emu::{EmulationModel, EmulationParams};
 use wimesh_node::{FabricConfig, LossModel, MeshRuntime, RepairController, RuntimeConfig};
 use wimesh_obs::sink::MemorySink;
+use wimesh_obs::slo::SloStatus;
 use wimesh_obs::trace::TraceForest;
 use wimesh_topology::{generators, NodeId};
 
@@ -198,14 +199,14 @@ fn identical_seeds_replay_identical_runs() {
 /// fabric links of a relay an admitted flow transits must leave behind
 /// (a) a multi-node causal trace of a complete DSCH three-way
 /// handshake, (b) a multi-hop `node.down` repair trace, and (c) a
-/// non-empty flight-recorder dump from the gateway's re-route.
+/// non-empty flight-recorder dump from the gateway's re-route. The
+/// runtime's SLO ledger must have watched every admitted flow, restarted
+/// the rerouted flow's history at the re-route, and judged no flow
+/// violated.
 ///
 /// The seed (777) is unique within this binary, so this run's span-id
 /// namespace — and therefore its trace ids — cannot collide with
 /// concurrently running tests that also emit while the sink is live.
-/// SLO-verdict assertions live in the single-process `slo_audit` bench
-/// experiment instead: the flow-SLO tracker is keyed by flow id alone,
-/// which concurrent tests here share.
 #[test]
 fn fault_scenario_reconstructs_traces_and_dumps_the_flight_recorder() {
     let prev = wimesh_obs::finish();
@@ -257,6 +258,39 @@ fn fault_scenario_reconstructs_traces_and_dumps_the_flight_recorder() {
             .iter()
             .any(|d| d.reason == "flow.reroute" && !d.events.is_empty()),
         "the re-route must dump the gateway's flight recorder with its preceding events"
+    );
+
+    let admitted = rt
+        .controller()
+        .expect("controller attached")
+        .session()
+        .snapshot()
+        .admitted();
+    let mut ids: Vec<u64> = admitted.iter().map(|f| u64::from(f.spec.id.0)).collect();
+    ids.sort_unstable();
+    let verdicts = rt.slo().verdicts();
+    assert_eq!(
+        verdicts.iter().map(|v| v.flow).collect::<Vec<_>>(),
+        ids,
+        "the ledger must hold exactly the admitted flows"
+    );
+    for v in &verdicts {
+        assert!(v.frames_observed > 0, "flow {} was never observed", v.flow);
+        assert_ne!(v.status, SloStatus::Violated, "flow {} violated", v.flow);
+    }
+    let frames = |flow: u64| {
+        rt.slo()
+            .verdict_for(flow)
+            .expect("admitted flows are in the ledger")
+            .frames_observed
+    };
+    // Flow 0 transited the silenced relay and was rerouted; flow 1 was
+    // untouched, so its history spans both segments.
+    assert!(
+        frames(0) < frames(1),
+        "the rerouted flow's history must restart at the re-route: {} vs {}",
+        frames(0),
+        frames(1)
     );
 }
 

@@ -4,16 +4,11 @@
 //! The recorder allocates its full capacity up front; recording in the
 //! steady state is a bounded-index write with no allocation, so heavy
 //! traffic stays cheap. When something anomalous happens (a slot
-//! collision, a guard-budget breach, a certifier violation, a flow
-//! re-route) the owner calls [`dump`] and the last N events ship as one
-//! [`FlightDump`] with full context.
-//!
-//! Components that detect anomalies far from any recorder (the schedule
-//! certifier, for instance) signal through [`raise`]; the runtime
-//! drains the channel with [`take_raised`] at frame boundaries and
-//! dumps on its own recorders.
-
-use std::sync::Mutex;
+//! collision, a guard-budget breach, a flow re-route) the recorder's
+//! owner calls [`dump`] and the last N events ship as one
+//! [`FlightDump`] with full context. A component that owns no recorder
+//! reports an anomaly through its return value, and whoever holds the
+//! recorders decides whether to dump.
 
 /// One recorded event: time, Lamport stamp, kind and two payload words
 /// whose meaning depends on the kind (a peer id, a round number, ...).
@@ -141,25 +136,6 @@ pub fn dump(node: u64, reason: &str, t_ns: u64, recorder: &FlightRecorder) {
     crate::with_sink(|s| s.on_flight(&d));
 }
 
-/// Anomalies raised by components that own no recorder (certifier
-/// violations, for instance), drained by the runtime at frame
-/// boundaries.
-static RAISED: Mutex<Vec<String>> = Mutex::new(Vec::new());
-
-/// Signals an anomaly for the next [`take_raised`] caller (no-op while
-/// instrumentation is disabled).
-pub fn raise(kind: &str) {
-    if !crate::is_enabled() {
-        return;
-    }
-    crate::sync::lock(&RAISED).push(kind.to_string());
-}
-
-/// Drains every anomaly raised since the previous call.
-pub fn take_raised() -> Vec<String> {
-    std::mem::take(&mut *crate::sync::lock(&RAISED))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,26 +177,6 @@ mod tests {
             rec.record(ev(t));
         }
         assert_eq!(rec.buf.capacity(), cap);
-    }
-
-    #[test]
-    fn raise_channel_requires_enabled_and_drains() {
-        let _guard = crate::test_lock::hold();
-        let _ = take_raised(); // drain leftovers from other tests
-        raise("ignored.while.disabled");
-        assert!(take_raised().is_empty());
-        crate::install(std::sync::Arc::new(crate::sink::MemorySink::default()));
-        raise("certifier.violation");
-        raise("guard.exceeded");
-        crate::finish();
-        assert_eq!(
-            take_raised(),
-            vec![
-                "certifier.violation".to_string(),
-                "guard.exceeded".to_string()
-            ]
-        );
-        assert!(take_raised().is_empty());
     }
 
     #[test]

@@ -26,11 +26,12 @@
 //!   repair sequences) from memory or JSONL.
 //! * **Flight recorder** — [`flight::FlightRecorder`] keeps each
 //!   node's last-N control-plane events in a fixed ring and ships them
-//!   only when an anomaly trips (collision, guard breach, certifier
-//!   violation, re-route).
+//!   only when an anomaly trips (collision, guard breach, re-route).
 //! * **SLO audit** — [`slo::FlowSloTracker`] compares admission-time
-//!   promises (slots, delay bound) against observed delivery and emits
-//!   typed [`slo::SloVerdict`]s.
+//!   promises (slots, delay bound) against observed delivery and returns
+//!   typed [`slo::SloVerdict`]s. It is a value its auditor owns (the
+//!   node runtime keeps one), not process-global state; a caller that
+//!   wants verdicts in the sink passes them to [`sink::Sink::on_slo`].
 //!
 //! [`sync::lock`] is how every workspace crate takes a `Mutex`: it
 //! recovers from poison and, in debug builds, panics on a nested lock.

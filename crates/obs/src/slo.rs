@@ -1,21 +1,19 @@
 //! Per-flow SLO auditing: promises registered at admission time,
 //! delivery observations from the data planes, typed verdicts out.
 //!
-//! The admission layer (`QosSession` in the core crate) registers a
-//! *promise* (slot count + delay bound) for every flow it admits and
-//! withdraws it on release. The simulation and runtime planes feed
-//! per-packet and per-frame *observations*. [`FlowSloTracker::verdicts`]
-//! then compares measured against promised and classifies each flow as
-//! met, degraded or violated, with explicit margins, so "guaranteed
-//! QoS" becomes a machine-checkable ledger instead of a claim.
-//!
-//! A process-global tracker (same lifecycle as the metrics registry)
-//! backs the free functions used by the instrumented crates; all of
-//! them are no-ops while instrumentation is disabled.
+//! A [`FlowSloTracker`] is a plain value owned by whoever audits: the
+//! node runtime keeps one and reconciles it with its repair session's
+//! admitted flows every frame, and an audit of a simulation run
+//! promises the admitted flows and feeds it the run's per-flow totals.
+//! [`FlowSloTracker::verdicts`] then compares measured against promised
+//! and classifies each flow as met, degraded or violated, with explicit
+//! margins, so "guaranteed QoS" becomes a machine-checkable ledger
+//! instead of a claim. Nothing here touches process-global state; a
+//! caller that wants verdicts in a sink hands them to
+//! [`Sink::on_slo`](crate::sink::Sink::on_slo) itself.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{LazyLock, Mutex};
 use std::time::Duration;
 
 /// How a flow fared against its admission-time promise.
@@ -80,9 +78,6 @@ struct FlowSlo {
 }
 
 /// Tracks promises and observations for a set of flows.
-///
-/// Standalone and lock-free; the process-global instance behind the
-/// module's free functions is one of these under a mutex.
 #[derive(Debug, Clone, Default)]
 pub struct FlowSloTracker {
     flows: BTreeMap<u64, FlowSlo>,
@@ -112,16 +107,22 @@ impl FlowSloTracker {
     /// Records one end-to-end delivery with the measured delay.
     /// Unknown flows are ignored.
     pub fn observe_delivery(&mut self, flow: u64, delay: Duration) {
-        if let Some(entry) = self.flows.get_mut(&flow) {
-            entry.delivered += 1;
-            entry.max_delay_ns = entry.max_delay_ns.max(duration_ns(delay));
-        }
+        self.observe_totals(flow, 1, 0, delay);
     }
 
     /// Records one dropped packet. Unknown flows are ignored.
     pub fn observe_drop(&mut self, flow: u64) {
+        self.observe_totals(flow, 0, 1, Duration::ZERO);
+    }
+
+    /// Records a data-plane run's totals for one flow at once:
+    /// `delivered` deliveries whose worst delay was `max_delay`, and
+    /// `dropped` drops. Unknown flows are ignored.
+    pub fn observe_totals(&mut self, flow: u64, delivered: u64, dropped: u64, max_delay: Duration) {
         if let Some(entry) = self.flows.get_mut(&flow) {
-            entry.dropped += 1;
+            entry.delivered += delivered;
+            entry.dropped += dropped;
+            entry.max_delay_ns = entry.max_delay_ns.max(duration_ns(max_delay));
         }
     }
 
@@ -164,13 +165,14 @@ impl FlowSloTracker {
 
 /// Classifies one ledger entry.
 fn judge(flow: u64, e: &FlowSlo) -> SloVerdict {
-    let margin_ns = match e.bound_ns {
-        Some(bound) => bound as i64 - e.max_delay_ns as i64,
-        None => 0,
-    };
+    // In i128: a bound past `i64::MAX` ns (≈292 years) is admissible.
+    let margin_ns = e.bound_ns.map_or(0, |bound| {
+        let margin = i128::from(bound) - i128::from(e.max_delay_ns);
+        i64::try_from(margin).unwrap_or(if margin < 0 { i64::MIN } else { i64::MAX })
+    });
     let violated = matches!(e.bound_ns, Some(bound) if e.max_delay_ns > bound);
-    let thin_margin =
-        matches!(e.bound_ns, Some(bound) if e.max_delay_ns > 0 && (margin_ns as u64) < bound / 10);
+    let thin_margin = matches!(e.bound_ns,
+        Some(bound) if e.max_delay_ns > 0 && bound.saturating_sub(e.max_delay_ns) < bound / 10);
     let no_evidence = e.delivered == 0 && e.frames_observed == 0;
     let status = if violated {
         SloStatus::Violated
@@ -196,79 +198,6 @@ fn judge(flow: u64, e: &FlowSlo) -> SloVerdict {
 /// Duration → saturating nanoseconds.
 fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// The process-global tracker behind the module's free functions.
-static TRACKER: LazyLock<Mutex<FlowSloTracker>> =
-    LazyLock::new(|| Mutex::new(FlowSloTracker::new()));
-
-fn with_tracker<R>(f: impl FnOnce(&mut FlowSloTracker) -> R) -> R {
-    f(&mut crate::sync::lock(&TRACKER))
-}
-
-/// Registers a promise in the global tracker (no-op while disabled).
-pub fn promise(flow: u64, slots: u32, bound: Option<Duration>) {
-    if !crate::is_enabled() {
-        return;
-    }
-    with_tracker(|t| t.promise(flow, slots, bound));
-}
-
-/// Withdraws a flow from the global tracker (no-op while disabled).
-pub fn withdraw(flow: u64) {
-    if !crate::is_enabled() {
-        return;
-    }
-    with_tracker(|t| t.withdraw(flow));
-}
-
-/// Records a delivery in the global tracker (no-op while disabled).
-pub fn observe_delivery(flow: u64, delay: Duration) {
-    if !crate::is_enabled() {
-        return;
-    }
-    with_tracker(|t| t.observe_delivery(flow, delay));
-}
-
-/// Records a drop in the global tracker (no-op while disabled).
-pub fn observe_drop(flow: u64) {
-    if !crate::is_enabled() {
-        return;
-    }
-    with_tracker(|t| t.observe_drop(flow));
-}
-
-/// Records a frame check in the global tracker (no-op while disabled).
-pub fn observe_frame(flow: u64, satisfied: bool) {
-    if !crate::is_enabled() {
-        return;
-    }
-    with_tracker(|t| t.observe_frame(flow, satisfied));
-}
-
-/// Verdicts for every flow in the global tracker.
-pub fn verdicts() -> Vec<SloVerdict> {
-    with_tracker(|t| t.verdicts())
-}
-
-/// Clears the global tracker (always available, like
-/// [`crate::reset`]).
-pub fn clear() {
-    with_tracker(|t| t.clear());
-}
-
-/// Emits every current verdict to the installed sink and returns them
-/// (the sink sees nothing while instrumentation is disabled).
-pub fn emit_verdicts() -> Vec<SloVerdict> {
-    let list = verdicts();
-    if crate::is_enabled() {
-        crate::with_sink(|s| {
-            for v in &list {
-                s.on_slo(v);
-            }
-        });
-    }
-    list
 }
 
 #[cfg(test)]
@@ -353,22 +282,53 @@ mod tests {
     }
 
     #[test]
-    fn global_tracker_gates_on_enabled_and_emits_to_sink() {
-        let _guard = crate::test_lock::hold();
-        clear();
-        promise(1, 2, Some(Duration::from_millis(10)));
-        assert!(verdicts().is_empty(), "disabled promise must be a no-op");
-        let sink = std::sync::Arc::new(crate::sink::MemorySink::default());
-        crate::install(sink.clone());
-        promise(1, 2, Some(Duration::from_millis(10)));
-        observe_delivery(1, Duration::from_millis(2));
-        observe_frame(1, true);
-        let emitted = emit_verdicts();
-        crate::finish();
-        clear();
-        assert_eq!(emitted.len(), 1);
-        assert_eq!(emitted[0].status, SloStatus::Met);
-        let seen = sink.slo_verdicts();
-        assert_eq!(seen, emitted);
+    fn withdraw_then_promise_starts_a_fresh_history() {
+        let mut t = FlowSloTracker::new();
+        t.promise(1, 2, Some(Duration::from_millis(10)));
+        t.observe_delivery(1, Duration::from_millis(3));
+        t.observe_frame(1, false);
+        // A release followed by a re-admission: the new promise is
+        // judged on what happens under it alone.
+        t.withdraw(1);
+        t.promise(1, 2, Some(Duration::from_millis(10)));
+        let v = t.verdict_for(1).expect("tracked");
+        assert_eq!((v.delivered, v.frames_observed, v.frames_short), (0, 0, 0));
+        assert_eq!(v.max_delay_ns, 0);
+        assert_eq!(v.status, SloStatus::Degraded, "no evidence yet");
+    }
+
+    #[test]
+    fn totals_add_up_like_single_observations() {
+        let mut one_by_one = FlowSloTracker::new();
+        let mut totals = FlowSloTracker::new();
+        for t in [&mut one_by_one, &mut totals] {
+            t.promise(3, 1, Some(Duration::from_millis(20)));
+        }
+        for ms in [4, 9, 2] {
+            one_by_one.observe_delivery(3, Duration::from_millis(ms));
+        }
+        one_by_one.observe_drop(3);
+        totals.observe_totals(3, 3, 1, Duration::from_millis(9));
+        totals.observe_totals(7, 5, 0, Duration::from_millis(1)); // unknown
+        assert_eq!(one_by_one.verdicts(), totals.verdicts());
+        assert_eq!(totals.verdict_for(3).expect("tracked").delivered, 3);
+    }
+
+    #[test]
+    fn a_bound_past_i64_nanoseconds_keeps_a_positive_margin() {
+        // 300 years: more nanoseconds than an i64 holds, fewer than a
+        // u64 does, so the bound is admissible and journalable.
+        let bound = Duration::from_secs(300 * 365 * 86_400);
+        let mut t = FlowSloTracker::new();
+        t.promise(1, 1, Some(bound));
+        t.observe_delivery(1, Duration::from_millis(5));
+        let v = t.verdict_for(1).expect("tracked");
+        assert_eq!(v.status, SloStatus::Met);
+        assert_eq!(v.margin_ns, i64::MAX, "the margin saturates");
+        t.promise(2, 1, Some(Duration::ZERO));
+        t.observe_delivery(2, Duration::from_nanos(u64::MAX));
+        let v = t.verdict_for(2).expect("tracked");
+        assert_eq!(v.status, SloStatus::Violated);
+        assert_eq!(v.margin_ns, i64::MIN);
     }
 }

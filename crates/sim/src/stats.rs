@@ -74,12 +74,11 @@ impl Histogram {
 
 /// Running statistics for one traffic flow.
 ///
-/// Created by the simulation harnesses; read by the experiment drivers.
+/// Created by the simulation harnesses; read by the experiment drivers
+/// and, after a run, by SLO audits (`delivered`, `dropped`,
+/// `max_delay`).
 #[derive(Debug, Clone)]
 pub struct FlowStats {
-    /// Flow identity for SLO auditing: when set, every delivery and drop
-    /// is also reported to the `wimesh-obs` auditor under this id.
-    flow: Option<u64>,
     sent: u64,
     delivered: u64,
     dropped: u64,
@@ -100,7 +99,6 @@ impl FlowStats {
     /// `bin_width` each.
     pub fn new(bin_width: Duration, bins: usize) -> Self {
         Self {
-            flow: None,
             sent: 0,
             delivered: 0,
             dropped: 0,
@@ -120,20 +118,6 @@ impl FlowStats {
         Self::new(Duration::from_millis(1), 2000)
     }
 
-    /// Attaches a flow identity: deliveries and drops recorded here are
-    /// then also fed to the `wimesh-obs` SLO auditor (no-ops while
-    /// instrumentation is disabled or the flow has no promise).
-    #[must_use]
-    pub fn with_flow(mut self, flow: u64) -> Self {
-        self.flow = Some(flow);
-        self
-    }
-
-    /// The attached flow identity, if any.
-    pub fn flow(&self) -> Option<u64> {
-        self.flow
-    }
-
     /// Records a packet entering the network.
     pub fn record_sent(&mut self) {
         self.sent += 1;
@@ -142,17 +126,11 @@ impl FlowStats {
     /// Records a packet dropped anywhere along its path.
     pub fn record_dropped(&mut self) {
         self.dropped += 1;
-        if let Some(f) = self.flow {
-            wimesh_obs::slo::observe_drop(f);
-        }
     }
 
     /// Records an end-to-end delivery at time `now` with one-way delay
     /// `delay` and `bytes` payload bytes.
     pub fn record_delivered(&mut self, now: SimTime, delay: Duration, bytes: u32) {
-        if let Some(f) = self.flow {
-            wimesh_obs::slo::observe_delivery(f, delay);
-        }
         self.delivered += 1;
         self.bytes_delivered += bytes as u64;
         self.delay_sum += delay;

@@ -41,7 +41,8 @@ cargo run -p wimesh-bench --release --bin experiments -- approx_admission --quic
 # The observability stream suite (sinks, concurrent JSONL writers, trace
 # round-trips) and the end-to-end SLO audit: causal trace reconstruction,
 # flight-recorder dump, zero violated verdicts for admitted flows and the
-# mutation probe that must be flagged.
+# mutation probe that must be flagged. Each audit phase owns its ledger
+# (the runtime's, or a fresh tracker); none is process-global.
 cargo test -q -p wimesh-obs --test obs_stream
 cargo run -p wimesh-bench --release --bin experiments -- slo_audit --quick
 # The admission gateway service: batched front-end semantics, the
