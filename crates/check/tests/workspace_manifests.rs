@@ -132,3 +132,36 @@ fn crate_clippy_tomls_repeat_every_root_ban() {
     }
     assert!(local_files > 0, "no crate-local clippy.toml was checked");
 }
+
+#[test]
+fn deterministic_crates_suppress_no_method_ban() {
+    // sim, emu and node run on the virtual clock: their clippy.toml bans
+    // `Instant::now` and `SystemTime::now` with no exception, so no
+    // source file there may `#[expect]` its way past a method ban.
+    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in fs::read_dir(dir).expect("source dir is readable") {
+            let path = entry.expect("source dir entry").path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    for krate in ["sim", "emu", "node"] {
+        rust_files(
+            &workspace_root().join("crates").join(krate).join("src"),
+            &mut files,
+        );
+    }
+    assert!(files.len() >= 3, "found only {} source files", files.len());
+    for file in files {
+        let text = fs::read_to_string(&file).expect("source file is readable");
+        assert!(
+            !text.contains("disallowed_methods"),
+            "{} suppresses a method ban",
+            file.display()
+        );
+    }
+}

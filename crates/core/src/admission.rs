@@ -32,7 +32,7 @@ use std::time::Duration;
 
 use wimesh_conflict::ConflictGraph;
 use wimesh_emu::EmulationModel;
-use wimesh_tdma::{Demands, Schedule, TransmissionOrder};
+use wimesh_tdma::{Demands, Schedule};
 use wimesh_topology::routing::Path;
 use wimesh_topology::{LinkId, NodeId};
 
@@ -145,14 +145,6 @@ pub struct AdmissionOutcome {
     pub rejected: Vec<(FlowSpec, RejectReason)>,
     /// The final conflict-free schedule for all admitted flows.
     pub schedule: Schedule,
-    /// The transmission order realising it, indexed by conflict-graph
-    /// vertex — and the outcome carries no graph. A batch outcome's
-    /// indices are those of [`ConflictGraph::build_for_links`] over
-    /// `schedule.links()` (ascending), so a caller can rebuild the graph
-    /// and lay the order out again. A session's snapshot leaves it empty:
-    /// its order is the schedule's start order, read as link pairs through
-    /// [`crate::QosSession::export_state`]'s `warm_pairs`.
-    pub order: TransmissionOrder,
     /// Minislots consumed by the guaranteed region (the makespan).
     pub guaranteed_slots: u32,
 }
@@ -382,7 +374,7 @@ mod tests {
     use wimesh_milp::SolverConfig;
     use wimesh_sim::traffic::VoipCodec;
     use wimesh_tdma::milp::{feasible_order_within, PathRequirement};
-    use wimesh_tdma::{schedule_from_order, ScheduleError};
+    use wimesh_tdma::ScheduleError;
     use wimesh_topology::generators;
     use wimesh_topology::routing::shortest_path;
 
@@ -583,12 +575,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_order_is_keyed_by_the_ascending_graph_of_the_schedule() {
+    fn batch_admits_around_a_trunk_the_frame_cannot_hold() {
         let mesh = mesh(6);
-        // The far call's links enter the session's graph first, the
-        // trunk the frame has no room for rolls its own back, the near
-        // call's links enter last: the session's own vertex numbering is
-        // not ascending.
+        // The far call is placed first, the trunk the frame has no room
+        // for rolls its own links back, the near call is placed last.
         let trunk = FlowSpec::guaranteed(
             1,
             NodeId(5),
@@ -604,17 +594,6 @@ mod tests {
         let out = mesh.admit(&flows, OrderPolicy::HopOrder).unwrap();
         assert_eq!(out.rejected, [(trunk, RejectReason::Infeasible)]);
         assert_eq!(out.admitted.len(), 2);
-
-        // The outcome carries no graph; the documented one reads its order.
-        let graph = ConflictGraph::build_for_links(
-            mesh.topology(),
-            out.schedule.links().collect(),
-            mesh.interference(),
-        );
-        let demands = mesh.demands_for(&out.admitted);
-        let frame = mesh.model().frame();
-        let laid_out = schedule_from_order(&graph, &demands, &out.order, frame).unwrap();
-        assert_eq!(laid_out, out.schedule);
     }
 
     #[test]

@@ -546,11 +546,9 @@ impl QosSession {
     /// the batch API promises that a flow's verdict depends only on the
     /// flows placed before it.
     ///
-    /// The session's outcome is returned with two additions. `rejected` is
-    /// rebuilt from the verdicts — complete and in input order, where the
-    /// session keeps a capped log in decision order. `order`, which a
-    /// session leaves empty, is laid over the ascending numbering a caller
-    /// can rebuild from the schedule alone.
+    /// The session's outcome is returned with `rejected` rebuilt from the
+    /// verdicts: complete and in input order, where the session keeps a
+    /// capped log in decision order.
     pub(crate) fn admit_fresh(
         mesh: &MeshQos,
         flows: &[(FlowSpec, Option<Path>)],
@@ -560,14 +558,7 @@ impl QosSession {
         let mut session = Self::new(mesh.clone(), policy);
         let routed = flows.iter().map(|(spec, path)| (spec, path.as_ref()));
         let verdicts = session.place_batch(routed, false)?;
-        let ascending = ConflictGraph::build_for_links(
-            mesh.topology(),
-            session.outcome.schedule.links().collect(),
-            mesh.interference(),
-        );
-        let pairs = session.published_pairs(&ascending);
         let mut outcome = session.outcome;
-        outcome.order = TransmissionOrder::from_link_pairs(&ascending, &pairs);
         outcome.rejected = flows
             .iter()
             .zip(verdicts)
@@ -700,7 +691,7 @@ impl QosSession {
         // vertex numbering, which depends on the insertions and roll-backs
         // that built the graph — equal states must compare equal whatever
         // history produced them.
-        let mut warm_pairs = self.published_pairs(&self.graph);
+        let mut warm_pairs = self.published_pairs();
         warm_pairs.sort_unstable();
         SessionState {
             policy: self.policy,
@@ -903,7 +894,7 @@ impl QosSession {
         if self.policy == OrderPolicy::ExactMilp {
             return None;
         }
-        let previous = self.published_pairs(&self.graph);
+        let previous = self.published_pairs();
         let previous = TransmissionOrder::from_link_pairs(&self.graph, &previous);
         let frame = self.mesh.model().frame();
         let (demands, reqs) = (self.demands(), self.requirements());
@@ -966,13 +957,13 @@ impl QosSession {
         Ok(&self.outcome)
     }
 
-    /// The published order over the conflict edges of `graph` between
+    /// The published order over the session graph's conflict edges between
     /// links the published schedule holds, as `(earlier, later)` link
     /// pairs: of two conflicting links the one starting first transmits
     /// first. Every layout the session publishes (a rank sweep, an exact,
     /// LP-rounded or kept order, a recorded state) follows its order.
-    fn published_pairs(&self, graph: &ConflictGraph) -> Vec<(LinkId, LinkId)> {
-        let schedule = &self.outcome.schedule;
+    fn published_pairs(&self) -> Vec<(LinkId, LinkId)> {
+        let (graph, schedule) = (&self.graph, &self.outcome.schedule);
         let start_of = |l| Some(schedule.slot_range(l)?.start);
         let start: Vec<Option<u32>> = graph.links().iter().map(|&l| start_of(l)).collect();
         let key = |v: usize| Some((start[v]?, graph.link_at(v)));
@@ -1194,7 +1185,7 @@ impl QosSession {
             }
             OrderPolicy::ExactMilp => {
                 let (demands, reqs) = (self.demands(), self.requirements());
-                let warm = warm.then(|| self.published_pairs(&self.graph));
+                let warm = warm.then(|| self.published_pairs());
                 let (schedule, used) = exact_search_warm(
                     self.mesh.model(),
                     &self.graph,
@@ -1433,7 +1424,6 @@ fn empty_outcome(model: &EmulationModel) -> AdmissionOutcome {
         admitted: Vec::new(),
         rejected: Vec::new(),
         schedule,
-        order: TransmissionOrder::new(),
         guaranteed_slots: 0,
     }
 }

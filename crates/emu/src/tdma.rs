@@ -196,11 +196,6 @@ impl TdmaSimulation {
     /// Runs the simulation for `duration` of virtual time.
     pub fn run<R: Rng>(&mut self, duration: Duration, rng: &mut R) {
         let _span = wimesh_obs::span!("emu.tdma.run");
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "host wall-time feeds the sim.virtual_per_wall obs gauge only; no simulated state depends on it"
-        )]
-        let wall_start = std::time::Instant::now();
         let missed_before = self.missed_slots;
         let mut q: EventQueue<Event> = EventQueue::new();
         let end = SimTime::ZERO + duration;
@@ -248,10 +243,6 @@ impl TdmaSimulation {
         if wimesh_obs::is_enabled() {
             q.publish_obs();
             wimesh_obs::counter_add("emu.slots.missed", self.missed_slots - missed_before);
-            let wall = wall_start.elapsed().as_secs_f64();
-            if wall > 0.0 {
-                wimesh_obs::gauge_set("sim.virtual_per_wall", duration.as_secs_f64() / wall);
-            }
         }
     }
 

@@ -1,57 +1,7 @@
 //! A fixed-width histogram over unitless `u64` samples.
 //!
-//! Generalized from the simulator's delay histogram so every layer
-//! (metrics registry, simulator statistics) shares one implementation.
-//! Callers choose the unit: the simulator records nanoseconds, the
-//! metrics registry records nanosecond durations, counters could record
-//! sizes.
-
-use std::error::Error;
-use std::fmt;
-
-/// Why two histograms could not be merged: their bin geometries
-/// disagree, so folding counts would silently misbin samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeError {
-    /// The histograms use different bin widths.
-    BinWidthMismatch {
-        /// Bin width of the destination histogram.
-        ours: u64,
-        /// Bin width of the source histogram.
-        theirs: u64,
-    },
-    /// The histograms have different bin counts.
-    BinCountMismatch {
-        /// Bin count of the destination histogram.
-        ours: usize,
-        /// Bin count of the source histogram.
-        theirs: usize,
-    },
-}
-
-// `?` and `Box<dyn Error>` need it: a missing impl fails here with E0277.
-const _: fn(&MergeError) -> &dyn std::error::Error = |e| e;
-
-impl fmt::Display for MergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MergeError::BinWidthMismatch { ours, theirs } => {
-                write!(
-                    f,
-                    "histogram merge: bin width mismatch ({ours} vs {theirs})"
-                )
-            }
-            MergeError::BinCountMismatch { ours, theirs } => {
-                write!(
-                    f,
-                    "histogram merge: bin count mismatch ({ours} vs {theirs})"
-                )
-            }
-        }
-    }
-}
-
-impl Error for MergeError {}
+//! The metrics registry's duration histograms and the simulator's delay
+//! statistics share this one implementation; both record nanoseconds.
 
 /// A histogram with `bins` equal-width bins starting at zero.
 ///
@@ -98,53 +48,6 @@ impl FixedHistogram {
         self.total += 1;
         self.sum += u128::from(value);
         self.max = self.max.max(value);
-    }
-
-    /// Folds another histogram's samples into this one.
-    ///
-    /// Bin counts, overflow, totals and exact sum/max all combine, so
-    /// `a.merge(&b)` is indistinguishable from having recorded both
-    /// sample streams into one histogram. Used to fuse per-thread
-    /// metric snapshots after a parallel run.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MergeError`] — leaving `self` untouched — when the
-    /// two histograms have different bin geometry. (This used to be a
-    /// silent precondition checked only by debug assertions; mismatched
-    /// merges now fail loudly and typed.)
-    pub fn merge(&mut self, other: &FixedHistogram) -> Result<(), MergeError> {
-        self.check_geometry(other)?;
-        for (dst, src) in self.counts.iter_mut().zip(&other.counts) {
-            *dst += src;
-        }
-        self.overflow += other.overflow;
-        self.total += other.total;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        Ok(())
-    }
-
-    /// Validates that `other` shares this histogram's bin geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same [`MergeError`] that [`FixedHistogram::merge`]
-    /// would, without merging anything.
-    pub fn check_geometry(&self, other: &FixedHistogram) -> Result<(), MergeError> {
-        if self.bin_width != other.bin_width {
-            return Err(MergeError::BinWidthMismatch {
-                ours: self.bin_width,
-                theirs: other.bin_width,
-            });
-        }
-        if self.counts.len() != other.counts.len() {
-            return Err(MergeError::BinCountMismatch {
-                ours: self.counts.len(),
-                theirs: other.counts.len(),
-            });
-        }
-        Ok(())
     }
 
     /// Number of recorded samples.
@@ -285,57 +188,5 @@ mod tests {
     #[should_panic(expected = "bins")]
     fn zero_bins_rejected() {
         FixedHistogram::new(10, 0);
-    }
-
-    #[test]
-    fn merge_equals_recording_both_streams() {
-        let mut a = FixedHistogram::new(10, 10);
-        let mut b = FixedHistogram::new(10, 10);
-        let mut both = FixedHistogram::new(10, 10);
-        for v in [3, 15, 200] {
-            a.record(v);
-            both.record(v);
-        }
-        for v in [7, 15, 42] {
-            b.record(v);
-            both.record(v);
-        }
-        a.merge(&b).expect("same geometry merges");
-        assert_eq!(a, both);
-    }
-
-    #[test]
-    fn merge_rejects_different_geometry_with_typed_error() {
-        // Regression: geometry mismatches used to be accepted (or, at
-        // best, killed the process via assert); they must now surface
-        // as typed errors and leave the destination untouched.
-        let mut a = FixedHistogram::new(10, 10);
-        a.record(25);
-        let before = a.clone();
-        let wide = FixedHistogram::new(20, 10);
-        assert_eq!(
-            a.merge(&wide),
-            Err(MergeError::BinWidthMismatch {
-                ours: 10,
-                theirs: 20
-            })
-        );
-        let long = FixedHistogram::new(10, 11);
-        assert_eq!(
-            a.merge(&long),
-            Err(MergeError::BinCountMismatch {
-                ours: 10,
-                theirs: 11
-            })
-        );
-        assert_eq!(a, before, "failed merge must not mutate");
-        let msg = MergeError::BinWidthMismatch {
-            ours: 10,
-            theirs: 20,
-        }
-        .to_string();
-        assert!(msg.contains("bin width"));
-        // The error type plugs into std error handling.
-        let _: &dyn std::error::Error = &MergeError::BinCountMismatch { ours: 1, theirs: 2 };
     }
 }

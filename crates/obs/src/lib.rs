@@ -7,11 +7,11 @@
 //!   closed by an RAII guard. Spans nest per thread (each event carries
 //!   its nesting depth) and are streamed to the installed sink as they
 //!   close.
-//! * **Metrics** — a process-global registry of named counters, gauges
-//!   (last value + high-water mark) and duration histograms backed by
-//!   the fixed-width [`hist::FixedHistogram`]. Hot paths record local
-//!   aggregates and publish once per call, not once per inner-loop
-//!   iteration.
+//! * **Metrics** — a process-global registry, one mutex over plain maps,
+//!   of named counters, gauges (last value + high-water mark), duration
+//!   histograms backed by the fixed-width [`hist::FixedHistogram`] and
+//!   span aggregates. Hot paths record local aggregates and publish once
+//!   per call, not once per inner-loop iteration.
 //! * **Sinks** — [`sink::Sink`] implementations decide where events go:
 //!   [`sink::MemorySink`] for test assertions, [`sink::JsonlSink`] for
 //!   machine-readable traces (written by [`json::Object`], read back by

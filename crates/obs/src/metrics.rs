@@ -2,22 +2,15 @@
 //! histograms and per-span aggregates.
 //!
 //! Names are `&'static str` (dotted paths like `"milp.simplex.pivots"`)
-//! so recording never allocates. Counters and gauges are lock-free on
-//! the hot path: each name maps to an `Arc`'d atomic cell, and a
-//! recording call takes a brief read lock only to look the cell up
-//! (a write lock once, on first registration), then updates it with
-//! relaxed atomics. That keeps concurrent recording — the gateway's
-//! worker thread next to the thread that drives the process — from
-//! serializing on a registry mutex. Histograms and span aggregates
-//! mutate multiple words per record, so they stay behind a mutex;
-//! instrumented code keeps hot-loop tallies in locals and publishes
-//! once per call, so those locks are taken at call granularity.
+//! so recording never allocates past a name's first use. The registry
+//! is one mutex over plain name-sorted maps, taken through
+//! [`crate::sync::lock`] once per recording call. Instrumented code
+//! keeps hot-loop tallies in locals and publishes once per call, so the
+//! lock is taken at call granularity, and only while a sink is
+//! installed.
 
 use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock, Mutex, RwLock};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::hist::FixedHistogram;
@@ -38,51 +31,6 @@ pub struct GaugeState {
     pub max: f64,
 }
 
-/// Live storage for one gauge: `f64` bit patterns in atomics so
-/// concurrent `gauge_set` calls need no lock. `last` is a plain store
-/// (whichever thread writes last wins — exactly the serial semantics
-/// under any interleaving); `max` is a compare-and-swap raise loop, so
-/// the high-water mark is exact regardless of write order.
-struct GaugeCell {
-    last: AtomicU64,
-    max: AtomicU64,
-}
-
-impl GaugeCell {
-    fn new(value: f64) -> Self {
-        let bits = value.to_bits();
-        Self {
-            last: AtomicU64::new(bits),
-            max: AtomicU64::new(bits),
-        }
-    }
-
-    fn set(&self, value: f64) {
-        // Relaxed: gauge cell; readers tolerate a stale last value, no data is published through it.
-        self.last.store(value.to_bits(), Ordering::Relaxed);
-        let mut cur = self.max.load(Ordering::Relaxed);
-        while value > f64::from_bits(cur) {
-            // Relaxed: monotonic max raised by CAS; readers tolerate a momentarily stale max.
-            match self.max.compare_exchange_weak(
-                cur,
-                value.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(observed) => cur = observed,
-            }
-        }
-    }
-
-    fn load(&self) -> GaugeState {
-        GaugeState {
-            last: f64::from_bits(self.last.load(Ordering::Relaxed)),
-            max: f64::from_bits(self.max.load(Ordering::Relaxed)),
-        }
-    }
-}
-
 /// Aggregate over all closed spans of one name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanAgg {
@@ -92,36 +40,6 @@ pub struct SpanAgg {
     pub total_ns: u64,
     /// Longest single span, nanoseconds.
     pub max_ns: u64,
-}
-
-/// Why two snapshots could not be merged: a histogram shared by name
-/// between them has mismatched bin geometry, so a bin-wise sum would
-/// silently misattribute samples.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotMergeError {
-    /// Name of the offending histogram.
-    pub name: String,
-    /// The underlying geometry mismatch.
-    pub source: crate::hist::MergeError,
-}
-
-// `?` and `Box<dyn Error>` need it: a missing impl fails here with E0277.
-const _: fn(&SnapshotMergeError) -> &dyn std::error::Error = |e| e;
-
-impl fmt::Display for SnapshotMergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "snapshot merge: histogram {:?}: {}",
-            self.name, self.source
-        )
-    }
-}
-
-impl Error for SnapshotMergeError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        Some(&self.source)
-    }
 }
 
 /// A point-in-time copy of the whole registry, sorted by name within
@@ -146,123 +64,49 @@ impl MetricsSnapshot {
             && self.histograms.is_empty()
             && self.spans.is_empty()
     }
-
-    /// Folds `other` into `self`, name by name, preserving sorted order.
-    ///
-    /// Used by the parallel experiment runner to fuse the per-worker
-    /// snapshots captured at join into one report. Per section:
-    ///
-    /// * counters — summed;
-    /// * gauges — high-water marks take the max of both sides; `last`
-    ///   takes `other`'s value when the name appears there (merge order
-    ///   stands in for write order, which is unobservable across
-    ///   workers);
-    /// * histograms — bin-wise sums via [`FixedHistogram::merge`]
-    ///   (all registry histograms share one geometry);
-    /// * spans — counts and totals summed, max of maxima.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapshotMergeError`] — leaving `self` completely
-    /// untouched — when a histogram shared by name has mismatched bin
-    /// geometry. Snapshots taken from the registry always share one
-    /// geometry; hand-built snapshots may not, and used to be merged
-    /// silently wrong.
-    pub fn merge(&mut self, other: &MetricsSnapshot) -> Result<(), SnapshotMergeError> {
-        // Validate every shared histogram before mutating anything, so
-        // a failed merge cannot leave a half-combined snapshot behind.
-        for (name, rhs) in &other.histograms {
-            if let Ok(i) = self
-                .histograms
-                .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            {
-                self.histograms[i]
-                    .1
-                    .check_geometry(rhs)
-                    .map_err(|source| SnapshotMergeError {
-                        name: name.clone(),
-                        source,
-                    })?;
-            }
-        }
-        fn fold<T: Clone>(
-            dst: &mut Vec<(String, T)>,
-            src: &[(String, T)],
-            combine: impl Fn(&mut T, &T),
-        ) {
-            for (name, rhs) in src {
-                match dst.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                    Ok(i) => combine(&mut dst[i].1, rhs),
-                    Err(i) => dst.insert(i, (name.clone(), rhs.clone())),
-                }
-            }
-        }
-        fold(&mut self.counters, &other.counters, |a, b| *a += b);
-        fold(&mut self.gauges, &other.gauges, |a, b| {
-            a.last = b.last;
-            a.max = a.max.max(b.max);
-        });
-        fold(&mut self.histograms, &other.histograms, |a, b| {
-            // Geometry was pre-validated above; a mismatch here is
-            // unreachable, and ignoring the Ok(()) keeps fold generic.
-            let _ = a.merge(b);
-        });
-        fold(&mut self.spans, &other.spans, |a, b| {
-            a.count += b.count;
-            a.total_ns = a.total_ns.saturating_add(b.total_ns);
-            a.max_ns = a.max_ns.max(b.max_ns);
-        });
-        Ok(())
-    }
 }
 
-#[derive(Default)]
 struct Registry {
-    counters: RwLock<BTreeMap<&'static str, Arc<AtomicU64>>>,
-    gauges: RwLock<BTreeMap<&'static str, Arc<GaugeCell>>>,
-    histograms: Mutex<BTreeMap<&'static str, FixedHistogram>>,
-    spans: Mutex<BTreeMap<&'static str, SpanAgg>>,
+    counters: BTreeMap<&'static str, u64>,
+    gauges: BTreeMap<&'static str, GaugeState>,
+    histograms: BTreeMap<&'static str, FixedHistogram>,
+    spans: BTreeMap<&'static str, SpanAgg>,
 }
 
-static REGISTRY: LazyLock<Registry> = LazyLock::new(Registry::default);
-
-/// Looks up (or registers) the named cell in a `RwLock`'d map and
-/// returns a clone of its `Arc`, so the atomic update itself happens
-/// outside any lock.
-fn cell<T>(
-    map: &RwLock<BTreeMap<&'static str, Arc<T>>>,
-    name: &'static str,
-    init: impl FnOnce() -> T,
-) -> Arc<T> {
-    if let Some(c) = map
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .get(name)
-        .cloned()
-    {
-        return c;
-    }
-    map.write()
-        .unwrap_or_else(|e| e.into_inner())
-        .entry(name)
-        .or_insert_with(|| Arc::new(init()))
-        .clone()
+impl Registry {
+    const EMPTY: Registry = Registry {
+        counters: BTreeMap::new(),
+        gauges: BTreeMap::new(),
+        histograms: BTreeMap::new(),
+        spans: BTreeMap::new(),
+    };
 }
+
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry::EMPTY);
 
 pub(crate) fn counter_add(name: &'static str, delta: u64) {
-    // Relaxed: stats counter; snapshot readers tolerate slightly stale totals.
-    cell(&REGISTRY.counters, name, || AtomicU64::new(0)).fetch_add(delta, Ordering::Relaxed);
+    let mut reg = lock(&REGISTRY);
+    let count = reg.counters.entry(name).or_insert(0);
+    *count = count.wrapping_add(delta);
 }
 
 pub(crate) fn gauge_set(name: &'static str, value: f64) {
-    // First registration records `value` as both last and max; the
-    // `set` after is then a no-op raise, keeping the fast path uniform.
-    cell(&REGISTRY.gauges, name, || GaugeCell::new(value)).set(value);
+    let mut reg = lock(&REGISTRY);
+    // The first set is both last and max; a NaN never raises the max.
+    let gauge = reg.gauges.entry(name).or_insert(GaugeState {
+        last: value,
+        max: value,
+    });
+    gauge.last = value;
+    if value > gauge.max {
+        gauge.max = value;
+    }
 }
 
 pub(crate) fn record_duration(name: &'static str, d: Duration) {
     let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-    lock(&REGISTRY.histograms)
+    lock(&REGISTRY)
+        .histograms
         .entry(name)
         .or_insert_with(|| FixedHistogram::new(DURATION_BIN_WIDTH_NS, DURATION_BINS))
         .record(ns);
@@ -270,61 +114,33 @@ pub(crate) fn record_duration(name: &'static str, d: Duration) {
 
 pub(crate) fn span_closed(name: &'static str, dur: Duration) {
     let ns = u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
-    let mut spans = lock(&REGISTRY.spans);
-    let agg = spans.entry(name).or_default();
+    let mut reg = lock(&REGISTRY);
+    let agg = reg.spans.entry(name).or_default();
     agg.count += 1;
     agg.total_ns = agg.total_ns.saturating_add(ns);
     agg.max_ns = agg.max_ns.max(ns);
 }
 
-/// Copies the registry into a snapshot, sorted by name.
+/// Copies the registry into a snapshot, sorted by name. One lock covers
+/// all four sections, so they agree with each other.
 pub fn snapshot() -> MetricsSnapshot {
-    // One statement per map: a guard lives to the end of its statement,
-    // and this thread may hold one registry mutex at a time.
-    let counters = REGISTRY
-        .counters
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|(n, v)| (n.to_string(), v.load(Ordering::Relaxed)))
-        .collect();
-    let gauges = REGISTRY
-        .gauges
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|(n, g)| (n.to_string(), g.load()))
-        .collect();
-    let histograms = lock(&REGISTRY.histograms)
-        .iter()
-        .map(|(n, h)| (n.to_string(), h.clone()))
-        .collect();
-    let spans = lock(&REGISTRY.spans)
-        .iter()
-        .map(|(n, a)| (n.to_string(), *a))
-        .collect();
+    fn copy<T: Clone>(map: &BTreeMap<&'static str, T>) -> Vec<(String, T)> {
+        map.iter()
+            .map(|(n, v)| (n.to_string(), v.clone()))
+            .collect()
+    }
+    let reg = lock(&REGISTRY);
     MetricsSnapshot {
-        counters,
-        gauges,
-        histograms,
-        spans,
+        counters: copy(&reg.counters),
+        gauges: copy(&reg.gauges),
+        histograms: copy(&reg.histograms),
+        spans: copy(&reg.spans),
     }
 }
 
 /// Empties the registry.
 pub(crate) fn clear() {
-    REGISTRY
-        .counters
-        .write()
-        .unwrap_or_else(|e| e.into_inner())
-        .clear();
-    REGISTRY
-        .gauges
-        .write()
-        .unwrap_or_else(|e| e.into_inner())
-        .clear();
-    lock(&REGISTRY.histograms).clear();
-    lock(&REGISTRY.spans).clear();
+    *lock(&REGISTRY) = Registry::EMPTY;
 }
 
 #[cfg(test)]
@@ -363,6 +179,28 @@ mod tests {
             .expect("gauge present");
         assert_eq!(g.last, 2.0);
         assert_eq!(g.max, 9.0);
+    }
+
+    #[test]
+    fn counters_wrap_and_a_nan_never_raises_a_gauge() {
+        let _guard = crate::test_lock::hold();
+        counter_add("metrics.test.wrap", u64::MAX);
+        counter_add("metrics.test.wrap", 2);
+        gauge_set("metrics.test.nan_later", 1.0);
+        gauge_set("metrics.test.nan_later", f64::NAN);
+        gauge_set("metrics.test.nan_first", f64::NAN);
+        gauge_set("metrics.test.nan_first", 5.0);
+        let snap = snapshot();
+        let counter = |name| snap.counters.iter().find(|(n, _)| n == name).map(|c| c.1);
+        let gauge = |name| snap.gauges.iter().find(|(n, _)| n == name).map(|g| g.1);
+        assert_eq!(counter("metrics.test.wrap"), Some(1));
+        let later = gauge("metrics.test.nan_later").expect("gauge present");
+        assert!(later.last.is_nan());
+        assert_eq!(later.max, 1.0);
+        // The first set is the max, even a NaN, and nothing compares above it.
+        let first = gauge("metrics.test.nan_first").expect("gauge present");
+        assert_eq!(first.last, 5.0);
+        assert!(first.max.is_nan());
     }
 
     #[test]
@@ -451,105 +289,5 @@ mod tests {
             .find(|(n, _)| n == "metrics.test.gauge.concurrent")
             .expect("gauge present");
         assert_eq!(g.max, 7_999.0);
-    }
-
-    #[test]
-    fn snapshot_merge_combines_sections() {
-        let mut a = MetricsSnapshot {
-            counters: vec![("c.only_a".into(), 1), ("c.shared".into(), 10)],
-            gauges: vec![(
-                "g.shared".into(),
-                GaugeState {
-                    last: 3.0,
-                    max: 8.0,
-                },
-            )],
-            histograms: Vec::new(),
-            spans: vec![(
-                "s.shared".into(),
-                SpanAgg {
-                    count: 2,
-                    total_ns: 100,
-                    max_ns: 60,
-                },
-            )],
-        };
-        let mut h = FixedHistogram::new(10, 4);
-        h.record(5);
-        let b = MetricsSnapshot {
-            counters: vec![("c.only_b".into(), 7), ("c.shared".into(), 5)],
-            gauges: vec![(
-                "g.shared".into(),
-                GaugeState {
-                    last: 4.0,
-                    max: 6.0,
-                },
-            )],
-            histograms: vec![("h.only_b".into(), h)],
-            spans: vec![(
-                "s.shared".into(),
-                SpanAgg {
-                    count: 1,
-                    total_ns: 90,
-                    max_ns: 90,
-                },
-            )],
-        };
-        a.merge(&b).expect("shared geometry merges");
-        assert_eq!(
-            a.counters,
-            vec![
-                ("c.only_a".to_string(), 1),
-                ("c.only_b".to_string(), 7),
-                ("c.shared".to_string(), 15),
-            ]
-        );
-        assert_eq!(a.gauges[0].1.last, 4.0);
-        assert_eq!(a.gauges[0].1.max, 8.0);
-        assert_eq!(a.histograms.len(), 1);
-        assert_eq!(a.histograms[0].1.count(), 1);
-        let s = a.spans[0].1;
-        assert_eq!((s.count, s.total_ns, s.max_ns), (3, 190, 90));
-    }
-
-    #[test]
-    fn snapshot_merge_rejects_mismatched_histograms_untouched() {
-        // Regression: hand-built snapshots with same-named histograms
-        // of different geometry used to merge silently wrong (or die on
-        // an assert deep inside the histogram). The merge must now fail
-        // with a typed error naming the histogram and leave the
-        // destination byte-for-byte intact — including sections that
-        // would have merged before the offending name.
-        let mut narrow = FixedHistogram::new(10, 4);
-        narrow.record(5);
-        let mut wide = FixedHistogram::new(20, 4);
-        wide.record(5);
-        let mut a = MetricsSnapshot {
-            counters: vec![("c.shared".into(), 1)],
-            gauges: Vec::new(),
-            histograms: vec![("h.shared".into(), narrow.clone())],
-            spans: Vec::new(),
-        };
-        let b = MetricsSnapshot {
-            counters: vec![("c.shared".into(), 5)],
-            gauges: Vec::new(),
-            histograms: vec![("h.shared".into(), wide)],
-            spans: Vec::new(),
-        };
-        let before = (a.counters.clone(), a.histograms.clone());
-        let err = a.merge(&b).expect_err("geometry mismatch must fail");
-        assert_eq!(err.name, "h.shared");
-        assert!(err.to_string().contains("h.shared"));
-        assert!(std::error::Error::source(&err).is_some());
-        assert_eq!((a.counters.clone(), a.histograms.clone()), before);
-        // Disjoint histogram names never conflict, whatever the shape.
-        let c = MetricsSnapshot {
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            histograms: vec![("h.other".into(), FixedHistogram::new(999, 2))],
-            spans: Vec::new(),
-        };
-        a.merge(&c).expect("disjoint names merge");
-        assert_eq!(a.histograms.len(), 2);
     }
 }

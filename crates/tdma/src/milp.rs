@@ -83,53 +83,25 @@ pub fn min_max_delay_order(
     solve(graph, demands, &reqs, frame, frame.slots(), config, true)
 }
 
-/// Decides whether a schedule exists meeting every path's deadline, and
-/// returns one if so.
+/// Decides whether a schedule exists that meets every path's deadline
+/// with all guaranteed transmissions inside the first `used_slots`
+/// minislots of the frame, and returns one if so.
 ///
-/// This is the feasibility oracle of the minislot search: the admission
-/// controller calls it with increasing frame sizes until it succeeds.
-/// The answer is *a feasible point, not the most compact one*: the model
-/// carries no objective, so the solve stops at the first schedule that
-/// meets every constraint and its start times may leave gaps. A caller
-/// that wants the tight layout replays the returned order through
+/// This is the oracle of the minislot search: the frame (and hence the
+/// wrap cost of a backwards-ordered hop) stays at its full length, while
+/// the admission controller shrinks `used_slots` to find the smallest
+/// guaranteed-traffic region, leaving the rest of the frame to best
+/// effort. The answer is *a feasible point, not the most compact one*:
+/// the model carries no objective, so the solve stops at the first
+/// schedule that meets every constraint; its makespan is at most
+/// `used_slots`, not minimal, and its start times may leave gaps. A
+/// caller that wants the tight layout replays the returned order through
 /// [`validate_order_within`] (earliest starts of that order).
 ///
 /// # Errors
 ///
 /// Same conditions as [`min_max_delay_order`];
 /// [`ScheduleError::Infeasible`] is the expected "no" answer.
-pub fn feasible_order(
-    graph: &ConflictGraph,
-    demands: &Demands,
-    requirements: &[PathRequirement],
-    frame: FrameConfig,
-    config: &SolverConfig,
-) -> Result<OrderSolution, ScheduleError> {
-    solve(
-        graph,
-        demands,
-        requirements,
-        frame,
-        frame.slots(),
-        config,
-        false,
-    )
-}
-
-/// Like [`feasible_order`], but confines all guaranteed transmissions to
-/// the first `used_slots` minislots of the frame.
-///
-/// This is the oracle of the minislot search: the frame (and hence the
-/// wrap cost of a backwards-ordered hop) stays at its full length, while
-/// the admission controller shrinks `used_slots` to find the smallest
-/// guaranteed-traffic region, leaving the rest of the frame to best
-/// effort. As with [`feasible_order`] the result is a feasible point, not
-/// the most compact one: its makespan is at most `used_slots`, not
-/// minimal.
-///
-/// # Errors
-///
-/// Same conditions as [`feasible_order`].
 ///
 /// # Panics
 ///
@@ -516,18 +488,27 @@ mod tests {
             path: path.clone(),
             deadline_slots: Some(3),
         };
-        let sol = feasible_order(&cg, &demands, &[tight], frame, &SolverConfig::default()).unwrap();
+        let sol = feasible_order_within(
+            &cg,
+            &demands,
+            &[tight],
+            frame,
+            frame.slots(),
+            &SolverConfig::default(),
+        )
+        .unwrap();
         assert!(path_delay_slots(&sol.schedule, &path).unwrap() <= 3);
 
         let impossible = PathRequirement {
             path: path.clone(),
             deadline_slots: Some(2),
         };
-        let err = feasible_order(
+        let err = feasible_order_within(
             &cg,
             &demands,
             &[impossible],
             frame,
+            frame.slots(),
             &SolverConfig::default(),
         )
         .unwrap_err();
@@ -690,7 +671,15 @@ mod tests {
             InterferenceModel::protocol_default(),
         );
         let frame = FrameConfig::new(16, 100);
-        let sol = feasible_order(&cg, &demands, &reqs, frame, &SolverConfig::default()).unwrap();
+        let sol = feasible_order_within(
+            &cg,
+            &demands,
+            &reqs,
+            frame,
+            frame.slots(),
+            &SolverConfig::default(),
+        )
+        .unwrap();
         let delays: Vec<u64> = reqs
             .iter()
             .map(|r| path_delay_slots(&sol.schedule, &r.path).unwrap())
