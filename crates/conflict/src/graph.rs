@@ -35,199 +35,6 @@ impl InterferenceModel {
     }
 }
 
-/// One vertex's slice of the shared adjacency pool.
-#[derive(Debug, Clone, Copy)]
-struct AdjSpan {
-    /// First pool slot of this vertex's neighbor list.
-    start: usize,
-    /// Live neighbors (sorted ascending in `pool[start..start + len]`).
-    len: usize,
-    /// Reserved slots; `cap - len` is headroom for in-place growth.
-    cap: usize,
-}
-
-/// Pooled CSR adjacency: every neighbor list lives in one shared
-/// `pool` vector, addressed by a per-vertex [`AdjSpan`].
-///
-/// Compared to `Vec<Vec<usize>>` this keeps all adjacency data in one
-/// contiguous allocation — the Bellman–Ford relaxation and clique
-/// enumeration walk neighbor lists of consecutive vertices, which now
-/// hit one cache-friendly buffer instead of chasing a pointer per
-/// vertex. Lists stay sorted ascending so `binary_search`-based
-/// membership tests keep working unchanged.
-///
-/// Mutation support: a span that outgrows its capacity is relocated to
-/// the end of the pool and its old slots become *dead*; removing a
-/// vertex kills its whole span. Dead slots are counted and the pool is
-/// compacted (spans rewritten tightly, in vertex order) once more than
-/// half of it is dead, so long insert/remove churn cannot leak memory.
-#[derive(Debug, Clone, Default)]
-struct CsrPool {
-    pool: Vec<usize>,
-    spans: Vec<AdjSpan>,
-    dead: usize,
-}
-
-/// Pool slots below this size are never worth compacting.
-const COMPACT_MIN_POOL: usize = 64;
-
-impl CsrPool {
-    /// Builds the pool from an edge list with `i < j`, ordered by
-    /// ascending `i` then ascending `j` (the order the pairwise build
-    /// loop emits). Cursor-filling from that order leaves every
-    /// neighbor list sorted: vertex `v` first receives its smaller
-    /// neighbors `k < v` (while the outer loop is at `k`, ascending),
-    /// then its larger neighbors (ascending `j`) once the loop reaches
-    /// `v`.
-    fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut degree = vec![0usize; n];
-        for &(i, j) in edges {
-            degree[i] += 1;
-            degree[j] += 1;
-        }
-        let mut spans = Vec::with_capacity(n);
-        let mut start = 0;
-        for &d in &degree {
-            spans.push(AdjSpan {
-                start,
-                len: 0,
-                cap: d,
-            });
-            start += d;
-        }
-        let mut csr = Self {
-            pool: vec![usize::MAX; start],
-            spans,
-            dead: 0,
-        };
-        for &(i, j) in edges {
-            let s = csr.spans[i];
-            csr.pool[s.start + s.len] = j;
-            csr.spans[i].len += 1;
-            let s = csr.spans[j];
-            csr.pool[s.start + s.len] = i;
-            csr.spans[j].len += 1;
-        }
-        debug_assert!((0..n).all(|v| csr.neighbors(v).windows(2).all(|w| w[0] < w[1])));
-        csr
-    }
-
-    fn neighbors(&self, i: usize) -> &[usize] {
-        let s = self.spans[i];
-        &self.pool[s.start..s.start + s.len]
-    }
-
-    /// Appends `v` to span `j`. The caller guarantees `v` is larger than
-    /// every current element (true when `v` is a freshly inserted
-    /// vertex, which always takes the highest dense index), so the list
-    /// stays sorted without shifting.
-    fn append_max(&mut self, j: usize, v: usize) {
-        if self.spans[j].len == self.spans[j].cap {
-            self.relocate(j);
-        }
-        let s = self.spans[j];
-        debug_assert!(s.len == 0 || self.pool[s.start + s.len - 1] < v);
-        self.pool[s.start + s.len] = v;
-        self.spans[j].len += 1;
-    }
-
-    /// Moves span `j` to the end of the pool with doubled headroom,
-    /// marking its old slots dead.
-    fn relocate(&mut self, j: usize) {
-        let s = self.spans[j];
-        let cap = (s.len + 1).next_power_of_two().max(4);
-        let start = self.pool.len();
-        for k in 0..s.len {
-            let v = self.pool[s.start + k];
-            self.pool.push(v);
-        }
-        self.pool.resize(start + cap, usize::MAX);
-        self.dead += s.cap;
-        self.spans[j] = AdjSpan {
-            start,
-            len: s.len,
-            cap,
-        };
-    }
-
-    /// Removes value `v` from span `j`, shifting the tail left. The slot
-    /// freed inside the span is headroom, not dead space.
-    fn remove_value(&mut self, j: usize, v: usize) {
-        let s = self.spans[j];
-        #[expect(
-            clippy::expect_used,
-            reason = "adjacency is symmetric: v is in j's span iff j is in v's"
-        )]
-        let pos = self.pool[s.start..s.start + s.len]
-            .binary_search(&v)
-            .expect("symmetric edge");
-        for k in pos..s.len - 1 {
-            self.pool[s.start + k] = self.pool[s.start + k + 1];
-        }
-        self.spans[j].len -= 1;
-    }
-
-    /// Relabels `old` to `new` inside span `j`: removes `old`, inserts
-    /// `new` at its sorted position. Net length is unchanged, so the
-    /// span never grows.
-    fn replace_value(&mut self, j: usize, old: usize, new: usize) {
-        self.remove_value(j, old);
-        let s = self.spans[j];
-        #[expect(
-            clippy::expect_used,
-            reason = "the graph is irreflexive, so `new` cannot already be adjacent"
-        )]
-        let pos = self.pool[s.start..s.start + s.len]
-            .binary_search(&new)
-            .expect_err("irreflexive");
-        for k in (pos..s.len).rev() {
-            self.pool[s.start + k + 1] = self.pool[s.start + k];
-        }
-        self.pool[s.start + pos] = new;
-        self.spans[j].len += 1;
-    }
-
-    /// Appends a new span holding `list` (sorted) at the end of the pool.
-    fn push_span(&mut self, list: &[usize]) {
-        let cap = list.len().next_power_of_two().max(4);
-        let start = self.pool.len();
-        self.pool.extend_from_slice(list);
-        self.pool.resize(start + cap, usize::MAX);
-        self.spans.push(AdjSpan {
-            start,
-            len: list.len(),
-            cap,
-        });
-    }
-
-    /// Swap-removes span `i` (mirroring `Vec::swap_remove` on the
-    /// vertex set), killing its pool slots.
-    fn swap_remove_span(&mut self, i: usize) {
-        let s = self.spans.swap_remove(i);
-        self.dead += s.cap;
-    }
-
-    /// Rewrites the pool tightly (spans in vertex order, `cap == len`)
-    /// once more than half of it is dead.
-    fn maybe_compact(&mut self) {
-        if self.pool.len() < COMPACT_MIN_POOL || self.dead * 2 <= self.pool.len() {
-            return;
-        }
-        let mut pool = Vec::with_capacity(self.pool.len() - self.dead);
-        for s in &mut self.spans {
-            let start = pool.len();
-            pool.extend_from_slice(&self.pool[s.start..s.start + s.len]);
-            *s = AdjSpan {
-                start,
-                len: s.len,
-                cap: s.len,
-            };
-        }
-        self.pool = pool;
-        self.dead = 0;
-    }
-}
-
 /// The conflict graph over a set of directed links.
 ///
 /// Vertices are links (either all links of a topology, via
@@ -235,10 +42,8 @@ impl CsrPool {
 /// [`ConflictGraph::build_for_links`]); edges join links that cannot share
 /// a TDMA slot. The graph is symmetric and irreflexive by construction.
 ///
-/// Adjacency is stored in a pooled CSR layout (`CsrPool`): one shared
-/// buffer, one span per vertex, lists sorted ascending. Scans over many
-/// vertices (Bellman–Ford, clique enumeration, coloring) walk contiguous
-/// memory instead of one heap allocation per vertex.
+/// Adjacency is one neighbour list per vertex, over dense indices and
+/// sorted ascending, so membership is a binary search.
 #[derive(Debug, Clone)]
 pub struct ConflictGraph {
     /// The vertex set, in insertion order.
@@ -246,8 +51,8 @@ pub struct ConflictGraph {
     /// Dense index of each vertex, at its `LinkId::index()`; `None` for a
     /// link that is not a vertex.
     index: Vec<Option<usize>>,
-    /// Pooled adjacency over dense indices, each list sorted ascending.
-    adj: CsrPool,
+    /// Adjacency over dense indices, each list sorted ascending.
+    adj: Vec<Vec<usize>>,
     edge_count: usize,
 }
 
@@ -293,14 +98,25 @@ impl ConflictGraph {
         };
         let d = |t: NodeId, r: NodeId| hop_dist[t.index()][r.index()];
         let mut edges = Vec::new();
+        let mut degree = vec![0; links.len()];
         for (i, a) in ends.iter().enumerate() {
             for (j, b) in ends.iter().enumerate().skip(i + 1) {
                 if conflicts(topo, a, b, model, || (d(a.tx, b.rx), d(b.tx, a.rx))) {
                     edges.push((i, j));
+                    degree[i] += 1;
+                    degree[j] += 1;
                 }
             }
         }
-        let adj = CsrPool::from_edges(links.len(), &edges);
+        // Edges are ordered by ascending `i`, then ascending `j`, so each
+        // vertex receives its smaller neighbours before its larger ones,
+        // both in ascending order: every list comes out sorted. Sizing
+        // each list first allocates it once.
+        let mut adj: Vec<Vec<usize>> = degree.into_iter().map(Vec::with_capacity).collect();
+        for &(i, j) in &edges {
+            adj[i].push(j);
+            adj[j].push(i);
+        }
         Self {
             links,
             index,
@@ -341,51 +157,40 @@ impl ConflictGraph {
     /// Links conflicting with `link` (empty if `link` is not a vertex).
     pub fn conflicts_of(&self, link: LinkId) -> Vec<LinkId> {
         match self.index_of(link) {
-            Some(i) => self
-                .adj
-                .neighbors(i)
-                .iter()
-                .map(|&j| self.links[j])
-                .collect(),
+            Some(i) => self.adj[i].iter().map(|&j| self.links[j]).collect(),
             None => Vec::new(),
         }
     }
 
     /// Adjacency (dense indices) of vertex `i`, sorted ascending.
     pub fn neighbors(&self, i: usize) -> &[usize] {
-        self.adj.neighbors(i)
+        &self.adj[i]
     }
 
     /// Whether two links conflict. Links not in the graph never conflict.
     pub fn are_in_conflict(&self, a: LinkId, b: LinkId) -> bool {
         match (self.index_of(a), self.index_of(b)) {
-            (Some(i), Some(j)) => self.adj.neighbors(i).binary_search(&j).is_ok(),
+            (Some(i), Some(j)) => self.adj[i].binary_search(&j).is_ok(),
             _ => false,
         }
     }
 
     /// Degree of vertex `i`.
     pub fn degree(&self, i: usize) -> usize {
-        self.adj.neighbors(i).len()
+        self.adj[i].len()
     }
 
     /// Maximum vertex degree (0 for an empty graph).
     pub fn max_degree(&self) -> usize {
-        (0..self.links.len())
-            .map(|i| self.adj.neighbors(i).len())
-            .max()
-            .unwrap_or(0)
+        self.adj.iter().map(Vec::len).max().unwrap_or(0)
     }
 
     /// All conflict edges as dense index pairs `(i, j)` with `i < j`.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.links.len()).flat_map(move |i| {
-            self.adj
-                .neighbors(i)
-                .iter()
-                .filter(move |&&j| i < j)
-                .map(move |&j| (i, j))
-        })
+        self.adj
+            .iter()
+            .enumerate()
+            .flat_map(|(i, nbrs)| nbrs.iter().filter(move |&&j| i < j).map(move |&j| (i, j)))
     }
 
     /// Adds `link` as a new vertex with the conflicts [`conflicting_links`]
@@ -423,15 +228,14 @@ impl ConflictGraph {
         let mut nbrs = Vec::new();
         for (j, lj) in self.links.iter().enumerate() {
             if conflicting.binary_search(lj).is_ok() {
-                self.adj.append_max(j, i); // i is the largest index: stays sorted
+                self.adj[j].push(i); // i is the largest index: stays sorted
                 nbrs.push(j);
             }
         }
         self.edge_count += nbrs.len();
         self.links.push(link);
         self.set_index(link, Some(i));
-        self.adj.push_span(&nbrs); // ascending by construction
-        self.adj.maybe_compact();
+        self.adj.push(nbrs); // ascending by construction
         true
     }
 
@@ -445,22 +249,24 @@ impl ConflictGraph {
         self.set_index(link, None);
         let last = self.links.len() - 1;
         // Drop edges incident to i.
-        let nbrs: Vec<usize> = self.adj.neighbors(i).to_vec();
+        let nbrs = std::mem::take(&mut self.adj[i]);
         self.edge_count -= nbrs.len();
         for j in nbrs {
-            self.adj.remove_value(j, i);
+            remove_sorted(&mut self.adj[j], i);
         }
-        // Move the last vertex into slot i (its span moves with it) and
+        // Move the last vertex into slot i (its list moves with it) and
         // relabel `last` -> `i` in every adjacency list it appears in.
         self.links.swap_remove(i);
-        self.adj.swap_remove_span(i);
+        self.adj.swap_remove(i);
         if i != last {
             self.set_index(self.links[i], Some(i));
-            for j in self.adj.neighbors(i).to_vec() {
-                self.adj.replace_value(j, last, i);
+            for k in 0..self.adj[i].len() {
+                let j = self.adj[i][k];
+                let list = &mut self.adj[j];
+                remove_sorted(list, last);
+                list.insert(list.partition_point(|&v| v < i), i);
             }
         }
-        self.adj.maybe_compact();
         true
     }
 
@@ -496,6 +302,16 @@ impl ConflictGraph {
     pub fn clique_cover(&self) -> Vec<Vec<usize>> {
         crate::cliques::greedy_clique_cover(self)
     }
+}
+
+/// Removes `v` from the sorted neighbour list `list`.
+fn remove_sorted(list: &mut Vec<usize>, v: usize) {
+    #[expect(
+        clippy::expect_used,
+        reason = "adjacency is symmetric: v is in j's list iff j is in v's"
+    )]
+    let pos = list.binary_search(&v).expect("symmetric edge");
+    list.remove(pos);
 }
 
 /// Every link of `topo` that conflicts with `link` under `model`,
@@ -817,9 +633,9 @@ mod tests {
         assert!(same_conflicts(&cg, &full));
     }
 
-    /// Exhaustive CSR pool invariants: spans in bounds, lists sorted,
+    /// Exhaustive adjacency invariants: indices in bounds, lists sorted,
     /// symmetric, irreflexive, edge count consistent.
-    fn assert_pool_invariants(cg: &ConflictGraph) {
+    fn assert_adjacency_invariants(cg: &ConflictGraph) {
         let n = cg.vertex_count();
         let mut edges = 0;
         for i in 0..n {
@@ -836,16 +652,10 @@ mod tests {
             edges += nbrs.len();
         }
         assert_eq!(edges, 2 * cg.edge_count(), "edge count drifted");
-        assert!(
-            cg.adj.pool.len() < COMPACT_MIN_POOL || cg.adj.dead * 2 <= cg.adj.pool.len(),
-            "compaction failed to bound dead slots: {} dead of {}",
-            cg.adj.dead,
-            cg.adj.pool.len()
-        );
     }
 
     #[test]
-    fn heavy_insert_remove_churn_keeps_pool_compact() {
+    fn heavy_insert_remove_churn_keeps_lists_sorted_and_symmetric() {
         let topo = generators::grid(4, 4);
         let model = InterferenceModel::protocol_default();
         let all: Vec<LinkId> = topo.link_ids().collect();
@@ -868,13 +678,13 @@ mod tests {
                 let l = absent.swap_remove(rng() % absent.len());
                 assert!(cg.insert_vertex(&topo, l, model));
             }
-            assert_pool_invariants(&cg);
+            assert_adjacency_invariants(&cg);
         }
         // Restore everything and compare against a fresh rebuild.
         for &l in &absent {
             assert!(cg.insert_vertex(&topo, l, model));
         }
-        assert_pool_invariants(&cg);
+        assert_adjacency_invariants(&cg);
         assert_eq!(cg.vertex_count(), all.len());
         let full = ConflictGraph::build(&topo, model);
         assert!(same_conflicts(&cg, &full));

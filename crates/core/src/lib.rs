@@ -75,9 +75,6 @@ mod flow;
 mod network;
 mod session;
 
-pub mod best_effort;
-pub mod multipath;
-
 pub use admission::{AdmissionOutcome, AdmittedFlow, GreedyKey, OrderPolicy, RejectReason};
 pub use builder::MeshQosBuilder;
 pub use error::QosError;

@@ -10,7 +10,7 @@ use wimesh_phy80211::dcf::{DcfConfig, DcfFlow, DcfSimulation};
 use wimesh_phy80211::RateTable;
 use wimesh_sim::traffic::TrafficSource;
 use wimesh_sim::FlowStats;
-use wimesh_topology::routing::{shortest_path, Path};
+use wimesh_topology::routing::shortest_path;
 use wimesh_topology::{MeshTopology, NodeId};
 
 use crate::admission::{self, AdmissionOutcome, OrderPolicy};
@@ -172,27 +172,7 @@ impl MeshQos {
     }
 
     /// Runs admission control over `flows` under `policy`, each on its
-    /// minimum-hop route ([`MeshQos::admit_routed`] has the contract).
-    ///
-    /// # Errors
-    ///
-    /// [`QosError::InvalidRate`] for a rate that is not finite and positive;
-    /// scheduling and solver failures other than plain infeasibility (which
-    /// is reported per flow in the outcome, not as an error).
-    pub fn admit(
-        &self,
-        flows: &[FlowSpec],
-        policy: OrderPolicy,
-    ) -> Result<AdmissionOutcome, QosError> {
-        let route = |spec: &FlowSpec| shortest_path(&self.topo, spec.src, spec.dst).ok();
-        let routed: Vec<_> = flows.iter().map(|f| (f.clone(), route(f))).collect();
-        self.admit_routed(&routed, policy)
-    }
-
-    /// Admission over caller-supplied routes (`None` = reject as
-    /// unroutable). The entry point for multipath admission — see
-    /// [`crate::multipath::split_over_disjoint_paths`] — and any custom
-    /// routing policy.
+    /// minimum-hop route (an unroutable flow is rejected).
     ///
     /// The flows are vetted, then placed one at a time on a fresh
     /// [`QosSession`](crate::QosSession): in input order, or cheapest
@@ -207,13 +187,17 @@ impl MeshQos {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`MeshQos::admit`].
-    pub fn admit_routed(
+    /// [`QosError::InvalidRate`] for a rate that is not finite and positive;
+    /// scheduling and solver failures other than plain infeasibility (which
+    /// is reported per flow in the outcome, not as an error).
+    pub fn admit(
         &self,
-        flows: &[(FlowSpec, Option<Path>)],
+        flows: &[FlowSpec],
         policy: OrderPolicy,
     ) -> Result<AdmissionOutcome, QosError> {
-        crate::QosSession::admit_fresh(self, flows, policy)
+        let route = |spec: &FlowSpec| shortest_path(&self.topo, spec.src, spec.dst).ok();
+        let routed: Vec<_> = flows.iter().map(|f| (f.clone(), route(f))).collect();
+        crate::QosSession::admit_fresh(self, &routed, policy)
     }
 
     /// Simulates the admitted flows over the emulated TDMA MAC for

@@ -539,7 +539,7 @@ impl QosSession {
         self.place_batch(routed.iter().map(|(s, p)| (*s, p.as_ref())), true)
     }
 
-    /// The engine behind [`MeshQos::admit`] and [`MeshQos::admit_routed`]:
+    /// The engine behind [`MeshQos::admit`] and [`QosSession::rebalance`]:
     /// a fresh session places `flows` one at a time, in input order or by
     /// the greedy key, on the routes given. Unlike
     /// [`QosSession::admit_batch`] it never tries the whole batch first:
@@ -913,9 +913,9 @@ impl QosSession {
     }
 
     /// Recomputes everything from scratch: re-places the current flows on
-    /// a fresh session ([`MeshQos::admit_routed`] over their routes, in
-    /// admission order), rebuilds the conflict graph and bulk loads the
-    /// per-link and per-flow state from the result.
+    /// a fresh session (the engine of [`MeshQos::admit`], over their
+    /// routes, in admission order), rebuilds the conflict graph and bulk
+    /// loads the per-link and per-flow state from the result.
     ///
     /// What is left is the state a session that had never seen anything
     /// but these flows would hold — no warm order, no vertex numbering,
@@ -927,7 +927,7 @@ impl QosSession {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`MeshQos::admit_routed`].
+    /// Same conditions as [`MeshQos::admit`].
     pub fn rebalance(&mut self) -> Result<&AdmissionOutcome, QosError> {
         let _span = wimesh_obs::span!("session.rebalance");
         self.stats.graph_rebuilds += 1;
@@ -938,7 +938,7 @@ impl QosSession {
             .iter()
             .map(|a| (a.spec.clone(), Some(a.path.clone())))
             .collect();
-        let cold = self.mesh.admit_routed(&routed, self.policy)?;
+        let cold = Self::admit_fresh(&self.mesh, &routed, self.policy)?;
 
         // Rejections recorded before the rebalance stay in the log.
         for (spec, reason) in &cold.rejected {
@@ -1227,7 +1227,7 @@ impl QosSession {
         let makespan = self.sweep_starts();
         if makespan > u64::from(frame.slots()) {
             return Err(ScheduleError::FrameTooShort {
-                needed: makespan as u32,
+                needed: u32::try_from(makespan).unwrap_or(u32::MAX),
                 available: frame.slots(),
             });
         }
@@ -1892,6 +1892,24 @@ mod tests {
         assert_eq!(session.snapshot().guaranteed_slots, 0);
         assert!(!session.release(call.id).unwrap());
         assert!(session.admit(&call).unwrap().is_admitted());
+    }
+
+    #[test]
+    fn admit_via_a_path_to_the_wrong_node_is_a_config_error() {
+        let mesh = mesh(5);
+        let mut session = mesh.session(OrderPolicy::HopOrder);
+        let first = FlowSpec::voip(1, NodeId(3), NodeId(0), VoipCodec::G711);
+        assert!(session.admit(&first).unwrap().is_admitted());
+        let booked = session.export_state();
+        let admits = session.stats().admits;
+
+        let call = FlowSpec::voip(2, NodeId(4), NodeId(0), VoipCodec::G711);
+        let wrong = shortest_path(mesh.topology(), call.src, NodeId(1)).unwrap();
+        let err = session.admit_via(&call, wrong).unwrap_err();
+        assert!(matches!(err, QosError::Config(_)), "{err:?}");
+        assert_eq!(session.export_state(), booked);
+        assert_eq!(session.stats().admits, admits);
+        assert_state_consistent(&session);
     }
 
     #[test]

@@ -177,14 +177,15 @@ fn sequential_schedule(demands: &Demands, frame: FrameConfig) -> Result<Schedule
     let mut ranges = std::collections::BTreeMap::new();
     let mut cursor = 0u32;
     for (link, d) in demands.iter() {
-        if cursor + d > frame.slots() {
+        let end = u64::from(cursor) + u64::from(d);
+        if end > u64::from(frame.slots()) {
             return Err(ScheduleError::FrameTooShort {
-                needed: cursor + d,
+                needed: u32::try_from(end).unwrap_or(u32::MAX),
                 available: frame.slots(),
             });
         }
         ranges.insert(link, SlotRange::new(cursor, d));
-        cursor += d;
+        cursor += d; // `end` fits the frame, so this cannot overflow
     }
     Schedule::from_ranges(frame, ranges)
 }
@@ -203,17 +204,19 @@ fn coloring_schedule(
         let c = coloring.color_of_index(i);
         widths[c] = widths[c].max(demands.get(link));
     }
+    let total: u64 = widths.iter().map(|&w| u64::from(w)).sum();
+    if total > u64::from(frame.slots()) {
+        return Err(ScheduleError::FrameTooShort {
+            needed: u32::try_from(total).unwrap_or(u32::MAX),
+            available: frame.slots(),
+        });
+    }
+    // The bands fit the frame, so no offset overflows.
     let mut offsets = vec![0u32; coloring.color_count()];
     let mut cursor = 0u32;
     for (c, &w) in widths.iter().enumerate() {
         offsets[c] = cursor;
         cursor += w;
-    }
-    if cursor > frame.slots() {
-        return Err(ScheduleError::FrameTooShort {
-            needed: cursor,
-            available: frame.slots(),
-        });
     }
     let mut ranges = std::collections::BTreeMap::new();
     for (i, &link) in graph.links().iter().enumerate() {
@@ -389,6 +392,41 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ScheduleError::FrameTooShort { .. }));
+    }
+
+    #[test]
+    fn demand_past_u32_max_reports_frame_too_short_in_every_mode() {
+        // 1 + u32::MAX slots wraps to 0 in `u32`: a schedule that does not
+        // fit must still be refused, with `needed` saturated.
+        let (topo, routing) = setup(3);
+        let uplinks = routing.uplink_links(&topo);
+        let mut demands = Demands::new();
+        demands.set(uplinks[0], 1);
+        demands.set(uplinks[1], u32::MAX);
+        for mode in [
+            CschMode::Sequential,
+            CschMode::SpatialReuse,
+            CschMode::MinSlots,
+        ] {
+            let err = run_centralized(
+                &topo,
+                &routing,
+                &demands,
+                CschConfig {
+                    frame: FrameConfig::new(64, 100),
+                    mode,
+                },
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                ScheduleError::FrameTooShort {
+                    needed: u32::MAX,
+                    available: 64
+                },
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]

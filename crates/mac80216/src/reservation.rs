@@ -149,10 +149,6 @@ pub fn run_distributed(
                 continue;
             };
             messages_sent += 1;
-            #[cfg(test)]
-            if std::env::var("WIMESH_TRACE").is_ok() {
-                eprintln!("opp {opportunity}: {sender} sends {msg:?}");
-            }
             let hearers: Vec<NodeId> = topo.neighbors(sender).collect();
             for w in hearers {
                 nodes[w.index()].receive(topo, &msg, slots);

@@ -369,16 +369,6 @@ impl Model {
         id
     }
 
-    /// Number of variables.
-    pub fn var_count(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Number of constraints.
-    pub fn constraint_count(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Number of integer/binary variables.
     pub fn integer_count(&self) -> usize {
         self.vars

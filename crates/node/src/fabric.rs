@@ -4,9 +4,10 @@
 //! independently through the directed link between them, and each
 //! delivery is subjected to the fabric's faults:
 //!
-//! * **loss** — per-link [`LossModel`]: Bernoulli (independent drops) or
-//!   Gilbert–Elliott (a two-state burst-loss chain, the classic model of
-//!   fading WiFi channels);
+//! * **loss** — one [`LossModel`], run on every link independently:
+//!   Bernoulli (independent drops) or Gilbert–Elliott (a two-state
+//!   burst-loss chain per link, the classic model of fading WiFi
+//!   channels);
 //! * **delay** — a fixed base latency plus uniform jitter;
 //! * **cuts** — a link (or a whole partition boundary) can be severed
 //!   outright and later healed.
@@ -17,7 +18,7 @@
 //! randomness comes from the caller's seeded RNG, so identical seeds
 //! replay identical fault patterns.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 use rand::Rng;
@@ -88,7 +89,7 @@ impl LossModel {
 /// Fabric-wide configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricConfig {
-    /// Loss process applied to links without a per-link override.
+    /// Loss process applied to every link.
     pub default_loss: LossModel,
     /// Fixed propagation + processing latency of every delivery.
     pub base_delay: Duration,
@@ -123,8 +124,6 @@ pub struct FabricStats {
 #[derive(Debug, Clone)]
 pub struct Fabric {
     config: FabricConfig,
-    /// Per-link overrides of the default loss model.
-    overrides: BTreeMap<LinkId, LossModel>,
     /// Links currently in the Gilbert–Elliott bad state.
     ge_bad: BTreeSet<LinkId>,
     /// Severed links.
@@ -142,23 +141,10 @@ impl Fabric {
         config.default_loss.validate()?;
         Ok(Self {
             config,
-            overrides: BTreeMap::new(),
             ge_bad: BTreeSet::new(),
             cut: BTreeSet::new(),
             stats: FabricStats::default(),
         })
-    }
-
-    /// Overrides the loss model of one directed link.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Config`] for an invalid model.
-    pub fn set_link_loss(&mut self, link: LinkId, model: LossModel) -> Result<(), NodeError> {
-        model.validate()?;
-        self.ge_bad.remove(&link);
-        self.overrides.insert(link, model);
-        Ok(())
     }
 
     /// Severs one directed link: every delivery over it is blocked until
@@ -205,12 +191,7 @@ impl Fabric {
             self.stats.blocked += 1;
             return None;
         }
-        let model = self
-            .overrides
-            .get(&link)
-            .copied()
-            .unwrap_or(self.config.default_loss);
-        let p_drop = match model {
+        let p_drop = match self.config.default_loss {
             LossModel::None => 0.0,
             LossModel::Bernoulli { p } => p,
             LossModel::GilbertElliott {

@@ -78,17 +78,6 @@ impl MeshNode {
         self.id
     }
 
-    /// Whether the node is currently up.
-    pub fn is_alive(&self) -> bool {
-        self.alive
-    }
-
-    /// The node's current signed clock error vs the reference, at
-    /// reference time `now`.
-    pub fn clock_error_ns(&self, now: SimTime) -> f64 {
-        self.clock.error_at(now)
-    }
-
     /// Last beacon round this node accepted, if any since (re)start.
     pub fn synced_round(&self) -> Option<u64> {
         self.synced_round

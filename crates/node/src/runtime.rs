@@ -375,8 +375,8 @@ impl MeshRuntime {
         &self.nodes
     }
 
-    /// The fabric, for fault injection between segments (cuts,
-    /// partitions, per-link loss overrides).
+    /// The fabric, for fault injection between segments (cuts and
+    /// partitions).
     pub fn fabric_mut(&mut self) -> &mut Fabric {
         &mut self.fabric
     }

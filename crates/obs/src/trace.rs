@@ -200,11 +200,6 @@ impl TraceForest {
         self.traces.is_empty()
     }
 
-    /// Trace ids, ascending.
-    pub fn trace_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.traces.keys().copied()
-    }
-
     /// Records of one trace, sorted by `(lamport, span_id)`.
     pub fn records(&self, trace_id: u64) -> &[TraceRecord] {
         self.traces.get(&trace_id).map_or(&[], Vec::as_slice)

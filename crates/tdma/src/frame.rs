@@ -110,9 +110,10 @@ impl SlotRange {
         self.start < other.end() && other.start < self.end()
     }
 
-    /// Whether the range fits a frame of `slots` minislots.
+    /// Whether the range fits a frame of `slots` minislots. Computed in
+    /// `u64`, so a range whose end passes `u32::MAX` never fits.
     pub fn fits(&self, slots: u32) -> bool {
-        self.end() <= slots
+        u64::from(self.start) + u64::from(self.len) <= u64::from(slots)
     }
 }
 

@@ -42,7 +42,7 @@ impl Schedule {
         }
         if let Some((_, range)) = ranges.iter().find(|(_, r)| !r.fits(frame.slots())) {
             return Err(ScheduleError::FrameTooShort {
-                needed: range.end(),
+                needed: range.start.saturating_add(range.len),
                 available: frame.slots(),
             });
         }
@@ -337,7 +337,7 @@ pub fn schedule_from_order(
     let starts = earliest_starts(graph, demands, order)?;
     if starts.makespan > frame.slots() as i64 {
         return Err(ScheduleError::FrameTooShort {
-            needed: starts.makespan as u32,
+            needed: u32::try_from(starts.makespan).unwrap_or(u32::MAX),
             available: frame.slots(),
         });
     }
@@ -527,6 +527,20 @@ mod tests {
             ScheduleError::FrameTooShort {
                 needed: 10,
                 available: 8
+            }
+        );
+    }
+
+    #[test]
+    fn from_sorted_rejects_a_range_ending_past_u32_max() {
+        // u32::MAX - 1 + 4 wraps to 2 in `u32`, which would "fit".
+        let ranges = vec![(LinkId(0), SlotRange::new(u32::MAX - 1, 4))];
+        let err = Schedule::from_sorted(FrameConfig::new(64, 100), ranges).unwrap_err();
+        assert_eq!(
+            err,
+            ScheduleError::FrameTooShort {
+                needed: u32::MAX,
+                available: 64
             }
         );
     }

@@ -4,7 +4,7 @@
 //! links* — the [`Path`] type — because TDMA slot demands, conflict
 //! relations and scheduling delay are all per-link quantities.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::{LinkId, MeshTopology, NodeId, TopologyError};
 
@@ -122,94 +122,6 @@ pub fn shortest_path(topo: &MeshTopology, from: NodeId, to: NodeId) -> Result<Pa
     }
     links.reverse();
     Path::new(topo, links)
-}
-
-/// Finds up to `k` pairwise link-disjoint paths from `from` to `to`,
-/// shortest first.
-///
-/// Greedy peeling: repeatedly extract a BFS shortest path and remove its
-/// directed links before searching again. Greedy peeling is not a maximum
-/// flow — it can miss disjoint path sets a flow algorithm would find —
-/// but it is what multipath mesh routing protocols actually do, and it
-/// always returns at least one path when any route exists.
-///
-/// Multipath routing is the substrate of the authors' path-diversification
-/// work (erasure-coded fragments spread over disjoint paths); here it
-/// feeds multi-route admission experiments.
-///
-/// # Example
-///
-/// ```
-/// use wimesh_topology::{generators, routing};
-///
-/// // Opposite sides of a ring: exactly two disjoint routes.
-/// let topo = generators::ring(6);
-/// let paths = routing::edge_disjoint_paths(&topo, 0.into(), 3.into(), 4)?;
-/// assert_eq!(paths.len(), 2);
-/// # Ok::<(), wimesh_topology::TopologyError>(())
-/// ```
-///
-/// # Errors
-///
-/// Same conditions as [`shortest_path`] for the first path; fewer than
-/// `k` paths is not an error (the vector is simply shorter).
-pub fn edge_disjoint_paths(
-    topo: &MeshTopology,
-    from: NodeId,
-    to: NodeId,
-    k: usize,
-) -> Result<Vec<Path>, TopologyError> {
-    let first = shortest_path(topo, from, to)?;
-    let mut banned: BTreeSet<LinkId> = first.links().iter().copied().collect();
-    let mut paths = vec![first];
-    while paths.len() < k {
-        match shortest_path_avoiding(topo, from, to, &banned) {
-            Some(p) => {
-                banned.extend(p.links().iter().copied());
-                paths.push(p);
-            }
-            None => break,
-        }
-    }
-    Ok(paths)
-}
-
-/// BFS shortest path that never uses a banned link.
-fn shortest_path_avoiding(
-    topo: &MeshTopology,
-    from: NodeId,
-    to: NodeId,
-    banned: &BTreeSet<LinkId>,
-) -> Option<Path> {
-    let mut inbound: Vec<Option<LinkId>> = vec![None; topo.node_count()];
-    let mut seen = vec![false; topo.node_count()];
-    seen[from.index()] = true;
-    let mut queue = VecDeque::from([from]);
-    'bfs: while let Some(u) = queue.pop_front() {
-        for &lid in topo.out_links(u) {
-            if banned.contains(&lid) {
-                continue;
-            }
-            let v = topo.link(lid).expect("out_links are valid").rx;
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                inbound[v.index()] = Some(lid);
-                if v == to {
-                    break 'bfs;
-                }
-                queue.push_back(v);
-            }
-        }
-    }
-    let mut links = Vec::new();
-    let mut cursor = to;
-    while cursor != from {
-        let lid = inbound[cursor.index()]?;
-        links.push(lid);
-        cursor = topo.link(lid).expect("stored links are valid").tx;
-    }
-    links.reverse();
-    Some(Path::new(topo, links).expect("BFS builds a chain"))
 }
 
 /// A shortest-path routing tree toward a single gateway node.
@@ -460,49 +372,6 @@ mod tests {
         let gw = GatewayRouting::new(&t, NodeId(0)).unwrap();
         assert_eq!(gw.depth(isolated), None);
         assert!(gw.uplink(&t, isolated).is_err());
-    }
-
-    #[test]
-    fn disjoint_paths_on_ring() {
-        // A ring offers exactly two link-disjoint routes between any pair.
-        let t = generators::ring(6);
-        let paths = edge_disjoint_paths(&t, NodeId(0), NodeId(3), 4).unwrap();
-        assert_eq!(paths.len(), 2);
-        assert_eq!(paths[0].hop_count(), 3);
-        assert_eq!(paths[1].hop_count(), 3);
-        // Disjointness.
-        let a: BTreeSet<_> = paths[0].links().iter().collect();
-        assert!(paths[1].links().iter().all(|l| !a.contains(l)));
-    }
-
-    #[test]
-    fn disjoint_paths_on_chain_is_single() {
-        let t = generators::chain(4);
-        let paths = edge_disjoint_paths(&t, NodeId(0), NodeId(3), 3).unwrap();
-        assert_eq!(paths.len(), 1);
-    }
-
-    #[test]
-    fn disjoint_paths_on_grid() {
-        // Opposite corners of a grid have at least two disjoint routes.
-        let t = generators::grid(3, 3);
-        let paths = edge_disjoint_paths(&t, NodeId(0), NodeId(8), 3).unwrap();
-        assert!(paths.len() >= 2, "got {}", paths.len());
-        for w in paths.windows(2) {
-            let a: BTreeSet<_> = w[0].links().iter().collect();
-            assert!(w[1].links().iter().all(|l| !a.contains(l)));
-        }
-        // Paths are sorted shortest-first.
-        for w in paths.windows(2) {
-            assert!(w[0].hop_count() <= w[1].hop_count());
-        }
-    }
-
-    #[test]
-    fn disjoint_paths_errors_propagate() {
-        let t = generators::chain(3);
-        assert!(edge_disjoint_paths(&t, NodeId(0), NodeId(0), 2).is_err());
-        assert!(edge_disjoint_paths(&t, NodeId(0), NodeId(9), 2).is_err());
     }
 
     #[test]

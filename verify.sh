@@ -110,7 +110,8 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # clippy.toml's bans: HashMap/HashSet (random iteration order) and raw
 # Mutex::lock/try_lock (workspace mutexes go through
 # wimesh_obs::sync::lock, whose debug-build held-lock check every test
-# above ran). sim, emu and node repeat those bans in their own
+# above ran), and std::env::var/var_os (configuration is an explicit
+# parameter, never a hidden environment knob). sim, emu and node repeat those bans in their own
 # clippy.toml beside Instant::now and SystemTime::now. No --all-targets:
 # tests may unwrap and take raw locks.
 cargo clippy --workspace -- -D warnings
