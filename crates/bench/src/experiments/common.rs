@@ -1,5 +1,5 @@
 //! Shared experiment plumbing: flow builders, acceptability criteria,
-//! capacity searches.
+//! capacity searches, the distributed runtime's fault scenario.
 
 use std::time::Duration;
 
@@ -9,7 +9,13 @@ use wimesh::phy80211::dcf::DcfConfig;
 use wimesh::sim::traffic::{TrafficSource, VoipCodec, VoipSource};
 use wimesh::sim::FlowStats;
 use wimesh::{FlowSpec, MeshQos, OrderPolicy};
-use wimesh_topology::NodeId;
+use wimesh_emu::EmulationModel;
+use wimesh_node::{
+    FabricConfig, LossModel, MeshRuntime, RepairController, RuntimeConfig, SegmentReport,
+};
+use wimesh_topology::{generators, MeshTopology, NodeId};
+
+use crate::BenchError;
 
 /// VoIP quality target used throughout: 1% loss, p95 within the mesh
 /// delay budget.
@@ -113,4 +119,84 @@ pub fn dcf_capacity(mesh: &MeshQos, flows: &[FlowSpec], sim_time: Duration, seed
 /// Formats a duration as fractional milliseconds.
 pub fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
+}
+
+/// The fault scenario of `runtime_faults` and `slo_audit` after its
+/// converged cold start (`cold`): the runtime on a grid whose gateway
+/// `NodeId(0)` admitted two G.729 calls from the far corners, the first
+/// relay of flow 0, and the reaction and steady phase lengths.
+pub struct FaultScenario {
+    pub topo: MeshTopology,
+    pub rt: MeshRuntime,
+    pub cold: SegmentReport,
+    pub relay: NodeId,
+    pub react: Duration,
+    pub steady: Duration,
+}
+
+/// Builds the fault scenario at `loss` and runs its cold start: a 3x3
+/// grid and 5/10/3 s phases when `quick`, else 4x4 and 10/15/5 s.
+pub fn fault_scenario(
+    quick: bool,
+    loss: f64,
+    seed: u64,
+    model: &EmulationModel,
+) -> Result<FaultScenario, BenchError> {
+    let side = if quick { 3 } else { 4 };
+    let topo = generators::grid(side, side);
+
+    // The gateway admits VoIP flows from the far corners inward.
+    let mesh = MeshQos::builder(topo.clone()).build()?;
+    let mut controller = RepairController::new(mesh.session(OrderPolicy::HopOrder));
+    let n = topo.node_count() as u32;
+    let sources = [n - 1, n - side as u32];
+    for (i, src) in sources.into_iter().enumerate() {
+        let spec = FlowSpec::voip(i as u32, NodeId(src), NodeId(0), VoipCodec::G729);
+        if !controller.session_mut().admit(&spec)?.is_admitted() {
+            return Err(BenchError::Other(format!(
+                "seed flow {src}->0 was rejected on the {side}x{side} grid"
+            )));
+        }
+    }
+
+    let loss_model = if loss > 0.0 {
+        LossModel::Bernoulli { p: loss }
+    } else {
+        LossModel::None
+    };
+    let config = RuntimeConfig {
+        fabric: FabricConfig {
+            default_loss: loss_model,
+            ..FabricConfig::default()
+        },
+        seed,
+        ..RuntimeConfig::default()
+    };
+    let mut rt = MeshRuntime::new(topo.clone(), *model, config)
+        .map_err(|e| BenchError::Other(e.to_string()))?;
+    rt.attach_controller(controller);
+
+    let secs = |quick_s, full_s| Duration::from_secs(if quick { quick_s } else { full_s });
+    let cold = rt.run_for(secs(5, 10));
+    if !cold.converged {
+        return Err(BenchError::Other(format!(
+            "cold start did not converge at loss {loss}"
+        )));
+    }
+    let relay = rt
+        .controller()
+        .expect("attached")
+        .session()
+        .snapshot()
+        .admitted()[0]
+        .path
+        .nodes()[1];
+    Ok(FaultScenario {
+        topo,
+        rt,
+        cold,
+        relay,
+        react: secs(10, 15),
+        steady: secs(3, 5),
+    })
 }

@@ -26,16 +26,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use wimesh::sim::traffic::VoipCodec;
-use wimesh::{FlowSpec, MeshQos, OrderPolicy};
 use wimesh_emu::{EmulationModel, EmulationParams};
-use wimesh_node::{
-    FabricConfig, LossModel, MeshRuntime, RepairController, RuntimeConfig, SegmentReport,
-};
+use wimesh_node::SegmentReport;
 use wimesh_obs::json::Object;
 use wimesh_obs::sink::NoopSink;
-use wimesh_topology::{generators, NodeId};
 
+use super::common::{fault_scenario, FaultScenario};
 use crate::{BenchError, Ctx, Table};
 
 /// Everything one loss-rate scenario produces.
@@ -77,76 +73,22 @@ fn run_scenario(
     quick: bool,
     model: &EmulationModel,
 ) -> Result<ScenarioResult, BenchError> {
-    let side = if quick { 3 } else { 4 };
-    let topo = generators::grid(side, side);
-
-    // The gateway admits VoIP flows from the far corners inward.
-    let mesh = MeshQos::builder(topo.clone()).build()?;
-    let mut controller = RepairController::new(mesh.session(OrderPolicy::HopOrder));
-    let n = topo.node_count() as u32;
-    let sources = [n - 1, n - side as u32];
-    for (i, src) in sources.into_iter().enumerate() {
-        let spec = FlowSpec::voip(i as u32, NodeId(src), NodeId(0), VoipCodec::G729);
-        if !controller.session_mut().admit(&spec)?.is_admitted() {
-            return Err(BenchError::Other(format!(
-                "seed flow {src}->0 was rejected on the {side}x{side} grid"
-            )));
-        }
-    }
-
-    let loss_model = if loss > 0.0 {
-        LossModel::Bernoulli { p: loss }
-    } else {
-        LossModel::None
-    };
-    let config = RuntimeConfig {
-        fabric: FabricConfig {
-            default_loss: loss_model,
-            ..FabricConfig::default()
-        },
-        seed,
-        ..RuntimeConfig::default()
-    };
-    let mut rt =
-        MeshRuntime::new(topo, *model, config).map_err(|e| BenchError::Other(e.to_string()))?;
-    rt.attach_controller(controller);
-
-    let (warmup, react, steady_dur) = if quick {
-        (
-            Duration::from_secs(5),
-            Duration::from_secs(10),
-            Duration::from_secs(3),
-        )
-    } else {
-        (
-            Duration::from_secs(10),
-            Duration::from_secs(15),
-            Duration::from_secs(5),
-        )
-    };
-
     // Phase 1: cold start.
-    let cold = rt.run_for(warmup);
-    if !cold.converged {
-        return Err(BenchError::Other(format!(
-            "cold start did not converge at loss {loss}"
-        )));
-    }
+    let FaultScenario {
+        mut rt,
+        cold,
+        relay,
+        react,
+        steady,
+        ..
+    } = fault_scenario(quick, loss, seed, model)?;
 
     // Phase 2: crash a relay an admitted flow actually transits.
-    let relay = rt
-        .controller()
-        .expect("attached")
-        .session()
-        .snapshot()
-        .admitted()[0]
-        .path
-        .nodes()[1];
     rt.crash(relay);
     let crash = rt.run_for(react);
 
     // Phase 3: steady state after repair.
-    let steady = rt.run_for(steady_dur);
+    let steady = rt.run_for(steady);
 
     // Phase 4: the relay returns.
     rt.restart(relay);

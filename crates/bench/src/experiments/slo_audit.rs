@@ -41,13 +41,13 @@ use wimesh::emu::tdma::{TdmaFlow, TdmaSimulation};
 use wimesh::sim::traffic::{TrafficSource, VoipCodec, VoipSource};
 use wimesh::{FlowSpec, MeshQos, OrderPolicy};
 use wimesh_emu::{EmulationModel, EmulationParams};
-use wimesh_node::{FabricConfig, LossModel, MeshRuntime, RepairController, RuntimeConfig};
 use wimesh_obs::json::Object;
 use wimesh_obs::sink::MemorySink;
 use wimesh_obs::slo::{FlowSloTracker, SloStatus, SloVerdict};
 use wimesh_obs::trace::TraceForest;
 use wimesh_topology::{generators, NodeId};
 
+use super::common::{fault_scenario, FaultScenario};
 use crate::{BenchError, Ctx, Table};
 
 /// Flow id reserved for the mutation probe; far outside any real id.
@@ -73,52 +73,14 @@ fn run_fault_scenario(
     model: &EmulationModel,
     sink: &MemorySink,
 ) -> Result<FaultAudit, BenchError> {
-    let side = if quick { 3 } else { 4 };
-    let topo = generators::grid(side, side);
-
-    let mesh = MeshQos::builder(topo.clone()).build()?;
-    let mut controller = RepairController::new(mesh.session(OrderPolicy::HopOrder));
-    let n = topo.node_count() as u32;
-    let sources = [n - 1, n - side as u32];
-    for (i, src) in sources.into_iter().enumerate() {
-        let spec = FlowSpec::voip(i as u32, NodeId(src), NodeId(0), VoipCodec::G729);
-        if !controller.session_mut().admit(&spec)?.is_admitted() {
-            return Err(BenchError::Other(format!(
-                "seed flow {src}->0 was rejected on the {side}x{side} grid"
-            )));
-        }
-    }
-
-    let config = RuntimeConfig {
-        fabric: FabricConfig {
-            default_loss: LossModel::Bernoulli { p: 0.05 },
-            ..FabricConfig::default()
-        },
-        seed: 777,
-        ..RuntimeConfig::default()
-    };
-    let mut rt = MeshRuntime::new(topo.clone(), *model, config)
-        .map_err(|e| BenchError::Other(e.to_string()))?;
-    rt.attach_controller(controller);
-
-    let (warmup, react, steady_dur) = if quick {
-        (
-            Duration::from_secs(5),
-            Duration::from_secs(10),
-            Duration::from_secs(3),
-        )
-    } else {
-        (
-            Duration::from_secs(10),
-            Duration::from_secs(15),
-            Duration::from_secs(5),
-        )
-    };
-
-    let cold = rt.run_for(warmup);
-    if !cold.converged {
-        return Err(BenchError::Other("cold start did not converge".into()));
-    }
+    let FaultScenario {
+        topo,
+        mut rt,
+        relay,
+        react,
+        steady,
+        ..
+    } = fault_scenario(quick, 0.05, 777, model)?;
 
     // Sever every fabric link touching a relay an admitted flow
     // transits (its radio goes silent; the node itself keeps running).
@@ -128,17 +90,9 @@ fn run_fault_scenario(
     // detector's verdict every beacon round without converging (see
     // DESIGN.md §3.11). The silent relay's neighbours detect it,
     // flood NodeDown and the gateway re-routes the flow.
-    let relay = rt
-        .controller()
-        .expect("attached")
-        .session()
-        .snapshot()
-        .admitted()[0]
-        .path
-        .nodes()[1];
     rt.fabric_mut().partition(&topo, &[relay]);
     let react_report = rt.run_for(react);
-    let steady = rt.run_for(steady_dur);
+    let steady = rt.run_for(steady);
 
     // Audit the captured stream: the handshake and the repair must
     // each reconstruct as one causal tree spanning several nodes.

@@ -154,7 +154,7 @@ pub enum Violation {
         /// The offending link.
         link: LinkId,
         /// One past its last slot.
-        end: u32,
+        end: u64,
         /// Claimed slots per frame.
         frame_slots: u32,
     },
@@ -443,7 +443,7 @@ impl Certificate {
             if graph.index_of(link).is_none() {
                 violations.push(Violation::UnknownLink { link });
             }
-            if range.end() > params.frame_slots {
+            if range.end() > u64::from(params.frame_slots) {
                 violations.push(Violation::FrameOverflow {
                     link,
                     end: range.end(),
@@ -459,20 +459,15 @@ impl Certificate {
             .copied()
             .filter(|(l, _)| graph.index_of(*l).is_some())
             .collect();
-        let sweep = known
-            .iter()
-            .map(|(_, r)| r.end())
-            .max()
-            .unwrap_or(0)
-            .max(params.frame_slots);
+        let sweep = schedule.makespan().max(params.frame_slots);
         let mut reported: BTreeSet<(LinkId, LinkId)> = BTreeSet::new();
         for slot in 0..sweep {
             for (i, &(la, ra)) in known.iter().enumerate() {
-                if !(ra.start <= slot && slot < ra.end()) {
+                if !(ra.start <= slot && u64::from(slot) < ra.end()) {
                     continue;
                 }
                 for &(lb, rb) in &known[i + 1..] {
-                    if !(rb.start <= slot && slot < rb.end()) {
+                    if !(rb.start <= slot && u64::from(slot) < rb.end()) {
                         continue;
                     }
                     let pair = if la < lb { (la, lb) } else { (lb, la) };

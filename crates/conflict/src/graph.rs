@@ -101,7 +101,7 @@ impl ConflictGraph {
         let mut degree = vec![0; links.len()];
         for (i, a) in ends.iter().enumerate() {
             for (j, b) in ends.iter().enumerate().skip(i + 1) {
-                if conflicts(topo, a, b, model, || (d(a.tx, b.rx), d(b.tx, a.rx))) {
+                if conflicts(topo, a, b, model, |_| (d(a.tx, b.rx), d(b.tx, a.rx))) {
                     edges.push((i, j));
                     degree[i] += 1;
                     degree[j] += 1;
@@ -347,7 +347,7 @@ pub fn conflicting_links(
         .iter()
         .filter(|other| {
             other.id != link
-                && conflicts(topo, &new, other, model, || {
+                && conflicts(topo, &new, other, model, |_| {
                     (from_tx[other.rx.index()], to_rx[other.tx.index()])
                 })
         })
@@ -355,15 +355,26 @@ pub fn conflicting_links(
         .collect()
 }
 
+/// Whether two distinct links of `topo` conflict under `model`, at the
+/// cost of two BFS bounded at the protocol radius; for many pairs, build
+/// a [`ConflictGraph`] once and ask [`ConflictGraph::are_in_conflict`].
+pub fn links_conflict(topo: &MeshTopology, a: &Link, b: &Link, model: InterferenceModel) -> bool {
+    conflicts(topo, a, b, model, |radius| {
+        let to_rx = |tx: NodeId, rx: NodeId| hop_distances(topo, tx, radius, false)[rx.index()];
+        (to_rx(a.tx, b.rx), to_rx(b.tx, a.rx))
+    })
+}
+
 /// Decides whether two distinct links conflict under `model` — the one
-/// place the conflict rules are written. `hops` gives the hop distances
-/// `a.tx -> b.rx` and `b.tx -> a.rx`; only the protocol model asks.
+/// place the conflict rules are written. `hops(radius)` gives the hop
+/// distances `a.tx -> b.rx` and `b.tx -> a.rx`, exact up to `radius`;
+/// only the protocol model asks.
 fn conflicts(
     topo: &MeshTopology,
     a: &Link,
     b: &Link,
     model: InterferenceModel,
-    hops: impl FnOnce() -> (usize, usize),
+    hops: impl FnOnce(usize) -> (usize, usize),
 ) -> bool {
     if a.shares_endpoint(b) {
         return true;
@@ -371,7 +382,7 @@ fn conflicts(
     match model {
         InterferenceModel::PrimaryOnly => false,
         InterferenceModel::Protocol { hops: radius } => {
-            let (a_to_b, b_to_a) = hops();
+            let (a_to_b, b_to_a) = hops(radius);
             a_to_b <= radius || b_to_a <= radius
         }
         InterferenceModel::Distance { range_m } => {

@@ -44,4 +44,4 @@ mod graph;
 
 pub use cliques::{greedy_clique_cover, heaviest_clique, maximal_clique_containing};
 pub use coloring::{greedy_coloring, Coloring};
-pub use graph::{conflicting_links, ConflictGraph, InterferenceModel};
+pub use graph::{conflicting_links, links_conflict, ConflictGraph, InterferenceModel};

@@ -4,16 +4,17 @@
 //! `insert_vertex(topo, link, model)`, or through `insert_conflicting`
 //! with a list `conflicting_links` computed once per link, as a session
 //! memoises it — must hold, after every step, exactly the conflicting link
-//! pairs `ConflictGraph::build_for_links` finds over the same vertices.
-//! Chains, grids and random unit-disk meshes are checked under every
-//! interference model.
+//! pairs `ConflictGraph::build_for_links` finds over the same vertices,
+//! and the pairwise test `links_conflict` must answer every link pair as
+//! the graph over every link does. Chains, grids and random unit-disk
+//! meshes are checked under every interference model.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wimesh_conflict::{conflicting_links, ConflictGraph, InterferenceModel};
+use wimesh_conflict::{conflicting_links, links_conflict, ConflictGraph, InterferenceModel};
 use wimesh_topology::generators::{self, UnitDiskParams};
 use wimesh_topology::{LinkId, MeshTopology};
 
@@ -130,6 +131,37 @@ fn lists_are_the_neighbourhoods_of_the_whole_topology_graph() {
                     expected,
                     "{l} under {model:?}"
                 );
+            }
+        }
+    }
+}
+
+/// The pairwise test answers every pair of distinct links as the graph
+/// over every link does; under the 1-hop protocol model that is a shared
+/// endpoint, or one link's transmitter at or next to the other's receiver.
+#[test]
+fn pairwise_test_agrees_with_the_built_edges() {
+    for seed in 0..16 {
+        let topo = topology(&mut StdRng::seed_from_u64(seed));
+        let links = topo.links();
+        for model in MODELS {
+            let whole = ConflictGraph::build(&topo, model);
+            for a in links {
+                for b in links.iter().filter(|b| b.id != a.id) {
+                    let pairwise = links_conflict(&topo, a, b, model);
+                    assert_eq!(
+                        pairwise,
+                        whole.are_in_conflict(a.id, b.id),
+                        "{} and {} under {model:?}",
+                        a.id,
+                        b.id
+                    );
+                    if model == InterferenceModel::protocol_default() {
+                        let near = |tx, rx| tx == rx || topo.link_between(tx, rx).is_some();
+                        let one_hop = a.shares_endpoint(b) || near(a.tx, b.rx) || near(b.tx, a.rx);
+                        assert_eq!(pairwise, one_hop, "{} and {}", a.id, b.id);
+                    }
+                }
             }
         }
     }

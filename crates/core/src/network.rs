@@ -196,7 +196,8 @@ impl MeshQos {
         policy: OrderPolicy,
     ) -> Result<AdmissionOutcome, QosError> {
         let route = |spec: &FlowSpec| shortest_path(&self.topo, spec.src, spec.dst).ok();
-        let routed: Vec<_> = flows.iter().map(|f| (f.clone(), route(f))).collect();
+        let paths: Vec<_> = flows.iter().map(route).collect();
+        let routed: Vec<_> = std::iter::zip(flows, paths.iter().map(Option::as_ref)).collect();
         crate::QosSession::admit_fresh(self, &routed, policy)
     }
 

@@ -551,18 +551,17 @@ impl QosSession {
     /// capped log in decision order.
     pub(crate) fn admit_fresh(
         mesh: &MeshQos,
-        flows: &[(FlowSpec, Option<Path>)],
+        flows: &[(&FlowSpec, Option<&Path>)],
         policy: OrderPolicy,
     ) -> Result<AdmissionOutcome, QosError> {
         let _span = wimesh_obs::span!("admission.admit");
         let mut session = Self::new(mesh.clone(), policy);
-        let routed = flows.iter().map(|(spec, path)| (spec, path.as_ref()));
-        let verdicts = session.place_batch(routed, false)?;
+        let verdicts = session.place_batch(flows.iter().copied(), false)?;
         let mut outcome = session.outcome;
         outcome.rejected = flows
             .iter()
             .zip(verdicts)
-            .filter_map(|((spec, _), verdict)| match verdict {
+            .filter_map(|(&(spec, _), verdict)| match verdict {
                 FlowAdmission::Rejected(reason) => Some((spec.clone(), reason)),
                 FlowAdmission::Admitted(_) => None,
             })
@@ -932,11 +931,11 @@ impl QosSession {
         let _span = wimesh_obs::span!("session.rebalance");
         self.stats.graph_rebuilds += 1;
         wimesh_obs::counter_inc("session.graph.rebuilds");
-        let routed: Vec<(FlowSpec, Option<Path>)> = self
+        let routed: Vec<_> = self
             .outcome
             .admitted
             .iter()
-            .map(|a| (a.spec.clone(), Some(a.path.clone())))
+            .map(|a| (&a.spec, Some(&a.path)))
             .collect();
         let cold = Self::admit_fresh(&self.mesh, &routed, self.policy)?;
 

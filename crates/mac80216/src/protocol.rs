@@ -26,21 +26,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use wimesh_conflict::{links_conflict, InterferenceModel};
 use wimesh_tdma::SlotRange;
-use wimesh_topology::{Link, LinkId, MeshTopology, NodeId};
+use wimesh_topology::{LinkId, MeshTopology, NodeId};
 
 use crate::dsch::{DschMessage, GrantFix, Request};
-
-/// Whether two links cannot share minislots under the 1-hop protocol
-/// interference model (shared endpoint, or one link's transmitter within
-/// one hop of the other's receiver).
-pub fn links_conflict(topo: &MeshTopology, a: &Link, b: &Link) -> bool {
-    a.shares_endpoint(b) || within_one_hop(topo, a.tx, b.rx) || within_one_hop(topo, b.tx, a.rx)
-}
-
-fn within_one_hop(topo: &MeshTopology, a: NodeId, b: NodeId) -> bool {
-    a == b || topo.link_between(a, b).is_some()
-}
 
 /// One mesh router's view of the distributed coordinated scheduling
 /// protocol.
@@ -396,9 +386,10 @@ impl DschNode {
         if len == 0 || len > slots {
             return None;
         }
-        let mut start = 0u32;
-        'outer: while start + len <= slots {
-            let candidate = SlotRange::new(start, len);
+        let mut start = 0u64;
+        'outer: while start + u64::from(len) <= u64::from(slots) {
+            // The loop condition keeps `start` below `slots`, a `u32`.
+            let candidate = SlotRange::new(start as u32, len);
             for (&l, r) in &self.known {
                 if l != link && r.overlaps(&candidate) {
                     start = r.end();
@@ -462,9 +453,10 @@ impl DschNode {
             .map(|(&l, &r)| (l, r))
             .filter(|&(l, r)| l != link && r.overlaps(&range))
             .collect();
+        let one_hop = InterferenceModel::protocol_default();
         for (l, r) in colliding {
             let mine = *topo.link(l).expect("reservation on unknown link");
-            if !links_conflict(topo, &mine, &incoming) {
+            if !links_conflict(topo, &mine, &incoming, one_hop) {
                 continue;
             }
             // Only an endpoint of `l` has the authority (and the

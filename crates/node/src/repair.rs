@@ -22,10 +22,10 @@
 //! and lets the MSH-DSCH protocol renegotiate the difference over the
 //! lossy fabric.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use wimesh::{FlowSpec, QosSession};
-use wimesh_topology::routing::Path;
+use wimesh_topology::routing::{shortest_path_through, Path};
 use wimesh_topology::{LinkId, MeshTopology, NodeId};
 
 use crate::NodeError;
@@ -187,39 +187,7 @@ impl RepairController {
 
     /// Minimum-hop path from `from` to `to` avoiding every down node.
     fn detour(&self, topo: &MeshTopology, from: NodeId, to: NodeId) -> Option<Path> {
-        if from == to || self.down.contains(&from) || self.down.contains(&to) {
-            return None;
-        }
-        let mut inbound: Vec<Option<LinkId>> = vec![None; topo.node_count()];
-        let mut seen = vec![false; topo.node_count()];
-        seen[from.index()] = true;
-        let mut queue = VecDeque::from([from]);
-        'bfs: while let Some(u) = queue.pop_front() {
-            for &lid in topo.out_links(u) {
-                let v = topo.link(lid).expect("out_links are valid").rx;
-                if self.down.contains(&v) || seen[v.index()] {
-                    continue;
-                }
-                seen[v.index()] = true;
-                inbound[v.index()] = Some(lid);
-                if v == to {
-                    break 'bfs;
-                }
-                queue.push_back(v);
-            }
-        }
-        if !seen[to.index()] {
-            return None;
-        }
-        let mut links = Vec::new();
-        let mut at = to;
-        while at != from {
-            let lid = inbound[at.index()]?;
-            links.push(lid);
-            at = topo.link(lid).expect("validated").tx;
-        }
-        links.reverse();
-        Path::new(topo, links).ok()
+        shortest_path_through(topo, from, to, |n| !self.down.contains(&n)).ok()
     }
 }
 

@@ -45,9 +45,9 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use wimesh::conflict::{ConflictGraph, InterferenceModel};
 use wimesh_emu::EmulationModel;
 use wimesh_mac80216::election::MeshElection;
-use wimesh_mac80216::protocol::links_conflict;
 use wimesh_mac80216::DschMessage;
 use wimesh_obs::flight::FlightEvent;
 use wimesh_obs::slo::FlowSloTracker;
@@ -238,6 +238,9 @@ pub struct SegmentReport {
 /// The per-node distributed mesh runtime. See the [module docs](self).
 pub struct MeshRuntime {
     topo: MeshTopology,
+    /// Which links' transmissions collide: the 1-hop protocol model's
+    /// conflict graph over every link of `topo`.
+    conflicts: ConflictGraph,
     model: EmulationModel,
     config: RuntimeConfig,
     election: MeshElection,
@@ -326,6 +329,7 @@ impl MeshRuntime {
         );
         let n = topo.node_count();
         Ok(Self {
+            conflicts: ConflictGraph::build(&topo, InterferenceModel::protocol_default()),
             topo,
             model,
             config,
@@ -627,22 +631,21 @@ impl MeshRuntime {
                     continue;
                 }
                 let local_start = ctrl_ns + f64::from(range.start) * slot_ns;
-                let local_end = ctrl_ns + f64::from(range.end()) * slot_ns - guard_ns;
+                let local_end = ctrl_ns + range.end() as f64 * slot_ns - guard_ns;
                 bursts.push((link, local_start - err, local_end - err));
             }
         }
 
         for (i, &(la, sa, ea)) in bursts.iter().enumerate() {
-            let link_a = *self.topo.link(la).expect("confirmed links exist");
             for &(lb, sb, eb) in &bursts[i + 1..] {
-                let link_b = *self.topo.link(lb).expect("confirmed links exist");
-                if !links_conflict(&self.topo, &link_a, &link_b) {
+                if !self.conflicts.are_in_conflict(la, lb) {
                     continue;
                 }
                 if sa < eb && sb < ea {
                     self.segment.collisions += 1;
-                    anomalies.push((link_a.tx, "collision"));
-                    anomalies.push((link_b.tx, "collision"));
+                    let tx = |l: LinkId| self.topo.link(l).expect("confirmed links exist").tx;
+                    anomalies.push((tx(la), "collision"));
+                    anomalies.push((tx(lb), "collision"));
                 }
             }
         }

@@ -10,12 +10,13 @@
 //!
 //! The pipeline is:
 //!
-//! 1. Build the same model as the exact oracle — start times, big-M order
-//!    disjunctions, frame-wrap counters, deadlines — but with every order
-//!    binary and wrap counter relaxed to a continuous variable, plus a
+//! 1. Build the exact oracle's own model ([`crate::milp`]'s order model at
+//!    `used = frame.slots()`: start times, big-M order disjunctions, the
+//!    wrap chains and deadlines of the undominated requirements), plus a
 //!    makespan variable `M >= sigma_e + d_e` minimized.
-//! 2. Solve the pure LP with the existing simplex
-//!    ([`wimesh_milp::Model::solve_relaxed`]). LP infeasibility proves
+//! 2. Solve its LP relaxation with the existing simplex
+//!    ([`wimesh_milp::Model::solve_relaxed`], which treats every binary
+//!    and integer variable as continuous). LP infeasibility proves
 //!    integral infeasibility (the relaxed feasible set is a superset), so
 //!    a "no" here is a sound rejection. The LP optimum lower-bounds the
 //!    minimal feasible guaranteed region: any integral schedule feasible
@@ -25,24 +26,23 @@
 //!    the maximum of the two is still a certified lower bound.
 //! 3. Round every order variable deterministically at 0.5 into a
 //!    [`TransmissionOrder`].
-//! 4. Repair greedily: while the rounded order fails to realise a schedule
-//!    (cycle, frame overflow, missed deadline), flip the least-confident
-//!    rounded decisions — those with LP values closest to 0.5 — toward the
-//!    hop-order heuristic, doubling the batch each round. After all
-//!    disagreements are flipped the order *is* the hop order, which is
-//!    acyclic by construction, so the loop terminates in O(log E) rounds
-//!    and the final failure (if any) is a genuine rejection.
+//! 4. Repair greedily: while the rounded order fails
+//!    [`validate_order_within`] (cycle, frame overflow, missed deadline),
+//!    flip the least-confident rounded decisions — those with LP values
+//!    closest to 0.5 — toward the hop-order heuristic, doubling the batch
+//!    each round. After all disagreements are flipped the order *is* the
+//!    hop order, which is acyclic by construction, so the loop terminates
+//!    in O(log E) rounds and the final failure (if any) is a genuine
+//!    rejection.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 use wimesh_conflict::ConflictGraph;
-use wimesh_milp::{LinExpr, Model, Sense, SolveError, VarId};
-use wimesh_topology::LinkId;
+use wimesh_milp::{LinExpr, Sense, SolveError};
 
-use crate::milp::{OrderSolution, PathRequirement};
+use crate::milp::{validate_order_within, OrderModel, OrderSolution, PathRequirement};
 use crate::order::hop_order;
-use crate::{Demands, FrameConfig, Schedule, ScheduleError, TransmissionOrder};
+use crate::{Demands, FrameConfig, ScheduleError, TransmissionOrder};
 
 /// Result of an LP-rounding solve: the realised integral solution plus the
 /// certified LP lower bound that prices its optimality gap.
@@ -65,7 +65,7 @@ pub struct LpRoundedSolution {
 ///
 /// Never branches: cost is one simplex solve plus O(log E) Bellman–Ford
 /// realisation passes. The returned schedule is fully validated (conflict
-/// freedom via [`crate::schedule_from_order`], deadlines checked here), so
+/// freedom, frame and deadlines, by [`validate_order_within`]), so
 /// acceptance is exactly as trustworthy as the exact oracle's — only
 /// rejection is conservative.
 ///
@@ -73,9 +73,7 @@ pub struct LpRoundedSolution {
 ///
 /// * [`ScheduleError::Infeasible`] — the LP relaxation is infeasible
 ///   (a proof that no integral schedule exists), or no repair realises a
-///   deadline-meeting schedule.
-/// * [`ScheduleError::FrameTooShort`] — the best repaired order needs more
-///   slots than the frame offers.
+///   schedule that fits the frame and meets every deadline.
 /// * [`ScheduleError::LinkNotInGraph`] / [`ScheduleError::MissingDemand`] —
 ///   input validation, as for the exact oracle.
 /// * [`ScheduleError::SolverFailed`] — simplex iteration limit.
@@ -85,93 +83,19 @@ pub fn lp_rounded_order(
     requirements: &[PathRequirement],
     frame: FrameConfig,
 ) -> Result<LpRoundedSolution, ScheduleError> {
-    // Same validation contract as the exact oracle.
-    for link in demands.links() {
-        if graph.index_of(link).is_none() {
-            return Err(ScheduleError::LinkNotInGraph(link));
-        }
-    }
-    for req in requirements {
-        for &l in req.path.links() {
-            if demands.get(l) == 0 {
-                return Err(ScheduleError::MissingDemand(l));
-            }
-        }
-    }
-
-    let horizon = frame.slots() as f64;
-    let wrap = horizon;
-
-    let mut model = Model::new();
-    let mut sigma: BTreeMap<LinkId, VarId> = BTreeMap::new();
-    for (link, d) in demands.iter() {
-        let ub = horizon - d as f64;
-        if ub < 0.0 {
-            return Err(ScheduleError::Infeasible);
-        }
-        sigma.insert(link, model.add_var(0.0, ub, "sigma"));
-    }
+    let mut m = OrderModel::build(graph, demands, requirements, frame, frame.slots())?;
 
     // Makespan: M >= sigma_e + d_e for every demanded link. Minimizing M
     // makes the LP optimum a lower bound on the minimal guaranteed region.
-    let makespan = model.add_var(0.0, horizon, "makespan");
+    let makespan = m.model.add_var(0.0, frame.slots() as f64, "makespan");
     for (link, d) in demands.iter() {
-        model.add_ge(LinExpr::from(makespan) - sigma[&link], d as f64);
+        m.model
+            .add_ge(LinExpr::from(makespan) - m.sigma[&link], d as f64);
     }
+    m.model
+        .set_objective(Sense::Minimize, LinExpr::from(makespan));
 
-    // Order variables per conflict edge among demanded links — continuous
-    // in [0, 1] instead of binary. The big-M disjunctions are kept; they
-    // are weak under relaxation but still imply `d_i + d_j <= horizon`
-    // for every conflicting pair, and their fractional values carry the
-    // ordering signal the rounding step consumes.
-    let mut order_vars: Vec<((usize, usize), VarId)> = Vec::new();
-    for (i, j) in graph.edges() {
-        let (li, lj) = (graph.link_at(i), graph.link_at(j));
-        let (di, dj) = (demands.get(li), demands.get(lj));
-        if di == 0 || dj == 0 {
-            continue;
-        }
-        let o = model.add_var(0.0, 1.0, "o");
-        order_vars.push(((i, j), o));
-        let (si, sj) = (sigma[&li], sigma[&lj]);
-        model.add_ge(sj - si + horizon * (1.0 - o), di as f64);
-        model.add_ge(si - sj + horizon * o, dj as f64);
-    }
-
-    // Frame-wrap chains and deadlines, with continuous wrap counters.
-    for req in requirements {
-        let links = req.path.links();
-        let hops = links.len();
-        let first = sigma[&links[0]];
-        let last = sigma[&links[hops - 1]];
-        let mut prev_w: Option<VarId> = None;
-        for m in 1..hops {
-            let w = model.add_var(0.0, hops as f64, "w");
-            let (sp, sc) = (sigma[&links[m - 1]], sigma[&links[m]]);
-            let d_prev = demands.get(links[m - 1]) as f64;
-            let mut lhs = LinExpr::from(sc) + wrap * w - sp;
-            if let Some(pw) = prev_w {
-                lhs = lhs - wrap * pw;
-            }
-            model.add_ge(lhs, d_prev);
-            if let Some(pw) = prev_w {
-                model.add_ge(w - pw, 0.0);
-            }
-            prev_w = Some(w);
-        }
-        let d_last = demands.get(links[hops - 1]) as f64;
-        let mut delay = LinExpr::from(last) + d_last - first;
-        if let Some(w) = prev_w {
-            delay = delay + wrap * w;
-        }
-        if let Some(deadline) = req.deadline_slots {
-            model.add_le(delay, deadline as f64);
-        }
-    }
-
-    model.set_objective(Sense::Minimize, LinExpr::from(makespan));
-
-    let relaxed = match model.solve_relaxed() {
+    let relaxed = match m.model.solve_relaxed() {
         Ok(s) => s,
         // LP infeasible => the integral model is infeasible: sound reject.
         Err(SolveError::Infeasible) => return Err(ScheduleError::Infeasible),
@@ -187,7 +111,7 @@ pub fn lp_rounded_order(
     let target = hop_order(graph, requirements.iter().map(|r| &r.path));
     let mut order = TransmissionOrder::new();
     let mut disagreements: Vec<(usize, usize, f64)> = Vec::new();
-    for &((i, j), var) in &order_vars {
+    for &((i, j), var) in &m.order_vars {
         let v = relaxed.value(var);
         let rounded = v > 0.5;
         order.set(i, j, rounded);
@@ -210,63 +134,37 @@ pub fn lp_rounded_order(
     let mut flipped = 0usize;
     let mut batch = 1usize;
     loop {
-        match realize(graph, demands, requirements, frame, &order) {
-            Ok((schedule, max_delay_slots)) => {
-                wimesh_obs::counter_inc("tdma.approx.lp_rounded");
-                return Ok(LpRoundedSolution {
-                    solution: OrderSolution {
-                        order,
-                        schedule,
-                        max_delay_slots,
-                        nodes_explored: relaxed.nodes_explored(),
-                    },
-                    lp_bound_slots,
-                    repair_flips: flipped as u32,
-                });
-            }
-            Err(e) => {
-                if flipped >= disagreements.len() {
-                    // The order now agrees with hop order on every
-                    // demanded edge; if that fails too, reject for real.
-                    return Err(e);
-                }
-                let take = batch.min(disagreements.len() - flipped);
-                for &(i, j, _) in &disagreements[flipped..flipped + take] {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "same total hop order as above: every edge is decided"
-                    )]
-                    let want = target.before(i, j).expect("hop order decides every edge");
-                    order.set(i, j, want);
-                }
-                flipped += take;
-                batch *= 2;
-                wimesh_obs::counter_inc("tdma.approx.repair_rounds");
-            }
+        if let Some(solution) =
+            validate_order_within(graph, demands, requirements, frame, frame.slots(), &order)
+        {
+            wimesh_obs::counter_inc("tdma.approx.lp_rounded");
+            return Ok(LpRoundedSolution {
+                solution: OrderSolution {
+                    nodes_explored: relaxed.nodes_explored(),
+                    ..solution
+                },
+                lp_bound_slots,
+                repair_flips: flipped as u32,
+            });
         }
-    }
-}
-
-/// Tries to realise `order` as a validated schedule meeting every
-/// requirement: one Bellman–Ford pass plus deadline checks.
-fn realize(
-    graph: &ConflictGraph,
-    demands: &Demands,
-    requirements: &[PathRequirement],
-    frame: FrameConfig,
-    order: &TransmissionOrder,
-) -> Result<(Schedule, u64), ScheduleError> {
-    let schedule = crate::schedule_from_order(graph, demands, order, frame)?;
-    let mut max_delay = 0;
-    for req in requirements {
-        let delay = crate::delay::path_delay_slots(&schedule, &req.path)
-            .ok_or(ScheduleError::Infeasible)?;
-        if req.deadline_slots.is_some_and(|deadline| delay > deadline) {
+        if flipped >= disagreements.len() {
+            // The order now agrees with hop order on every demanded
+            // edge; if that fails too, reject for real.
             return Err(ScheduleError::Infeasible);
         }
-        max_delay = max_delay.max(delay);
+        let take = batch.min(disagreements.len() - flipped);
+        for &(i, j, _) in &disagreements[flipped..flipped + take] {
+            #[expect(
+                clippy::expect_used,
+                reason = "same total hop order as above: every edge is decided"
+            )]
+            let want = target.before(i, j).expect("hop order decides every edge");
+            order.set(i, j, want);
+        }
+        flipped += take;
+        batch *= 2;
+        wimesh_obs::counter_inc("tdma.approx.repair_rounds");
     }
-    Ok((schedule, max_delay))
 }
 
 #[cfg(test)]

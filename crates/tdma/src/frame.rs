@@ -100,20 +100,21 @@ impl SlotRange {
         Self { start, len }
     }
 
-    /// One past the last slot.
-    pub fn end(&self) -> u32 {
-        self.start + self.len
+    /// One past the last slot, in `u64`: the fields are public, so a
+    /// range may end past `u32::MAX`.
+    pub fn end(&self) -> u64 {
+        u64::from(self.start) + u64::from(self.len)
     }
 
     /// Whether two ranges share any slot.
     pub fn overlaps(&self, other: &SlotRange) -> bool {
-        self.start < other.end() && other.start < self.end()
+        u64::from(self.start) < other.end() && u64::from(other.start) < self.end()
     }
 
-    /// Whether the range fits a frame of `slots` minislots. Computed in
-    /// `u64`, so a range whose end passes `u32::MAX` never fits.
+    /// Whether the range fits a frame of `slots` minislots; a range whose
+    /// end passes `u32::MAX` never fits.
     pub fn fits(&self, slots: u32) -> bool {
-        u64::from(self.start) + u64::from(self.len) <= u64::from(slots)
+        self.end() <= u64::from(slots)
     }
 }
 
@@ -166,6 +167,19 @@ mod tests {
         assert!(r.fits(10));
         assert!(!r.fits(9));
         assert_eq!(r.end(), 10);
+    }
+
+    #[test]
+    fn range_ending_past_u32_max_does_not_wrap() {
+        let last = SlotRange::new(u32::MAX, 1);
+        let before = SlotRange::new(u32::MAX - 1, 4);
+        assert_eq!(last.end(), 1 << 32);
+        assert_eq!(before.end(), (1 << 32) + 2);
+        assert!(last.overlaps(&before));
+        assert!(before.overlaps(&last));
+        assert!(!last.fits(u32::MAX));
+        assert_eq!(last.to_string(), "[4294967295, 4294967296)");
+        assert_eq!(before.to_string(), "[4294967294, 4294967298)");
     }
 
     #[test]

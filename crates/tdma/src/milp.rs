@@ -155,34 +155,29 @@ pub fn validate_order_within(
         used_slots >= 1 && used_slots <= frame.slots(),
         "used_slots must be within the frame"
     );
-    let scheduled = |i: usize| demands.get(graph.link_at(i)) > 0;
-    if !order.covers(graph, scheduled) {
-        wimesh_obs::counter_inc("tdma.order.validation_miss");
-        return None;
-    }
-    let schedule = match crate::schedule_from_order(graph, demands, order, frame) {
-        Ok(s) => s,
-        Err(_) => {
-            wimesh_obs::counter_inc("tdma.order.validation_miss");
+    let realised = || {
+        let scheduled = |i: usize| demands.get(graph.link_at(i)) > 0;
+        if !order.covers(graph, scheduled) {
             return None;
         }
+        let schedule = crate::schedule_from_order(graph, demands, order, frame).ok()?;
+        if schedule.makespan() > used_slots {
+            return None;
+        }
+        let mut max_delay_slots = 0;
+        for req in requirements {
+            let delay = crate::delay::path_delay_slots(&schedule, &req.path)?;
+            if req.deadline_slots.is_some_and(|deadline| delay > deadline) {
+                return None;
+            }
+            max_delay_slots = max_delay_slots.max(delay);
+        }
+        Some((schedule, max_delay_slots))
     };
-    if schedule.makespan() > used_slots {
+    let Some((schedule, max_delay_slots)) = realised() else {
         wimesh_obs::counter_inc("tdma.order.validation_miss");
         return None;
-    }
-    let mut max_delay_slots = 0;
-    for req in requirements {
-        let Some(delay) = crate::delay::path_delay_slots(&schedule, &req.path) else {
-            wimesh_obs::counter_inc("tdma.order.validation_miss");
-            return None;
-        };
-        if req.deadline_slots.is_some_and(|deadline| delay > deadline) {
-            wimesh_obs::counter_inc("tdma.order.validation_miss");
-            return None;
-        }
-        max_delay_slots = max_delay_slots.max(delay);
-    }
+    };
     wimesh_obs::counter_inc("tdma.order.validated");
     Some(OrderSolution {
         order: order.clone(),
@@ -224,6 +219,119 @@ fn undominated(requirements: &[PathRequirement]) -> Vec<usize> {
         .collect()
 }
 
+/// The order model of the module docs, without an objective: the exact
+/// oracle solves it, [`crate::approx::lp_rounded_order`] relaxes it.
+pub(crate) struct OrderModel {
+    pub(crate) model: Model,
+    pub(crate) sigma: BTreeMap<LinkId, VarId>,
+    /// `((i, j), o)`: `o = 1` puts conflict-graph vertex `i` before `j`.
+    pub(crate) order_vars: Vec<((usize, usize), VarId)>,
+    /// One delay expression per undominated requirement.
+    pub(crate) delays: Vec<LinExpr>,
+}
+
+impl OrderModel {
+    /// Transmissions are confined to the first `used_slots` minislots,
+    /// but a frame wrap still costs the *whole* frame.
+    pub(crate) fn build(
+        graph: &ConflictGraph,
+        demands: &Demands,
+        requirements: &[PathRequirement],
+        frame: FrameConfig,
+        used_slots: u32,
+    ) -> Result<Self, ScheduleError> {
+        let horizon = used_slots as f64;
+        let wrap = frame.slots() as f64;
+
+        // Scheduled vertices: conflict-graph indices with positive demand.
+        for link in demands.links() {
+            if graph.index_of(link).is_none() {
+                return Err(ScheduleError::LinkNotInGraph(link));
+            }
+        }
+        for req in requirements {
+            for &l in req.path.links() {
+                if demands.get(l) == 0 {
+                    return Err(ScheduleError::MissingDemand(l));
+                }
+            }
+        }
+
+        let mut model = Model::new();
+        // sigma per demanded link.
+        let mut sigma: BTreeMap<LinkId, VarId> = BTreeMap::new();
+        for (link, d) in demands.iter() {
+            let ub = horizon - d as f64;
+            if ub < 0.0 {
+                return Err(ScheduleError::Infeasible);
+            }
+            sigma.insert(link, model.add_var(0.0, ub, "sigma"));
+        }
+
+        // Order binaries per conflict edge among demanded links.
+        let mut order_vars: Vec<((usize, usize), VarId)> = Vec::new();
+        for (i, j) in graph.edges() {
+            let (li, lj) = (graph.link_at(i), graph.link_at(j));
+            let (di, dj) = (demands.get(li), demands.get(lj));
+            if di == 0 || dj == 0 {
+                continue;
+            }
+            let o = model.add_binary_var("o");
+            order_vars.push(((i, j), o));
+            let (si, sj) = (sigma[&li], sigma[&lj]);
+            // o = 1 -> i before j: sigma_j - sigma_i >= d_i  (else relaxed)
+            model.add_ge(sj - si + horizon * (1.0 - o), di as f64);
+            // o = 0 -> j before i: sigma_i - sigma_j >= d_j  (else relaxed)
+            model.add_ge(si - sj + horizon * o, dj as f64);
+        }
+
+        // Wrap counters and delay expressions, per undominated path.
+        let mut delays: Vec<LinExpr> = Vec::new();
+        for pidx in undominated(requirements) {
+            let req = &requirements[pidx];
+            let links = req.path.links();
+            let hops = links.len();
+            let first = sigma[&links[0]];
+            let last = sigma[&links[hops - 1]];
+            // W_m: total wraps accumulated entering hop m (W_0 = 0 implicit).
+            let mut prev_w: Option<VarId> = None;
+            for m in 1..hops {
+                let w = model.add_integer_var(0.0, hops as f64, "w");
+                let (sp, sc) = (sigma[&links[m - 1]], sigma[&links[m]]);
+                let d_prev = demands.get(links[m - 1]) as f64;
+                // sigma_m + S W_m >= sigma_{m-1} + S W_{m-1} + d_{m-1},
+                // with S the full frame length (wrap cost).
+                let mut lhs = LinExpr::from(sc) + wrap * w - sp;
+                if let Some(pw) = prev_w {
+                    lhs = lhs - wrap * pw;
+                }
+                model.add_ge(lhs, d_prev);
+                // Wraps never decrease along the path.
+                if let Some(pw) = prev_w {
+                    model.add_ge(w - pw, 0.0);
+                }
+                prev_w = Some(w);
+            }
+            let d_last = demands.get(links[hops - 1]) as f64;
+            // delay = sigma_last + S W_last + d_last - sigma_first
+            let mut delay = LinExpr::from(last) + d_last - first;
+            if let Some(w) = prev_w {
+                delay = delay + wrap * w;
+            }
+            if let Some(deadline) = req.deadline_slots {
+                model.add_le(delay.clone(), deadline as f64);
+            }
+            delays.push(delay);
+        }
+        Ok(Self {
+            model,
+            sigma,
+            order_vars,
+            delays,
+        })
+    }
+}
+
 fn solve(
     graph: &ConflictGraph,
     demands: &Demands,
@@ -233,104 +341,20 @@ fn solve(
     config: &SolverConfig,
     optimize: bool,
 ) -> Result<OrderSolution, ScheduleError> {
-    // Transmissions are confined to the first `used_slots` minislots, but
-    // a frame wrap still costs the *whole* frame.
-    let horizon = used_slots as f64;
-    let wrap = frame.slots() as f64;
-
-    // Scheduled vertices: conflict-graph indices with positive demand.
-    for link in demands.links() {
-        if graph.index_of(link).is_none() {
-            return Err(ScheduleError::LinkNotInGraph(link));
-        }
-    }
-    for req in requirements {
-        for &l in req.path.links() {
-            if demands.get(l) == 0 {
-                return Err(ScheduleError::MissingDemand(l));
-            }
-        }
-    }
-
-    let mut model = Model::new();
-    // sigma per demanded link.
-    let mut sigma: BTreeMap<LinkId, VarId> = BTreeMap::new();
-    for (link, d) in demands.iter() {
-        let ub = horizon - d as f64;
-        if ub < 0.0 {
-            return Err(ScheduleError::Infeasible);
-        }
-        sigma.insert(link, model.add_var(0.0, ub, "sigma"));
-    }
-
-    // Order binaries per conflict edge among demanded links.
-    let mut order_vars: Vec<((usize, usize), VarId)> = Vec::new();
-    for (i, j) in graph.edges() {
-        let (li, lj) = (graph.link_at(i), graph.link_at(j));
-        let (di, dj) = (demands.get(li), demands.get(lj));
-        if di == 0 || dj == 0 {
-            continue;
-        }
-        let o = model.add_binary_var("o");
-        order_vars.push(((i, j), o));
-        let (si, sj) = (sigma[&li], sigma[&lj]);
-        // o = 1 -> i before j: sigma_j - sigma_i >= d_i  (else relaxed)
-        model.add_ge(sj - si + horizon * (1.0 - o), di as f64);
-        // o = 0 -> j before i: sigma_i - sigma_j >= d_j  (else relaxed)
-        model.add_ge(si - sj + horizon * o, dj as f64);
-    }
-
-    // Wrap counters and delay expressions, per undominated path.
-    let mut delay_exprs: Vec<LinExpr> = Vec::new();
-    for pidx in undominated(requirements) {
-        let req = &requirements[pidx];
-        let links = req.path.links();
-        let hops = links.len();
-        let first = sigma[&links[0]];
-        let last = sigma[&links[hops - 1]];
-        // W_m: total wraps accumulated entering hop m (W_0 = 0 implicit).
-        let mut prev_w: Option<VarId> = None;
-        for m in 1..hops {
-            let w = model.add_integer_var(0.0, hops as f64, "w");
-            let (sp, sc) = (sigma[&links[m - 1]], sigma[&links[m]]);
-            let d_prev = demands.get(links[m - 1]) as f64;
-            // sigma_m + S W_m >= sigma_{m-1} + S W_{m-1} + d_{m-1},
-            // with S the full frame length (wrap cost).
-            let mut lhs = LinExpr::from(sc) + wrap * w - sp;
-            if let Some(pw) = prev_w {
-                lhs = lhs - wrap * pw;
-            }
-            model.add_ge(lhs, d_prev);
-            // Wraps never decrease along the path.
-            if let Some(pw) = prev_w {
-                model.add_ge(w - pw, 0.0);
-            }
-            prev_w = Some(w);
-        }
-        let d_last = demands.get(links[hops - 1]) as f64;
-        // delay = sigma_last + S W_last + d_last - sigma_first
-        let mut delay = LinExpr::from(last) + d_last - first;
-        if let Some(w) = prev_w {
-            delay = delay + wrap * w;
-        }
-        if let Some(deadline) = req.deadline_slots {
-            model.add_le(delay.clone(), deadline as f64);
-        }
-        delay_exprs.push(delay);
-    }
+    let mut m = OrderModel::build(graph, demands, requirements, frame, used_slots)?;
 
     // Feasibility mode sets no objective: any point will do, and with
     // every node's bound tied at 0 the search dives to its first integral
     // leaf and stops there.
     if optimize {
-        let z = model.add_var(0.0, f64::INFINITY, "z");
-        for d in &delay_exprs {
-            model.add_ge(LinExpr::from(z) - d.clone(), 0.0);
+        let z = m.model.add_var(0.0, f64::INFINITY, "z");
+        for d in &m.delays {
+            m.model.add_ge(LinExpr::from(z) - d.clone(), 0.0);
         }
-        model.set_objective(Sense::Minimize, LinExpr::from(z));
+        m.model.set_objective(Sense::Minimize, LinExpr::from(z));
     }
 
-    let solution = match model.solve_with(config) {
+    let solution = match m.model.solve_with(config) {
         Ok(s) => s,
         Err(SolveError::Infeasible) => return Err(ScheduleError::Infeasible),
         Err(e) => return Err(ScheduleError::SolverFailed(e.to_string())),
@@ -338,14 +362,14 @@ fn solve(
 
     // Extract the order and the (integral, by total unimodularity) starts.
     let mut order = TransmissionOrder::new();
-    for ((i, j), var) in &order_vars {
+    for ((i, j), var) in &m.order_vars {
         order.set(*i, *j, solution.value(*var) > 0.5);
     }
     let mut ranges = Vec::with_capacity(demands.len());
     for (link, d) in demands.iter() {
-        let s = solution.value(sigma[&link]).round();
+        let s = solution.value(m.sigma[&link]).round();
         debug_assert!(
-            (solution.value(sigma[&link]) - s).abs() < 1e-4,
+            (solution.value(m.sigma[&link]) - s).abs() < 1e-4,
             "start times should be integral"
         );
         ranges.push((link, SlotRange::new(s as u32, d)));

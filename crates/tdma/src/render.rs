@@ -62,7 +62,7 @@ pub fn render_schedule(schedule: &Schedule, max_cols: u32) -> String {
     for (link, range) in schedule.iter() {
         let _ = write!(out, "{:<label_width$} |", link.to_string());
         for s in 0..shown {
-            out.push(if s >= range.start && s < range.end() {
+            out.push(if s >= range.start && u64::from(s) < range.end() {
                 '#'
             } else {
                 '.'

@@ -95,7 +95,10 @@ impl Schedule {
     /// Last occupied slot boundary: the minimum frame length this layout
     /// needs.
     pub fn makespan(&self) -> u32 {
-        self.ranges.iter().map(|(_, r)| r.end()).max().unwrap_or(0)
+        // Every range fits the frame (checked at construction), so its
+        // end is a `u32`.
+        let end = |r: &SlotRange| r.start + r.len;
+        self.ranges.iter().map(|(_, r)| end(r)).max().unwrap_or(0)
     }
 
     /// Total scheduled slots (sum of range lengths).

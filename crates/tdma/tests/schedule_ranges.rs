@@ -46,7 +46,7 @@ proptest! {
         prop_assert!(schedule.iter().eq(sorted.iter().copied()));
         prop_assert_eq!(schedule.len(), map.len());
         prop_assert_eq!(schedule.is_empty(), map.is_empty());
-        prop_assert_eq!(schedule.makespan(), map.values().map(SlotRange::end).max().unwrap_or(0));
+        prop_assert_eq!(u64::from(schedule.makespan()), map.values().map(SlotRange::end).max().unwrap_or(0));
         prop_assert_eq!(schedule.busy_slots(), map.values().map(|r| u64::from(r.len)).sum::<u64>());
     }
 

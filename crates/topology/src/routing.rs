@@ -86,13 +86,25 @@ impl Path {
 /// * [`TopologyError::NoRoute`] if `to` is unreachable or `from == to`
 ///   (a mesh flow needs at least one link).
 pub fn shortest_path(topo: &MeshTopology, from: NodeId, to: NodeId) -> Result<Path, TopologyError> {
+    shortest_path_through(topo, from, to, |_| true)
+}
+
+/// [`shortest_path`] over only the nodes `usable` accepts, endpoints
+/// included (else [`TopologyError::NoRoute`]), visiting links in the same
+/// order: with every node usable both return the same path.
+pub fn shortest_path_through(
+    topo: &MeshTopology,
+    from: NodeId,
+    to: NodeId,
+    mut usable: impl FnMut(NodeId) -> bool,
+) -> Result<Path, TopologyError> {
     if topo.node(from).is_none() {
         return Err(TopologyError::UnknownNode(from));
     }
     if topo.node(to).is_none() {
         return Err(TopologyError::UnknownNode(to));
     }
-    if from == to {
+    if from == to || !usable(from) {
         return Err(TopologyError::NoRoute(from, to));
     }
     // BFS storing the inbound link of each discovered node.
@@ -103,7 +115,7 @@ pub fn shortest_path(topo: &MeshTopology, from: NodeId, to: NodeId) -> Result<Pa
     'bfs: while let Some(u) = queue.pop_front() {
         for &lid in topo.out_links(u) {
             let v = topo.link(lid).expect("out_links are valid").rx;
-            if !seen[v.index()] {
+            if !seen[v.index()] && usable(v) {
                 seen[v.index()] = true;
                 inbound[v.index()] = Some(lid);
                 if v == to {
@@ -292,6 +304,63 @@ mod tests {
         let a = t2.add_node();
         let b = t2.add_node();
         assert_eq!(shortest_path(&t2, a, b), Err(TopologyError::NoRoute(a, b)));
+    }
+
+    #[test]
+    fn filtered_bfs_with_nothing_excluded_is_shortest_path() {
+        use crate::generators::UnitDiskParams;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let mut topos = vec![generators::chain(6), generators::grid(4, 5)];
+        let mut rng = StdRng::seed_from_u64(7);
+        let params = UnitDiskParams {
+            nodes: 12,
+            area_m: 1000.0,
+            range_m: 400.0,
+            max_attempts: 200,
+        };
+        topos.extend((0..6).filter_map(|_| generators::random_unit_disk(params, &mut rng)));
+        assert!(topos.len() > 2, "no unit-disk mesh was generated");
+        for t in &topos {
+            for a in t.node_ids() {
+                for b in t.node_ids() {
+                    assert_eq!(
+                        shortest_path_through(t, a, b, |_| true),
+                        shortest_path(t, a, b),
+                        "{a} -> {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn filtered_bfs_routes_around_an_excluded_relay() {
+        let t = generators::grid(3, 3);
+        let (from, to, relay) = (NodeId(0), NodeId(2), NodeId(1));
+        assert_eq!(shortest_path(&t, from, to).unwrap().nodes()[1], relay);
+        let detour = shortest_path_through(&t, from, to, |n| n != relay).unwrap();
+        assert!(!detour.nodes().contains(&relay));
+        assert_eq!(detour.hop_count(), 4);
+        // A chain has no way round.
+        let c = generators::chain(4);
+        assert_eq!(
+            shortest_path_through(&c, NodeId(0), NodeId(3), |n| n != relay),
+            Err(TopologyError::NoRoute(NodeId(0), NodeId(3)))
+        );
+    }
+
+    #[test]
+    fn filtered_bfs_finds_no_route_from_or_to_an_excluded_endpoint() {
+        let t = generators::grid(3, 3);
+        let (from, to) = (NodeId(0), NodeId(8));
+        for excluded in [from, to] {
+            assert_eq!(
+                shortest_path_through(&t, from, to, |n| n != excluded),
+                Err(TopologyError::NoRoute(from, to))
+            );
+        }
     }
 
     #[test]

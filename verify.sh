@@ -10,11 +10,13 @@ cargo test -q
 # The longest-path kernel behind every schedule must agree with the
 # reference Bellman-Ford (start times, makespans, errors, real cycles).
 cargo test -q -p wimesh-tdma --test kernel_equivalence
-# The conflict predicate is written once, in `conflicting_links`: a graph
+# The conflict predicate is written once, in wimesh-conflict: a graph
 # grown and shrunk one vertex at a time, through `insert_vertex` or through
 # the per-link lists a session memoises, must hold exactly the edges of the
-# pairwise build over the same vertices, on chains, grids and random
-# unit-disk meshes under every interference model.
+# pairwise build over the same vertices, and the pairwise test
+# `links_conflict` (the distributed MAC's rule) must answer every link
+# pair as the graph does, on chains, grids and random unit-disk meshes
+# under every interference model.
 cargo test -q -p wimesh-conflict --test incremental_conflicts
 # The exact slot search (heaviest-clique bound, warm order, oracle calls
 # inside the gap) must return the verdicts and minimal regions of a
@@ -121,4 +123,38 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 # Nothing above may rewrite a committed result: `--quick` runs write under
 # the system temp directory.
 test -z "$(git status --porcelain results/)"
+# Every committed result must be what this tree writes. A full
+# `experiments` run writes results/ relative to its working directory, so
+# it runs from a scratch directory and its CSVs are compared with
+# results/ byte for byte, after cutting the columns that time a solve on
+# the host and so differ run to run (found by running one build twice):
+# e9's exact_ms, approx_admission's median_us and speedup. Of the JSON
+# artifacts only runtime_faults' and slo_audit's are deterministic; the
+# other BENCH_*.json record wall-clock timings (BENCH_approx_admission's
+# medians among them) and are left out.
+root="$(pwd)"
+fresh="$(mktemp -d)"
+trap 'rm -rf "$fresh"' EXIT
+(cd "$fresh" && cargo run -q --release --manifest-path "$root/Cargo.toml" \
+  -p wimesh-bench --bin experiments >/dev/null)
+without() { # <csv> <space-separated header names to cut>
+  awk -F, -v drop="$2" '
+    NR == 1 { for (i = 1; i <= NF; i++) if ((" " drop " ") ~ (" " $i " ")) cut[i] = 1 }
+    { line = ""; sep = ""
+      for (i = 1; i <= NF; i++) if (!(i in cut)) { line = line sep $i; sep = "," }
+      print line }' "$1"
+}
+for f in "$fresh"/results/*.csv; do
+  test -e "results/$(basename "$f")"
+done
+for f in results/*.csv; do
+  case "$(basename "$f" .csv)" in
+    e9) timing="exact_ms" ;;
+    approx_admission) timing="median_us speedup" ;;
+    *) timing="" ;;
+  esac
+  diff <(without "$f" "$timing") <(without "$fresh/$f" "$timing")
+done
+cmp results/BENCH_runtime_faults.json "$fresh/results/BENCH_runtime_faults.json"
+cmp results/BENCH_slo_audit.json "$fresh/results/BENCH_slo_audit.json"
 echo "verify: all checks passed"
