@@ -1,8 +1,9 @@
 //! The compiler-enforced rules hold for every crate: each opts into
 //! `[workspace.lints]`, each crate-local `clippy.toml` keeps every ban of
 //! the root one (DESIGN §3.10), no crate declares a cargo feature, so
-//! the build every suite tests is the one that ships, and the certifier
-//! does not depend on the telemetry crate.
+//! the build every suite tests is the one that ships, the certifier
+//! does not depend on the telemetry crate, and the topology and conflict
+//! crates keep one breadth-first search.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -22,6 +23,18 @@ fn crate_dirs() -> Vec<PathBuf> {
         .collect();
     dirs.sort();
     dirs
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("source dir is readable") {
+        let path = entry.expect("source dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
 }
 
 /// Every `path = "…"` of the `key = [ … ]` array in a clippy.toml.
@@ -138,16 +151,6 @@ fn deterministic_crates_suppress_no_method_ban() {
     // sim, emu and node run on the virtual clock: their clippy.toml bans
     // `Instant::now` and `SystemTime::now` with no exception, so no
     // source file there may `#[expect]` its way past a method ban.
-    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-        for entry in fs::read_dir(dir).expect("source dir is readable") {
-            let path = entry.expect("source dir entry").path();
-            if path.is_dir() {
-                rust_files(&path, out);
-            } else if path.extension().is_some_and(|ext| ext == "rs") {
-                out.push(path);
-            }
-        }
-    }
     let mut files = Vec::new();
     for krate in ["sim", "emu", "node"] {
         rust_files(
@@ -164,4 +167,29 @@ fn deterministic_crates_suppress_no_method_ban() {
             file.display()
         );
     }
+}
+
+#[test]
+fn topology_and_conflict_keep_one_breadth_first_search() {
+    // Every hop question (routes, the gateway tree, k-hop neighbourhoods,
+    // protocol-model interference) is answered by `MeshTopology::bfs`;
+    // a second queue-driven loop is a second copy of that search.
+    let mut files = Vec::new();
+    for krate in ["topology", "conflict"] {
+        rust_files(
+            &workspace_root().join("crates").join(krate).join("src"),
+            &mut files,
+        );
+    }
+    assert!(files.len() >= 3, "found only {} source files", files.len());
+    let queues: Vec<String> = files
+        .iter()
+        .filter(|file| {
+            let text = fs::read_to_string(file).expect("source file is readable");
+            let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+            code.contains("VecDeque")
+        })
+        .map(|file| file.display().to_string())
+        .collect();
+    assert_eq!(queues.len(), 1, "files naming VecDeque: {queues:?}");
 }

@@ -9,7 +9,6 @@
 //! incurs large scheduling delay.
 
 use crate::ConflictGraph;
-use wimesh_topology::LinkId;
 
 /// A proper vertex coloring of a [`ConflictGraph`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,12 +27,6 @@ impl Coloring {
     /// Panics if `i` is out of range.
     pub fn color_of_index(&self, i: usize) -> usize {
         self.colors[i]
-    }
-
-    /// Color of `link`, or `None` if it is not a vertex of the colored
-    /// graph.
-    pub fn color_of(&self, graph: &ConflictGraph, link: LinkId) -> Option<usize> {
-        graph.index_of(link).map(|i| self.colors[i])
     }
 
     /// Number of colors used.
@@ -133,17 +126,6 @@ mod tests {
         let cg = ConflictGraph::build(&topo, InterferenceModel::PrimaryOnly);
         let coloring = greedy_coloring(&cg);
         assert_eq!(coloring.color_count(), cg.vertex_count());
-    }
-
-    #[test]
-    fn color_lookup_by_link() {
-        let topo = generators::chain(3);
-        let cg = ConflictGraph::build(&topo, InterferenceModel::protocol_default());
-        let coloring = greedy_coloring(&cg);
-        for &l in cg.links() {
-            assert!(coloring.color_of(&cg, l).is_some());
-        }
-        assert_eq!(coloring.color_of(&cg, wimesh_topology::LinkId(99)), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Conflict graph construction.
 
-use wimesh_topology::{Link, LinkId, MeshTopology, NodeId};
+use wimesh_topology::{Direction, Link, LinkId, MeshTopology, NodeId};
 
 /// How secondary (interference) conflicts are decided.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,12 +87,12 @@ impl ConflictGraph {
             let prev = index[l.index()].replace(i);
             assert!(prev.is_none(), "duplicate link {l} in active set");
         }
-        // Precompute pairwise hop distances between link endpoints when the
-        // protocol model needs them.
+        // Precompute pairwise hop distances between link endpoints, exact up
+        // to the radius, when the protocol model needs them.
         let hop_dist: Vec<Vec<usize>> = match model {
             InterferenceModel::Protocol { hops } => topo
                 .node_ids()
-                .map(|src| hop_distances(topo, src, hops, false))
+                .map(|src| hop_row(topo, src, Direction::Outbound, hops))
                 .collect(),
             _ => Vec::new(),
         };
@@ -338,8 +338,8 @@ pub fn conflicting_links(
     // of `new.tx`, one into `new.rx`.
     let (from_tx, to_rx) = match model {
         InterferenceModel::Protocol { hops } => (
-            hop_distances(topo, new.tx, hops, false),
-            hop_distances(topo, new.rx, hops, true),
+            hop_row(topo, new.tx, Direction::Outbound, hops),
+            hop_row(topo, new.rx, Direction::Inbound, hops),
         ),
         _ => Default::default(),
     };
@@ -360,7 +360,8 @@ pub fn conflicting_links(
 /// a [`ConflictGraph`] once and ask [`ConflictGraph::are_in_conflict`].
 pub fn links_conflict(topo: &MeshTopology, a: &Link, b: &Link, model: InterferenceModel) -> bool {
     conflicts(topo, a, b, model, |radius| {
-        let to_rx = |tx: NodeId, rx: NodeId| hop_distances(topo, tx, radius, false)[rx.index()];
+        let to_rx =
+            |tx: NodeId, rx: NodeId| hop_row(topo, tx, Direction::Outbound, radius)[rx.index()];
         (to_rx(a.tx, b.rx), to_rx(b.tx, a.rx))
     })
 }
@@ -397,33 +398,9 @@ fn conflicts(
     }
 }
 
-/// BFS hop distances from `src` over outgoing links, or to `src` over
-/// incoming links when `inbound`, truncated at `cap` (distances greater
-/// than `cap` are reported as `cap + 1`).
-fn hop_distances(topo: &MeshTopology, src: NodeId, cap: usize, inbound: bool) -> Vec<usize> {
-    let mut row = vec![cap + 1; topo.node_count()];
-    row[src.index()] = 0;
-    let mut queue = std::collections::VecDeque::from([src]);
-    while let Some(u) = queue.pop_front() {
-        let d = row[u.index()];
-        if d == cap {
-            continue;
-        }
-        let step = if inbound {
-            topo.in_links(u)
-        } else {
-            topo.out_links(u)
-        };
-        for l in step {
-            let link = &topo.links()[l.index()];
-            let v = if inbound { link.tx } else { link.rx };
-            if row[v.index()] > d + 1 {
-                row[v.index()] = d + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    row
+/// Hops from (or, inbound, to) `src`, exact up to `cap`; `usize::MAX` beyond.
+fn hop_row(topo: &MeshTopology, src: NodeId, direction: Direction, cap: usize) -> Vec<usize> {
+    topo.bfs(src, direction, Some(cap), |_| true, |_| true)
 }
 
 #[cfg(test)]

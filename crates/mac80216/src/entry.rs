@@ -21,7 +21,7 @@
 //! is exactly the `max_sync_depth` the emulation layer's guard-time model
 //! needs.
 
-use wimesh_topology::{MeshTopology, NodeId};
+use wimesh_topology::{Direction, MeshTopology, NodeId};
 
 use crate::election::MeshElection;
 
@@ -130,10 +130,14 @@ pub fn run_network_entry(
 
     active[gateway.index()] = true;
     join_frame[gateway.index()] = Some(0);
+    // Entry is done once every node the gateway reaches has joined;
+    // reachability is fixed for the run, so one walk answers it.
+    let hops = topo.bfs(gateway, Direction::Outbound, None, |_| true, |_| true);
+    let done = |active: &[bool]| (0..n).all(|i| active[i] || hops[i] == usize::MAX);
 
     let mut frame = 0u32;
     while frame < config.max_frames {
-        if (0..n).all(|i| active[i] || topo.hop_distance(gateway, NodeId(i as u32)).is_none()) {
+        if done(&active) {
             break;
         }
         // Track which candidates heard an NCFG this frame.
@@ -194,12 +198,10 @@ pub fn run_network_entry(
         frame += 1;
     }
 
-    let all_joined =
-        (0..n).all(|i| active[i] || topo.hop_distance(gateway, NodeId(i as u32)).is_none());
     EntryOutcome {
         join_frame,
         sponsor,
-        all_joined,
+        all_joined: done(&active),
         frames_elapsed: frame,
     }
 }

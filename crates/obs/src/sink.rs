@@ -63,7 +63,6 @@ pub struct MemorySink {
     snapshots: Mutex<Vec<MetricsSnapshot>>,
     traces: Mutex<Vec<TraceEvent>>,
     flights: Mutex<Vec<FlightDump>>,
-    slos: Mutex<Vec<SloVerdict>>,
 }
 
 impl MemorySink {
@@ -91,11 +90,6 @@ impl MemorySink {
     pub fn flight_dumps(&self) -> Vec<FlightDump> {
         lock(&self.flights).clone()
     }
-
-    /// All SLO verdicts received so far.
-    pub fn slo_verdicts(&self) -> Vec<SloVerdict> {
-        lock(&self.slos).clone()
-    }
 }
 
 impl Sink for MemorySink {
@@ -113,10 +107,6 @@ impl Sink for MemorySink {
 
     fn on_flight(&self, dump: &FlightDump) {
         lock(&self.flights).push(dump.clone());
-    }
-
-    fn on_slo(&self, verdict: &SloVerdict) {
-        lock(&self.slos).push(*verdict);
     }
 }
 

@@ -14,11 +14,19 @@
 //!   this is how collisions and the hidden-terminal problem appear.
 //! * Failed frames retry with binary exponential backoff up to the retry
 //!   limit, then are dropped.
+//! * With [`DcfConfig::rts_cts`], every frame also occupies the
+//!   [`airtime::rts_cts_overhead`] (RTS + SIFS + CTS + SIFS). Once that
+//!   prologue has passed, the receiver's neighbours hear the CTS and sense
+//!   the medium busy (NAV). An interferer in range of the receiver then
+//!   corrupts the frame only while either of the two is still in its
+//!   prologue, or if they started less than one prologue apart: hidden
+//!   terminals collide in the RTS window alone.
 //!
 //! This is the standard Bianchi-style slotted abstraction of DCF. It does
-//! not model capture, RTS/CTS or per-bit errors, but it reproduces the
-//! behaviour the paper's motivation rests on: contention collapse and
-//! unbounded delay tails over multiple hops.
+//! not model capture or per-bit errors (channel loss is one per-frame
+//! [`DcfConfig::frame_error_rate`]), but it reproduces the behaviour the
+//! paper's motivation rests on: contention collapse and unbounded delay
+//! tails over multiple hops.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;

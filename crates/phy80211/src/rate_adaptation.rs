@@ -66,11 +66,6 @@ impl RateTable {
             .map(|&(_, rate)| rate)
     }
 
-    /// Maximum distance at which any rate works (the base rate's range).
-    pub fn max_range_m(&self) -> f64 {
-        self.rows.last().map(|&(range, _)| range).unwrap_or(0.0)
-    }
-
     /// The `(max_distance_m, rate_mbps)` rows, nearest/fastest first.
     pub fn rows(&self) -> &[(f64, f64)] {
         &self.rows
@@ -103,7 +98,6 @@ mod tests {
             PhyStandard::Dot11g,
         ] {
             let t = RateTable::new(phy, 250.0, 3.0);
-            assert!((t.max_range_m() - 250.0).abs() < 1e-9);
             assert_eq!(t.rate_for_distance(250.0), Some(phy.base_rate_mbps()));
         }
     }

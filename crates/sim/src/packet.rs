@@ -53,27 +53,11 @@ impl Packet {
             created,
         }
     }
-
-    /// Sojourn time from creation to `now`.
-    pub fn age_at(&self, now: SimTime) -> std::time::Duration {
-        now.saturating_since(self.created)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn packet_age() {
-        let p = Packet::new(FlowId(1), 0, 200, SimTime::from_micros(100));
-        assert_eq!(
-            p.age_at(SimTime::from_micros(250)),
-            Duration::from_micros(150)
-        );
-        assert_eq!(p.age_at(SimTime::from_micros(50)), Duration::ZERO);
-    }
 
     #[test]
     fn flow_id_display() {

@@ -67,7 +67,7 @@
 //! carrying the offending line number.
 
 use std::fmt;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 use std::time::Duration;
@@ -131,17 +131,6 @@ impl JournalWriter {
     /// Propagates the filesystem error.
     pub fn create(path: &Path) -> io::Result<Self> {
         Ok(Self::from_writer(Box::new(File::create(path)?)))
-    }
-
-    /// Opens a journal for appending — the resume path after recovery,
-    /// so new mutations extend the replayed history.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the filesystem error.
-    pub fn append_to(path: &Path) -> io::Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Self::from_writer(Box::new(file)))
     }
 
     /// Wraps an arbitrary writer (tests, `io::sink()`, sockets).

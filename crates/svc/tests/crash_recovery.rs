@@ -300,7 +300,7 @@ fn recovery_resumes_and_the_extended_journal_still_recovers() {
     let recovered = recover(&mesh, OrderPolicy::HopOrder, &journal).expect("recovers");
 
     // Resume service on the recovered session, appending to the same
-    // journal (as JournalWriter::append_to would on disk).
+    // journal in memory.
     let buf = SharedBuf(Arc::new(Mutex::new(journal.into_bytes())));
     let writer = JournalWriter::from_writer(Box::new(buf.clone()));
     let mut resumed = JournaledSession::new(recovered.session, writer, 0);

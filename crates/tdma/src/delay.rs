@@ -86,15 +86,6 @@ pub fn worst_case_delay_slots(schedule: &Schedule, path: &Path) -> Option<u64> {
     Some(path_delay_slots(schedule, path)? + schedule.frame().slots() as u64)
 }
 
-/// [`path_delay_slots`] converted to wall-clock time.
-pub fn path_delay(schedule: &Schedule, path: &Path) -> Option<Duration> {
-    Some(
-        schedule
-            .frame()
-            .slots_to_duration(path_delay_slots(schedule, path)?),
-    )
-}
-
 /// [`worst_case_delay_slots`] converted to wall-clock time.
 pub fn worst_case_delay(schedule: &Schedule, path: &Path) -> Option<Duration> {
     Some(
@@ -254,8 +245,7 @@ mod tests {
     #[test]
     fn duration_conversion() {
         let (sched, path) = chain_case(5, 2, 32, false);
-        // 8 slots x 100 us.
-        assert_eq!(path_delay(&sched, &path), Some(Duration::from_micros(800)));
+        // (8 + 32) slots x 100 us.
         assert_eq!(
             worst_case_delay(&sched, &path),
             Some(Duration::from_micros(4000))

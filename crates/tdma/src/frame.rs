@@ -57,12 +57,6 @@ impl FrameConfig {
     pub fn slots_to_duration(&self, slots: u64) -> Duration {
         Duration::from_micros(slots * self.slot_duration_us)
     }
-
-    /// Returns a frame identical to this one but with a different number of
-    /// slots (used by the linear slot search).
-    pub fn with_slots(&self, slots: u32) -> Self {
-        Self::new(slots, self.slot_duration_us)
-    }
 }
 
 impl fmt::Display for FrameConfig {
@@ -134,7 +128,6 @@ mod tests {
         assert_eq!(f.slots(), 256);
         assert_eq!(f.frame_duration_us(), 9984);
         assert_eq!(f.slots_to_duration(2), Duration::from_micros(78));
-        assert_eq!(f.with_slots(100).frame_duration_us(), 3900);
     }
 
     #[test]

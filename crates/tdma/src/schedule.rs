@@ -106,12 +106,6 @@ impl Schedule {
         self.ranges.iter().map(|(_, r)| u64::from(r.len)).sum()
     }
 
-    /// Fraction of the frame's slots that are assigned, counting spatial
-    /// reuse (can exceed 1.0 when non-conflicting links share slots).
-    pub fn utilization(&self) -> f64 {
-        self.busy_slots() as f64 / self.frame.slots() as f64
-    }
-
     /// Checks conflict-freeness against `graph`: no two conflicting links
     /// may overlap in slots.
     ///
@@ -471,7 +465,6 @@ mod tests {
             sched.makespan() as u64 <= demands.total(),
             "hop order never exceeds serial schedule"
         );
-        assert!(sched.utilization() > 0.0);
     }
 
     #[test]
@@ -517,7 +510,6 @@ mod tests {
         .unwrap();
         assert!(sched.is_empty());
         assert_eq!(sched.makespan(), 0);
-        assert_eq!(sched.utilization(), 0.0);
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl Link {
     pub fn shares_endpoint(&self, other: &Link) -> bool {
         self.tx == other.tx || self.tx == other.rx || self.rx == other.tx || self.rx == other.rx
     }
-
-    /// Returns `true` if `other` is the reverse direction of this link.
-    pub fn is_reverse_of(&self, other: &Link) -> bool {
-        self.tx == other.rx && self.rx == other.tx
-    }
 }
 
 /// The connectivity graph of a wireless mesh network.
@@ -216,69 +211,79 @@ impl MeshTopology {
             .map(move |&l| self.links[l.index()].rx)
     }
 
-    /// Hop distance (number of links on a shortest path) between two nodes,
-    /// or `None` if unreachable. Distance to self is `Some(0)`.
-    pub fn hop_distance(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        if self.node(from).is_none() || self.node(to).is_none() {
-            return None;
-        }
-        if from == to {
-            return Some(0);
-        }
+    /// Walks breadth-first from `source` over links in `direction`: the
+    /// one hop search of the workspace. It expands no node `cap` or more
+    /// hops away and discovers only the nodes `accept` takes. Each node it
+    /// discovers but the source goes to `visit`, in discovery order (by
+    /// hops, then by the link order of the node it was discovered from),
+    /// and the walk stops at the first `false`, as [`Iterator::all`] does.
+    /// Following [`Reached::via`] back retraces a shortest path.
+    ///
+    /// Returns each node's hops, indexed by [`NodeId::index`]: `usize::MAX`
+    /// where the walk did not reach (everywhere, for an unknown `source`).
+    pub fn bfs(
+        &self,
+        source: NodeId,
+        direction: Direction,
+        cap: Option<usize>,
+        mut accept: impl FnMut(NodeId) -> bool,
+        mut visit: impl FnMut(Reached) -> bool,
+    ) -> Vec<usize> {
         let mut dist = vec![usize::MAX; self.nodes.len()];
-        dist[from.index()] = 0;
-        let mut queue = VecDeque::from([from]);
+        let Some(at_source) = dist.get_mut(source.index()) else {
+            return dist;
+        };
+        *at_source = 0;
+        let mut queue = VecDeque::from([source]);
         while let Some(u) = queue.pop_front() {
             let d = dist[u.index()];
-            for v in self.neighbors(u) {
-                if dist[v.index()] == usize::MAX {
-                    dist[v.index()] = d + 1;
-                    if v == to {
-                        return Some(d + 1);
+            if cap.is_some_and(|cap| d >= cap) {
+                continue;
+            }
+            let links = match direction {
+                Direction::Outbound => self.out_links(u),
+                Direction::Inbound => self.in_links(u),
+            };
+            for &via in links {
+                let link = &self.links[via.index()];
+                let v = if link.tx == u { link.rx } else { link.tx };
+                if dist[v.index()] == usize::MAX && accept(v) {
+                    let hops = d + 1;
+                    dist[v.index()] = hops;
+                    if !visit(Reached { node: v, hops, via }) {
+                        return dist;
                     }
                     queue.push_back(v);
                 }
             }
         }
-        None
+        dist
+    }
+
+    /// Hop distance (number of links on a shortest path) between two nodes,
+    /// or `None` if unreachable. Distance to self is `Some(0)`.
+    pub fn hop_distance(&self, from: NodeId, to: NodeId) -> Option<usize> {
+        if from == to {
+            return self.node(from).map(|_| 0);
+        }
+        let dist = self.bfs(from, Direction::Outbound, None, |_| true, |r| r.node != to);
+        dist.get(to.index()).copied().filter(|&d| d != usize::MAX)
     }
 
     /// Node ids within `k` hops of `node` (excluding `node` itself).
     pub fn k_hop_neighborhood(&self, node: NodeId, k: usize) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        if self.node(node).is_none() || k == 0 {
-            return out;
-        }
-        let mut dist = vec![usize::MAX; self.nodes.len()];
-        dist[node.index()] = 0;
-        let mut queue = VecDeque::from([node]);
-        while let Some(u) = queue.pop_front() {
-            let d = dist[u.index()];
-            if d == k {
-                continue;
-            }
-            for v in self.neighbors(u) {
-                if dist[v.index()] == usize::MAX {
-                    dist[v.index()] = d + 1;
-                    out.push(v);
-                    queue.push_back(v);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
+        let dist = self.bfs(node, Direction::Outbound, Some(k), |_| true, |_| true);
+        self.node_ids()
+            .filter(|v| (1..=k).contains(&dist[v.index()]))
+            .collect()
     }
 
     /// Returns `true` if every node can reach every other node.
     ///
     /// An empty topology and a single node are both connected.
     pub fn is_connected(&self) -> bool {
-        if self.nodes.len() <= 1 {
-            return true;
-        }
-        let root = NodeId(0);
-        let reached = self.k_hop_neighborhood(root, self.nodes.len()).len();
-        reached + 1 == self.nodes.len()
+        let dist = self.bfs(NodeId(0), Direction::Outbound, None, |_| true, |_| true);
+        dist.iter().all(|&d| d != usize::MAX)
     }
 
     fn check_node(&self, id: NodeId) -> Result<(), TopologyError> {
@@ -288,6 +293,26 @@ impl MeshTopology {
             Err(TopologyError::UnknownNode(id))
         }
     }
+}
+
+/// Which way [`MeshTopology::bfs`] crosses each directed link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// From transmitter to receiver: hops *from* the source.
+    Outbound,
+    /// From receiver to transmitter: hops *to* the source.
+    Inbound,
+}
+
+/// One node [`MeshTopology::bfs`] discovers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reached {
+    /// The discovered node.
+    pub node: NodeId,
+    /// Its hop distance from (or, inbound, to) the source.
+    pub hops: usize,
+    /// The link it was first discovered over.
+    pub via: LinkId,
 }
 
 #[cfg(test)]
@@ -395,7 +420,6 @@ mod tests {
         let ab = links[0];
         let ba = links[1];
         assert!(ab.shares_endpoint(&ba));
-        assert!(ab.is_reverse_of(&ba));
         // Find a link disjoint from ab in a bigger topology.
         let mut t2 = MeshTopology::new();
         let n: Vec<_> = (0..4).map(|_| t2.add_node()).collect();
@@ -404,7 +428,6 @@ mod tests {
         let l01 = *t2.link(l01).unwrap();
         let l23 = *t2.link(l23).unwrap();
         assert!(!l01.shares_endpoint(&l23));
-        assert!(!l01.is_reverse_of(&l23));
     }
 
     #[test]

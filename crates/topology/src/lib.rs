@@ -11,7 +11,8 @@
 //! * [`MeshTopology`] — the network graph. Nodes are created with
 //!   [`MeshTopology::add_node`]; radio connectivity is added per *directed*
 //!   link with [`MeshTopology::add_link`] or per symmetric pair with
-//!   [`MeshTopology::add_bidirectional`].
+//!   [`MeshTopology::add_bidirectional`]. Every hop question goes through
+//!   one breadth-first walk, [`MeshTopology::bfs`].
 //! * [`generators`] — deterministic and random topology factories (chain,
 //!   ring, grid, star, random unit-disk, random overlay trees).
 //! * [`routing`] — breadth-first shortest-path routing, gateway (tree)
@@ -42,5 +43,5 @@ pub mod generators;
 pub mod routing;
 
 pub use error::TopologyError;
-pub use graph::{Link, MeshTopology, Node};
+pub use graph::{Direction, Link, MeshTopology, Node, Reached};
 pub use ids::{LinkId, NodeId};

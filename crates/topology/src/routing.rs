@@ -4,9 +4,7 @@
 //! links* — the [`Path`] type — because TDMA slot demands, conflict
 //! relations and scheduling delay are all per-link quantities.
 
-use std::collections::VecDeque;
-
-use crate::{LinkId, MeshTopology, NodeId, TopologyError};
+use crate::{Direction, LinkId, MeshTopology, NodeId, Reached, TopologyError};
 
 /// An ordered sequence of directed links forming a route.
 ///
@@ -90,8 +88,10 @@ pub fn shortest_path(topo: &MeshTopology, from: NodeId, to: NodeId) -> Result<Pa
 }
 
 /// [`shortest_path`] over only the nodes `usable` accepts, endpoints
-/// included (else [`TopologyError::NoRoute`]), visiting links in the same
-/// order: with every node usable both return the same path.
+/// included (else [`TopologyError::NoRoute`]): the outbound
+/// [`MeshTopology::bfs`] walk from `from`, stopped once it discovers `to`,
+/// then followed back over each node's discovery link. With every node
+/// usable both return the same path.
 pub fn shortest_path_through(
     topo: &MeshTopology,
     from: NodeId,
@@ -107,24 +107,11 @@ pub fn shortest_path_through(
     if from == to || !usable(from) {
         return Err(TopologyError::NoRoute(from, to));
     }
-    // BFS storing the inbound link of each discovered node.
     let mut inbound: Vec<Option<LinkId>> = vec![None; topo.node_count()];
-    let mut seen = vec![false; topo.node_count()];
-    seen[from.index()] = true;
-    let mut queue = VecDeque::from([from]);
-    'bfs: while let Some(u) = queue.pop_front() {
-        for &lid in topo.out_links(u) {
-            let v = topo.link(lid).expect("out_links are valid").rx;
-            if !seen[v.index()] && usable(v) {
-                seen[v.index()] = true;
-                inbound[v.index()] = Some(lid);
-                if v == to {
-                    break 'bfs;
-                }
-                queue.push_back(v);
-            }
-        }
-    }
+    topo.bfs(from, Direction::Outbound, None, usable, |r| {
+        inbound[r.node.index()] = Some(r.via);
+        r.node != to
+    });
     let mut links = Vec::new();
     let mut cursor = to;
     while cursor != from {
@@ -147,10 +134,14 @@ pub struct GatewayRouting {
     /// Parent (next hop toward the gateway) per node; `None` for gateway
     /// and unreachable nodes.
     parent: Vec<Option<NodeId>>,
+    /// Hops to the gateway per node; `usize::MAX` if unreachable.
+    depth: Vec<usize>,
 }
 
 impl GatewayRouting {
-    /// Builds the BFS tree rooted at `gateway`.
+    /// Builds the BFS tree rooted at `gateway`: each node's parent is the
+    /// transmitter of the link the outbound walk from `gateway` first
+    /// discovered it over.
     ///
     /// # Errors
     ///
@@ -160,19 +151,16 @@ impl GatewayRouting {
             return Err(TopologyError::UnknownNode(gateway));
         }
         let mut parent = vec![None; topo.node_count()];
-        let mut seen = vec![false; topo.node_count()];
-        seen[gateway.index()] = true;
-        let mut queue = VecDeque::from([gateway]);
-        while let Some(u) = queue.pop_front() {
-            for v in topo.neighbors(u) {
-                if !seen[v.index()] {
-                    seen[v.index()] = true;
-                    parent[v.index()] = Some(u);
-                    queue.push_back(v);
-                }
-            }
-        }
-        Ok(Self { gateway, parent })
+        let record_parent = |r: Reached| {
+            parent[r.node.index()] = topo.link(r.via).map(|l| l.tx);
+            true
+        };
+        let depth = topo.bfs(gateway, Direction::Outbound, None, |_| true, record_parent);
+        Ok(Self {
+            gateway,
+            parent,
+            depth,
+        })
     }
 
     /// The gateway node.
@@ -246,19 +234,10 @@ impl GatewayRouting {
     /// Hop depth of `node` in the tree (`Some(0)` at the gateway, `None`
     /// if unreachable).
     pub fn depth(&self, node: NodeId) -> Option<usize> {
-        if node == self.gateway {
-            return Some(0);
-        }
-        let mut depth = 0usize;
-        let mut cursor = node;
-        while cursor != self.gateway {
-            cursor = self.parent(cursor)?;
-            depth += 1;
-            if depth > self.parent.len() {
-                return None; // corrupt tree; avoid infinite loop
-            }
-        }
-        Some(depth)
+        self.depth
+            .get(node.index())
+            .copied()
+            .filter(|&d| d != usize::MAX)
     }
 }
 

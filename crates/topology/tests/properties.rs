@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use wimesh_topology::routing::{shortest_path, GatewayRouting};
-use wimesh_topology::{generators, MeshTopology, NodeId};
+use wimesh_topology::{generators, Direction, MeshTopology, NodeId};
 
 /// Strategy: a connected random topology built from a random tree plus
 /// random extra edges.
@@ -22,6 +22,28 @@ fn arb_connected_topology() -> impl Strategy<Value = MeshTopology> {
                 if a != b && topo.link_between(a, b).is_none() {
                     topo.add_bidirectional(a, b)
                         .expect("checked for duplicates");
+                }
+            }
+            topo
+        })
+}
+
+/// Strategy: random one-way links, so a hop distance and its reverse may
+/// differ and some nodes may be unreachable.
+fn arb_directed_topology() -> impl Strategy<Value = MeshTopology> {
+    (
+        2usize..10,
+        proptest::collection::vec((0u32..10, 0u32..10), 0..30),
+    )
+        .prop_map(|(n, links)| {
+            let mut topo = MeshTopology::new();
+            for _ in 0..n {
+                topo.add_node();
+            }
+            for (a, b) in links {
+                let (a, b) = (NodeId(a % n as u32), NodeId(b % n as u32));
+                if a != b && topo.link_between(a, b).is_none() {
+                    topo.add_link(a, b).expect("checked for duplicates");
                 }
             }
             topo
@@ -93,6 +115,50 @@ proptest! {
                 topo.k_hop_neighborhood(node, topo.node_count()).len(),
                 topo.node_count() - 1
             );
+        }
+    }
+
+    #[test]
+    fn inbound_walk_measures_hops_to_the_source(topo in arb_directed_topology()) {
+        for s in topo.node_ids() {
+            let hops = topo.bfs(s, Direction::Inbound, None, |_| true, |_| true);
+            for v in topo.node_ids() {
+                let h = hops[v.index()];
+                prop_assert_eq!((h != usize::MAX).then_some(h), topo.hop_distance(v, s));
+            }
+        }
+    }
+
+    #[test]
+    fn capped_walk_reaches_exactly_the_nodes_within_the_cap(topo in arb_directed_topology()) {
+        for s in topo.node_ids() {
+            for k in 0..topo.node_count() {
+                let mut reached = Vec::new();
+                topo.bfs(s, Direction::Outbound, Some(k), |_| true, |r| {
+                    reached.push((r.node, r.hops));
+                    true
+                });
+                reached.sort_unstable();
+                let within: Vec<(NodeId, usize)> = topo
+                    .node_ids()
+                    .filter(|&v| v != s)
+                    .filter_map(|v| topo.hop_distance(s, v).map(|d| (v, d)))
+                    .filter(|&(_, d)| d <= k)
+                    .collect();
+                prop_assert_eq!(reached, within, "source {} cap {}", s, k);
+            }
+        }
+    }
+
+    #[test]
+    fn gateway_parent_is_a_neighbour_one_hop_closer(topo in arb_connected_topology()) {
+        let gw = NodeId(0);
+        let routing = GatewayRouting::new(&topo, gw).expect("gateway exists");
+        for v in topo.node_ids().filter(|&v| v != gw) {
+            let p = routing.parent(v).expect("connected");
+            prop_assert!(topo.neighbors(v).any(|n| n == p));
+            let dist = |n| topo.hop_distance(n, gw).expect("connected");
+            prop_assert_eq!(dist(p) + 1, dist(v));
         }
     }
 

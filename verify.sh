@@ -77,8 +77,9 @@ cargo test -q -p wimesh-svc --test journal_decode
 cargo test -q -p wimesh-svc --test jsonl_roundtrip
 # The certifier must keep rejecting every mutated schedule (and a drift
 # model it cannot bound, without panicking); every crate must opt into
-# [workspace.lints], and every crate-local clippy.toml must repeat the
-# root's bans. Run each suite by name so a filter typo can't skip one.
+# [workspace.lints], every crate-local clippy.toml must repeat the
+# root's bans, and topology and conflict keep one breadth-first search.
+# Run each suite by name so a filter typo can't skip one.
 cargo test -q -p wimesh-check --test certifier_mutations
 cargo test -q -p wimesh-check --test workspace_manifests
 # The emulation pipeline must stay bit-deterministic under a fixed seed
