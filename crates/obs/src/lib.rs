@@ -33,8 +33,10 @@
 //!   node runtime keeps one), not process-global state; a caller that
 //!   wants verdicts in the sink passes them to [`sink::Sink::on_slo`].
 //!
-//! [`sync::lock`] is how every workspace crate takes a `Mutex`: it
-//! recovers from poison and, in debug builds, panics on a nested lock.
+//! [`sync::lock`] is how every workspace crate takes a `Mutex`, and
+//! [`sync::lock_outer`] how it takes the one lock others may nest under:
+//! both recover from poison and, in debug builds, panic on any other
+//! nesting.
 //!
 //! # Overhead policy
 //!

@@ -18,7 +18,7 @@ pub enum SvcError {
     /// The request sat in the queue past its deadline and was dropped
     /// before solving.
     Expired,
-    /// The gateway is shutting down (or its worker is gone); no further
+    /// The gateway is shutting down (or a batch panicked); no further
     /// requests are accepted.
     ShuttingDown,
     /// The underlying admission engine failed.

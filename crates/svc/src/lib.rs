@@ -7,11 +7,13 @@
 //! four pieces —
 //!
 //! * [`AdmissionGateway`] / [`GatewayClient`] — a bounded request queue
-//!   in front of one solver worker. Concurrent admit/release/rebalance
-//!   requests are drained in batches; runs of admissions coalesce into
-//!   a single incremental solve (one journal record, one certification)
-//!   and every requester gets a typed [`Reply`]. A full queue rejects
-//!   with [`SvcError::Overloaded`] instead of queueing without bound.
+//!   in front of one journaled session, with no thread of its own: a
+//!   caller waiting on its [`Ticket`] takes the session under one lock
+//!   and serves the queue in batches until its own request is answered.
+//!   Runs of admissions in a batch coalesce into a single incremental
+//!   solve (one journal record, one certification) and every requester
+//!   gets a typed [`Reply`]. A full queue rejects with
+//!   [`SvcError::Overloaded`] instead of queueing without bound.
 //! * [`JournaledSession`] — the write-ahead discipline: every mutation
 //!   is appended to a JSONL journal (same line format as the
 //!   `wimesh-obs` sinks) and flushed *before* it is applied, plus
@@ -27,7 +29,7 @@
 //!   certification, including the recovered-region claim.
 //! * [`EpochCell`] / [`SnapshotReader`] — epoch-versioned read-only
 //!   [`ScheduleView`]s, so data-plane readers poll the live schedule
-//!   wait-free in the steady state while the worker solves.
+//!   wait-free in the steady state while a batch solves.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]

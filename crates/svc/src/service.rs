@@ -1,45 +1,45 @@
 //! The admission gateway: a bounded request queue in front of one
-//! solver worker that coalesces concurrent requests into batched,
-//! journaled solves.
+//! journaled session, served by the callers that wait.
 //!
 //! Clients submit admit/release/rebalance requests through a cloneable
-//! [`GatewayClient`] and block (or poll) on a per-request [`Ticket`]
-//! for their typed [`Reply`]. The worker drains up to
-//! [`GatewayConfig::max_batch`] queued requests at a time, coalesces
-//! runs of consecutive admissions into a single
+//! [`GatewayClient`] and block on a per-request [`Ticket`] for their
+//! typed [`Reply`]. The gateway has no thread of its own (flat
+//! combining): a [`Ticket::wait`] that finds its reply missing takes the
+//! session under one combiner lock and answers up to
+//! [`GatewayConfig::max_batch`] requests from the front of the queue,
+//! batch after batch until its own request is answered. A batch
+//! coalesces runs of consecutive admissions into a single
 //! [`JournaledSession::admit_flows`] call — one journal record, one
 //! incremental solve, one certification for the whole run — and
-//! publishes a fresh [`ScheduleView`] through an [`EpochCell`] after
-//! every processed batch — *before* delivering the batch's replies, so
-//! a client holding its reply can already read a view reflecting its
-//! request — and data-plane readers never block on the solver.
+//! publishes a fresh [`ScheduleView`] through an [`EpochCell`] *before*
+//! filling the batch's replies, so a client holding its reply can
+//! already read a view reflecting its request, and data-plane readers
+//! never block on the solver.
+//!
+//! A queued request is served by the next wait on any ticket of the
+//! gateway, or by [`AdmissionGateway::shutdown`]; so the request of a
+//! dropped ticket still runs. Batches are therefore a function of the
+//! clients' submit and wait order alone: a client that submits k ≤
+//! `max_batch` requests and then waits has all k answered by one batch,
+//! in submission order.
 //!
 //! Backpressure is explicit: a full queue rejects the submission with
 //! [`SvcError::Overloaded`] instead of queueing without bound, and a
 //! request that waits past [`GatewayConfig::request_timeout`] is
 //! answered [`Reply::Expired`] without ever reaching the solver.
-//!
-//! The hand-off wakes only threads that sleep. A submission notifies the
-//! worker only when the worker has parked on an empty queue, and the
-//! worker notifies a client only when that client has parked in
-//! [`Ticket::wait`] — after the whole batch is answered, so a woken
-//! client finds every reply of that batch in place. A thread that is still
-//! running finds its work or its reply under the lock without a wake-up.
-//! Each reply travels through a one-shot slot shared by the ticket and its
-//! queued request — no channel per request — and the worker reuses its
-//! batch buffers across batches.
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use wimesh::{
     AdmittedFlow, FlowSpec, OrderPolicy, QosError, QosSession, RejectReason, SessionState,
     SessionStats,
 };
-use wimesh_obs::sync::{lock, Guard};
+use wimesh_obs::sync::{lock, lock_outer};
 use wimesh_sim::FlowId;
 
 use crate::error::SvcError;
@@ -57,8 +57,9 @@ pub struct GatewayConfig {
     pub max_batch: usize,
     /// Auto-snapshot the journal every this many mutations (0: never).
     pub snapshot_every: u64,
-    /// Queue-wait deadline: requests older than this are answered
-    /// [`Reply::Expired`] instead of being solved. `None` disables it.
+    /// Queue-wait deadline, from submission until a waiter takes the
+    /// request: requests older than this are answered [`Reply::Expired`]
+    /// instead of being solved. `None` disables it.
     pub request_timeout: Option<std::time::Duration>,
     /// The admission policy this gateway is expected to run under.
     /// When set, [`AdmissionGateway::start`] rejects a session opened
@@ -114,127 +115,72 @@ pub enum Reply {
     Failed(String),
 }
 
-/// One request's reply on its way from the worker to its [`Ticket`].
-#[derive(Debug, Default)]
-struct ReplySlot {
-    state: Mutex<SlotState>,
-    answered: Condvar,
-}
-
-#[derive(Debug)]
-enum SlotState {
-    /// Not answered yet.
-    Empty {
-        /// The ticket's thread sleeps on `answered`: filling the slot
-        /// must wake it.
-        parked: bool,
-    },
-    Ready(Reply),
-    /// The worker's half was dropped unanswered.
-    Dead,
-}
-
-impl Default for SlotState {
-    fn default() -> Self {
-        SlotState::Empty { parked: false }
-    }
-}
-
-fn lock_slot(slot: &ReplySlot) -> Guard<'_, SlotState> {
-    lock(&slot.state)
-}
-
-impl ReplySlot {
-    /// Fills the slot; true if the ticket's thread had parked, so the
-    /// caller must notify `answered`.
-    fn fill(&self, value: SlotState) -> bool {
-        let mut state = lock_slot(self);
-        let parked = matches!(*state, SlotState::Empty { parked: true });
-        *state = value;
-        parked
-    }
-}
-
-/// The worker's half of a [`ReplySlot`]. It answers at most once; dropped
-/// unanswered — held by a worker that died, or abandoned in a closed
-/// queue — it marks the slot dead, so the ticket's wait returns
-/// [`SvcError::ShuttingDown`] instead of blocking for good.
-struct Responder {
-    slot: Option<Arc<ReplySlot>>,
-}
-
-impl Responder {
-    /// Fills the slot, returning it if its ticket's thread parked and is
-    /// still to be woken.
-    fn answer(&mut self, reply: Reply) -> Option<Arc<ReplySlot>> {
-        let slot = self.slot.take()?;
-        slot.fill(SlotState::Ready(reply)).then_some(slot)
-    }
-}
-
-impl Drop for Responder {
-    fn drop(&mut self) {
-        if let Some(slot) = self.slot.take() {
-            if slot.fill(SlotState::Dead) {
-                slot.answered.notify_one();
-            }
-        }
-    }
-}
-
 struct Pending {
     request: Request,
     enqueued: Instant,
-    reply: Responder,
+    /// Shared with the request's [`Ticket`], filled at most once.
+    reply: Arc<OnceLock<Reply>>,
 }
 
 struct Queue {
     items: VecDeque<Pending>,
     closed: bool,
-    /// The worker sleeps on `ready`: the next submission must wake it.
-    parked: bool,
 }
 
 struct Shared {
+    /// The combiner lock: whoever holds it serves the queue.
+    worker: Mutex<Worker>,
     queue: Mutex<Queue>,
-    ready: Condvar,
     capacity: usize,
     overloaded: AtomicU64,
     view: Arc<EpochCell<ScheduleView>>,
 }
 
-fn lock_queue(shared: &Shared) -> Guard<'_, Queue> {
-    lock(&shared.queue)
-}
-
 /// A blocking handle for one submitted request.
 ///
-/// The worker writes the reply into a slot this ticket shares with the
-/// queued request and signals the slot, once its whole batch is
-/// answered, only if [`Ticket::wait`] has already gone to sleep on it; a
-/// ticket first waited on after its reply arrived returns at once,
-/// having cost no wake-up.
-#[derive(Debug)]
+/// Its reply is a cell shared with the queued request. A wait that finds
+/// the cell empty serves the gateway's queue until it is filled; a ticket
+/// first waited on after its reply arrived returns at once.
 pub struct Ticket {
-    slot: Arc<ReplySlot>,
+    reply: Arc<OnceLock<Reply>>,
+    shared: Arc<Shared>,
+}
+
+impl std::fmt::Debug for Ticket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ticket")
+            .field("reply", &self.reply.get())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Ticket {
-    /// Waits for the reply.
+    /// Waits for the reply. If it is not in yet, this thread takes the
+    /// combiner lock and serves the queue, a batch of up to
+    /// [`GatewayConfig::max_batch`] requests at a time, until its own
+    /// request has been answered.
     ///
     /// # Errors
     ///
-    /// [`SvcError::ShuttingDown`] if the worker died before answering —
-    /// while it held this request or with the request still queued.
+    /// [`SvcError::ShuttingDown`] if the request was dropped unanswered: a
+    /// batch panicked while it held the request or with the request still
+    /// queued.
     pub fn wait(self) -> Result<Reply, SvcError> {
-        let mut state = lock_slot(&self.slot);
-        while let SlotState::Empty { parked } = &mut *state {
-            *parked = true;
-            state = state.wait(&self.slot.answered);
-        }
-        match std::mem::replace(&mut *state, SlotState::Dead) {
-            SlotState::Ready(reply) => Ok(reply),
-            _ => Err(SvcError::ShuttingDown),
+        let Ticket { mut reply, shared } = self;
+        loop {
+            // Once its `Pending` is gone the ticket holds the only handle:
+            // the request was answered, or dropped unanswered.
+            match Arc::try_unwrap(reply) {
+                Ok(cell) => return cell.into_inner().ok_or(SvcError::ShuttingDown),
+                Err(unanswered) => reply = unanswered,
+            }
+            let mut worker = lock_outer(&shared.worker);
+            // Still unanswered under the lock, so still queued. The lock
+            // is released after each batch, so a waiter that batch
+            // answered is not held behind the next one.
+            if Arc::strong_count(&reply) > 1 {
+                worker.serve(&shared);
+            }
         }
     }
 }
@@ -260,37 +206,30 @@ impl GatewayClient {
     ///
     /// [`SvcError::Overloaded`] when the bounded queue is full (the
     /// request is rejected now rather than queued without bound) and
-    /// [`SvcError::ShuttingDown`] after shutdown began or the worker
-    /// died.
+    /// [`SvcError::ShuttingDown`] after shutdown began or a batch
+    /// panicked.
     pub fn submit(&self, request: Request) -> Result<Ticket, SvcError> {
-        let slot = Arc::new(ReplySlot::default());
-        let wake = {
-            let mut q = lock_queue(&self.shared);
-            if q.closed {
-                return Err(SvcError::ShuttingDown);
-            }
-            if q.items.len() >= self.shared.capacity {
-                // Relaxed: shed counter; stats() tolerates a stale count, no data hangs off it.
-                self.shared.overloaded.fetch_add(1, Ordering::Relaxed);
-                return Err(SvcError::Overloaded {
-                    capacity: self.shared.capacity,
-                });
-            }
-            q.items.push_back(Pending {
-                request,
-                enqueued: Instant::now(),
-                reply: Responder {
-                    slot: Some(Arc::clone(&slot)),
-                },
-            });
-            // One wake-up per park: later submitters find the flag
-            // cleared and leave the worker to drain their requests too.
-            std::mem::take(&mut q.parked)
-        };
-        if wake {
-            self.shared.ready.notify_one();
+        let reply = Arc::new(OnceLock::new());
+        let mut q = lock(&self.shared.queue);
+        if q.closed {
+            return Err(SvcError::ShuttingDown);
         }
-        Ok(Ticket { slot })
+        if q.items.len() >= self.shared.capacity {
+            // Relaxed: shed counter; stats() tolerates a stale count, no data hangs off it.
+            self.shared.overloaded.fetch_add(1, Ordering::Relaxed);
+            return Err(SvcError::Overloaded {
+                capacity: self.shared.capacity,
+            });
+        }
+        q.items.push_back(Pending {
+            request,
+            enqueued: Instant::now(),
+            reply: Arc::clone(&reply),
+        });
+        Ok(Ticket {
+            reply,
+            shared: Arc::clone(&self.shared),
+        })
     }
 
     /// Submits an admission request.
@@ -338,11 +277,11 @@ impl GatewayClient {
     }
 }
 
-/// Worker-side service counters, reported at shutdown.
+/// The gateway's service counters, reported at shutdown.
 #[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct ServiceStats {
-    /// Processing batches drained from the queue.
+    /// Batches served from the queue.
     pub batches: u64,
     /// Requests processed (including expired ones).
     pub requests: u64,
@@ -368,7 +307,7 @@ pub struct ServiceStats {
 pub struct GatewayReport {
     /// The final session state (ground truth for recovery tests).
     pub state: SessionState,
-    /// Worker-side counters.
+    /// The gateway's service counters.
     pub service: ServiceStats,
     /// The solver session's own counters.
     pub session: SessionStats,
@@ -376,69 +315,44 @@ pub struct GatewayReport {
 
 struct Worker {
     journaled: JournaledSession,
-    shared: Arc<Shared>,
     config: GatewayConfig,
     stats: ServiceStats,
+    /// The payload of a batch that panicked, for `shutdown` to re-raise.
+    panic: Option<Box<dyn Any + Send>>,
     // Kept across batches, empty between them.
     batch: Vec<Pending>,
     replies: Vec<Reply>,
     specs: Vec<FlowSpec>,
-    /// Answered slots whose tickets parked, woken once the whole batch
-    /// is answered.
-    wake: Vec<Arc<ReplySlot>>,
-}
-
-/// Closes the queue when the worker leaves [`Worker::run`], by return or
-/// by unwinding. A worker that panics must not leave the queue open:
-/// `submit` would keep accepting, and every request queued behind the
-/// panic would hold a live [`Responder`] nobody will ever fill, its
-/// [`Ticket::wait`] blocked for good. Dropping the queued requests drops
-/// their responders, which turns those waits into
-/// [`SvcError::ShuttingDown`].
-struct CloseOnExit(Arc<Shared>);
-
-impl Drop for CloseOnExit {
-    fn drop(&mut self) {
-        let abandoned = {
-            let mut q = lock_queue(&self.0);
-            q.closed = true;
-            std::mem::take(&mut q.items)
-        };
-        // Responders are dropped outside the lock: a reply slot is never
-        // locked under the queue.
-        drop(abandoned);
-        self.0.ready.notify_all();
-    }
 }
 
 impl Worker {
-    fn run(mut self) -> (SessionState, ServiceStats, SessionStats) {
-        let _close = CloseOnExit(Arc::clone(&self.shared));
-        loop {
-            {
-                let mut q = lock_queue(&self.shared);
-                while q.items.is_empty() && !q.closed {
-                    q.parked = true;
-                    q = q.wait(&self.shared.ready);
-                    q.parked = false;
-                }
-                if q.items.is_empty() {
-                    // Closed and drained: exit after answering everything.
-                    break;
-                }
-                let take = q.items.len().min(self.config.max_batch.max(1));
-                self.batch.extend(q.items.drain(..take));
-            }
-            self.process();
+    /// Answers up to `max_batch` requests from the front of the queue;
+    /// false if it held none. A batch that panics closes the queue and
+    /// drops every request it had not answered, queued ones included, so
+    /// each of their waits ends in [`SvcError::ShuttingDown`].
+    fn serve(&mut self, shared: &Shared) -> bool {
+        {
+            let mut q = lock(&shared.queue);
+            let take = q.items.len().min(self.config.max_batch.max(1));
+            self.batch.extend(q.items.drain(..take));
         }
-        let state = self.journaled.session().export_state();
-        let session_stats = self.journaled.session().stats().clone();
-        (state, self.stats, session_stats)
+        if self.batch.is_empty() {
+            return false;
+        }
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| self.process(&shared.view))) {
+            let mut q = lock(&shared.queue);
+            q.closed = true;
+            q.items.clear();
+            self.batch.clear();
+            self.replies.clear();
+            self.panic = Some(payload);
+        }
+        true
     }
 
     /// Answers every request in `self.batch` and leaves the batch
     /// buffers empty.
-    fn process(&mut self) {
+    fn process(&mut self, view: &EpochCell<ScheduleView>) {
         self.stats.batches += 1;
         self.stats.max_batch_seen = self.stats.max_batch_seen.max(self.batch.len() as u64);
         self.stats.requests += self.batch.len() as u64;
@@ -447,14 +361,12 @@ impl Worker {
         // any solver work for them.
         if let Some(timeout) = self.config.request_timeout {
             let expired = &mut self.stats.expired;
-            self.batch.retain_mut(|p| {
+            self.batch.retain(|p| {
                 let stale = p.enqueued.elapsed() > timeout;
                 if stale {
                     *expired += 1;
-                    // Not held back behind the batch's solve.
-                    if let Some(slot) = p.reply.answer(Reply::Expired) {
-                        slot.answered.notify_one();
-                    }
+                    // The cell is filled once: here or after the solve.
+                    let _ = p.reply.set(Reply::Expired);
                 }
                 !stale
             });
@@ -536,24 +448,18 @@ impl Worker {
             }
         }
 
-        self.publish_view();
-        // Every reply is in place before any parked client is woken: a
-        // client woken on its first reply would otherwise find the next
-        // one missing and park again, and on a shared CPU each such
-        // wake-up can preempt the worker mid-delivery.
-        for (p, reply) in self.batch.iter_mut().zip(self.replies.drain(..)) {
-            self.wake.extend(p.reply.answer(reply));
+        self.publish_view(view);
+        for (p, reply) in self.batch.iter().zip(self.replies.drain(..)) {
+            // Expired requests left the batch: every cell here is empty.
+            let _ = p.reply.set(reply);
         }
         self.batch.clear();
-        for slot in self.wake.drain(..) {
-            slot.answered.notify_one();
-        }
     }
 
-    fn publish_view(&self) {
+    fn publish_view(&self, view: &EpochCell<ScheduleView>) {
         let session = self.journaled.session();
         let outcome = session.snapshot();
-        self.shared.view.publish(ScheduleView {
+        view.publish(ScheduleView {
             batches: self.stats.batches,
             admitted: outcome.admitted.clone(),
             schedule: outcome.schedule.clone(),
@@ -564,10 +470,10 @@ impl Worker {
     }
 }
 
-/// A running gateway: one worker thread owning the journaled session.
+/// A running gateway: the journaled session behind the combiner lock,
+/// served by the threads that wait on its tickets.
 pub struct AdmissionGateway {
     shared: Arc<Shared>,
-    worker: thread::JoinHandle<(SessionState, ServiceStats, SessionStats)>,
 }
 
 impl std::fmt::Debug for AdmissionGateway {
@@ -586,8 +492,7 @@ impl AdmissionGateway {
     ///
     /// [`SvcError::Qos`] if [`GatewayConfig::policy`] is set and
     /// disagrees with the session's policy, [`SvcError::Journal`] if
-    /// the policy declaration could not be appended or the worker
-    /// thread could not be spawned.
+    /// the policy declaration could not be appended.
     pub fn start(
         session: QosSession,
         mut journal: JournalWriter,
@@ -618,37 +523,24 @@ impl AdmissionGateway {
             queue: Mutex::new(Queue {
                 items: VecDeque::with_capacity(config.queue_capacity),
                 closed: false,
-                parked: false,
             }),
-            ready: Condvar::new(),
             capacity: config.queue_capacity.max(1),
             overloaded: AtomicU64::new(0),
             view: Arc::new(EpochCell::new(initial)),
+            worker: Mutex::new(Worker {
+                journaled: JournaledSession::new(session, journal, config.snapshot_every),
+                config,
+                stats: ServiceStats::default(),
+                panic: None,
+                batch: Vec::new(),
+                replies: Vec::new(),
+                specs: Vec::new(),
+            }),
         });
-        let worker = Worker {
-            journaled: JournaledSession::new(session, journal, config.snapshot_every),
-            shared: Arc::clone(&shared),
-            config,
-            stats: ServiceStats::default(),
-            batch: Vec::new(),
-            replies: Vec::new(),
-            specs: Vec::new(),
-            wake: Vec::new(),
-        };
-        let handle = thread::Builder::new()
-            .name(String::from("wimesh-svc-worker"))
-            .spawn(move || worker.run())
-            .map_err(SvcError::Journal)?;
         let client = GatewayClient {
             shared: Arc::clone(&shared),
         };
-        Ok((
-            AdmissionGateway {
-                shared,
-                worker: handle,
-            },
-            client,
-        ))
+        Ok((AdmissionGateway { shared }, client))
     }
 
     /// A new submission handle.
@@ -658,9 +550,9 @@ impl AdmissionGateway {
         }
     }
 
-    /// Stops accepting requests, drains the queue (every pending
-    /// request still gets its reply), joins the worker and returns the
-    /// final state.
+    /// Waits for any batch in flight, stops accepting requests, serves
+    /// what is still queued (every pending request still gets its reply)
+    /// and returns the final state.
     ///
     /// No farewell snapshot is written: the journal already contains
     /// every mutation, so shutdown is indistinguishable from a kill —
@@ -668,22 +560,22 @@ impl AdmissionGateway {
     ///
     /// # Panics
     ///
-    /// Re-raises the worker's panic if it died; by then its queue is
-    /// closed and every request it had not answered has seen
+    /// Re-raises the panic of a batch that panicked; by then the queue
+    /// is closed and every request left unanswered has seen
     /// [`SvcError::ShuttingDown`].
     pub fn shutdown(self) -> GatewayReport {
-        {
-            let mut q = lock_queue(&self.shared);
-            q.closed = true;
+        let mut worker = lock_outer(&self.shared.worker);
+        lock(&self.shared.queue).closed = true;
+        while worker.serve(&self.shared) {}
+        if let Some(payload) = worker.panic.take() {
+            drop(worker);
+            panic::resume_unwind(payload);
         }
-        self.shared.ready.notify_all();
-        match self.worker.join() {
-            Ok((state, service, session)) => GatewayReport {
-                state,
-                service,
-                session,
-            },
-            Err(panic) => std::panic::resume_unwind(panic),
+        let session = worker.journaled.session();
+        GatewayReport {
+            state: session.export_state(),
+            service: worker.stats.clone(),
+            session: session.stats().clone(),
         }
     }
 }

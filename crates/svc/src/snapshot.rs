@@ -1,5 +1,5 @@
 //! Epoch-versioned read-only snapshots: data-plane readers never block
-//! the solver thread.
+//! the thread serving a batch, nor does it block them.
 //!
 //! The pattern is arc-swap style: the writer publishes a fresh
 //! `Arc<T>` and bumps an atomic epoch; each reader keeps its own cached
@@ -116,8 +116,8 @@ impl<T> Clone for SnapshotReader<T> {
 /// published to data-plane readers after every processed batch.
 #[derive(Debug, Clone)]
 pub struct ScheduleView {
-    /// Monotone batch counter: how many batches the worker had
-    /// processed when this view was published.
+    /// Monotone batch counter: how many batches the gateway had
+    /// served when this view was published.
     pub batches: u64,
     /// Currently admitted flows with their reservations and bounds.
     pub admitted: Vec<AdmittedFlow>,

@@ -9,7 +9,7 @@ use wimesh::{FlowSpec, MeshQos, OrderPolicy, RejectReason};
 use wimesh_sim::traffic::VoipCodec;
 use wimesh_sim::FlowId;
 use wimesh_svc::{
-    AdmissionGateway, GatewayConfig, JournalWriter, Reply, Request, SvcError, Ticket,
+    AdmissionGateway, GatewayConfig, JournalRecord, JournalWriter, Reply, Request, SvcError, Ticket,
 };
 use wimesh_topology::{generators, NodeId};
 
@@ -117,10 +117,8 @@ fn gateway_replies_match_a_direct_session() {
 #[test]
 fn full_queue_rejects_with_overloaded() {
     let mesh = mesh(4);
-    // A gateway that can never drain: its worker is blocked behind the
-    // queue mutex held by this test... simpler: fill the queue before
-    // the worker can drain by using capacity 1 and checking the typed
-    // error on the spill, retrying until one submission loses the race.
+    // Only a wait serves the queue, so nothing drains it between two
+    // submissions.
     let config = GatewayConfig {
         queue_capacity: 1,
         ..GatewayConfig::default()
@@ -129,26 +127,18 @@ fn full_queue_rejects_with_overloaded() {
         AdmissionGateway::start(mesh.session(OrderPolicy::HopOrder), sink_journal(), config)
             .expect("gateway starts");
 
-    let mut saw_overload = None;
-    let mut tickets = Vec::new();
-    for i in 0..200u32 {
-        let spec = FlowSpec::best_effort(i, NodeId(3), NodeId(0), 16_000.0);
-        match client.admit(spec) {
-            Ok(t) => tickets.push(t),
-            Err(e) => {
-                saw_overload = Some(e);
-                break;
-            }
-        }
-    }
-    let overload = saw_overload.expect("a 1-deep queue must overflow within 200 submissions");
+    let call = |id| FlowSpec::best_effort(id, NodeId(3), NodeId(0), 16_000.0);
+    let first = client
+        .admit(call(0))
+        .expect("a 1-deep queue takes one request");
+    let overload = client
+        .admit(call(1))
+        .expect_err("a 1-deep queue refuses the second");
     assert!(matches!(overload, SvcError::Overloaded { capacity: 1 }));
-    assert!(client.overload_rejections() >= 1);
+    assert_eq!(client.overload_rejections(), 1);
 
-    // Every accepted request still gets a reply.
-    for t in tickets {
-        t.wait().expect("accepted requests are answered");
-    }
+    // The accepted request still gets a reply.
+    first.wait().expect("accepted requests are answered");
     gateway.shutdown();
 }
 
@@ -191,7 +181,7 @@ fn views_version_by_epoch_and_never_block() {
     let reply = client.admit(spec).expect("submit").wait().expect("reply");
     assert!(matches!(reply, Reply::Admitted(_)));
 
-    // The worker published at least one fresh view after the batch.
+    // The wait published at least one fresh view after the batch.
     assert!(reader.epoch() >= 1);
     let view = reader.current();
     assert!(view.is_admitted(FlowId(7)));
@@ -348,7 +338,7 @@ fn a_resubmitted_admit_is_rejected_and_its_journal_recovers() {
 }
 
 /// A request the journal cannot hold is answered alone, however the
-/// worker coalesces it with its neighbours, and the journal recovers.
+/// batch coalesces it with its neighbours, and the journal recovers.
 #[test]
 fn a_bad_request_fails_alone_and_its_journal_recovers() {
     let mesh = mesh(4);
@@ -400,7 +390,7 @@ fn configured_policy_mismatch_refuses_to_start() {
 
 /// A journal writer that panics inside its `panic_at`-th write, after
 /// telling the test it got there and waiting for the go-ahead — so the
-/// test decides what is queued behind the request that kills the worker.
+/// test decides what is queued behind the request that kills the batch.
 struct PanicOnWrite {
     writes: usize,
     panic_at: usize,
@@ -434,12 +424,11 @@ fn wait_bounded(ticket: Ticket) -> Result<Reply, SvcError> {
         .expect("the ticket blocked: its request was left in a queue nobody serves")
 }
 
-/// The worker and a waiting client each wake only a parked peer. One
-/// client with one request in flight parks on nearly every reply while the
-/// worker parks on nearly every empty queue: a lost wake-up on either
-/// side stalls a ticket and fails `wait_bounded`.
+/// One client with one request in flight: every wait finds its reply
+/// missing and serves a batch of one. A request left in the queue after
+/// its waiter returned stalls the next ticket and fails `wait_bounded`.
 #[test]
-fn one_client_in_lockstep_loses_no_wake_up() {
+fn one_client_in_lockstep_strands_no_request() {
     let mesh = mesh(4);
     let (gateway, client) = AdmissionGateway::start(
         mesh.session(OrderPolicy::HopOrder),
@@ -459,11 +448,11 @@ fn one_client_in_lockstep_loses_no_wake_up() {
     assert!(report.state.flows.is_empty());
 }
 
-/// Eight clients contend for a two-deep queue drained one request at a
-/// time, so the worker parks and is woken over and over while submitters
-/// race each other for the flag. Every accepted request is answered.
+/// Eight clients contend for a two-deep queue served one request at a
+/// time, so waiters race each other for the combiner lock and answer each
+/// other's requests. Every accepted request is answered.
 #[test]
-fn contending_clients_on_a_tiny_queue_lose_no_wake_up() {
+fn contending_clients_on_a_tiny_queue_strand_no_request() {
     const CLIENTS: u32 = 8;
     const PER_CLIENT: u32 = 1_000;
     let mesh = mesh(5);
@@ -489,8 +478,8 @@ fn contending_clients_on_a_tiny_queue_lose_no_wake_up() {
                         } else {
                             Request::Release(spec.id)
                         };
-                        // A worker that never wakes keeps the queue full:
-                        // give up, as `wait_bounded` does, after 30 s.
+                        // A queue nobody serves stays full: give up, as
+                        // `wait_bounded` does, after 30 s.
                         let deadline = Instant::now() + Duration::from_secs(30);
                         let ticket = loop {
                             match client.submit(request.clone()) {
@@ -498,7 +487,7 @@ fn contending_clients_on_a_tiny_queue_lose_no_wake_up() {
                                 Err(SvcError::Overloaded { capacity: 2 }) => {
                                     assert!(
                                         Instant::now() < deadline,
-                                        "the queue stayed full: its worker stopped draining"
+                                        "the queue stayed full: nobody served it"
                                     );
                                     std::thread::yield_now();
                                 }
@@ -532,6 +521,185 @@ fn contending_clients_on_a_tiny_queue_lose_no_wake_up() {
     assert!(report.state.flows.is_empty(), "every client released last");
 }
 
+/// One client that submits k ≤ `max_batch` requests and then waits on
+/// the first has all k answered by that wait's one batch, in submission
+/// order: nothing serves the queue before a wait.
+#[test]
+fn a_client_s_window_is_one_batch_in_submission_order() {
+    let mesh = mesh(5);
+    let buf = SharedBuf::default();
+    let config = GatewayConfig {
+        snapshot_every: 0,
+        ..GatewayConfig::default()
+    };
+    let (gateway, client) = AdmissionGateway::start(
+        mesh.session(OrderPolicy::HopOrder),
+        JournalWriter::from_writer(Box::new(buf.clone())),
+        config,
+    )
+    .expect("gateway starts");
+    let call = |id| FlowSpec::voip(id, NodeId(4 - id % 2), NodeId(0), VoipCodec::G729);
+    let mut tickets: Vec<Ticket> = [
+        Request::Admit(call(0)),
+        Request::Admit(call(1)),
+        Request::Release(FlowId(0)),
+        Request::Admit(call(2)),
+        Request::Rebalance,
+    ]
+    .into_iter()
+    .map(|request| client.submit(request).expect("submit"))
+    .collect();
+    let mut reader = client.reader();
+    // However long the client takes, nothing serves the queue before a
+    // wait.
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(reader.epoch(), 0, "a request was served before any wait");
+
+    let first = tickets.remove(0).wait();
+    assert!(matches!(first, Ok(Reply::Admitted(_))), "{first:?}");
+    assert_eq!(reader.current().batches, 1);
+    let rest: Vec<Reply> = tickets
+        .into_iter()
+        .map(|t| t.wait().expect("reply"))
+        .collect();
+    assert!(
+        matches!(
+            rest[..],
+            [
+                Reply::Admitted(_),
+                Reply::Released(true),
+                Reply::Admitted(_),
+                Reply::Rebalanced
+            ]
+        ),
+        "{rest:?}"
+    );
+    assert_eq!(reader.epoch(), 1, "the later waits found their replies in");
+
+    let report = gateway.shutdown();
+    assert_eq!(report.service.batches, 1);
+    assert_eq!(report.service.max_batch_seen, 5);
+    let log = wimesh_svc::parse_journal(&buf.text()).expect("the journal parses");
+    assert_eq!(
+        log.records,
+        [
+            JournalRecord::AdmitBatch(vec![call(0), call(1)]),
+            JournalRecord::Release(FlowId(0)),
+            JournalRecord::AdmitBatch(vec![call(2)]),
+            JournalRecord::Rebalance,
+        ]
+    );
+}
+
+/// `ServiceStats::batches` counts exactly the waits that found their reply
+/// missing. With one client and at most `max_batch` requests between
+/// windows, such a wait serves one batch, and the published view's epoch
+/// moves on it and on no other wait.
+#[test]
+fn batches_count_the_waits_that_found_their_reply_missing() {
+    let mesh = mesh(5);
+    let (gateway, client) = AdmissionGateway::start(
+        mesh.session(OrderPolicy::HopOrder),
+        sink_journal(),
+        GatewayConfig::default(),
+    )
+    .expect("gateway starts");
+    let reader = client.reader();
+    let windows = [1u32, 2, 5, 16, 3, 16, 1, 7];
+    let mut serving_waits = 0u64;
+    let mut id = 0u32;
+    for (w, &k) in windows.iter().enumerate() {
+        let mut tickets: Vec<Ticket> = (0..k)
+            .map(|i| {
+                id += 1;
+                let request = if i % 2 == 0 {
+                    Request::Admit(FlowSpec::voip(
+                        id,
+                        NodeId(4 - id % 2),
+                        NodeId(0),
+                        VoipCodec::G729,
+                    ))
+                } else {
+                    Request::Release(FlowId(id - 1))
+                };
+                client.submit(request).expect("submit")
+            })
+            .collect();
+        if w % 2 == 1 {
+            tickets.reverse();
+        }
+        for ticket in tickets {
+            let before = reader.epoch();
+            ticket.wait().expect("reply");
+            if reader.epoch() != before {
+                serving_waits += 1;
+            }
+        }
+    }
+
+    let report = gateway.shutdown();
+    assert_eq!(serving_waits, windows.len() as u64);
+    assert_eq!(report.service.batches, serving_waits);
+    assert_eq!(
+        report.service.requests,
+        windows.iter().map(|&k| u64::from(k)).sum::<u64>()
+    );
+}
+
+/// Batches depend on the client's submit and wait order alone, so one
+/// request sequence replayed into two fresh gateways writes byte-identical
+/// journals, snapshots included.
+#[test]
+fn one_request_sequence_writes_identical_journals() {
+    let mesh = mesh(6);
+    let run = || {
+        let buf = SharedBuf::default();
+        let config = GatewayConfig {
+            snapshot_every: 7,
+            ..GatewayConfig::default()
+        };
+        let (gateway, client) = AdmissionGateway::start(
+            mesh.session(OrderPolicy::HopOrder),
+            JournalWriter::from_writer(Box::new(buf.clone())),
+            config,
+        )
+        .expect("gateway starts");
+        let mut seed = 0x5eed_u64;
+        let mut draw = |bound: u32| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            u32::try_from((seed >> 33) % u64::from(bound)).expect("below bound")
+        };
+        let mut window = Vec::new();
+        let mut target = 1 + draw(20);
+        for id in 0..300u32 {
+            let request = if draw(3) == 0 {
+                Request::Release(FlowId(draw(id + 1)))
+            } else {
+                let src = NodeId(1 + draw(5));
+                Request::Admit(FlowSpec::voip(id, src, NodeId(0), VoipCodec::G729))
+            };
+            window.push(client.submit(request).expect("submit"));
+            if window.len() as u32 == target {
+                for ticket in window.drain(..) {
+                    // A dropped ticket's request is served all the same.
+                    if draw(8) != 0 {
+                        ticket.wait().expect("reply");
+                    }
+                }
+                target = 1 + draw(20);
+            }
+        }
+        drop(window);
+        gateway.shutdown();
+        buf.text()
+    };
+    let first = run();
+    assert!(first.contains("\"t\":\"svc.snap\""), "{first}");
+    assert!(first == run(), "two replays wrote different journals");
+}
+
 #[test]
 fn dropped_and_late_tickets_leave_the_worker_serving() {
     let mesh = mesh(5);
@@ -543,13 +711,12 @@ fn dropped_and_late_tickets_leave_the_worker_serving() {
     .expect("gateway starts");
     let call = |id| FlowSpec::voip(id, NodeId(4), NodeId(0), VoipCodec::G729);
 
-    // Nobody waits for this reply; the worker answers into a slot only
-    // it still holds.
+    // Nobody waits for this reply; the next wait serves it anyway.
     drop(client.admit(call(0)).expect("submit"));
 
-    // The worker answers in queue order, so by the time `second` is
+    // Batches answer in queue order, so by the time `second` is
     // answered `first` already is: its wait finds the reply without
-    // parking.
+    // serving.
     let first = client.admit(call(1)).expect("submit");
     let second = client.admit(call(2)).expect("submit");
     assert!(matches!(wait_bounded(second), Ok(Reply::Admitted(_))));
@@ -588,10 +755,12 @@ fn a_dead_worker_closes_the_queue() {
         .expect("reply");
     assert!(matches!(first, Reply::Admitted(_)));
 
-    // Write 2 kills the worker while it holds `in_flight`; `queued` is
-    // submitted while the worker sits inside that write, so it is still
-    // in the queue when the worker unwinds.
+    // Write 2 kills the batch that holds `in_flight`; `queued` is
+    // submitted while the batch sits inside that write, so it is still
+    // in the queue when the batch unwinds. The waiter runs the batch.
     let in_flight = client.admit(call(1)).expect("submit");
+    let (in_flight_tx, in_flight_rx) = mpsc::channel();
+    std::thread::spawn(move || in_flight_tx.send(in_flight.wait()));
     entered_rx
         .recv_timeout(Duration::from_secs(30))
         .expect("the worker reached its second journal write");
@@ -599,8 +768,8 @@ fn a_dead_worker_closes_the_queue() {
     go_tx.send(()).expect("the writer is waiting");
 
     assert!(matches!(
-        wait_bounded(in_flight),
-        Err(SvcError::ShuttingDown)
+        in_flight_rx.recv_timeout(Duration::from_secs(30)),
+        Ok(Err(SvcError::ShuttingDown))
     ));
     assert!(matches!(wait_bounded(queued), Err(SvcError::ShuttingDown)));
     // The queue was closed before `queued` was dropped: nothing new gets in.

@@ -48,11 +48,13 @@ cargo run -p wimesh-bench --release --bin experiments -- approx_admission --quic
 cargo test -q -p wimesh-obs --test obs_stream
 cargo run -p wimesh-bench --release --bin experiments -- slo_audit --quick
 # The admission gateway service: batched front-end semantics, the
-# wake-up protocol of the hand-off (a worker or client woken only when
-# parked must never miss its wake-up: 20 000 lockstep requests and eight
-# clients racing for a two-deep queue, every wait bounded so a lost
-# wake-up fails instead of hanging), and the
-# crash-point recovery harness (every line-boundary and torn-write
+# coalescing contract of a gateway served by its waiters (a window of
+# k <= max_batch requests is one batch in submission order, `batches`
+# counts the waits that found their reply missing, one request sequence
+# writes one journal), that no request is stranded (20 000 lockstep
+# requests and eight clients racing for a two-deep queue, every wait
+# bounded so a request left in the queue fails instead of hanging), and
+# the crash-point recovery harness (every line-boundary and torn-write
 # truncation must recover certified or fail typed; a request the journal
 # cannot hold is answered alone and never wedges recovery). The writer is
 # fail-stop: a write that fails at any byte of a churn, inside a record
@@ -115,8 +117,9 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # wimesh_obs::sync::lock, whose debug-build held-lock check every test
 # above ran), and std::env::var/var_os (configuration is an explicit
 # parameter, never a hidden environment knob). sim, emu and node repeat those bans in their own
-# clippy.toml beside Instant::now and SystemTime::now. No --all-targets:
-# tests may unwrap and take raw locks.
+# clippy.toml beside Instant::now and SystemTime::now, and svc beside
+# thread::spawn and thread::Builder::spawn (the gateway starts no
+# thread). No --all-targets: tests may unwrap, take raw locks and spawn.
 cargo clippy --workspace -- -D warnings
 cargo fmt --check
 # API docs must build warning-clean (covers the vendored stand-ins too).
