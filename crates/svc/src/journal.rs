@@ -202,14 +202,40 @@ impl JournalLog {
 /// ([`JournalLog::torn_tail`]).
 pub fn parse_journal(text: &str) -> Result<JournalLog, JsonlError> {
     let mut stream = RecordStream::new(text);
+    let mut snapshot = empty_state();
     let mut records = Vec::new();
-    while let Some(record) = stream.next_record(|| ()) {
-        records.push(record?);
+    while let Some(decoded) = stream.next_record(&mut snapshot, || ()) {
+        records.push(match decoded? {
+            Decoded::Record(record) => record,
+            Decoded::Snapshot => {
+                JournalRecord::Snapshot(std::mem::replace(&mut snapshot, empty_state()))
+            }
+        });
     }
     Ok(JournalLog {
         records,
         torn_tail: stream.torn_tail(),
     })
+}
+
+/// A state with no flows, pairs or ranges, and nothing allocated: the
+/// buffer a snapshot is decoded into.
+pub(crate) fn empty_state() -> SessionState {
+    SessionState {
+        policy: OrderPolicy::HopOrder,
+        flows: Vec::new(),
+        warm_pairs: Vec::new(),
+        ranges: Vec::new(),
+        guaranteed_slots: 0,
+    }
+}
+
+/// What [`RecordStream::next_record`] decoded.
+pub(crate) enum Decoded {
+    /// Any record but a snapshot.
+    Record(JournalRecord),
+    /// A snapshot, decoded into the caller's state.
+    Snapshot,
 }
 
 /// A journal text decoded record by record, each line once.
@@ -240,16 +266,24 @@ impl<'a> RecordStream<'a> {
     }
 
     /// The next complete record, `None` at the end of the text or at its
-    /// torn tail. `superseded` is called when a complete snapshot group
-    /// has been gathered, before it is decoded: a consumer that keeps
-    /// only the latest snapshot lets go of the previous one there. After
-    /// an error the stream is not to be read further.
+    /// torn tail. A snapshot is decoded into `snapshot`, which is
+    /// refilled in place: its flow slots, each slot's path and its pair
+    /// and range rows keep their capacity, so a caller that passes the
+    /// same state every time allocates for a snapshot only where it is
+    /// larger than every one before. `superseded` is called when a
+    /// complete snapshot group has been gathered, before `snapshot` is
+    /// touched: a consumer that keeps only the latest snapshot drops what
+    /// it kept after the previous one there. A snapshot group cut off by
+    /// the end of the text leaves `snapshot` as it was. After an error
+    /// the stream is not to be read further, and `snapshot` may hold
+    /// part of the snapshot that failed.
     pub(crate) fn next_record(
         &mut self,
+        snapshot: &mut SessionState,
         superseded: impl FnOnce(),
-    ) -> Option<Result<JournalRecord, JsonlError>> {
+    ) -> Option<Result<Decoded, JsonlError>> {
         let line = self.next_line()?;
-        self.decode(line, superseded).transpose()
+        self.decode(line, snapshot, superseded).transpose()
     }
 
     /// The next newline-terminated line. A line cut mid-write is the
@@ -284,8 +318,9 @@ impl<'a> RecordStream<'a> {
     fn decode(
         &mut self,
         line: JsonlLine<'a>,
+        snapshot: &mut SessionState,
         superseded: impl FnOnce(),
-    ) -> Result<Option<JournalRecord>, JsonlError> {
+    ) -> Result<Option<Decoded>, JsonlError> {
         let mut head = line.cursor()?;
         let record = match head.tag()? {
             "svc.batch" => {
@@ -332,25 +367,23 @@ impl<'a> RecordStream<'a> {
                 superseded();
                 // `nf + 3` lines are in hand, so `nf` fits usize.
                 let (flows, rest) = self.group.split_at(nf as usize);
-                let state = SessionState {
-                    policy,
-                    flows: decode_all(flows, "svc.snap.flow", decode_snap_flow)?,
-                    warm_pairs: decode_member(&rest[0], "svc.snap.warm", |fields| {
-                        decode_snap_pairs(fields, nw)
-                    })?,
-                    ranges: decode_member(&rest[1], "svc.snap.range", |fields| {
-                        decode_snap_ranges(fields, nr)
-                    })?,
-                    guaranteed_slots,
-                };
+                snapshot.policy = policy;
+                snapshot.guaranteed_slots = guaranteed_slots;
+                decode_snap_flows(flows, &mut snapshot.flows)?;
+                decode_member(&rest[0], "svc.snap.warm", |fields| {
+                    decode_snap_pairs(fields, nw, &mut snapshot.warm_pairs)
+                })?;
+                decode_member(&rest[1], "svc.snap.range", |fields| {
+                    decode_snap_ranges(fields, nr, &mut snapshot.ranges)
+                })?;
                 decode_member(&rest[2], "svc.snap.end", |_| Ok(()))?;
-                JournalRecord::Snapshot(state)
+                return Ok(Some(Decoded::Snapshot));
             }
             other => {
                 return Err(line.error(format!("unknown journal record type \"{other}\"")));
             }
         };
-        Ok(Some(record))
+        Ok(Some(Decoded::Record(record)))
     }
 }
 
@@ -386,18 +419,27 @@ fn decode_member<'a, T>(
 }
 
 /// The next field, the snapshot column `key`, which must hold the `count`
-/// values its header promised. The result is sized by the line, not by
-/// `count`.
-fn column(fields: &mut Cursor<'_>, key: &str, count: u64) -> Result<Vec<u32>, JsonlError> {
-    let mut values = Vec::new();
-    fields.u32_array(key, |v| values.push(v))?;
-    if values.len() as u64 != count {
-        let found = values.len();
+/// values its header promised; `each` takes every value with its index.
+/// Nothing is sized by `count`: the first column of a line pushes its
+/// rows, and each later one fills them in by index, so a later column
+/// longer than the rows is counted, not stored, and refused here.
+fn column(
+    fields: &mut Cursor<'_>,
+    key: &str,
+    count: u64,
+    mut each: impl FnMut(usize, u32),
+) -> Result<(), JsonlError> {
+    let mut found = 0;
+    fields.u32_array(key, |v| {
+        each(found, v);
+        found += 1;
+    })?;
+    if found as u64 != count {
         return Err(fields.error(format!(
             "column \"{key}\" holds {found} values, its header promises {count}"
         )));
     }
-    Ok(values)
+    Ok(())
 }
 
 fn decode_spec(fields: &mut Cursor<'_>) -> Result<FlowSpec, JsonlError> {
@@ -413,10 +455,37 @@ fn decode_spec(fields: &mut Cursor<'_>) -> Result<FlowSpec, JsonlError> {
     })
 }
 
-fn decode_snap_flow(fields: &mut Cursor<'_>) -> Result<FlowState, JsonlError> {
+/// Decodes the flow lines of a snapshot into `flows`, reusing its slots
+/// and each slot's path. The slots are sized by the lines in hand.
+fn decode_snap_flows(
+    lines: &[JsonlLine<'_>],
+    flows: &mut Vec<FlowState>,
+) -> Result<(), JsonlError> {
+    flows.truncate(lines.len());
+    flows.reserve(lines.len() - flows.len());
+    for (i, line) in lines.iter().enumerate() {
+        let path = flows
+            .get_mut(i)
+            .map_or_else(Vec::new, |f| std::mem::take(&mut f.path));
+        let flow = decode_member(line, "svc.snap.flow", |fields| {
+            decode_snap_flow(fields, path)
+        })?;
+        match flows.get_mut(i) {
+            Some(slot) => *slot = flow,
+            None => flows.push(flow),
+        }
+    }
+    Ok(())
+}
+
+/// Decodes one snapshot flow, its path into `path` (cleared first).
+fn decode_snap_flow(
+    fields: &mut Cursor<'_>,
+    mut path: Vec<NodeId>,
+) -> Result<FlowState, JsonlError> {
     let spec = decode_spec(fields)?;
     let slots_per_link = fields.u32("slots_per_link")?;
-    let mut path = Vec::new();
+    path.clear();
     fields.u32_array("path", |node| path.push(NodeId(node)))?;
     if path.is_empty() {
         return Err(fields.error("empty path"));
@@ -428,36 +497,55 @@ fn decode_snap_flow(fields: &mut Cursor<'_>) -> Result<FlowState, JsonlError> {
     })
 }
 
+/// Decodes the pair columns into `pairs`, which is cleared first.
 fn decode_snap_pairs(
     fields: &mut Cursor<'_>,
     count: u64,
-) -> Result<Vec<(LinkId, LinkId)>, JsonlError> {
-    let a = column(fields, "a", count)?;
-    let b = column(fields, "b", count)?;
-    Ok(a.into_iter()
-        .zip(b)
-        .map(|(a, b)| (LinkId(a), LinkId(b)))
-        .collect())
+    pairs: &mut Vec<(LinkId, LinkId)>,
+) -> Result<(), JsonlError> {
+    pairs.clear();
+    column(fields, "a", count, |_, a| {
+        pairs.push((LinkId(a), LinkId(0)))
+    })?;
+    column(fields, "b", count, |i, b| {
+        if let Some(pair) = pairs.get_mut(i) {
+            pair.1 = LinkId(b);
+        }
+    })
 }
 
+/// Decodes the range columns into `ranges`, which is cleared first.
 fn decode_snap_ranges(
     fields: &mut Cursor<'_>,
     count: u64,
-) -> Result<Vec<(LinkId, SlotRange)>, JsonlError> {
-    let links = column(fields, "link", count)?;
-    let starts = column(fields, "start", count)?;
-    let lens = column(fields, "len", count)?;
-    let ranges = links.into_iter().zip(starts).zip(lens);
-    ranges
-        .map(|((link, start), len)| {
-            if len == 0 || start.checked_add(len).is_none() {
-                return Err(fields.error(format!(
-                    "link {link}: slot range is empty or ends past u32::MAX"
-                )));
-            }
-            Ok((LinkId(link), SlotRange::new(start, len)))
-        })
-        .collect()
+    ranges: &mut Vec<(LinkId, SlotRange)>,
+) -> Result<(), JsonlError> {
+    ranges.clear();
+    // Each row is empty until its `len` is read; a row left so is refused
+    // below, or its column already was.
+    column(fields, "link", count, |_, link| {
+        ranges.push((LinkId(link), SlotRange { start: 0, len: 0 }));
+    })?;
+    column(fields, "start", count, |i, start| {
+        if let Some((_, range)) = ranges.get_mut(i) {
+            range.start = start;
+        }
+    })?;
+    column(fields, "len", count, |i, len| {
+        if let Some((_, range)) = ranges.get_mut(i) {
+            range.len = len;
+        }
+    })?;
+    if let Some((link, _)) = ranges
+        .iter()
+        .find(|(_, r)| r.len == 0 || r.start.checked_add(r.len).is_none())
+    {
+        return Err(fields.error(format!(
+            "link {}: slot range is empty or ends past u32::MAX",
+            link.0
+        )));
+    }
+    Ok(())
 }
 
 /// The journal name of every policy but `TreeOrder`, which is
@@ -837,23 +925,40 @@ mod tests {
     fn snapshot_columns_must_hold_what_their_header_counts() {
         let good = roundtrip(&[JournalRecord::Snapshot(sample_state())]);
         assert!(good.contains("\"a\":[3],\"b\":[5]"), "{good}");
-        // Lines: header, one flow, pairs (3), ranges (4), end.
-        for (line, from, to) in [
-            (3, "\"a\":[3]", "\"a\":[]"),
-            (3, "\"a\":[3],\"b\":[5]", "\"a\":[3,4],\"b\":[5,6]"),
-            (3, "\"b\":[5]", "\"b\":[5,6]"),
-            (3, "\"b\":[5]", "\"b\":[]"),
-            (3, "\"warm\":1", "\"warm\":2"),
-            (4, "\"link\":[3,5]", "\"link\":[3]"),
-            (4, "\"start\":[0,2]", "\"start\":[0,2,4]"),
-            (4, "\"len\":[2,2]", "\"len\":[2]"),
-            (4, "\"len\":[2,2]", "\"len\":[2,0]"),
-            (4, "\"ranges\":2", "\"ranges\":1"),
+        // Lines: header, one flow, pairs (3), ranges (4), end. Every
+        // column one short and one long; a later column longer than the
+        // rows its line's first column made is refused too.
+        for (line, from, to, names) in [
+            (3, "\"a\":[3]", "\"a\":[]", "column \"a\""),
+            (3, "\"a\":[3]", "\"a\":[3,4]", "column \"a\""),
+            (
+                3,
+                "\"a\":[3],\"b\":[5]",
+                "\"a\":[3,4],\"b\":[5,6]",
+                "column \"a\"",
+            ),
+            (3, "\"b\":[5]", "\"b\":[5,6]", "column \"b\""),
+            (3, "\"b\":[5]", "\"b\":[]", "column \"b\""),
+            (3, "\"warm\":1", "\"warm\":2", "column \"a\""),
+            (4, "\"link\":[3,5]", "\"link\":[3]", "column \"link\""),
+            (4, "\"link\":[3,5]", "\"link\":[3,5,7]", "column \"link\""),
+            (4, "\"start\":[0,2]", "\"start\":[0]", "column \"start\""),
+            (
+                4,
+                "\"start\":[0,2]",
+                "\"start\":[0,2,4]",
+                "column \"start\"",
+            ),
+            (4, "\"len\":[2,2]", "\"len\":[2]", "column \"len\""),
+            (4, "\"len\":[2,2]", "\"len\":[2,2,1]", "column \"len\""),
+            (4, "\"len\":[2,2]", "\"len\":[2,0]", "link 5:"),
+            (4, "\"ranges\":2", "\"ranges\":1", "column \"link\""),
         ] {
             let bad = good.replacen(from, to, 1);
             assert_ne!(bad, good, "{from}");
             let err = parse_journal(&bad).expect_err(to);
             assert_eq!(err.line, line, "{to}: {err}");
+            assert!(err.reason.contains(names), "{to}: {err}");
         }
     }
 

@@ -26,7 +26,7 @@ use wimesh::{MeshQos, OrderPolicy, QosError, QosSession, SessionState};
 use wimesh_check::{CertParams, Certificate, CertificateReport, CertifyError, FlowRequirement};
 use wimesh_obs::reader::JsonlError;
 
-use crate::journal::{JournalRecord, RecordStream};
+use crate::journal::{empty_state, Decoded, JournalRecord, RecordStream};
 use crate::journaled::JournaledSession;
 
 /// Why a journal could not be recovered into a certified session.
@@ -174,29 +174,29 @@ struct ReplayPlan {
 impl ReplayPlan {
     /// Decodes and validates every line of `journal`, so corruption
     /// anywhere in it comes before any other finding, and holds on to
-    /// no record that a later snapshot supersedes.
+    /// no record that a later snapshot supersedes. Every snapshot is
+    /// decoded into one state, so one that a later snapshot supersedes
+    /// allocates only where it outgrows every snapshot before it.
     fn read(journal: &str) -> Result<Self, RecoveryError> {
         let mut stream = RecordStream::new(journal);
         let mut declared = Vec::new();
-        let mut snapshot = None;
+        let mut state = empty_state();
+        let mut snapshot_read = false;
         let mut tail = Vec::new();
-        while let Some(record) = stream.next_record(|| {
-            snapshot = None;
-            tail.clear();
-        }) {
-            match record? {
-                JournalRecord::Snapshot(state) => snapshot = Some(state),
-                JournalRecord::Policy(policy) => {
+        while let Some(decoded) = stream.next_record(&mut state, || tail.clear()) {
+            match decoded? {
+                Decoded::Snapshot => snapshot_read = true,
+                Decoded::Record(JournalRecord::Policy(policy)) => {
                     if declared.last() != Some(&policy) {
                         declared.push(policy);
                     }
                 }
-                mutation => tail.push(mutation),
+                Decoded::Record(mutation) => tail.push(mutation),
             }
         }
         Ok(ReplayPlan {
             declared,
-            snapshot,
+            snapshot: snapshot_read.then_some(state),
             tail,
             torn_tail: stream.torn_tail(),
         })

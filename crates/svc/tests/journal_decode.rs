@@ -10,7 +10,10 @@
 //! line edits, make `parse_journal`, `recover` and `recover_recorded`
 //! return `Ok` or a typed error, never panic, and every `Ok` recovery
 //! carries a certificate that matches its schedule. (c) Recovery is
-//! blind to what precedes the last snapshot.
+//! blind to what precedes the last snapshot, and every snapshot is
+//! decoded into one reused set of rows: a smaller snapshot after a
+//! larger one keeps nothing of it, and is still refused where it is
+//! corrupt.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -689,13 +692,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// (c) Whatever precedes the last snapshot — here, several earlier
-    /// snapshots and the churn between them — changes nothing.
+    /// snapshots and the churn between them, or a snapshot after every
+    /// mutation — changes nothing.
     #[test]
-    fn recovery_depends_only_on_the_last_snapshot_and_its_tail(seed in any::<u64>()) {
+    fn recovery_depends_only_on_the_last_snapshot_and_its_tail(
+        seed in any::<u64>(),
+        snapshot_every in prop_oneof![Just(3u64), Just(1u64)],
+    ) {
         let mut gen = Gen(seed);
         let mesh = mesh();
         let ops = 10 + gen.below(12);
-        let journal = churn_journal(&mut gen, &mesh, 3, ops);
+        let journal = churn_journal(&mut gen, &mesh, snapshot_every, ops);
         prop_assume!(journal.matches("{\"t\":\"svc.snap\",").count() >= 3);
         let last = journal.rfind("{\"t\":\"svc.snap\",").expect("counted above");
         let whole = recover(&mesh, OrderPolicy::HopOrder, &journal).expect("recovers");
@@ -707,5 +714,106 @@ proptest! {
         // The policy the suffix no longer declares is in its snapshot.
         let recorded = recover_recorded(&mesh, &journal[last..]).expect("recovers");
         prop_assert_eq!(recorded.session.export_state(), whole.session.export_state());
+    }
+}
+
+/// `journal` with its 1-based line `number` replaced by `line`.
+fn with_line(journal: &str, number: usize, line: &str) -> String {
+    let mut lines: Vec<&str> = journal.lines().collect();
+    lines[number - 1] = line;
+    lines.join("\n") + "\n"
+}
+
+/// (c) Snapshot A (five flows, its slot 0 on a 4-node path) and then a
+/// snapshot B smaller in flows, pairs and ranges, whose slot 0 has a
+/// shorter path, then a tail: recovery decodes B into A's rows, and must
+/// keep nothing of A, and refuse a corrupt member line of B at its line.
+#[test]
+fn a_smaller_snapshot_after_a_larger_one_keeps_no_stale_rows() {
+    let mesh = mesh();
+    let buf = SharedBuf::default();
+    let writer = JournalWriter::from_writer(Box::new(buf.clone()));
+    let mut journaled = JournaledSession::new(mesh.session(OrderPolicy::HopOrder), writer, 0);
+    let call = |id, src| FlowSpec::voip(id, NodeId(src), NodeId(0), VoipCodec::G729);
+    let calls = [call(1, 7), call(2, 1), call(3, 8), call(4, 3), call(5, 5)];
+    journaled.admit_flows(&calls).expect("admit");
+    let a = journaled.session().export_state();
+    journaled.snapshot_now().expect("snapshot A");
+    for id in [1, 3, 5] {
+        assert!(journaled.release_flow(FlowId(id)).expect("release"));
+    }
+    let b = journaled.session().export_state();
+    let b_at = buf.text().len();
+    journaled.snapshot_now().expect("snapshot B");
+    journaled.admit_flows(&[call(6, 6)]).expect("admit");
+    journaled.release_flow(FlowId(2)).expect("release");
+    let journal = buf.text();
+
+    assert_eq!(a.flows.len(), 5, "{journal}");
+    assert_eq!(a.flows[0].path.len(), 4, "{journal}");
+    assert!(b.flows[0].path.len() < a.flows[0].path.len(), "{journal}");
+    assert!(b.flows.len() < a.flows.len(), "{journal}");
+    assert!(b.warm_pairs.len() < a.warm_pairs.len(), "{journal}");
+    assert!(b.ranges.len() < a.ranges.len(), "{journal}");
+    assert!(
+        !b.warm_pairs.is_empty() && !b.ranges.is_empty(),
+        "{journal}"
+    );
+
+    let log = parse_journal(&journal).expect("parses");
+    let snapshots: Vec<&JournalRecord> = log
+        .records
+        .iter()
+        .filter(|r| matches!(r, JournalRecord::Snapshot(_)))
+        .collect();
+    assert_eq!(
+        snapshots,
+        [
+            &JournalRecord::Snapshot(a),
+            &JournalRecord::Snapshot(b.clone())
+        ]
+    );
+    assert_eq!(log.replay_point().1, Some(&b));
+
+    let whole = recover(&mesh, OrderPolicy::HopOrder, &journal).expect("recovers");
+    let suffix = recover(&mesh, OrderPolicy::HopOrder, &journal[b_at..]).expect("recovers");
+    assert_eq!(whole.session.export_state(), suffix.session.export_state());
+    assert_eq!(
+        whole.session.export_state(),
+        journaled.session().export_state()
+    );
+    assert_eq!((whole.replayed, suffix.replayed), (2, 2));
+    assert!(whole.snapshot_used && suffix.snapshot_used);
+    assert_eq!(whole.report, suffix.report);
+
+    // B's lines: its header, one line per flow, the pairs, the ranges.
+    let header = journal[..b_at].lines().count() + 1;
+    let slot0 = header + 1;
+    let ranges = header + b.flows.len() + 2;
+    let line = |number: usize| journal.lines().nth(number - 1).expect("a line");
+    assert!(
+        line(header).starts_with("{\"t\":\"svc.snap\","),
+        "{journal}"
+    );
+    assert!(
+        line(ranges).starts_with("{\"t\":\"svc.snap.range\","),
+        "{journal}"
+    );
+    let path_at = line(slot0).find("\"path\":[").expect("a path");
+    let empty_path = format!("{}\"path\":[]}}", &line(slot0)[..path_at]);
+    let last_comma = line(ranges).rfind(',').expect("two ranges at least");
+    let len_short = format!("{}]}}", &line(ranges)[..last_comma]);
+    assert!(len_short.contains("\"len\":["), "{len_short}");
+    for (number, bad) in [(slot0, empty_path), (ranges, len_short)] {
+        let corrupt = with_line(&journal, number, &bad);
+        assert_eq!(
+            parse_journal(&corrupt).map_err(|e| e.line),
+            Err(number as u32)
+        );
+        match recover(&mesh, OrderPolicy::HopOrder, &corrupt) {
+            Err(RecoveryError::Corrupt { line, .. }) => assert_eq!(line, number as u32, "{bad}"),
+            Err(other) => panic!("expected corruption at line {number}, got {other}"),
+            Ok(_) => panic!("recovered a corrupt snapshot:\n{corrupt}"),
+        }
     }
 }

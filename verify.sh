@@ -68,9 +68,18 @@ cargo test -q -p wimesh-svc --test crash_recovery
 # without the cursor (taught the snapshot's integer columns in its own
 # style, so the array format is held to an independent reading), fuzz
 # (arbitrary text with array pieces and edited journals never panic,
-# every recovery is certified), and recovery's blindness to what
-# precedes the last snapshot.
+# every recovery is certified), recovery's blindness to what precedes
+# the last snapshot (with a snapshot after every mutation too), and the
+# reuse case: every snapshot is decoded into one set of rows, so a
+# smaller snapshot after a larger one must recover as it does alone,
+# parse to exactly the state it was written from, and be refused at a
+# corrupt member line of its own.
 cargo test -q -p wimesh-svc --test journal_decode
+# The svc unit tests, by name so a filter cannot drop them: the writer's
+# golden bytes for every record kind, and the snapshot columns, each one
+# short and one long (a later column longer than the rows its line's
+# first column made included), refused at their line naming the column.
+cargo test -q -p wimesh-svc --lib
 # One writer (`wimesh_obs::json::Object`) and one reader (`Cursor`) own
 # the line format: seeded random journal records of every kind, trace
 # lines and sink lines (quotes, backslashes, control and non-ASCII text,
